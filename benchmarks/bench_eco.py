@@ -15,7 +15,7 @@ import json
 import os
 
 from repro.bench import build_design
-from repro.chip import TileCache
+from repro.cache import ArtifactCache
 from repro.core import flow_result_dict, flow_result_from_pipeline
 from repro.graph import METHOD_GADGET, METHOD_PATHS
 from repro.pipeline import (
@@ -64,7 +64,7 @@ def test_eco_equivalence_d5(benchmark, tech, collect_row):
                         PipelineConfig(method=METHOD_PATHS, jobs=JOBS,
                                        tiles=(eco.plan.grid.nx,
                                               eco.plan.grid.ny)),
-                        cache=TileCache())
+                        cache=ArtifactCache())
     assert domain_report(eco.result) == domain_report(cold)
     assert eco.result.detection.cache_misses == eco.plan.num_dirty
     assert eco.result.detection.cache_hits == eco.plan.num_clean
@@ -118,7 +118,7 @@ def test_eco_cache_accumulates_across_edits(benchmark, tech,
     first, _ = propose_eco_edit(base, tech, candidate=0)
     second, _ = propose_eco_edit(base, tech, candidate=1)
 
-    cache = TileCache()
+    cache = ArtifactCache()
     eco1 = run_eco_flow(base, first, tech, config=config, cache=cache)
 
     eco2 = benchmark.pedantic(

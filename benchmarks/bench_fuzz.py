@@ -41,7 +41,6 @@ def test_stratum_matrix(benchmark, stratum, collect_row):
     collect_row("Fuzz: invariant matrix", {
         "stratum": stratum,
         "checks": len(result.invariants),
-        "skipped": sum(c.status == "skip" for c in result.invariants),
     })
 
 

@@ -3,7 +3,9 @@
 Every expensive intermediate of the pipeline is a pure function of a
 describable set of inputs, so each can be cached under a content hash
 of exactly those inputs.  This module is the one store they all share,
-namespaced by *artifact kind*:
+namespaced by *artifact kind*; the stages, ``run_pipeline``,
+``run_eco_flow`` and ``run_chip_flow`` all take the store itself
+(``cache: Optional[ArtifactCache]``):
 
 ========= ==========================================================
 kind      value / key inputs
@@ -312,17 +314,3 @@ class ArtifactCache:
                  for kind, s in sorted(self._stats.items()) if s.requests]
         return "artifact cache hits — " + (", ".join(parts) or "no requests")
 
-
-def as_store(cache: Any) -> Optional[ArtifactCache]:
-    """Normalize a caller-supplied cache to the underlying store.
-
-    Accepts an :class:`ArtifactCache`, anything wrapping one in a
-    ``.store`` attribute (:class:`~repro.chip.cache.TileCache`), or
-    None.
-    """
-    if cache is None or isinstance(cache, ArtifactCache):
-        return cache
-    store = getattr(cache, "store", None)
-    if isinstance(store, ArtifactCache):
-        return store
-    raise TypeError(f"not an artifact store: {cache!r}")

@@ -7,7 +7,7 @@ layout in one process.  This package is the production-scale path:
 * :mod:`repro.chip.executor` — per-tile detection over a pluggable
   executor backend registry (serial / process, extensible via
   :func:`register_executor`), in canonical geometric keys;
-* :mod:`repro.chip.cache` — content-addressed per-tile result cache;
+* :mod:`repro.chip.cache` — content keys of per-tile results;
 * :mod:`repro.chip.stitch` — merge owned tile conflicts into one
   chip-level report in global shifter ids, with per-cluster verdicts
   content-addressed in the unified store (incremental stitching);
@@ -19,7 +19,7 @@ an executor backend that maps tile jobs over a cluster, and a
 machines.
 """
 
-from .cache import TileCache, tile_cache_key
+from .cache import tile_cache_key
 from .executor import (
     EXECUTOR_BACKENDS,
     CanonicalConflict,
@@ -74,7 +74,6 @@ __all__ = [
     "make_executor",
     "register_executor",
     "resolve_executor",
-    "TileCache",
     "tile_cache_key",
     "StitchStats",
     "StitchVerdict",

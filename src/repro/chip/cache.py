@@ -1,4 +1,4 @@
-"""Content-addressed per-tile result cache.
+"""Content keys for per-tile detection results.
 
 A tile's detection outcome is a pure function of (a) the geometry it
 captured, (b) the rule deck, (c) the graph kind and bipartization
@@ -12,21 +12,17 @@ The cache key hashes exactly those inputs, so:
 * changing the rule deck, graph kind, tile grid or halo invalidates
   cleanly, because all of them land in the key.
 
-Storage lives in the unified artifact store
+Results live in the unified artifact store
 (:class:`repro.cache.ArtifactCache`) under the ``tile`` kind, shared
-with window solutions and component colorings; :class:`TileCache` is
-the tile-shaped view of that store the chip orchestrator programs
-against.
+with window solutions and component colorings.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
-from ..cache import KIND_TILE, ArtifactCache
 from ..layout import tech_fingerprint
-from .executor import TileJob, TileResult
+from .executor import TileJob
 
 # Bump when TileResult/CanonicalConflict shape changes so stale
 # directories self-invalidate instead of unpickling garbage.
@@ -45,47 +41,3 @@ def tile_cache_key(job: TileJob) -> str:
         h.update(repr(rect).encode())
     return h.hexdigest()
 
-
-class TileCache:
-    """Tile-kind view over the unified artifact store.
-
-    Keeps the historical tile-cache API (``get``/``put`` by bare key,
-    ``hits``/``misses`` counters) while delegating storage to one
-    :class:`~repro.cache.ArtifactCache` that the rest of the pipeline
-    shares — pass ``store`` to join an existing one, or ``cache_dir``
-    to own a fresh (optionally persistent) store.
-    """
-
-    def __init__(self, cache_dir: Optional[str] = None,
-                 store: Optional[ArtifactCache] = None):
-        self.store = store if store is not None else ArtifactCache(cache_dir)
-
-    @property
-    def cache_dir(self) -> Optional[str]:
-        return self.store.cache_dir
-
-    # ------------------------------------------------------------------
-    def _path(self, key: str) -> str:
-        return self.store._path(KIND_TILE, key)
-
-    def get(self, key: str) -> Optional[TileResult]:
-        return self.store.get(KIND_TILE, key)
-
-    def put(self, key: str, result: TileResult) -> None:
-        self.store.put(KIND_TILE, key, result)
-
-    # ------------------------------------------------------------------
-    @property
-    def hits(self) -> int:
-        return self.store.stats(KIND_TILE).hits
-
-    @property
-    def misses(self) -> int:
-        return self.store.stats(KIND_TILE).misses
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    def stats(self) -> str:
-        return f"{self.hits}/{self.requests} tile cache hits"

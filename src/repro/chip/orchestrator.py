@@ -17,11 +17,12 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..cache import KIND_TILE, ArtifactCache
 from ..conflict import PCG, DetectionReport
 from ..graph import METHOD_GADGET
 from ..layout import Layout, Technology
 from ..obs import get_tracer
-from .cache import TileCache, tile_cache_key
+from .cache import tile_cache_key
 from .executor import TileResult, detect_tile, make_jobs, \
     resolve_executor
 from .partition import TileGrid, TileSpec, partition_layout
@@ -115,7 +116,7 @@ def run_chip_flow(layout: Layout, tech: Technology,
                   tiles: TileSpec = None,
                   jobs: Optional[int] = None,
                   cache_dir: Optional[str] = None,
-                  cache: Optional[TileCache] = None,
+                  cache: Optional[ArtifactCache] = None,
                   kind: str = PCG,
                   method: str = METHOD_GADGET,
                   halo: Optional[int] = None,
@@ -136,12 +137,14 @@ def run_chip_flow(layout: Layout, tech: Technology,
         tiles: grid spec (``n``, ``(nx, ny)``, or None for automatic).
         jobs: worker count; with no ``executor`` named, None/1 runs
             serially in-process and n > 1 fans out over n processes.
-        cache_dir: directory for the persistent tile cache; None keeps
-            caching in-memory only (pass ``cache`` to share one across
-            calls, e.g. between the pre- and post-correction runs).
-        cache: an existing :class:`TileCache` to use; overrides
-            ``cache_dir``.  Its underlying store also receives the
-            per-cluster stitch verdicts (kind ``stitch``).
+        cache_dir: directory for a fresh persistent artifact store;
+            None keeps caching in-memory only (pass ``cache`` to share
+            one across calls, e.g. between the pre- and post-correction
+            runs).
+        cache: an existing :class:`~repro.cache.ArtifactCache` to use;
+            overrides ``cache_dir``.  It holds the tile results (kind
+            ``tile``) and the per-cluster stitch verdicts (kind
+            ``stitch``).
         kind: conflict-graph kind ("pcg"/"fg").
         method: bipartization engine for each tile.
         halo: capture halo in nm (default from the rule deck).
@@ -170,16 +173,17 @@ def run_chip_flow(layout: Layout, tech: Technology,
                 grid = partition_layout(layout, tech, tiles=tiles,
                                         halo=halo, jobs=jobs)
         if cache is None:
-            cache = TileCache(cache_dir)
-        hits0, misses0 = cache.hits, cache.misses
+            cache = ArtifactCache(cache_dir)
+        tile_stats = cache.stats(KIND_TILE)
+        hits0, misses0 = tile_stats.as_tuple()
         runner = resolve_executor(jobs, executor)
         workers = max(int(getattr(runner, "jobs", 1) or 1), 1)
 
         jobs_all = make_jobs(grid.tiles, tech, kind=kind, method=method)
         with tracer.span("execute", cat="chip") as exec_span:
             keys = [tile_cache_key(job) for job in jobs_all]
-            results: List[Optional[TileResult]] = [cache.get(k)
-                                                   for k in keys]
+            results: List[Optional[TileResult]] = [
+                cache.get(KIND_TILE, k) for k in keys]
 
             pending = [(i, job) for i, (job, res)
                        in enumerate(zip(jobs_all, results)) if res is None]
@@ -187,7 +191,7 @@ def run_chip_flow(layout: Layout, tech: Technology,
             if pending:
                 fresh = runner.map(detect_tile, [job for _, job in pending])
                 for (i, _job), result in zip(pending, fresh):
-                    cache.put(keys[i], result)
+                    cache.put(KIND_TILE, keys[i], result)
                     results[i] = result
             # Merge the workers' own measurements back as child spans:
             # every executor backend (serial, process) yields the
@@ -224,13 +228,14 @@ def run_chip_flow(layout: Layout, tech: Technology,
             detection, stats = stitch_results(layout, tech, kind, grid,
                                               final, shifters=shifters,
                                               tile_keys=keys,
-                                              store=cache.store)
+                                              store=cache)
             stitch_span.set(clusters=stats.clusters,
                             replayed=stats.cache_hits,
                             rearbitrated=stats.cache_misses)
-        chip_span.set(tiles=grid.nx * grid.ny,
-                      cache_hits=cache.hits - hits0,
-                      cache_misses=cache.misses - misses0,
+        cache_hits = tile_stats.hits - hits0
+        cache_misses = tile_stats.misses - misses0
+        chip_span.set(tiles=grid.nx * grid.ny, cache_hits=cache_hits,
+                      cache_misses=cache_misses,
                       conflicts=detection.num_conflicts)
 
     report = ChipReport(
@@ -239,8 +244,8 @@ def run_chip_flow(layout: Layout, tech: Technology,
         jobs=getattr(runner, "jobs", 1),
         executor=getattr(runner, "name", type(runner).__name__),
         tile_seconds=stats.tile_seconds,
-        cache_hits=cache.hits - hits0,
-        cache_misses=cache.misses - misses0,
+        cache_hits=cache_hits,
+        cache_misses=cache_misses,
         clusters=stats.clusters,
         boundary_duplicates_dropped=stats.boundary_duplicates_dropped,
         stitch_hits=stats.cache_hits,

@@ -18,8 +18,6 @@ from ..geometry import Interval
 from ..layout import Layout, Technology
 from ..shifters import ShifterSet, generate_shifters
 from .options import AXIS_X, AXIS_Y, CorrectionOption, conflict_options
-from .setcover import CoverSet, EXACT_CAP_ELEMENTS, EXACT_CAP_SETS, \
-    exact_weighted_set_cover, greedy_weighted_set_cover, use_exact_cover
 from .spacer import SpaceCut, apply_cuts, stretched_feature_indices
 from .windows import CorrectionWindow, solve_cover_windows
 
@@ -223,26 +221,21 @@ def plan_correction(layout: Layout, tech: Technology,
                     shifters: Optional[ShifterSet] = None,
                     cover: str = "auto",
                     restrictions: Optional[CutRestrictions] = None,
-                    windowed: bool = True,
                     store=None) -> CorrectionReport:
     """Choose end-to-end cuts correcting the given conflicts.
+
+    The set cover is solved per independent conflict window (see
+    :mod:`repro.correction.windows`) and the chosen cuts are merged
+    chip-wide.
 
     Args:
         cover: "greedy", "exact", or "auto" (exact when the instance is
             small enough to finish instantly, greedy otherwise).
         restrictions: optional no-cut regions (hard macros etc.);
             conflicts only fixable inside them become uncorrectable.
-        windowed: solve the set cover per independent conflict window
-            (see :mod:`repro.correction.windows`) and merge the chosen
-            cuts chip-wide; ``False`` solves the whole instance in one
-            piece (the pre-windowing path, kept as the equivalence
-            baseline).  Greedy covers produce identical cuts either
-            way; exact covers produce identical total width, with the
-            same cut set whenever the optimum is tie-free (ties pick
-            an equally optimal, deterministic representative).
-        store: optional :class:`repro.cache.ArtifactCache`; with
-            ``windowed`` it replays content-addressed window solutions
-            instead of re-solving unchanged windows.
+        store: optional :class:`repro.cache.ArtifactCache`; replays
+            content-addressed window solutions instead of re-solving
+            unchanged windows.
     """
     if shifters is None:
         shifters = generate_shifters(layout, tech)
@@ -267,25 +260,11 @@ def plan_correction(layout: Layout, tech: Technology,
     report.num_grid_candidates = len(lines)
     report.max_cover = max(len(line.covers) for line in lines)
 
-    if windowed:
-        chosen, report.cover_method, report.windows = \
-            solve_cover_windows(correctable, lines, cover=cover,
-                                store=store)
-    else:
-        cover_sets = [CoverSet(id=i, elements=frozenset(line.covers),
-                               weight=line.width)
-                      for i, line in enumerate(lines)]
-        if use_exact_cover(cover, len(correctable), len(cover_sets)):
-            chosen = exact_weighted_set_cover(
-                correctable, cover_sets,
-                max_elements=EXACT_CAP_ELEMENTS, max_sets=EXACT_CAP_SETS)
-            report.cover_method = "exact"
-        else:
-            chosen = greedy_weighted_set_cover(correctable, cover_sets)
-            report.cover_method = "greedy"
+    chosen, report.cover_method, report.windows = \
+        solve_cover_windows(correctable, lines, cover=cover, store=store)
 
     snap_index = _SnapIndex(layout)
-    for set_id in sorted(chosen):
+    for set_id in chosen:
         report.cuts.append(_snap_cut(layout, lines[set_id], options,
                                      restrictions, index=snap_index))
     report.corrected = sorted(correctable)
@@ -311,11 +290,10 @@ def correct_layout(layout: Layout, tech: Technology,
                    conflicts: Sequence[ConflictKey],
                    shifters: Optional[ShifterSet] = None,
                    cover: str = "auto",
-                   restrictions: Optional[CutRestrictions] = None,
-                   windowed: bool = True
+                   restrictions: Optional[CutRestrictions] = None
                    ) -> Tuple[Layout, CorrectionReport]:
     """Plan and apply the correction; returns the modified layout."""
     report = plan_correction(layout, tech, conflicts, shifters, cover,
-                             restrictions, windowed=windowed)
+                             restrictions)
     modified = apply_cuts(layout, report.cuts)
     return modified, report

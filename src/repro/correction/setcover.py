@@ -30,9 +30,9 @@ class UncoverableError(ValueError):
 
 
 # Shared "auto" policy: exact cover only when the instance is small
-# enough to finish instantly.  One definition, used by both the
-# windowed and the whole-instance correction planners so they always
-# agree on the solver.
+# enough to finish instantly.  One definition, used by the windowed
+# planner and by the whole-instance cover the tests compare it with,
+# so they always agree on the solver.
 AUTO_EXACT_MAX_ELEMENTS = 16
 AUTO_EXACT_MAX_SETS = 32
 # Hard caps of the branch-and-bound itself (per instance it is run on).

@@ -196,7 +196,7 @@ def solve_cover_windows(universe: Set[ConflictKey],
 
     The exact-vs-greedy ``auto`` decision is made on the *global*
     instance size via the shared :func:`use_exact_cover` policy (so
-    windowed and whole-instance planning agree on the method), then
+    the method matches a whole-instance solve), then
     each window is solved independently — or, when ``store`` (a
     :class:`repro.cache.ArtifactCache`) holds a solution for the
     window's content key, replayed without entering the solver at all.

@@ -10,18 +10,16 @@ All angle comparisons are exact (integer cross products), so the face
 structure is deterministic and independent of floating-point behaviour.
 
 The builder is array-native: darts are dense integers ``2*k + bit``
-over the live-edge list, rotations come from one batch half-plane-key +
-integer-cross-product ranking over *all* darts at once (numpy when
-available, a scalar pass mirroring the same comparator otherwise), and
-the face walk runs over a flat next-dart permutation.  The dict/tuple
-views (``rotations`` / ``faces`` / ``face_of``) materialize lazily for
-consumers that want them; the hot consumers (the dual builder) read the
-flat arrays.
+over the live-edge list, rotations come from one numpy batch
+half-plane-key + integer-cross-product ranking over *all* darts at
+once, and the face walk runs over a flat next-dart permutation.  The
+dict/tuple views (``rotations`` / ``faces`` / ``face_of``) materialize
+lazily for consumers that want them; the hot consumers (the dual
+builder) read the flat arrays.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, List, Optional, Tuple
 
 from .geomgraph import GeomGraph, _numpy
@@ -29,31 +27,6 @@ from .geomgraph import GeomGraph, _numpy
 # A dart is a directed copy of an edge: (edge_id, 0) runs u -> v,
 # (edge_id, 1) runs v -> u.
 Dart = Tuple[int, int]
-
-# Below this many darts the numpy batch sort loses to its fixed
-# overhead; both paths are exactly equivalent (differential-tested).
-_VECTOR_MIN_DARTS = 256
-
-
-def _half(dx: int, dy: int) -> int:
-    """0 for directions in [0, pi), 1 for [pi, 2*pi) — exact."""
-    if dy > 0 or (dy == 0 and dx > 0):
-        return 0
-    return 1
-
-
-def _direction_cmp(d1: Tuple[int, int], d2: Tuple[int, int]) -> int:
-    """Exact counter-clockwise comparison of two nonzero directions."""
-    h1 = _half(*d1)
-    h2 = _half(*d2)
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    cross = d1[0] * d2[1] - d1[1] * d2[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
 
 
 class PlanarEmbedding:
@@ -203,11 +176,7 @@ def build_embedding(graph: GeomGraph) -> PlanarEmbedding:
         if eu[eid] == ev[eid]:
             raise ValueError("embedding does not support self-loops")
 
-    np = _numpy() if 2 * len(live) >= _VECTOR_MIN_DARTS else None
-    if np is not None:
-        rot, rot_indptr, next_dart = _rotation_arrays_numpy(graph, live, np)
-    else:
-        rot, rot_indptr, next_dart = _rotation_arrays_scalar(graph, live)
+    rot, rot_indptr, next_dart = _rotation_arrays(graph, live)
 
     # Face orbits.  Seeds scan the rotation array in order — nodes in
     # insertion order, darts CCW within a node — reproducing the
@@ -235,7 +204,7 @@ def build_embedding(graph: GeomGraph) -> PlanarEmbedding:
                            face_seeds=face_seeds)
 
 
-def _rotation_arrays_numpy(graph: GeomGraph, live: List[int], np):
+def _rotation_arrays(graph: GeomGraph, live: List[int]):
     """Batch CCW rotation build over all darts at once.
 
     Per-dart half-plane keys plus exact int64 cross products rank every
@@ -244,6 +213,7 @@ def _rotation_arrays_numpy(graph: GeomGraph, live: List[int], np):
     comparison count stays linear in practice); the next-dart
     permutation then falls out of pure array arithmetic.
     """
+    np = _numpy()
     xs, ys = graph.coord_arrays(np)
     ui_all, vi_all = graph._dense_endpoints(np)
     le = np.array(live, dtype=np.int64)
@@ -260,7 +230,10 @@ def _rotation_arrays_numpy(graph: GeomGraph, live: List[int], np):
     target[1::2] = ui
     dx = xs[target] - xs[origin]
     dy = ys[target] - ys[origin]
-    half = ((dy < 0) | ((dy == 0) & (dx < 0))).astype(np.int8)
+    # Half-plane key: 0 for directions in [0, pi), 1 for [pi, 2*pi).
+    # A zero-length dart (coincident endpoints — duplicate rects make
+    # them) has direction (0, 0) and takes key 1.
+    half = (~((dy > 0) | ((dy == 0) & (dx > 0)))).astype(np.int8)
 
     # Group darts by origin node.
     n_nodes = graph.num_nodes()
@@ -284,10 +257,10 @@ def _rotation_arrays_numpy(graph: GeomGraph, live: List[int], np):
     gdy = dy[order]
     hi, hj = gh[pair_i], gh[pair_j]
     cross = gdx[pair_i] * gdy[pair_j] - gdy[pair_i] * gdx[pair_j]
-    # "i before j" in CCW order, the vectorized twin of _direction_cmp.
-    # Planarization guarantees no equal directions at a node, but a
-    # hypothetical tie (cross == 0, same half) keeps the lower dart id
-    # first — matching the stable comparison sort of the scalar path.
+    # "i before j" in CCW order.  Planarization leaves no two equal
+    # directions at a node, so a tie (cross == 0, same half) only
+    # arises against a zero-length dart; the earlier grouped dart
+    # (lower edge id) goes first.
     i_first = (hi < hj) | ((hi == hj) & (cross >= 0))
     rank = np.bincount(np.where(i_first, pair_j, pair_i),
                        minlength=n_darts)
@@ -308,48 +281,3 @@ def _rotation_arrays_numpy(graph: GeomGraph, live: List[int], np):
 
     return rot.tolist(), indptr.tolist(), next_dart.tolist()
 
-
-def _rotation_arrays_scalar(graph: GeomGraph, live: List[int]):
-    """Per-node comparison sort; exactly equivalent to the batch pass."""
-    eu, ev = graph._eu, graph._ev
-    index = graph._node_index
-    coords = graph._coords
-
-    # Incident darts per dense node index, in ascending edge-id order
-    # (matching the CSR dart order the numpy pass groups by).
-    incident: List[List[int]] = [[] for _ in range(graph.num_nodes())]
-    for k, eid in enumerate(live):
-        incident[index[eu[eid]]].append(2 * k)
-        incident[index[ev[eid]]].append(2 * k + 1)
-
-    rot: List[int] = []
-    rot_indptr = [0]
-    pos = [0] * (2 * len(live))
-    dart_origin: List[int] = [0] * (2 * len(live))
-    for node in graph.nodes:
-        i = index[node]
-        darts = incident[i]
-        ox, oy = coords[node]
-        dirs: Dict[int, Tuple[int, int]] = {}
-        for d in darts:
-            eid = live[d >> 1]
-            other = ev[eid] if d & 1 == 0 else eu[eid]
-            tx, ty = coords[other]
-            dirs[d] = (tx - ox, ty - oy)
-            dart_origin[d] = i
-        darts.sort(key=functools.cmp_to_key(
-            lambda a, b: _direction_cmp(dirs[a], dirs[b])))
-        for d in darts:
-            pos[d] = len(rot)
-            rot.append(d)
-        rot_indptr.append(len(rot))
-
-    next_dart = [0] * (2 * len(live))
-    for d in range(2 * len(live)):
-        reverse = d ^ 1
-        head = dart_origin[reverse]
-        ring_start = rot_indptr[head]
-        ring_len = rot_indptr[head + 1] - ring_start
-        local = pos[reverse] - ring_start
-        next_dart[d] = rot[ring_start + (local - 1) % ring_len]
-    return rot, rot_indptr, next_dart

@@ -9,11 +9,11 @@ ids.
 
 Storage is struct-of-arrays: edges live in parallel endpoint / weight /
 tag columns and adjacency is a CSR table (``indptr`` / ``neighbors`` /
-``edge_ids``) built lazily in one pass — vectorized through numpy when
-available, by a scalar pass otherwise — instead of per-edge adjacency
-list appends.  :class:`Edge` objects are materialized on demand and
-memoized, so bulk construction and array-level consumers (coloring,
-components, embedding) never pay for them.  The id-stability contract:
+``edge_ids``) built lazily in one vectorized numpy pass instead of
+per-edge adjacency list appends.  :class:`Edge` objects are
+materialized on demand and memoized, so bulk construction and
+array-level consumers (coloring, components, embedding) never pay for
+them.  The id-stability contract:
 node iteration order is insertion order, edge ids are assigned
 sequentially, and a node's incident edges enumerate in ascending edge
 id — exactly the orders the incremental cache keys and component ids
@@ -22,30 +22,22 @@ were derived from, however the graph was built.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, \
     Set, Tuple
 
 Point = Tuple[int, int]
 
-# Below this many darts a scalar CSR pass beats numpy's fixed overhead;
-# the two builders are byte-equivalent (asserted by the differential
-# suite), so the crossover is purely a latency knob.
-_NUMPY_MIN_DARTS = 256
-
-_np: Any = False  # unresolved; resolved to a module or None on first use
+_np: Any = None  # numpy, imported on first use
 
 
 def _numpy():
-    """The numpy module, or None when unavailable (resolved once)."""
+    """The numpy module, imported on first use so that importing the
+    graph core does not load it."""
     global _np
-    if _np is False:
-        try:
-            import numpy
-            _np = numpy
-        except ImportError:  # pragma: no cover - exercised on bare images
-            _np = None
+    if _np is None:
+        import numpy
+        _np = numpy
     return _np
 
 
@@ -78,9 +70,8 @@ class _CSR:
     index ``i``; ``edge_ids`` holds ascending edge ids per node and
     ``neighbors`` the opposite endpoint *labels*.  Removal is a query-
     time filter, so soft remove/restore never invalidates the table.
-    ``eid_buf`` keeps a sliceable buffer (numpy array or ``array('q')``)
-    over the same edge ids so :meth:`GeomGraph.incident_edge_ids` can
-    hand out zero-copy views.
+    ``eid_buf`` keeps the numpy array behind ``edge_ids`` so
+    :meth:`GeomGraph.incident_edge_ids` can hand out zero-copy views.
     """
 
     __slots__ = ("indptr", "neighbors", "edge_ids", "eid_buf")
@@ -300,17 +291,14 @@ class GeomGraph:
         """Zero-copy view of a node's incident edge ids, ascending.
 
         Soft-removed edges are included (filter with
-        :meth:`is_removed`); the returned object is a slice *view* of
-        the CSR buffer — a numpy view or a ``memoryview`` — never a
-        freshly built list, so repeated queries allocate no per-edge
-        garbage.
+        :meth:`is_removed`); the returned object is a numpy slice *view*
+        of the CSR buffer, never a freshly built list, so repeated
+        queries allocate no per-edge garbage.
         """
         csr = self._csr or self._build_csr()
         i = self._node_index.get(node)
         if i is None:
             return ()
-        if csr.eid_buf is None:
-            csr.eid_buf = memoryview(array("q", csr.edge_ids))
         return csr.eid_buf[csr.indptr[i]:csr.indptr[i + 1]]
 
     def degree(self, node: int) -> int:
@@ -340,13 +328,6 @@ class GeomGraph:
     # ------------------------------------------------------------------
     # CSR adjacency
     # ------------------------------------------------------------------
-    def _build_csr(self) -> _CSR:
-        np = _numpy() if 2 * len(self._eu) >= _NUMPY_MIN_DARTS else None
-        csr = (self._build_csr_scalar() if np is None
-               else self._build_csr_numpy(np))
-        self._csr = csr
-        return csr
-
     def _dense_endpoints(self, np):
         """Cached int64 arrays of dense endpoint indices per edge."""
         cached = self._array_cache.get("endpoints")
@@ -383,8 +364,9 @@ class GeomGraph:
         self._array_cache["coords"] = (self._epoch, (xs, ys))
         return xs, ys
 
-    def _build_csr_numpy(self, np) -> _CSR:
+    def _build_csr(self) -> _CSR:
         """One vectorized pass: lexsort darts by (node, edge id)."""
+        np = _numpy()
         n = len(self._labels)
         ui, vi = self._dense_endpoints(np)
         n_edges = len(self._eu)
@@ -409,34 +391,9 @@ class GeomGraph:
         # Python-int mirrors for the traversal loops (plain ints hash
         # faster than numpy scalars and can never leak into reports);
         # the numpy buffer stays behind for zero-copy views.
-        return _CSR(indptr.tolist(), neighbor_labels.tolist(),
-                    eid_sorted.tolist(), eid_sorted)
-
-    def _build_csr_scalar(self) -> _CSR:
-        """Pure-python CSR build mirroring the numpy pass exactly."""
-        n = len(self._labels)
-        index = self._node_index
-        adj_eids: List[List[int]] = [[] for _ in range(n)]
-        adj_nbrs: List[List[int]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(zip(self._eu, self._ev)):
-            i = index[u]
-            adj_eids[i].append(eid)
-            adj_nbrs[i].append(v)
-            if u != v:
-                j = index[v]
-                adj_eids[j].append(eid)
-                adj_nbrs[j].append(u)
-        indptr = [0] * (n + 1)
-        total = 0
-        for i, bucket in enumerate(adj_eids):
-            total += len(bucket)
-            indptr[i + 1] = total
-        edge_ids: List[int] = []
-        neighbors: List[int] = []
-        for i in range(n):
-            edge_ids.extend(adj_eids[i])
-            neighbors.extend(adj_nbrs[i])
-        return _CSR(indptr, neighbors, edge_ids, None)
+        self._csr = _CSR(indptr.tolist(), neighbor_labels.tolist(),
+                         eid_sorted.tolist(), eid_sorted)
+        return self._csr
 
     def csr(self) -> _CSR:
         """The (lazily built) CSR adjacency table."""
@@ -513,8 +470,8 @@ class GeomGraph:
                 f"edges={len(self._eu)}, removed={len(self._removed)})")
 
     def __getstate__(self):
-        # Caches hold unpicklable buffers (memoryview) and are cheap to
-        # rebuild; strip them so graphs stay picklable for the store.
+        # Caches are cheap to rebuild; strip them so pickled graphs in
+        # the store carry only the columns.
         state = self.__dict__.copy()
         state["_csr"] = None
         state["_edge_cache"] = {}

@@ -33,12 +33,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..cache import ArtifactCache, as_store
+from ..cache import ArtifactCache
 from ..chip.partition import TileGrid, TileSpec, auto_tile_grid, \
     normalize_tile_spec, partition_layout
 from ..layout import Layout, Technology
 from .artifacts import PipelineResult
-from .runner import PipelineCache, PipelineConfig, run_pipeline
+from .runner import PipelineConfig, run_pipeline
 
 RectTuple = Tuple[int, int, int, int]
 
@@ -363,7 +363,7 @@ class EcoResult:
 
 def run_eco_flow(base: Layout, edited: Layout, tech: Technology,
                  config: Optional[PipelineConfig] = None,
-                 cache: PipelineCache = None,
+                 cache: Optional[ArtifactCache] = None,
                  warm_base: bool = True) -> EcoResult:
     """Run the edited layout through the pipeline, reusing every clean
     tile front end, tile result, stitch-cluster verdict, window
@@ -376,9 +376,8 @@ def run_eco_flow(base: Layout, edited: Layout, tech: Technology,
             content key misses).
         config: pipeline knobs; the tile grid is pinned from the base
             layout so both revisions partition identically.
-        cache: an artifact store already warmed by a previous base run
-            (or a :class:`~repro.chip.TileCache` wrapping one); a
-            fresh store is created (at ``config.cache_dir``)
+        cache: an artifact store already warmed by a previous base
+            run; a fresh store is created (at ``config.cache_dir``)
             otherwise.
         warm_base: run the base layout first when True — the cold run
             that both warms the cache and provides the baseline
@@ -404,7 +403,6 @@ def run_eco_flow(base: Layout, edited: Layout, tech: Technology,
     from ..obs import get_tracer
 
     config = replace(config, tiles=spec, tiled=True)
-    cache = as_store(cache)
     if cache is None:
         cache = ArtifactCache(config.cache_dir)
 

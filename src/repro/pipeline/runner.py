@@ -21,9 +21,9 @@ the old monolithic ``run_aapsm_flow`` body:
   front end back into the exact monolithic shifter numbering
   (:mod:`repro.shifters.frontend`);
 * both detection passes can run tiled through
-  :func:`repro.chip.run_chip_flow` with one shared
-  :class:`~repro.chip.TileCache`, and each pass records its own cache
-  hit/miss deltas — the accounting the dirty-tile ECO scheduler
+  :func:`repro.chip.run_chip_flow` over one shared
+  :class:`~repro.cache.ArtifactCache`, and each pass records its own
+  cache hit/miss deltas — the accounting the dirty-tile ECO scheduler
   asserts on;
 * correction is window-scoped: the weighted set cover is solved per
   independent conflict window and the cuts merged chip-wide
@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from ..cache import KIND_WINDOW, ArtifactCache, as_store
-from ..chip import TileCache, run_chip_flow
+from ..cache import KIND_WINDOW, ArtifactCache
+from ..chip import run_chip_flow
 from ..chip.partition import TileSpec, partition_layout
 from ..conflict import (
     PCG,
@@ -68,11 +68,6 @@ from .artifacts import (
     FrontEnd,
     PipelineResult,
 )
-
-# Every stage accepts the shared store, or the historical TileCache
-# wrapper around it, or None (run cold).
-PipelineCache = Union[ArtifactCache, TileCache, None]
-
 
 @dataclass
 class PipelineConfig:
@@ -111,7 +106,7 @@ class PipelineConfig:
 # ----------------------------------------------------------------------
 def stage_front_end(layout: Layout, tech: Technology,
                     config: Optional[PipelineConfig] = None,
-                    cache: PipelineCache = None) -> FrontEnd:
+                    cache: Optional[ArtifactCache] = None) -> FrontEnd:
     """Stage 1 — shifter generation for one layout revision.
 
     With a tiled ``config`` the front end runs per capture-window tile
@@ -133,7 +128,6 @@ def stage_front_end(layout: Layout, tech: Technology,
     """
     start = time.perf_counter()
     with get_tracer().span("shifters", cat="stage") as span:
-        store = as_store(cache)
         grid = None
         if config is not None and config.is_tiled:
             if has_duplicate_features(layout):
@@ -157,7 +151,7 @@ def stage_front_end(layout: Layout, tech: Technology,
             if grid.bbox is not None:
                 try:
                     shifters, pairs, hits, misses = tiled_front_end(
-                        layout, tech, grid.tiles, store=store)
+                        layout, tech, grid.tiles, store=cache)
                 except SpliceError as exc:
                     # A stale or foreign artifact; recompute
                     # monolithically rather than fail the revision —
@@ -186,7 +180,8 @@ def stage_front_end(layout: Layout, tech: Technology,
 
 def stage_detect(front: FrontEnd, tech: Technology,
                  config: PipelineConfig,
-                 cache: PipelineCache = None) -> DetectionArtifact:
+                 cache: Optional[ArtifactCache] = None
+                 ) -> DetectionArtifact:
     """Stage 2/4 — conflict detection on one layout revision.
 
     Tiled when the config says so (partition -> execute -> stitch with
@@ -198,10 +193,8 @@ def stage_detect(front: FrontEnd, tech: Technology,
     start = time.perf_counter()
     with get_tracer().span("detect", cat="stage") as span:
         if config.is_tiled:
-            store = as_store(cache)
-            tiles = TileCache(store=store) if store is not None else None
             chip = run_chip_flow(front.layout, tech, tiles=config.tiles,
-                                 jobs=config.jobs, cache=tiles,
+                                 jobs=config.jobs, cache=cache,
                                  kind=config.kind, method=config.method,
                                  halo=config.halo,
                                  shifters=front.shifters,
@@ -231,7 +224,8 @@ def stage_detect(front: FrontEnd, tech: Technology,
 
 def stage_correct(detection: DetectionArtifact, tech: Technology,
                   config: PipelineConfig,
-                  cache: PipelineCache = None) -> CorrectionArtifact:
+                  cache: Optional[ArtifactCache] = None
+                  ) -> CorrectionArtifact:
     """Stage 3 — window-scoped correction, cuts merged chip-wide.
 
     Over a store, each conflict window's solved cut choice is
@@ -241,24 +235,23 @@ def stage_correct(detection: DetectionArtifact, tech: Technology,
     """
     start = time.perf_counter()
     with get_tracer().span("correct", cat="stage") as span:
-        store = as_store(cache)
         front = detection.front
         conflicts = [c.key for c in detection.report.conflicts]
-        hits0, misses0 = (store.stats(KIND_WINDOW).as_tuple()
-                          if store is not None else (0, 0))
+        hits0, misses0 = (cache.stats(KIND_WINDOW).as_tuple()
+                          if cache is not None else (0, 0))
         report = plan_correction(front.layout, tech, conflicts,
                                  shifters=front.shifters,
                                  cover=config.cover,
                                  restrictions=config.restrictions,
-                                 windowed=True, store=store)
+                                 store=cache)
         corrected = apply_cuts(front.layout, report.cuts)
         artifact = CorrectionArtifact(report=report,
                                       corrected_layout=corrected,
                                       seconds=time.perf_counter() - start)
-        if store is not None:
-            artifact.cache_hits = store.stats(KIND_WINDOW).hits - hits0
+        if cache is not None:
+            artifact.cache_hits = cache.stats(KIND_WINDOW).hits - hits0
             artifact.cache_misses = \
-                store.stats(KIND_WINDOW).misses - misses0
+                cache.stats(KIND_WINDOW).misses - misses0
         span.set(cuts=len(report.cuts),
                  cache_hits=artifact.cache_hits,
                  cache_misses=artifact.cache_misses)
@@ -268,7 +261,8 @@ def stage_correct(detection: DetectionArtifact, tech: Technology,
 def stage_verify(correction: CorrectionArtifact, tech: Technology,
                  config: PipelineConfig,
                  base_front: FrontEnd,
-                 cache: PipelineCache = None) -> DetectionArtifact:
+                 cache: Optional[ArtifactCache] = None
+                 ) -> DetectionArtifact:
     """Stage 4 — re-detect on the corrected layout.
 
     When correction applied no cuts the geometry is untouched, so the
@@ -300,7 +294,8 @@ def stage_verify(correction: CorrectionArtifact, tech: Technology,
 
 def stage_assign(verification: DetectionArtifact, tech: Technology,
                  config: PipelineConfig,
-                 cache: PipelineCache = None) -> AssignmentArtifact:
+                 cache: Optional[ArtifactCache] = None
+                 ) -> AssignmentArtifact:
     """Stage 5 — 0/180 assignment plus the geometric verifier.
 
     Over a store, both run component-scoped: unchanged conflict-graph
@@ -312,14 +307,13 @@ def stage_assign(verification: DetectionArtifact, tech: Technology,
     """
     start = time.perf_counter()
     with get_tracer().span("assign", cat="stage") as span:
-        store = as_store(cache)
         artifact = AssignmentArtifact()
         if verification.report.phase_assignable:
             front = verification.front
             cg, _shifters, _pairs = build_layout_conflict_graph(
                 front.layout, tech, config.kind,
                 front=(front.shifters, front.pairs))
-            if store is None:
+            if cache is None:
                 artifact.assignment = assign_phases(cg)
                 if artifact.assignment is not None:
                     artifact.problems = verify_assignment(
@@ -329,7 +323,7 @@ def stage_assign(verification: DetectionArtifact, tech: Technology,
             else:
                 assignment, problems, stats = \
                     assign_and_verify_incremental(
-                        cg, tech, front.pairs, store)
+                        cg, tech, front.pairs, cache)
                 artifact.assignment = assignment
                 artifact.incremental = True
                 artifact.components = stats.components
@@ -356,7 +350,8 @@ def stage_assign(verification: DetectionArtifact, tech: Technology,
 # ----------------------------------------------------------------------
 def run_pipeline(layout: Layout, tech: Technology,
                  config: Optional[PipelineConfig] = None,
-                 cache: PipelineCache = None) -> PipelineResult:
+                 cache: Optional[ArtifactCache] = None
+                 ) -> PipelineResult:
     """Run the full staged pipeline on one layout.
 
     Args:
@@ -366,8 +361,7 @@ def run_pipeline(layout: Layout, tech: Technology,
         config: pipeline knobs (graph kind, bipartization method,
             set-cover solver, tile grid, workers, halo); defaults to
             the untiled monolithic configuration.
-        cache: an :class:`~repro.cache.ArtifactCache` (or a
-            :class:`~repro.chip.TileCache` wrapping one) shared by
+        cache: an :class:`~repro.cache.ArtifactCache` shared by
             every stage *and* across calls — pass the same store for a
             base and an edited run and only dirty tiles, windows, and
             graph components recompute (the ECO warm path).  A tiled
@@ -391,17 +385,16 @@ def run_pipeline(layout: Layout, tech: Technology,
     """
     config = config or PipelineConfig()
     start = time.perf_counter()
-    store = as_store(cache)
-    if store is None and config.is_tiled:
-        store = ArtifactCache(config.cache_dir)
+    if cache is None and config.is_tiled:
+        cache = ArtifactCache(config.cache_dir)
 
     with get_tracer().span("flow", cat="flow", design=layout.name):
-        front = stage_front_end(layout, tech, config, cache=store)
-        detection = stage_detect(front, tech, config, cache=store)
-        correction = stage_correct(detection, tech, config, cache=store)
+        front = stage_front_end(layout, tech, config, cache=cache)
+        detection = stage_detect(front, tech, config, cache=cache)
+        correction = stage_correct(detection, tech, config, cache=cache)
         verification = stage_verify(correction, tech, config, front,
-                                    cache=store)
-        phase = stage_assign(verification, tech, config, cache=store)
+                                    cache=cache)
+        phase = stage_assign(verification, tech, config, cache=cache)
 
     # The partitions have served both detection passes; don't pin the
     # tile sub-layouts (halo-inflated duplicates of the chip geometry)

@@ -15,7 +15,6 @@ from .differential import (
     DiffContext,
     FuzzReport,
     InvariantResult,
-    InvariantSkip,
     ScenarioResult,
     invariant_names,
     report_key,
@@ -55,7 +54,6 @@ __all__ = [
     "resolve_strata",
     "INVARIANTS",
     "DiffContext",
-    "InvariantSkip",
     "InvariantResult",
     "ScenarioResult",
     "FuzzReport",

@@ -1,14 +1,15 @@
 """The differential runner: every scenario through the invariant matrix.
 
-Each invariant re-runs a scenario under two configurations that the
-repo guarantees are *answer-identical* — tiled vs monolithic, windowed
-vs global correction, warm ECO vs cold, serial vs process executors,
-scalar vs numpy graph-core paths — and diffs the flow reports byte for
-byte.  The ``oracle`` and
-``darkfield`` invariants are different in kind: instead of comparing
-two runs they re-check the result against independently recomputed
-geometry (the paper's two conditions, the dark-field interaction
-graph).
+Each invariant re-runs a scenario under two configurations the flow
+ships and guarantees *answer-identical* — tiled vs monolithic, warm
+ECO vs cold, serial vs process executors — and diffs the flow reports
+byte for byte.  The ``oracle`` and ``darkfield`` invariants are
+different in kind: instead of comparing two runs they re-check the
+result against independently recomputed geometry (the paper's two
+conditions, the dark-field interaction graph).  Alternatives that
+ship only as test oracles (the scalar geometry kernel, the networkx
+and brute matchers, the whole-instance set cover, the scalar graph
+core) are compared in the tier-1 tests, not here.
 
 What "byte for byte" means here: the domain outcome
 (:func:`report_key` — conflicts, cuts, phases, success, uncorrectable
@@ -17,10 +18,8 @@ per-tile graph sizes, the ``pipeline`` cache/timing block) is excluded:
 it legitimately differs between a monolithic pass and sixteen tile
 passes, and the equivalence contract was never about it.
 
-An invariant returns ``None`` (holds), a failure detail string
-(diverged — the shrinker takes over), or raises :class:`InvariantSkip`
-(structurally inapplicable here, e.g. numpy missing for the graph-core
-paths).  Skips are reported, never silently dropped.
+An invariant returns ``None`` (holds) or a failure detail string
+(diverged — the shrinker takes over).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..cache import ArtifactCache
 from ..core.flow import FlowResult, flow_result_from_pipeline, run_aapsm_flow
 from ..core.report import flow_result_dict
-from ..correction import plan_correction
 from ..layout import Layout, Technology
 from ..obs import get_tracer
 from .strata import Scenario, scenario_id
@@ -47,17 +45,7 @@ ACCOUNTING_FIELDS = frozenset({
     "step2_edges", "step2_weight", "step3_edges",
 })
 
-# Largest conflict count the whole-instance *exact* set cover is asked
-# to cross-check against the windowed exact cover (the solver itself
-# caps out at 64 elements/sets; staying well under keeps the
-# branch-and-bound instant).
-EXACT_COVER_BUDGET = 16
-
 DEFAULT_TILES = (2, 2)
-
-
-class InvariantSkip(Exception):
-    """Raised by an invariant that is structurally inapplicable."""
 
 
 def report_key(result: FlowResult) -> str:
@@ -127,44 +115,6 @@ def _check_tiled(ctx: DiffContext) -> Optional[str]:
     return None
 
 
-def _check_windowed(ctx: DiffContext) -> Optional[str]:
-    """Window-scoped set cover == whole-instance set cover.
-
-    Greedy covers must produce identical cuts either way; when the
-    instance is small enough, the exact covers are additionally
-    cross-checked for identical corrected sets and total cut width
-    (exact ties may pick different, equally optimal representatives).
-    """
-    pipe = ctx.mono().pipeline
-    front = pipe.detection.front
-    conflicts = [c.key for c in pipe.detection.report.conflicts]
-
-    def plan(cover: str, windowed: bool):
-        return plan_correction(front.layout, ctx.tech, conflicts,
-                               shifters=front.shifters, cover=cover,
-                               windowed=windowed)
-
-    win = plan("greedy", True)
-    glob = plan("greedy", False)
-    cuts = lambda r: [(c.axis, c.position, c.width) for c in r.cuts]
-    if cuts(win) != cuts(glob):
-        return (f"greedy windowed cuts {cuts(win)} != "
-                f"global cuts {cuts(glob)}")
-    if win.corrected != glob.corrected:
-        return (f"greedy windowed corrected {win.corrected} != "
-                f"global {glob.corrected}")
-    if len(conflicts) <= EXACT_COVER_BUDGET:
-        ewin, eglob = plan("exact", True), plan("exact", False)
-        if ewin.corrected != eglob.corrected:
-            return (f"exact windowed corrected {ewin.corrected} != "
-                    f"global {eglob.corrected}")
-        width = lambda r: sum(c.width for c in r.cuts)
-        if width(ewin) != width(eglob):
-            return (f"exact windowed total cut width {width(ewin)} != "
-                    f"global {width(eglob)}")
-    return None
-
-
 def _check_eco(ctx: DiffContext) -> Optional[str]:
     """Warm incremental rerun == cold run, byte for byte.
 
@@ -218,46 +168,6 @@ def _check_executors(ctx: DiffContext) -> Optional[str]:
     if report_key(parallel) != report_key(ctx.tiled()):
         return ("executor=process != serial tiled run (diverges in: "
                 f"{_first_divergence(parallel, ctx.tiled())})")
-    return None
-
-
-def _check_graph(ctx: DiffContext) -> Optional[str]:
-    """Flat graph core: scalar and numpy CSR/embedding paths agree.
-
-    The graph backend is internal (no flag — one exact implementation),
-    so the seam is the crossover thresholds: one rerun pins every graph
-    to the scalar CSR build and comparison-sort embedding, another
-    forces the numpy batch paths everywhere, and both reports must be
-    byte-identical to the baseline.
-    """
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        raise InvariantSkip("numpy not installed") from None
-    from ..graph import embedding as embedding_mod
-    from ..graph import geomgraph as geomgraph_mod
-
-    saved = (geomgraph_mod._NUMPY_MIN_DARTS,
-             embedding_mod._VECTOR_MIN_DARTS)
-
-    def run_with_thresholds(csr_min: int, emb_min: int) -> FlowResult:
-        geomgraph_mod._NUMPY_MIN_DARTS = csr_min
-        embedding_mod._VECTOR_MIN_DARTS = emb_min
-        try:
-            return run_aapsm_flow(ctx.layout, ctx.tech)
-        finally:
-            geomgraph_mod._NUMPY_MIN_DARTS = saved[0]
-            embedding_mod._VECTOR_MIN_DARTS = saved[1]
-
-    mono = ctx.mono()
-    scalar_only = run_with_thresholds(1 << 62, 1 << 62)
-    if report_key(scalar_only) != report_key(mono):
-        return ("scalar graph core != baseline (diverges in: "
-                f"{_first_divergence(scalar_only, mono)})")
-    vector_only = run_with_thresholds(0, 0)
-    if report_key(vector_only) != report_key(mono):
-        return ("numpy graph core != baseline (diverges in: "
-                f"{_first_divergence(vector_only, mono)})")
     return None
 
 
@@ -321,10 +231,8 @@ InvariantFn = Callable[[DiffContext], Optional[str]]
 
 INVARIANTS: Dict[str, InvariantFn] = {
     "tiled": _check_tiled,
-    "windowed": _check_windowed,
     "eco": _check_eco,
     "executors": _check_executors,
-    "graph": _check_graph,
     "oracle": _check_oracle,
     "darkfield": _check_darkfield,
 }
@@ -343,7 +251,7 @@ class InvariantResult:
     """One invariant's verdict on one scenario."""
 
     name: str
-    status: str                # "ok" | "fail" | "skip"
+    status: str                # "ok" | "fail"
     seconds: float = 0.0
     detail: str = ""
 
@@ -399,7 +307,6 @@ class FuzzReport:
             "checks": len(checks),
             "ok": sum(c.status == "ok" for c in checks),
             "fail": sum(c.status == "fail" for c in checks),
-            "skip": sum(c.status == "skip" for c in checks),
         }
 
     def as_dict(self) -> Dict[str, object]:
@@ -416,15 +323,8 @@ def run_invariant(ctx: DiffContext, name: str) -> InvariantResult:
     tracer = get_tracer()
     start = time.perf_counter()
     with tracer.span("invariant", cat="fuzz", invariant=name,
-                     scenario=ctx.scenario.name) as span:
-        try:
-            detail = fn(ctx)
-        except InvariantSkip as skip:
-            tracer.count("fuzz.checks.skip")
-            span.set(status="skip")
-            return InvariantResult(name, "skip",
-                                   time.perf_counter() - start,
-                                   str(skip))
+                     scenario=ctx.scenario.name):
+        detail = fn(ctx)
     status = "ok" if detail is None else "fail"
     tracer.count(f"fuzz.checks.{status}")
     return InvariantResult(name, status, time.perf_counter() - start,

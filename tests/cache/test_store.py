@@ -16,9 +16,7 @@ from repro.cache import (
     MemoryBackend,
     SharedDirectoryBackend,
     StoreBackend,
-    as_store,
 )
-from repro.chip import TileCache
 
 
 class TestKindNamespacing:
@@ -204,32 +202,3 @@ class TestStoreBackends:
             == eco.plan.num_stitch_dirty
         assert eco.result.correction.cache_misses == 0
 
-
-class TestAsStore:
-    def test_passthrough_and_none(self):
-        store = ArtifactCache()
-        assert as_store(store) is store
-        assert as_store(None) is None
-
-    def test_unwraps_tile_cache(self):
-        tiles = TileCache()
-        assert as_store(tiles) is tiles.store
-
-    def test_rejects_foreign_objects(self):
-        with pytest.raises(TypeError):
-            as_store(object())
-
-
-class TestTileCacheView:
-    def test_shares_store_counters(self, tmp_path):
-        store = ArtifactCache(str(tmp_path))
-        a = TileCache(store=store)
-        b = TileCache(store=store)
-        a.put("key", ())
-        a.get("key")
-        assert b.hits == 1 and b.misses == 0
-        assert store.stats(KIND_TILE).hits == 1
-
-    def test_cache_dir_follows_store(self, tmp_path):
-        assert TileCache(str(tmp_path)).cache_dir == str(tmp_path)
-        assert TileCache().cache_dir is None

@@ -1,11 +1,11 @@
-"""Tile cache keys and persistence."""
+"""Tile cache keys and tile results in the artifact store."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cache import KIND_TILE, ArtifactCache
 from repro.chip import (
-    TileCache,
     detect_tile,
     make_jobs,
     partition_layout,
@@ -71,30 +71,30 @@ class TestCacheStore:
     def test_memory_roundtrip(self, tech):
         job = _jobs(standard_cell_layout(seed=9), tech)[0]
         key = tile_cache_key(job)
-        cache = TileCache()
-        assert cache.get(key) is None
+        cache = ArtifactCache()
+        assert cache.get(KIND_TILE, key) is None
         result = detect_tile(job)
-        cache.put(key, result)
-        got = cache.get(key)
+        cache.put(KIND_TILE, key, result)
+        got = cache.get(KIND_TILE, key)
         assert got is not None and got.from_cache
         assert [c.key for c in got.conflicts] == \
             [c.key for c in result.conflicts]
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.stats(KIND_TILE).as_tuple() == (1, 1)
 
     def test_directory_roundtrip(self, tech, tmp_path):
         job = _jobs(standard_cell_layout(seed=9), tech)[0]
         key = tile_cache_key(job)
-        TileCache(str(tmp_path)).put(key, detect_tile(job))
-        fresh = TileCache(str(tmp_path))  # new process, same directory
-        got = fresh.get(key)
+        ArtifactCache(str(tmp_path)).put(KIND_TILE, key, detect_tile(job))
+        fresh = ArtifactCache(str(tmp_path))  # new process, same directory
+        got = fresh.get(KIND_TILE, key)
         assert got is not None and got.from_cache
 
     def test_corrupt_entry_is_a_miss(self, tech, tmp_path):
         job = _jobs(standard_cell_layout(seed=9), tech)[0]
         key = tile_cache_key(job)
-        cache = TileCache(str(tmp_path))
-        cache.put(key, detect_tile(job))
-        path = cache._path(key)
+        cache = ArtifactCache(str(tmp_path))
+        cache.put(KIND_TILE, key, detect_tile(job))
+        path = cache._path(KIND_TILE, key)
         with open(path, "wb") as fh:
             fh.write(b"not a pickle")
-        assert TileCache(str(tmp_path)).get(key) is None
+        assert ArtifactCache(str(tmp_path)).get(KIND_TILE, key) is None

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chip import run_chip_flow, stitch_results, TileCache
+from repro.cache import ArtifactCache
+from repro.chip import run_chip_flow, stitch_results
 from repro.conflict import detect_conflicts
 from repro.core import run_aapsm_flow
 from repro.graph import METHOD_PATHS
@@ -117,7 +118,7 @@ class TestCachingBehaviour:
 
     def test_shared_cache_object(self, tech):
         layout = standard_cell_layout(seed=23)
-        cache = TileCache()
+        cache = ArtifactCache()
         run_chip_flow(layout, tech, tiles=2, cache=cache)
         again = run_chip_flow(layout, tech, tiles=2, cache=cache)
         assert again.cache_hits >= again.num_tiles
@@ -128,7 +129,7 @@ class TestCachingBehaviour:
         from repro.geometry import Rect
 
         layout = standard_cell_layout(seed=24)
-        cache = TileCache()
+        cache = ArtifactCache()
         first = run_chip_flow(layout, tech, tiles=3, cache=cache)
         edited = layout.copy()
         box = layout.bbox()

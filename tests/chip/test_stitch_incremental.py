@@ -19,7 +19,6 @@ from repro.bench import build_design
 from repro.cache import KIND_STITCH, ArtifactCache
 from repro.chip import (
     StitchVerdict,
-    TileCache,
     arbitrate_clusters,
     build_stitch_clusters,
     detect_tile,
@@ -120,7 +119,7 @@ class TestClusterIdStability:
 class TestVerdictCaching:
     def test_warm_rerun_replays_every_cluster(self, tech):
         layout = standard_cell_layout(seed=22)
-        cache = TileCache()
+        cache = ArtifactCache()
         cold = run_chip_flow(layout, tech, tiles=3, cache=cache)
         warm = run_chip_flow(layout, tech, tiles=3, cache=cache)
         assert cold.clusters > 0
@@ -238,7 +237,7 @@ class TestWarmEcoStitch:
         base = build_design(name)
         edited, _ = propose_eco_edit(base, tech)
         cold = run_pipeline(edited, tech, PipelineConfig(tiles=tiles),
-                            cache=TileCache())
+                            cache=ArtifactCache())
         eco = run_eco_flow(base, edited, tech,
                            config=PipelineConfig(tiles=tiles))
         assert canonical(eco.result) == canonical(cold)

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.bench import build_design
-from repro.chip import TileCache
+from repro.cache import ArtifactCache
 from repro.core import (
     flow_result_dict,
     flow_result_from_pipeline,
@@ -45,7 +45,7 @@ class TestFlowDeterminism:
         mono = flow_result_dict(run_aapsm_flow(layout, tech),
                                 timings=False)
         tiled_pipe = run_pipeline(layout, tech, PipelineConfig(tiles=3),
-                                  cache=TileCache())
+                                  cache=ArtifactCache())
         tiled = flow_result_dict(flow_result_from_pipeline(tiled_pipe),
                                  timings=False)
         work_counters = ("graph_nodes", "graph_edges",

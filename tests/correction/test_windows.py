@@ -1,4 +1,9 @@
-"""Window-scoped correction: clustering and whole-instance equivalence."""
+"""Window-scoped correction: clustering and whole-instance equivalence.
+
+The whole-instance cover is the test oracle
+:func:`tests.oracles.whole_instance_cover`, swapped in behind
+``solve_cover_windows``.
+"""
 
 import pytest
 
@@ -17,6 +22,8 @@ from repro.layout import (
     conflict_grid_layout,
     standard_cell_layout,
 )
+
+from ..oracles import use_whole_instance_cover
 
 
 def line(axis, pos, covers, width=10):
@@ -108,13 +115,17 @@ class TestPlanEquivalence:
     def conflicts_of(self, layout, tech):
         return [c.key for c in detect_conflicts(layout, tech).conflicts]
 
+    def whole_instance_plan(self, *args, **kwargs):
+        with use_whole_instance_cover():
+            return plan_correction(*args, **kwargs)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_standard_cells(self, tech, seed):
         lay = standard_cell_layout(GeneratorParams(rows=4, cols=15),
                                    seed=seed)
         conflicts = self.conflicts_of(lay, tech)
-        windowed = plan_correction(lay, tech, conflicts, windowed=True)
-        legacy = plan_correction(lay, tech, conflicts, windowed=False)
+        windowed = plan_correction(lay, tech, conflicts)
+        legacy = self.whole_instance_plan(lay, tech, conflicts)
         assert windowed.cuts == legacy.cuts
         assert windowed.cover_method == legacy.cover_method
         assert windowed.corrected == legacy.corrected
@@ -125,10 +136,9 @@ class TestPlanEquivalence:
     def test_benchmark_suite(self, tech, name, cover):
         lay = build_design(name)
         conflicts = self.conflicts_of(lay, tech)
-        windowed = plan_correction(lay, tech, conflicts, cover=cover,
-                                   windowed=True)
-        legacy = plan_correction(lay, tech, conflicts, cover=cover,
-                                 windowed=False)
+        windowed = plan_correction(lay, tech, conflicts, cover=cover)
+        legacy = self.whole_instance_plan(lay, tech, conflicts,
+                                          cover=cover)
         assert windowed.cuts == legacy.cuts
         assert windowed.cover_method == legacy.cover_method
 
@@ -149,8 +159,7 @@ class TestPlanEquivalence:
         conflicts = self.conflicts_of(lay, tech)
         assert len(conflicts) == 72
         with pytest.raises(ValueError):
-            plan_correction(lay, tech, conflicts, cover="exact",
-                            windowed=False)
+            self.whole_instance_plan(lay, tech, conflicts, cover="exact")
         report = plan_correction(lay, tech, conflicts, cover="exact")
         assert report.cover_method == "exact"
         assert set(report.corrected) == set(conflicts)

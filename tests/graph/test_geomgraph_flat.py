@@ -1,11 +1,19 @@
 """Differential suite for the flat-array graph core.
 
-An in-test dict-of-lists reference implementation reproduces the
-historical GeomGraph semantics (per-edge adjacency appends, per-node
-comparison-sorted rotations); the randomized cases then assert the
-flat CSR/batch implementation matches it on node/edge ids, iteration
-order, incidence order, components, and embedding rotation systems —
-across >= 50 seeds and on both the scalar and numpy build paths.
+The graph core has one implementation: a numpy CSR build and a numpy
+batch embedding.  Its oracles live here:
+
+* :class:`RefGraph`, an in-test dict-of-lists reference reproducing the
+  historical GeomGraph semantics (per-edge adjacency appends, per-node
+  comparison-sorted rotations);
+* :func:`scalar_csr` and :func:`scalar_rotation_arrays`, pure-Python
+  builders of the CSR table and the rotation arrays, swapped in behind
+  the production builders by :func:`use_graph_core`.
+
+The randomized cases assert the numpy implementation matches them on
+node/edge ids, iteration order, incidence order, components, and
+embedding rotation systems and faces, across >= 50 seeds; the
+duplicate-stratum case covers zero-length darts.
 """
 
 from __future__ import annotations
@@ -15,11 +23,12 @@ import random
 
 import pytest
 
+from repro.conflict import build_layout_conflict_graph
 from repro.graph import GeomGraph, build_embedding, decompose
 from repro.graph import embedding as embedding_mod
-from repro.graph import geomgraph as geomgraph_mod
 from repro.graph.crossings import greedy_planarize
-from repro.graph.embedding import _direction_cmp
+from repro.graph.geomgraph import _CSR
+from repro.scenarios import build_scenario
 
 np = pytest.importorskip("numpy")
 
@@ -29,6 +38,34 @@ SEEDS = list(range(60))
 # ----------------------------------------------------------------------
 # Reference implementation (historical dict-of-lists semantics)
 # ----------------------------------------------------------------------
+def half(dx, dy):
+    """0 for directions in [0, pi), 1 for [pi, 2*pi) — exact.  The zero
+    direction of a zero-length dart takes 1."""
+    if dy > 0 or (dy == 0 and dx > 0):
+        return 0
+    return 1
+
+
+def direction_cmp(d1, d2):
+    """Exact counter-clockwise comparison of two directions."""
+    h1 = half(*d1)
+    h2 = half(*d2)
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    cross = d1[0] * d2[1] - d1[1] * d2[0]
+    if cross > 0:
+        return -1
+    if cross < 0:
+        return 1
+    return 0
+
+
+def ccw_sort(darts, dirs):
+    """Sort ``darts`` in place into CCW order of ``dirs[dart]``."""
+    darts.sort(key=functools.cmp_to_key(
+        lambda a, b: direction_cmp(dirs[a], dirs[b])))
+
+
 class RefGraph:
     """Append-order adjacency lists: the pre-flat-core behaviour."""
 
@@ -39,6 +76,18 @@ class RefGraph:
         self.edges = []            # (id, u, v, w)
         self.adjacency = {}        # node -> [edge id] in append order
         self.removed = set()
+
+    @classmethod
+    def of(cls, graph):
+        """The reference twin of an existing graph."""
+        ref = cls()
+        for node in graph.nodes:
+            ref.add_node(node, graph.coord(node))
+        for e in graph.edges(include_removed=True):
+            ref.add_edge(e.u, e.v, e.weight)
+            if graph.is_removed(e.id):
+                ref.removed.add(e.id)
+        return ref
 
     def add_node(self, node, coord=None):
         if node not in self.node_set:
@@ -97,10 +146,94 @@ class RefGraph:
                 tx, ty = self.coords[other]
                 darts.append(dart)
                 dirs[dart] = (tx - ox, ty - oy)
-            darts.sort(key=functools.cmp_to_key(
-                lambda a, b: _direction_cmp(dirs[a], dirs[b])))
+            ccw_sort(darts, dirs)
             rot[node] = darts
         return rot
+
+
+# ----------------------------------------------------------------------
+# Scalar oracles for the production builders
+# ----------------------------------------------------------------------
+def scalar_csr(graph):
+    """Pure-Python CSR build: per-node adjacency appends in edge-id
+    order, self-loops contributing one dart."""
+    n = graph.num_nodes()
+    index = graph._node_index
+    adj_eids = [[] for _ in range(n)]
+    adj_nbrs = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(zip(graph._eu, graph._ev)):
+        i = index[u]
+        adj_eids[i].append(eid)
+        adj_nbrs[i].append(v)
+        if u != v:
+            j = index[v]
+            adj_eids[j].append(eid)
+            adj_nbrs[j].append(u)
+    indptr = [0]
+    edge_ids = []
+    neighbors = []
+    for eids, nbrs in zip(adj_eids, adj_nbrs):
+        edge_ids.extend(eids)
+        neighbors.extend(nbrs)
+        indptr.append(len(edge_ids))
+    return _CSR(indptr, neighbors, edge_ids,
+                np.array(edge_ids, dtype=np.int64))
+
+
+def scalar_rotation_arrays(graph, live):
+    """Per-node comparison sort of each node's darts, taken in
+    ascending edge-id order; same contract as the batch builder."""
+    eu, ev = graph._eu, graph._ev
+    index = graph._node_index
+    coords = graph._coords
+
+    incident = [[] for _ in range(graph.num_nodes())]
+    for k, eid in enumerate(live):
+        incident[index[eu[eid]]].append(2 * k)
+        incident[index[ev[eid]]].append(2 * k + 1)
+
+    rot = []
+    rot_indptr = [0]
+    pos = [0] * (2 * len(live))
+    dart_origin = [0] * (2 * len(live))
+    for node in graph.nodes:
+        i = index[node]
+        darts = incident[i]
+        ox, oy = coords[node]
+        dirs = {}
+        for d in darts:
+            eid = live[d >> 1]
+            tx, ty = coords[ev[eid] if d & 1 == 0 else eu[eid]]
+            dirs[d] = (tx - ox, ty - oy)
+            dart_origin[d] = i
+        ccw_sort(darts, dirs)
+        for d in darts:
+            pos[d] = len(rot)
+            rot.append(d)
+        rot_indptr.append(len(rot))
+
+    next_dart = [0] * (2 * len(live))
+    for d in range(2 * len(live)):
+        reverse = d ^ 1
+        ring_start = rot_indptr[dart_origin[reverse]]
+        ring_len = rot_indptr[dart_origin[reverse] + 1] - ring_start
+        local = pos[reverse] - ring_start
+        next_dart[d] = rot[ring_start + (local - 1) % ring_len]
+    return rot, rot_indptr, next_dart
+
+
+def _build_scalar_csr(graph):
+    graph._csr = scalar_csr(graph)
+    return graph._csr
+
+
+def use_graph_core(monkeypatch, mode):
+    """"scalar": swap both scalar oracles in behind the production
+    builders; "numpy": leave the production builders in place."""
+    if mode == "scalar":
+        monkeypatch.setattr(GeomGraph, "_build_csr", _build_scalar_csr)
+        monkeypatch.setattr(embedding_mod, "_rotation_arrays",
+                            scalar_rotation_arrays)
 
 
 def random_graph(seed, n_nodes=None, with_coords=True, allow_remove=True):
@@ -162,19 +295,13 @@ def random_graph(seed, n_nodes=None, with_coords=True, allow_remove=True):
     return g, ref
 
 
-def force_csr_mode(monkeypatch, mode):
-    """Pin the CSR builder to one path regardless of graph size."""
-    monkeypatch.setattr(geomgraph_mod, "_NUMPY_MIN_DARTS",
-                        0 if mode == "numpy" else 1 << 62)
-
-
 # ----------------------------------------------------------------------
 # Ids, iteration order, incidence, components
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("mode", ["scalar", "numpy"])
 def test_ids_incidence_components_match_reference(seed, mode, monkeypatch):
-    force_csr_mode(monkeypatch, mode)
+    use_graph_core(monkeypatch, mode)
     g, ref = random_graph(seed)
 
     assert g.nodes == ref.nodes
@@ -195,11 +322,11 @@ def test_ids_incidence_components_match_reference(seed, mode, monkeypatch):
 def test_scalar_and_numpy_csr_identical(seed):
     g1, _ = random_graph(seed)
     g2, _ = random_graph(seed)
-    csr1 = g1._build_csr_scalar()
-    csr2 = g2._build_csr_numpy(np)
-    assert csr1.indptr == list(csr2.indptr)
-    assert csr1.neighbors == list(csr2.neighbors)
-    assert csr1.edge_ids == list(csr2.edge_ids)
+    csr1 = scalar_csr(g1)
+    csr2 = g2.csr()
+    assert csr1.indptr == csr2.indptr
+    assert csr1.neighbors == csr2.neighbors
+    assert csr1.edge_ids == csr2.edge_ids
     # Traversal mirrors must be plain Python ints, never numpy scalars.
     assert all(type(x) is int for x in csr2.neighbors)
     assert all(type(x) is int for x in csr2.edge_ids)
@@ -232,8 +359,7 @@ def planar_case(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("mode", ["scalar", "numpy"])
 def test_embedding_rotations_match_reference(seed, mode, monkeypatch):
-    monkeypatch.setattr(embedding_mod, "_VECTOR_MIN_DARTS",
-                        0 if mode == "numpy" else 1 << 62)
+    use_graph_core(monkeypatch, mode)
     g, ref = planar_case(seed)
     emb = build_embedding(g)
     assert emb.rotations == ref.rotations()
@@ -242,10 +368,9 @@ def test_embedding_rotations_match_reference(seed, mode, monkeypatch):
 @pytest.mark.parametrize("seed", SEEDS[:25])
 def test_embedding_scalar_numpy_identical(seed, monkeypatch):
     g, _ = planar_case(seed)
-    monkeypatch.setattr(embedding_mod, "_VECTOR_MIN_DARTS", 1 << 62)
-    scalar = build_embedding(g)
-    monkeypatch.setattr(embedding_mod, "_VECTOR_MIN_DARTS", 0)
     vector = build_embedding(g)
+    use_graph_core(monkeypatch, "scalar")
+    scalar = build_embedding(g)
     assert scalar.rotations == vector.rotations
     assert scalar.faces == vector.faces
     assert scalar.face_of == vector.face_of
@@ -256,31 +381,59 @@ def test_embedding_scalar_numpy_identical(seed, monkeypatch):
     assert scalar.euler_check() and vector.euler_check()
 
 
+def side_by_side(graphs):
+    """One graph holding every input graph as its own components:
+    labels offset, coordinates, edge order and removals kept."""
+    out = GeomGraph(name="side-by-side")
+    offset = 0
+    for g in graphs:
+        out.add_nodes([offset + n for n in g.nodes],
+                      [g.coord(n) for n in g.nodes])
+        edges = list(g.edges(include_removed=True))
+        ids = out.add_edge_rows([(offset + e.u, offset + e.v, e.weight,
+                                  None) for e in edges])
+        for e, eid in zip(edges, ids):
+            if g.is_removed(e.id):
+                out.remove_edge(eid)
+        offset += max(g.nodes, default=-1) + 1
+    return out
+
+
+def test_zero_length_darts_match_reference():
+    """Duplicate rects put coincident shifter nodes, and so zero-length
+    edges, into the planarized conflict graph.  The batch embedding
+    must order those darts exactly as the reference sort does: the
+    zero direction takes the lower half-plane key.  The stratum's
+    graphs are embedded side by side, as one batch."""
+    graphs = []
+    for seed in list(range(3)) + list(range(1000, 1058)):
+        s = build_scenario("duplicate", seed)
+        cg, _shifters, _pairs = build_layout_conflict_graph(s.layout,
+                                                            s.tech)
+        greedy_planarize(cg.graph)
+        graphs.append(cg.graph)
+    g = side_by_side(graphs)
+    assert any(g.coord(u) == g.coord(v)
+               for _eid, u, v, _w in g.live_edge_rows())
+    assert build_embedding(g).rotations == RefGraph.of(g).rotations()
+
+
 # ----------------------------------------------------------------------
 # Satellite: incident_edge_ids hands out zero-copy views
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["scalar", "numpy"])
-def test_incident_edge_ids_zero_copy(mode, monkeypatch):
-    force_csr_mode(monkeypatch, mode)
+def test_incident_edge_ids_zero_copy():
     g, _ = random_graph(7, n_nodes=30)
     node = g.nodes[0]
     view = g.incident_edge_ids(node)
-    assert not isinstance(view, list)
-    if mode == "numpy":
-        # A numpy slice view shares the CSR buffer.
-        assert isinstance(view, np.ndarray)
-        assert view.base is g.csr().eid_buf
-    else:
-        # A memoryview slice of the shared array('q') buffer.
-        assert isinstance(view, memoryview)
-        assert view.obj is g.csr().eid_buf.obj
+    # A numpy slice view shares the CSR buffer.
+    assert isinstance(view, np.ndarray)
+    assert view.base is g.csr().eid_buf
 
 
-def test_incident_edge_ids_allocation_bound(monkeypatch):
+def test_incident_edge_ids_allocation_bound():
     """Repeated incidence queries allocate view-sized garbage only."""
     import tracemalloc
 
-    force_csr_mode(monkeypatch, "numpy")
     g, _ = random_graph(11, n_nodes=60)
     nodes = g.nodes
     g.csr()  # build outside the measured window
@@ -306,8 +459,9 @@ def test_getstate_strips_unpicklable_caches():
 
     g, _ = random_graph(3)
     for node in g.nodes:
-        g.incident_edge_ids(node)  # may materialize a memoryview buffer
+        g.incident_edge_ids(node)  # builds the CSR cache
     clone = pickle.loads(pickle.dumps(g))
+    assert clone._csr is None
     assert clone.nodes == g.nodes
     assert list(clone.live_edge_rows()) == list(g.live_edge_rows())
     assert clone.connected_components() == g.connected_components()

@@ -1,8 +1,10 @@
-"""Reference oracles for the production geometry kernel and matcher.
+"""Reference oracles for the production geometry kernel, matcher and
+set cover.
 
-The flow ships one geometry kernel (the numpy sweep) and one matcher
-(the certified integer blossom).  The independent implementations the
-differential tests compare them with live here:
+The flow ships one geometry kernel (the numpy sweep), one matcher (the
+certified integer blossom) and one set-cover planner (window by
+window).  The independent implementations the differential tests
+compare them with live here:
 
 * :class:`ScalarKernel` — the pure-Python bucket-grid sweep
   (:class:`GridIndex`, :func:`grid_neighbor_pairs`) with per-pair
@@ -11,11 +13,16 @@ differential tests compare them with live here:
 * :class:`BruteMatcher` and :func:`brute_force_perfect_matching` —
   exponential exact search;
 * :class:`RecordingMatcher` — the production matcher, recording the
-  component sizes it is handed (the brute oracle's budget gate).
+  component sizes it is handed (the brute oracle's budget gate);
+* :func:`whole_instance_cover` — the unwindowed set cover, one solve
+  over every candidate grid line.
 
 :func:`use_kernel` / :func:`use_matcher` run the flow on an oracle by
 swapping it in behind the production accessors ``get_kernel`` /
-``get_matcher``.
+``get_matcher``; :func:`use_whole_instance_cover` swaps the unwindowed
+cover in behind ``solve_cover_windows``.  The graph core's scalar
+oracles live with their differential suite in
+``tests/graph/test_geomgraph_flat.py``.
 """
 
 from __future__ import annotations
@@ -27,42 +34,58 @@ from contextlib import contextmanager
 from typing import (Dict, Generic, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, TypeVar)
 
+from repro.core.flow import run_aapsm_flow
+from repro.correction import plan_correction
+from repro.correction.setcover import (
+    EXACT_CAP_ELEMENTS,
+    EXACT_CAP_SETS,
+    CoverSet,
+    exact_weighted_set_cover,
+    greedy_weighted_set_cover,
+    use_exact_cover,
+)
 from repro.geometry import Rect
 from repro.geometry.kernels import GeometryKernel, PairRow
 from repro.graph import GeomGraph
 from repro.graph.matching import BlossomMatcher, LocalEdge, MatcherBackend
+from repro.layout import Layout, Technology
 
 T = TypeVar("T")
 
 
 @contextmanager
-def _swap_accessor(module_name: str, attr: str, impl) -> Iterator:
-    """Make every loaded ``repro`` binding of ``module_name.attr``
-    return ``impl`` inside the block; ``impl=None`` keeps the current
-    implementation.
+def _rebind(module_name: str, attr: str, replacement) -> Iterator:
+    """Make every loaded ``repro`` binding of ``module_name.attr`` be
+    ``replacement`` inside the block.
 
-    Modules bind the accessor by name, so each binding is patched.
+    Modules bind by name, so each binding is patched.
     ``repro.pipeline`` (which imports every such module) is loaded
-    first, so no module binds the patched accessor for good by being
-    imported inside the block.  Forked process-pool workers inherit
-    the swap.
+    first, so no module binds the original for good by being imported
+    inside the block.  Forked process-pool workers inherit the swap.
     """
-    module = importlib.import_module(module_name)
-    if impl is None:
-        yield getattr(module, attr)()
-        return
     importlib.import_module("repro.pipeline")
-    original = getattr(module, attr)
+    original = getattr(importlib.import_module(module_name), attr)
     patched = [m for m in list(sys.modules.values())
                if getattr(m, "__name__", "").startswith("repro")
                and m.__dict__.get(attr) is original]
     for m in patched:
-        setattr(m, attr, lambda: impl)
+        setattr(m, attr, replacement)
     try:
-        yield impl
+        yield
     finally:
         for m in patched:
             setattr(m, attr, original)
+
+
+@contextmanager
+def _swap_accessor(module_name: str, attr: str, impl) -> Iterator:
+    """Make the accessor ``module_name.attr`` return ``impl`` inside
+    the block; ``impl=None`` keeps the current implementation."""
+    if impl is None:
+        yield getattr(importlib.import_module(module_name), attr)()
+        return
+    with _rebind(module_name, attr, lambda: impl):
+        yield impl
 
 
 def use_kernel(kernel: Optional[GeometryKernel]):
@@ -284,3 +307,78 @@ class RecordingMatcher(BlossomMatcher):
               transform: int) -> Tuple[List[int], int]:
         self.sizes.append(nvertex)
         return super().match(nvertex, edges, transform)
+
+
+# ----------------------------------------------------------------------
+# The whole-instance set cover
+# ----------------------------------------------------------------------
+# Largest conflict count the whole-instance *exact* cover is asked to
+# cross-check (the solver caps out at 64 elements/sets; staying well
+# under keeps the branch-and-bound instant).
+EXACT_COVER_BUDGET = 16
+
+
+def whole_instance_cover(universe, lines: Sequence, cover: str = "auto",
+                         store=None) -> Tuple[List[int], str, list]:
+    """One set-cover solve over every candidate line, windows ignored.
+
+    Same contract as :func:`repro.correction.solve_cover_windows`:
+    ``(sorted chosen line ids, method, windows)``, with no windows and
+    ``store`` unused.  The exact-vs-greedy ``auto`` policy is the
+    shared :func:`use_exact_cover`.
+    """
+    sets = [CoverSet(id=i, elements=frozenset(line.covers),
+                     weight=line.width)
+            for i, line in enumerate(lines)]
+    if use_exact_cover(cover, len(universe), len(sets)):
+        chosen = exact_weighted_set_cover(universe, sets,
+                                          max_elements=EXACT_CAP_ELEMENTS,
+                                          max_sets=EXACT_CAP_SETS)
+        return sorted(chosen), "exact", []
+    return sorted(greedy_weighted_set_cover(universe, sets)), "greedy", []
+
+
+def use_whole_instance_cover():
+    """Plan the block's corrections with :func:`whole_instance_cover`."""
+    return _rebind("repro.correction.windows", "solve_cover_windows",
+                   whole_instance_cover)
+
+
+def cover_oracle_divergence(layout: Layout, tech: Technology
+                            ) -> Optional[str]:
+    """Where window-scoped correction departs from the whole-instance
+    cover on a layout's monolithic flow, or None.
+
+    Greedy: identical cuts and corrected set.  Exact, at most
+    :data:`EXACT_COVER_BUDGET` conflicts: identical corrected set and
+    total cut width (ties may pick different, equally optimal cuts).
+    """
+    detection = run_aapsm_flow(layout, tech).pipeline.detection
+    front = detection.front
+    conflicts = [c.key for c in detection.report.conflicts]
+
+    def plans(cover: str):
+        windowed = plan_correction(front.layout, tech, conflicts,
+                                   shifters=front.shifters, cover=cover)
+        with use_whole_instance_cover():
+            whole = plan_correction(front.layout, tech, conflicts,
+                                    shifters=front.shifters, cover=cover)
+        return windowed, whole
+
+    win, whole = plans("greedy")
+    cuts = lambda r: [(c.axis, c.position, c.width) for c in r.cuts]
+    if cuts(win) != cuts(whole):
+        return f"greedy windowed cuts {cuts(win)} != whole {cuts(whole)}"
+    if win.corrected != whole.corrected:
+        return (f"greedy windowed corrected {win.corrected} != "
+                f"whole {whole.corrected}")
+    if len(conflicts) <= EXACT_COVER_BUDGET:
+        win, whole = plans("exact")
+        if win.corrected != whole.corrected:
+            return (f"exact windowed corrected {win.corrected} != "
+                    f"whole {whole.corrected}")
+        width = lambda r: sum(c.width for c in r.cuts)
+        if width(win) != width(whole):
+            return (f"exact windowed total cut width {width(win)} != "
+                    f"whole {width(whole)}")
+    return None

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.bench import build_design
-from repro.chip import TileCache
+from repro.cache import ArtifactCache
 from repro.core import flow_result_dict, flow_result_from_pipeline
 from repro.geometry import Rect
 from repro.layout import Layout, layout_from_rects
@@ -132,7 +132,7 @@ class TestEcoEquivalence:
         edited, _index = propose_eco_edit(base, tech)
         cfg = PipelineConfig(tiles=tiles)
 
-        cold = run_pipeline(edited, tech, cfg, cache=TileCache())
+        cold = run_pipeline(edited, tech, cfg, cache=ArtifactCache())
         eco = run_eco_flow(base, edited, tech,
                            config=PipelineConfig(tiles=tiles))
 
@@ -163,7 +163,7 @@ class TestEcoEquivalence:
     def test_prewarmed_cache_skips_base_run(self, tech):
         base = build_design("D1")
         edited, _ = propose_eco_edit(base, tech)
-        cache = TileCache()
+        cache = ArtifactCache()
         run_pipeline(base, tech, PipelineConfig(tiles=2), cache=cache)
         eco = run_eco_flow(base, edited, tech,
                            config=PipelineConfig(tiles=2),
@@ -188,7 +188,7 @@ class TestSpeedupHardening:
     def test_prewarmed_run_has_no_baseline(self, tech):
         base = build_design("D1")
         edited, _ = propose_eco_edit(base, tech)
-        cache = TileCache()
+        cache = ArtifactCache()
         run_pipeline(base, tech, PipelineConfig(tiles=2), cache=cache)
         eco = run_eco_flow(base, edited, tech,
                            config=PipelineConfig(tiles=2),
@@ -245,7 +245,7 @@ class TestWarmPathIncremental:
         base = build_design(name)
         edited = critical_isolated_edit(base, tech)
         cfg = PipelineConfig(tiles=tiles)
-        cold = run_pipeline(edited, tech, cfg, cache=TileCache())
+        cold = run_pipeline(edited, tech, cfg, cache=ArtifactCache())
         eco = run_eco_flow(base, edited, tech,
                            config=PipelineConfig(tiles=tiles))
         r = eco.result
@@ -344,7 +344,6 @@ class TestWarmPathIncremental:
         edited, _ = propose_eco_edit(base, tech)
         cfg = PipelineConfig(tiles=3, cache_dir=str(tmp_path))
         run_pipeline(base, tech, cfg)
-        from repro.cache import ArtifactCache
 
         eco = run_eco_flow(base, edited, tech, config=cfg,
                            cache=ArtifactCache(str(tmp_path)),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chip import TileCache
+from repro.cache import ArtifactCache
 from repro.core import run_aapsm_flow
 from repro.layout import (
     GeneratorParams,
@@ -73,8 +73,6 @@ class TestTiledFrontEnd:
         assert tiled.pairs == mono.pairs
 
     def test_second_run_replays_every_tile(self, tech):
-        from repro.cache import ArtifactCache
-
         lay = standard_cell_layout(GeneratorParams(rows=2, cols=6),
                                    seed=9)
         store = ArtifactCache()
@@ -194,7 +192,7 @@ class TestTiledPipeline:
                                    seed=seed)
         mono = run_pipeline(lay, tech)
         tiled = run_pipeline(lay, tech, PipelineConfig(tiles=3),
-                             cache=TileCache())
+                             cache=ArtifactCache())
         assert ([c.key for c in mono.detection.report.conflicts]
                 == [c.key for c in tiled.detection.report.conflicts])
         assert (mono.correction.report.cuts
@@ -208,7 +206,7 @@ class TestTiledPipeline:
         lay = standard_cell_layout(GeneratorParams(rows=4, cols=15),
                                    seed=33)
         result = run_pipeline(lay, tech, PipelineConfig(tiles=3),
-                              cache=TileCache())
+                              cache=ArtifactCache())
         assert result.detection.cache_misses == 9
         assert result.detection.cache_hits == 0
         # Per-pass deltas, not cumulative cache counters.

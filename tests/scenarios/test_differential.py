@@ -2,7 +2,7 @@
 
 The full-corpus green run lives in CI (`repro fuzz`); here we keep a
 fast representative slice plus the machinery contracts — report keys,
-skip semantics, tag gating, corpus enumeration.
+tag gating, failure details, corpus enumeration.
 """
 
 import pytest
@@ -11,7 +11,6 @@ from repro.core.flow import run_aapsm_flow
 from repro.scenarios import (
     INVARIANTS,
     DiffContext,
-    InvariantSkip,
     build_corpus,
     build_scenario,
     invariant_names,
@@ -42,9 +41,8 @@ class TestReportKey:
 
 class TestMatrix:
     def test_registry_names(self):
-        assert invariant_names() == ["tiled", "windowed", "eco",
-                                     "executors", "graph", "oracle",
-                                     "darkfield"]
+        assert invariant_names() == ["tiled", "eco", "executors",
+                                     "oracle", "darkfield"]
 
     @pytest.mark.parametrize("stratum,seed", [
         ("oddcycle", 0), ("boundary", 0), ("duplicate", 0),
@@ -67,7 +65,7 @@ class TestMatrix:
         assert result.ok
 
     def test_unknown_invariant_raises(self):
-        with pytest.raises(KeyError, match="windowed"):
+        with pytest.raises(KeyError, match="known: tiled, eco"):
             run_scenario(build_scenario("tjoin", 0),
                          invariants=["bogus"])
 
@@ -75,17 +73,6 @@ class TestMatrix:
         s = build_scenario("tjoin", 0)
         r = run_aapsm_flow(s.layout, tech)
         assert r.detection.num_conflicts == s.expect_conflicts
-
-    def test_skip_is_reported_not_dropped(self, monkeypatch):
-        def skipper(ctx):
-            raise InvariantSkip("backend missing")
-
-        monkeypatch.setitem(INVARIANTS, "tiled", skipper)
-        result = run_scenario(build_scenario("boundary", 0),
-                              invariants=["tiled"])
-        assert result.ok
-        assert [c.status for c in result.invariants] == ["skip"]
-        assert "backend missing" in result.invariants[0].detail
 
     def test_failure_carries_detail(self, monkeypatch):
         monkeypatch.setitem(INVARIANTS, "tiled",

@@ -1,11 +1,14 @@
-"""The smoke corpus's geometry and matching, checked against the oracles.
+"""The smoke corpus's geometry, matching and correction, checked
+against the oracles.
 
 ``repro fuzz`` compares configurations the flow ships; the scalar
-kernel and the networkx / brute matchers ship only in the tests, so
-their scenario-level differentials live here: every smoke-corpus
-scenario (six strata x seeds 0-2) must produce a byte-identical flow
-report with an oracle swapped in behind ``get_kernel`` /
-``get_matcher``.
+kernel, the networkx / brute matchers and the whole-instance set cover
+ship only in the tests, so their scenario-level differentials live
+here.  Every smoke-corpus scenario (six strata x seeds 0-2) must
+produce a byte-identical flow report with a kernel or matcher oracle
+swapped in behind ``get_kernel`` / ``get_matcher``, and the same
+correction with the whole-instance cover swapped in behind
+``solve_cover_windows``.
 """
 
 import pytest
@@ -18,6 +21,7 @@ from ..oracles import (
     NetworkxMatcher,
     RecordingMatcher,
     ScalarKernel,
+    cover_oracle_divergence,
     use_kernel,
     use_matcher,
 )
@@ -61,3 +65,9 @@ def test_brute_matcher_oracle(stratum, seed):
     with use_matcher(BruteMatcher()):
         brute = run_aapsm_flow(s.layout, s.tech)
     assert report_key(brute) == report_key(base)
+
+
+@pytest.mark.parametrize("stratum,seed", SMOKE)
+def test_whole_instance_cover_oracle(stratum, seed):
+    s = build_scenario(stratum, seed)
+    assert cover_oracle_divergence(s.layout, s.tech) is None

@@ -9,8 +9,17 @@ representatives the issue calls for; genuine shrunk repros join this
 file as the fuzzer finds them.
 """
 
+import hashlib
+
 from repro.core.flow import run_aapsm_flow
-from repro.scenarios import build_scenario, run_invariant_on_layout
+from repro.scenarios import build_scenario, report_key, run_invariant_on_layout
+
+from ..oracles import cover_oracle_divergence
+
+# sha256 of report_key for duplicate:1024 on the default (monolithic)
+# path, as the comparison-sort embedding produced it.
+DUPLICATE_1024_REPORT = \
+    "2d79cd65164cae49ae86e2b182620c72dca5e5c44bc0d3f3f35a8750e2a1755e"
 
 
 class TestPromotedScenarios:
@@ -18,7 +27,7 @@ class TestPromotedScenarios:
         """Seed 3 is the DRC-tight level: every gap near the 140 nm
         floor, the densest correction instance the sweep produces."""
         s = build_scenario("density", 3)
-        assert run_invariant_on_layout("windowed", s.layout) is None
+        assert cover_oracle_divergence(s.layout, s.tech) is None
 
     def test_oddcycle_chain_tiled_equals_monolithic(self):
         """Seed 1 builds two chains, one with a nested second cycle —
@@ -54,3 +63,14 @@ class TestPromotedScenarios:
     def test_duplicate_rects_oracle_accepts(self):
         s = build_scenario("duplicate", 1)
         assert run_invariant_on_layout("oracle", s.layout) is None
+
+    def test_duplicate_zero_length_darts_flow(self):
+        """Seed 1024's duplicate rects put zero-length edges into the
+        planarized conflict graph.  Ordering their darts in the wrong
+        half-plane left an odd cycle after bipartization and the flow
+        raised; now it runs and reproduces the pinned report."""
+        s = build_scenario("duplicate", 1024)
+        r = run_aapsm_flow(s.layout, s.tech)
+        assert r.detection.num_conflicts == 14
+        assert hashlib.sha256(report_key(r).encode()).hexdigest() \
+            == DUPLICATE_1024_REPORT
