@@ -19,6 +19,7 @@ from typing import List, Optional
 
 from ..cache import KIND_TILE, ArtifactCache
 from ..conflict import PCG, DetectionReport
+from ..gcpause import gc_paused
 from ..graph import METHOD_GADGET
 from ..layout import Layout, Technology
 from ..obs import get_tracer
@@ -164,104 +165,112 @@ def run_chip_flow(layout: Layout, tech: Technology,
         :class:`DetectionReport` in global shifter ids.  Cache counts
         are this run's hits/misses (deltas, so a cache shared across
         passes reports each pass separately).
+
+    Garbage collection: the run pauses CPython's cyclic garbage
+    collector (:func:`repro.gcpause.gc_paused`) and re-enables it on
+    return or raise; a collector already disabled on entry stays
+    disabled.  Process-executor workers forked during the run inherit
+    the pause and exit when the map ends.  The detection code creates
+    no reference cycles, so the pause holds back no memory.
     """
-    start = time.perf_counter()
-    tracer = get_tracer()
-    with tracer.span("chip", cat="chip", design=layout.name) as chip_span:
-        if grid is None:
-            with tracer.span("partition", cat="chip"):
-                grid = partition_layout(layout, tech, tiles=tiles,
-                                        halo=halo, jobs=jobs)
-        if cache is None:
-            cache = ArtifactCache(cache_dir)
-        tile_stats = cache.stats(KIND_TILE)
-        hits0, misses0 = tile_stats.as_tuple()
-        runner = resolve_executor(jobs, executor)
-        workers = max(int(getattr(runner, "jobs", 1) or 1), 1)
+    with gc_paused():
+        start = time.perf_counter()
+        tracer = get_tracer()
+        with tracer.span("chip", cat="chip", design=layout.name) as chip_span:
+            if grid is None:
+                with tracer.span("partition", cat="chip"):
+                    grid = partition_layout(layout, tech, tiles=tiles,
+                                            halo=halo, jobs=jobs)
+            if cache is None:
+                cache = ArtifactCache(cache_dir)
+            tile_stats = cache.stats(KIND_TILE)
+            hits0, misses0 = tile_stats.as_tuple()
+            runner = resolve_executor(jobs, executor)
+            workers = max(int(getattr(runner, "jobs", 1) or 1), 1)
 
-        jobs_all = make_jobs(grid.tiles, tech, kind=kind, method=method)
-        with tracer.span("execute", cat="chip") as exec_span:
-            keys = [tile_cache_key(job) for job in jobs_all]
-            results: List[Optional[TileResult]] = [
-                cache.get(KIND_TILE, k) for k in keys]
+            jobs_all = make_jobs(grid.tiles, tech, kind=kind, method=method)
+            with tracer.span("execute", cat="chip") as exec_span:
+                keys = [tile_cache_key(job) for job in jobs_all]
+                results: List[Optional[TileResult]] = [
+                    cache.get(KIND_TILE, k) for k in keys]
 
-            pending = [(i, job) for i, (job, res)
-                       in enumerate(zip(jobs_all, results)) if res is None]
-            map_started = time.time()
-            if pending:
-                fresh = runner.map(detect_tile, [job for _, job in pending])
-                for (i, _job), result in zip(pending, fresh):
-                    cache.put(KIND_TILE, keys[i], result)
-                    results[i] = result
-            # Merge the workers' own measurements back as child spans:
-            # every executor backend (serial, process) yields the
-            # same trace structure, and computed tiles land on worker
-            # lanes at their true wall-clock position so parallel runs
-            # show genuinely overlapping tile spans.
-            for lane, (i, _job) in enumerate(pending):
-                r = results[i]
-                started = getattr(r, "started_unix", 0.0)
-                queued = max(0.0, started - map_started) if started else 0.0
-                tracer.record(
-                    "tile", r.seconds, cat="tile",
-                    cpu=getattr(r, "cpu_seconds", 0.0),
-                    start_unix=started or None,
-                    tid=1 + lane % workers,
-                    tile=[r.ix, r.iy], cached=False,
-                    conflicts=len(r.conflicts))
-                tracer.count("executor.run_seconds", r.seconds)
-                tracer.count("executor.queue_seconds", queued)
-            tracer.count("executor.jobs", len(pending))
-            for r in results:
-                if r is not None and r.from_cache:
-                    tracer.record("tile", 0.0, cat="tile",
-                                  tile=[r.ix, r.iy], cached=True,
-                                  conflicts=len(r.conflicts))
-            tracer.gauge("executor.workers", workers)
-            exec_span.set(executor=getattr(runner, "name",
-                                           type(runner).__name__),
-                          workers=workers, computed=len(pending),
-                          cached=len(results) - len(pending))
+                pending = [(i, job) for i, (job, res)
+                           in enumerate(zip(jobs_all, results)) if res is None]
+                map_started = time.time()
+                if pending:
+                    fresh = runner.map(detect_tile, [job for _, job in pending])
+                    for (i, _job), result in zip(pending, fresh):
+                        cache.put(KIND_TILE, keys[i], result)
+                        results[i] = result
+                # Merge the workers' own measurements back as child spans:
+                # every executor backend (serial, process) yields the
+                # same trace structure, and computed tiles land on worker
+                # lanes at their true wall-clock position so parallel runs
+                # show genuinely overlapping tile spans.
+                for lane, (i, _job) in enumerate(pending):
+                    r = results[i]
+                    started = getattr(r, "started_unix", 0.0)
+                    queued = max(0.0, started - map_started) if started else 0.0
+                    tracer.record(
+                        "tile", r.seconds, cat="tile",
+                        cpu=getattr(r, "cpu_seconds", 0.0),
+                        start_unix=started or None,
+                        tid=1 + lane % workers,
+                        tile=[r.ix, r.iy], cached=False,
+                        conflicts=len(r.conflicts))
+                    tracer.count("executor.run_seconds", r.seconds)
+                    tracer.count("executor.queue_seconds", queued)
+                tracer.count("executor.jobs", len(pending))
+                for r in results:
+                    if r is not None and r.from_cache:
+                        tracer.record("tile", 0.0, cat="tile",
+                                      tile=[r.ix, r.iy], cached=True,
+                                      conflicts=len(r.conflicts))
+                tracer.gauge("executor.workers", workers)
+                exec_span.set(executor=getattr(runner, "name",
+                                               type(runner).__name__),
+                              workers=workers, computed=len(pending),
+                              cached=len(results) - len(pending))
 
-        final: List[TileResult] = [r for r in results if r is not None]
-        with tracer.span("stitch", cat="chip") as stitch_span:
-            detection, stats = stitch_results(layout, tech, kind, grid,
-                                              final, shifters=shifters,
-                                              tile_keys=keys,
-                                              store=cache)
-            stitch_span.set(clusters=stats.clusters,
-                            replayed=stats.cache_hits,
-                            rearbitrated=stats.cache_misses)
-        cache_hits = tile_stats.hits - hits0
-        cache_misses = tile_stats.misses - misses0
-        chip_span.set(tiles=grid.nx * grid.ny, cache_hits=cache_hits,
-                      cache_misses=cache_misses,
-                      conflicts=detection.num_conflicts)
+            final: List[TileResult] = [r for r in results if r is not None]
+            with tracer.span("stitch", cat="chip") as stitch_span:
+                detection, stats = stitch_results(layout, tech, kind, grid,
+                                                  final, shifters=shifters,
+                                                  tile_keys=keys,
+                                                  store=cache)
+                stitch_span.set(clusters=stats.clusters,
+                                replayed=stats.cache_hits,
+                                rearbitrated=stats.cache_misses)
+            cache_hits = tile_stats.hits - hits0
+            cache_misses = tile_stats.misses - misses0
+            chip_span.set(tiles=grid.nx * grid.ny, cache_hits=cache_hits,
+                          cache_misses=cache_misses,
+                          conflicts=detection.num_conflicts)
 
-    report = ChipReport(
-        detection=detection,
-        nx=grid.nx, ny=grid.ny, halo=grid.halo,
-        jobs=getattr(runner, "jobs", 1),
-        executor=getattr(runner, "name", type(runner).__name__),
-        tile_seconds=stats.tile_seconds,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        clusters=stats.clusters,
-        boundary_duplicates_dropped=stats.boundary_duplicates_dropped,
-        stitch_hits=stats.cache_hits,
-        stitch_misses=stats.cache_misses,
-        tile_stats=[TileStat(ix=r.ix, iy=r.iy,
-                             polygons=r.report.num_features,
-                             conflicts_reported=len(r.conflicts),
-                             seconds=r.seconds,
-                             from_cache=r.from_cache)
-                    for r in final],
-        cluster_stats=stats.cluster_stats,
-        unmapped_conflicts=len(stats.unmapped_conflicts),
-    )
-    report.wall_seconds = time.perf_counter() - start
-    # The chip detection's end-to-end time is the orchestration wall
-    # clock, not the sum of tile work (which can exceed it under
-    # parallel execution).
-    detection.detect_seconds = report.wall_seconds
-    return report
+        report = ChipReport(
+            detection=detection,
+            nx=grid.nx, ny=grid.ny, halo=grid.halo,
+            jobs=getattr(runner, "jobs", 1),
+            executor=getattr(runner, "name", type(runner).__name__),
+            tile_seconds=stats.tile_seconds,
+            cache_hits=cache_hits,
+            cache_misses=cache_misses,
+            clusters=stats.clusters,
+            boundary_duplicates_dropped=stats.boundary_duplicates_dropped,
+            stitch_hits=stats.cache_hits,
+            stitch_misses=stats.cache_misses,
+            tile_stats=[TileStat(ix=r.ix, iy=r.iy,
+                                 polygons=r.report.num_features,
+                                 conflicts_reported=len(r.conflicts),
+                                 seconds=r.seconds,
+                                 from_cache=r.from_cache)
+                        for r in final],
+            cluster_stats=stats.cluster_stats,
+            unmapped_conflicts=len(stats.unmapped_conflicts),
+        )
+        report.wall_seconds = time.perf_counter() - start
+        # The chip detection's end-to-end time is the orchestration wall
+        # clock, not the sum of tile work (which can exceed it under
+        # parallel execution).
+        detection.detect_seconds = report.wall_seconds
+        return report

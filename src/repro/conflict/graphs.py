@@ -30,11 +30,10 @@ offset by quarter-nanometre nudges without colliding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from ..geometry import Rect
 from ..geometry.kernels import get_kernel
+from ..geometry.rect import rect_columns
 from ..graph import GeomGraph
 from ..layout import Technology
 from ..shifters import OverlapPair, ShifterSet
@@ -45,18 +44,6 @@ FG = "fg"
 
 FEATURE_TAG = "feature"
 OVERLAP_TAG = "overlap"
-
-
-@lru_cache(maxsize=None)
-def _node_coord(rect: Rect) -> Tuple[int, int]:
-    """Rect centre in 4x coordinates.
-
-    Memoized: the same shifter rects flow through graph builds in the
-    detect, verify and assign stages (tens of thousands of repeat
-    lookups on chip-scale layouts), and ``Rect`` is frozen/hashable.
-    """
-    cx2, cy2 = rect.center2
-    return (2 * cx2, 2 * cy2)
 
 
 @dataclass
@@ -111,8 +98,11 @@ def _base_graph(kind: str, shifters: ShifterSet) -> ConflictGraph:
     # Shifter ids are dense insertion indices, so the node map is the
     # identity — built off the rect column, no Shifter objects.
     shifter_node: Dict[int, int] = {i: i for i in range(len(shifters))}
-    graph.add_nodes(shifter_node,
-                    [_node_coord(r) for r in shifters.rects])
+    # Shifter centres in 4x coordinates, off the set's memoized int64
+    # rect columns; tolist() hands back Python ints.
+    x1, y1, x2, y2 = rect_columns(shifters.rects)
+    graph.add_nodes(shifter_node, zip((2 * (x1 + x2)).tolist(),
+                                      (2 * (y1 + y2)).tolist()))
     return ConflictGraph(graph=graph, kind=kind, shifters=shifters,
                          shifter_node=shifter_node)
 
@@ -244,9 +234,10 @@ def _node_coord_center(shifters: ShifterSet, feature_index: int
     layout object.
     """
     sa, sb = shifters.of_feature(feature_index)
-    ax, ay = _node_coord(sa.rect)
-    bx, by = _node_coord(sb.rect)
-    return ((ax + bx) // 2, (ay + by) // 2)
+    # A doubled centre is half the 4x coordinate, so the sum of the
+    # two doubled centres is the 4x midpoint.
+    (ax, ay), (bx, by) = sa.center2, sb.center2
+    return (ax + bx, ay + by)
 
 
 def build_conflict_graph(kind: str, shifters: ShifterSet,

@@ -137,7 +137,13 @@ def exact_weighted_set_cover(universe: Set[Hashable],
             branch(remaining - s.elements, cost + s.weight, chosen)
             chosen.pop()
 
-    branch(set(universe), 0, [])
+    try:
+        branch(set(universe), 0, [])
+    finally:
+        # branch recurses through its own closure cell; unbinding it
+        # breaks that reference cycle, so the search state is freed by
+        # reference counting.
+        branch = None
     return best_sol
 
 

@@ -341,137 +341,144 @@ def max_weight_matching(nvertex: int,
                 mate[j] = labelend[bt]
                 p = labelend[bt] ^ 1
 
-    # ------------------------------------------------------------------
-    # Main loop: one stage per augmentation.
-    # ------------------------------------------------------------------
-    stages = 0
-    for _stage in range(nvertex):
-        label[:] = [0] * (2 * nvertex)
-        bestedge[:] = [-1] * (2 * nvertex)
-        for b in range(nvertex, 2 * nvertex):
-            blossombestedges[b] = None
-        allowedge[:] = [False] * nedge
-        queue[:] = []
-        for v in range(nvertex):
-            if mate[v] == -1 and label[inblossom[v]] == 0:
-                assign_label(v, 1, -1)
-        augmented = False
-        while True:
-            while queue and not augmented:
-                v = queue.pop()
-                for p in neighbend[v]:
-                    k = p // 2
-                    w = endpoint[p]
-                    if inblossom[v] == inblossom[w]:
-                        continue  # internal to a blossom
-                    if not allowedge[k]:
-                        kslack = slack(k)
-                        if kslack <= 0:
-                            allowedge[k] = True
-                    if allowedge[k]:
-                        bw = inblossom[w]
-                        if label[bw] == 0:
-                            assign_label(w, 2, p ^ 1)
-                        elif label[bw] == 1:
-                            base = scan_blossom(v, w)
-                            if base >= 0:
-                                add_blossom(base, k)
-                            else:
-                                augment_matching(k)
-                                augmented = True
-                                break
+    try:
+        # ------------------------------------------------------------------
+        # Main loop: one stage per augmentation.
+        # ------------------------------------------------------------------
+        stages = 0
+        for _stage in range(nvertex):
+            label[:] = [0] * (2 * nvertex)
+            bestedge[:] = [-1] * (2 * nvertex)
+            for b in range(nvertex, 2 * nvertex):
+                blossombestedges[b] = None
+            allowedge[:] = [False] * nedge
+            queue[:] = []
+            for v in range(nvertex):
+                if mate[v] == -1 and label[inblossom[v]] == 0:
+                    assign_label(v, 1, -1)
+            augmented = False
+            while True:
+                while queue and not augmented:
+                    v = queue.pop()
+                    for p in neighbend[v]:
+                        k = p // 2
+                        w = endpoint[p]
+                        if inblossom[v] == inblossom[w]:
+                            continue  # internal to a blossom
+                        if not allowedge[k]:
+                            kslack = slack(k)
+                            if kslack <= 0:
+                                allowedge[k] = True
+                        if allowedge[k]:
+                            bw = inblossom[w]
+                            if label[bw] == 0:
+                                assign_label(w, 2, p ^ 1)
+                            elif label[bw] == 1:
+                                base = scan_blossom(v, w)
+                                if base >= 0:
+                                    add_blossom(base, k)
+                                else:
+                                    augment_matching(k)
+                                    augmented = True
+                                    break
+                            elif label[w] == 0:
+                                # Inside a T-blossom but not yet labeled.
+                                label[w] = 2
+                                labelend[w] = p ^ 1
+                        elif label[inblossom[w]] == 1:
+                            b = inblossom[v]
+                            if bestedge[b] == -1 or kslack < slack(bestedge[b]):
+                                bestedge[b] = k
                         elif label[w] == 0:
-                            # Inside a T-blossom but not yet labeled.
-                            label[w] = 2
-                            labelend[w] = p ^ 1
-                    elif label[inblossom[w]] == 1:
-                        b = inblossom[v]
-                        if bestedge[b] == -1 or kslack < slack(bestedge[b]):
-                            bestedge[b] = k
-                    elif label[w] == 0:
-                        if bestedge[w] == -1 or kslack < slack(bestedge[w]):
-                            bestedge[w] = k
-            if augmented:
+                            if bestedge[w] == -1 or kslack < slack(bestedge[w]):
+                                bestedge[w] = k
+                if augmented:
+                    break
+
+                # Dual update: the minimum over the four delta types.
+                deltatype = -1
+                delta = deltaedge = deltablossom = -1
+                if not maxcardinality:
+                    deltatype = 1
+                    delta = min(dualvar[:nvertex])
+                for v in range(nvertex):
+                    if label[inblossom[v]] == 0 and bestedge[v] != -1:
+                        d = slack(bestedge[v])
+                        if deltatype == -1 or d < delta:
+                            delta = d
+                            deltatype = 2
+                            deltaedge = bestedge[v]
+                for b in range(2 * nvertex):
+                    if (blossomparent[b] == -1 and label[b] == 1
+                            and bestedge[b] != -1):
+                        d = slack(bestedge[b]) // 2
+                        if deltatype == -1 or d < delta:
+                            delta = d
+                            deltatype = 3
+                            deltaedge = bestedge[b]
+                for b in range(nvertex, 2 * nvertex):
+                    if (blossombase[b] >= 0 and blossomparent[b] == -1
+                            and label[b] == 2
+                            and (deltatype == -1 or dualvar[b] < delta)):
+                        delta = dualvar[b]
+                        deltatype = 4
+                        deltablossom = b
+                if deltatype == -1:
+                    # No improvement possible: max-cardinality optimum.
+                    # One last update makes the duals certify.
+                    deltatype = 1
+                    delta = max(0, min(dualvar[:nvertex]))
+
+                for v in range(nvertex):
+                    lab = label[inblossom[v]]
+                    if lab == 1:
+                        dualvar[v] -= delta
+                    elif lab == 2:
+                        dualvar[v] += delta
+                for b in range(nvertex, 2 * nvertex):
+                    if blossombase[b] >= 0 and blossomparent[b] == -1:
+                        if label[b] == 1:
+                            dualvar[b] += delta
+                        elif label[b] == 2:
+                            dualvar[b] -= delta
+
+                if deltatype == 1:
+                    break  # optimum reached
+                elif deltatype == 2:
+                    allowedge[deltaedge] = True
+                    (i, j, _wt) = edges[deltaedge]
+                    if label[inblossom[i]] == 0:
+                        i = j
+                    queue.append(i)
+                elif deltatype == 3:
+                    allowedge[deltaedge] = True
+                    (i, _j, _wt) = edges[deltaedge]
+                    queue.append(i)
+                else:
+                    expand_blossom(deltablossom, False)
+
+            if not augmented:
                 break
-
-            # Dual update: the minimum over the four delta types.
-            deltatype = -1
-            delta = deltaedge = deltablossom = -1
-            if not maxcardinality:
-                deltatype = 1
-                delta = min(dualvar[:nvertex])
-            for v in range(nvertex):
-                if label[inblossom[v]] == 0 and bestedge[v] != -1:
-                    d = slack(bestedge[v])
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge = bestedge[v]
-            for b in range(2 * nvertex):
-                if (blossomparent[b] == -1 and label[b] == 1
-                        and bestedge[b] != -1):
-                    d = slack(bestedge[b]) // 2
-                    if deltatype == -1 or d < delta:
-                        delta = d
-                        deltatype = 3
-                        deltaedge = bestedge[b]
+            stages += 1
+            # Expand S-blossoms whose dual hit zero: they carry no weight
+            # and would only slow the next stage.
             for b in range(nvertex, 2 * nvertex):
-                if (blossombase[b] >= 0 and blossomparent[b] == -1
-                        and label[b] == 2
-                        and (deltatype == -1 or dualvar[b] < delta)):
-                    delta = dualvar[b]
-                    deltatype = 4
-                    deltablossom = b
-            if deltatype == -1:
-                # No improvement possible: max-cardinality optimum.
-                # One last update makes the duals certify.
-                deltatype = 1
-                delta = max(0, min(dualvar[:nvertex]))
+                if (blossomparent[b] == -1 and blossombase[b] >= 0
+                        and label[b] == 1 and dualvar[b] == 0):
+                    expand_blossom(b, True)
 
-            for v in range(nvertex):
-                lab = label[inblossom[v]]
-                if lab == 1:
-                    dualvar[v] -= delta
-                elif lab == 2:
-                    dualvar[v] += delta
-            for b in range(nvertex, 2 * nvertex):
-                if blossombase[b] >= 0 and blossomparent[b] == -1:
-                    if label[b] == 1:
-                        dualvar[b] += delta
-                    elif label[b] == 2:
-                        dualvar[b] -= delta
+        if certify:
+            verify(nvertex, edges, maxcardinality, mate, endpoint,
+                   dualvar, blossomparent, blossombase, blossomendps)
 
-            if deltatype == 1:
-                break  # optimum reached
-            elif deltatype == 2:
-                allowedge[deltaedge] = True
-                (i, j, _wt) = edges[deltaedge]
-                if label[inblossom[i]] == 0:
-                    i = j
-                queue.append(i)
-            elif deltatype == 3:
-                allowedge[deltaedge] = True
-                (i, _j, _wt) = edges[deltaedge]
-                queue.append(i)
-            else:
-                expand_blossom(deltablossom, False)
-
-        if not augmented:
-            break
-        stages += 1
-        # Expand S-blossoms whose dual hit zero: they carry no weight
-        # and would only slow the next stage.
-        for b in range(nvertex, 2 * nvertex):
-            if (blossomparent[b] == -1 and blossombase[b] >= 0
-                    and label[b] == 1 and dualvar[b] == 0):
-                expand_blossom(b, True)
-
-    if certify:
-        verify(nvertex, edges, maxcardinality, mate, endpoint,
-               dualvar, blossomparent, blossombase, blossomendps)
-
-    mate_edge = [(-1 if p == -1 else p // 2) for p in mate]
-    return mate_edge, stages
+        mate_edge = [(-1 if p == -1 else p // 2) for p in mate]
+        return mate_edge, stages
+    finally:
+        # These three recurse through their own closure cells, a
+        # reference cycle that would pin every solver list until a
+        # cyclic collection; unbinding them lets reference counting
+        # free the solver state as soon as this call returns.
+        assign_label = expand_blossom = augment_blossom = None
 
 
 def verify(nvertex: int, edges: Sequence[Tuple[int, int, int]],

@@ -36,6 +36,7 @@ from typing import List, Optional, Tuple
 from ..cache import ArtifactCache
 from ..chip.partition import TileGrid, TileSpec, auto_tile_grid, \
     normalize_tile_spec, partition_layout
+from ..gcpause import gc_paused
 from ..layout import Layout, Technology
 from .artifacts import PipelineResult
 from .runner import PipelineConfig, run_pipeline
@@ -395,48 +396,54 @@ def run_eco_flow(base: Layout, edited: Layout, tech: Technology,
     was recomputed (on the canonical single-feature edit: shifters and
     detection recompute for dirty tiles only, zero window re-solves,
     zero recolors).
+
+    Garbage collection: the run pauses CPython's cyclic garbage
+    collector (:func:`repro.gcpause.gc_paused`) for the base and the
+    edited flow together and re-enables it on return or raise; a
+    collector already disabled on entry stays disabled.
     """
-    config = config or PipelineConfig()
-    spec = resolve_eco_tiles(base, config.tiles)
-    from dataclasses import replace
+    with gc_paused():
+        config = config or PipelineConfig()
+        spec = resolve_eco_tiles(base, config.tiles)
+        from dataclasses import replace
 
-    from ..obs import get_tracer
+        from ..obs import get_tracer
 
-    config = replace(config, tiles=spec, tiled=True)
-    if cache is None:
-        cache = ArtifactCache(config.cache_dir)
+        config = replace(config, tiles=spec, tiled=True)
+        if cache is None:
+            cache = ArtifactCache(config.cache_dir)
 
-    tracer = get_tracer()
-    with tracer.span("eco", cat="eco", design=edited.name,
-                     warm_base=warm_base) as eco_span:
-        with tracer.span("plan", cat="eco") as plan_span:
-            plan = plan_eco(base, edited, tech, tiles=spec,
-                            halo=config.halo)
-            plan_span.set(dirty=len(plan.dirty), clean=len(plan.clean),
-                          bbox_changed=plan.bbox_changed)
+        tracer = get_tracer()
+        with tracer.span("eco", cat="eco", design=edited.name,
+                         warm_base=warm_base) as eco_span:
+            with tracer.span("plan", cat="eco") as plan_span:
+                plan = plan_eco(base, edited, tech, tiles=spec,
+                                halo=config.halo)
+                plan_span.set(dirty=len(plan.dirty), clean=len(plan.clean),
+                              bbox_changed=plan.bbox_changed)
 
-        base_result: Optional[PipelineResult] = None
-        base_seconds = 0.0
-        if warm_base:
+            base_result: Optional[PipelineResult] = None
+            base_seconds = 0.0
+            if warm_base:
+                t0 = time.perf_counter()
+                base_result = run_pipeline(base, tech, config, cache=cache)
+                base_seconds = time.perf_counter() - t0
+
             t0 = time.perf_counter()
-            base_result = run_pipeline(base, tech, config, cache=cache)
-            base_seconds = time.perf_counter() - t0
+            result = run_pipeline(edited, tech, config, cache=cache)
+            eco_seconds = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        result = run_pipeline(edited, tech, config, cache=cache)
-        eco_seconds = time.perf_counter() - t0
+            # The warm run's own chip report names each stitch cluster's
+            # contributing tiles; the plan classifies them dirty/clean so
+            # the accounting (and the test suites) can assert that exactly
+            # the dirty clusters re-arbitrated.
+            if result.detection.chip is not None:
+                plan.classify_stitch_clusters(
+                    result.detection.chip.cluster_stats)
+            eco_span.set(dirty_tiles=len(plan.dirty),
+                         clean_tiles=len(plan.clean),
+                         base_seconds=round(base_seconds, 6),
+                         eco_seconds=round(eco_seconds, 6))
 
-        # The warm run's own chip report names each stitch cluster's
-        # contributing tiles; the plan classifies them dirty/clean so
-        # the accounting (and the test suites) can assert that exactly
-        # the dirty clusters re-arbitrated.
-        if result.detection.chip is not None:
-            plan.classify_stitch_clusters(
-                result.detection.chip.cluster_stats)
-        eco_span.set(dirty_tiles=len(plan.dirty),
-                     clean_tiles=len(plan.clean),
-                     base_seconds=round(base_seconds, 6),
-                     eco_seconds=round(eco_seconds, 6))
-
-    return EcoResult(plan=plan, result=result, base=base_result,
-                     base_seconds=base_seconds, eco_seconds=eco_seconds)
+        return EcoResult(plan=plan, result=result, base=base_result,
+                         base_seconds=base_seconds, eco_seconds=eco_seconds)

@@ -47,6 +47,7 @@ from ..conflict import (
     layout_front_end,
 )
 from ..correction import CutRestrictions, apply_cuts, plan_correction
+from ..gcpause import gc_paused
 from ..graph import METHOD_GADGET
 from ..layout import Layout, Technology
 from ..obs import get_logger, get_tracer
@@ -382,32 +383,39 @@ def run_pipeline(layout: Layout, tech: Technology,
     monolithic (tie-free generic weights make the per-tile optimum
     view-independent; cached artifacts replay bit-exact).  Only
     wall-clock fields and work accounting differ between runs.
+
+    Garbage collection: the run pauses CPython's cyclic garbage
+    collector (:func:`repro.gcpause.gc_paused`) and re-enables it on
+    return or raise.  The flow creates no reference cycles, so the
+    pause holds back no memory.  A collector that is already disabled
+    on entry stays disabled.
     """
-    config = config or PipelineConfig()
-    start = time.perf_counter()
-    if cache is None and config.is_tiled:
-        cache = ArtifactCache(config.cache_dir)
+    with gc_paused():
+        config = config or PipelineConfig()
+        start = time.perf_counter()
+        if cache is None and config.is_tiled:
+            cache = ArtifactCache(config.cache_dir)
 
-    with get_tracer().span("flow", cat="flow", design=layout.name):
-        front = stage_front_end(layout, tech, config, cache=cache)
-        detection = stage_detect(front, tech, config, cache=cache)
-        correction = stage_correct(detection, tech, config, cache=cache)
-        verification = stage_verify(correction, tech, config, front,
-                                    cache=cache)
-        phase = stage_assign(verification, tech, config, cache=cache)
+        with get_tracer().span("flow", cat="flow", design=layout.name):
+            front = stage_front_end(layout, tech, config, cache=cache)
+            detection = stage_detect(front, tech, config, cache=cache)
+            correction = stage_correct(detection, tech, config, cache=cache)
+            verification = stage_verify(correction, tech, config, front,
+                                        cache=cache)
+            phase = stage_assign(verification, tech, config, cache=cache)
 
-    # The partitions have served both detection passes; don't pin the
-    # tile sub-layouts (halo-inflated duplicates of the chip geometry)
-    # on artifacts a caller may keep alive long after the run.
-    front.grid = None
-    verification.front.grid = None
+        # The partitions have served both detection passes; don't pin the
+        # tile sub-layouts (halo-inflated duplicates of the chip geometry)
+        # on artifacts a caller may keep alive long after the run.
+        front.grid = None
+        verification.front.grid = None
 
-    return PipelineResult(
-        layout=layout,
-        front=front,
-        detection=detection,
-        correction=correction,
-        verification=verification,
-        phase=phase,
-        wall_seconds=time.perf_counter() - start,
-    )
+        return PipelineResult(
+            layout=layout,
+            front=front,
+            detection=detection,
+            correction=correction,
+            verification=verification,
+            phase=phase,
+            wall_seconds=time.perf_counter() - start,
+        )

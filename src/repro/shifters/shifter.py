@@ -112,11 +112,15 @@ class ShifterSet:
         return (self[sid] for sid in range(len(self._feature)))
 
     def __getitem__(self, shifter_id: int) -> Shifter:
+        # Memoize under the dense id: a negative index names a
+        # different shifter once more rows are appended.
+        if shifter_id < 0:
+            shifter_id += len(self._feature)
+            if shifter_id < 0:
+                raise IndexError("shifter id out of range")
         shifter = self._objs.get(shifter_id)
         if shifter is None:
-            sid = (shifter_id + len(self._feature) if shifter_id < 0
-                   else shifter_id)
-            shifter = Shifter(sid, self._feature[shifter_id],
+            shifter = Shifter(shifter_id, self._feature[shifter_id],
                               self._side[shifter_id], self._rect[shifter_id])
             self._objs[shifter_id] = shifter
         return shifter
