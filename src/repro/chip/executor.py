@@ -23,13 +23,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
+    Tuple
 
 from ..conflict import PCG, DetectionReport, build_layout_conflict_graph, \
     detect_conflicts
 from ..geometry.kernels import get_kernel
 from ..graph import METHOD_GADGET
 from ..layout import Layout, Technology, tshape_feature_indices
+from ..shifters import OverlapPair, ShifterSet
 from ..shifters.frontend import ShifterKey
 from .partition import Bounds, Tile, interaction_distance
 
@@ -41,6 +43,13 @@ class TileJob:
     Picklable by construction; ``owner`` rides along so ownership
     filtering happens in the worker and the result (including the
     filter's effect) can be cached as a unit.
+
+    ``front`` is the tile's slice of the revision's front end —
+    ``(shifters, pairs)`` in tile-local numbering, byte-identical to
+    regenerating them on ``layout`` (see
+    :class:`~repro.shifters.frontend.FrontEndSlicer`) — or None, and
+    :func:`detect_tile` regenerates.  It is derived from the job's own
+    geometry, so it is neither compared nor part of the cache key.
     """
 
     ix: int
@@ -51,6 +60,8 @@ class TileJob:
     kind: str = PCG
     method: str = METHOD_GADGET
     feature_ids: Tuple[int, ...] = ()
+    front: Optional[Tuple[ShifterSet, List[OverlapPair]]] = field(
+        default=None, compare=False, repr=False)
 
     def owns_point2(self, px2: int, py2: int) -> bool:
         ox1, oy1, ox2, oy2 = self.owner
@@ -134,8 +145,12 @@ class TileResult:
 def detect_tile(job: TileJob) -> TileResult:
     """Run detection on one tile and canonicalise the outcome.
 
-    Empty tiles (no captured features) short-circuit to an empty,
-    trivially phase-assignable report.
+    The conflict graph is built on the job's front-end slice when it
+    carries one (the chip flow hands every pending job its slice of the
+    revision's front end); a job without one regenerates shifters and
+    overlap pairs on its sub-layout — same result either way.  Empty
+    tiles (no captured features) short-circuit to an empty, trivially
+    phase-assignable report.
     """
     import time
 
@@ -154,9 +169,10 @@ def detect_tile(job: TileJob) -> TileResult:
                           cpu_seconds=time.process_time() - cpu0,
                           started_unix=started_unix)
 
-    # Build the detection front end once and reuse the shifter set and
-    # overlap pairs for canonicalisation and the ownership counts.
-    prebuilt = build_layout_conflict_graph(job.layout, job.tech, job.kind)
+    # One front end serves the graph build, canonicalisation and the
+    # ownership counts.
+    prebuilt = build_layout_conflict_graph(job.layout, job.tech, job.kind,
+                                           front=job.front)
     _cg, shifters, pairs = prebuilt
     report = detect_conflicts(job.layout, job.tech, kind=job.kind,
                               method=job.method, prebuilt=prebuilt)
@@ -256,7 +272,7 @@ class SerialExecutor:
     jobs = 1
 
     def map(self, fn: Callable[[TileJob], TileResult],
-            work: Sequence[TileJob]) -> List[TileResult]:
+            work: Iterable[TileJob]) -> List[TileResult]:
         return [fn(job) for job in work]
 
 
@@ -276,7 +292,8 @@ class ProcessExecutor:
         self.jobs = jobs
 
     def map(self, fn: Callable[[TileJob], TileResult],
-            work: Sequence[TileJob]) -> List[TileResult]:
+            work: Iterable[TileJob]) -> List[TileResult]:
+        work = list(work)
         if not work:
             return []
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
@@ -301,8 +318,11 @@ def register_executor(name: str,
     """Register an executor backend under ``name``.
 
     ``factory(jobs)`` must return an object with a ``map(fn, jobs)``
-    method (and ideally ``name``/``jobs`` attributes for reporting).
-    This is the hook a distributed backend plugs into.
+    method (and ideally ``name``/``jobs`` attributes for reporting);
+    ``jobs`` is an iterable — the chip flow passes a generator that
+    builds each job's front-end slice as it is drawn — and ``map``
+    returns the results in order.  This is the hook a distributed
+    backend plugs into.
     """
     EXECUTOR_BACKENDS[name] = factory
 

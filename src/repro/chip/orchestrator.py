@@ -1,9 +1,10 @@
 """Full-chip tiled detection: partition -> execute -> stitch -> report.
 
 :func:`run_chip_flow` is the scale-out entry point of the reproduction:
-it cuts the chip into haloed tiles, pushes per-tile shifter generation
-and conflict detection through a pluggable executor (serial in-process
-or a multiprocessing pool) with content-hash result caching, and
+it cuts the chip into haloed tiles, pushes per-tile conflict detection
+— each tile job carrying its slice of the revision's front end —
+through a pluggable executor (serial in-process or a multiprocessing
+pool) with content-hash result caching, and
 stitches the owned per-tile conflicts back into a chip-level
 :class:`~repro.conflict.DetectionReport` in the global shifter
 numbering — drop-in compatible with the monolithic
@@ -14,8 +15,8 @@ assignment, tables).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Tuple
 
 from ..cache import KIND_TILE, ArtifactCache
 from ..conflict import PCG, DetectionReport
@@ -23,6 +24,13 @@ from ..gcpause import gc_paused
 from ..graph import METHOD_GADGET
 from ..layout import Layout, Technology
 from ..obs import get_tracer
+from ..shifters import (
+    FrontEndSlicer,
+    OverlapPair,
+    ShifterSet,
+    find_overlap_pairs,
+    generate_shifters,
+)
 from .cache import tile_cache_key
 from .executor import TileResult, detect_tile, make_jobs, \
     resolve_executor
@@ -121,7 +129,8 @@ def run_chip_flow(layout: Layout, tech: Technology,
                   kind: str = PCG,
                   method: str = METHOD_GADGET,
                   halo: Optional[int] = None,
-                  shifters=None,
+                  front: Optional[Tuple[ShifterSet,
+                                        List[OverlapPair]]] = None,
                   grid: Optional[TileGrid] = None,
                   executor: Optional[str] = None) -> ChipReport:
     """Tiled, parallel, cached full-chip conflict detection.
@@ -149,8 +158,13 @@ def run_chip_flow(layout: Layout, tech: Technology,
         kind: conflict-graph kind ("pcg"/"fg").
         method: bipartization engine for each tile.
         halo: capture halo in nm (default from the rule deck).
-        shifters: the layout's already-generated global shifter set
-            (skips regeneration in the stitcher).
+        front: the revision's chip front end ``(shifters, pairs)``,
+            e.g. the pipeline's front-end stage output.  Every tile job
+            the store cannot replay is handed its slice of it, so no
+            tile regenerates shifters, and the stitcher numbers the
+            report by its shifters.  None computes the chip front end
+            here, once: shifters always (the stitcher needs them),
+            overlap pairs only when some tile must be detected.
         grid: an already-computed partition of ``layout`` (e.g. the
             tiled front-end stage's); must have been produced with the
             same ``tiles``/``halo``/``jobs`` arguments.  None
@@ -188,6 +202,11 @@ def run_chip_flow(layout: Layout, tech: Technology,
             runner = resolve_executor(jobs, executor)
             workers = max(int(getattr(runner, "jobs", 1) or 1), 1)
 
+            if front is None:
+                shifters, pairs = generate_shifters(layout, tech), None
+            else:
+                shifters, pairs = front
+
             jobs_all = make_jobs(grid.tiles, tech, kind=kind, method=method)
             with tracer.span("execute", cat="chip") as exec_span:
                 keys = [tile_cache_key(job) for job in jobs_all]
@@ -198,7 +217,15 @@ def run_chip_flow(layout: Layout, tech: Technology,
                            in enumerate(zip(jobs_all, results)) if res is None]
                 map_started = time.time()
                 if pending:
-                    fresh = runner.map(detect_tile, [job for _, job in pending])
+                    if pairs is None:
+                        pairs = find_overlap_pairs(shifters, tech)
+                    slicer = FrontEndSlicer(shifters, pairs,
+                                            layout.num_polygons)
+                    # Each slice is built as its job is drawn, so a
+                    # serial run never holds them all at once.
+                    work = (replace(job, front=slicer.slice(job.feature_ids))
+                            for _, job in pending)
+                    fresh = runner.map(detect_tile, work)
                     for (i, _job), result in zip(pending, fresh):
                         cache.put(KIND_TILE, keys[i], result)
                         results[i] = result
@@ -234,8 +261,8 @@ def run_chip_flow(layout: Layout, tech: Technology,
 
             final: List[TileResult] = [r for r in results if r is not None]
             with tracer.span("stitch", cat="chip") as stitch_span:
-                detection, stats = stitch_results(layout, tech, kind, grid,
-                                                  final, shifters=shifters,
+                detection, stats = stitch_results(layout, kind, grid,
+                                                  final, shifters,
                                                   tile_keys=keys,
                                                   store=cache)
                 stitch_span.set(clusters=stats.clusters,

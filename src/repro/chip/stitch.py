@@ -60,9 +60,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cache import KIND_STITCH, ArtifactCache
 from ..conflict import Conflict, DetectionReport
-from ..layout import Layout, Technology
+from ..layout import Layout
 from ..obs import get_tracer
-from ..shifters import ShifterSet, generate_shifters
+from ..shifters import ShifterSet
 from .executor import CanonicalConflict, ShifterKey, TileResult
 from .partition import TileGrid
 
@@ -328,24 +328,20 @@ def arbitrate_conflicts(grid: TileGrid, results: List[TileResult]
     return survivors, stats.clusters, stats.boundary_duplicates_dropped
 
 
-def stitch_results(layout: Layout, tech: Technology, kind: str,
+def stitch_results(layout: Layout, kind: str,
                    grid: TileGrid, results: List[TileResult],
-                   shifters: Optional[ShifterSet] = None,
+                   shifters: ShifterSet,
                    tile_keys: Optional[Sequence[str]] = None,
                    store: Optional[ArtifactCache] = None
                    ) -> Tuple[DetectionReport, StitchStats]:
     """Merge tile results into a chip-level :class:`DetectionReport`.
 
-    ``shifters`` accepts the layout's already-generated shifter set
-    (the pipeline's shifter-generation stage); when omitted it is
-    regenerated here.  ``tile_keys`` + ``store`` switch on per-cluster
-    verdict caching (see :func:`arbitrate_clusters`); the report is
-    byte-identical either way.
+    ``shifters`` is the layout's chip-global shifter set (the
+    revision's front end), whose dense ids — the ones the monolithic
+    flow assigns — the report speaks.  ``tile_keys`` + ``store`` switch
+    on per-cluster verdict caching (see :func:`arbitrate_clusters`);
+    the report is byte-identical either way.
     """
-    # Chip-global shifter numbering: pure geometry, O(features), and
-    # deterministic — the same ids the monolithic flow would assign.
-    if shifters is None:
-        shifters = generate_shifters(layout, tech)
     key_to_id: Dict[ShifterKey, int] = {}
     feats = layout.features
     for s in shifters:

@@ -55,6 +55,26 @@ class GeometryKernel:
         """Doubled overlap-region centre for each ``(i, j)`` pair."""
         raise NotImplementedError
 
+    def neighbor_pair_arrays(self, x1, y1, x2, y2, dist: int):
+        """:meth:`neighbor_pairs` over int64 corner columns.
+
+        ``x1``..``y2`` are parallel numpy arrays, one box per row (the
+        boxes must be valid :class:`~repro.geometry.Rect` corners).
+        Returns the sorted pairs as two int64 index arrays ``(i, j)``.
+        This default builds the rect list and defers to
+        :meth:`neighbor_pairs`; a batch kernel sweeps the columns
+        directly.
+        """
+        import numpy as np
+
+        from ..rect import Rect
+
+        rects = [Rect(*row) for row in zip(x1.tolist(), y1.tolist(),
+                                           x2.tolist(), y2.tolist())]
+        pairs = np.array(self.neighbor_pairs(rects, dist),
+                         dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GeometryKernel {self.name}>"
 

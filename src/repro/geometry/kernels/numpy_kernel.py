@@ -79,6 +79,11 @@ class NumpyKernel(GeometryKernel):
         return list(zip(ii.tolist(), jj.tolist(), sep.tolist(),
                         xg.tolist(), yg.tolist()))
 
+    def neighbor_pair_arrays(self, x1, y1, x2, y2, dist: int):
+        ii, jj, _sep, _xg, _yg = self._pairs(RectArray(x1, y1, x2, y2),
+                                             dist)
+        return ii, jj
+
     def region_centers2(self, rects: Sequence,
                         pairs: Sequence[Tuple[int, int]]
                         ) -> List[Tuple[int, int]]:

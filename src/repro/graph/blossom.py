@@ -28,7 +28,7 @@ matching.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["MatchingCertificateError", "max_weight_matching", "verify"]
 
@@ -60,10 +60,39 @@ def max_weight_matching(nvertex: int,
         ``(mate_edge, stages)`` — ``mate_edge[v]`` is the index into
         ``edges`` of the edge matching ``v`` (-1 when unmatched), and
         ``stages`` counts the augmentation stages performed.
+
+    Start: in max-cardinality mode the solve is jump-started (after
+    Cook & Rohe's and Kolmogorov's Blossom V initialisation): each
+    vertex's doubled dual is its heaviest incident weight, raised by
+    one where needed to share the parity of the maximum weight, and
+    the tight edges are matched greedily in Karp-Sipser order.  Every
+    edge starts with non-negative slack and every matched edge tight,
+    so the stages only add what the greedy pass missed.  The shared
+    parity keeps S-S slacks even, so the half-slack dual step stays
+    exact.  When that start does not end in a perfect matching, its
+    unequal duals cannot certify the exposed vertices, so the instance
+    is solved again from the uniform start; ``stages`` counts both
+    solves.  Plain max-weight mode always uses the uniform start.
     """
     if nvertex == 0 or not edges:
         return [-1] * nvertex, 0
+    mate_edge, stages = _solve(nvertex, edges, maxcardinality, certify,
+                               jump_start=maxcardinality)
+    if mate_edge is None:
+        mate_edge, more = _solve(nvertex, edges, maxcardinality, certify,
+                                 jump_start=False)
+        stages += more
+    return mate_edge, stages
 
+
+def _solve(nvertex: int, edges: Sequence[Tuple[int, int, int]],
+           maxcardinality: bool, certify: bool,
+           jump_start: bool) -> Tuple[Optional[List[int]], int]:
+    """One primal-dual solve; see :func:`max_weight_matching`.
+
+    Returns ``(None, stages)`` when a jump-started solve ends without
+    a perfect matching.
+    """
     nedge = len(edges)
     maxweight = max(w for (_i, _j, w) in edges)
     if maxweight < 0:
@@ -108,6 +137,53 @@ def max_weight_matching(nvertex: int,
     # dualvar[v] = 2u(v) for vertices, z(b) for blossoms.  Starting at
     # maxweight keeps all slacks non-negative and all duals integral.
     dualvar = [maxweight] * nvertex + [0] * nvertex
+    if jump_start:
+        heaviest: List[Optional[int]] = [None] * nvertex
+        for (i, j, wt) in edges:
+            for v in (i, j):
+                h = heaviest[v]
+                if h is None or wt > h:
+                    heaviest[v] = wt
+        for v, h in enumerate(heaviest):
+            if h is not None:
+                dualvar[v] = h + ((h - maxweight) & 1)
+        # Greedy tight matching in Karp-Sipser order: a free vertex
+        # left with exactly one free tight neighbour is matched first
+        # (no choice is lost), otherwise the highest-numbered free
+        # vertex takes its first free tight neighbour — the order the
+        # uniform start's stages scan in.
+        tight: List[List[int]] = [[] for _ in range(nvertex)]
+        for k, (i, j, wt) in enumerate(edges):
+            if i != j and dualvar[i] + dualvar[j] == 2 * wt:
+                tight[i].append(2 * k + 1)
+                tight[j].append(2 * k)
+        free_degree = [len(ends) for ends in tight]
+        forced = [v for v in range(nvertex) if free_degree[v] == 1]
+        for v in range(nvertex - 1, -1, -1):
+            while True:
+                if forced:
+                    u = forced.pop()
+                elif mate[v] == -1:
+                    u = v
+                else:
+                    break
+                if mate[u] != -1:
+                    continue
+                for p in tight[u]:
+                    w = endpoint[p]
+                    if mate[w] == -1:
+                        mate[u] = p
+                        mate[w] = p ^ 1
+                        for x in (u, w):
+                            for q in tight[x]:
+                                y = endpoint[q]
+                                if mate[y] == -1:
+                                    free_degree[y] -= 1
+                                    if free_degree[y] == 1:
+                                        forced.append(y)
+                        break
+                if u == v:
+                    break
     allowedge = [False] * nedge
     queue: List[int] = []
 
@@ -467,6 +543,8 @@ def max_weight_matching(nvertex: int,
                         and label[b] == 1 and dualvar[b] == 0):
                     expand_blossom(b, True)
 
+        if jump_start and -1 in mate:
+            return None, stages
         if certify:
             verify(nvertex, edges, maxcardinality, mate, endpoint,
                    dualvar, blossomparent, blossombase, blossomendps)

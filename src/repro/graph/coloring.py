@@ -9,7 +9,7 @@ step 3 of the detection flow.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .geomgraph import GeomGraph
 
@@ -80,18 +80,27 @@ def color_component(graph: GeomGraph, start: int,
     stage's hottest loop on chip-scale layouts).
     """
     skip = skip_edges if isinstance(skip_edges, set) else set(skip_edges)
+    return _color_from(graph, start, _blocked_edges(graph, skip))
+
+
+def _blocked_edges(graph: GeomGraph, skip: Set[int]) -> Set[int]:
+    """The edge ids a traversal must not cross: removed plus skipped."""
+    removed = graph._removed
+    if not removed:
+        return skip
+    if not skip:
+        return removed
+    return removed | skip
+
+
+def _color_from(graph: GeomGraph, start: int,
+                blocked: Set[int]) -> Optional[Dict[int, int]]:
+    """:func:`color_component` over a prebuilt blocked-edge set."""
     csr = graph.csr()
     indptr = csr.indptr
     neighbors = csr.neighbors
     edge_ids = csr.edge_ids
     index = graph._node_index
-    removed = graph._removed
-    if not removed:
-        blocked = skip
-    elif not skip:
-        blocked = removed
-    else:
-        blocked = removed | skip
     colors: Dict[int, int] = {start: 0}
     queue = [start]
     pop = queue.pop
@@ -126,14 +135,16 @@ def two_color(graph: GeomGraph,
     bipartite.  Deterministic, one component at a time: each
     component's root is its minimum node id and is colored 0 — the
     same polarity :mod:`repro.graph.components` replays from cache, so
-    incremental recoloring reproduces this function bit for bit.
+    incremental recoloring reproduces this function bit for bit.  The
+    blocked-edge set is built once per call, so the cost is linear in
+    the graph, however many components it has.
     """
-    skip = set(skip_edges)
+    blocked = _blocked_edges(graph, set(skip_edges))
     colors: Dict[int, int] = {}
     for start in sorted(graph.nodes):
         if start in colors:
             continue
-        component = color_component(graph, start, skip)
+        component = _color_from(graph, start, blocked)
         if component is None:
             return None
         colors.update(component)

@@ -7,11 +7,13 @@ minimum weight edges that cross other edges.  These edges are added to a
 potential set of AAPSM conflicts P."
 
 Two edges *conflict* when their segments share any point that is not a
-common endpoint (proper crossings, T-junctions, collinear overlaps, and
-distinct nodes drawn at the same point) — see
-:func:`repro.geometry.segments_conflict`.  After planarization the
-drawing is a valid plane straight-line graph, so face tracing by angular
-order is exact.
+common endpoint: proper crossings, T-junctions and collinear overlaps —
+see :func:`repro.geometry.segments_conflict`.  The predicate sees
+coordinates only, never node identities: two distinct nodes drawn at the
+same point count as one shared endpoint, so edges meeting there do not
+conflict (node-aware planarization is ROADMAP item 2).  After
+planarization no two segments cross, so face tracing by angular order
+is exact.
 """
 
 from __future__ import annotations
@@ -19,47 +21,121 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Set, Tuple
 
-from ..geometry import Rect, segment_bbox, segments_conflict
+from ..geometry import segments_conflict
 from ..geometry.kernels import get_kernel
-from .geomgraph import GeomGraph
+from .geomgraph import GeomGraph, _numpy
+
+#: Coordinates at or beyond this magnitude send every candidate to the
+#: scalar predicate.  Below it, differences stay under 2**31, so every
+#: int64 orientation and dot product is exact.
+EXACT_COORD_LIMIT = 1 << 30
 
 
 def find_crossing_pairs(graph: GeomGraph) -> List[Tuple[int, int]]:
     """All conflicting live edge pairs ``(i, j), i < j``.
 
-    Candidate pairs come from the geometry kernel: two segments
-    can only conflict when their (closed) bounding boxes intersect.
-    Segment boxes may be degenerate (axis-aligned segments), which
-    :class:`Rect` rejects, so each box's high corner is padded by +1 —
-    ``neighbor_pairs(padded, 1)`` then yields every pair whose original
-    boxes have gap <= 1 on both axes: a superset of the touching pairs
-    (the gap-1 extras cannot conflict and the exact integer predicate
-    discards them), never a miss.
-    """
-    coords = graph._coords
-    eids: List[int] = []
-    segs: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
-    for eid, u, v, _w in graph.live_edge_rows():
-        if u == v:
-            continue
-        eids.append(eid)
-        segs.append((coords[u], coords[v]))
-    if not eids:
-        return []
-    boxes = []
-    for a, b in segs:
-        x1, y1, x2, y2 = segment_bbox(a, b)
-        boxes.append(Rect(x1, y1, x2 + 1, y2 + 1))
+    Candidate pairs come from the geometry kernel's column sweep: two
+    segments can only conflict when their (closed) bounding boxes
+    intersect.  Segment boxes may be degenerate (axis-aligned
+    segments), so each box's high corner is padded by +1 — a sweep at
+    distance 1 then yields every pair whose original boxes have gap
+    <= 1 on both axes: a superset of the touching pairs, never a miss.
 
-    pairs: List[Tuple[int, int]] = []
-    for i, j in get_kernel().neighbor_pairs(boxes, 1):
-        a, b = segs[i]
-        c, d = segs[j]
-        if segments_conflict(a, b, c, d):
-            # live_edge_rows yields in ascending id order, so (i, j)
-            # with i < j maps to an ascending, already-sorted id pair.
-            pairs.append((eids[i], eids[j]))
-    return pairs
+    Candidates are decided in exact int64 arithmetic, all at once:
+
+    * both endpoints shared (identical or reversed segments): conflict;
+    * exactly one endpoint shared: conflict iff the segments are
+      collinear and point the same way from the shared end;
+    * no endpoint shared: conflict on a proper crossing, none when one
+      segment lies strictly on one side of the other's line.
+
+    The rest — touching or collinear pairs with no shared endpoint, and
+    every pair with a zero-length segment (distinct nodes drawn at one
+    point) — go to the scalar :func:`~repro.geometry.segments_conflict`,
+    as does every candidate when a coordinate reaches
+    :data:`EXACT_COORD_LIMIT`.  The answer is the scalar predicate's on
+    every candidate.
+    """
+    np = _numpy()
+    ui, vi = graph._dense_endpoints(np)
+    live = ui != vi
+    if graph._removed:
+        live[np.fromiter(graph._removed, dtype=np.int64,
+                         count=len(graph._removed))] = False
+    eids = np.flatnonzero(live)
+    if not eids.size:
+        return []
+    xs, ys = graph.coord_arrays(np)
+    ax, ay = xs[ui[eids]], ys[ui[eids]]
+    bx, by = xs[vi[eids]], ys[vi[eids]]
+    ii, jj = get_kernel().neighbor_pair_arrays(
+        np.minimum(ax, bx), np.minimum(ay, by),
+        np.maximum(ax, bx) + 1, np.maximum(ay, by) + 1, 1)
+    if not ii.size:
+        return []
+
+    coords = (ax, ay, bx, by)
+    if max(max(int(c.max()), -int(c.min())) for c in coords) \
+            >= EXACT_COORD_LIMIT:
+        hit = np.zeros(ii.size, dtype=bool)
+        ambiguous = np.ones(ii.size, dtype=bool)
+    else:
+        hit, ambiguous = _decide(np, *(c[ii] for c in coords),
+                                 *(c[jj] for c in coords))
+    for k in np.flatnonzero(ambiguous).tolist():
+        i, j = ii[k], jj[k]
+        hit[k] = segments_conflict((int(ax[i]), int(ay[i])),
+                                   (int(bx[i]), int(by[i])),
+                                   (int(ax[j]), int(ay[j])),
+                                   (int(bx[j]), int(by[j])))
+    # Live ids ascend and the sweep's pairs are sorted with i < j, so
+    # the mapped id pairs come out ascending too.
+    return list(zip(eids[ii[hit]].tolist(), eids[jj[hit]].tolist()))
+
+
+def _decide(np, ax, ay, bx, by, cx, cy, dx, dy):
+    """Exact verdicts for candidate segment pairs ``ab`` / ``cd``.
+
+    Returns ``(hit, ambiguous)`` boolean arrays: ``hit`` is the
+    conflict verdict wherever ``ambiguous`` is False; ambiguous rows
+    need the scalar predicate.  Coordinates must stay below
+    :data:`EXACT_COORD_LIMIT`.
+    """
+    def orient(px, py, qx, qy, rx, ry):
+        return np.sign((qx - px) * (ry - py) - (qy - py) * (rx - px))
+
+    zero_length = ((ax == bx) & (ay == by)) | ((cx == dx) & (cy == dy))
+    ac = (ax == cx) & (ay == cy)
+    ad = (ax == dx) & (ay == dy)
+    bc = (bx == cx) & (by == cy)
+    bd = (bx == dx) & (by == dy)
+    a_shared = ac | ad
+    b_shared = bc | bd
+
+    # Exactly one shared endpoint p: conflict iff the far ends a2, c2
+    # are collinear with p and on the same side of it.
+    a_end = a_shared & ~b_shared
+    px, py = np.where(a_end, ax, bx), np.where(a_end, ay, by)
+    a2x, a2y = np.where(a_end, bx, ax), np.where(a_end, by, ay)
+    c_is_shared = ac | bc
+    c2x, c2y = np.where(c_is_shared, dx, cx), np.where(c_is_shared, dy, cy)
+    ux, uy = a2x - px, a2y - py
+    wx, wy = c2x - px, c2y - py
+    overlap = (ux * wy - uy * wx == 0) & (ux * wx + uy * wy > 0)
+
+    # No shared endpoint: a proper crossing, or strictly apart.
+    o1 = orient(ax, ay, bx, by, cx, cy)
+    o2 = orient(ax, ay, bx, by, dx, dy)
+    o3 = orient(cx, cy, dx, dy, ax, ay)
+    o4 = orient(cx, cy, dx, dy, bx, by)
+    crossing = (o1 * o2 < 0) & (o3 * o4 < 0)
+    apart = (o1 * o2 > 0) | (o3 * o4 > 0)
+
+    one = a_shared ^ b_shared
+    none = ~(a_shared | b_shared)
+    hit = (a_shared & b_shared) | (one & overlap) | (none & crossing)
+    ambiguous = zero_length | (none & ~crossing & ~apart)
+    return hit, ambiguous
 
 
 def count_crossings(graph: GeomGraph) -> int:

@@ -18,8 +18,10 @@ the old monolithic ``run_aapsm_flow`` body:
   detection uses, with per-tile front ends content-addressed in the
   shared store (kind ``frontend``) — a warm ECO run regenerates
   shifters only for dirty tiles and splices every clean tile's cached
-  front end back into the exact monolithic shifter numbering
-  (:mod:`repro.shifters.frontend`);
+  front end back into the exact monolithic shifter numbering, and a
+  cold revision generates once, chip-wide
+  (:mod:`repro.shifters.frontend`); tiled detection hands every tile
+  job its slice of that front end instead of regenerating it;
 * both detection passes can run tiled through
   :func:`repro.chip.run_chip_flow` over one shared
   :class:`~repro.cache.ArtifactCache`, and each pass records its own
@@ -116,10 +118,12 @@ def stage_front_end(layout: Layout, tech: Technology,
     shifters and overlap pairs are content-addressed in the shared
     store under the ``frontend`` kind, clean tiles replay their cached
     artifact, and only dirty tiles regenerate — the artifact's
-    ``cache_hits`` / ``cache_misses`` record exactly that split.  The
-    spliced result is byte-identical to the monolithic pass (same
-    dense shifter ids in feature order, same sorted pair list), so
-    every consumer downstream is oblivious to which path ran.
+    ``cache_hits`` / ``cache_misses`` record exactly that split.  A
+    revision with no tile to replay generates once, chip-wide, and
+    derives the tile artifacts from that pass.  Either way the result
+    is byte-identical to the monolithic pass (same dense shifter ids
+    in feature order, same sorted pair list), so every consumer
+    downstream is oblivious to which path ran.
 
     Layouts with duplicate feature rectangles (which defeat the
     coordinate-anchored artifact keys) and empty layouts fall back to
@@ -189,7 +193,9 @@ def stage_detect(front: FrontEnd, tech: Technology,
     the shared cache); monolithic otherwise, reusing the front end for
     the graph build.  A front end that already carries a partition
     (the tiled front-end stage ran) hands its grid to the orchestrator
-    so the layout is partitioned once per revision, not once per pass.
+    so the layout is partitioned once per revision, not once per pass;
+    the tiled path also hands over the front end itself, which the
+    orchestrator slices into its tile jobs.
     """
     start = time.perf_counter()
     with get_tracer().span("detect", cat="stage") as span:
@@ -198,7 +204,7 @@ def stage_detect(front: FrontEnd, tech: Technology,
                                  jobs=config.jobs, cache=cache,
                                  kind=config.kind, method=config.method,
                                  halo=config.halo,
-                                 shifters=front.shifters,
+                                 front=(front.shifters, front.pairs),
                                  grid=front.grid,
                                  executor=config.executor)
             span.set(tiled=True, conflicts=chip.detection.num_conflicts,

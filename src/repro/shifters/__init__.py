@@ -12,6 +12,7 @@ Entry points:
 """
 
 from .frontend import (
+    FrontEndSlicer,
     FrontFeature,
     FrontPair,
     ShifterKey,
@@ -50,6 +51,7 @@ __all__ = [
     "OverlapPair",
     "find_overlap_pairs",
     "needed_space",
+    "FrontEndSlicer",
     "FrontFeature",
     "FrontPair",
     "TileFrontEnd",

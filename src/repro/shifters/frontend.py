@@ -31,7 +31,12 @@ Artifacts are content-addressed in the unified store
 :func:`frontend_cache_key` hashes exactly the inputs a tile front end
 depends on — rule deck, owner window, captured geometry — so a warm
 ECO run regenerates shifters only for the tiles an edit dirtied and
-replays every clean tile's front end from the store.
+replays every clean tile's front end from the store.  A revision with
+nothing to replay (every cold one) skips the per-tile work: one
+chip-wide pass, cut into the tile artifacts by the same ownership
+routine (:func:`tiled_front_end`).  :class:`FrontEndSlicer` cuts a
+chip front end the other way, into each tile's full sub-layout front
+end, which the chip flow hands its detection jobs.
 
 This module deliberately does **not** import :mod:`repro.chip`
 (which imports :mod:`repro.shifters`); tiles are duck-typed as
@@ -134,12 +139,6 @@ class TileFrontEnd:
         return len(self.pairs)
 
 
-def _owns_point2(owner: Bounds, px2: int, py2: int) -> bool:
-    """Half-open ownership test in doubled coordinates (exact ints)."""
-    ox1, oy1, ox2, oy2 = owner
-    return (2 * ox1 <= px2 < 2 * ox2) and (2 * oy1 <= py2 < 2 * oy2)
-
-
 def _rect_tuple(rect: Rect) -> RectTuple:
     return (rect.x1, rect.y1, rect.x2, rect.y2)
 
@@ -187,50 +186,170 @@ def compute_tile_front_end(layout: Layout, owner: Bounds,
     """
     shifters = generate_shifters(layout, tech)
     pairs = find_overlap_pairs(shifters, tech)
-    feats = layout.features
+    return _FrontIndex(layout, shifters, pairs).owned(
+        owner, ix, iy, layout.num_polygons)
 
-    features: List[FrontFeature] = []
-    for sa, sb in shifters.feature_pairs():
-        fr = feats[sa.feature_index]
-        if _owns_point2(owner, *fr.center2):
+
+class _FrontIndex:
+    """Ownership and canonicalisation over one computed front end.
+
+    Takes a front end computed over any layout that captures the tiles
+    asked about: a tile's own sub-layout, or the whole chip.  Feature
+    centres, pair region centres and canonical shifter keys are
+    computed once here; :meth:`owned` then cuts out one owner window's
+    :class:`TileFrontEnd`, and :meth:`check_partition` confirms the
+    windows asked about covered every feature and pair exactly once.
+    """
+
+    def __init__(self, layout: Layout, shifters: ShifterSet,
+                 pairs: Sequence[OverlapPair]) -> None:
+        import numpy as np
+
+        from ..geometry.kernels import get_kernel
+
+        feats = layout.features
+        self.pairs = pairs
+        self.feature_pairs = shifters.feature_pairs()
+        fc = np.array([feats[sa.feature_index].center2
+                       for sa, _sb in self.feature_pairs],
+                      dtype=np.int64).reshape(-1, 2)
+        pc = np.array(get_kernel().region_centers2(
+            shifters.rects, [p.key for p in pairs]),
+            dtype=np.int64).reshape(-1, 2)
+        self.feature_centers = (fc[:, 0], fc[:, 1])
+        self.pair_centers = (pc[:, 0], pc[:, 1])
+        self.feature_owners = np.zeros(len(fc), dtype=np.int64)
+        self.pair_owners = np.zeros(len(pc), dtype=np.int64)
+        # Canonical key of every shifter, read off the shifter columns
+        # once (a per-pair Shifter + feature-rect double lookup was
+        # ~244K calls chip-wide on D8).
+        feat_rect: Dict[int, RectTuple] = {}
+        self.skeys: List[ShifterKey] = []
+        for fi, side in zip(shifters.feature_column(),
+                            shifters.side_column()):
+            rt = feat_rect.get(fi)
+            if rt is None:
+                rt = _rect_tuple(feats[fi])
+                feat_rect[fi] = rt
+            self.skeys.append((rt, side))
+        self.feat_rect = feat_rect
+
+    def owned(self, owner: Bounds, ix: int, iy: int,
+              captured: int) -> TileFrontEnd:
+        """The :class:`TileFrontEnd` of one owner window, canonical."""
+        import numpy as np
+
+        fidx = np.flatnonzero(_owns_points2(owner, *self.feature_centers))
+        pidx = np.flatnonzero(_owns_points2(owner, *self.pair_centers))
+        self.feature_owners[fidx] += 1
+        self.pair_owners[pidx] += 1
+
+        features: List[FrontFeature] = []
+        for k in fidx.tolist():
+            sa, sb = self.feature_pairs[k]
             features.append(FrontFeature(
-                rect=_rect_tuple(fr),
+                rect=self.feat_rect[sa.feature_index],
                 shifters=((sa.side, _rect_tuple(sa.rect)),
                           (sb.side, _rect_tuple(sb.rect)))))
+        skeys = self.skeys
+        owned_pairs: List[FrontPair] = []
+        for k in pidx.tolist():
+            p = self.pairs[k]
+            ka = skeys[p.a]
+            kb = skeys[p.b]
+            if kb < ka:
+                ka, kb = kb, ka
+            owned_pairs.append(FrontPair(
+                a=ka, b=kb, separation_sq=p.separation_sq,
+                x_gap=p.x_gap, y_gap=p.y_gap))
 
-    from ..geometry.kernels import get_kernel
+        features.sort(key=lambda f: f.rect)
+        owned_pairs.sort(key=lambda p: (p.a, p.b))
+        return TileFrontEnd(ix=ix, iy=iy, features=tuple(features),
+                            pairs=tuple(owned_pairs), captured=captured)
 
-    centers2 = get_kernel().region_centers2(shifters.rects,
-                                            [p.key for p in pairs])
-    # Canonical key of every shifter, computed once per tile off the
-    # shifter columns — the per-pair Shifter + feature-rect double
-    # lookup this replaces was ~244K calls chip-wide on D8.
-    feat_rect: Dict[int, RectTuple] = {}
-    skeys: List[ShifterKey] = []
-    for fi, side in zip(shifters.feature_column(), shifters.side_column()):
-        rt = feat_rect.get(fi)
-        if rt is None:
-            rt = _rect_tuple(feats[fi])
-            feat_rect[fi] = rt
-        skeys.append((rt, side))
+    def check_partition(self) -> None:
+        """Raise :class:`SpliceError` unless the windows passed to
+        :meth:`owned` own every feature and every pair exactly once."""
+        for what, counts in (("feature", self.feature_owners),
+                             ("pair", self.pair_owners)):
+            bad = (counts != 1).nonzero()[0]
+            if bad.size:
+                k = int(bad[0])
+                raise SpliceError(
+                    f"critical {what} {k} owned by {int(counts[k])} "
+                    "tiles")
 
-    owned_pairs: List[FrontPair] = []
-    for p, center2 in zip(pairs, centers2):
-        if not _owns_point2(owner, *center2):
-            continue
-        ka = skeys[p.a]
-        kb = skeys[p.b]
-        if kb < ka:
-            ka, kb = kb, ka
-        owned_pairs.append(FrontPair(
-            a=ka, b=kb, separation_sq=p.separation_sq,
-            x_gap=p.x_gap, y_gap=p.y_gap))
 
-    features.sort(key=lambda f: f.rect)
-    owned_pairs.sort(key=lambda p: (p.a, p.b))
-    return TileFrontEnd(ix=ix, iy=iy, features=tuple(features),
-                        pairs=tuple(owned_pairs),
-                        captured=layout.num_polygons)
+class FrontEndSlicer:
+    """Cuts one chip front end into tile-local front ends.
+
+    A tile's slice is the shifters of its features — renumbered in
+    chip order, with tile-local feature indices — and the overlap pairs
+    with both shifters inside, renumbered.  It equals
+    :func:`generate_shifters` + :func:`find_overlap_pairs` on the
+    tile's sub-layout byte for byte: the partition appends each tile's
+    features in chip order, generation is per feature, and Condition-2
+    pairing is pairwise.
+    """
+
+    def __init__(self, shifters: ShifterSet,
+                 pairs: Sequence[OverlapPair], num_features: int) -> None:
+        import numpy as np
+
+        self.shifters = shifters
+        self.pairs = pairs
+        self.num_features = num_features
+        self.feature = np.array(shifters.feature_column(), dtype=np.int64)
+        ab = np.array([p.key for p in pairs], dtype=np.int64).reshape(-1, 2)
+        self.pair_a = ab[:, 0]
+        self.pair_b = ab[:, 1]
+
+    def slice(self, feature_ids: Sequence[int]
+              ) -> Tuple[ShifterSet, List[OverlapPair]]:
+        """The front end of the sub-layout made of ``feature_ids``
+        (ascending chip feature indices, in sub-layout order)."""
+        import numpy as np
+
+        local = np.full(self.num_features, -1, dtype=np.int64)
+        local[np.asarray(feature_ids, dtype=np.int64)] = \
+            np.arange(len(feature_ids), dtype=np.int64)
+        tile_feature = local[self.feature]
+        picked = np.flatnonzero(tile_feature >= 0)
+        side = self.shifters.side_column()
+        rect_of = self.shifters.rect_of
+        shifters = ShifterSet()
+        shifters.extend_rows([
+            (fi, side[sid], rect_of(sid))
+            for sid, fi in zip(picked.tolist(),
+                               tile_feature[picked].tolist())])
+
+        renumber = np.full(len(self.feature), -1, dtype=np.int64)
+        renumber[picked] = np.arange(len(picked), dtype=np.int64)
+        a = renumber[self.pair_a]
+        b = renumber[self.pair_b]
+        inside = np.flatnonzero((a >= 0) & (b >= 0))
+        chip_pairs = self.pairs
+        pairs = []
+        for k, pa, pb in zip(inside.tolist(), a[inside].tolist(),
+                             b[inside].tolist()):
+            p = chip_pairs[k]
+            pairs.append(OverlapPair(a=pa, b=pb,
+                                     separation_sq=p.separation_sq,
+                                     x_gap=p.x_gap, y_gap=p.y_gap))
+        return shifters, pairs
+
+
+def _owns_points2(owner: Bounds, px2, py2):
+    """Half-open ownership test over int64 columns of doubled points.
+
+    ``2*lo <= p2 < 2*hi`` is ``lo <= p2 >> 1 < hi`` (floor shift), which
+    keeps the open owner sides (``1 << 62``) from overflowing int64.
+    """
+    ox1, oy1, ox2, oy2 = owner
+    hx = px2 >> 1
+    hy = py2 >> 1
+    return (ox1 <= hx) & (hx < ox2) & (oy1 <= hy) & (hy < oy2)
 
 
 def has_duplicate_features(layout: Layout) -> bool:
@@ -336,6 +455,25 @@ def tiled_front_end(layout: Layout, tech: Technology,
                     ) -> Tuple[ShifterSet, List[OverlapPair], int, int]:
     """The chip front end via per-tile artifacts, cached when possible.
 
+    Every tile's artifact is looked up first, and the path follows from
+    what the store shows:
+
+    * **no tile replays** (every cold revision, including the verify
+      pass after real cuts): shifters and overlap pairs are generated
+      once, chip-wide, and each tile's :class:`TileFrontEnd` is cut out
+      of that pass by the same ownership routine
+      :func:`compute_tile_front_end` uses, then stored.  The chip pass
+      *is* the returned front end, so nothing is spliced; the owner
+      windows must still cover every critical feature and every pair
+      exactly once, else :class:`SpliceError`.  Counted as
+      ``frontend.chip_wide_passes``.
+    * **some tile replays**: only the missing tiles are generated, each
+      on its own sub-layout, and every tile's artifact is spliced
+      (:func:`splice_front_ends`).
+
+    Both paths return the same bytes as the monolithic pass, and every
+    tile gets one ``frontend-tile`` span.
+
     Args:
         layout: the chip layout the tiles were partitioned from.
         tech: rule deck.
@@ -347,33 +485,52 @@ def tiled_front_end(layout: Layout, tech: Technology,
             recomputes every tile (still exactly equivalent, no reuse).
 
     Returns:
-        ``(shifters, pairs, hits, misses)`` — the spliced chip-global
-        front end, byte-identical to the monolithic pass, plus this
-        call's cache delta (``misses`` counts tiles whose shifters were
-        actually regenerated).
+        ``(shifters, pairs, hits, misses)`` — the chip-global front
+        end, byte-identical to the monolithic pass, plus this call's
+        cache delta (``misses`` counts tiles whose front end was
+        generated by this call).
     """
     tracer = get_tracer()
-    fronts: List[TileFrontEnd] = []
-    hits = misses = 0
+    keys: List[Optional[str]] = []
+    fronts: List[Optional[TileFrontEnd]] = []
     for tile in tiles:
+        key = None
+        front: Optional[TileFrontEnd] = None
+        if store is not None:
+            key = frontend_cache_key(tile.layout, tile.owner, tech)
+            front = store.get(KIND_FRONTEND, key)
+        keys.append(key)
+        fronts.append(front)
+
+    chip: Optional[_FrontIndex] = None
+    if all(front is None for front in fronts):
+        shifters = generate_shifters(layout, tech)
+        pairs = find_overlap_pairs(shifters, tech)
+        chip = _FrontIndex(layout, shifters, pairs)
+        tracer.count("frontend.chip_wide_passes")
+
+    hits = misses = 0
+    for i, tile in enumerate(tiles):
         with tracer.span("tile", cat="frontend-tile",
                          tile=[tile.ix, tile.iy]) as span:
-            front: Optional[TileFrontEnd] = None
-            key = None
-            if store is not None:
-                key = frontend_cache_key(tile.layout, tile.owner, tech)
-                front = store.get(KIND_FRONTEND, key)
-            if front is None:
+            if fronts[i] is not None:
+                hits += 1
+                span.set(cached=True)
+                continue
+            if chip is not None:
+                front = chip.owned(tile.owner, tile.ix, tile.iy,
+                                   tile.layout.num_polygons)
+            else:
                 front = compute_tile_front_end(tile.layout, tile.owner,
                                                tech, ix=tile.ix,
                                                iy=tile.iy)
-                misses += 1
-                if store is not None:
-                    store.put(KIND_FRONTEND, key, front)
-                span.set(cached=False)
-            else:
-                hits += 1
-                span.set(cached=True)
-        fronts.append(front)
+            fronts[i] = front
+            misses += 1
+            if store is not None:
+                store.put(KIND_FRONTEND, keys[i], front)
+            span.set(cached=False)
+    if chip is not None:
+        chip.check_partition()
+        return shifters, pairs, hits, misses
     shifters, pairs = splice_front_ends(layout, fronts)
     return shifters, pairs, hits, misses

@@ -104,6 +104,46 @@ class TestEquivalence:
             [c.key for c in parallel.conflicts]
 
 
+class TestChipFrontEnd:
+    """One chip front end per call; tiles never regenerate theirs."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count shifter generation chip-wide and inside tile jobs."""
+        from repro.chip import orchestrator
+        from repro.conflict import detection
+
+        calls = {"chip": 0, "tile": 0}
+
+        def counter(where, real):
+            def wrapped(*args, **kwargs):
+                calls[where] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(orchestrator, "generate_shifters",
+                            counter("chip", orchestrator.generate_shifters))
+        monkeypatch.setattr(detection, "generate_shifters",
+                            counter("tile", detection.generate_shifters))
+        return calls
+
+    def test_tiles_get_slices_of_one_chip_front_end(self, tech, counted):
+        layout = standard_cell_layout(seed=21)
+        chip = run_chip_flow(layout, tech, tiles=3)
+        assert counted == {"chip": 1, "tile": 0}
+        assert chip.cache_misses == chip.num_tiles
+        assert_equivalent(layout, tech, 3)
+
+    def test_given_front_end_is_not_regenerated(self, tech, counted):
+        from repro.conflict import layout_front_end
+
+        layout = standard_cell_layout(seed=21)
+        front = layout_front_end(layout, tech)
+        counted["tile"] = 0
+        run_chip_flow(layout, tech, tiles=2, front=front)
+        assert counted == {"chip": 0, "tile": 0}
+
+
 class TestCachingBehaviour:
     def test_second_run_hits_every_tile(self, tech, tmp_path):
         layout = standard_cell_layout(seed=22)

@@ -15,14 +15,67 @@ from repro.chip import (
     register_executor,
     resolve_executor,
 )
-from repro.conflict import detect_conflicts
+from dataclasses import replace
+
+from repro.chip.cache import tile_cache_key
+from repro.conflict import detect_conflicts, layout_front_end
 from repro.layout import Layout, Technology, figure1_layout, \
     standard_cell_layout
+from repro.scenarios.strata import build_scenario, stratum_names
+from repro.shifters import FrontEndSlicer
 
 
 @pytest.fixture
 def tech() -> Technology:
     return Technology.node_90nm()
+
+
+def sliced_jobs(layout, tech, tiles):
+    """Every tile job, with and without its front-end slice."""
+    grid = partition_layout(layout, tech, tiles=tiles)
+    shifters, pairs = layout_front_end(layout, tech)
+    slicer = FrontEndSlicer(shifters, pairs, layout.num_polygons)
+    return [(job, replace(job, front=slicer.slice(job.feature_ids)))
+            for job in make_jobs(grid.tiles, tech)]
+
+
+def result_key(result):
+    """A tile result minus the worker's timings."""
+    return (result.ix, result.iy, result.report.conflicts,
+            result.report.tshape_conflicts,
+            result.report.uncorrectable_features, result.conflicts,
+            result.owned_critical, result.owned_shifters,
+            result.owned_pairs, result.owned_uncorrectable,
+            result.owned_tshape_features)
+
+
+class TestFrontSlices:
+    @pytest.mark.parametrize("stratum", stratum_names())
+    def test_slice_equals_regenerated_sublayout(self, stratum):
+        for seed in (0, 1):
+            scenario = build_scenario(stratum, seed)
+            tech = scenario.tech
+            for tiles in (1, 2, 3):
+                for job, sliced in sliced_jobs(scenario.layout, tech,
+                                               tiles):
+                    got_s, got_p = sliced.front
+                    exp_s, exp_p = layout_front_end(job.layout, tech)
+                    assert got_s.feature_column() == exp_s.feature_column()
+                    assert got_s.side_column() == exp_s.side_column()
+                    assert list(got_s.rects) == list(exp_s.rects)
+                    assert got_p == exp_p
+
+    def test_detect_tile_same_with_or_without_slice(self, tech):
+        layout = standard_cell_layout(seed=11)
+        for job, sliced in sliced_jobs(layout, tech, 2):
+            assert result_key(detect_tile(sliced)) == \
+                result_key(detect_tile(job))
+
+    def test_slice_is_not_part_of_the_job_identity(self, tech):
+        for job, sliced in sliced_jobs(standard_cell_layout(seed=3),
+                                       tech, 2):
+            assert tile_cache_key(sliced) == tile_cache_key(job)
+            assert sliced == job
 
 
 class TestDetectTile:

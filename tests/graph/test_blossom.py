@@ -18,6 +18,7 @@ from typing import List, Sequence, Tuple
 
 import pytest
 
+from repro.graph import blossom
 from repro.graph.blossom import (
     MatchingCertificateError,
     max_weight_matching,
@@ -194,6 +195,108 @@ class TestCertificate:
         edges = random_graph(rng, n, 0.5, parallels=True)
         card, w = solve(n, edges)
         assert card <= n // 2 and w >= 0
+
+
+class TestJumpStart:
+    """The greedy dual start and its uniform-start fallback."""
+
+    @pytest.fixture(scope="class")
+    def gadget_component(self):
+        """The largest matching instance the detector hands the matcher
+        on a suite design, in the matcher's max-weight form."""
+        from repro.bench.suite import build_design
+        from repro.conflict import detect_conflicts
+        from repro.graph.matching import BlossomMatcher
+        from repro.layout import Technology
+        from tests.oracles import use_matcher
+
+        instances = []
+
+        class Harvest(BlossomMatcher):
+            def match(self, nvertex, edges, transform):
+                instances.append(
+                    (nvertex, [(u, v, transform - w) for u, v, w in edges]))
+                return super().match(nvertex, edges, transform)
+
+        with use_matcher(Harvest()):
+            detect_conflicts(build_design("D2"), Technology.node_90nm())
+        return max(instances, key=lambda inst: inst[0])
+
+    def test_greedy_start_saves_stages(self, gadget_component):
+        n, edges = gadget_component
+        mate_edge, stages = max_weight_matching(n, edges)
+        assert -1 not in mate_edge
+        # The uniform start pays one stage per matched pair (n / 2).
+        assert n >= 20 and 4 * stages < n
+
+    def test_blossom_with_mixed_parity_weights(self):
+        """A perfect matching whose solve shrinks a blossom, with odd
+        and even weights.  Starting each vertex dual at its heaviest
+        incident weight without the parity bump leaves an odd S-S
+        slack, and the half-slack dual step breaks the certificate."""
+        n = 6
+        edges = [(4, 0, 3), (1, 5, 8), (5, 0, 9), (5, 3, 3), (2, 4, 2),
+                 (1, 2, 4), (2, 5, 5)]
+        assert solve(n, edges) == brute(n, edges) == (3, 10)
+
+    @pytest.mark.parametrize("n,edges", [
+        (4, [(1, 3, 6), (1, 2, 4)]),
+        (5, [(2, 3, 5), (4, 2, 6), (1, 3, 6), (2, 1, 9), (1, 4, 6)]),
+        (6, [(5, 0, 7), (1, 4, 9), (5, 3, 5), (4, 5, 5)]),
+    ])
+    def test_non_perfect_result_falls_back_to_uniform_start(self, n,
+                                                            edges):
+        """No perfect matching: certified, the greedy start's unequal
+        duals would leave an exposed vertex with a nonzero dual."""
+        assert solve(n, edges) == brute(n, edges)
+
+    def test_every_component_is_certified(self, monkeypatch):
+        from repro.graph import GeomGraph, min_weight_perfect_matching
+
+        calls = []
+        real = blossom.verify
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(blossom, "verify", counting)
+        g = GeomGraph()
+        for base in (0, 10, 20):
+            for k in range(4):
+                g.add_node(base + k)
+            for a, b, w in ((0, 1, 3), (1, 2, 1), (2, 3, 5), (3, 0, 2),
+                            (0, 2, 4)):
+                g.add_edge(base + a, base + b, weight=w)
+        assert len(min_weight_perfect_matching(g)) == 6
+        assert calls == [4, 4, 4]
+
+    def test_verify_rejects_corrupted_solved_dual(self, monkeypatch):
+        """The certificate of a real jump-started solve, one vertex
+        dual off by one, fails."""
+        captured = []
+        real = blossom.verify
+
+        def capture(*args, **kwargs):
+            captured.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(blossom, "verify", capture)
+        n = 6
+        edges = [(4, 0, 3), (1, 5, 8), (5, 0, 9), (5, 3, 3), (2, 4, 2),
+                 (1, 2, 4), (2, 5, 5)]
+        max_weight_matching(n, edges)
+        (args,) = captured
+        real(*args)
+        nvertex, edges_, maxcard, mate, endpoint, dualvar = args[:6]
+        rest = args[6:]
+        for v in range(nvertex):
+            for bump in (-1, 1):
+                corrupted = list(dualvar)
+                corrupted[v] += bump
+                with pytest.raises(MatchingCertificateError):
+                    real(nvertex, edges_, maxcard, mate, endpoint,
+                         corrupted, *rest)
 
 
 class TestNetworkxCross:

@@ -86,6 +86,54 @@ class TestTwoColor:
         assert color_component(g, 0) is None
 
 
+def reference_two_color(g, skip):
+    """Breadth-first 2-coloring over :meth:`GeomGraph.edges`, one
+    component at a time from its minimum node, root colored 0."""
+    adj = {v: [] for v in g.nodes}
+    for e in g.edges():
+        if e.id not in skip:
+            adj[e.u].append(e.v)
+            adj[e.v].append(e.u)
+    colors = {}
+    for root in sorted(adj):
+        if root in colors:
+            continue
+        colors[root] = 0
+        frontier = [root]
+        while frontier:
+            node = frontier.pop()
+            for nxt in adj[node]:
+                if nxt not in colors:
+                    colors[nxt] = colors[node] ^ 1
+                    frontier.append(nxt)
+                elif colors[nxt] == colors[node]:
+                    return None
+    return colors
+
+
+class TestTwoColorRemovedAndSkipped:
+    """Many components, soft-removed edges and a skip set together —
+    the post-bipartization check's shape."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            n = rng.randint(1, 40)
+            g = graph_from_edges(n, [
+                (rng.randrange(n), rng.randrange(n), 1)
+                for _ in range(rng.randint(0, 2 * n))])
+            edge_ids = range(g.num_edges())
+            for eid in edge_ids:
+                if rng.random() < 0.3:
+                    g.remove_edge(eid)
+            skip = {eid for eid in edge_ids if rng.random() < 0.3}
+            expected = reference_two_color(g, skip)
+            assert two_color(g, skip_edges=skip) == expected
+            assert two_color(g, skip_edges=sorted(skip)) == expected
+            assert is_bipartite(g, skip_edges=skip) == (expected is not None)
+
+
 class TestParityDSU:
     def test_chain_parity(self):
         dsu = ParityDSU()

@@ -2,7 +2,11 @@
 
 import random
 
+import pytest
+
 from repro.graph import GeomGraph, count_crossings, find_crossing_pairs, greedy_planarize
+from repro.graph.crossings import EXACT_COORD_LIMIT
+from tests.oracles import ScalarKernel, scalar_crossing_pairs, use_kernel
 
 
 def cross_graph():
@@ -111,3 +115,98 @@ class TestGreedyPlanarize:
             return greedy_planarize(g)
 
         assert run() == run()
+
+
+def segment_graph(segments):
+    """One edge per ``((x, y), (x, y))`` segment; every endpoint is its
+    own node, so equal points are distinct nodes drawn at one spot."""
+    g = GeomGraph()
+    for k, (a, b) in enumerate(segments):
+        g.add_node(2 * k, a)
+        g.add_node(2 * k + 1, b)
+        g.add_edge(2 * k, 2 * k + 1, weight=k + 1)
+    return g
+
+
+def random_grid_graph(rng, grid, scale=1, offset=0):
+    """Nodes on a tiny coordinate grid (so shared points, collinear
+    runs and coincident nodes are common), some sharing a node label,
+    some edges removed, some self-loops."""
+    g = GeomGraph()
+    n = rng.randint(2, 14)
+    for v in range(n):
+        g.add_node(v, (offset + scale * rng.randint(0, grid),
+                       offset + scale * rng.randint(0, grid)))
+    for _ in range(rng.randint(1, 24)):
+        g.add_edge(rng.randrange(n), rng.randrange(n),
+                   weight=rng.randint(1, 9))
+    for eid in range(g.num_edges()):
+        if rng.random() < 0.1:
+            g.remove_edge(eid)
+    return g
+
+
+class TestCrossingFilterDifferential:
+    """The int64 filter against the scalar predicate on every candidate."""
+
+    CASES = {
+        "shared-endpoint-apart": [((0, 0), (4, 0)), ((0, 0), (0, 4))],
+        "shared-endpoint-overlap": [((0, 0), (4, 0)), ((0, 0), (2, 0))],
+        "shared-endpoint-opposite": [((0, 0), (4, 0)), ((0, 0), (-2, 0))],
+        "shared-far-end-overlap": [((0, 0), (4, 0)), ((2, 0), (4, 0))],
+        "t-junction": [((0, 0), (4, 0)), ((2, 0), (2, 3))],
+        "t-junction-at-end": [((0, 0), (4, 0)), ((4, 0), (6, 3))],
+        "collinear-overlap": [((0, 0), (4, 4)), ((2, 2), (6, 6))],
+        "collinear-touch": [((0, 0), (2, 0)), ((2, 0), (5, 0))],
+        "collinear-apart": [((0, 0), (2, 0)), ((3, 0), (5, 0))],
+        "collinear-contained": [((0, 0), (6, 0)), ((2, 0), (3, 0))],
+        "identical": [((1, 1), (3, 2)), ((1, 1), (3, 2))],
+        "reversed": [((1, 1), (3, 2)), ((3, 2), (1, 1))],
+        "proper-crossing": [((0, 0), (4, 4)), ((0, 4), (4, 0))],
+        "near-miss": [((0, 0), (4, 4)), ((3, 0), (5, 2))],
+        "zero-length-on-segment": [((0, 0), (4, 0)), ((2, 0), (2, 0))],
+        "zero-length-at-endpoint": [((0, 0), (4, 0)), ((4, 0), (4, 0))],
+        "zero-length-off": [((0, 0), (4, 0)), ((2, 1), (2, 1))],
+        "zero-length-pair": [((2, 2), (2, 2)), ((2, 2), (2, 2))],
+        "guard-proper-crossing": [
+            ((0, 0), (3 << 31, 3 << 31)), ((0, 3 << 31), (3 << 31, 0))],
+        "guard-collinear": [
+            ((1 << 31, 0), (5 << 31, 4 << 31)),
+            ((3 << 31, 2 << 31), (7 << 31, 6 << 31))],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_named_case(self, name):
+        g = segment_graph(self.CASES[name])
+        assert find_crossing_pairs(g) == scalar_crossing_pairs(g)
+
+    def test_cases_cover_both_verdicts(self):
+        verdicts = {bool(find_crossing_pairs(segment_graph(segs)))
+                    for segs in self.CASES.values()}
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_small_grid(self, seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            g = random_grid_graph(rng, grid=rng.choice((2, 3, 4)))
+            assert find_crossing_pairs(g) == scalar_crossing_pairs(g)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_guard_coordinates(self, seed):
+        """Coordinates past the exactness limit, spread far enough apart
+        that int64 cross products would overflow."""
+        rng = random.Random(1000 + seed)
+        for _ in range(60):
+            g = random_grid_graph(rng, grid=4, scale=(1 << 31) + 7,
+                                  offset=EXACT_COORD_LIMIT)
+            assert find_crossing_pairs(g) == scalar_crossing_pairs(g)
+
+    def test_scalar_kernel_sweep(self):
+        """The column sweep's default implementation (the one a kernel
+        without a batch override inherits) gives the same pairs."""
+        rng = random.Random(7)
+        graphs = [random_grid_graph(rng, grid=3) for _ in range(40)]
+        expected = [find_crossing_pairs(g) for g in graphs]
+        with use_kernel(ScalarKernel()):
+            assert [find_crossing_pairs(g) for g in graphs] == expected

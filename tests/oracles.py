@@ -15,7 +15,9 @@ compare them with live here:
 * :class:`RecordingMatcher` — the production matcher, recording the
   component sizes it is handed (the brute oracle's budget gate);
 * :func:`whole_instance_cover` — the unwindowed set cover, one solve
-  over every candidate grid line.
+  over every candidate grid line;
+* :func:`scalar_crossing_pairs` — planarization's crossing search with
+  the scalar segment predicate run on every candidate pair.
 
 :func:`use_kernel` / :func:`use_matcher` run the flow on an oracle by
 swapping it in behind the production accessors ``get_kernel`` /
@@ -44,8 +46,8 @@ from repro.correction.setcover import (
     greedy_weighted_set_cover,
     use_exact_cover,
 )
-from repro.geometry import Rect
-from repro.geometry.kernels import GeometryKernel, PairRow
+from repro.geometry import Rect, segment_bbox, segments_conflict
+from repro.geometry.kernels import GeometryKernel, PairRow, get_kernel
 from repro.graph import GeomGraph
 from repro.graph.matching import BlossomMatcher, LocalEdge, MatcherBackend
 from repro.layout import Layout, Technology
@@ -217,6 +219,36 @@ class ScalarKernel(GeometryKernel):
                         pairs: Sequence[Tuple[int, int]]
                         ) -> List[Tuple[int, int]]:
         return [region_center2(rects[i], rects[j]) for i, j in pairs]
+
+
+# ----------------------------------------------------------------------
+# Crossing search
+# ----------------------------------------------------------------------
+def scalar_crossing_pairs(graph: GeomGraph) -> List[Tuple[int, int]]:
+    """:func:`repro.graph.find_crossing_pairs` one pair at a time:
+    candidates from the kernel over +1-padded segment boxes, each
+    decided by the scalar :func:`segments_conflict`."""
+    coords = graph._coords
+    eids: List[int] = []
+    segs: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
+    for eid, u, v, _w in graph.live_edge_rows():
+        if u == v:
+            continue
+        eids.append(eid)
+        segs.append((coords[u], coords[v]))
+    if not eids:
+        return []
+    boxes = []
+    for a, b in segs:
+        x1, y1, x2, y2 = segment_bbox(a, b)
+        boxes.append(Rect(x1, y1, x2 + 1, y2 + 1))
+    pairs: List[Tuple[int, int]] = []
+    for i, j in get_kernel().neighbor_pairs(boxes, 1):
+        a, b = segs[i]
+        c, d = segs[j]
+        if segments_conflict(a, b, c, d):
+            pairs.append((eids[i], eids[j]))
+    return pairs
 
 
 # ----------------------------------------------------------------------

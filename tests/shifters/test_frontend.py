@@ -16,6 +16,8 @@ from repro.chip.partition import partition_layout
 from repro.conflict import layout_front_end
 from repro.geometry import Rect
 from repro.layout import Layout, layout_from_rects
+from repro.obs import Tracer, use_tracer
+from repro.scenarios.strata import build_scenario, stratum_names
 from repro.shifters import (
     FrontFeature,
     SpliceError,
@@ -78,6 +80,88 @@ class TestEquivalence:
         grid = partition_layout(lay, tech, tiles=2)
         s, p, _, _ = tiled_front_end(lay, tech, grid.tiles)
         assert_front_ends_equal((s, p), layout_front_end(lay, tech))
+
+
+class TestColdChipWidePass:
+    """A revision with nothing to replay derives every tile artifact
+    from one chip-wide pass."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("stratum", stratum_names())
+    def test_derived_artifacts_equal_per_tile_compute(self, stratum, n):
+        for seed in (0, 1, 2):
+            scenario = build_scenario(stratum, seed)
+            lay, tech = scenario.layout, scenario.tech
+            grid = partition_layout(lay, tech, tiles=n)
+            store = ArtifactCache()
+            s, p, hits, misses = tiled_front_end(lay, tech, grid.tiles,
+                                                 store)
+            assert (hits, misses) == (0, grid.num_tiles)
+            assert_front_ends_equal((s, p), layout_front_end(lay, tech))
+            for t in grid.tiles:
+                key = frontend_cache_key(t.layout, t.owner, tech)
+                assert store.get(KIND_FRONTEND, key) == \
+                    compute_tile_front_end(t.layout, t.owner, tech,
+                                           t.ix, t.iy)
+
+    def test_chip_wide_only_when_nothing_replays(self, tech, monkeypatch):
+        """A partially warm revision regenerates only its dirty tiles,
+        each on its own sub-layout."""
+        from repro.shifters import frontend
+
+        per_tile = []
+        real = frontend.compute_tile_front_end
+
+        def counting(*args, **kwargs):
+            per_tile.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(frontend, "compute_tile_front_end", counting)
+        lay = build_design("D3")
+        store = ArtifactCache()
+        tracer = Tracer()
+        passes = tracer.metrics.counter("frontend.chip_wide_passes")
+        with use_tracer(tracer):
+            grid = partition_layout(lay, tech, tiles=3)
+            tiled_front_end(lay, tech, grid.tiles, store)
+            assert (passes.value, per_tile) == (1, [])
+
+            # Lengthen the feature nearest the chip's low corner: the
+            # bbox holds, and only the tiles capturing it go dirty.
+            edited = lay.copy()
+            k = min(range(edited.num_polygons),
+                    key=lambda i: sum(edited.features[i].center2))
+            r = edited.features[k]
+            edited.features[k] = Rect(r.x1, r.y1, r.x2, r.y2 + 2)
+            regrid = partition_layout(edited, tech, tiles=3)
+            s, p, hits, misses = tiled_front_end(edited, tech,
+                                                 regrid.tiles, store)
+        assert passes.value == 1
+        assert 0 < misses < regrid.num_tiles
+        assert hits + misses == regrid.num_tiles
+        assert len(per_tile) == misses
+        assert_front_ends_equal((s, p), layout_front_end(edited, tech))
+
+    def test_store_less_call_is_cold(self, tech):
+        tracer = Tracer()
+        lay = build_design("D1")
+        grid = partition_layout(lay, tech, tiles=2)
+        with use_tracer(tracer):
+            tiled_front_end(lay, tech, grid.tiles)
+        assert tracer.metrics.counter(
+            "frontend.chip_wide_passes").value == 1
+
+    def test_doubly_owned_feature_rejected(self, tech):
+        """The splice's exactly-one-owner check holds on the cold path
+        too: overlapping owner windows raise."""
+        from types import SimpleNamespace
+
+        lay = build_design("D1")
+        wide_open = (-1 << 40, -1 << 40, 1 << 40, 1 << 40)
+        tiles = [SimpleNamespace(ix=i, iy=0, layout=lay, owner=wide_open)
+                 for i in range(2)]
+        with pytest.raises(SpliceError):
+            tiled_front_end(lay, tech, tiles)
 
 
 class TestOwnershipPartition:
