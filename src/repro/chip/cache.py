@@ -9,7 +9,7 @@ The cache key hashes exactly those inputs, so:
 * an incremental edit only invalidates the tiles whose capture window
   contains changed geometry — the enabling property for fast ECO
   (engineering change order) re-runs;
-* changing the rule deck, graph kind, tile grid or halo invalidates
+* changing the rule deck, graph kind or tile grid invalidates
   cleanly, because all of them land in the key.
 
 Results live in the unified artifact store
@@ -26,7 +26,7 @@ from .executor import TileJob
 
 # Bump when TileResult/CanonicalConflict shape changes so stale
 # directories self-invalidate instead of unpickling garbage.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 def tile_cache_key(job: TileJob) -> str:

@@ -30,7 +30,7 @@ from ..conflict import PCG, DetectionReport, build_layout_conflict_graph, \
     detect_conflicts
 from ..geometry.kernels import get_kernel
 from ..graph import METHOD_GADGET
-from ..layout import Layout, Technology, tshape_feature_indices
+from ..layout import Layout, Technology
 from ..shifters import OverlapPair, ShifterSet
 from ..shifters.frontend import ShifterKey
 from .partition import Bounds, Tile, interaction_distance
@@ -111,9 +111,11 @@ class TileResult:
     ``conflicts`` carries *every* conflict the tile detected, halo
     included: the stitcher arbitrates overlapping views per conflict
     cluster, which needs each tile's full coherent picture.  The
-    ``owned_*`` counts are ownership-filtered in the worker (each
-    feature/pair has exactly one owner tile), so their sums reproduce
-    the monolithic totals exactly.
+    ``owned_*`` fields are ownership-filtered in the worker (each
+    feature/pair has exactly one owner tile), so over all tiles they
+    reproduce the monolithic overlap-pair count, uncorrectable
+    features and T-shape features exactly.  Critical-feature and
+    shifter counts come from the chip front end, not from tiles.
 
     ``seconds`` / ``cpu_seconds`` / ``started_unix`` are the worker's
     own measurements (wall, process-CPU, wall-clock start): the
@@ -126,8 +128,6 @@ class TileResult:
     iy: int
     report: DetectionReport
     conflicts: List[CanonicalConflict] = field(default_factory=list)
-    owned_critical: int = 0
-    owned_shifters: int = 0
     owned_pairs: int = 0
     owned_uncorrectable: List[Tuple[int, int, int, int]] = \
         field(default_factory=list)
@@ -148,26 +148,15 @@ def detect_tile(job: TileJob) -> TileResult:
     The conflict graph is built on the job's front-end slice when it
     carries one (the chip flow hands every pending job its slice of the
     revision's front end); a job without one regenerates shifters and
-    overlap pairs on its sub-layout — same result either way.  Empty
-    tiles (no captured features) short-circuit to an empty, trivially
-    phase-assignable report.
+    overlap pairs on its sub-layout — same result either way.  An empty
+    tile (no captured features) takes the same route and yields an
+    empty, phase-assignable report.
     """
     import time
 
     start = time.perf_counter()
     started_unix = time.time()
     cpu0 = time.process_time()
-    if job.layout.num_polygons == 0:
-        report = DetectionReport(
-            layout_name=job.layout.name, graph_kind=job.kind,
-            num_features=0, num_critical=0, num_shifters=0,
-            num_overlap_pairs=0, graph_nodes=0, graph_edges=0,
-            crossings_removed=0, step2_edges=0, step3_edges=0,
-            phase_assignable=True)
-        return TileResult(ix=job.ix, iy=job.iy, report=report,
-                          seconds=time.perf_counter() - start,
-                          cpu_seconds=time.process_time() - cpu0,
-                          started_unix=started_unix)
 
     # One front end serves the graph build, canonicalisation and the
     # ownership counts.
@@ -228,12 +217,6 @@ def detect_tile(job: TileJob) -> TileResult:
 
     # Ownership-filtered counts: summed over tiles these reproduce the
     # monolithic totals exactly (each feature/pair has one owner).
-    for sa, sb in shifters.feature_pairs():
-        fr = feats[sa.feature_index]
-        if job.owns_point2(*fr.center2):
-            result.owned_critical += 1
-            result.owned_shifters += 2
-
     for center2 in kernel.region_centers2(srects, [p.key for p in pairs]):
         if job.owns_point2(*center2):
             result.owned_pairs += 1
@@ -243,7 +226,7 @@ def detect_tile(job: TileJob) -> TileResult:
         if feat_center_owned[fi]:
             r = feats[fi]
             result.owned_uncorrectable.append((r.x1, r.y1, r.x2, r.y2))
-    for fi in tshape_feature_indices(job.layout):
+    for fi in report.tshape_features:
         if feat_center_owned[fi]:
             r = feats[fi]
             result.owned_tshape_features.append((r.x1, r.y1, r.x2, r.y2))

@@ -128,7 +128,6 @@ def run_chip_flow(layout: Layout, tech: Technology,
                   cache: Optional[ArtifactCache] = None,
                   kind: str = PCG,
                   method: str = METHOD_GADGET,
-                  halo: Optional[int] = None,
                   front: Optional[Tuple[ShifterSet,
                                         List[OverlapPair]]] = None,
                   grid: Optional[TileGrid] = None,
@@ -137,9 +136,11 @@ def run_chip_flow(layout: Layout, tech: Technology,
 
     Deterministic by construction: the partition, per-tile detection
     (tie-free generic weights), and cluster-arbitrated stitching are
-    all pure functions of ``(layout, tech, tiles, halo, kind,
-    method)``, so two runs — serial or parallel, cold or cached, any
-    executor backend — produce the identical chip-level report.
+    all pure functions of ``(layout, tech, tiles, kind, method)``, so
+    two runs — serial or parallel, cold or cached, any executor
+    backend — produce the identical chip-level report.  The capture
+    halo is the partition's own
+    (:func:`~repro.chip.partition.default_halo`).
 
     Args:
         layout: the chip layout.
@@ -157,7 +158,6 @@ def run_chip_flow(layout: Layout, tech: Technology,
             ``stitch``).
         kind: conflict-graph kind ("pcg"/"fg").
         method: bipartization engine for each tile.
-        halo: capture halo in nm (default from the rule deck).
         front: the revision's chip front end ``(shifters, pairs)``,
             e.g. the pipeline's front-end stage output.  Every tile job
             the store cannot replay is handed its slice of it, so no
@@ -167,8 +167,7 @@ def run_chip_flow(layout: Layout, tech: Technology,
             overlap pairs only when some tile must be detected.
         grid: an already-computed partition of ``layout`` (e.g. the
             tiled front-end stage's); must have been produced with the
-            same ``tiles``/``halo``/``jobs`` arguments.  None
-            partitions here.
+            same ``tiles``/``jobs`` arguments.  None partitions here.
         executor: executor backend name from the registry ("serial",
             "process", or anything registered via
             :func:`repro.chip.executor.register_executor`); None keeps
@@ -194,7 +193,7 @@ def run_chip_flow(layout: Layout, tech: Technology,
             if grid is None:
                 with tracer.span("partition", cat="chip"):
                     grid = partition_layout(layout, tech, tiles=tiles,
-                                            halo=halo, jobs=jobs)
+                                            jobs=jobs)
             if cache is None:
                 cache = ArtifactCache(cache_dir)
             tile_stats = cache.stats(KIND_TILE)

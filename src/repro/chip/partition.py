@@ -39,6 +39,9 @@ Bounds = Tuple[int, int, int, int]
 
 TileSpec = Union[int, Tuple[int, int], None]
 
+# The automatic grid aims at this many features per tile.
+FEATURES_PER_TILE = 3000
+
 
 def interaction_distance(tech: Technology) -> int:
     """Maximum centre-to-centre reach of one Condition-2 constraint.
@@ -126,10 +129,6 @@ class TileGrid:
     def tile_at(self, ix: int, iy: int) -> Tile:
         return self.tiles[iy * self.nx + ix]
 
-    def occupied(self) -> List[Tile]:
-        """Tiles that captured at least one feature."""
-        return [t for t in self.tiles if t.num_features]
-
     def owner_index_of_point2(self, px2: int, py2: int) -> int:
         """Flat index of the tile whose owner region holds a doubled
         point.  Owner regions tile the plane, so this is total."""
@@ -167,16 +166,16 @@ def normalize_tile_spec(tiles: TileSpec) -> Optional[Tuple[int, int]]:
 
 
 def auto_tile_grid(layout: Layout,
-                   target_features_per_tile: int = 3000,
                    jobs: Optional[int] = None) -> Tuple[int, int]:
-    """A square grid sized so tiles hold ~target features each.
+    """A square grid sized so tiles hold ~:data:`FEATURES_PER_TILE`
+    features each.
 
     ``jobs`` raises the grid so a parallel run has at least one tile
     per worker; a serial run prefers fewer, larger tiles (halo overhead
     is paid per tile).
     """
     n = layout.num_polygons
-    want = max(1, round((n / target_features_per_tile) ** 0.5))
+    want = max(1, round((n / FEATURES_PER_TILE) ** 0.5))
     if jobs and jobs > 1:
         while want * want < jobs and want * want * 2 <= max(1, n):
             want += 1
@@ -185,26 +184,23 @@ def auto_tile_grid(layout: Layout,
 
 def partition_layout(layout: Layout, tech: Technology,
                      tiles: TileSpec = None,
-                     halo: Optional[int] = None,
                      jobs: Optional[int] = None) -> TileGrid:
     """Cut a layout into an overlapping tile grid.
 
+    Every tile captures its core plus :func:`default_halo`, the reach
+    the tiled == monolithic equivalence is argued for; the halo is not
+    a parameter.  An empty layout gives a grid with no tiles.
+
     Args:
         layout: the chip layout (only the poly layer is partitioned).
-        tech: rule deck; sizes the default halo.
+        tech: rule deck; sizes the halo.
         tiles: grid spec — ``n``, ``(nx, ny)``, or None for an
             automatic size from the polygon count.
-        halo: capture halo in nm; defaults to :func:`default_halo`.
         jobs: planned worker count; only steers the automatic grid.
     """
     spec = normalize_tile_spec(tiles) or auto_tile_grid(layout, jobs=jobs)
     nx, ny = spec
-    if halo is None:
-        halo = default_halo(tech)
-    if halo < interaction_distance(tech):
-        raise ValueError(
-            f"halo {halo} below the interaction distance "
-            f"{interaction_distance(tech)} would split overlap pairs")
+    halo = default_halo(tech)
 
     box = layout.bbox()
     if box is None:

@@ -317,17 +317,6 @@ def arbitrate_clusters(grid: TileGrid, results: List[TileResult],
     return survivors, stats
 
 
-def arbitrate_conflicts(grid: TileGrid, results: List[TileResult]
-                        ) -> Tuple[List[CanonicalConflict], int, int]:
-    """Pick one coherent tile view per conflict cluster.
-
-    Historical uncached entry point; returns (surviving conflicts,
-    number of clusters, instances dropped as boundary duplicates).
-    """
-    survivors, stats = arbitrate_clusters(grid, results)
-    return survivors, stats.clusters, stats.boundary_duplicates_dropped
-
-
 def stitch_results(layout: Layout, kind: str,
                    grid: TileGrid, results: List[TileResult],
                    shifters: ShifterSet,

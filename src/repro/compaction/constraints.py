@@ -43,9 +43,6 @@ class ConstraintGraph:
             raise ConstraintCycleError(f"self constraint on {before}")
         self._edges[before].append((after, distance))
 
-    def num_constraints(self) -> int:
-        return sum(len(v) for v in self._edges.values())
-
     def solve(self) -> Dict[int, int]:
         """Minimal positions satisfying everything (longest path)."""
         indegree: Dict[int, int] = {n: 0 for n in self.lower}

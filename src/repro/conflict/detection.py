@@ -223,11 +223,3 @@ def _pair_weight_map(cg: ConflictGraph) -> dict:
     graph = cg.graph
     return {pair_key: graph.edge(eid).weight // GENERIC_SCALE
             for eid, pair_key in cg.edge_pair.items()}
-
-
-def _pair_weight(cg: ConflictGraph, key: Tuple[int, int]) -> int:
-    """Base-scale weight of one overlap pair's graph edge."""
-    try:
-        return _pair_weight_map(cg)[key]
-    except KeyError:
-        raise KeyError(f"no edge for pair {key}") from None

@@ -88,9 +88,6 @@ class GdsStructure:
     arefs: List[ARef] = field(default_factory=list)
     texts: List[Text] = field(default_factory=list)
 
-    def is_leaf(self) -> bool:
-        return not self.srefs and not self.arefs
-
 
 @dataclass
 class GdsLibrary:

@@ -48,10 +48,6 @@ class Rect:
         return Rect(cx - width // 2, cy - height // 2,
                     cx - width // 2 + width, cy - height // 2 + height)
 
-    @staticmethod
-    def from_spans(xspan: Interval, yspan: Interval) -> "Rect":
-        return Rect(xspan.lo, yspan.lo, xspan.hi, yspan.hi)
-
     # ------------------------------------------------------------------
     # Measures
     # ------------------------------------------------------------------
@@ -110,9 +106,6 @@ class Rect:
         """Open intersection test (positive-area overlap)."""
         return (self.x1 < other.x2 and other.x1 < self.x2 and
                 self.y1 < other.y2 and other.y1 < self.y2)
-
-    def contains_point(self, x: int, y: int) -> bool:
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
 
     def contains_rect(self, other: "Rect") -> bool:
         return (self.x1 <= other.x1 and other.x2 <= self.x2 and
@@ -239,25 +232,6 @@ def rect_columns(rects: Iterable["Rect"]):
     if isinstance(rects, RectList):
         rects.columns = cols
     return cols
-
-
-def batch_expanded(x1, y1, x2, y2, amount: int):
-    """Vectorized :meth:`Rect.inflated`: grow all four sides outward."""
-    return x1 - amount, y1 - amount, x2 + amount, y2 + amount
-
-
-def batch_intersects(ax1, ay1, ax2, ay2, bx1, by1, bx2, by2):
-    """Vectorized :meth:`Rect.intersects` (closed test) boolean mask."""
-    return ((ax1 <= bx2) & (bx1 <= ax2) &
-            (ay1 <= by2) & (by1 <= ay2))
-
-
-def batch_hull(ax1, ay1, ax2, ay2, bx1, by1, bx2, by2):
-    """Vectorized :meth:`Rect.hull`: columns of the pairwise hulls."""
-    import numpy as np
-
-    return (np.minimum(ax1, bx1), np.minimum(ay1, by1),
-            np.maximum(ax2, bx2), np.maximum(ay2, by2))
 
 
 def batch_separation_sq(x_gap, y_gap):

@@ -108,11 +108,6 @@ def segment_bbox(a: Point, b: Point) -> Tuple[int, int, int, int]:
             max(a[0], b[0]), max(a[1], b[1]))
 
 
-def bboxes_overlap(p: Tuple[int, int, int, int],
-                   q: Tuple[int, int, int, int]) -> bool:
-    return p[0] <= q[2] and q[0] <= p[2] and p[1] <= q[3] and q[1] <= p[3]
-
-
 def intersection_point(a: Point, b: Point, c: Point, d: Point
                        ) -> Optional[Tuple[float, float]]:
     """Intersection point of the supporting lines, if unique.

@@ -117,9 +117,6 @@ class PlanarEmbedding:
     # ------------------------------------------------------------------
     # Materialized views (lazy, for tests and exploratory callers)
     # ------------------------------------------------------------------
-    def _dart_tuple(self, d: int) -> Dart:
-        return (self._live_edges[d >> 1], d & 1)
-
     @property
     def rotations(self) -> Dict[int, List[Dart]]:
         if self._rotations is None:

@@ -66,24 +66,6 @@ def _walk_edges(parent, state) -> List[int]:
     return edges
 
 
-def count_odd_faces_upper_bound(graph: GeomGraph) -> int:
-    """Cheap non-bipartiteness score: number of odd cycles found while
-    peeling (diagnostics only)."""
-    peeled = GeomGraph(name="peel")
-    for node in graph.nodes:
-        peeled.add_node(node, None)
-    for e in graph.edges():
-        peeled.add_edge(e.u, e.v, e.weight)
-    count = 0
-    while True:
-        cycle = shortest_odd_cycle(peeled)
-        if cycle is None:
-            return count
-        victim = min(cycle, key=lambda eid: (peeled.edge(eid).weight, eid))
-        peeled.remove_edge(victim)
-        count += 1
-
-
 def moniwa_iterative_bipartization(graph: GeomGraph) -> List[int]:
     """Historical baseline: delete the cheapest edge of a shortest odd
     cycle until the graph is bipartite.  Returns removed edge ids

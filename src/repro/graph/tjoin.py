@@ -125,10 +125,6 @@ def min_tjoin_shortest_paths(graph: GeomGraph,
     return sorted(join)
 
 
-def tjoin_weight(graph: GeomGraph, edge_ids: Sequence[int]) -> int:
-    return graph.total_weight(edge_ids)
-
-
 def min_tjoin_brute_force(graph: GeomGraph, tset: Set[int],
                           max_edges: int = 18) -> Optional[List[int]]:
     """Exhaustive minimum T-join (tests only)."""

@@ -39,15 +39,17 @@ class FrontEnd:
     correction planning, chip-level stitching, and the geometric phase
     verifier.
 
-    On the tiled path (``tiled`` True) the shifter set and pair list
-    were spliced from per-tile ``frontend`` artifacts — byte-identical
-    to the monolithic pass — and ``cache_hits`` / ``cache_misses`` are
-    this pass's own store delta (``cache_misses`` counts the tiles
-    whose shifters were actually regenerated; a fully warm revision
-    reports 0 misses).  ``grid`` carries the partition so the detect
-    stage can reuse it instead of re-partitioning; :func:`run_pipeline`
-    clears it once both detection passes have consumed it, so retained
-    results do not pin tile sub-layouts in memory.
+    On the tiled path (``tiled`` True, every tiled config) the shifter
+    set and pair list came from the tiled front end — a chip-wide pass
+    or a splice of per-tile ``frontend`` artifacts, byte-identical to
+    the monolithic pass either way — and ``cache_hits`` /
+    ``cache_misses`` are this pass's own store delta (``cache_misses``
+    counts the tiles whose shifters were actually regenerated; a fully
+    warm revision reports 0 misses).  ``grid`` carries the partition so
+    the detect stage can reuse it instead of re-partitioning;
+    :func:`run_pipeline` clears it once both detection passes have
+    consumed it, so retained results do not pin tile sub-layouts in
+    memory.
     """
 
     layout: Layout

@@ -113,17 +113,6 @@ class EcoPlan:
     def num_clean(self) -> int:
         return len(self.clean)
 
-    @property
-    def frontend_dirty(self) -> List[Tuple[int, int]]:
-        """Tiles whose front end must regenerate — identical to
-        ``dirty`` by construction (shared key inputs, see class doc)."""
-        return self.dirty
-
-    @property
-    def frontend_clean(self) -> List[Tuple[int, int]]:
-        """Tiles whose cached front end replays on a warm run."""
-        return self.clean
-
     def classify_stitch_clusters(self, cluster_stats) -> None:
         """Compute the dirty-cluster set from the dirty-tile set.
 
@@ -160,20 +149,21 @@ class EcoPlan:
 
 
 def plan_eco(base: Layout, edited: Layout, tech: Technology,
-             tiles: TileSpec = None,
-             halo: Optional[int] = None) -> EcoPlan:
+             tiles: TileSpec = None) -> EcoPlan:
     """Predict the dirty-tile set for an edit.
 
     With ``tiles=None`` the grid is auto-sized **from the base layout**
     so both revisions share one partition even when the edit changes
-    the polygon count.  Only the edited layout is partitioned: with an
-    unchanged bounding box the grids coincide, so a tile's captured
-    multiset (its cache key) changes exactly when some added/removed
-    rectangle touches its capture window.  A bounding-box change moves
-    the grid cut lines under every key — full recompute.
+    the polygon count; the halo is the partition's own
+    (:func:`~repro.chip.partition.default_halo`), as in the pipeline.
+    Only the edited layout is partitioned: with an unchanged bounding
+    box the grids coincide, so a tile's captured multiset (its cache
+    key) changes exactly when some added/removed rectangle touches its
+    capture window.  A bounding-box change moves the grid cut lines
+    under every key — full recompute.
     """
     spec = resolve_eco_tiles(base, tiles)
-    grid = partition_layout(edited, tech, tiles=spec, halo=halo)
+    grid = partition_layout(edited, tech, tiles=spec)
     plan = EcoPlan(grid=grid, diff=diff_layouts(base, edited))
     base_box = base.bbox()
     plan.bbox_changed = grid.bbox != (
@@ -417,8 +407,7 @@ def run_eco_flow(base: Layout, edited: Layout, tech: Technology,
         with tracer.span("eco", cat="eco", design=edited.name,
                          warm_base=warm_base) as eco_span:
             with tracer.span("plan", cat="eco") as plan_span:
-                plan = plan_eco(base, edited, tech, tiles=spec,
-                                halo=config.halo)
+                plan = plan_eco(base, edited, tech, tiles=spec)
                 plan_span.set(dirty=len(plan.dirty), clean=len(plan.clean),
                               bbox_changed=plan.bbox_changed)
 

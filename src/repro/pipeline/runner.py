@@ -52,18 +52,13 @@ from ..correction import CutRestrictions, apply_cuts, plan_correction
 from ..gcpause import gc_paused
 from ..graph import METHOD_GADGET
 from ..layout import Layout, Technology
-from ..obs import get_logger, get_tracer
+from ..obs import get_tracer
 from ..phase import (
     assign_and_verify_incremental,
     assign_phases,
     verify_assignment,
 )
-from ..shifters import (
-    SpliceError,
-    duplicate_feature_rects,
-    has_duplicate_features,
-    tiled_front_end,
-)
+from ..shifters import tiled_front_end
 from .artifacts import (
     AssignmentArtifact,
     CorrectionArtifact,
@@ -83,7 +78,9 @@ class PipelineConfig:
     ("serial" / "process" / anything registered), resolved when a
     tiled stage runs; None keeps the historical jobs-count heuristic.
     The backend trades wall-clock only — the report is identical under
-    every executor.
+    every executor.  The tiled path's capture halo is not a knob: the
+    partition always uses :func:`~repro.chip.partition.default_halo`,
+    the reach the tiled == monolithic argument is made for.
     """
 
     kind: str = PCG
@@ -92,7 +89,6 @@ class PipelineConfig:
     tiles: TileSpec = None
     jobs: Optional[int] = None
     cache_dir: Optional[str] = None
-    halo: Optional[int] = None
     restrictions: Optional[CutRestrictions] = None
     tiled: Optional[bool] = None
     executor: Optional[str] = None
@@ -114,73 +110,40 @@ def stage_front_end(layout: Layout, tech: Technology,
 
     With a tiled ``config`` the front end runs per capture-window tile
     over the same partition the detect stage uses (``config.tiles`` /
-    ``halo`` / ``jobs`` steer both identically): each tile's owned
-    shifters and overlap pairs are content-addressed in the shared
-    store under the ``frontend`` kind, clean tiles replay their cached
-    artifact, and only dirty tiles regenerate — the artifact's
-    ``cache_hits`` / ``cache_misses`` record exactly that split.  A
-    revision with no tile to replay generates once, chip-wide, and
-    derives the tile artifacts from that pass.  Either way the result
-    is byte-identical to the monolithic pass (same dense shifter ids
-    in feature order, same sorted pair list), so every consumer
-    downstream is oblivious to which path ran.
+    ``jobs`` steer both identically): each tile's owned shifters and
+    overlap pairs are content-addressed in the shared store under the
+    ``frontend`` kind, clean tiles replay their cached artifact, and
+    only dirty tiles regenerate — the artifact's ``cache_hits`` /
+    ``cache_misses`` record exactly that split.  A revision with no
+    tile to replay generates once, chip-wide, and derives the tile
+    artifacts from that pass; a splice that fails (duplicate feature
+    rects, a stale artifact) recovers with that pass too
+    (:func:`~repro.shifters.frontend.tiled_front_end`).  Every layout,
+    empty or not, takes this route, and the result is byte-identical
+    to the monolithic pass (same dense shifter ids in feature order,
+    same sorted pair list), so every consumer downstream is oblivious
+    to which path ran.  The grid rides along to the detect stage.
 
-    Layouts with duplicate feature rectangles (which defeat the
-    coordinate-anchored artifact keys) and empty layouts fall back to
-    the monolithic pass.  Called with just ``(layout, tech)`` — the
-    historical signature — the stage is the plain monolithic front
-    end.
+    Called with just ``(layout, tech)`` — the historical signature —
+    or an untiled config, the stage is the plain monolithic front end.
     """
     start = time.perf_counter()
     with get_tracer().span("shifters", cat="stage") as span:
-        grid = None
         if config is not None and config.is_tiled:
-            if has_duplicate_features(layout):
-                # Duplicate rects defeat the coordinate-anchored
-                # artifact keys; degrade to the monolithic pass, but
-                # never silently — the duplicate-rect fuzz stratum
-                # hits this constantly and CI greps for it.
-                dupes = duplicate_feature_rects(layout)
-                get_tracer().count("frontend.monolithic_fallbacks")
-                get_logger("pipeline").warning(
-                    "frontend.monolithic_fallback",
-                    design=layout.name, reason="duplicate_features",
-                    duplicates=len(dupes), first=dupes[0])
-                span.set(fallback="duplicate_features")
-            else:
-                grid = partition_layout(layout, tech,
-                                        tiles=config.tiles,
-                                        halo=config.halo,
-                                        jobs=config.jobs)
-        if grid is not None:
-            if grid.bbox is not None:
-                try:
-                    shifters, pairs, hits, misses = tiled_front_end(
-                        layout, tech, grid.tiles, store=cache)
-                except SpliceError as exc:
-                    # A stale or foreign artifact; recompute
-                    # monolithically rather than fail the revision —
-                    # and say so, the degradation costs a chip-wide
-                    # regeneration.
-                    get_tracer().count("frontend.monolithic_fallbacks")
-                    get_logger("pipeline").warning(
-                        "frontend.monolithic_fallback",
-                        design=layout.name, reason="splice_error",
-                        error=str(exc))
-                    span.set(fallback="splice_error")
-                else:
-                    span.set(tiled=True, shifters=len(shifters),
-                             cache_hits=hits, cache_misses=misses)
-                    return FrontEnd(layout=layout, shifters=shifters,
-                                    pairs=pairs, grid=grid, tiled=True,
-                                    cache_hits=hits, cache_misses=misses,
-                                    seconds=time.perf_counter() - start)
-        # Monolithic fallback; any partition already computed still
-        # rides along so the detect stage does not re-partition.
+            grid = partition_layout(layout, tech, tiles=config.tiles,
+                                    jobs=config.jobs)
+            shifters, pairs, hits, misses = tiled_front_end(
+                layout, tech, grid.tiles, store=cache)
+            span.set(tiled=True, shifters=len(shifters),
+                     cache_hits=hits, cache_misses=misses)
+            return FrontEnd(layout=layout, shifters=shifters,
+                            pairs=pairs, grid=grid, tiled=True,
+                            cache_hits=hits, cache_misses=misses,
+                            seconds=time.perf_counter() - start)
         shifters, pairs = layout_front_end(layout, tech)
         span.set(tiled=False, shifters=len(shifters))
         return FrontEnd(layout=layout, shifters=shifters, pairs=pairs,
-                        grid=grid, seconds=time.perf_counter() - start)
+                        seconds=time.perf_counter() - start)
 
 
 def stage_detect(front: FrontEnd, tech: Technology,
@@ -203,7 +166,6 @@ def stage_detect(front: FrontEnd, tech: Technology,
             chip = run_chip_flow(front.layout, tech, tiles=config.tiles,
                                  jobs=config.jobs, cache=cache,
                                  kind=config.kind, method=config.method,
-                                 halo=config.halo,
                                  front=(front.shifters, front.pairs),
                                  grid=front.grid,
                                  executor=config.executor)
@@ -366,8 +328,8 @@ def run_pipeline(layout: Layout, tech: Technology,
             → re-verify → assign.
         tech: rule deck.
         config: pipeline knobs (graph kind, bipartization method,
-            set-cover solver, tile grid, workers, halo); defaults to
-            the untiled monolithic configuration.
+            set-cover solver, tile grid, workers, executor); defaults
+            to the untiled monolithic configuration.
         cache: an :class:`~repro.cache.ArtifactCache` shared by
             every stage *and* across calls — pass the same store for a
             base and an edited run and only dirty tiles, windows, and

@@ -29,8 +29,9 @@ the flow's algorithms hinge on:
     layouts the bright-field invariants run on.
 ``duplicate``
     Duplicate feature rectangles (which defeat coordinate-anchored
-    artifact keys and force the front end's monolithic fallback) plus
-    sliver/near-square features.
+    artifact keys, so a warm revision's splice fails and the tiled
+    front end recovers with its chip-wide pass) plus sliver/near-square
+    features.
 
 Every stratum is a pure function of ``(stratum, seed)``: the same pair
 produces a byte-identical layout and the same content-derived scenario
@@ -276,9 +277,10 @@ def _gen_duplicate(seed: int) -> Draft:
     """Duplicate rects and slivers: the coordinate-key edge stratum.
 
     Exact duplicate features defeat every coordinate-anchored artifact
-    key, forcing the tiled front end's monolithic fallback (which must
-    warn + count, never change the answer); slivers and near-squares
-    sit on the critical-width classifier's edge.
+    key, so a warm revision's splice fails and the tiled front end
+    recovers with its chip-wide pass (which must warn + count, never
+    change the answer); slivers and near-squares sit on the
+    critical-width classifier's edge.
     """
     rng = random.Random(seed)
     params = GeneratorParams(rows=1, cols=6,
@@ -319,7 +321,7 @@ STRATA: Dict[str, Stratum] = {
                 _gen_darkfield,
                 BRIGHT_FIELD_INVARIANTS + ("darkfield",)),
         Stratum("duplicate",
-                "duplicate feature rects (monolithic-fallback path) "
+                "duplicate feature rects (splice-recovery path) "
                 "plus slivers/near-squares",
                 _gen_duplicate,
                 # No "tiled": duplicate rects make the coordinate ->

@@ -19,9 +19,7 @@ from .frontend import (
     SpliceError,
     TileFrontEnd,
     compute_tile_front_end,
-    duplicate_feature_rects,
     frontend_cache_key,
-    has_duplicate_features,
     splice_front_ends,
     tiled_front_end,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "SpliceError",
     "compute_tile_front_end",
     "frontend_cache_key",
-    "duplicate_feature_rects",
-    "has_duplicate_features",
     "splice_front_ends",
     "tiled_front_end",
 ]

@@ -6,8 +6,8 @@ the same capture-window tiles the chip orchestrator already uses
 (:mod:`repro.chip.partition`): every critical feature and every overlap
 pair has exactly one *owner* tile (owner regions partition the plane),
 and a tile's haloed sub-layout is guaranteed to contain the complete
-neighbourhood of everything it owns (the partition enforces
-``halo >= interaction_distance``).  Each tile therefore contributes a
+neighbourhood of everything it owns (the partition's halo is eight
+interaction distances).  Each tile therefore contributes a
 self-contained :class:`TileFrontEnd` artifact:
 
 * the critical features whose centre the tile owns, with their two
@@ -52,7 +52,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..cache import KIND_FRONTEND, ArtifactCache
 from ..geometry import Rect
 from ..layout import Layout, Technology, tech_fingerprint
-from ..obs import get_tracer
+from ..obs import get_logger, get_tracer
 from .generation import generate_shifters
 from .overlap import OverlapPair, find_overlap_pairs
 from .shifter import ShifterSet
@@ -78,7 +78,7 @@ class SpliceError(ValueError):
     Raised when the layout contains duplicate feature rectangles (the
     coordinate-anchored keys would collide) or when an artifact names
     geometry absent from the layout (a stale or foreign cache entry).
-    Callers fall back to the monolithic front-end pass.
+    :func:`tiled_front_end` recovers with its chip-wide pass.
     """
 
 
@@ -179,7 +179,7 @@ def compute_tile_front_end(layout: Layout, owner: Bounds,
       (:meth:`~repro.geometry.kernels.GeometryKernel.region_centers2`)
       lies in ``owner``.
 
-    The partition invariant ``halo >= interaction_distance`` guarantees
+    The partition's halo, eight interaction distances, guarantees
     the sub-layout captures both features of every owned pair, so the
     owned view is complete, and owner regions partition the plane, so
     summing tiles covers the chip with no double counting.
@@ -352,37 +352,6 @@ def _owns_points2(owner: Bounds, px2, py2):
     return (ox1 <= hx) & (hx < ox2) & (oy1 <= hy) & (hy < oy2)
 
 
-def has_duplicate_features(layout: Layout) -> bool:
-    """True when two features share an identical rectangle.
-
-    Coordinate-anchored keys cannot tell such features apart, so the
-    tiled front end (like the chip stitcher's canonical conflict keys)
-    requires geometrically distinct features; callers fall back to the
-    monolithic pass otherwise.
-    """
-    seen = set()
-    for r in layout.features:
-        t = (r.x1, r.y1, r.x2, r.y2)
-        if t in seen:
-            return True
-        seen.add(t)
-    return False
-
-
-def duplicate_feature_rects(layout: Layout) -> List[Tuple[int, int, int, int]]:
-    """The distinct rectangles that appear more than once, sorted.
-
-    The detail payload for the monolithic-fallback warning: names the
-    offending geometry so a log line is enough to locate the duplicates
-    in the source layout.
-    """
-    counts: Dict[Tuple[int, int, int, int], int] = {}
-    for r in layout.features:
-        t = (r.x1, r.y1, r.x2, r.y2)
-        counts[t] = counts.get(t, 0) + 1
-    return sorted(t for t, n in counts.items() if n > 1)
-
-
 def splice_front_ends(layout: Layout,
                       fronts: Iterable[TileFrontEnd]
                       ) -> Tuple[ShifterSet, List[OverlapPair]]:
@@ -465,13 +434,22 @@ def tiled_front_end(layout: Layout, tech: Technology,
       :func:`compute_tile_front_end` uses, then stored.  The chip pass
       *is* the returned front end, so nothing is spliced; the owner
       windows must still cover every critical feature and every pair
-      exactly once, else :class:`SpliceError`.  Counted as
-      ``frontend.chip_wide_passes``.
+      exactly once, else :class:`SpliceError`.
     * **some tile replays**: only the missing tiles are generated, each
       on its own sub-layout, and every tile's artifact is spliced
       (:func:`splice_front_ends`).
 
-    Both paths return the same bytes as the monolithic pass, and every
+    When the splice or the partition check raises :class:`SpliceError`
+    (a duplicate feature rect, or a stale or foreign artifact), the
+    chip-wide pass is the answer, run here unless this call already
+    ran it.  The recovery is never silent: it counts
+    ``frontend.monolithic_fallbacks`` and logs one
+    ``frontend.monolithic_fallback`` warning carrying the error text.
+    Every chip-wide pass, cold or recovering, counts
+    ``frontend.chip_wide_passes``; this function never raises
+    :class:`SpliceError`.
+
+    Every path returns the same bytes as the monolithic pass, and every
     tile gets one ``frontend-tile`` span.
 
     Args:
@@ -504,10 +482,8 @@ def tiled_front_end(layout: Layout, tech: Technology,
 
     chip: Optional[_FrontIndex] = None
     if all(front is None for front in fronts):
-        shifters = generate_shifters(layout, tech)
-        pairs = find_overlap_pairs(shifters, tech)
+        shifters, pairs = _chip_wide_pass(layout, tech)
         chip = _FrontIndex(layout, shifters, pairs)
-        tracer.count("frontend.chip_wide_passes")
 
     hits = misses = 0
     for i, tile in enumerate(tiles):
@@ -529,8 +505,24 @@ def tiled_front_end(layout: Layout, tech: Technology,
             if store is not None:
                 store.put(KIND_FRONTEND, keys[i], front)
             span.set(cached=False)
-    if chip is not None:
-        chip.check_partition()
-        return shifters, pairs, hits, misses
-    shifters, pairs = splice_front_ends(layout, fronts)
+    try:
+        if chip is not None:
+            chip.check_partition()
+        else:
+            shifters, pairs = splice_front_ends(layout, fronts)
+    except SpliceError as exc:
+        tracer.count("frontend.monolithic_fallbacks")
+        get_logger("shifters").warning(
+            "frontend.monolithic_fallback", design=layout.name,
+            error=str(exc))
+        if chip is None:
+            shifters, pairs = _chip_wide_pass(layout, tech)
     return shifters, pairs, hits, misses
+
+
+def _chip_wide_pass(layout: Layout, tech: Technology
+                    ) -> Tuple[ShifterSet, List[OverlapPair]]:
+    """The monolithic front end, counted as one chip-wide pass."""
+    get_tracer().count("frontend.chip_wide_passes")
+    shifters = generate_shifters(layout, tech)
+    return shifters, find_overlap_pairs(shifters, tech)

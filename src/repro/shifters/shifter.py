@@ -142,10 +142,6 @@ class ShifterSet:
         """The side column (read-only by convention)."""
         return self._side
 
-    def feature_of(self, shifter_id: int) -> int:
-        """Feature index of a shifter, no :class:`Shifter` needed."""
-        return self._feature[shifter_id]
-
     def rect_of(self, shifter_id: int) -> Rect:
         """Rect of a shifter, no :class:`Shifter` needed."""
         return self._rect[shifter_id]
@@ -155,10 +151,6 @@ class ShifterSet:
 
     def of_feature(self, feature_index: int) -> List[Shifter]:
         return [self[i] for i in self._by_feature.get(feature_index, ())]
-
-    def feature_pair_ids(self, feature_index: int) -> List[int]:
-        """Shifter ids of a feature (no :class:`Shifter` objects)."""
-        return self._by_feature.get(feature_index, [])
 
     def feature_pairs(self) -> List[Tuple[Shifter, Shifter]]:
         """The opposing shifter pair of every critical feature.

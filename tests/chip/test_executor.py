@@ -18,7 +18,7 @@ from repro.chip import (
 from dataclasses import replace
 
 from repro.chip.cache import tile_cache_key
-from repro.conflict import detect_conflicts, layout_front_end
+from repro.conflict import FG, PCG, detect_conflicts, layout_front_end
 from repro.layout import Layout, Technology, figure1_layout, \
     standard_cell_layout
 from repro.scenarios.strata import build_scenario, stratum_names
@@ -44,7 +44,6 @@ def result_key(result):
     return (result.ix, result.iy, result.report.conflicts,
             result.report.tshape_conflicts,
             result.report.uncorrectable_features, result.conflicts,
-            result.owned_critical, result.owned_shifters,
             result.owned_pairs, result.owned_uncorrectable,
             result.owned_tshape_features)
 
@@ -87,25 +86,35 @@ class TestDetectTile:
         result = detect_tile(job)
         mono = detect_conflicts(layout, tech)
         assert len(result.conflicts) == mono.num_conflicts
-        assert result.owned_critical == mono.num_critical
-        assert result.owned_shifters == mono.num_shifters
         assert result.owned_pairs == mono.num_overlap_pairs
 
     def test_empty_tile(self, tech):
+        """An empty tile takes the ordinary route: its report is the
+        one detect_conflicts gives the empty sub-layout, on both graph
+        kinds."""
+        from dataclasses import asdict
+
         grid = partition_layout(figure1_layout(), tech, tiles=1)
-        (job,) = make_jobs(grid.tiles, tech)
-        empty = job.__class__(**{**job.__dict__, "layout": Layout()})
-        result = detect_tile(empty)
-        assert result.conflicts == []
-        assert result.report.phase_assignable
+        for kind in (PCG, FG):
+            (job,) = make_jobs(grid.tiles, tech, kind=kind)
+            empty = replace(job, layout=Layout(name="empty"))
+            result = detect_tile(empty)
+            got = asdict(result.report)
+            expected = asdict(detect_conflicts(empty.layout, tech,
+                                               kind=kind))
+            got.pop("detect_seconds")
+            expected.pop("detect_seconds")
+            assert got == expected
+            assert result.report.phase_assignable
+            assert (result.conflicts, result.owned_pairs,
+                    result.owned_uncorrectable,
+                    result.owned_tshape_features) == ([], 0, [], [])
 
     def test_owned_counts_sum_to_monolithic(self, tech):
         layout = standard_cell_layout(seed=12)
         grid = partition_layout(layout, tech, tiles=(3, 2))
         results = [detect_tile(j) for j in make_jobs(grid.tiles, tech)]
         mono = detect_conflicts(layout, tech)
-        assert sum(r.owned_critical for r in results) == mono.num_critical
-        assert sum(r.owned_shifters for r in results) == mono.num_shifters
         assert sum(r.owned_pairs for r in results) == mono.num_overlap_pairs
 
     def test_canonical_keys_use_absolute_geometry(self, tech):

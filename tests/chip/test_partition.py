@@ -78,12 +78,6 @@ class TestGridGeometry:
         assert grid.bbox is None
         assert grid.tiles == []
 
-    def test_rejects_sub_interaction_halo(self, tech):
-        layout = standard_cell_layout(seed=1)
-        with pytest.raises(ValueError):
-            partition_layout(layout, tech, tiles=2,
-                             halo=interaction_distance(tech) - 1)
-
     def test_rejects_bad_grid(self, tech):
         layout = standard_cell_layout(seed=1)
         with pytest.raises(ValueError):

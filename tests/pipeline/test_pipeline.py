@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache import ArtifactCache
+from repro.conflict import layout_front_end
 from repro.core import run_aapsm_flow
 from repro.layout import (
     GeneratorParams,
@@ -56,6 +57,38 @@ class TestStages:
         assert result.correction.report.num_conflicts == 1
 
 
+def assert_same_front_end(front, expected):
+    """A stage's front end equals ``expected`` = ``(shifters, pairs)``
+    shifter by shifter and pair by pair."""
+    exp_s, exp_p = expected
+    assert len(front.shifters) == len(exp_s)
+    for a, b in zip(front.shifters, exp_s):
+        assert (a.id, a.feature_index, a.side, a.rect) \
+            == (b.id, b.feature_index, b.side, b.rect)
+    assert front.pairs == exp_p
+
+
+def traced_and_logged(tracer, run):
+    """``(run(), captured log text)`` with ``tracer`` installed."""
+    import io
+    import logging
+
+    from repro.obs import configure_logging, use_tracer
+
+    stream = io.StringIO()
+    root = logging.getLogger("repro")
+    propagate = root.propagate
+    configure_logging(stream=stream)
+    try:
+        with use_tracer(tracer):
+            out = run()
+    finally:
+        for handler in list(root.handlers):
+            root.removeHandler(handler)
+        root.propagate = propagate
+    return out, stream.getvalue()
+
+
 class TestTiledFrontEnd:
     """Stage 1 over the partition: spliced == monolithic, cached."""
 
@@ -89,7 +122,9 @@ class TestTiledFrontEnd:
         assert not front.tiled and front.grid is None
         assert front.cache_hits == front.cache_misses == 0
 
-    def test_duplicate_rect_layout_falls_back(self, tech):
+    def test_duplicate_rect_layout_takes_tiled_route(self, tech):
+        """A cold revision with duplicate rects needs no splice: its
+        chip-wide pass is the front end, and nothing falls back."""
         from repro.geometry import Rect
         from repro.layout import layout_from_rects
 
@@ -97,41 +132,92 @@ class TestTiledFrontEnd:
         lay = layout_from_rects([r, Rect(500, 0, 590, 1000)])
         lay.add_feature(r)  # exact duplicate defeats coordinate keys
         front = stage_front_end(lay, tech, PipelineConfig(tiles=2))
-        assert not front.tiled  # monolithic fallback, still correct
-        mono = stage_front_end(lay, tech)
-        assert front.pairs == mono.pairs
-        assert len(front.shifters) == len(mono.shifters)
+        assert front.tiled and front.grid is not None
+        assert_same_front_end(front, layout_front_end(lay, tech))
+
+    @pytest.mark.parametrize("tiles", [2, 3])
+    def test_duplicate_stratum_cold_takes_tiled_route(self, tiles):
+        """Every cold duplicate-stratum revision: tiled, byte-identical
+        to the monolithic pass, one chip-wide pass, no fallback."""
+        from repro.obs import Tracer, use_tracer
+        from repro.scenarios.strata import build_scenario
+
+        for seed in [*range(3), *range(1000, 1058)]:
+            s = build_scenario("duplicate", seed)
+            tracer = Tracer()
+            with use_tracer(tracer):
+                front = stage_front_end(s.layout, s.tech,
+                                        PipelineConfig(tiles=tiles),
+                                        cache=ArtifactCache())
+            count = tracer.metrics.counter
+            assert front.tiled, seed
+            assert_same_front_end(front,
+                                  layout_front_end(s.layout, s.tech))
+            assert count("frontend.chip_wide_passes").value == 1, seed
+            assert count("frontend.monolithic_fallbacks").value == 0, seed
 
     def test_duplicate_fallback_warns_and_counts(self, tech):
-        """The degradation is never silent: a structured-log warning
-        names the duplicate geometry and the metrics counter ticks."""
-        import io
-        import logging
-
+        """A warm revision of a duplicate-rect layout replays every
+        tile, and the splice rejects the colliding keys.  The stage
+        recovers with the chip-wide pass, and never silently: a
+        structured-log warning names the duplicate geometry and the
+        metrics counter ticks once."""
         from repro.geometry import Rect
         from repro.layout import layout_from_rects
-        from repro.obs import Tracer, configure_logging, use_tracer
+        from repro.obs import Tracer
 
         r = Rect(0, 0, 90, 1000)
         lay = layout_from_rects([r, Rect(500, 0, 590, 1000)])
         lay.add_feature(r)
+        store = ArtifactCache()
+        cfg = PipelineConfig(tiles=2)
+        cold = stage_front_end(lay, tech, cfg, cache=store)
         tracer = Tracer()
-        stream = io.StringIO()
-        root = logging.getLogger("repro")
-        propagate = root.propagate
-        configure_logging(stream=stream)
-        try:
-            with use_tracer(tracer):
-                stage_front_end(lay, tech, PipelineConfig(tiles=2))
-        finally:
-            for handler in list(root.handlers):
-                root.removeHandler(handler)
-            root.propagate = propagate
+        warm, text = traced_and_logged(
+            tracer, lambda: stage_front_end(lay, tech, cfg, cache=store))
+        assert warm.tiled and warm.cache_misses == 0
         assert tracer.metrics.counter(
             "frontend.monolithic_fallbacks").value == 1
-        text = stream.getvalue()
         assert "frontend.monolithic_fallback" in text
-        assert "duplicate_features" in text
+        assert "(0, 0, 90, 1000)" in text
+        assert_same_front_end(warm, (cold.shifters, cold.pairs))
+
+    def test_foreign_artifact_recovers(self, tech):
+        """A foreign artifact planted under a tile's key fails the
+        splice; the stage recovers the same way."""
+        from repro.cache import KIND_FRONTEND
+        from repro.chip import partition_layout
+        from repro.obs import Tracer
+        from repro.shifters import compute_tile_front_end, \
+            frontend_cache_key
+
+        lay = standard_cell_layout(GeneratorParams(rows=2, cols=6),
+                                   seed=9)
+        other = figure1_layout()
+        tile = partition_layout(lay, tech, tiles=2).tiles[0]
+        foreign = compute_tile_front_end(
+            other, (-1 << 40, -1 << 40, 1 << 40, 1 << 40), tech)
+        store = ArtifactCache()
+        store.put(KIND_FRONTEND,
+                  frontend_cache_key(tile.layout, tile.owner, tech),
+                  foreign)
+        tracer = Tracer()
+        front, text = traced_and_logged(
+            tracer, lambda: stage_front_end(
+                lay, tech, PipelineConfig(tiles=2), cache=store))
+        assert front.tiled and front.cache_hits == 1
+        assert tracer.metrics.counter(
+            "frontend.monolithic_fallbacks").value == 1
+        assert "stale artifact" in text
+        assert_same_front_end(front, layout_front_end(lay, tech))
+
+    def test_empty_layout_takes_tiled_route(self, tech):
+        from repro.layout import Layout
+
+        front = stage_front_end(Layout(), tech, PipelineConfig(tiles=2))
+        assert front.tiled and front.grid.num_tiles == 0
+        assert len(front.shifters) == 0 and front.pairs == []
+        assert front.cache_hits == front.cache_misses == 0
 
     def test_clean_tiled_run_does_not_count_fallback(self, tech):
         from repro.obs import Tracer, use_tracer

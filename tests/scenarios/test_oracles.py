@@ -8,12 +8,15 @@ here.  Every smoke-corpus scenario (six strata x seeds 0-2) must
 produce a byte-identical flow report with a kernel or matcher oracle
 swapped in behind ``get_kernel`` / ``get_matcher``, and the same
 correction with the whole-instance cover swapped in behind
-``solve_cover_windows``.
+``solve_cover_windows``.  The shortest-path T-join engine, which the
+flow still ships behind ``method=``, must give the gadget reduction's
+report on the same scenarios.
 """
 
 import pytest
 
 from repro.core.flow import run_aapsm_flow
+from repro.graph import METHOD_PATHS
 from repro.scenarios import build_scenario, report_key, stratum_names
 
 from ..oracles import (
@@ -71,3 +74,13 @@ def test_brute_matcher_oracle(stratum, seed):
 def test_whole_instance_cover_oracle(stratum, seed):
     s = build_scenario(stratum, seed)
     assert cover_oracle_divergence(s.layout, s.tech) is None
+
+
+@pytest.mark.parametrize("stratum,seed", SMOKE)
+def test_shortest_path_tjoin_agrees(stratum, seed):
+    """The shortest-path (Edmonds-Johnson) T-join reference gives the
+    gadget reduction's flow report: the optimum is unique under the
+    tie-free weights, so the engines must agree byte for byte."""
+    s = build_scenario(stratum, seed)
+    paths = run_aapsm_flow(s.layout, s.tech, method=METHOD_PATHS)
+    assert report_key(paths) == report_key(run_aapsm_flow(s.layout, s.tech))

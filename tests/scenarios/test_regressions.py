@@ -55,7 +55,7 @@ class TestPromotedScenarios:
         assert run_invariant_on_layout("darkfield", s.layout) is None
 
     def test_duplicate_rects_executors_agree(self):
-        """Duplicate rects force the monolithic front-end fallback;
+        """Duplicate rects collide in the coordinate-anchored keys;
         every executor must still produce the identical report."""
         s = build_scenario("duplicate", 0)
         assert run_invariant_on_layout("executors", s.layout) is None

@@ -150,11 +150,9 @@ class TestStratumGeometry:
                    and r.width < 3000 for r in s.layout.features)
 
     def test_duplicate_stratum_has_duplicates(self):
-        from repro.shifters import has_duplicate_features
-
         for seed in range(3):
             s = build_scenario("duplicate", seed)
-            assert has_duplicate_features(s.layout)
+            assert len(set(s.layout.features)) < s.layout.num_polygons
 
     def test_duplicate_stratum_excludes_tiled(self):
         s = build_scenario("duplicate", 0)

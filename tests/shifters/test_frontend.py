@@ -24,7 +24,6 @@ from repro.shifters import (
     TileFrontEnd,
     compute_tile_front_end,
     frontend_cache_key,
-    has_duplicate_features,
     splice_front_ends,
     tiled_front_end,
 )
@@ -153,15 +152,21 @@ class TestColdChipWidePass:
 
     def test_doubly_owned_feature_rejected(self, tech):
         """The splice's exactly-one-owner check holds on the cold path
-        too: overlapping owner windows raise."""
+        too: overlapping owner windows are rejected, counted as a
+        fallback, and the chip-wide pass is returned."""
         from types import SimpleNamespace
 
         lay = build_design("D1")
         wide_open = (-1 << 40, -1 << 40, 1 << 40, 1 << 40)
         tiles = [SimpleNamespace(ix=i, iy=0, layout=lay, owner=wide_open)
                  for i in range(2)]
-        with pytest.raises(SpliceError):
-            tiled_front_end(lay, tech, tiles)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            s, p, _, _ = tiled_front_end(lay, tech, tiles)
+        count = tracer.metrics.counter
+        assert count("frontend.monolithic_fallbacks").value == 1
+        assert count("frontend.chip_wide_passes").value == 1
+        assert_front_ends_equal((s, p), layout_front_end(lay, tech))
 
 
 class TestOwnershipPartition:
@@ -273,23 +278,15 @@ class TestSpliceGuards:
     def test_duplicate_rects_detected(self, tech):
         r = Rect(0, 0, 90, 1000)
         lay = layout_from_rects([r, r])
-        assert has_duplicate_features(lay)
-        with pytest.raises(SpliceError):
+        assert lay.features[0] == lay.features[1]
+        with pytest.raises(SpliceError, match=r"\(0, 0, 90, 1000\)"):
             splice_front_ends(lay, [])
 
     def test_no_duplicates_on_suite_designs(self, tech):
+        """The golden designs never take the splice's recovery path."""
         for name in ("D1", "D2", "D3"):
-            assert not has_duplicate_features(build_design(name))
-
-    def test_duplicate_feature_rects_names_offenders(self):
-        from repro.shifters import duplicate_feature_rects
-
-        a = Rect(0, 0, 90, 1000)
-        b = Rect(500, 0, 590, 1000)
-        lay = layout_from_rects([a, b, a, a, Rect(1000, 0, 1090, 800)])
-        assert duplicate_feature_rects(lay) == [(0, 0, 90, 1000)]
-        assert duplicate_feature_rects(
-            layout_from_rects([a, b])) == []
+            lay = build_design(name)
+            assert len(set(lay.features)) == lay.num_polygons
 
     def test_stale_artifact_rejected(self, tech):
         lay = layout_from_rects([Rect(0, 0, 90, 1000)])
