@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.bench import build_design
+from repro.cache import KIND_TILE
 from repro.chip import run_chip_flow
 from repro.conflict import detect_conflicts
 from repro.graph import METHOD_PATHS
@@ -73,8 +74,8 @@ def test_warm_cache_rerun(benchmark, tech, collect_row, tmp_path):
         "design": "D5",
         "t_cold_s": round(cold.wall_seconds, 2),
         "t_warm_s": round(warm.wall_seconds, 2),
-        "hits": f"{warm.cache_hits}/{warm.num_tiles}",
+        "hits": f"{warm.cache_delta[KIND_TILE][0]}/{warm.num_tiles}",
     })
-    assert warm.cache_hits == warm.num_tiles
+    assert warm.cache_delta[KIND_TILE] == (warm.num_tiles, 0)
     assert warm.num_conflicts == cold.num_conflicts
     assert warm.wall_seconds < max(cold.wall_seconds, 0.05)

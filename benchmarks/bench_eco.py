@@ -15,7 +15,7 @@ import json
 import os
 
 from repro.bench import build_design
-from repro.cache import ArtifactCache
+from repro.cache import KIND_FRONTEND, KIND_STITCH, KIND_TILE, ArtifactCache
 from repro.core import flow_result_dict, flow_result_from_pipeline
 from repro.graph import METHOD_GADGET, METHOD_PATHS
 from repro.pipeline import (
@@ -66,8 +66,8 @@ def test_eco_equivalence_d5(benchmark, tech, collect_row):
                                               eco.plan.grid.ny)),
                         cache=ArtifactCache())
     assert domain_report(eco.result) == domain_report(cold)
-    assert eco.result.detection.cache_misses == eco.plan.num_dirty
-    assert eco.result.detection.cache_hits == eco.plan.num_clean
+    assert eco.result.detection.cache_delta[KIND_TILE] \
+        == (eco.plan.num_clean, eco.plan.num_dirty)
     assert 0 < eco.plan.num_dirty < eco.plan.num_tiles
     collect_row("Incremental ECO — warm dirty-tile re-run vs cold",
                 eco_row("D5", "paths", eco))
@@ -84,21 +84,19 @@ def test_eco_speedup_d8(benchmark, tech, collect_row):
         lambda: run_eco_flow(base, edited, tech, config=config),
         rounds=1, iterations=1)
 
-    assert eco.result.detection.cache_misses == eco.plan.num_dirty
-    assert eco.result.detection.cache_hits == eco.plan.num_clean
+    detect = eco.result.detection.cache_delta
+    assert detect[KIND_TILE] == (eco.plan.num_clean, eco.plan.num_dirty)
     assert 0 < eco.plan.num_dirty < eco.plan.num_tiles
     # The incremental front end: zero clean-tile shifter regeneration
     # on the warm D8 run.
-    assert eco.result.front.cache_misses == eco.plan.num_dirty
-    assert eco.result.front.cache_hits == eco.plan.num_clean
+    assert eco.result.front.cache_delta[KIND_FRONTEND] \
+        == (eco.plan.num_clean, eco.plan.num_dirty)
     # Incremental stitching: zero clean-cluster re-arbitrations on the
     # warm D8 run — only clusters with a dirty contributing tile
     # recompute their verdict.
     assert eco.plan.num_stitch_clean > 0
-    assert (eco.result.detection.stitch_misses
-            == eco.plan.num_stitch_dirty)
-    assert (eco.result.detection.stitch_hits
-            == eco.plan.num_stitch_clean)
+    assert detect[KIND_STITCH] \
+        == (eco.plan.num_stitch_clean, eco.plan.num_stitch_dirty)
     # Same machinery as the D5 equivalence case; here the cheap proxy
     # (identical conflict sets between the base and the
     # conflict-neutral edit) avoids paying a second full cold run.
@@ -130,5 +128,5 @@ def test_eco_cache_accumulates_across_edits(benchmark, tech,
                 eco_row("D5 (2nd edit)", "paths", eco2))
     # `second` differs from `first` by two features (each edit), so at
     # most the union of both dirty sets recomputes.
-    assert (eco2.result.detection.cache_misses
+    assert (eco2.result.detection.cache_delta[KIND_TILE][1]
             <= eco2.plan.num_dirty)

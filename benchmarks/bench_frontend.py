@@ -15,7 +15,7 @@ Run with ``pytest benchmarks/bench_frontend.py --benchmark-only -s``.
 """
 
 from repro.bench import build_design
-from repro.cache import ArtifactCache
+from repro.cache import KIND_FRONTEND, ArtifactCache, cache_delta
 from repro.chip.partition import partition_layout
 from repro.conflict import layout_front_end
 from repro.shifters import tiled_front_end
@@ -31,6 +31,14 @@ def assert_front_ends_equal(got, expected):
     assert got_p == exp_p
 
 
+def counted_front_end(lay, tech, tiles, store):
+    """:func:`tiled_front_end` plus the store's ``frontend``-kind
+    ``(hits, misses)`` for the call."""
+    with cache_delta(store) as delta:
+        shifters, pairs = tiled_front_end(lay, tech, tiles, store)
+    return (shifters, pairs, *delta.get(KIND_FRONTEND, (0, 0)))
+
+
 def test_frontend_equivalence_d8(benchmark, tech, collect_row):
     """Tiled == monolithic on the full chip, and a warm replay is
     all-hits."""
@@ -40,13 +48,13 @@ def test_frontend_equivalence_d8(benchmark, tech, collect_row):
     store = ArtifactCache()
 
     s, p, hits, misses = benchmark.pedantic(
-        lambda: tiled_front_end(lay, tech, grid.tiles, store),
+        lambda: counted_front_end(lay, tech, grid.tiles, store),
         rounds=1, iterations=1)
     assert (hits, misses) == (0, grid.num_tiles)
     assert_front_ends_equal((s, p), mono)
 
-    ws, wp, whits, wmisses = tiled_front_end(lay, tech, grid.tiles,
-                                             store)
+    ws, wp, whits, wmisses = counted_front_end(lay, tech, grid.tiles,
+                                               store)
     assert (whits, wmisses) == (grid.num_tiles, 0)
     assert_front_ends_equal((ws, wp), mono)
 

@@ -21,7 +21,7 @@ Run:  python examples/eco_warm_path.py
 import tempfile
 
 from repro.bench import build_design
-from repro.cache import ArtifactCache
+from repro.cache import KIND_FRONTEND, ArtifactCache
 from repro.layout import Technology
 from repro.pipeline import (
     PipelineConfig,
@@ -73,11 +73,12 @@ def main() -> None:
         r = eco.result
         print_kind_counters("per-kind cache counters (warm)",
                             r.artifact_cache_counts())
-        regenerated = r.front.cache_misses
+        # The front-end stage's own store delta: hits replayed, misses
+        # regenerated.
+        replayed, regenerated = r.front.cache_delta[KIND_FRONTEND]
         assert regenerated == plan.num_dirty, "clean tile regenerated!"
         print(f"  shifters regenerated for {regenerated} dirty "
-              f"tile(s); {r.front.cache_hits} clean tile front end(s) "
-              f"replayed")
+              f"tile(s); {replayed} clean tile front end(s) replayed")
         print(f"  result: {r.post_detection.num_conflicts} residual "
               f"conflicts, {r.correction.report.num_cuts} cut(s), "
               f"success: {r.success}")

@@ -45,9 +45,10 @@ or a :class:`SharedDirectoryBackend` (several logical stores
 multiplexed into one directory under distinct key prefixes — the
 local stand-in for a remote bucket/redis-style backend).  An in-memory
 layer always sits in front of the backend; with no backend at all the
-store is memory-only and lives for the process.  Per-kind hit/miss
-counters let each pipeline stage report its own cache delta; the same
-events also feed the active telemetry tracer's metrics registry
+store is memory-only and lives for the process.  Only the store counts
+hits and misses, per kind; each pipeline stage reads its own share
+with :func:`cache_delta`.  The same events also feed the active
+telemetry tracer's metrics registry
 (``cache.<kind>.hits`` / ``.misses`` / ``.puts`` / ``.bytes_read`` /
 ``.bytes_written`` — no-ops under the default disabled tracer, see
 :mod:`repro.obs`).
@@ -58,8 +59,9 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .obs import get_tracer
 
@@ -247,8 +249,8 @@ class ArtifactCache:
         return stats
 
     def counters(self) -> Dict[str, Tuple[int, int]]:
-        """Snapshot of (hits, misses) per kind — subtract two snapshots
-        for a stage's own cache delta."""
+        """Snapshot of (hits, misses) per kind; :func:`cache_delta`
+        subtracts two of them for a stage's own cache delta."""
         return {kind: stats.as_tuple()
                 for kind, stats in self._stats.items()}
 
@@ -314,3 +316,24 @@ class ArtifactCache:
                  for kind, s in sorted(self._stats.items()) if s.requests]
         return "artifact cache hits — " + (", ".join(parts) or "no requests")
 
+
+@contextmanager
+def cache_delta(store: Optional[ArtifactCache]
+                ) -> Iterator[Dict[str, Tuple[int, int]]]:
+    """The store's per-kind ``(hits, misses)`` inside a ``with`` block.
+
+    Yields a dict that is filled when the block exits: the difference
+    of two :meth:`ArtifactCache.counters` snapshots, keeping only the
+    kinds the block asked for (readers default to ``(0, 0)``); empty
+    with no store.  Every per-pass cache figure the pipeline and the
+    chip flow report is one of these deltas.
+    """
+    delta: Dict[str, Tuple[int, int]] = {}
+    before = store.counters() if store is not None else {}
+    yield delta
+    if store is None:
+        return
+    for kind, (hits, misses) in store.counters().items():
+        hits0, misses0 = before.get(kind, (0, 0))
+        if (hits, misses) != (hits0, misses0):
+            delta[kind] = (hits - hits0, misses - misses0)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..cache import KIND_TILE, ArtifactCache
+from ..cache import KIND_STITCH, KIND_TILE, ArtifactCache, cache_delta
 from ..conflict import PCG, DetectionReport
 from ..gcpause import gc_paused
 from ..graph import METHOD_GADGET
@@ -54,10 +54,12 @@ class TileStat:
 class ChipReport:
     """Everything a tiled full-chip detection run produced.
 
-    ``cache_hits``/``cache_misses`` are the tile-kind delta of this
-    run; ``stitch_hits``/``stitch_misses`` the stitch-kind delta
-    (clusters replayed vs re-arbitrated); ``cluster_stats`` the
-    per-cluster accounting the ECO scheduler classifies dirty/clean.
+    ``cache_delta`` is the run's own store work per artifact kind,
+    ``{kind: (hits, misses)}`` (:func:`repro.cache.cache_delta`): the
+    ``tile`` kind counts tile results replayed vs detected, the
+    ``stitch`` kind cluster verdicts replayed vs re-arbitrated.
+    ``cluster_stats`` is the per-cluster accounting the ECO scheduler
+    classifies dirty/clean.
     """
 
     detection: DetectionReport
@@ -68,12 +70,9 @@ class ChipReport:
     executor: str = "serial"
     wall_seconds: float = 0.0
     tile_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     clusters: int = 0
     boundary_duplicates_dropped: int = 0
-    stitch_hits: int = 0
-    stitch_misses: int = 0
+    cache_delta: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     tile_stats: List[TileStat] = field(default_factory=list)
     cluster_stats: List = field(default_factory=list)
     unmapped_conflicts: int = 0
@@ -97,6 +96,8 @@ class ChipReport:
 
     def summary(self) -> str:
         d = self.detection
+        hits, misses = self.cache_delta.get(KIND_TILE, (0, 0))
+        replayed, rearbitrated = self.cache_delta.get(KIND_STITCH, (0, 0))
         lines = [
             f"design {d.layout_name}: {d.num_features} polygons, "
             f"{d.num_shifters} shifters, {d.num_overlap_pairs} "
@@ -106,11 +107,10 @@ class ChipReport:
             f"detected {d.num_conflicts} conflicts in {self.clusters} "
             f"clusters ({len(d.tshape_conflicts)} routed to "
             f"widening/splitting); phase-assignable: {d.phase_assignable}",
-            f"stitch: {self.stitch_hits} cluster verdict(s) replayed, "
-            f"{self.stitch_misses} re-arbitrated",
+            f"stitch: {replayed} cluster verdict(s) replayed, "
+            f"{rearbitrated} re-arbitrated",
             f"wall {self.wall_seconds:.2f}s, tile work "
-            f"{self.tile_seconds:.2f}s, cache {self.cache_hits}/"
-            f"{self.cache_hits + self.cache_misses} hits",
+            f"{self.tile_seconds:.2f}s, cache {hits}/{hits + misses} hits",
         ]
         if self.boundary_duplicates_dropped:
             lines.append(f"boundary duplicates dropped: "
@@ -175,9 +175,10 @@ def run_chip_flow(layout: Layout, tech: Technology,
 
     Returns:
         A :class:`ChipReport`; ``report.detection`` is a chip-level
-        :class:`DetectionReport` in global shifter ids.  Cache counts
-        are this run's hits/misses (deltas, so a cache shared across
-        passes reports each pass separately).
+        :class:`DetectionReport` in global shifter ids.
+        ``report.cache_delta`` is the store's count of this run's work
+        per kind (``tile`` and ``stitch``), so a store shared across
+        passes reports each pass separately.
 
     Garbage collection: the run pauses CPython's cyclic garbage
     collector (:func:`repro.gcpause.gc_paused`) and re-enables it on
@@ -189,15 +190,14 @@ def run_chip_flow(layout: Layout, tech: Technology,
     with gc_paused():
         start = time.perf_counter()
         tracer = get_tracer()
-        with tracer.span("chip", cat="chip", design=layout.name) as chip_span:
+        if cache is None:
+            cache = ArtifactCache(cache_dir)
+        with tracer.span("chip", cat="chip", design=layout.name) as chip_span, \
+                cache_delta(cache) as delta:
             if grid is None:
                 with tracer.span("partition", cat="chip"):
                     grid = partition_layout(layout, tech, tiles=tiles,
                                             jobs=jobs)
-            if cache is None:
-                cache = ArtifactCache(cache_dir)
-            tile_stats = cache.stats(KIND_TILE)
-            hits0, misses0 = tile_stats.as_tuple()
             runner = resolve_executor(jobs, executor)
             workers = max(int(getattr(runner, "jobs", 1) or 1), 1)
 
@@ -261,17 +261,16 @@ def run_chip_flow(layout: Layout, tech: Technology,
             final: List[TileResult] = [r for r in results if r is not None]
             with tracer.span("stitch", cat="chip") as stitch_span:
                 detection, stats = stitch_results(layout, kind, grid,
-                                                  final, shifters,
-                                                  tile_keys=keys,
-                                                  store=cache)
-                stitch_span.set(clusters=stats.clusters,
-                                replayed=stats.cache_hits,
-                                rearbitrated=stats.cache_misses)
-            cache_hits = tile_stats.hits - hits0
-            cache_misses = tile_stats.misses - misses0
-            chip_span.set(tiles=grid.nx * grid.ny, cache_hits=cache_hits,
-                          cache_misses=cache_misses,
-                          conflicts=detection.num_conflicts)
+                                                  final, shifters, keys,
+                                                  cache)
+        # ``delta`` is filled as its block exits; the chip and stitch
+        # spans take their cache figures from it.
+        replayed, rearbitrated = delta.get(KIND_STITCH, (0, 0))
+        stitch_span.set(clusters=stats.clusters, replayed=replayed,
+                        rearbitrated=rearbitrated)
+        hits, misses = delta.get(KIND_TILE, (0, 0))
+        chip_span.set(tiles=grid.nx * grid.ny, cache_hits=hits,
+                      cache_misses=misses, conflicts=detection.num_conflicts)
 
         report = ChipReport(
             detection=detection,
@@ -279,12 +278,9 @@ def run_chip_flow(layout: Layout, tech: Technology,
             jobs=getattr(runner, "jobs", 1),
             executor=getattr(runner, "name", type(runner).__name__),
             tile_seconds=stats.tile_seconds,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
             clusters=stats.clusters,
             boundary_duplicates_dropped=stats.boundary_duplicates_dropped,
-            stitch_hits=stats.cache_hits,
-            stitch_misses=stats.cache_misses,
+            cache_delta=delta,
             tile_stats=[TileStat(ix=r.ix, iy=r.iy,
                                  polygons=r.report.num_features,
                                  conflicts_reported=len(r.conflicts),

@@ -56,7 +56,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..cache import KIND_STITCH, ArtifactCache
 from ..conflict import Conflict, DetectionReport
@@ -116,17 +116,13 @@ class StitchCluster:
 class StitchStats:
     """Bookkeeping the chip report exposes alongside the detection.
 
-    ``cache_hits``/``cache_misses`` are this pass's stitch-kind store
-    delta: hits count clusters whose cached verdict replayed, misses
-    count clusters actually re-arbitrated (with no store every cluster
-    is a miss — all arbitration work was done here).
+    How many verdicts replayed is the store's own count: the pass's
+    ``stitch``-kind delta (:func:`repro.cache.cache_delta`).
     """
 
     clusters: int = 0
     boundary_duplicates_dropped: int = 0
     tile_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     unmapped_conflicts: List[Tuple[ShifterKey, ShifterKey]] = \
         field(default_factory=list)
     cluster_stats: List[StitchClusterStat] = field(default_factory=list)
@@ -255,8 +251,7 @@ def _arbitrate_cluster(grid: TileGrid,
 
 
 def arbitrate_clusters(grid: TileGrid, results: List[TileResult],
-                       tile_keys: Optional[Sequence[str]] = None,
-                       store: Optional[ArtifactCache] = None
+                       tile_keys: Sequence[str], store: ArtifactCache
                        ) -> Tuple[List[CanonicalConflict], StitchStats]:
     """Arbitrate every stitch cluster, replaying cached verdicts.
 
@@ -266,16 +261,17 @@ def arbitrate_clusters(grid: TileGrid, results: List[TileResult],
         tile_keys: each tile's content-addressed result hash, indexed
             by flat tile index (``iy * nx + ix``) — what
             :func:`repro.chip.cache.tile_cache_key` produced for the
-            run.  Required for verdict caching; None arbitrates
-            everything in place.
-        store: the unified artifact store (kind ``stitch``).  None
-            likewise arbitrates everything in place.
+            run.
+        store: the unified artifact store (kind ``stitch``).  A fresh
+            store arbitrates every cluster in place.
 
     Returns:
         ``(surviving conflicts, stats)``; the survivors are identical
         whether each verdict was replayed or recomputed, and the stats
-        carry the per-cluster accounting (``cluster_stats``) plus this
-        pass's stitch-kind hit/miss delta.
+        carry the per-cluster accounting (``cluster_stats``).  The
+        store counts one ``stitch`` get per cluster.  A stored value
+        that is not a :class:`StitchVerdict` (a corrupted store) is a
+        store hit, yet its cluster is re-arbitrated and re-stored.
     """
     tracer = get_tracer()
     clusters = build_stitch_clusters(grid, results)
@@ -285,24 +281,14 @@ def arbitrate_clusters(grid: TileGrid, results: List[TileResult],
         with tracer.span("cluster", cat="stitch-cluster",
                          cluster=cluster.content_id[:12],
                          tiles=len(cluster.flats)) as span:
-            verdict: Optional[StitchVerdict] = None
-            key = None
-            if store is not None and tile_keys is not None:
-                key = stitch_verdict_key(
-                    cluster.content_id,
-                    [tile_keys[flat] for flat in cluster.flats])
-                cached = store.get(KIND_STITCH, key)
-                if isinstance(cached, StitchVerdict):
-                    verdict = cached
-            replayed = verdict is not None
-            if verdict is None:
+            key = stitch_verdict_key(
+                cluster.content_id,
+                [tile_keys[flat] for flat in cluster.flats])
+            verdict = store.get(KIND_STITCH, key)
+            replayed = isinstance(verdict, StitchVerdict)
+            if not replayed:
                 verdict = _arbitrate_cluster(grid, cluster.members)
-                if store is not None and key is not None:
-                    store.put(KIND_STITCH, key, verdict)
-            if replayed:
-                stats.cache_hits += 1
-            else:
-                stats.cache_misses += 1
+                store.put(KIND_STITCH, key, verdict)
             span.set(conflicts=len(verdict.survivors),
                      replayed=replayed)
         survivors.extend(verdict.survivors)
@@ -320,16 +306,16 @@ def arbitrate_clusters(grid: TileGrid, results: List[TileResult],
 def stitch_results(layout: Layout, kind: str,
                    grid: TileGrid, results: List[TileResult],
                    shifters: ShifterSet,
-                   tile_keys: Optional[Sequence[str]] = None,
-                   store: Optional[ArtifactCache] = None
+                   tile_keys: Sequence[str],
+                   store: ArtifactCache
                    ) -> Tuple[DetectionReport, StitchStats]:
     """Merge tile results into a chip-level :class:`DetectionReport`.
 
     ``shifters`` is the layout's chip-global shifter set (the
     revision's front end), whose dense ids — the ones the monolithic
-    flow assigns — the report speaks.  ``tile_keys`` + ``store`` switch
-    on per-cluster verdict caching (see :func:`arbitrate_clusters`);
-    the report is byte-identical either way.
+    flow assigns — the report speaks.  Cluster verdicts are cached in
+    ``store`` under ``tile_keys`` (see :func:`arbitrate_clusters`);
+    the report is byte-identical whether they replay or not.
     """
     key_to_id: Dict[ShifterKey, int] = {}
     feats = layout.features
@@ -356,9 +342,8 @@ def stitch_results(layout: Layout, kind: str,
     )
     report.removed_weight = sum(r.report.removed_weight for r in results)
 
-    survivors, stats = arbitrate_clusters(grid, results,
-                                          tile_keys=tile_keys,
-                                          store=store)
+    survivors, stats = arbitrate_clusters(grid, results, tile_keys,
+                                          store)
     stats.tile_seconds = sum(r.seconds for r in results)
 
     plain: List[Conflict] = []

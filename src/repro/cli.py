@@ -261,6 +261,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
 def cmd_eco(args: argparse.Namespace) -> int:
     """Incremental re-run: base layout warms the tile cache, the edited
     layout recomputes only dirty tiles."""
+    from .cache import KIND_TILE
     from .core import eco_result_dict
     from .pipeline import PipelineConfig, run_eco_flow
 
@@ -278,8 +279,8 @@ def cmd_eco(args: argparse.Namespace) -> int:
     with use_tracer(tracer):
         eco = run_eco_flow(base, edited, tech, config=config,
                            warm_base=not args.assume_warm)
-    if (args.assume_warm and eco.plan.num_clean
-            and eco.result.detection.cache_hits == 0):
+    tile_hits, _ = eco.result.detection.cache_delta.get(KIND_TILE, (0, 0))
+    if args.assume_warm and eco.plan.num_clean and tile_hits == 0:
         _log.warning("no tile cache hits — was the cache warmed with "
                      "the same grid, tech, and graph settings?")
     if args.json:

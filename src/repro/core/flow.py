@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..cache import KIND_TILE
 from ..conflict import PCG, DetectionReport
 from ..correction import CorrectionReport
 from ..graph import METHOD_GADGET
@@ -68,7 +69,7 @@ class FlowResult:
                 f"{len(self.correction.uncorrectable)} conflicts "
                 "(mask splitting / widening territory)")
         if self.pipeline is not None and self.pipeline.tiled:
-            hits, misses = self.pipeline.cache_counts()
+            hits, misses = self.pipeline.artifact_cache_counts()[KIND_TILE]
             lines.append(f"tile cache: {hits} hits / {misses} misses "
                          f"across both detection passes")
         return "\n".join(lines)

@@ -13,8 +13,9 @@ determinism regression suite asserts.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
+from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_STITCH, KIND_TILE, KIND_VERIFY, KIND_WINDOW
 from .flow import FlowResult
 
 
@@ -76,8 +77,8 @@ def chip_report_dict(chip, timings: bool = True) -> Dict[str, Any]:
         "clusters": chip.clusters,
         "boundary_duplicates_dropped": chip.boundary_duplicates_dropped,
         "unmapped_conflicts": chip.unmapped_conflicts,
-        "cache": cache_dict(chip.cache_hits, chip.cache_misses),
-        "stitch_cache": cache_dict(chip.stitch_hits, chip.stitch_misses),
+        "cache": kind_dict(chip.cache_delta, KIND_TILE),
+        "stitch_cache": kind_dict(chip.cache_delta, KIND_STITCH),
         "detection": detection_dict(chip.detection, timings=timings),
     }
     tiles = [{"ix": s.ix, "iy": s.iy, "polygons": s.polygons,
@@ -103,13 +104,20 @@ def cache_dict(hits: int, misses: int) -> Dict[str, Any]:
     }
 
 
+def kind_dict(delta: Dict[str, Tuple[int, int]],
+              kind: str) -> Dict[str, Any]:
+    """One kind of a per-kind store delta as a :func:`cache_dict`."""
+    return cache_dict(*delta.get(kind, (0, 0)))
+
+
 def pipeline_dict(pipe, timings: bool = True) -> Dict[str, Any]:
     """Stage-level accounting of a :class:`~repro.pipeline.PipelineResult`.
 
-    ``cache``/``detect_cache``/``verify_cache`` keep their historical
-    tile-pass meaning; ``correct_cache`` and ``phase`` carry the
-    per-stage deltas of the unified artifact store (window solutions,
-    component colorings, verifier verdicts), so a warm ECO's "only
+    Every hit/miss figure is one kind of a store delta: a stage's
+    ``cache_delta`` per pass, ``artifact_cache_counts()`` for the whole
+    run.  ``cache``/``detect_cache``/``verify_cache`` keep their
+    historical tile-pass meaning; ``correct_cache`` and ``phase`` carry
+    the window, coloring and verifier kinds, so a warm ECO's "only
     dirty work recomputed" property is assertable straight off the
     JSON report.  ``frontend_cache`` is the ``frontend`` kind's delta
     over the whole run (``front_cache`` / ``verify_front_cache`` split
@@ -122,38 +130,30 @@ def pipeline_dict(pipe, timings: bool = True) -> Dict[str, Any]:
     — zero clean-cluster re-arbitration (an edit that reshapes which
     tiles contribute views can add conservative misses on top).
     """
-    hits, misses = pipe.cache_counts()
-    fe_hits, fe_misses = pipe.frontend_cache_counts()
-    st_hits, st_misses = pipe.stitch_cache_counts()
+    totals = pipe.artifact_cache_counts()
+    front, verification = pipe.front, pipe.verification
     out: Dict[str, Any] = {
         "tiled": pipe.tiled,
-        "front_reused_for_verify": pipe.verification.front_reused,
-        "cache": cache_dict(hits, misses),
-        "frontend_cache": cache_dict(fe_hits, fe_misses),
-        "front_cache": cache_dict(pipe.front.cache_hits,
-                                  pipe.front.cache_misses),
-        "verify_front_cache": cache_dict(
-            pipe.verification.front.cache_hits,
-            pipe.verification.front.cache_misses),
-        "detect_cache": cache_dict(pipe.detection.cache_hits,
-                                   pipe.detection.cache_misses),
-        "verify_cache": cache_dict(pipe.verification.cache_hits,
-                                   pipe.verification.cache_misses),
-        "stitch_cache": cache_dict(st_hits, st_misses),
-        "detect_stitch_cache": cache_dict(pipe.detection.stitch_hits,
-                                          pipe.detection.stitch_misses),
-        "verify_stitch_cache": cache_dict(
-            pipe.verification.stitch_hits,
-            pipe.verification.stitch_misses),
-        "correct_cache": cache_dict(pipe.correction.cache_hits,
-                                    pipe.correction.cache_misses),
+        "front_reused_for_verify": verification.front_reused,
+        "cache": cache_dict(*totals[KIND_TILE]),
+        "frontend_cache": cache_dict(*totals[KIND_FRONTEND]),
+        "front_cache": kind_dict(front.cache_delta, KIND_FRONTEND),
+        "verify_front_cache": kind_dict(verification.front.cache_delta,
+                                        KIND_FRONTEND),
+        "detect_cache": kind_dict(pipe.detection.cache_delta, KIND_TILE),
+        "verify_cache": kind_dict(verification.cache_delta, KIND_TILE),
+        "stitch_cache": cache_dict(*totals[KIND_STITCH]),
+        "detect_stitch_cache": kind_dict(pipe.detection.cache_delta,
+                                         KIND_STITCH),
+        "verify_stitch_cache": kind_dict(verification.cache_delta,
+                                         KIND_STITCH),
+        "correct_cache": kind_dict(pipe.correction.cache_delta,
+                                   KIND_WINDOW),
         "phase": {
             "incremental": pipe.phase.incremental,
             "components": pipe.phase.components,
-            "coloring": cache_dict(pipe.phase.coloring_hits,
-                                   pipe.phase.recolored),
-            "verify": cache_dict(pipe.phase.verify_hits,
-                                 pipe.phase.verified),
+            "coloring": kind_dict(pipe.phase.cache_delta, KIND_COLORING),
+            "verify": kind_dict(pipe.phase.cache_delta, KIND_VERIFY),
         },
     }
     if pipe.tiled:

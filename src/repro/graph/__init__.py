@@ -25,7 +25,6 @@ from .coloring import (
 from .components import (
     ODD_COMPONENT,
     GraphComponent,
-    RecolorStats,
     component_content_id,
     decode_coloring,
     decompose,
@@ -91,7 +90,6 @@ __all__ = [
     "residual_conflicts",
     "ParityDSU",
     "GraphComponent",
-    "RecolorStats",
     "decompose",
     "component_content_id",
     "encode_coloring",

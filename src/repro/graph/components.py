@@ -25,7 +25,7 @@ not merely equivalent.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coloring import color_component
@@ -174,52 +174,35 @@ def decode_coloring(component: GraphComponent,
 # ----------------------------------------------------------------------
 # Incremental recoloring
 # ----------------------------------------------------------------------
-@dataclass
-class RecolorStats:
-    """What the incremental coloring actually did."""
-
-    components: int = 0
-    reused: int = 0                    # cache hits: colors replayed
-    recolored: int = 0                 # cache misses: BFS actually ran
-    dirty: List[GraphComponent] = field(default_factory=list)
-
-    @property
-    def chip_wide(self) -> bool:
-        """True when every component had to be recolored."""
-        return self.components > 0 and self.recolored == self.components
-
-
 def two_color_incremental(graph: GeomGraph, store,
                           components: Optional[
                               Sequence[GraphComponent]] = None,
-                          ) -> Tuple[Optional[Dict[int, int]], RecolorStats]:
+                          ) -> Optional[Dict[int, int]]:
     """Per-component 2-coloring that only recolors changed components.
 
     ``store`` is a :class:`repro.cache.ArtifactCache`; colorings are
     cached under the ``coloring`` kind keyed by component content id.
     A component whose node/edge content is unchanged since any earlier
     run (this process or a persisted cache directory) replays its
-    canonical coloring instead of re-running BFS.
+    canonical coloring instead of re-running BFS.  The store counts
+    one ``coloring`` get per component: a hit replayed, a miss
+    recolored.
 
-    Returns ``(colors, stats)`` where ``colors`` matches
-    :func:`~repro.graph.coloring.two_color` exactly, or None when some
-    component is not bipartite.  Unlike the cold path, every component
-    is processed even after a failure so the cache warms completely.
+    Returns colors matching :func:`~repro.graph.coloring.two_color`
+    exactly, or None when some component is not bipartite.  Unlike the
+    cold path, every component is processed even after a failure so
+    the cache warms completely.
     """
     from ..cache import KIND_COLORING
     from ..obs import get_tracer
 
     tracer = get_tracer()
-    stats = RecolorStats()
     colors: Dict[int, int] = {}
     failed = False
     for component in components if components is not None \
             else decompose(graph):
-        stats.components += 1
         canonical = store.get(KIND_COLORING, component.content_id)
         if canonical is None:
-            stats.recolored += 1
-            stats.dirty.append(component)
             # Only recomputed components get spans — replays are pure
             # cache lookups already counted by the store's metrics, and
             # span-per-replay would balloon warm full-chip traces.
@@ -230,10 +213,8 @@ def two_color_incremental(graph: GeomGraph, store,
                 canonical = (ODD_COMPONENT if fresh is None
                              else encode_coloring(component, fresh))
             store.put(KIND_COLORING, component.content_id, canonical)
-        else:
-            stats.reused += 1
         if canonical == ODD_COMPONENT:
             failed = True
         elif not failed:
             colors.update(decode_coloring(component, canonical))
-    return (None if failed else colors), stats
+    return None if failed else colors

@@ -18,7 +18,6 @@ from .assignment import (
     assignment_from_colors,
 )
 from .incremental import (
-    PhaseStats,
     assign_and_verify_incremental,
     verify_key,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "condition1_problems",
     "condition2_problems",
     "assign_and_verify",
-    "PhaseStats",
     "assign_and_verify_incremental",
     "verify_key",
 ]

@@ -28,7 +28,6 @@ success signal) is revision-independent.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cache import KIND_VERIFY, ArtifactCache
@@ -38,24 +37,6 @@ from ..obs import get_tracer
 from ..shifters import OverlapPair
 from .assignment import PhaseAssignment, assignment_from_colors
 from .verify import condition1_problems, condition2_problems
-
-
-@dataclass
-class PhaseStats:
-    """Per-component accounting of one incremental assign+verify run."""
-
-    components: int = 0
-    recolored: int = 0                 # coloring cache misses
-    coloring_hits: int = 0
-    verified: int = 0                  # verify cache misses
-    verify_hits: int = 0
-
-    @property
-    def chip_wide(self) -> bool:
-        """True when nothing replayed — the cost of a cold full pass."""
-        return (self.components > 0
-                and self.recolored == self.components
-                and self.verified == self.components)
 
 
 def verify_key(content_id: str, tech: Technology) -> str:
@@ -76,23 +57,23 @@ def assign_and_verify_incremental(
         conflict_graph, tech: Technology,
         pairs: Sequence[OverlapPair],
         store: ArtifactCache,
-) -> Tuple[Optional[PhaseAssignment], List[str], PhaseStats]:
+) -> Tuple[Optional[PhaseAssignment], List[str], int]:
     """Assign phases and verify them, one component at a time.
 
-    Returns ``(assignment, problems, stats)``; ``assignment`` is None
-    when the graph is not bipartite (problems then empty — there is
-    nothing to verify).  Output equals ``assign_phases`` plus a
-    full-chip ``verify_assignment`` on every input, warm or cold.
+    Returns ``(assignment, problems, components)``; ``assignment`` is
+    None when the graph is not bipartite (problems then empty — there
+    is nothing to verify), and ``components`` is the conflict graph's
+    component count.  Output equals ``assign_phases`` plus a full-chip
+    ``verify_assignment`` on every input, warm or cold.  The store
+    counts one ``coloring`` get per component and, once the coloring
+    succeeds, one ``verify`` get per component: a hit replayed, a miss
+    recomputed.
     """
     graph = conflict_graph.graph
     components = decompose(graph)
-    colors, recolor = two_color_incremental(graph, store,
-                                            components=components)
-    stats = PhaseStats(components=recolor.components,
-                       recolored=recolor.recolored,
-                       coloring_hits=recolor.reused)
+    colors = two_color_incremental(graph, store, components=components)
     if colors is None:
-        return None, [], stats
+        return None, [], len(components)
     assignment = assignment_from_colors(conflict_graph, colors)
 
     # Constraint grouping is chip-wide work; on a warm run every verdict
@@ -122,7 +103,6 @@ def assign_and_verify_incremental(
         if cached is None:
             if feature_pairs_by is None:
                 group_constraints()
-            stats.verified += 1
             # Spans only for components actually re-verified; replayed
             # verdicts are already visible as verify-kind cache hits.
             with tracer.span("component", cat="component", op="verify",
@@ -137,7 +117,6 @@ def assign_and_verify_incremental(
                 span.set(violations=len(verdict))
             store.put(KIND_VERIFY, key, verdict)
         else:
-            stats.verify_hits += 1
             verdict = cached
         problems.extend(verdict)
-    return assignment, problems, stats
+    return assignment, problems, len(components)

@@ -5,7 +5,8 @@ whole-chip state: the front end (shifter generation) feeds detection,
 correction, stitching, and verification; detection artifacts carry the
 tile-addressed :class:`~repro.chip.ChipReport` alongside the stitched
 chip-level view; every artifact records its own wall-clock so the
-pipeline can report a per-stage timing breakdown.
+pipeline can report a per-stage timing breakdown, and its own store
+work as ``cache_delta`` (:func:`repro.cache.cache_delta`).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..cache import ARTIFACT_KINDS, KIND_TILE
 from ..chip import ChipReport
 from ..chip.partition import TileGrid
 from ..conflict import DetectionReport
@@ -42,14 +44,13 @@ class FrontEnd:
     On the tiled path (``tiled`` True, every tiled config) the shifter
     set and pair list came from the tiled front end — a chip-wide pass
     or a splice of per-tile ``frontend`` artifacts, byte-identical to
-    the monolithic pass either way — and ``cache_hits`` /
-    ``cache_misses`` are this pass's own store delta (``cache_misses``
-    counts the tiles whose shifters were actually regenerated; a fully
-    warm revision reports 0 misses).  ``grid`` carries the partition so
-    the detect stage can reuse it instead of re-partitioning;
-    :func:`run_pipeline` clears it once both detection passes have
-    consumed it, so retained results do not pin tile sub-layouts in
-    memory.
+    the monolithic pass either way — and ``cache_delta`` holds this
+    pass's ``frontend`` kind (its misses are the tiles whose shifters
+    were actually regenerated; a fully warm revision reports 0 misses).
+    ``grid`` carries the partition so the detect stage can reuse it
+    instead of re-partitioning; :func:`run_pipeline` clears it once
+    both detection passes have consumed it, so retained results do not
+    pin tile sub-layouts in memory.
     """
 
     layout: Layout
@@ -58,29 +59,24 @@ class FrontEnd:
     seconds: float = 0.0
     grid: Optional[TileGrid] = None
     tiled: bool = False
-    cache_hits: int = 0
-    cache_misses: int = 0
+    cache_delta: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
 
 @dataclass
 class DetectionArtifact:
     """One detection pass (pre- or post-correction).
 
-    ``chip`` is present when the pass ran tiled; ``cache_hits`` /
-    ``cache_misses`` are this pass's own tile-kind deltas and
-    ``stitch_hits`` / ``stitch_misses`` its stitch-kind deltas
-    (clusters replayed vs re-arbitrated), so the ECO scheduler can
-    assert exactly which tiles *and* which boundary clusters
-    recomputed per pass.
+    ``chip`` is present when the pass ran tiled; ``cache_delta`` then
+    holds this pass's ``tile`` kind (tiles replayed vs detected) and
+    ``stitch`` kind (clusters replayed vs re-arbitrated), so the ECO
+    scheduler can assert exactly which tiles *and* which boundary
+    clusters recomputed per pass.
     """
 
     report: DetectionReport
     front: FrontEnd
     chip: Optional[ChipReport] = None
-    cache_hits: int = 0
-    cache_misses: int = 0
-    stitch_hits: int = 0
-    stitch_misses: int = 0
+    cache_delta: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     seconds: float = 0.0
     front_reused: bool = False
 
@@ -93,16 +89,14 @@ class DetectionArtifact:
 class CorrectionArtifact:
     """Window-scoped correction plan plus the corrected layout.
 
-    ``cache_hits`` / ``cache_misses`` count this pass's window-solution
-    replays versus fresh solves (the ``window`` artifact kind) when the
-    pipeline runs over a store.
+    Over a store, ``cache_delta`` holds this pass's ``window`` kind:
+    window-solution replays versus fresh solves.
     """
 
     report: CorrectionReport
     corrected_layout: Layout
     seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    cache_delta: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
     @property
     def unchanged(self) -> bool:
@@ -116,10 +110,11 @@ class AssignmentArtifact:
 
     On the incremental path (``incremental`` True) the coloring and
     verification ran per conflict-graph component against the artifact
-    store: ``recolored``/``verified`` are that pass's cache misses,
-    ``coloring_hits``/``verify_hits`` its replays.  A warm ECO run is
-    expected to miss only on components the edit actually touched —
-    the "no chip-wide phase pass" property the ECO suite asserts.
+    store, and ``cache_delta`` holds the pass's ``coloring`` and
+    ``verify`` kinds: misses are components recolored / re-verified,
+    hits their replays.  A warm ECO run is expected to miss only on
+    components the edit actually touched — the "no chip-wide phase
+    pass" property the ECO suite asserts.
     """
 
     assignment: Optional[PhaseAssignment] = None
@@ -128,10 +123,7 @@ class AssignmentArtifact:
     seconds: float = 0.0
     incremental: bool = False
     components: int = 0
-    recolored: int = 0
-    coloring_hits: int = 0
-    verified: int = 0
-    verify_hits: int = 0
+    cache_delta: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -179,44 +171,21 @@ class PipelineResult:
             STAGE_ASSIGN: self.phase.seconds,
         }
 
-    def cache_counts(self) -> Tuple[int, int]:
-        """(hits, misses) summed over both detection passes."""
-        hits = self.detection.cache_hits + self.verification.cache_hits
-        misses = (self.detection.cache_misses
-                  + self.verification.cache_misses)
-        return hits, misses
-
-    def frontend_cache_counts(self) -> Tuple[int, int]:
-        """(hits, misses) of the ``frontend`` kind over both front-end
-        passes (base revision + corrected revision; the second is
-        all-zero when the verify stage reused the base front end)."""
-        hits = self.front.cache_hits + self.verification.front.cache_hits
-        misses = (self.front.cache_misses
-                  + self.verification.front.cache_misses)
-        return hits, misses
-
-    def stitch_cache_counts(self) -> Tuple[int, int]:
-        """(replayed, re-arbitrated) stitch-cluster verdicts summed
-        over both detection passes."""
-        hits = self.detection.stitch_hits + self.verification.stitch_hits
-        misses = (self.detection.stitch_misses
-                  + self.verification.stitch_misses)
-        return hits, misses
-
     def artifact_cache_counts(self) -> Dict[str, Tuple[int, int]]:
-        """(hits, misses) per artifact kind across the whole run."""
-        return {
-            "frontend": self.frontend_cache_counts(),
-            "tile": self.cache_counts(),
-            "stitch": self.stitch_cache_counts(),
-            "window": (self.correction.cache_hits,
-                       self.correction.cache_misses),
-            "coloring": (self.phase.coloring_hits, self.phase.recolored),
-            "verify": (self.phase.verify_hits, self.phase.verified),
-        }
+        """(hits, misses) per artifact kind across the whole run: the
+        sum of every stage's ``cache_delta``."""
+        totals = dict.fromkeys(ARTIFACT_KINDS, (0, 0))
+        for artifact in (self.front, self.detection, self.correction,
+                         self.verification.front, self.verification,
+                         self.phase):
+            for kind, (hits, misses) in artifact.cache_delta.items():
+                total_hits, total_misses = totals[kind]
+                totals[kind] = (total_hits + hits, total_misses + misses)
+        return totals
 
     @property
     def cache_hit_rate(self) -> float:
-        hits, misses = self.cache_counts()
+        """Tile-result hit rate over both detection passes."""
+        hits, misses = self.artifact_cache_counts()[KIND_TILE]
         total = hits + misses
         return hits / total if total else 0.0

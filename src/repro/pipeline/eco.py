@@ -33,7 +33,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..cache import ArtifactCache
+from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_STITCH, KIND_TILE, KIND_VERIFY, \
+    KIND_WINDOW, ArtifactCache
 from ..chip.partition import TileGrid, TileSpec, auto_tile_grid, \
     normalize_tile_spec, partition_layout
 from ..gcpause import gc_paused
@@ -273,18 +274,17 @@ class EcoResult:
 
     def stage_rows(self) -> List[Tuple[str, int, int]]:
         """Warm-path (stage, replayed, recomputed) deltas — one row
-        per pipeline stage, both passes summed where a stage runs
-        twice.  ``phase`` sums the coloring and verifier artifacts of
-        the assign stage."""
-        r = self.result
+        per pipeline stage, read off the run's per-kind store counts
+        (both passes summed where a stage runs twice).  ``phase`` sums
+        the coloring and verifier artifacts of the assign stage."""
+        counts = self.result.artifact_cache_counts()
+        coloring, verify = counts[KIND_COLORING], counts[KIND_VERIFY]
         return [
-            ("front end", *r.frontend_cache_counts()),
-            ("detect", *r.cache_counts()),
-            ("stitch", *r.stitch_cache_counts()),
-            ("correct", r.correction.cache_hits,
-             r.correction.cache_misses),
-            ("phase", r.phase.coloring_hits + r.phase.verify_hits,
-             r.phase.recolored + r.phase.verified),
+            ("front end", *counts[KIND_FRONTEND]),
+            ("detect", *counts[KIND_TILE]),
+            ("stitch", *counts[KIND_STITCH]),
+            ("correct", *counts[KIND_WINDOW]),
+            ("phase", coloring[0] + verify[0], coloring[1] + verify[1]),
         ]
 
     def _stage_seconds(self, pipe: PipelineResult,

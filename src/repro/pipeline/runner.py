@@ -24,9 +24,10 @@ the old monolithic ``run_aapsm_flow`` body:
   job its slice of that front end instead of regenerating it;
 * both detection passes can run tiled through
   :func:`repro.chip.run_chip_flow` over one shared
-  :class:`~repro.cache.ArtifactCache`, and each pass records its own
-  cache hit/miss deltas — the accounting the dirty-tile ECO scheduler
-  asserts on;
+  :class:`~repro.cache.ArtifactCache`, and every stage records the
+  store's own hit/miss delta over its work
+  (:func:`repro.cache.cache_delta`) — the accounting the dirty-tile
+  ECO scheduler asserts on;
 * correction is window-scoped: the weighted set cover is solved per
   independent conflict window and the cuts merged chip-wide
   (:mod:`repro.correction.windows`), matching the whole-instance
@@ -39,7 +40,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cache import KIND_WINDOW, ArtifactCache
+from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_STITCH, KIND_TILE, KIND_VERIFY, \
+    KIND_WINDOW, ArtifactCache, cache_delta
 from ..chip import run_chip_flow
 from ..chip.partition import TileSpec, partition_layout
 from ..conflict import (
@@ -48,7 +50,7 @@ from ..conflict import (
     detect_conflicts,
     layout_front_end,
 )
-from ..correction import CutRestrictions, apply_cuts, plan_correction
+from ..correction import apply_cuts, plan_correction
 from ..gcpause import gc_paused
 from ..graph import METHOD_GADGET
 from ..layout import Layout, Technology
@@ -78,9 +80,12 @@ class PipelineConfig:
     ("serial" / "process" / anything registered), resolved when a
     tiled stage runs; None keeps the historical jobs-count heuristic.
     The backend trades wall-clock only — the report is identical under
-    every executor.  The tiled path's capture halo is not a knob: the
-    partition always uses :func:`~repro.chip.partition.default_halo`,
-    the reach the tiled == monolithic argument is made for.
+    every executor.  ``cache_dir`` backs the store a tiled run creates
+    when it is given none.  The tiled path's capture halo is not a
+    knob: the partition always uses
+    :func:`~repro.chip.partition.default_halo`, the reach the tiled ==
+    monolithic argument is made for.  No-cut regions are not a knob
+    either; :func:`~repro.correction.plan_correction` takes them.
     """
 
     kind: str = PCG
@@ -89,7 +94,6 @@ class PipelineConfig:
     tiles: TileSpec = None
     jobs: Optional[int] = None
     cache_dir: Optional[str] = None
-    restrictions: Optional[CutRestrictions] = None
     tiled: Optional[bool] = None
     executor: Optional[str] = None
 
@@ -112,17 +116,18 @@ def stage_front_end(layout: Layout, tech: Technology,
     over the same partition the detect stage uses (``config.tiles`` /
     ``jobs`` steer both identically): each tile's owned shifters and
     overlap pairs are content-addressed in the shared store under the
-    ``frontend`` kind, clean tiles replay their cached artifact, and
-    only dirty tiles regenerate — the artifact's ``cache_hits`` /
-    ``cache_misses`` record exactly that split.  A revision with no
-    tile to replay generates once, chip-wide, and derives the tile
-    artifacts from that pass; a splice that fails (duplicate feature
-    rects, a stale artifact) recovers with that pass too
-    (:func:`~repro.shifters.frontend.tiled_front_end`).  Every layout,
-    empty or not, takes this route, and the result is byte-identical
-    to the monolithic pass (same dense shifter ids in feature order,
-    same sorted pair list), so every consumer downstream is oblivious
-    to which path ran.  The grid rides along to the detect stage.
+    ``frontend`` kind (a fresh in-memory store when ``cache`` is None),
+    clean tiles replay their cached artifact, and only dirty tiles
+    regenerate — the artifact's ``cache_delta`` records exactly that
+    split.  A revision with no tile to replay generates once,
+    chip-wide, and derives the tile artifacts from that pass; a splice
+    that fails (duplicate feature rects, a stale artifact) recovers
+    with that pass too (:func:`~repro.shifters.frontend.tiled_front_end`).
+    Every layout, empty or not, takes this route, and the result is
+    byte-identical to the monolithic pass (same dense shifter ids in
+    feature order, same sorted pair list), so every consumer downstream
+    is oblivious to which path ran.  The grid rides along to the detect
+    stage.
 
     Called with just ``(layout, tech)`` — the historical signature —
     or an untiled config, the stage is the plain monolithic front end.
@@ -130,15 +135,19 @@ def stage_front_end(layout: Layout, tech: Technology,
     start = time.perf_counter()
     with get_tracer().span("shifters", cat="stage") as span:
         if config is not None and config.is_tiled:
+            if cache is None:
+                cache = ArtifactCache()
             grid = partition_layout(layout, tech, tiles=config.tiles,
                                     jobs=config.jobs)
-            shifters, pairs, hits, misses = tiled_front_end(
-                layout, tech, grid.tiles, store=cache)
+            with cache_delta(cache) as delta:
+                shifters, pairs = tiled_front_end(layout, tech, grid.tiles,
+                                                  cache)
+            hits, misses = delta.get(KIND_FRONTEND, (0, 0))
             span.set(tiled=True, shifters=len(shifters),
                      cache_hits=hits, cache_misses=misses)
             return FrontEnd(layout=layout, shifters=shifters,
                             pairs=pairs, grid=grid, tiled=True,
-                            cache_hits=hits, cache_misses=misses,
+                            cache_delta=delta,
                             seconds=time.perf_counter() - start)
         shifters, pairs = layout_front_end(layout, tech)
         span.set(tiled=False, shifters=len(shifters))
@@ -169,18 +178,13 @@ def stage_detect(front: FrontEnd, tech: Technology,
                                  front=(front.shifters, front.pairs),
                                  grid=front.grid,
                                  executor=config.executor)
-            span.set(tiled=True, conflicts=chip.detection.num_conflicts,
-                     cache_hits=chip.cache_hits,
-                     cache_misses=chip.cache_misses,
-                     stitch_hits=chip.stitch_hits,
-                     stitch_misses=chip.stitch_misses)
-            return DetectionArtifact(
+            artifact = DetectionArtifact(
                 report=chip.detection, front=front, chip=chip,
-                cache_hits=chip.cache_hits,
-                cache_misses=chip.cache_misses,
-                stitch_hits=chip.stitch_hits,
-                stitch_misses=chip.stitch_misses,
+                cache_delta=chip.cache_delta,
                 seconds=time.perf_counter() - start)
+            span.set(tiled=True, conflicts=chip.detection.num_conflicts,
+                     **_detect_counts(artifact))
+            return artifact
         prebuilt = build_layout_conflict_graph(
             front.layout, tech, config.kind,
             front=(front.shifters, front.pairs))
@@ -189,6 +193,14 @@ def stage_detect(front: FrontEnd, tech: Technology,
         span.set(tiled=False, conflicts=report.num_conflicts)
         return DetectionArtifact(report=report, front=front,
                                  seconds=time.perf_counter() - start)
+
+
+def _detect_counts(artifact: DetectionArtifact) -> dict:
+    """A detection pass's span attributes, read off its store delta."""
+    hits, misses = artifact.cache_delta.get(KIND_TILE, (0, 0))
+    replayed, rearbitrated = artifact.cache_delta.get(KIND_STITCH, (0, 0))
+    return dict(cache_hits=hits, cache_misses=misses,
+                stitch_hits=replayed, stitch_misses=rearbitrated)
 
 
 def stage_correct(detection: DetectionArtifact, tech: Technology,
@@ -206,25 +218,17 @@ def stage_correct(detection: DetectionArtifact, tech: Technology,
     with get_tracer().span("correct", cat="stage") as span:
         front = detection.front
         conflicts = [c.key for c in detection.report.conflicts]
-        hits0, misses0 = (cache.stats(KIND_WINDOW).as_tuple()
-                          if cache is not None else (0, 0))
-        report = plan_correction(front.layout, tech, conflicts,
-                                 shifters=front.shifters,
-                                 cover=config.cover,
-                                 restrictions=config.restrictions,
-                                 store=cache)
+        with cache_delta(cache) as delta:
+            report = plan_correction(front.layout, tech, conflicts,
+                                     shifters=front.shifters,
+                                     cover=config.cover, store=cache)
         corrected = apply_cuts(front.layout, report.cuts)
-        artifact = CorrectionArtifact(report=report,
-                                      corrected_layout=corrected,
-                                      seconds=time.perf_counter() - start)
-        if cache is not None:
-            artifact.cache_hits = cache.stats(KIND_WINDOW).hits - hits0
-            artifact.cache_misses = \
-                cache.stats(KIND_WINDOW).misses - misses0
-        span.set(cuts=len(report.cuts),
-                 cache_hits=artifact.cache_hits,
-                 cache_misses=artifact.cache_misses)
-        return artifact
+        hits, misses = delta.get(KIND_WINDOW, (0, 0))
+        span.set(cuts=len(report.cuts), cache_hits=hits,
+                 cache_misses=misses)
+        return CorrectionArtifact(report=report, corrected_layout=corrected,
+                                  seconds=time.perf_counter() - start,
+                                  cache_delta=delta)
 
 
 def stage_verify(correction: CorrectionArtifact, tech: Technology,
@@ -254,10 +258,7 @@ def stage_verify(correction: CorrectionArtifact, tech: Technology,
         artifact.seconds = time.perf_counter() - start
         span.set(front_reused=reused,
                  conflicts=artifact.report.num_conflicts,
-                 cache_hits=artifact.cache_hits,
-                 cache_misses=artifact.cache_misses,
-                 stitch_hits=artifact.stitch_hits,
-                 stitch_misses=artifact.stitch_misses)
+                 **_detect_counts(artifact))
         return artifact
 
 
@@ -290,26 +291,27 @@ def stage_assign(verification: DetectionArtifact, tech: Technology,
                         pairs=front.pairs)
                     artifact.success = not artifact.problems
             else:
-                assignment, problems, stats = \
-                    assign_and_verify_incremental(
-                        cg, tech, front.pairs, cache)
+                with cache_delta(cache) as delta:
+                    assignment, problems, components = \
+                        assign_and_verify_incremental(
+                            cg, tech, front.pairs, cache)
                 artifact.assignment = assignment
                 artifact.incremental = True
-                artifact.components = stats.components
-                artifact.recolored = stats.recolored
-                artifact.coloring_hits = stats.coloring_hits
-                artifact.verified = stats.verified
-                artifact.verify_hits = stats.verify_hits
+                artifact.components = components
+                artifact.cache_delta = delta
                 if assignment is not None:
                     artifact.problems = problems
                     artifact.success = not problems
         artifact.seconds = time.perf_counter() - start
+        coloring_hits, recolored = artifact.cache_delta.get(KIND_COLORING,
+                                                            (0, 0))
+        verify_hits, verified = artifact.cache_delta.get(KIND_VERIFY, (0, 0))
         span.set(incremental=artifact.incremental,
                  components=artifact.components,
-                 recolored=artifact.recolored,
-                 coloring_hits=artifact.coloring_hits,
-                 verified=artifact.verified,
-                 verify_hits=artifact.verify_hits,
+                 recolored=recolored,
+                 coloring_hits=coloring_hits,
+                 verified=verified,
+                 verify_hits=verify_hits,
                  success=artifact.success)
         return artifact
 
@@ -328,8 +330,9 @@ def run_pipeline(layout: Layout, tech: Technology,
             → re-verify → assign.
         tech: rule deck.
         config: pipeline knobs (graph kind, bipartization method,
-            set-cover solver, tile grid, workers, executor); defaults
-            to the untiled monolithic configuration.
+            set-cover solver, tile grid, workers, store directory,
+            tiled switch, executor); defaults to the untiled
+            monolithic configuration.
         cache: an :class:`~repro.cache.ArtifactCache` shared by
             every stage *and* across calls — pass the same store for a
             base and an edited run and only dirty tiles, windows, and
@@ -342,8 +345,10 @@ def run_pipeline(layout: Layout, tech: Technology,
     exercised — per-tile front ends (``frontend``), per-tile detection
     results (``tile``), stitch-cluster verdicts (``stitch``), window
     solutions (``window``), component colorings (``coloring``), and
-    verifier verdicts (``verify``) — with each stage's own hit/miss
-    delta recorded on its artifact.
+    verifier verdicts (``verify``) — and each stage records the store's
+    delta over its own work on its artifact (``cache_delta``).  Each
+    stage touches only its own kinds, so the deltas add up to the
+    store's counts for the run (``artifact_cache_counts()``).
 
     Determinism guarantee: the result is a pure function of
     ``(layout, tech, config)`` — identical conflicts, cuts, and phase

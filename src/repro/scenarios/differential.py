@@ -19,21 +19,24 @@ it legitimately differs between a monolithic pass and sixteen tile
 passes, and the equivalence contract was never about it.
 
 An invariant returns ``None`` (holds) or a failure detail string
-(diverged — the shrinker takes over).
+(diverged — the shrinker takes over).  An invariant whose flow raises
+fails too, with detail ``raised <Type>: <message>``, so one crashing
+scenario never ends a corpus run.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..cache import ArtifactCache
+from ..cache import KIND_TILE, ArtifactCache
 from ..core.flow import FlowResult, flow_result_from_pipeline, run_aapsm_flow
 from ..core.report import flow_result_dict
 from ..layout import Layout, Technology
-from ..obs import get_tracer
+from ..obs import get_logger, get_tracer
 from .strata import Scenario, scenario_id
 
 # Detection-report fields that are per-run work accounting, not domain
@@ -139,7 +142,7 @@ def _check_eco(ctx: DiffContext) -> Optional[str]:
         if report_key(warm) != report_key(ctx.tiled()):
             return ("warm replay != cold run (diverges in: "
                     f"{_first_divergence(warm, ctx.tiled())})")
-        hits, misses = warm.pipeline.cache_counts()
+        hits, misses = warm.pipeline.artifact_cache_counts()[KIND_TILE]
         if misses:
             return (f"warm replay recomputed {misses} tile(s) "
                     f"({hits} hits) — cache keys unstable")
@@ -317,14 +320,31 @@ class FuzzReport:
 # ----------------------------------------------------------------------
 # Runners
 # ----------------------------------------------------------------------
+def _check(name: str, ctx: DiffContext) -> Optional[str]:
+    """One invariant's verdict on a context: None holds, a string fails.
+
+    A flow that raises is a finding, not a crash of the fuzzer: the
+    exception becomes the failure detail ``raised <Type>: <message>``
+    (traceback logged at debug level), which the corpus report records
+    and the shrinker's predicate counts as a failure.
+    """
+    check = INVARIANTS[name]
+    try:
+        return check(ctx)
+    except Exception as exc:  # a raising flow fails the check
+        get_logger("scenarios").debug(
+            "fuzz.raised", invariant=name, scenario=ctx.scenario.name,
+            traceback=traceback.format_exc())
+        return f"raised {type(exc).__name__}: {exc}"
+
+
 def run_invariant(ctx: DiffContext, name: str) -> InvariantResult:
     """Run one named invariant against a prepared context."""
-    fn = INVARIANTS[name]
     tracer = get_tracer()
     start = time.perf_counter()
     with tracer.span("invariant", cat="fuzz", invariant=name,
                      scenario=ctx.scenario.name):
-        detail = fn(ctx)
+        detail = _check(name, ctx)
     status = "ok" if detail is None else "fail"
     tracer.count(f"fuzz.checks.{status}")
     return InvariantResult(name, status, time.perf_counter() - start,
@@ -391,4 +411,4 @@ def run_invariant_on_layout(name: str, layout: Layout,
         stratum="adhoc", layout=layout, tech=tech, tiles=tiles,
         invariants=tuple(INVARIANTS),
         sid=scenario_id(layout, tech, tiles))
-    return INVARIANTS[name](DiffContext(scenario))
+    return _check(name, DiffContext(scenario))

@@ -419,9 +419,8 @@ def splice_front_ends(layout: Layout,
 
 
 def tiled_front_end(layout: Layout, tech: Technology,
-                    tiles: Sequence,
-                    store: Optional[ArtifactCache] = None
-                    ) -> Tuple[ShifterSet, List[OverlapPair], int, int]:
+                    tiles: Sequence, store: ArtifactCache
+                    ) -> Tuple[ShifterSet, List[OverlapPair]]:
     """The chip front end via per-tile artifacts, cached when possible.
 
     Every tile's artifact is looked up first, and the path follows from
@@ -450,7 +449,10 @@ def tiled_front_end(layout: Layout, tech: Technology,
     :class:`SpliceError`.
 
     Every path returns the same bytes as the monolithic pass, and every
-    tile gets one ``frontend-tile`` span.
+    tile gets one ``frontend-tile`` span.  The store counts this call's
+    work under the ``frontend`` kind — one hit per replayed tile, one
+    miss per generated tile (read it with
+    :func:`repro.cache.cache_delta`).
 
     Args:
         layout: the chip layout the tiles were partitioned from.
@@ -458,39 +460,29 @@ def tiled_front_end(layout: Layout, tech: Technology,
         tiles: the partition's tiles (duck-typed: ``ix``, ``iy``,
             ``layout``, ``owner`` — e.g.
             :class:`repro.chip.partition.Tile`).
-        store: a unified artifact store; per-tile front ends are
-            content-addressed under the ``frontend`` kind.  None
-            recomputes every tile (still exactly equivalent, no reuse).
+        store: the unified artifact store; per-tile front ends are
+            content-addressed under the ``frontend`` kind.  A fresh
+            store makes this a cold revision.
 
     Returns:
-        ``(shifters, pairs, hits, misses)`` — the chip-global front
-        end, byte-identical to the monolithic pass, plus this call's
-        cache delta (``misses`` counts tiles whose front end was
-        generated by this call).
+        ``(shifters, pairs)`` — the chip-global front end,
+        byte-identical to the monolithic pass.
     """
     tracer = get_tracer()
-    keys: List[Optional[str]] = []
-    fronts: List[Optional[TileFrontEnd]] = []
-    for tile in tiles:
-        key = None
-        front: Optional[TileFrontEnd] = None
-        if store is not None:
-            key = frontend_cache_key(tile.layout, tile.owner, tech)
-            front = store.get(KIND_FRONTEND, key)
-        keys.append(key)
-        fronts.append(front)
+    keys = [frontend_cache_key(tile.layout, tile.owner, tech)
+            for tile in tiles]
+    fronts: List[Optional[TileFrontEnd]] = [
+        store.get(KIND_FRONTEND, key) for key in keys]
 
     chip: Optional[_FrontIndex] = None
     if all(front is None for front in fronts):
         shifters, pairs = _chip_wide_pass(layout, tech)
         chip = _FrontIndex(layout, shifters, pairs)
 
-    hits = misses = 0
     for i, tile in enumerate(tiles):
         with tracer.span("tile", cat="frontend-tile",
                          tile=[tile.ix, tile.iy]) as span:
             if fronts[i] is not None:
-                hits += 1
                 span.set(cached=True)
                 continue
             if chip is not None:
@@ -501,9 +493,7 @@ def tiled_front_end(layout: Layout, tech: Technology,
                                                tech, ix=tile.ix,
                                                iy=tile.iy)
             fronts[i] = front
-            misses += 1
-            if store is not None:
-                store.put(KIND_FRONTEND, keys[i], front)
+            store.put(KIND_FRONTEND, keys[i], front)
             span.set(cached=False)
     try:
         if chip is not None:
@@ -517,7 +507,7 @@ def tiled_front_end(layout: Layout, tech: Technology,
             error=str(exc))
         if chip is None:
             shifters, pairs = _chip_wide_pass(layout, tech)
-    return shifters, pairs, hits, misses
+    return shifters, pairs
 
 
 def _chip_wide_pass(layout: Layout, tech: Technology

@@ -16,6 +16,7 @@ from repro.cache import (
     MemoryBackend,
     SharedDirectoryBackend,
     StoreBackend,
+    cache_delta,
 )
 
 
@@ -68,6 +69,23 @@ class TestKindNamespacing:
         hits0, misses0 = before[KIND_WINDOW]
         hits1, misses1 = after[KIND_WINDOW]
         assert (hits1 - hits0, misses1 - misses0) == (1, 1)
+
+    def test_cache_delta_counts_only_the_block(self):
+        store = ArtifactCache()
+        store.put(KIND_WINDOW, "a", ())
+        store.get(KIND_WINDOW, "a")
+        store.get(KIND_TILE, "t")
+        with cache_delta(store) as delta:
+            assert delta == {}  # filled when the block exits
+            store.get(KIND_WINDOW, "a")
+            store.get(KIND_WINDOW, "b")
+            store.get(KIND_COLORING, "c")
+        # Work before the block is not counted, and a kind the block
+        # never asked for (tile) is absent.
+        assert delta == {KIND_WINDOW: (1, 1), KIND_COLORING: (0, 1)}
+        with cache_delta(None) as none:
+            store.get(KIND_WINDOW, "a")
+        assert none == {}
 
 
 class TestPersistence:
@@ -197,8 +215,8 @@ class TestStoreBackends:
         eco = run_eco_flow(base, edited, tech, config=cfg,
                            cache=ArtifactCache(backend=backend),
                            warm_base=False)
-        assert eco.result.detection.cache_hits == eco.plan.num_clean
-        assert eco.result.detection.stitch_misses \
-            == eco.plan.num_stitch_dirty
-        assert eco.result.correction.cache_misses == 0
+        detect = eco.result.detection.cache_delta
+        assert detect[KIND_TILE][0] == eco.plan.num_clean
+        assert detect[KIND_STITCH][1] == eco.plan.num_stitch_dirty
+        assert eco.result.correction.cache_delta[KIND_WINDOW][1] == 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import ArtifactCache
+from repro.cache import KIND_TILE, ArtifactCache
 from repro.chip import run_chip_flow, stitch_results
 from repro.conflict import detect_conflicts
 from repro.core import run_aapsm_flow
@@ -131,7 +131,7 @@ class TestChipFrontEnd:
         layout = standard_cell_layout(seed=21)
         chip = run_chip_flow(layout, tech, tiles=3)
         assert counted == {"chip": 1, "tile": 0}
-        assert chip.cache_misses == chip.num_tiles
+        assert chip.cache_delta[KIND_TILE] == (0, chip.num_tiles)
         assert_equivalent(layout, tech, 3)
 
     def test_given_front_end_is_not_regenerated(self, tech, counted):
@@ -151,8 +151,8 @@ class TestCachingBehaviour:
                              cache_dir=str(tmp_path))
         warm = run_chip_flow(layout, tech, tiles=2,
                              cache_dir=str(tmp_path))
-        assert cold.cache_hits == 0
-        assert warm.cache_hits == warm.num_tiles
+        assert cold.cache_delta[KIND_TILE][0] == 0
+        assert warm.cache_delta[KIND_TILE][0] == warm.num_tiles
         assert [c.key for c in cold.conflicts] == \
             [c.key for c in warm.conflicts]
 
@@ -161,7 +161,7 @@ class TestCachingBehaviour:
         cache = ArtifactCache()
         run_chip_flow(layout, tech, tiles=2, cache=cache)
         again = run_chip_flow(layout, tech, tiles=2, cache=cache)
-        assert again.cache_hits >= again.num_tiles
+        assert again.cache_delta[KIND_TILE][0] >= again.num_tiles
 
     def test_cache_results_keep_correct_ids_after_far_edit(self, tech):
         """Cached tiles survive an edit elsewhere on the chip and still

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench import build_design
 from repro.chip import (
     auto_tile_grid,
     default_halo,
@@ -98,3 +99,19 @@ class TestSizing:
         for i in range(9000):
             big.add_feature(Rect(i * 300, 0, i * 300 + 90, 900))
         assert auto_tile_grid(big)[0] >= 2
+
+    def test_auto_grid_gives_every_worker_a_tile(self, tech):
+        """A parallel run grows the automatic grid to a tile per
+        worker, as long as tiles keep two features each; the tiled
+        front-end stage partitions with that grid."""
+        from repro.pipeline import PipelineConfig, stage_front_end
+
+        d4 = build_design("D4")
+        assert auto_tile_grid(d4) == (1, 1)
+        assert auto_tile_grid(d4, jobs=2) == (2, 2)
+        assert auto_tile_grid(d4, jobs=8) == (3, 3)
+        three = layout_from_rects([Rect(i * 1000, 0, i * 1000 + 90, 900)
+                                   for i in range(3)])
+        assert auto_tile_grid(three, jobs=8) == (2, 2)
+        front = stage_front_end(d4, tech, PipelineConfig(tiled=True, jobs=2))
+        assert (front.grid.nx, front.grid.ny) == (2, 2)

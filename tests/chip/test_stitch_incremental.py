@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.bench import build_design
-from repro.cache import KIND_STITCH, ArtifactCache
+from repro.cache import KIND_STITCH, ArtifactCache, cache_delta
 from repro.chip import (
     StitchVerdict,
     arbitrate_clusters,
@@ -52,6 +52,12 @@ def tech() -> Technology:
 
 def cluster_ids(chip):
     return sorted(s.cluster_id for s in chip.cluster_stats)
+
+
+def stitch_counts(delta):
+    """(replayed, re-arbitrated) clusters: the ``stitch`` kind of a
+    store delta."""
+    return delta.get(KIND_STITCH, (0, 0))
 
 
 def canonical(pipe) -> str:
@@ -122,11 +128,13 @@ class TestVerdictCaching:
         cache = ArtifactCache()
         cold = run_chip_flow(layout, tech, tiles=3, cache=cache)
         warm = run_chip_flow(layout, tech, tiles=3, cache=cache)
+        cold_hits, cold_misses = stitch_counts(cold.cache_delta)
+        warm_hits, warm_misses = stitch_counts(warm.cache_delta)
         assert cold.clusters > 0
-        assert cold.stitch_hits == 0
-        assert cold.stitch_misses == cold.clusters
-        assert warm.stitch_misses == 0
-        assert warm.stitch_hits == warm.clusters == cold.clusters
+        assert cold_hits == 0
+        assert cold_misses == cold.clusters
+        assert warm_misses == 0
+        assert warm_hits == warm.clusters == cold.clusters
         assert [c.key for c in cold.conflicts] \
             == [c.key for c in warm.conflicts]
         assert warm.boundary_duplicates_dropped \
@@ -139,18 +147,31 @@ class TestVerdictCaching:
                              cache_dir=str(tmp_path))
         warm = run_chip_flow(layout, tech, tiles=3,
                              cache_dir=str(tmp_path))
-        assert warm.stitch_misses == 0
-        assert warm.stitch_hits == cold.clusters
+        warm_hits, warm_misses = stitch_counts(warm.cache_delta)
+        assert warm_misses == 0
+        assert warm_hits == cold.clusters
         assert [c.key for c in warm.conflicts] \
             == [c.key for c in cold.conflicts]
 
     def test_no_store_arbitrates_in_place(self, tech):
+        """A caller with no store of its own (``run_chip_flow`` without
+        ``cache``) stitches over a fresh one: every cluster is
+        arbitrated in place."""
         layout = standard_cell_layout(seed=22)
         grid = partition_layout(layout, tech, tiles=3)
-        results = [detect_tile(j) for j in make_jobs(grid.tiles, tech)]
-        survivors, stats = arbitrate_clusters(grid, results)
-        assert stats.cache_hits == 0
-        assert stats.cache_misses == stats.clusters
+        jobs = make_jobs(grid.tiles, tech)
+        from repro.chip import tile_cache_key
+
+        keys = [tile_cache_key(j) for j in jobs]
+        results = [detect_tile(j) for j in jobs]
+        store = ArtifactCache()
+        with cache_delta(store) as delta:
+            survivors, stats = arbitrate_clusters(grid, results, keys,
+                                                  store)
+        hits, misses = stitch_counts(delta)
+        assert hits == 0
+        assert misses == stats.clusters
+        assert not any(c.replayed for c in stats.cluster_stats)
         assert len(stats.cluster_stats) == stats.clusters
 
     def test_cached_verdict_strips_witness(self, tech):
@@ -192,11 +213,16 @@ class TestVerdictCaching:
             clusters[0].content_id,
             [keys[f] for f in clusters[0].flats])
         store.put(KIND_STITCH, poisoned, "not a verdict")
-        survivors, stats = arbitrate_clusters(grid, results,
-                                              tile_keys=keys,
-                                              store=store)
-        assert stats.cache_hits == 0   # garbage never replays
-        reference, _ = arbitrate_clusters(grid, results)
+        with cache_delta(store) as delta:
+            survivors, stats = arbitrate_clusters(grid, results,
+                                                  tile_keys=keys,
+                                                  store=store)
+        # Garbage never replays: the store counts the poisoned entry as
+        # a hit, but its cluster is re-arbitrated like every other.
+        assert not any(c.replayed for c in stats.cluster_stats)
+        assert stitch_counts(delta) == (1, stats.clusters - 1)
+        reference, _ = arbitrate_clusters(grid, results, keys,
+                                          ArtifactCache())
         assert [(c.a, c.b, c.weight) for c in survivors] \
             == [(c.a, c.b, c.weight) for c in reference]
 
@@ -222,8 +248,9 @@ class TestWarmEcoStitch:
         # The plan's dirty-cluster split is exactly the warm run's
         # stitch hit/miss delta for the detect pass.
         assert eco.plan.stitch_dirty is not None
-        assert r.detection.stitch_misses == eco.plan.num_stitch_dirty
-        assert r.detection.stitch_hits == eco.plan.num_stitch_clean
+        hits, misses = stitch_counts(r.detection.cache_delta)
+        assert misses == eco.plan.num_stitch_dirty
+        assert hits == eco.plan.num_stitch_clean
         # Zero clean-cluster re-arbitrations, cluster by cluster: a
         # verdict replayed exactly when no contributing tile is dirty.
         dirty_tiles = set(eco.plan.dirty)
@@ -256,10 +283,10 @@ class TestWarmEcoStitch:
         lay = build_design("D2")
         eco = run_eco_flow(lay, lay.copy(), tech,
                            config=PipelineConfig(tiles=3))
-        r = eco.result
-        assert r.detection.stitch_misses == 0
+        hits, misses = stitch_counts(eco.result.detection.cache_delta)
+        assert misses == 0
         assert eco.plan.num_stitch_dirty == 0
-        assert r.detection.stitch_hits == eco.plan.num_stitch_clean > 0
+        assert hits == eco.plan.num_stitch_clean > 0
 
     def test_plan_classification_matches_tile_dirtiness(self, tech):
         base = build_design("D3")

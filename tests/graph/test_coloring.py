@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import ArtifactCache
+from repro.cache import KIND_COLORING, ArtifactCache, cache_delta
 from repro.graph import (
     GeomGraph,
     ParityDSU,
     color_component,
+    decompose,
     is_bipartite,
     residual_conflicts,
     two_color,
@@ -264,8 +265,11 @@ class TestRecolorVsCold:
             cg, _s, _p = build_layout_conflict_graph(layout, tech)
             cold = two_color(cg.graph)
             store = ArtifactCache()
-            warm1, s1 = two_color_incremental(cg.graph, store)
-            warm2, s2 = two_color_incremental(cg.graph, store)
+            components = len(decompose(cg.graph))
+            with cache_delta(store) as d1:
+                warm1 = two_color_incremental(cg.graph, store)
+            with cache_delta(store) as d2:
+                warm2 = two_color_incremental(cg.graph, store)
             assert warm1 == cold and warm2 == cold
-            assert s1.recolored == s1.components
-            assert s2.reused == s2.components and s2.recolored == 0
+            assert d1[KIND_COLORING] == (0, components)  # all recolored
+            assert d2[KIND_COLORING] == (components, 0)  # all replayed

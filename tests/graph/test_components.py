@@ -1,6 +1,6 @@
 """Component decomposition, content ids, and incremental recoloring."""
 
-from repro.cache import KIND_COLORING, ArtifactCache
+from repro.cache import KIND_COLORING, ArtifactCache, cache_delta
 from repro.graph import (
     GeomGraph,
     decode_coloring,
@@ -9,6 +9,8 @@ from repro.graph import (
     two_color,
     two_color_incremental,
 )
+from repro.obs import Tracer, use_tracer
+from repro.obs.export import iter_spans
 
 
 def coord_graph(nodes, edges):
@@ -19,6 +21,14 @@ def coord_graph(nodes, edges):
     for u, v, w in edges:
         g.add_edge(u, v, weight=w)
     return g
+
+
+def recolor(graph, store):
+    """:func:`two_color_incremental` plus the store's ``coloring``-kind
+    ``(hits, misses)`` for the call: components replayed / recolored."""
+    with cache_delta(store) as delta:
+        colors = two_color_incremental(graph, store)
+    return colors, delta.get(KIND_COLORING, (0, 0))
 
 
 class TestDecompose:
@@ -95,11 +105,11 @@ class TestIncrementalRecolor:
             [(0, 1, 1), (1, 2, 1), (3, 4, 1)])
         store = ArtifactCache()
         cold = two_color(g)
-        warm1, s1 = two_color_incremental(g, store)
-        warm2, s2 = two_color_incremental(g, store)
+        warm1, (hits1, misses1) = recolor(g, store)
+        warm2, (hits2, misses2) = recolor(g, store)
         assert warm1 == cold == warm2
-        assert s1.recolored == s1.components == 3
-        assert s2.reused == s2.components and s2.recolored == 0
+        assert misses1 == len(decompose(g)) == 3 and hits1 == 0
+        assert hits2 == len(decompose(g)) and misses2 == 0
 
     def test_only_changed_component_recolors(self):
         nodes = [(i, (10 * i, 0)) for i in range(4)]
@@ -110,32 +120,37 @@ class TestIncrementalRecolor:
         b = coord_graph([(0, (0, 5)), (1, (10, 0)),
                          (2, (20, 0)), (3, (30, 0))],
                         [(0, 1, 1), (2, 3, 1)])
-        colors, stats = two_color_incremental(b, store)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            colors, counts = recolor(b, store)
         assert colors == two_color(b)
-        assert stats.recolored == 1 and stats.reused == 1
-        assert [c.nodes for c in stats.dirty] == [(0, 1)]
+        assert counts == (1, 1)  # one replayed, one recolored
+        recolored = {s.attrs["component"] for s, _ in iter_spans(tracer.roots)
+                     if s.attrs.get("op") == "recolor"}
+        assert [c.nodes for c in decompose(b)
+                if c.content_id[:12] in recolored] == [(0, 1)]
 
     def test_odd_component_fails_like_cold(self):
         g = coord_graph([(0, (0, 0)), (1, (10, 0)), (2, (20, 0)),
                          (3, (99, 99))],
                         [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
         store = ArtifactCache()
-        colors, stats = two_color_incremental(g, store)
+        colors = two_color_incremental(g, store)
         assert colors is None and two_color(g) is None
         # The verdict replays too — still None, no recoloring.
-        colors2, stats2 = two_color_incremental(g, store)
-        assert colors2 is None and stats2.recolored == 0
+        colors2, (_hits2, misses2) = recolor(g, store)
+        assert colors2 is None and misses2 == 0
 
     def test_self_loop_component_is_odd(self):
         g = coord_graph([(0, (0, 0))], [(0, 0, 1)])
-        colors, _stats = two_color_incremental(g, ArtifactCache())
+        colors = two_color_incremental(g, ArtifactCache())
         assert colors is None
 
     def test_persisted_store_replays_across_instances(self, tmp_path):
         g = coord_graph([(0, (0, 0)), (1, (10, 0))], [(0, 1, 1)])
         two_color_incremental(g, ArtifactCache(str(tmp_path)))
         fresh = ArtifactCache(str(tmp_path))
-        colors, stats = two_color_incremental(g, fresh)
+        colors, (hits, misses) = recolor(g, fresh)
         assert colors == two_color(g)
-        assert stats.reused == stats.components == 1
+        assert hits == len(decompose(g)) == 1 and misses == 0
         assert fresh.stats(KIND_COLORING).hits == 1

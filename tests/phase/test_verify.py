@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import build_design
-from repro.cache import KIND_COLORING, KIND_VERIFY, ArtifactCache
+from repro.cache import KIND_COLORING, KIND_VERIFY, ArtifactCache, cache_delta
 from repro.conflict import build_layout_conflict_graph
 from repro.core import run_aapsm_flow
 from repro.graph import decompose
@@ -83,24 +83,30 @@ class TestIncrementalDriver:
         cold_problems = verify_assignment(shifters, cold, tech,
                                           pairs=pairs)
         store = ArtifactCache()
-        warm1, p1, s1 = assign_and_verify_incremental(cg, tech, pairs,
-                                                      store)
-        warm2, p2, s2 = assign_and_verify_incremental(cg, tech, pairs,
-                                                      store)
+        with cache_delta(store) as d1:
+            warm1, p1, n1 = assign_and_verify_incremental(cg, tech, pairs,
+                                                          store)
+        with cache_delta(store) as d2:
+            warm2, p2, n2 = assign_and_verify_incremental(cg, tech, pairs,
+                                                          store)
         assert warm1.phases == cold.phases == warm2.phases
         assert sorted(p1) == sorted(cold_problems) == sorted(p2)
-        assert s1.chip_wide  # cold store: everything recolored
-        assert s2.coloring_hits == s2.components and s2.recolored == 0
-        assert s2.verify_hits == s2.components and s2.verified == 0
+        # Cold store: every component recolored and re-verified.
+        assert n1 > 0
+        assert d1 == {KIND_COLORING: (0, n1), KIND_VERIFY: (0, n1)}
+        # Warm store: every component replays both.
+        assert d2 == {KIND_COLORING: (n2, 0), KIND_VERIFY: (n2, 0)}
 
     def test_non_bipartite_returns_none(self, tech):
         cg, _s, pairs = build_layout_conflict_graph(build_design("D1"),
                                                     tech)
         assert assign_phases(cg) is None
-        assignment, problems, stats = assign_and_verify_incremental(
-            cg, tech, pairs, ArtifactCache())
+        store = ArtifactCache()
+        with cache_delta(store) as delta:
+            assignment, problems, _n = assign_and_verify_incremental(
+                cg, tech, pairs, store)
         assert assignment is None and problems == []
-        assert stats.verified == 0  # nothing to verify without phases
+        assert KIND_VERIFY not in delta  # nothing to verify without phases
 
     def test_phases_are_0_and_180(self, tech):
         cg, _s, pairs = build_layout_conflict_graph(grating_layout(3),
@@ -113,10 +119,10 @@ class TestIncrementalDriver:
         cg, _s, pairs = build_layout_conflict_graph(grating_layout(4),
                                                     tech)
         store = ArtifactCache()
-        _a, _p, stats = assign_and_verify_incremental(cg, tech, pairs,
-                                                      store)
-        assert store.stats(KIND_COLORING).misses == stats.components
-        assert store.stats(KIND_VERIFY).misses == stats.components
+        _a, _p, components = assign_and_verify_incremental(cg, tech, pairs,
+                                                           store)
+        assert store.stats(KIND_COLORING).misses == components
+        assert store.stats(KIND_VERIFY).misses == components
 
 
 class TestVerifyKey:

@@ -12,7 +12,15 @@ import json
 import pytest
 
 from repro.bench import build_design
-from repro.cache import ArtifactCache
+from repro.cache import (
+    KIND_COLORING,
+    KIND_FRONTEND,
+    KIND_STITCH,
+    KIND_TILE,
+    KIND_VERIFY,
+    KIND_WINDOW,
+    ArtifactCache,
+)
 from repro.core import flow_result_dict, flow_result_from_pipeline
 from repro.geometry import Rect
 from repro.layout import Layout, layout_from_rects
@@ -31,6 +39,11 @@ from repro.pipeline import (
 # The >= 3 benchmark layouts of the ECO equivalence obligation, with
 # grids coarse enough that the edit leaves clean tiles.
 ECO_CASES = [("D1", 2), ("D2", 3), ("D3", 4)]
+
+
+def counts(artifact, kind):
+    """(hits, misses) of one kind in an artifact's store delta."""
+    return artifact.cache_delta.get(kind, (0, 0))
 
 
 def canonical(pipe) -> str:
@@ -140,15 +153,15 @@ class TestEcoEquivalence:
         assert canonical(eco.result) == canonical(cold)
 
         # Only the dirty tiles recomputed in the detect pass...
-        assert eco.result.detection.cache_misses == eco.plan.num_dirty
-        assert eco.result.detection.cache_hits == eco.plan.num_clean
+        assert counts(eco.result.detection, KIND_TILE) \
+            == (eco.plan.num_clean, eco.plan.num_dirty)
         # ...and only the corrected-layout dirty tiles in the verify
         # pass (the conflict-neutral edit keeps the cut set, so clean
         # tiles of the corrected layout are base-run cache hits too).
         post_plan = plan_eco(eco.base.corrected_layout,
                              eco.result.corrected_layout, tech,
                              tiles=tiles)
-        assert (eco.result.verification.cache_misses
+        assert (counts(eco.result.verification, KIND_TILE)[1]
                 == post_plan.num_dirty)
 
     def test_clean_tiles_exist_on_biggest_case(self, tech):
@@ -169,7 +182,8 @@ class TestEcoEquivalence:
                            config=PipelineConfig(tiles=2),
                            cache=cache, warm_base=False)
         assert eco.base is None
-        assert eco.result.detection.cache_misses == eco.plan.num_dirty
+        assert counts(eco.result.detection, KIND_TILE)[1] \
+            == eco.plan.num_dirty
 
 
 class TestSpeedupHardening:
@@ -233,11 +247,11 @@ class TestWarmPathIncremental:
                            config=PipelineConfig(tiles=tiles))
         r = eco.result
         assert r.phase.incremental
-        assert r.phase.recolored == 0 and r.phase.verified == 0
-        assert r.phase.coloring_hits == r.phase.components > 0
-        assert r.correction.cache_misses == 0
-        assert (r.correction.cache_hits
-                == r.correction.report.num_windows)
+        assert counts(r.phase, KIND_COLORING)[1] == 0
+        assert counts(r.phase, KIND_VERIFY)[1] == 0
+        assert counts(r.phase, KIND_COLORING)[0] == r.phase.components > 0
+        assert counts(r.correction, KIND_WINDOW) \
+            == (r.correction.report.num_windows, 0)
 
     @pytest.mark.parametrize("name,tiles", ECO_CASES)
     def test_shifter_moving_edit_recolors_one_component(
@@ -250,23 +264,32 @@ class TestWarmPathIncremental:
                            config=PipelineConfig(tiles=tiles))
         r = eco.result
         assert canonical(r) == canonical(cold)
-        assert r.phase.recolored == 1 and r.phase.verified == 1
-        assert r.phase.coloring_hits == r.phase.components - 1
-        assert r.phase.verify_hits == r.phase.components - 1
-        assert r.correction.cache_misses == 0
+        one_dirty = (r.phase.components - 1, 1)
+        assert counts(r.phase, KIND_COLORING) == one_dirty
+        assert counts(r.phase, KIND_VERIFY) == one_dirty
+        assert counts(r.correction, KIND_WINDOW)[1] == 0
 
     def test_artifact_cache_counts_view(self, tech):
         base = build_design("D1")
         edited, _ = propose_eco_edit(base, tech)
         eco = run_eco_flow(base, edited, tech,
                            config=PipelineConfig(tiles=2))
-        counts = eco.result.artifact_cache_counts()
-        assert set(counts) == {"frontend", "tile", "stitch", "window",
+        r = eco.result
+        totals = r.artifact_cache_counts()
+        assert set(totals) == {"frontend", "tile", "stitch", "window",
                                "coloring", "verify"}
-        assert counts["tile"] == eco.result.cache_counts()
-        assert counts["frontend"] == eco.result.frontend_cache_counts()
-        assert counts["stitch"] == eco.result.stitch_cache_counts()
-        assert counts["window"][1] == 0  # no window re-solves when warm
+
+        def both_passes(first, second, kind):
+            return tuple(a + b for a, b in zip(counts(first, kind),
+                                                counts(second, kind)))
+
+        assert totals["tile"] == both_passes(r.detection, r.verification,
+                                             KIND_TILE)
+        assert totals["frontend"] == both_passes(
+            r.front, r.verification.front, KIND_FRONTEND)
+        assert totals["stitch"] == both_passes(r.detection, r.verification,
+                                               KIND_STITCH)
+        assert totals["window"][1] == 0  # no window re-solves when warm
 
     def test_summary_reports_incremental_stages(self, tech):
         base = build_design("D1")
@@ -312,17 +335,15 @@ class TestWarmPathIncremental:
                            config=PipelineConfig(tiles=tiles))
         r = eco.result
         assert r.front.tiled
-        assert r.front.cache_misses == eco.plan.num_dirty
-        assert r.front.cache_hits == eco.plan.num_clean
+        assert counts(r.front, KIND_FRONTEND) \
+            == (eco.plan.num_clean, eco.plan.num_dirty)
         # The verify pass re-fronts the corrected layout; its clean
         # tiles were cached by the base run's verify pass.
         if not r.verification.front_reused:
             post_plan = plan_eco(eco.base.corrected_layout,
                                  r.corrected_layout, tech, tiles=tiles)
-            assert (r.verification.front.cache_misses
-                    == post_plan.num_dirty)
-            assert (r.verification.front.cache_hits
-                    == post_plan.num_clean)
+            assert (counts(r.verification.front, KIND_FRONTEND)
+                    == (post_plan.num_clean, post_plan.num_dirty))
 
     def test_unchanged_relayout_regenerates_nothing(self, tech):
         """Re-running an untouched layout replays every tile front end
@@ -331,9 +352,8 @@ class TestWarmPathIncremental:
         eco = run_eco_flow(lay, lay.copy(), tech,
                            config=PipelineConfig(tiles=3))
         r = eco.result
-        assert r.front.cache_misses == 0
-        assert r.front.cache_hits == eco.plan.num_tiles
-        assert r.verification.front.cache_misses == 0
+        assert counts(r.front, KIND_FRONTEND) == (eco.plan.num_tiles, 0)
+        assert counts(r.verification.front, KIND_FRONTEND)[1] == 0
 
     def test_persistent_store_across_processes_shape(self, tech,
                                                      tmp_path):
@@ -348,6 +368,6 @@ class TestWarmPathIncremental:
                            cache=ArtifactCache(str(tmp_path)),
                            warm_base=False)
         r = eco.result
-        assert r.detection.cache_hits == eco.plan.num_clean
-        assert r.phase.recolored == 0
-        assert r.correction.cache_misses == 0
+        assert counts(r.detection, KIND_TILE)[0] == eco.plan.num_clean
+        assert counts(r.phase, KIND_COLORING)[1] == 0
+        assert counts(r.correction, KIND_WINDOW)[1] == 0

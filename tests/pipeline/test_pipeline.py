@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import ArtifactCache
+from repro.cache import KIND_FRONTEND, KIND_TILE, ArtifactCache
 from repro.conflict import layout_front_end
 from repro.core import run_aapsm_flow
 from repro.layout import (
@@ -111,16 +111,16 @@ class TestTiledFrontEnd:
         store = ArtifactCache()
         cfg = PipelineConfig(tiles=2)
         cold = stage_front_end(lay, tech, cfg, cache=store)
-        assert cold.cache_misses == 4 and cold.cache_hits == 0
+        assert cold.cache_delta[KIND_FRONTEND] == (0, 4)  # (hits, misses)
         warm = stage_front_end(lay, tech, cfg, cache=store)
-        assert warm.cache_misses == 0 and warm.cache_hits == 4
+        assert warm.cache_delta[KIND_FRONTEND] == (4, 0)
         assert warm.pairs == cold.pairs
 
     def test_untiled_config_stays_monolithic(self, tech):
         front = stage_front_end(figure1_layout(), tech,
                                 PipelineConfig())
         assert not front.tiled and front.grid is None
-        assert front.cache_hits == front.cache_misses == 0
+        assert front.cache_delta == {}
 
     def test_duplicate_rect_layout_takes_tiled_route(self, tech):
         """A cold revision with duplicate rects needs no splice: its
@@ -175,7 +175,7 @@ class TestTiledFrontEnd:
         tracer = Tracer()
         warm, text = traced_and_logged(
             tracer, lambda: stage_front_end(lay, tech, cfg, cache=store))
-        assert warm.tiled and warm.cache_misses == 0
+        assert warm.tiled and warm.cache_delta[KIND_FRONTEND][1] == 0
         assert tracer.metrics.counter(
             "frontend.monolithic_fallbacks").value == 1
         assert "frontend.monolithic_fallback" in text
@@ -185,7 +185,6 @@ class TestTiledFrontEnd:
     def test_foreign_artifact_recovers(self, tech):
         """A foreign artifact planted under a tile's key fails the
         splice; the stage recovers the same way."""
-        from repro.cache import KIND_FRONTEND
         from repro.chip import partition_layout
         from repro.obs import Tracer
         from repro.shifters import compute_tile_front_end, \
@@ -205,7 +204,7 @@ class TestTiledFrontEnd:
         front, text = traced_and_logged(
             tracer, lambda: stage_front_end(
                 lay, tech, PipelineConfig(tiles=2), cache=store))
-        assert front.tiled and front.cache_hits == 1
+        assert front.tiled and front.cache_delta[KIND_FRONTEND][0] == 1
         assert tracer.metrics.counter(
             "frontend.monolithic_fallbacks").value == 1
         assert "stale artifact" in text
@@ -217,7 +216,7 @@ class TestTiledFrontEnd:
         front = stage_front_end(Layout(), tech, PipelineConfig(tiles=2))
         assert front.tiled and front.grid.num_tiles == 0
         assert len(front.shifters) == 0 and front.pairs == []
-        assert front.cache_hits == front.cache_misses == 0
+        assert front.cache_delta.get(KIND_FRONTEND, (0, 0)) == (0, 0)
 
     def test_clean_tiled_run_does_not_count_fallback(self, tech):
         from repro.obs import Tracer, use_tracer
@@ -240,7 +239,7 @@ class TestTiledFrontEnd:
         assert result.front.tiled
         assert (result.detection.chip.nx,
                 result.detection.chip.ny) == (2, 3)
-        hits, misses = result.frontend_cache_counts()
+        hits, misses = result.artifact_cache_counts()[KIND_FRONTEND]
         assert hits + misses > 0
         assert result.front.grid is None
         assert result.verification.front.grid is None
@@ -293,11 +292,9 @@ class TestTiledPipeline:
                                    seed=33)
         result = run_pipeline(lay, tech, PipelineConfig(tiles=3),
                               cache=ArtifactCache())
-        assert result.detection.cache_misses == 9
-        assert result.detection.cache_hits == 0
+        assert result.detection.cache_delta[KIND_TILE] == (0, 9)
         # Per-pass deltas, not cumulative cache counters.
-        assert (result.verification.cache_hits
-                + result.verification.cache_misses) == 9
+        assert sum(result.verification.cache_delta[KIND_TILE]) == 9
 
     def test_incremental_flag_forces_tiling(self, tech):
         result = run_aapsm_flow(grating_layout(6), tech,

@@ -11,8 +11,17 @@ file as the fuzzer finds them.
 
 import hashlib
 
+import pytest
+
 from repro.core.flow import run_aapsm_flow
-from repro.scenarios import build_scenario, report_key, run_invariant_on_layout
+from repro.layout import layout_from_rects
+from repro.scenarios import (
+    build_scenario,
+    report_key,
+    run_invariant_on_layout,
+    run_scenario,
+    shrink_scenario_failure,
+)
 
 from ..oracles import cover_oracle_divergence
 
@@ -74,3 +83,26 @@ class TestPromotedScenarios:
         assert r.detection.num_conflicts == 14
         assert hashlib.sha256(report_key(r).encode()).hexdigest() \
             == DUPLICATE_1024_REPORT
+
+    def test_raising_flow_is_a_recorded_failure(self):
+        """Seed 1022's coincident shifter nodes still break the
+        bipartization invariant inside the flow.  The fuzzer records
+        every check whose flow raises as a failure naming the
+        exception, instead of dying."""
+        result = run_scenario(build_scenario("duplicate", 1022))
+        assert not result.ok
+        assert result.failures
+        for failure in result.failures:
+            assert failure.detail.startswith(
+                "raised AssertionError: bipartization invariant violated")
+
+    def test_raising_flow_shrinks_to_a_raising_repro(self):
+        """The shrinker's predicate counts a raise as a failure, so a
+        small budget already yields a smaller layout that raises."""
+        s = build_scenario("duplicate", 1022)
+        outcome = shrink_scenario_failure(s, "oracle", max_runs=30)
+        assert outcome is not None
+        assert len(outcome.rects) < outcome.original_rects
+        with pytest.raises(AssertionError,
+                           match="bipartization invariant violated"):
+            run_aapsm_flow(layout_from_rects(outcome.rects), s.tech)

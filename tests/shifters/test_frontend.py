@@ -11,12 +11,13 @@ feature on the chip invalidates nothing.
 import pytest
 
 from repro.bench import build_design
-from repro.cache import KIND_FRONTEND, ArtifactCache
+from repro.cache import KIND_FRONTEND, ArtifactCache, cache_delta
 from repro.chip.partition import partition_layout
 from repro.conflict import layout_front_end
 from repro.geometry import Rect
 from repro.layout import Layout, layout_from_rects
 from repro.obs import Tracer, use_tracer
+from repro.pipeline import PipelineConfig, stage_front_end
 from repro.scenarios.strata import build_scenario, stratum_names
 from repro.shifters import (
     FrontFeature,
@@ -47,6 +48,14 @@ def assert_front_ends_equal(got, expected):
     assert got_p == exp_p
 
 
+def counted_front_end(lay, tech, tiles, store):
+    """:func:`tiled_front_end` plus the store's ``frontend``-kind
+    ``(hits, misses)`` for the call."""
+    with cache_delta(store) as delta:
+        shifters, pairs = tiled_front_end(lay, tech, tiles, store)
+    return (shifters, pairs, *delta.get(KIND_FRONTEND, (0, 0)))
+
+
 def permuted(layout: Layout) -> Layout:
     """The same geometry with every feature index renumbered."""
     out = Layout(name=f"{layout.name}-permuted")
@@ -60,7 +69,8 @@ class TestEquivalence:
     def test_spliced_equals_monolithic(self, tech, name, tiles):
         lay = build_design(name)
         grid = partition_layout(lay, tech, tiles=tiles)
-        s, p, hits, misses = tiled_front_end(lay, tech, grid.tiles)
+        s, p, hits, misses = counted_front_end(lay, tech, grid.tiles,
+                                               ArtifactCache())
         assert (hits, misses) == (0, grid.num_tiles)
         assert_front_ends_equal((s, p), layout_front_end(lay, tech))
 
@@ -68,8 +78,8 @@ class TestEquivalence:
         lay = build_design("D2")
         grid = partition_layout(lay, tech, tiles=3)
         store = ArtifactCache()
-        cold = tiled_front_end(lay, tech, grid.tiles, store)
-        warm = tiled_front_end(lay, tech, grid.tiles, store)
+        cold = counted_front_end(lay, tech, grid.tiles, store)
+        warm = counted_front_end(lay, tech, grid.tiles, store)
         assert warm[2:] == (grid.num_tiles, 0)  # all hits, no misses
         assert_front_ends_equal(warm[:2], cold[:2])
         assert_front_ends_equal(warm[:2], layout_front_end(lay, tech))
@@ -77,7 +87,7 @@ class TestEquivalence:
     def test_empty_layout(self, tech):
         lay = layout_from_rects([Rect(0, 0, 90, 1000)])
         grid = partition_layout(lay, tech, tiles=2)
-        s, p, _, _ = tiled_front_end(lay, tech, grid.tiles)
+        s, p = tiled_front_end(lay, tech, grid.tiles, ArtifactCache())
         assert_front_ends_equal((s, p), layout_front_end(lay, tech))
 
 
@@ -93,8 +103,8 @@ class TestColdChipWidePass:
             lay, tech = scenario.layout, scenario.tech
             grid = partition_layout(lay, tech, tiles=n)
             store = ArtifactCache()
-            s, p, hits, misses = tiled_front_end(lay, tech, grid.tiles,
-                                                 store)
+            s, p, hits, misses = counted_front_end(lay, tech, grid.tiles,
+                                                   store)
             assert (hits, misses) == (0, grid.num_tiles)
             assert_front_ends_equal((s, p), layout_front_end(lay, tech))
             for t in grid.tiles:
@@ -133,8 +143,8 @@ class TestColdChipWidePass:
             r = edited.features[k]
             edited.features[k] = Rect(r.x1, r.y1, r.x2, r.y2 + 2)
             regrid = partition_layout(edited, tech, tiles=3)
-            s, p, hits, misses = tiled_front_end(edited, tech,
-                                                 regrid.tiles, store)
+            s, p, hits, misses = counted_front_end(edited, tech,
+                                                   regrid.tiles, store)
         assert passes.value == 1
         assert 0 < misses < regrid.num_tiles
         assert hits + misses == regrid.num_tiles
@@ -142,13 +152,15 @@ class TestColdChipWidePass:
         assert_front_ends_equal((s, p), layout_front_end(edited, tech))
 
     def test_store_less_call_is_cold(self, tech):
+        """The tiled stage called without a store runs over a fresh
+        one: a cold revision, one chip-wide pass, every tile a miss."""
         tracer = Tracer()
         lay = build_design("D1")
-        grid = partition_layout(lay, tech, tiles=2)
         with use_tracer(tracer):
-            tiled_front_end(lay, tech, grid.tiles)
+            front = stage_front_end(lay, tech, PipelineConfig(tiles=2))
         assert tracer.metrics.counter(
             "frontend.chip_wide_passes").value == 1
+        assert front.cache_delta == {KIND_FRONTEND: (0, 4)}
 
     def test_doubly_owned_feature_rejected(self, tech):
         """The splice's exactly-one-owner check holds on the cold path
@@ -162,7 +174,7 @@ class TestColdChipWidePass:
                  for i in range(2)]
         tracer = Tracer()
         with use_tracer(tracer):
-            s, p, _, _ = tiled_front_end(lay, tech, tiles)
+            s, p = tiled_front_end(lay, tech, tiles, ArtifactCache())
         count = tracer.metrics.counter
         assert count("frontend.monolithic_fallbacks").value == 1
         assert count("frontend.chip_wide_passes").value == 1
@@ -256,8 +268,8 @@ class TestCacheKey:
         tiled_front_end(lay, tech, grid.tiles, store)
 
         regrid = partition_layout(relay, tech, tiles=3)
-        s, p, hits, misses = tiled_front_end(relay, tech, regrid.tiles,
-                                             store)
+        s, p, hits, misses = counted_front_end(relay, tech, regrid.tiles,
+                                               store)
         assert (hits, misses) == (grid.num_tiles, 0)
         assert_front_ends_equal((s, p), layout_front_end(relay, tech))
 
@@ -267,8 +279,8 @@ class TestCacheKey:
         tiled_front_end(lay, tech, grid.tiles,
                         ArtifactCache(str(tmp_path)))
         fresh = ArtifactCache(str(tmp_path))
-        s, p, hits, misses = tiled_front_end(lay, tech, grid.tiles,
-                                             fresh)
+        s, p, hits, misses = counted_front_end(lay, tech, grid.tiles,
+                                               fresh)
         assert (hits, misses) == (grid.num_tiles, 0)
         assert fresh.stats(KIND_FRONTEND).hits == grid.num_tiles
         assert_front_ends_equal((s, p), layout_front_end(lay, tech))

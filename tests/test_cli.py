@@ -387,6 +387,18 @@ class TestFuzz:
         checks = data["scenarios"][0]["checks"]
         assert [c["name"] for c in checks] == ["oracle"]
 
+    def test_fuzz_raising_flow_still_reports_json(self, capsys):
+        """A scenario whose flow raises is a recorded failure: exit 1,
+        and --json still prints the corpus report."""
+        import json as json_mod
+
+        assert main(["fuzz", "--strata", "duplicate", "--count", "1",
+                     "--seed", "1022", "--json", "--no-shrink"]) == 1
+        data = json_mod.loads(capsys.readouterr().out)
+        assert data["summary"]["fail"] >= 1
+        details = [c["detail"] for c in data["scenarios"][0]["checks"]]
+        assert any(d.startswith("raised AssertionError") for d in details)
+
     def test_fuzz_unknown_stratum_exits_2(self, capsys):
         assert main(["fuzz", "--strata", "bogus"]) == 2
         err = capsys.readouterr().err
