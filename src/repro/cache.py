@@ -30,7 +30,7 @@ window    a conflict window's solved cut choice (local line indices);
           (:func:`repro.correction.windows.window_solution_key`).
 coloring  a conflict-graph component's canonical 2-coloring; key is
           the component's content id
-          (:func:`repro.graph.components.component_content_id`).
+          (:func:`repro.graph.components.decompose`).
 verify    the geometric verifier's verdict for one component's
           shifters; key is the component content id plus rule deck
           (:func:`repro.phase.incremental.verify_key`).

@@ -24,20 +24,26 @@ import hashlib
 from ..layout import tech_fingerprint
 from .executor import TileJob
 
-# Bump when TileResult/CanonicalConflict shape changes so stale
-# directories self-invalidate instead of unpickling garbage.
-CACHE_FORMAT = 4
+# Bump when TileResult/CanonicalConflict shape or the key encoding
+# changes so stale directories self-invalidate instead of unpickling
+# garbage.  Format 5: the captured geometry enters as the tile's
+# sorted-rect digest (:attr:`TileJob.digest`).
+CACHE_FORMAT = 5
 
 
 def tile_cache_key(job: TileJob) -> str:
-    """Stable hex digest of everything a tile result depends on."""
+    """Stable hex digest of everything a tile result depends on.
+
+    The captured geometry enters as the job's order-free rect digest
+    (:attr:`~repro.chip.executor.TileJob.digest`, computed once per
+    tile by the partition and shared with the tile's ``frontend``
+    key), so the key is independent of feature numbering.
+    """
     h = hashlib.sha256()
     h.update(f"format:{CACHE_FORMAT}".encode())
     h.update(tech_fingerprint(job.tech))
     h.update(f"kind:{job.kind};method:{job.method}".encode())
     h.update(f"owner:{job.owner}".encode())
-    for rect in sorted((r.x1, r.y1, r.x2, r.y2)
-                       for r in job.layout.features):
-        h.update(repr(rect).encode())
+    h.update(f"geometry:{job.digest}".encode())
     return h.hexdigest()
 

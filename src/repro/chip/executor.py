@@ -50,6 +50,10 @@ class TileJob:
     :class:`~repro.shifters.frontend.FrontEndSlicer`) — or None, and
     :func:`detect_tile` regenerates.  It is derived from the job's own
     geometry, so it is neither compared nor part of the cache key.
+
+    ``digest`` is the tile's order-free digest of ``layout``'s rects
+    (:attr:`~repro.chip.partition.Tile.digest`); the cache key hashes
+    it in place of the rects.
     """
 
     ix: int
@@ -57,6 +61,7 @@ class TileJob:
     layout: Layout
     owner: Bounds
     tech: Technology
+    digest: str
     kind: str = PCG
     method: str = METHOD_GADGET
     feature_ids: Tuple[int, ...] = ()
@@ -345,6 +350,6 @@ def make_jobs(tiles: Sequence[Tile], tech: Technology,
               method: str = METHOD_GADGET) -> List[TileJob]:
     """Freeze a tile grid into picklable work units."""
     return [TileJob(ix=t.ix, iy=t.iy, layout=t.layout, owner=t.owner,
-                    tech=tech, kind=kind, method=method,
+                    tech=tech, digest=t.digest, kind=kind, method=method,
                     feature_ids=tuple(t.feature_ids))
             for t in tiles]

@@ -26,10 +26,12 @@ canonical conflict keys rely on.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
+from ..geometry.rect import rect_columns
 from ..layout import Layout, Technology
 
 # Owner-region sentinel: far outside any plausible chip coordinate.
@@ -84,6 +86,10 @@ class Tile:
             regions of a grid tile the entire plane.
         bounds: feature-capture window (core inflated by the halo).
         layout: sub-layout of captured features, absolute coordinates.
+        digest: order-free digest of the captured rects — sha256 of
+            ``layout.features`` sorted by ``(x1, y1, x2, y2)``, as
+            little-endian int64 rows — the geometry input of both of
+            the tile's cache keys.
         feature_ids: tile-local feature index -> chip feature index.
     """
 
@@ -93,6 +99,7 @@ class Tile:
     owner: Bounds
     bounds: Bounds
     layout: Layout
+    digest: str
     feature_ids: List[int] = field(default_factory=list)
 
     @property
@@ -191,6 +198,13 @@ def partition_layout(layout: Layout, tech: Technology,
     the tiled == monolithic equivalence is argued for; the halo is not
     a parameter.  An empty layout gives a grid with no tiles.
 
+    The cut is column passes over the layout's int64 rect columns: the
+    bbox is their min/max, each feature's span of touched tile columns
+    and rows is a :func:`numpy.searchsorted` against the cut lines, and
+    the per-tile feature lists and geometry digests come out of one
+    stable sort of the (tile, feature) memberships.  Each tile's
+    features keep chip order.
+
     Args:
         layout: the chip layout (only the poly layer is partitioned).
         tech: rule deck; sizes the halo.
@@ -202,17 +216,46 @@ def partition_layout(layout: Layout, tech: Technology,
     nx, ny = spec
     halo = default_halo(tech)
 
-    box = layout.bbox()
-    if box is None:
+    feats = layout.features
+    if not feats:
         return TileGrid(nx=nx, ny=ny, halo=halo, bbox=None, tiles=[])
 
-    xs = _boundaries(box.x1, box.x2, nx)
-    ys = _boundaries(box.y1, box.y2, ny)
-    grid = TileGrid(nx=nx, ny=ny, halo=halo,
-                    bbox=(box.x1, box.y1, box.x2, box.y2),
-                    xs=xs, ys=ys)
+    import numpy as np
+
+    x1, y1, x2, y2 = rect_columns(feats)
+    box = (int(x1.min()), int(y1.min()), int(x2.max()), int(y2.max()))
+    xs = _boundaries(box[0], box[2], nx)
+    ys = _boundaries(box[1], box[3], ny)
+
+    # Route every rect to the span of tiles whose capture window it
+    # touches, then list the (tile, feature) memberships tile by tile.
+    # Within a tile, features are ordered by their chip rank in
+    # (x1, y1, x2, y2) order for the digest, and by chip index for the
+    # sub-layout.
+    ix_lo, ix_hi = _spans(np, xs, x1 - halo, x2 + halo)
+    iy_lo, iy_hi = _spans(np, ys, y1 - halo, y2 + halo)
+    width = np.maximum(ix_hi - ix_lo + 1, 0)
+    per = width * np.maximum(iy_hi - iy_lo + 1, 0)
+    fid = np.repeat(np.arange(len(feats), dtype=np.int64), per)
+    k = np.arange(len(fid), dtype=np.int64) - np.repeat(
+        np.cumsum(per) - per, per)
+    width = np.repeat(width, per)
+    flat = ((np.repeat(iy_lo, per) + k // width) * nx
+            + np.repeat(ix_lo, per) + k % width)
+    by_tile = fid[np.argsort(flat, kind="stable")]
+    rank = np.empty(len(feats), dtype=np.int64)
+    rank[np.lexsort((y2, x2, y1, x1))] = np.arange(len(feats),
+                                                    dtype=np.int64)
+    by_rank = fid[np.lexsort((rank[fid], flat))]
+    rows = np.stack((x1, y1, x2, y2), axis=1).astype("<i8")
+    ends = np.cumsum(np.bincount(flat, minlength=nx * ny)).tolist()
+
+    grid = TileGrid(nx=nx, ny=ny, halo=halo, bbox=box, xs=xs, ys=ys)
+    start = 0
     for iy in range(ny):
         for ix in range(nx):
+            end = ends[iy * nx + ix]
+            ids = by_tile[start:end].tolist()
             core = (xs[ix], ys[iy], xs[ix + 1], ys[iy + 1])
             owner = (
                 -OPEN if ix == 0 else core[0],
@@ -222,31 +265,23 @@ def partition_layout(layout: Layout, tech: Technology,
             )
             bounds = (core[0] - halo, core[1] - halo,
                       core[2] + halo, core[3] + halo)
+            sub = Layout(name=f"{layout.name}[{ix},{iy}]")
+            sub.add_features(map(feats.__getitem__, ids))
             grid.tiles.append(Tile(
                 ix=ix, iy=iy, core=core, owner=owner, bounds=bounds,
-                layout=Layout(name=f"{layout.name}[{ix},{iy}]")))
-
-    # Single feature scan: route each rect to every tile whose capture
-    # window it touches.  Grid arithmetic instead of per-tile tests
-    # keeps this O(features x touched tiles).
-    for gi, rect in enumerate(layout.features):
-        ix_lo = _span_lo(xs, rect.x1 - halo)
-        ix_hi = _span_hi(xs, rect.x2 + halo, nx)
-        iy_lo = _span_lo(ys, rect.y1 - halo)
-        iy_hi = _span_hi(ys, rect.y2 + halo, ny)
-        for iy in range(iy_lo, iy_hi + 1):
-            for ix in range(ix_lo, ix_hi + 1):
-                tile = grid.tile_at(ix, iy)
-                tile.layout.add_feature(rect)
-                tile.feature_ids.append(gi)
+                layout=sub,
+                digest=hashlib.sha256(
+                    rows[by_rank[start:end]].tobytes()).hexdigest(),
+                feature_ids=ids))
+            start = end
     return grid
 
 
-def _span_lo(cuts: List[int], lo: int) -> int:
-    """First column whose closed capture span reaches down to ``lo``."""
-    return max(0, bisect_left(cuts, lo) - 1)
-
-
-def _span_hi(cuts: List[int], hi: int, n: int) -> int:
-    """Last column whose closed capture span reaches up to ``hi``."""
-    return min(n - 1, max(0, bisect_right(cuts, hi) - 1))
+def _spans(np, cuts: List[int], lo, hi):
+    """First and last grid column (or row) whose closed capture span
+    reaches each ``[lo, hi]`` interval, clamped to the grid."""
+    edges = np.asarray(cuts, dtype=np.int64)
+    last = len(cuts) - 2
+    first = np.maximum(np.searchsorted(edges, lo, side="left") - 1, 0)
+    final = np.clip(np.searchsorted(edges, hi, side="right") - 1, 0, last)
+    return first, final

@@ -54,6 +54,7 @@ structure more than once; they report work done, not chip-graph sizes.
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence, Tuple
@@ -69,6 +70,8 @@ from .partition import TileGrid
 # Bump when StitchVerdict/CanonicalConflict shape or the arbitration
 # rule changes so stale cache directories self-invalidate.
 STITCH_FORMAT = 1
+
+_rect_corners = operator.attrgetter("x1", "y1", "x2", "y2")
 
 
 @dataclass(frozen=True)
@@ -317,19 +320,19 @@ def stitch_results(layout: Layout, kind: str,
     ``store`` under ``tile_keys`` (see :func:`arbitrate_clusters`);
     the report is byte-identical whether they replay or not.
     """
-    key_to_id: Dict[ShifterKey, int] = {}
-    feats = layout.features
-    for s in shifters:
-        r = feats[s.feature_index]
-        key_to_id[((r.x1, r.y1, r.x2, r.y2), s.side)] = s.id
-    rect_to_feature = {(r.x1, r.y1, r.x2, r.y2): i
-                       for i, r in enumerate(feats)}
+    # Both maps are read off columns: no Shifter object is built.
+    rects = list(map(_rect_corners, layout.features))
+    key_to_id: Dict[ShifterKey, int] = dict(zip(
+        zip(map(rects.__getitem__, shifters.feature_column()),
+            shifters.side_column()),
+        range(len(shifters))))
+    rect_to_feature = dict(zip(rects, range(len(rects))))
 
     report = DetectionReport(
         layout_name=layout.name,
         graph_kind=kind,
         num_features=layout.num_polygons,
-        num_critical=len(shifters.feature_pairs()),
+        num_critical=shifters.num_critical(),
         num_shifters=len(shifters),
         num_overlap_pairs=sum(r.owned_pairs for r in results),
         graph_nodes=sum(r.report.graph_nodes for r in results),

@@ -239,9 +239,11 @@ def plan_correction(layout: Layout, tech: Technology,
     """
     if shifters is None:
         shifters = generate_shifters(layout, tech)
+    # One bbox serves both areas (die_area() would fold it again).
+    box = layout.bbox()
     report = CorrectionReport(layout_name=layout.name,
                               num_conflicts=len(conflicts),
-                              area_before=layout.die_area())
+                              area_before=box.area if box is not None else 0)
     report.area_after = report.area_before
 
     options = conflict_options(list(conflicts), shifters, tech)
@@ -271,7 +273,6 @@ def plan_correction(layout: Layout, tech: Technology,
 
     total_x = sum(c.width for c in report.cuts if c.axis == AXIS_X)
     total_y = sum(c.width for c in report.cuts if c.axis == AXIS_Y)
-    box = layout.bbox()
     if box is not None:
         report.area_after = (box.width + total_x) * (box.height + total_y)
     report.stretched_critical = _stretched_critical(layout, tech,

@@ -87,7 +87,7 @@ class NumpyKernel(GeometryKernel):
     def region_centers2(self, rects: Sequence,
                         pairs: Sequence[Tuple[int, int]]
                         ) -> List[Tuple[int, int]]:
-        if not pairs:
+        if len(pairs) == 0:
             return []
         ra = RectArray.from_rects(rects)
         pq = np.asarray(pairs, dtype=np.int64)

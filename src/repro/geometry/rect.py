@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .interval import Interval
 
@@ -213,22 +214,18 @@ class RectList(list):
         self.columns = None
 
 
-def rect_columns(rects: Iterable["Rect"]):
+def rect_columns(rects: Sequence["Rect"]):
     """Struct-of-arrays int64 columns ``(x1, y1, x2, y2)`` of a rect list."""
     cols = getattr(rects, "columns", None)
     if cols is not None:
         return cols
     import numpy as np
 
-    # attrgetter is C-level: materializing hundreds of thousands of
-    # rows this way is measurably cheaper than a Python listcomp.
-    rows = list(map(_rect_corners, rects))
-    if not rows:
-        e = np.empty(0, dtype=np.int64)
-        cols = (e, e.copy(), e.copy(), e.copy())
-    else:
-        arr = np.array(rows, dtype=np.int64)
-        cols = (arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+    # attrgetter is C-level, and fromiter fills the array straight from
+    # the flattened corners: no per-row tuple list for numpy to scan.
+    arr = np.fromiter(chain.from_iterable(map(_rect_corners, rects)),
+                      dtype=np.int64, count=4 * len(rects)).reshape(-1, 4)
+    cols = (arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
     if isinstance(rects, RectList):
         rects.columns = cols
     return cols
@@ -245,15 +242,26 @@ def batch_separation_sq(x_gap, y_gap):
 
 
 def bounding_box(rects: Iterable[Rect]) -> Optional[Rect]:
-    """Hull of a collection of rects (None for an empty collection)."""
+    """Hull of a collection of rects (None for an empty collection).
+
+    One min/max pass over the corners, building no intermediate rect.
+    """
     it = iter(rects)
     try:
-        box = next(it)
+        first = next(it)
     except StopIteration:
         return None
+    x1, y1, x2, y2 = first.x1, first.y1, first.x2, first.y2
     for r in it:
-        box = box.hull(r)
-    return box
+        if r.x1 < x1:
+            x1 = r.x1
+        if r.y1 < y1:
+            y1 = r.y1
+        if r.x2 > x2:
+            x2 = r.x2
+        if r.y2 > y2:
+            y2 = r.y2
+    return Rect(x1, y1, x2, y2)
 
 
 def union_area(rects: Iterable[Rect]) -> int:

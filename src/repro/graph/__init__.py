@@ -25,7 +25,6 @@ from .coloring import (
 from .components import (
     ODD_COMPONENT,
     GraphComponent,
-    component_content_id,
     decode_coloring,
     decompose,
     encode_coloring,
@@ -91,7 +90,6 @@ __all__ = [
     "ParityDSU",
     "GraphComponent",
     "decompose",
-    "component_content_id",
     "encode_coloring",
     "decode_coloring",
     "two_color_incremental",

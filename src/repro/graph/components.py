@@ -26,20 +26,22 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coloring import color_component
-from .geomgraph import GeomGraph
+from .geomgraph import GeomGraph, _numpy
 
-# Bump when the canonical coloring encoding changes so stale cache
-# directories self-invalidate.
-COMPONENT_FORMAT = 1
+# Bump when the canonical coloring encoding or the content-id encoding
+# changes so stale cache directories self-invalidate.  Format 2: content
+# ids hash int64 node and edge rows (:func:`_content_ids`).
+COMPONENT_FORMAT = 2
 
 # The value stored for a component whose subgraph is not 2-colorable.
 ODD_COMPONENT = "odd"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphComponent:
     """One connected component of a graph's live-edge structure.
 
@@ -73,77 +75,159 @@ def decompose(graph: GeomGraph) -> List[GraphComponent]:
 
     Deterministic: components are ordered by minimum node id, so the
     decomposition of a given graph is reproducible across runs and
-    processes.  Component discovery and the per-component edge lists
-    both read the graph's flat arrays directly — no
-    :class:`~repro.graph.geomgraph.Edge` objects on this path (it runs
-    once per assign/verify stage over chip-scale graphs).
+    processes.  Everything is column passes over the graph's flat
+    arrays — no per-node or per-edge Python loop, and no
+    :class:`~repro.graph.geomgraph.Edge` objects (this runs once per
+    assign stage over chip-scale graphs):
+
+    * components by min-label hooking with pointer jumping over the
+      live edges (:func:`_component_roots`);
+    * each component's nodes ascending, and its canonical order — by
+      coordinate, ties by id, when every node of the component has
+      one; by id otherwise — from one lexsort each.  Coordinate order
+      is what keeps content ids stable under renumbering: the front
+      end renumbers shifter and auxiliary nodes monotonically, so
+      equal-coordinate ties resolve the same way in every revision
+      that leaves the geometry alone;
+    * content ids (:func:`_content_ids`) from the canonical node rows
+      and the sorted canonical edge rows, hashed per component.
+
+    Edge weights enter the content ids as int64, so a live edge's
+    weight must lie in the int64 range; a larger one raises
+    ValueError.  The flow's largest weight, the Condition-1
+    feature-edge weight, grows with the chip: about 4e15 on D7 and
+    2e16 on D8, 460 times below the limit.
     """
-    components = sorted(graph.connected_components(),
-                        key=lambda comp: comp[0])
-    node_comp: Dict[int, int] = {}
-    for i, comp in enumerate(components):
-        for node in comp:
-            node_comp[node] = i
-    edges: List[List[Tuple[int, int, int]]] = [[] for _ in components]
-    for _eid, u, v, w in graph.live_edge_rows():
-        edges[node_comp[u]].append((u, v, w))
-
-    out: List[GraphComponent] = []
-    for i, comp in enumerate(components):
-        order = canonical_order(graph, comp)
-        content = component_content_id(graph, order, edges[i])
-        out.append(GraphComponent(index=i, nodes=tuple(comp),
-                                  order=tuple(order), content_id=content))
-    return out
-
-
-def canonical_order(graph: GeomGraph, nodes: Sequence[int]) -> List[int]:
-    """Nodes in content order: by coordinate (ties by id) when every
-    node has one, by id otherwise.
-
-    Coordinate order is what makes component content ids stable under
-    renumbering: shifter and auxiliary nodes are renumbered
-    monotonically by the front end, so equal-coordinate ties resolve
-    the same way in every revision that leaves the geometry alone.
-    """
+    np = _numpy()
+    labels = graph._labels
+    n = len(labels)
+    if not n:
+        return []
+    label = np.array(labels, dtype=np.int64)
+    ui, vi = graph._dense_endpoints(np)
+    live = np.ones(len(ui), dtype=bool)
+    if graph._removed:
+        live[np.fromiter(graph._removed, dtype=np.int64,
+                         count=len(graph._removed))] = False
+    u, v = ui[live], vi[live]
     try:
-        keyed = [((graph.coord(n)), n) for n in nodes]
-    except KeyError:
-        return sorted(nodes)
-    keyed.sort()
-    return [n for _, n in keyed]
+        weight = np.fromiter(graph._ew, dtype=np.int64,
+                             count=len(ui))[live]
+    except OverflowError:
+        raise ValueError(
+            f"graph {graph.name!r}: an edge weight exceeds int64, the "
+            "range component content ids encode") from None
 
+    # Components, indexed by their minimum node label.
+    root = _component_roots(np, n, u, v)
+    roots = np.flatnonzero(root == np.arange(n, dtype=np.int64))
+    low = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(low, root, label)
+    index = np.empty(n, dtype=np.int64)
+    index[roots[np.argsort(low[roots], kind="stable")]] = \
+        np.arange(len(roots), dtype=np.int64)
+    comp = index[root]
+    sizes = np.bincount(comp, minlength=len(roots))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
 
-def component_content_id(graph: GeomGraph, order: Sequence[int],
-                         comp_edges: Sequence[Tuple[int, int, int]]
-                         ) -> str:
-    """Hash of a component's content in canonical-node terms.
-
-    Nodes contribute their coordinate (or raw id without one); edges
-    contribute ``(canonical u, canonical v, weight)`` as a sorted
-    multiset, which preserves parallel edges and self-loops.
-    """
-    rank = {n: i for i, n in enumerate(order)}
-    # The digest is fed in chunked sections (header, nodes, edges)
-    # straight off the component's arrays: sha256 of a concatenation is
-    # byte-identical however it is chunked, and this function runs once
-    # per component per stage (tens of thousands of times on chip-scale
-    # runs).  Coordinates are plain tuples straight off the graph's
-    # dict — no dataclass introspection on this path.
+    # Node rows: (0, x, y) for a node with a coordinate, (1, id, 0)
+    # without.  Coordinates order a component only when it has them
+    # all.
     coords = graph._coords
-    h = hashlib.sha256()
-    h.update(f"component-format:{COMPONENT_FORMAT}".encode())
-    h.update("".join(
-        repr(c) if (c := coords.get(n)) is not None else f"node:{n}"
-        for n in order).encode())
-    keys: List[Tuple[int, int, int]] = []
-    for u, v, w in comp_edges:
-        ru = rank[u]
-        rv = rank[v]
-        keys.append((ru, rv, w) if ru <= rv else (rv, ru, w))
-    keys.sort()
-    h.update("".join(f"e:{a},{b},{w}" for a, b, w in keys).encode())
-    return h.hexdigest()
+    has = np.fromiter(map(coords.__contains__, labels), dtype=bool,
+                      count=n)
+    xy = np.fromiter(chain.from_iterable(map(coords.get, labels,
+                                             repeat((0, 0), n))),
+                     dtype=np.int64, count=2 * n).reshape(-1, 2)
+    node_rows = np.stack((np.where(has, 0, 1),
+                          np.where(has, xy[:, 0], label),
+                          np.where(has, xy[:, 1], 0)), axis=1)
+    full = np.bincount(comp, weights=~has, minlength=len(roots)) == 0
+    sort_x = np.where(full[comp], xy[:, 0], 0)
+    sort_y = np.where(full[comp], xy[:, 1], 0)
+    by_id = np.lexsort((label, comp))
+    canonical = np.lexsort((label, sort_y, sort_x, comp))
+    rank = np.empty(n, dtype=np.int64)
+    rank[canonical] = np.arange(n, dtype=np.int64) - starts[comp[canonical]]
+
+    # Canonical edge rows (rank u, rank v, weight), u <= v, sorted
+    # within each component.
+    ru, rv = rank[u], rank[v]
+    edge_rows = np.stack((np.minimum(ru, rv), np.maximum(ru, rv), weight),
+                         axis=1)
+    edge_comp = comp[u]
+    edge_order = np.lexsort((edge_rows[:, 2], edge_rows[:, 1],
+                             edge_rows[:, 0], edge_comp))
+
+    content = _content_ids(node_rows[canonical], sizes,
+                           edge_rows[edge_order],
+                           np.bincount(edge_comp, minlength=len(roots)))
+    nodes = label[by_id].tolist()
+    order = label[canonical].tolist()
+    return [GraphComponent(index=i, nodes=tuple(nodes[a:b]),
+                           order=tuple(order[a:b]), content_id=cid)
+            for i, (a, b, cid) in enumerate(zip(starts.tolist(),
+                                                ends.tolist(), content))]
+
+
+def _component_roots(np, n: int, u, v):
+    """Each node's component root: the smallest dense index in it.
+
+    Min-label hooking with pointer jumping: every round hooks the
+    larger root of each edge under the smaller, then flattens every
+    node onto its root, until no edge joins two roots.  Pointers only
+    ever decrease, so the final root is the component's minimum.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    while len(u):
+        pu, pv = parent[u], parent[v]
+        join = pu != pv
+        if not join.any():
+            break
+        np.minimum.at(parent, np.maximum(pu, pv)[join],
+                      np.minimum(pu, pv)[join])
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        keep = parent[u] != parent[v]
+        u, v = u[keep], v[keep]
+    return parent
+
+
+def _content_ids(node_rows, sizes, edge_rows, edge_sizes) -> List[str]:
+    """Hex sha256 per component of its canonical content.
+
+    A component's content is little-endian int64 triples: the header
+    ``(COMPONENT_FORMAT, nodes, edges)``, its node rows in canonical
+    order, then its sorted canonical edge rows.  Nodes are coordinates
+    (or raw ids without one) and edges are ranks in the canonical
+    order, so the id is independent of node ids whenever coordinates
+    exist; the edge rows are a sorted multiset, which keeps parallel
+    edges and self-loops.  ``node_rows`` and ``edge_rows`` come grouped
+    by component; every component's content is scattered into one
+    buffer, then hashed slice by slice.
+    """
+    np = _numpy()
+    count = len(sizes)
+    span = 1 + sizes + edge_sizes
+    ends = np.cumsum(span)
+    starts = ends - span
+    buf = np.empty((int(ends[-1]) if count else 0, 3), dtype="<i8")
+    buf[starts] = np.stack((np.full(count, COMPONENT_FORMAT), sizes,
+                            edge_sizes), axis=1)
+    for rows, lengths, skip in ((node_rows, sizes, 1),
+                                (edge_rows, edge_sizes, 1 + sizes)):
+        owner = np.repeat(np.arange(count), lengths)
+        offset = np.arange(len(rows)) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths)
+        buf[(starts + skip)[owner] + offset] = rows
+    data = memoryview(buf).cast("B")
+    sha256 = hashlib.sha256
+    return [sha256(data[24 * a:24 * b]).hexdigest()
+            for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +297,13 @@ def two_color_incremental(graph: GeomGraph, store,
                 canonical = (ODD_COMPONENT if fresh is None
                              else encode_coloring(component, fresh))
             store.put(KIND_COLORING, component.content_id, canonical)
-        if canonical == ODD_COMPONENT:
+            # A fresh coloring is rooted at the minimum node, which is
+            # exactly the polarity a decode would restore.
+            if fresh is None:
+                failed = True
+            elif not failed:
+                colors.update(fresh)
+        elif canonical == ODD_COMPONENT:
             failed = True
         elif not failed:
             colors.update(decode_coloring(component, canonical))

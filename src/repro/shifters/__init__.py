@@ -13,8 +13,6 @@ Entry points:
 
 from .frontend import (
     FrontEndSlicer,
-    FrontFeature,
-    FrontPair,
     ShifterKey,
     SpliceError,
     TileFrontEnd,
@@ -50,8 +48,6 @@ __all__ = [
     "find_overlap_pairs",
     "needed_space",
     "FrontEndSlicer",
-    "FrontFeature",
-    "FrontPair",
     "TileFrontEnd",
     "SpliceError",
     "compute_tile_front_end",

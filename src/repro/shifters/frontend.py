@@ -16,8 +16,9 @@ self-contained :class:`TileFrontEnd` artifact:
   region, :meth:`~repro.geometry.kernels.GeometryKernel.region_centers2`)
   the tile owns, with the pair's separation/gap measurements.
 
+Both are int64 rows (see :class:`TileFrontEnd` for the columns).
 Everything is keyed by *coordinate-anchored ids* — ``(feature rect,
-side)`` tuples — never by dense shifter numbers, so a cached tile
+side)`` — never by dense shifter numbers, so a cached tile
 front end stays valid when an edit elsewhere renumbers every shifter
 on the chip.  :func:`splice_front_ends` reassembles the chip-global
 :class:`~repro.shifters.shifter.ShifterSet` and
@@ -29,33 +30,39 @@ to the monolithic :func:`~repro.shifters.generation.generate_shifters`
 Artifacts are content-addressed in the unified store
 (:class:`repro.cache.ArtifactCache`, kind ``frontend``):
 :func:`frontend_cache_key` hashes exactly the inputs a tile front end
-depends on — rule deck, owner window, captured geometry — so a warm
-ECO run regenerates shifters only for the tiles an edit dirtied and
-replays every clean tile's front end from the store.  A revision with
-nothing to replay (every cold one) skips the per-tile work: one
-chip-wide pass, cut into the tile artifacts by the same ownership
-routine (:func:`tiled_front_end`).  :class:`FrontEndSlicer` cuts a
+depends on — rule deck, owner window, captured geometry (as the
+tile's sorted-rect digest, which the tile cache key shares) — so a
+warm ECO run regenerates shifters only for the tiles an edit dirtied
+and replays every clean tile's front end from the store.  A revision
+with nothing to replay (every cold one) skips the per-tile work: one
+chip-wide pass whose rows are built and presorted once, then cut into
+each tile's artifact by two ownership masks — the same routine a
+per-tile computation uses (:func:`tiled_front_end`).
+:class:`FrontEndSlicer` cuts a
 chip front end the other way, into each tile's full sub-layout front
 end, which the chip flow hands its detection jobs.
 
 This module deliberately does **not** import :mod:`repro.chip`
 (which imports :mod:`repro.shifters`); tiles are duck-typed as
-anything carrying ``ix``/``iy``/``layout``/``owner``.
+anything carrying ``ix``/``iy``/``layout``/``owner``/``digest``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..cache import KIND_FRONTEND, ArtifactCache
 from ..geometry import Rect
+from ..geometry.rect import rect_columns
 from ..layout import Layout, Technology, tech_fingerprint
 from ..obs import get_logger, get_tracer
 from .generation import generate_shifters
 from .overlap import OverlapPair, find_overlap_pairs
-from .shifter import ShifterSet
+from .shifter import BOTTOM, LEFT, RIGHT, TOP, ShifterSet
 
 # A feature/shifter rectangle as a plain hashable tuple.
 RectTuple = Tuple[int, int, int, int]
@@ -67,9 +74,19 @@ ShifterKey = Tuple[RectTuple, str]
 # Owner-region bounds, as produced by repro.chip.partition.
 Bounds = Tuple[int, int, int, int]
 
-# Bump when the TileFrontEnd shape changes so stale cache directories
-# self-invalidate instead of unpickling garbage.
-FRONTEND_CACHE_FORMAT = 1
+# Bump when the TileFrontEnd shape or the key encoding changes so stale
+# cache directories self-invalidate instead of unpickling garbage.
+# Format 2: int64 row arrays (see TileFrontEnd), keyed on the tile's
+# sorted-rect digest.
+FRONTEND_CACHE_FORMAT = 2
+
+# Side codes in the artifact's rows.  Codes ascend with the side names,
+# so ordering rows by ``(rect, code)`` orders them by ``ShifterKey``.
+SIDES = (BOTTOM, LEFT, RIGHT, TOP)
+SIDE_CODE = {side: code for code, side in enumerate(SIDES)}
+
+_pair_row = operator.attrgetter("a", "b", "separation_sq", "x_gap",
+                                "y_gap")
 
 
 class SpliceError(ValueError):
@@ -82,52 +99,33 @@ class SpliceError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class FrontFeature:
-    """One owned critical feature and its two flanking shifters.
-
-    Attributes:
-        rect: the feature rectangle (absolute chip coordinates).
-        shifters: the two ``(side, shifter rect)`` entries in the
-            deterministic generation order (left/right for vertical
-            features, bottom/top for horizontal ones) — the order the
-            monolithic pass numbers them in.
-    """
-
-    rect: RectTuple
-    shifters: Tuple[Tuple[str, RectTuple], Tuple[str, RectTuple]]
-
-
-@dataclass(frozen=True)
-class FrontPair:
-    """One owned Condition-2 pair in coordinate-anchored identity.
-
-    ``a < b`` by canonical key; the measurements are symmetric pure
-    functions of the two shifter rects, so they are identical no matter
-    which tile computed them.
-    """
-
-    a: ShifterKey
-    b: ShifterKey
-    separation_sq: int
-    x_gap: int
-    y_gap: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TileFrontEnd:
-    """One tile's contribution to the chip front end.
+    """One tile's contribution to the chip front end, as int64 rows.
 
-    Content is canonical: features sorted by rect, pairs sorted by key,
-    independent of the sub-layout's internal feature order — so the
-    artifact a tile produces is identical across runs, processes, and
-    unrelated renumbering edits elsewhere on the chip.
+    ``features`` holds one 14-column row per owned critical feature:
+    the feature rect ``x1 y1 x2 y2``, then its two shifters in
+    generation order (left/right for vertical features, bottom/top for
+    horizontal ones — the order the monolithic pass numbers them in),
+    each as ``side code, x1 y1 x2 y2``.  ``pairs`` holds one 13-column
+    row per owned Condition-2 pair: shifter key ``a`` (the guarded
+    feature's rect plus side code, five columns), key ``b`` likewise,
+    then ``separation_sq``, ``x_gap``, ``y_gap``.  Side codes index
+    :data:`SIDES`.
+
+    Content is canonical: feature rows sorted by rect, pair rows by
+    ``(a, b)`` with ``a < b`` — independent of the sub-layout's
+    internal feature order, so the artifact a tile produces is
+    identical across runs, processes, and unrelated renumbering edits
+    elsewhere on the chip.  The measurements are symmetric pure
+    functions of the two shifter rects, identical whichever tile
+    computed them.  Equality compares the rows.
     """
 
     ix: int
     iy: int
-    features: Tuple[FrontFeature, ...] = ()
-    pairs: Tuple[FrontPair, ...] = ()
+    features: Any
+    pairs: Any
     captured: int = 0
 
     @property
@@ -138,29 +136,37 @@ class TileFrontEnd:
     def num_owned_pairs(self) -> int:
         return len(self.pairs)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TileFrontEnd):
+            return NotImplemented
+        import numpy as np
 
-def _rect_tuple(rect: Rect) -> RectTuple:
-    return (rect.x1, rect.y1, rect.x2, rect.y2)
+        return ((self.ix, self.iy, self.captured)
+                == (other.ix, other.iy, other.captured)
+                and np.array_equal(self.features, other.features)
+                and np.array_equal(self.pairs, other.pairs))
+
+    __hash__ = None  # type: ignore[assignment]
 
 
-def frontend_cache_key(layout: Layout, owner: Bounds,
+def frontend_cache_key(digest: str, owner: Bounds,
                        tech: Technology) -> str:
     """Stable hex digest of everything a tile front end depends on.
 
-    Hashes the format version, the rule deck, the owner window, and the
-    sorted multiset of captured feature rects — and nothing else.  In
-    particular the graph kind/bipartization method are *not* inputs
-    (the front end is pure geometry), so one cached front end serves
-    every downstream configuration, and global shifter numbering never
-    enters the key, so edits elsewhere on the chip cannot invalidate a
-    clean tile.
+    Hashes the format version, the rule deck, the owner window, and
+    ``digest`` — the tile's order-free digest of its captured feature
+    rects (:attr:`repro.chip.partition.Tile.digest`) — and nothing
+    else.  In particular the graph kind/bipartization method
+    are *not* inputs (the front end is pure geometry), so one cached
+    front end serves every downstream configuration, and global
+    shifter numbering never enters the key, so edits elsewhere on the
+    chip cannot invalidate a clean tile.
     """
     h = hashlib.sha256()
     h.update(f"frontend:{FRONTEND_CACHE_FORMAT}".encode())
     h.update(tech_fingerprint(tech))
     h.update(f"owner:{owner}".encode())
-    for rect in sorted(_rect_tuple(r) for r in layout.features):
-        h.update(repr(rect).encode())
+    h.update(f"geometry:{digest}".encode())
     return h.hexdigest()
 
 
@@ -186,18 +192,20 @@ def compute_tile_front_end(layout: Layout, owner: Bounds,
     """
     shifters = generate_shifters(layout, tech)
     pairs = find_overlap_pairs(shifters, tech)
-    return _FrontIndex(layout, shifters, pairs).owned(
+    return _FrontColumns(layout, shifters, pairs).owned(
         owner, ix, iy, layout.num_polygons)
 
 
-class _FrontIndex:
-    """Ownership and canonicalisation over one computed front end.
+class _FrontColumns:
+    """One computed front end as canonical int64 rows, cut by owner.
 
     Takes a front end computed over any layout that captures the tiles
-    asked about: a tile's own sub-layout, or the whole chip.  Feature
-    centres, pair region centres and canonical shifter keys are
-    computed once here; :meth:`owned` then cuts out one owner window's
-    :class:`TileFrontEnd`, and :meth:`check_partition` confirms the
+    asked about: a tile's own sub-layout, or the whole chip.  The
+    artifact rows (:class:`TileFrontEnd`), feature centres and pair
+    region centres are built once here, in one pass over the layout
+    and shifter columns, and presorted into canonical order;
+    :meth:`owned` then cuts one owner window's :class:`TileFrontEnd`
+    with two boolean masks, and :meth:`check_partition` confirms the
     windows asked about covered every feature and pair exactly once.
     """
 
@@ -207,78 +215,75 @@ class _FrontIndex:
 
         from ..geometry.kernels import get_kernel
 
-        feats = layout.features
-        self.pairs = pairs
-        self.feature_pairs = shifters.feature_pairs()
-        fc = np.array([feats[sa.feature_index].center2
-                       for sa, _sb in self.feature_pairs],
-                      dtype=np.int64).reshape(-1, 2)
-        pc = np.array(get_kernel().region_centers2(
-            shifters.rects, [p.key for p in pairs]),
-            dtype=np.int64).reshape(-1, 2)
-        self.feature_centers = (fc[:, 0], fc[:, 1])
-        self.pair_centers = (pc[:, 0], pc[:, 1])
-        self.feature_owners = np.zeros(len(fc), dtype=np.int64)
-        self.pair_owners = np.zeros(len(pc), dtype=np.int64)
-        # Canonical key of every shifter, read off the shifter columns
-        # once (a per-pair Shifter + feature-rect double lookup was
-        # ~244K calls chip-wide on D8).
-        feat_rect: Dict[int, RectTuple] = {}
-        self.skeys: List[ShifterKey] = []
-        for fi, side in zip(shifters.feature_column(),
-                            shifters.side_column()):
-            rt = feat_rect.get(fi)
-            if rt is None:
-                rt = _rect_tuple(feats[fi])
-                feat_rect[fi] = rt
-            self.skeys.append((rt, side))
-        self.feat_rect = feat_rect
+        n = len(shifters)
+        feature = np.array(shifters.feature_column(), dtype=np.int64)
+        code = np.fromiter(map(SIDE_CODE.__getitem__,
+                               shifters.side_column()),
+                           dtype=np.int64, count=n)
+        lx1, ly1, lx2, ly2 = rect_columns(layout.features)
+        # Canonical key of every shifter: its feature's rect + side.
+        keys = np.stack((lx1[feature], ly1[feature], lx2[feature],
+                         ly2[feature], code), axis=1)
+        srect = np.stack(rect_columns(shifters.rects), axis=1)
+
+        first, second = shifters.feature_pair_ids()
+        rows = np.concatenate((keys[first, :4], code[first, None],
+                               srect[first], code[second, None],
+                               srect[second]), axis=1)
+        order = np.lexsort(rows[:, 3::-1].T)
+        self.features = rows[order]
+        self.feature_centers = (self.features[:, 0] + self.features[:, 2],
+                                self.features[:, 1] + self.features[:, 3])
+
+        cols = _pair_columns(pairs)
+        centers = np.fromiter(
+            chain.from_iterable(get_kernel().region_centers2(
+                shifters.rects, cols[:, :2])),
+            dtype=np.int64, count=2 * len(cols)).reshape(-1, 2)
+        # Orient every pair a < b by key and sort by (a, b): rank the
+        # keys once.  Equal keys (duplicate features) share a rank, so
+        # they neither swap nor reorder, as under a key comparison.
+        by_key = np.lexsort(keys[:, ::-1].T)
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_key] = np.cumsum(np.concatenate((
+            [0], np.any(keys[by_key[1:]] != keys[by_key[:-1]], axis=1))))
+        pa, pb = cols[:, 0], cols[:, 1]
+        swap = rank[pb] < rank[pa]
+        ka = np.where(swap, pb, pa)
+        kb = np.where(swap, pa, pb)
+        order = np.lexsort((rank[kb], rank[ka]))
+        ka, kb = ka[order], kb[order]
+        self.pairs = np.concatenate((keys[ka], keys[kb], cols[order, 2:]),
+                                    axis=1)
+        self.pair_centers = (centers[order, 0], centers[order, 1])
+
+        self.feature_owners = np.zeros(len(self.features), dtype=np.int64)
+        self.pair_owners = np.zeros(len(self.pairs), dtype=np.int64)
 
     def owned(self, owner: Bounds, ix: int, iy: int,
               captured: int) -> TileFrontEnd:
         """The :class:`TileFrontEnd` of one owner window, canonical."""
-        import numpy as np
-
-        fidx = np.flatnonzero(_owns_points2(owner, *self.feature_centers))
-        pidx = np.flatnonzero(_owns_points2(owner, *self.pair_centers))
-        self.feature_owners[fidx] += 1
-        self.pair_owners[pidx] += 1
-
-        features: List[FrontFeature] = []
-        for k in fidx.tolist():
-            sa, sb = self.feature_pairs[k]
-            features.append(FrontFeature(
-                rect=self.feat_rect[sa.feature_index],
-                shifters=((sa.side, _rect_tuple(sa.rect)),
-                          (sb.side, _rect_tuple(sb.rect)))))
-        skeys = self.skeys
-        owned_pairs: List[FrontPair] = []
-        for k in pidx.tolist():
-            p = self.pairs[k]
-            ka = skeys[p.a]
-            kb = skeys[p.b]
-            if kb < ka:
-                ka, kb = kb, ka
-            owned_pairs.append(FrontPair(
-                a=ka, b=kb, separation_sq=p.separation_sq,
-                x_gap=p.x_gap, y_gap=p.y_gap))
-
-        features.sort(key=lambda f: f.rect)
-        owned_pairs.sort(key=lambda p: (p.a, p.b))
-        return TileFrontEnd(ix=ix, iy=iy, features=tuple(features),
-                            pairs=tuple(owned_pairs), captured=captured)
+        fmask = _owns_points2(owner, *self.feature_centers)
+        pmask = _owns_points2(owner, *self.pair_centers)
+        self.feature_owners += fmask
+        self.pair_owners += pmask
+        return TileFrontEnd(ix=ix, iy=iy, features=self.features[fmask],
+                            pairs=self.pairs[pmask], captured=captured)
 
     def check_partition(self) -> None:
         """Raise :class:`SpliceError` unless the windows passed to
         :meth:`owned` own every feature and every pair exactly once."""
-        for what, counts in (("feature", self.feature_owners),
-                             ("pair", self.pair_owners)):
+        for counts, rows, name in (
+                (self.feature_owners, self.features,
+                 lambda r: f"critical feature {tuple(r[:4])}"),
+                (self.pair_owners, self.pairs,
+                 lambda r: f"pair {_key_text(r[:5])} / "
+                           f"{_key_text(r[5:10])}")):
             bad = (counts != 1).nonzero()[0]
             if bad.size:
                 k = int(bad[0])
-                raise SpliceError(
-                    f"critical {what} {k} owned by {int(counts[k])} "
-                    "tiles")
+                raise SpliceError(f"{name(rows[k].tolist())} owned by "
+                                  f"{int(counts[k])} tiles")
 
 
 class FrontEndSlicer:
@@ -298,12 +303,9 @@ class FrontEndSlicer:
         import numpy as np
 
         self.shifters = shifters
-        self.pairs = pairs
         self.num_features = num_features
         self.feature = np.array(shifters.feature_column(), dtype=np.int64)
-        ab = np.array([p.key for p in pairs], dtype=np.int64).reshape(-1, 2)
-        self.pair_a = ab[:, 0]
-        self.pair_b = ab[:, 1]
+        self.pairs = _pair_columns(pairs)
 
     def slice(self, feature_ids: Sequence[int]
               ) -> Tuple[ShifterSet, List[OverlapPair]]:
@@ -316,28 +318,31 @@ class FrontEndSlicer:
             np.arange(len(feature_ids), dtype=np.int64)
         tile_feature = local[self.feature]
         picked = np.flatnonzero(tile_feature >= 0)
-        side = self.shifters.side_column()
-        rect_of = self.shifters.rect_of
+        ids = picked.tolist()
         shifters = ShifterSet()
-        shifters.extend_rows([
-            (fi, side[sid], rect_of(sid))
-            for sid, fi in zip(picked.tolist(),
-                               tile_feature[picked].tolist())])
+        shifters.extend_rows(list(zip(
+            tile_feature[picked].tolist(),
+            map(self.shifters.side_column().__getitem__, ids),
+            map(self.shifters.rect_of, ids))))
 
         renumber = np.full(len(self.feature), -1, dtype=np.int64)
         renumber[picked] = np.arange(len(picked), dtype=np.int64)
-        a = renumber[self.pair_a]
-        b = renumber[self.pair_b]
-        inside = np.flatnonzero((a >= 0) & (b >= 0))
-        chip_pairs = self.pairs
-        pairs = []
-        for k, pa, pb in zip(inside.tolist(), a[inside].tolist(),
-                             b[inside].tolist()):
-            p = chip_pairs[k]
-            pairs.append(OverlapPair(a=pa, b=pb,
-                                     separation_sq=p.separation_sq,
-                                     x_gap=p.x_gap, y_gap=p.y_gap))
+        rows = self.pairs
+        a = renumber[rows[:, 0]]
+        b = renumber[rows[:, 1]]
+        inside = (a >= 0) & (b >= 0)
+        pairs = list(map(OverlapPair, a[inside].tolist(), b[inside].tolist(),
+                         *rows[inside, 2:].T.tolist()))
         return shifters, pairs
+
+
+def _pair_columns(pairs: Sequence[OverlapPair]):
+    """Every pair as one int64 row ``a, b, separation_sq, x_gap,
+    y_gap``."""
+    import numpy as np
+
+    return np.fromiter(chain.from_iterable(map(_pair_row, pairs)),
+                       dtype=np.int64, count=5 * len(pairs)).reshape(-1, 5)
 
 
 def _owns_points2(owner: Bounds, px2, py2):
@@ -369,6 +374,8 @@ def splice_front_ends(layout: Layout,
             tiles (a partition bug), or an artifact naming geometry the
             layout does not contain (a stale cache entry).
     """
+    import numpy as np
+
     fronts = list(fronts)  # iterated twice; accept generators safely
     rect_index = {}
     for i, r in enumerate(layout.features):
@@ -378,44 +385,60 @@ def splice_front_ends(layout: Layout,
                 f"duplicate feature rect {t} defeats coordinate keys")
         rect_index[t] = i
 
-    entries: List[Tuple[int, FrontFeature]] = []
-    for tf in fronts:
-        for ff in tf.features:
-            fi = rect_index.get(ff.rect)
-            if fi is None:
-                raise SpliceError(
-                    f"tile[{tf.ix},{tf.iy}] owns unknown feature "
-                    f"{ff.rect} (stale artifact?)")
-            entries.append((fi, ff))
-    entries.sort(key=lambda e: e[0])
+    rows = np.concatenate([np.empty((0, 14), dtype=np.int64)]
+                          + [tf.features for tf in fronts])
+    found = [rect_index.get(t, -1) for t in map(tuple,
+                                                 rows[:, :4].tolist())]
+    if -1 in found:
+        k = found.index(-1)
+        tile = fronts[np.searchsorted(
+            np.cumsum([len(tf.features) for tf in fronts]), k,
+            side="right")]
+        raise SpliceError(
+            f"tile[{tile.ix},{tile.iy}] owns unknown feature "
+            f"{tuple(rows[k, :4].tolist())} (stale artifact?)")
+    index = np.array(found, dtype=np.int64)
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    rows = rows[order]
+    twice = np.flatnonzero(index[1:] == index[:-1])
+    if twice.size:
+        raise SpliceError(f"feature {int(index[twice[0]])} owned by two "
+                          "tiles")
 
-    rows: List[Tuple[int, str, Rect]] = []
-    keys: List[ShifterKey] = []
-    previous = -1
-    for fi, ff in entries:
-        if fi == previous:
-            raise SpliceError(f"feature {fi} owned by two tiles")
-        previous = fi
-        for side, rt in ff.shifters:
-            rows.append((fi, side, Rect(*rt)))
-            keys.append((ff.rect, side))
+    # Shifter 2k and 2k+1 flank the k-th feature in layout order.
+    shifter_rows = rows[:, 4:].reshape(-1, 5)
+    sides = list(map(SIDES.__getitem__, shifter_rows[:, 0].tolist()))
     shifters = ShifterSet()
-    key_to_id = dict(zip(keys, shifters.extend_rows(rows)))
+    shifters.extend_rows(list(zip(
+        np.repeat(index, 2).tolist(), sides,
+        map(Rect, *shifter_rows[:, 1:].T.tolist()))))
+    key_rows = np.concatenate(
+        (np.repeat(rows[:, :4], 2, axis=0), shifter_rows[:, :1]), axis=1)
+    key_to_id = {key: sid for sid, key
+                 in enumerate(map(tuple, key_rows.tolist()))}
 
-    pairs: List[OverlapPair] = []
-    for tf in fronts:
-        for fp in tf.pairs:
-            ga = key_to_id.get(fp.a)
-            gb = key_to_id.get(fp.b)
-            if ga is None or gb is None:
-                raise SpliceError(
-                    f"pair {fp.a} / {fp.b} names an unowned shifter")
-            a, b = (ga, gb) if ga < gb else (gb, ga)
-            pairs.append(OverlapPair(
-                a=a, b=b, separation_sq=fp.separation_sq,
-                x_gap=fp.x_gap, y_gap=fp.y_gap))
-    pairs.sort(key=lambda p: p.key)
-    return shifters, pairs
+    pair_rows = np.concatenate([np.empty((0, 13), dtype=np.int64)]
+                               + [tf.pairs for tf in fronts]).tolist()
+    ends: List[Tuple[int, int, int, int, int]] = []
+    for row in pair_rows:
+        ga = key_to_id.get(tuple(row[:5]))
+        gb = key_to_id.get(tuple(row[5:10]))
+        if ga is None or gb is None:
+            raise SpliceError(
+                f"pair {_key_text(row[:5])} / {_key_text(row[5:10])} "
+                "names an unowned shifter")
+        ends.append((ga, gb, *row[10:]) if ga < gb
+                    else (gb, ga, *row[10:]))
+    ends.sort()
+    return shifters, [OverlapPair(a=a, b=b, separation_sq=sep, x_gap=xg,
+                                  y_gap=yg)
+                      for a, b, sep, xg, yg in ends]
+
+
+def _key_text(key: Sequence[int]) -> str:
+    """A 5-column key row as the :data:`ShifterKey` it encodes."""
+    return repr((tuple(key[:4]), SIDES[key[4]]))
 
 
 def tiled_front_end(layout: Layout, tech: Technology,
@@ -458,7 +481,7 @@ def tiled_front_end(layout: Layout, tech: Technology,
         layout: the chip layout the tiles were partitioned from.
         tech: rule deck.
         tiles: the partition's tiles (duck-typed: ``ix``, ``iy``,
-            ``layout``, ``owner`` — e.g.
+            ``layout``, ``owner``, ``digest`` — e.g.
             :class:`repro.chip.partition.Tile`).
         store: the unified artifact store; per-tile front ends are
             content-addressed under the ``frontend`` kind.  A fresh
@@ -469,15 +492,15 @@ def tiled_front_end(layout: Layout, tech: Technology,
         byte-identical to the monolithic pass.
     """
     tracer = get_tracer()
-    keys = [frontend_cache_key(tile.layout, tile.owner, tech)
+    keys = [frontend_cache_key(tile.digest, tile.owner, tech)
             for tile in tiles]
     fronts: List[Optional[TileFrontEnd]] = [
         store.get(KIND_FRONTEND, key) for key in keys]
 
-    chip: Optional[_FrontIndex] = None
+    chip: Optional[_FrontColumns] = None
     if all(front is None for front in fronts):
         shifters, pairs = _chip_wide_pass(layout, tech)
-        chip = _FrontIndex(layout, shifters, pairs)
+        chip = _FrontColumns(layout, shifters, pairs)
 
     for i, tile in enumerate(tiles):
         with tracer.span("tile", cat="frontend-tile",

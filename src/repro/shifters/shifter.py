@@ -160,13 +160,41 @@ class ShifterSet:
         """
         if self._pairs is not None and self._pairs[0] == len(self._feature):
             return self._pairs[1]
-        pairs = []
-        for feature_index in self.feature_indices():
-            members = self.of_feature(feature_index)
-            if len(members) != 2:
-                raise ValueError(
-                    f"feature {feature_index} has {len(members)} shifters, "
-                    "expected exactly 2")
-            pairs.append((members[0], members[1]))
+        self._check_pairs()
+        pairs = [(self[a], self[b])
+                 for a, b in (self._by_feature[fi]
+                              for fi in self.feature_indices())]
         self._pairs = (len(self._feature), pairs)
         return pairs
+
+    def num_critical(self) -> int:
+        """``len(feature_pairs())``, read off the per-feature index: no
+        :class:`Shifter` is built, and the exactly-two check is the
+        same."""
+        self._check_pairs()
+        return len(self._by_feature)
+
+    def feature_pair_ids(self):
+        """:meth:`feature_pairs` as two int64 id columns.
+
+        ``(first, second)``: the ids of each critical feature's two
+        shifters, in id order, features ascending — one numpy pass over
+        the feature column, same exactly-two check.
+        """
+        import numpy as np
+
+        self._check_pairs()
+        order = np.argsort(np.array(self._feature, dtype=np.int64),
+                           kind="stable")
+        return order[0::2], order[1::2]
+
+    def _check_pairs(self) -> None:
+        """Raise ValueError unless every guarded feature has exactly
+        two shifters (the smallest offending feature is named)."""
+        by_feature = self._by_feature
+        if set(map(len, by_feature.values())) <= {2}:
+            return
+        bad = min(fi for fi, ids in by_feature.items() if len(ids) != 2)
+        raise ValueError(
+            f"feature {bad} has {len(by_feature[bad])} shifters, "
+            "expected exactly 2")

@@ -143,6 +143,18 @@ class TestChipFrontEnd:
         run_chip_flow(layout, tech, tiles=2, front=front)
         assert counted == {"chip": 0, "tile": 0}
 
+    def test_chip_shifters_stay_columns(self, tech):
+        """Slicing and stitching read the chip shifter set's columns:
+        no Shifter object is built for it, and the critical count is
+        still the feature-pair count."""
+        from repro.conflict import layout_front_end
+
+        layout = standard_cell_layout(seed=21)
+        shifters, pairs = layout_front_end(layout, tech)
+        chip = run_chip_flow(layout, tech, tiles=2, front=(shifters, pairs))
+        assert not shifters._objs
+        assert chip.detection.num_critical == len(shifters.feature_pairs())
+
 
 class TestCachingBehaviour:
     def test_second_run_hits_every_tile(self, tech, tmp_path):

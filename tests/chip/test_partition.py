@@ -11,6 +11,7 @@ from repro.chip import (
     interaction_distance,
     partition_layout,
 )
+from repro.chip.partition import _boundaries
 from repro.geometry import Rect
 from repro.layout import (
     Layout,
@@ -18,6 +19,9 @@ from repro.layout import (
     layout_from_rects,
     standard_cell_layout,
 )
+from repro.scenarios import build_scenario, stratum_names
+from ..conftest import cold_chip_layout
+from ..oracles import rect_digest, scalar_partition
 
 
 @pytest.fixture
@@ -115,3 +119,76 @@ class TestSizing:
         assert auto_tile_grid(three, jobs=8) == (2, 2)
         front = stage_front_end(d4, tech, PipelineConfig(tiled=True, jobs=2))
         assert (front.grid.nx, front.grid.ny) == (2, 2)
+
+
+def on_cut_lines_layout(tech) -> Layout:
+    """Features whose edges, capture spans and centres land exactly on
+    the 2x2 grid's cut lines (the bbox is pinned by two corner
+    features, so the cut lines do not move)."""
+    halo = default_halo(tech)
+    corners = [Rect(0, 0, 90, 900), Rect(9910, 9100, 10000, 10000)]
+    cut = _boundaries(0, 10000, 2)[1]
+    rects = list(corners)
+    for k, (lo, hi) in enumerate([(cut - 90, cut), (cut, cut + 90),
+                                  (cut + halo, cut + halo + 90),
+                                  (cut - halo - 90, cut - halo),
+                                  (cut - 45, cut + 45)]):
+        rects.append(Rect(lo, 1000 + 1000 * k, hi, 1900 + 1000 * k))
+        rects.append(Rect(1000 + 1000 * k, lo, 1900 + 1000 * k, hi))
+    return layout_from_rects(rects, name="on-cut-lines")
+
+
+def oracle_cases():
+    """``(name, layout builder, grid specs)`` for the routing oracle."""
+    cases = [(f"{s}:{seed}", lambda s=s, seed=seed:
+              build_scenario(s, seed).layout, [1, 2, 3, (2, 5)])
+             for s in stratum_names() for seed in range(3)]
+    cases += [(d, lambda d=d: build_design(d), [None, 1, 3, (2, 5)])
+              for d in ("D1", "D2", "D3")]
+    cases += [(f"cold-chip:{seed}", lambda seed=seed: cold_chip_layout(seed),
+               [None, 3]) for seed in (17, 23)]
+    cases += [("empty", Layout, [None, 2]),
+              ("single", lambda: layout_from_rects([Rect(0, 0, 90, 900)]),
+               [None, 1, 2, (3, 2)]),
+              ("on-cut-lines",
+               lambda: on_cut_lines_layout(Technology.node_90nm()),
+               [2, 3, (2, 1)])]
+    return cases
+
+
+class TestColumnPartitionOracle:
+    """The column-pass partition routes exactly like the per-rect
+    bisect loop it replaced (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("name,build,specs", oracle_cases(),
+                             ids=[c[0] for c in oracle_cases()])
+    def test_matches_scalar_routing(self, tech, name, build, specs):
+        layout = build()
+        for spec in specs:
+            grid = partition_layout(layout, tech, tiles=spec)
+            bbox, xs, ys, ref = scalar_partition(layout, tech, spec)
+            assert grid.bbox == bbox
+            assert (grid.xs, grid.ys) == (xs, ys)
+            assert len(grid.tiles) == len(ref)
+            for tile, want in zip(grid.tiles, ref):
+                assert (tile.ix, tile.iy, tile.core, tile.owner,
+                        tile.bounds) == (want["ix"], want["iy"],
+                                         want["core"], want["owner"],
+                                         want["bounds"])
+                assert tile.feature_ids == want["feature_ids"]
+                assert tile.layout.features == want["features"]
+                assert tile.digest == rect_digest(want["features"])
+
+    def test_cut_line_features_reach_both_sides(self, tech):
+        """The on-cut-lines layout is a real boundary case: some of
+        its features land in more than one tile."""
+        grid = partition_layout(on_cut_lines_layout(tech), tech, tiles=2)
+        counts = [len(t.feature_ids) for t in grid.tiles]
+        assert sum(counts) > grid.tiles[0].layout.num_polygons
+        assert all(counts)
+
+    def test_bbox_is_the_hull(self, tech):
+        layout = cold_chip_layout(17)
+        box = layout.bbox()
+        grid = partition_layout(layout, tech)
+        assert grid.bbox == (box.x1, box.y1, box.x2, box.y2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import List, Optional
@@ -42,6 +43,26 @@ except ImportError:
 @pytest.fixture
 def tech() -> Technology:
     return Technology.node_90nm()
+
+
+@functools.lru_cache(maxsize=None)
+def cold_chip_layout(seed: int) -> Layout:
+    """The benchmark's cold-chip layout: D7 mirrored and translated by
+    ``seed`` exactly as ``perfbench/workloads.py``'s ``place`` does.
+    Built once per seed per session; callers must not mutate it."""
+    from repro.bench import build_design
+
+    rng = random.Random(seed)
+    sx = rng.choice((1, -1))
+    sy = rng.choice((1, -1))
+    dx = rng.randrange(-1_000_000, 1_000_000)
+    dy = rng.randrange(-1_000_000, 1_000_000)
+    rects = []
+    for r in build_design("D7", cache=False).features:
+        x1, x2 = sorted((sx * r.x1 + dx, sx * r.x2 + dx))
+        y1, y2 = sorted((sy * r.y1 + dy, sy * r.y2 + dy))
+        rects.append(Rect(x1, y1, x2, y2))
+    return layout_from_rects(rects, name=f"D7-p{seed}")
 
 
 def make_random_small_layout(seed: int, max_features: int = 5) -> Layout:

@@ -1,5 +1,7 @@
 """Component decomposition, content ids, and incremental recoloring."""
 
+import pytest
+
 from repro.cache import KIND_COLORING, ArtifactCache, cache_delta
 from repro.graph import (
     GeomGraph,
@@ -11,6 +13,9 @@ from repro.graph import (
 )
 from repro.obs import Tracer, use_tracer
 from repro.obs.export import iter_spans
+
+from ..conftest import cold_chip_layout
+from ..oracles import scalar_decompose
 
 
 def coord_graph(nodes, edges):
@@ -154,3 +159,75 @@ class TestIncrementalRecolor:
         assert colors == two_color(g)
         assert hits == len(decompose(g)) == 1 and misses == 0
         assert fresh.stats(KIND_COLORING).hits == 1
+
+
+def conflict_graph_of(layout):
+    """The chip-wide phase conflict graph of a layout, as the assign
+    stage builds it."""
+    from repro.conflict import build_layout_conflict_graph
+    from repro.layout import Technology
+
+    cg, _s, _p = build_layout_conflict_graph(layout, Technology.node_90nm(),
+                                             "pcg")
+    return cg.graph
+
+
+def oracle_graphs():
+    """``(name, graph builder)`` pairs for the decomposition oracle."""
+    from repro.bench import build_design
+    from repro.scenarios import build_scenario, stratum_names
+
+    def odd_labels():
+        # Non-dense labels, inserted out of order, plus a removed edge,
+        # a self-loop, parallel edges and an isolated node.
+        g = coord_graph([(40, (5, 5)), (7, (0, 0)), (19, (5, 5)),
+                         (3, (9, 1)), (88, (2, 2)), (12, (1, 7))],
+                        [(40, 7, 2), (7, 19, 3), (19, 40, 3), (3, 88, 1),
+                         (88, 3, 1), (3, 88, 5), (88, 88, 4)])
+        g.remove_edge(1)
+        return g
+
+    def coordinate_free():
+        g = GeomGraph()
+        for u, v, w in [(5, 2, 1), (2, 9, 7), (9, 5, 1), (11, 4, 2)]:
+            g.add_edge(u, v, weight=w)
+        g.add_node(6)
+        return g
+
+    def partial_coordinates():
+        g = coord_graph([(0, (9, 9)), (1, (0, 0)), (2, (4, 4)),
+                         (3, (1, 1))], [(0, 1, 1), (2, 3, 1)])
+        g.add_node(4)
+        g.add_edge(3, 4, weight=2)
+        return g
+
+    graphs = [(f"{s}:{seed}", lambda s=s, seed=seed: conflict_graph_of(
+        build_scenario(s, seed).layout))
+        for s in stratum_names() for seed in range(3)]
+    graphs += [(d, lambda d=d: conflict_graph_of(build_design(d)))
+               for d in ("D1", "D2", "D3")]
+    graphs += [(f"cold-chip:{seed}", lambda seed=seed: conflict_graph_of(
+        cold_chip_layout(seed))) for seed in (17, 23)]
+    graphs += [("empty", GeomGraph), ("non-dense-labels", odd_labels),
+               ("coordinate-free", coordinate_free),
+               ("partial-coordinates", partial_coordinates)]
+    return graphs
+
+
+class TestDecomposeOracle:
+    """The column-pass decomposition equals the per-node BFS, the
+    per-component canonical sort and the per-edge content encoding it
+    replaced (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("name,build", oracle_graphs(),
+                             ids=[g[0] for g in oracle_graphs()])
+    def test_matches_scalar_decomposition(self, name, build):
+        graph = build()
+        got = [(c.index, c.nodes, c.order, c.content_id)
+               for c in decompose(graph)]
+        assert got == scalar_decompose(graph)
+
+    def test_weights_beyond_int64_are_refused(self):
+        g = coord_graph([(0, (0, 0)), (1, (1, 0))], [(0, 1, 1 << 64)])
+        with pytest.raises(ValueError, match="int64"):
+            decompose(g)

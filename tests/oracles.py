@@ -17,7 +17,15 @@ compare them with live here:
 * :func:`whole_instance_cover` — the unwindowed set cover, one solve
   over every candidate grid line;
 * :func:`scalar_crossing_pairs` — planarization's crossing search with
-  the scalar segment predicate run on every candidate pair.
+  the scalar segment predicate run on every candidate pair;
+* :func:`scalar_partition` (with :func:`rect_digest`),
+  :func:`scalar_owned_front_end` and :func:`scalar_decompose` — the
+  tiled path's per-rect, per-feature
+  and per-component loops (bisect routing with a ``Rect.hull`` bbox;
+  one tuple per owned feature and pair, sorted per tile; BFS
+  components with per-component canonical orders and content ids),
+  which the column passes of ``partition_layout``, the front end's
+  ownership cut and ``decompose`` must reproduce exactly.
 
 :func:`use_kernel` / :func:`use_matcher` run the flow on an oracle by
 swapping it in behind the production accessors ``get_kernel`` /
@@ -29,13 +37,23 @@ oracles live with their differential suite in
 
 from __future__ import annotations
 
+import hashlib
 import importlib
+import struct
 import sys
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from contextlib import contextmanager
 from typing import (Dict, Generic, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, TypeVar)
 
+from repro.chip.partition import (
+    OPEN,
+    _boundaries,
+    auto_tile_grid,
+    default_halo,
+    normalize_tile_spec,
+)
 from repro.core.flow import run_aapsm_flow
 from repro.correction import plan_correction
 from repro.correction.setcover import (
@@ -49,8 +67,11 @@ from repro.correction.setcover import (
 from repro.geometry import Rect, segment_bbox, segments_conflict
 from repro.geometry.kernels import GeometryKernel, PairRow, get_kernel
 from repro.graph import GeomGraph
+from repro.graph.components import COMPONENT_FORMAT
 from repro.graph.matching import BlossomMatcher, LocalEdge, MatcherBackend
 from repro.layout import Layout, Technology
+from repro.shifters import OverlapPair, ShifterSet
+from repro.shifters.frontend import SIDES, TileFrontEnd
 
 T = TypeVar("T")
 
@@ -414,3 +435,148 @@ def cover_oracle_divergence(layout: Layout, tech: Technology
             return (f"exact windowed total cut width {width(win)} != "
                     f"whole {width(whole)}")
     return None
+
+
+# ----------------------------------------------------------------------
+# The tiled path's scalar routines
+# ----------------------------------------------------------------------
+def scalar_partition(layout: Layout, tech: Technology, tiles=None,
+                     jobs=None):
+    """The partition as a per-rect bisect loop over a ``Rect.hull``
+    bbox: ``(bbox, xs, ys, tiles)``, each tile a dict of ``ix``,
+    ``iy``, ``core``, ``owner``, ``bounds``, ``feature_ids`` and
+    ``features`` (the sub-layout's rects, in order)."""
+    nx, ny = normalize_tile_spec(tiles) or auto_tile_grid(layout, jobs=jobs)
+    halo = default_halo(tech)
+    if not layout.features:
+        return None, [], [], []
+    box = layout.features[0]
+    for rect in layout.features[1:]:
+        box = box.hull(rect)
+    xs = _boundaries(box.x1, box.x2, nx)
+    ys = _boundaries(box.y1, box.y2, ny)
+    out = []
+    for iy in range(ny):
+        for ix in range(nx):
+            core = (xs[ix], ys[iy], xs[ix + 1], ys[iy + 1])
+            out.append(dict(
+                ix=ix, iy=iy, core=core,
+                owner=(-OPEN if ix == 0 else core[0],
+                       -OPEN if iy == 0 else core[1],
+                       OPEN if ix == nx - 1 else core[2],
+                       OPEN if iy == ny - 1 else core[3]),
+                bounds=(core[0] - halo, core[1] - halo,
+                        core[2] + halo, core[3] + halo),
+                feature_ids=[], features=[]))
+
+    def span_lo(cuts, lo):
+        return max(0, bisect_left(cuts, lo) - 1)
+
+    def span_hi(cuts, hi, n):
+        return min(n - 1, max(0, bisect_right(cuts, hi) - 1))
+
+    for gi, rect in enumerate(layout.features):
+        for iy in range(span_lo(ys, rect.y1 - halo),
+                        span_hi(ys, rect.y2 + halo, ny) + 1):
+            for ix in range(span_lo(xs, rect.x1 - halo),
+                            span_hi(xs, rect.x2 + halo, nx) + 1):
+                tile = out[iy * nx + ix]
+                tile["features"].append(rect)
+                tile["feature_ids"].append(gi)
+    return (box.x1, box.y1, box.x2, box.y2), xs, ys, out
+
+
+def rect_digest(rects: Sequence[Rect]) -> str:
+    """A rect multiset's digest computed on its own: sha256 of the
+    rects sorted by ``(x1, y1, x2, y2)``, as little-endian int64 rows.
+    The partition derives every tile's ``digest`` from one chip-wide
+    sort; it must equal this on the tile's sub-layout."""
+    rows = sorted((r.x1, r.y1, r.x2, r.y2) for r in rects)
+    return hashlib.sha256(b"".join(struct.pack("<4q", *row)
+                                   for row in rows)).hexdigest()
+
+
+def scalar_owned_front_end(layout: Layout, shifters: ShifterSet,
+                           pairs: Sequence[OverlapPair], owner):
+    """One owner window's front-end artifact as sorted tuples.
+
+    ``features``: ``(rect, ((side, rect), (side, rect)))`` per owned
+    critical feature (centre in ``owner``), sorted; ``pairs``:
+    ``(key a, key b, separation_sq, x_gap, y_gap)`` per owned pair
+    (region centre in ``owner``), keys ``(feature rect, side)`` with
+    ``a < b``, sorted.  Compare with :func:`front_end_tuples`.
+    """
+    ox1, oy1, ox2, oy2 = owner
+
+    def owns(px2, py2):
+        return 2 * ox1 <= px2 < 2 * ox2 and 2 * oy1 <= py2 < 2 * oy2
+
+    def tup(r):
+        return (r.x1, r.y1, r.x2, r.y2)
+
+    feats = layout.features
+    features = []
+    for sa, sb in shifters.feature_pairs():
+        rect = feats[sa.feature_index]
+        if owns(*rect.center2):
+            features.append((tup(rect), ((sa.side, tup(sa.rect)),
+                                         (sb.side, tup(sb.rect)))))
+    centers = get_kernel().region_centers2(shifters.rects,
+                                           [p.key for p in pairs])
+    owned = []
+    for p, center in zip(pairs, centers):
+        if not owns(*center):
+            continue
+        ka = (tup(feats[shifters[p.a].feature_index]), shifters[p.a].side)
+        kb = (tup(feats[shifters[p.b].feature_index]), shifters[p.b].side)
+        if kb < ka:
+            ka, kb = kb, ka
+        owned.append((ka, kb, p.separation_sq, p.x_gap, p.y_gap))
+    return tuple(sorted(features)), tuple(sorted(owned))
+
+
+def front_end_tuples(front: TileFrontEnd):
+    """A :class:`TileFrontEnd`'s rows in :func:`scalar_owned_front_end`
+    form."""
+    features = tuple(
+        (tuple(r[:4]), ((SIDES[r[4]], tuple(r[5:9])),
+                        (SIDES[r[9]], tuple(r[10:14]))))
+        for r in front.features.tolist())
+    pairs = tuple(
+        ((tuple(r[:4]), SIDES[r[4]]), (tuple(r[5:9]), SIDES[r[9]]),
+         r[10], r[11], r[12])
+        for r in front.pairs.tolist())
+    return features, pairs
+
+
+def scalar_decompose(graph: GeomGraph):
+    """Components as ``(index, nodes, order, content_id)`` tuples from
+    a per-node BFS, a per-component canonical sort and a per-node,
+    per-edge content encoding (``struct.pack`` of the same int64
+    rows the production digest hashes)."""
+    comps = sorted(graph.connected_components(), key=lambda c: c[0])
+    comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
+    edges = [[] for _ in comps]
+    for _eid, u, v, w in graph.live_edge_rows():
+        edges[comp_of[u]].append((u, v, w))
+    coords = graph._coords
+    out = []
+    for i, comp in enumerate(comps):
+        if all(n in coords for n in comp):
+            order = [n for _, n in sorted((coords[n], n) for n in comp)]
+        else:
+            order = sorted(comp)
+        rank = {n: k for k, n in enumerate(order)}
+        rows = sorted((min(rank[u], rank[v]), max(rank[u], rank[v]), w)
+                      for u, v, w in edges[i])
+        payload = struct.pack("<3q", COMPONENT_FORMAT, len(order),
+                              len(rows))
+        for n in order:
+            c = coords.get(n)
+            payload += struct.pack("<3q", *((0, *c) if c is not None
+                                            else (1, n, 0)))
+        for row in rows:
+            payload += struct.pack("<3q", *row)
+        out.append((i, tuple(comp), tuple(order),
+                    hashlib.sha256(payload).hexdigest()))
+    return out

@@ -149,3 +149,28 @@ def test_d3_cold_warm_eco_blocks_are_pinned(tech):
         block = pipeline_dict(pipe, timings=False)
         assert block == pinned_block(D3_RUNS[label]), label
         assert_adds_up(block, delta)
+
+
+@pytest.mark.parametrize("design", ["D2", "D3"])
+def test_warm_rerun_over_a_written_store_hits_every_entry(tech, tmp_path,
+                                                          design):
+    """A store written to disk by one run replays in full for a fresh
+    store over the same directory: every ``frontend``, ``tile``,
+    ``coloring`` and ``verify`` request hits (the artifacts survive
+    pickling), and the answer is unchanged."""
+    from repro.core.flow import flow_result_from_pipeline
+    from repro.scenarios import report_key
+
+    layout = build_design(design)
+    config = PipelineConfig(tiles=3)
+    written = ArtifactCache(str(tmp_path))
+    cold, cold_delta = counted(written, lambda: run_pipeline(
+        layout, tech, config, cache=written))
+    fresh = ArtifactCache(str(tmp_path))
+    warm, warm_delta = counted(fresh, lambda: run_pipeline(
+        layout, tech, config, cache=fresh))
+    for kind in ("frontend", "tile", "coloring", "verify"):
+        assert cold_delta[kind][1] > 0, kind
+        assert warm_delta[kind] == (sum(cold_delta[kind]), 0), kind
+    assert report_key(flow_result_from_pipeline(warm)) \
+        == report_key(flow_result_from_pipeline(cold))

@@ -198,7 +198,7 @@ class TestTiledFrontEnd:
             other, (-1 << 40, -1 << 40, 1 << 40, 1 << 40), tech)
         store = ArtifactCache()
         store.put(KIND_FRONTEND,
-                  frontend_cache_key(tile.layout, tile.owner, tech),
+                  frontend_cache_key(tile.digest, tile.owner, tech),
                   foreign)
         tracer = Tracer()
         front, text = traced_and_logged(

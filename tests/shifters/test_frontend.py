@@ -8,6 +8,7 @@ dense shifter ids, same sorted pair list, same measurements — and the
 feature on the chip invalidates nothing.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench import build_design
@@ -20,7 +21,6 @@ from repro.obs import Tracer, use_tracer
 from repro.pipeline import PipelineConfig, stage_front_end
 from repro.scenarios.strata import build_scenario, stratum_names
 from repro.shifters import (
-    FrontFeature,
     SpliceError,
     TileFrontEnd,
     compute_tile_front_end,
@@ -28,6 +28,10 @@ from repro.shifters import (
     splice_front_ends,
     tiled_front_end,
 )
+from repro.shifters.frontend import SIDES
+
+from ..conftest import cold_chip_layout
+from ..oracles import front_end_tuples, rect_digest, scalar_owned_front_end
 
 # The equivalence obligation: D1-D3 across assorted grids (D8 rides in
 # benchmarks/bench_frontend.py, same assertion at 45K polygons).
@@ -108,7 +112,7 @@ class TestColdChipWidePass:
             assert (hits, misses) == (0, grid.num_tiles)
             assert_front_ends_equal((s, p), layout_front_end(lay, tech))
             for t in grid.tiles:
-                key = frontend_cache_key(t.layout, t.owner, tech)
+                key = frontend_cache_key(t.digest, t.owner, tech)
                 assert store.get(KIND_FRONTEND, key) == \
                     compute_tile_front_end(t.layout, t.owner, tech,
                                            t.ix, t.iy)
@@ -170,7 +174,8 @@ class TestColdChipWidePass:
 
         lay = build_design("D1")
         wide_open = (-1 << 40, -1 << 40, 1 << 40, 1 << 40)
-        tiles = [SimpleNamespace(ix=i, iy=0, layout=lay, owner=wide_open)
+        tiles = [SimpleNamespace(ix=i, iy=0, layout=lay, owner=wide_open,
+                                 digest=rect_digest(lay.features))
                  for i in range(2)]
         tracer = Tracer()
         with use_tracer(tracer):
@@ -195,9 +200,10 @@ class TestOwnershipPartition:
         # No two tiles own the same feature (splice would raise).
         seen = set()
         for f in fronts:
-            for ff in f.features:
-                assert ff.rect not in seen
-                seen.add(ff.rect)
+            for row in f.features.tolist():
+                rect = tuple(row[:4])
+                assert rect not in seen
+                seen.add(rect)
 
     def test_artifact_is_canonical_under_sublayout_order(self, tech):
         """A tile's artifact is independent of its sub-layout's
@@ -211,12 +217,12 @@ class TestOwnershipPartition:
             shuffled.add_feature(rect)
         a = compute_tile_front_end(tile.layout, tile.owner, tech)
         b = compute_tile_front_end(shuffled, tile.owner, tech)
-        assert a.features == b.features
-        assert a.pairs == b.pairs
+        assert a.features.tolist() == b.features.tolist()
+        assert a.pairs.tolist() == b.pairs.tolist()
 
     def test_empty_tile_artifact(self, tech):
         front = compute_tile_front_end(Layout(), (0, 0, 100, 100), tech)
-        assert front.features == () and front.pairs == ()
+        assert front.features.tolist() == [] and front.pairs.tolist() == []
 
 
 class TestCacheKey:
@@ -224,6 +230,7 @@ class TestCacheKey:
         lay = build_design(name)
         grid = partition_layout(lay, tech, tiles=2)
         tile = next(t for t in grid.tiles if t.num_features)
+        assert tile.digest == rect_digest(tile.layout.features)
         return tile.layout, tile.owner
 
     def test_key_covers_geometry(self, tech):
@@ -231,19 +238,21 @@ class TestCacheKey:
         edited = sub.copy()
         r = edited.features[0]
         edited.features[0] = Rect(r.x1, r.y1, r.x2, r.y2 + 2)
-        assert (frontend_cache_key(sub, owner, tech)
-                != frontend_cache_key(edited, owner, tech))
+        assert (frontend_cache_key(rect_digest(sub.features), owner, tech)
+                != frontend_cache_key(rect_digest(edited.features), owner,
+                                      tech))
 
     def test_key_covers_owner_window_and_tech(self, tech):
         sub, owner = self.owner_and_layout(tech)
+        digest = rect_digest(sub.features)
         other = (owner[0] + 1, owner[1], owner[2], owner[3])
-        assert (frontend_cache_key(sub, owner, tech)
-                != frontend_cache_key(sub, other, tech))
+        assert (frontend_cache_key(digest, owner, tech)
+                != frontend_cache_key(digest, other, tech))
         from repro.layout import Technology
 
         other_tech = Technology.node_65nm()
-        assert (frontend_cache_key(sub, owner, tech)
-                != frontend_cache_key(sub, owner, other_tech))
+        assert (frontend_cache_key(digest, owner, tech)
+                != frontend_cache_key(digest, owner, other_tech))
 
     def test_key_stable_under_renumbering(self, tech):
         """Permuting the chip's feature order (renumbering every
@@ -251,9 +260,9 @@ class TestCacheKey:
         lay = build_design("D2")
         grid_a = partition_layout(lay, tech, tiles=3)
         grid_b = partition_layout(permuted(lay), tech, tiles=3)
-        keys_a = [frontend_cache_key(t.layout, t.owner, tech)
+        keys_a = [frontend_cache_key(t.digest, t.owner, tech)
                   for t in grid_a.tiles]
-        keys_b = [frontend_cache_key(t.layout, t.owner, tech)
+        keys_b = [frontend_cache_key(t.digest, t.owner, tech)
                   for t in grid_b.tiles]
         assert keys_a == keys_b
 
@@ -302,13 +311,14 @@ class TestSpliceGuards:
 
     def test_stale_artifact_rejected(self, tech):
         lay = layout_from_rects([Rect(0, 0, 90, 1000)])
+        left, right = SIDES.index("left"), SIDES.index("right")
         stale = TileFrontEnd(
             ix=0, iy=0,
-            features=(
-                # A feature the layout does not contain.
-                FrontFeature(rect=(5, 5, 95, 1005),
-                             shifters=(("left", (0, 0, 5, 1010)),
-                                       ("right", (95, 0, 100, 1010)))),),
+            # A feature the layout does not contain.
+            features=np.array([[5, 5, 95, 1005,
+                                left, 0, 0, 5, 1010,
+                                right, 95, 0, 100, 1010]]),
+            pairs=np.empty((0, 13), dtype=np.int64),
         )
         with pytest.raises(SpliceError):
             splice_front_ends(lay, [stale])
@@ -320,3 +330,41 @@ class TestSpliceGuards:
         assert front.num_owned_features == 1
         with pytest.raises(SpliceError):
             splice_front_ends(lay, [front, front])
+
+
+def cut_oracle_cases():
+    """``(name, layout builder, grid spec)`` for the ownership-cut
+    oracle."""
+    cases = [(f"{s}:{seed}", lambda s=s, seed=seed:
+              build_scenario(s, seed).layout, 2)
+             for s in stratum_names() for seed in range(3)]
+    cases += [(d, lambda d=d: build_design(d), 3) for d in ("D1", "D2", "D3")]
+    cases += [(f"cold-chip:{seed}", lambda seed=seed: cold_chip_layout(seed),
+               None) for seed in (17, 23)]
+    return cases
+
+
+class TestColumnCutOracle:
+    """The front end's column cut yields exactly the artifacts of the
+    per-feature, per-pair tuple loop it replaced
+    (``tests/oracles.py``): on the cold chip-wide path, and per tile."""
+
+    @pytest.mark.parametrize("name,build,spec", cut_oracle_cases(),
+                             ids=[c[0] for c in cut_oracle_cases()])
+    def test_matches_scalar_cut(self, tech, name, build, spec):
+        lay = build()
+        grid = partition_layout(lay, tech, tiles=spec)
+        store = ArtifactCache()
+        tiled_front_end(lay, tech, grid.tiles, store)
+        chip_s, chip_p = layout_front_end(lay, tech)
+        for t in grid.tiles:
+            stored = store.get(KIND_FRONTEND,
+                               frontend_cache_key(t.digest, t.owner, tech))
+            assert front_end_tuples(stored) == scalar_owned_front_end(
+                lay, chip_s, chip_p, t.owner)
+            if spec is not None:
+                tile_s, tile_p = layout_front_end(t.layout, tech)
+                assert front_end_tuples(compute_tile_front_end(
+                    t.layout, t.owner, tech, t.ix, t.iy)) == \
+                    scalar_owned_front_end(t.layout, tile_s, tile_p,
+                                           t.owner)
