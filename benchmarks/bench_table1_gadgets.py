@@ -53,17 +53,27 @@ def test_gadget_graph_sizes(benchmark, tech, collect_row, name):
     assert row["G_nodes"] <= row["O_nodes"]
 
 
+# Alternating repeats per side: one-shot totals vary by about +-25% on a
+# shared 2-CPU box, more than the effect measured, so each side is
+# timed as its fastest repeat, with the cyclic collector paused as the
+# flow pauses it (a collection landing inside one side's timer is the
+# largest single source of that spread).
+REPEATS = 15
+
+
 def test_generalized_faster_in_aggregate(benchmark, tech, collect_row):
-    """The headline runtime claim, measured end to end."""
+    """The headline runtime claim, measured end to end: each side's
+    total over the designs, as the minimum over ``REPEATS`` alternating
+    repeats (optimized then generalized on every design, each repeat)."""
     import time
 
-    def run():
+    from repro.gcpause import gc_paused
+
+    def timed(duals):
         total_o = total_g = 0.0
-        for name in DESIGNS[2:]:  # tiny designs are all noise
-            dual = _dual_for(build_design(name), tech)
+        for dual in duals:
             start = time.perf_counter()
-            jo = min_tjoin_gadget(dual.graph, dual.tset,
-                                  max_clique_size=1)
+            jo = min_tjoin_gadget(dual.graph, dual.tset, max_clique_size=1)
             total_o += time.perf_counter() - start
             start = time.perf_counter()
             jg = min_tjoin_gadget(dual.graph, dual.tset,
@@ -73,9 +83,21 @@ def test_generalized_faster_in_aggregate(benchmark, tech, collect_row):
                     == dual.graph.total_weight(jg))
         return total_o, total_g
 
+    def run():
+        duals = [_dual_for(build_design(name), tech)
+                 for name in DESIGNS[2:]]  # tiny designs are all noise
+        best_o = best_g = float("inf")
+        for _ in range(REPEATS):
+            with gc_paused():
+                total_o, total_g = timed(duals)
+            best_o = min(best_o, total_o)
+            best_g = min(best_g, total_g)
+        return best_o, best_g
+
     total_o, total_g = benchmark.pedantic(run, rounds=1, iterations=1)
     collect_row("Table 1 — matching runtime totals", {
         "designs": ",".join(DESIGNS[2:]),
+        "repeats": REPEATS,
         "t_O_total_s": round(total_o, 3),
         "t_G_total_s": round(total_g, 3),
         "speedup_pct": round(100 * (1 - total_g / total_o), 1),

@@ -29,10 +29,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
 from ..conflict import PCG, DetectionReport, build_layout_conflict_graph, \
     detect_conflicts
 from ..geometry.kernels import get_kernel
+from ..geometry.rect import rect_columns
 from ..graph import METHOD_GADGET
+from ..graph.coloring import _parity_roots
 from ..layout import Layout, Technology
-from ..shifters import OverlapPair, ShifterSet
-from ..shifters.frontend import ShifterKey
+from ..shifters import OverlapPair, ShifterSet, pair_columns
+from ..shifters.frontend import ShifterKey, _owns_points2
 from .partition import Bounds, Tile, interaction_distance
 
 
@@ -67,11 +69,6 @@ class TileJob:
     feature_ids: Tuple[int, ...] = ()
     front: Optional[Tuple[ShifterSet, List[OverlapPair]]] = field(
         default=None, compare=False, repr=False)
-
-    def owns_point2(self, px2: int, py2: int) -> bool:
-        ox1, oy1, ox2, oy2 = self.owner
-        return (2 * ox1 <= px2 < 2 * ox2) and (2 * oy1 <= py2 < 2 * oy2)
-
 
 @dataclass(frozen=True)
 class CanonicalConflict:
@@ -170,84 +167,80 @@ def detect_tile(job: TileJob) -> TileResult:
     _cg, shifters, pairs = prebuilt
     report = detect_conflicts(job.layout, job.tech, kind=job.kind,
                               method=job.method, prebuilt=prebuilt)
-    feats = job.layout.features
-    feature_col = shifters.feature_column()
-    side_col = shifters.side_column()
-
-    def shifter_key(sid: int) -> ShifterKey:
-        r = feats[feature_col[sid]]
-        return ((r.x1, r.y1, r.x2, r.y2), side_col[sid])
-
     result = TileResult(ix=job.ix, iy=job.iy, report=report)
-
-    # Connected components of the overlap-pair graph over features:
-    # every cycle the optimiser can cut lives inside one component.
-    comp_parent: dict = {}
-
-    def comp_find(x: int) -> int:
-        root = comp_parent.setdefault(x, x)
-        while comp_parent[root] != root:
-            root = comp_parent[root]
-        while comp_parent[x] != root:
-            comp_parent[x], x = root, comp_parent[x]
-        return root
-
-    for p in pairs:
-        ra = comp_find(feature_col[p.a])
-        rb = comp_find(feature_col[p.b])
-        if ra != rb:
-            comp_parent[rb] = ra
-
-    comp_members: dict = {}
-    for fi in comp_parent:
-        comp_members.setdefault(comp_find(fi), []).append(fi)
-    witness_reach = 2 * interaction_distance(job.tech)
-
-    kernel = get_kernel()
-    srects = shifters.rects
-    tagged = ([(c, False) for c in report.conflicts]
-              + [(c, True) for c in report.tshape_conflicts])
-    ref2s = kernel.region_centers2(srects, [c.key for c, _ in tagged])
-    for (conflict, tshape), ref2 in zip(tagged, ref2s):
-        ka, kb = sorted((shifter_key(conflict.a), shifter_key(conflict.b)))
-        members = comp_members.get(
-            comp_find(feature_col[conflict.a]), ())
-        witness = tuple(
-            (feats[fi].x1, feats[fi].y1, feats[fi].x2, feats[fi].y2)
-            for fi in members
-            if _rect_point2_within(feats[fi], ref2, witness_reach))
-        result.conflicts.append(CanonicalConflict(
-            a=ka, b=kb, weight=conflict.weight, ref2=ref2,
-            tshape=tshape, witness=witness))
-
-    # Ownership-filtered counts: summed over tiles these reproduce the
-    # monolithic totals exactly (each feature/pair has one owner).
-    for center2 in kernel.region_centers2(srects, [p.key for p in pairs]):
-        if job.owns_point2(*center2):
-            result.owned_pairs += 1
-
-    feat_center_owned = [job.owns_point2(*r.center2) for r in feats]
-    for fi in report.uncorrectable_features:
-        if feat_center_owned[fi]:
-            r = feats[fi]
-            result.owned_uncorrectable.append((r.x1, r.y1, r.x2, r.y2))
-    for fi in report.tshape_features:
-        if feat_center_owned[fi]:
-            r = feats[fi]
-            result.owned_tshape_features.append((r.x1, r.y1, r.x2, r.y2))
-
+    _canonicalize(job, shifters, pairs, result)
     result.seconds = time.perf_counter() - start
     result.cpu_seconds = time.process_time() - cpu0
     result.started_unix = started_unix
     return result
 
 
-def _rect_point2_within(rect, p2: Tuple[int, int], dist: int) -> bool:
-    """Is a doubled point within ``dist`` nm of a rect (exact ints)?"""
-    px2, py2 = p2
-    dx = max(2 * rect.x1 - px2, px2 - 2 * rect.x2, 0)
-    dy = max(2 * rect.y1 - py2, py2 - 2 * rect.y2, 0)
-    return dx * dx + dy * dy <= (2 * dist) ** 2
+def _canonicalize(job: TileJob, shifters: ShifterSet,
+                  pairs: List[OverlapPair], result: TileResult) -> None:
+    """Fill a tile result's canonical conflicts and owned counts, in
+    column passes over the tile's feature, shifter and pair columns."""
+    import numpy as np
+
+    report = result.report
+    fx1, fy1, fx2, fy2 = rect_columns(job.layout.features)
+    rects = list(zip(fx1.tolist(), fy1.tolist(), fx2.tolist(),
+                     fy2.tolist()))
+    feature = np.array(shifters.feature_column(), dtype=np.int64)
+    side = shifters.side_column()
+    cols = pair_columns(pairs)
+    kernel = get_kernel()
+
+    # Connected components of the overlap-pair graph over features:
+    # every cycle the optimiser can cut lives inside one component.
+    # Members are listed by root, each component's in order of first
+    # appearance along the pair list (a before b).
+    fa, fb = feature[cols[:, 0]], feature[cols[:, 1]]
+    root, _side = _parity_roots(np, len(rects), fa, fb)
+    seen, first = np.unique(np.stack((fa, fb), axis=1).ravel(),
+                            return_index=True)
+    members = seen[np.lexsort((first, root[seen]))]
+    member_root = root[members]
+
+    # Each conflict's witness: the members of its component within
+    # cycle-scale reach of its anchor, the centre of its overlap region.
+    tagged = ([(c, False) for c in report.conflicts]
+              + [(c, True) for c in report.tshape_conflicts])
+    ca = np.array([c.a for c, _ in tagged], dtype=np.int64)
+    cb = np.array([c.b for c, _ in tagged], dtype=np.int64)
+    rx2, ry2 = kernel.region_center_arrays(shifters.rects, ca, cb)
+    comp = root[feature[ca]]
+    lo = np.searchsorted(member_root, comp, side="left")
+    size = np.searchsorted(member_root, comp, side="right") - lo
+    owner = np.repeat(np.arange(len(tagged)), size)
+    m = members[np.arange(len(owner)) + np.repeat(lo - np.cumsum(size)
+                                                  + size, size)]
+    px2, py2 = rx2[owner], ry2[owner]
+    dx = np.maximum(np.maximum(2 * fx1[m] - px2, px2 - 2 * fx2[m]), 0)
+    dy = np.maximum(np.maximum(2 * fy1[m] - py2, py2 - 2 * fy2[m]), 0)
+    near = dx * dx + dy * dy <= (4 * interaction_distance(job.tech)) ** 2
+    witness = list(map(rects.__getitem__, m[near].tolist()))
+    ends = np.cumsum(np.bincount(owner[near], minlength=len(tagged)))
+    fl = feature.tolist()
+    for (conflict, tshape), ref2, a, b in zip(
+            tagged, zip(rx2.tolist(), ry2.tolist()),
+            np.concatenate(([0], ends[:-1])).tolist(), ends.tolist()):
+        ka, kb = sorted(((rects[fl[conflict.a]], side[conflict.a]),
+                         (rects[fl[conflict.b]], side[conflict.b])))
+        result.conflicts.append(CanonicalConflict(
+            a=ka, b=kb, weight=conflict.weight, ref2=ref2,
+            tshape=tshape, witness=tuple(witness[a:b])))
+
+    # Ownership-filtered counts: summed over tiles these reproduce the
+    # monolithic totals exactly (each feature/pair has one owner).
+    px2, py2 = kernel.region_center_arrays(shifters.rects, cols[:, 0],
+                                           cols[:, 1])
+    result.owned_pairs = int(_owns_points2(job.owner, px2, py2).sum())
+    owned = _owns_points2(job.owner, fx1 + fx2, fy1 + fy2).tolist()
+    result.owned_uncorrectable = [rects[fi] for fi in
+                                  report.uncorrectable_features
+                                  if owned[fi]]
+    result.owned_tshape_features = [rects[fi] for fi in
+                                    report.tshape_features if owned[fi]]
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,14 @@
 4. Re-examine P with the parity structure of G - D0: edges that would
    close an odd cycle join the final set D (paper step 3).
 
+One parity labelling of G - P - D0, computed by the bipartization
+check, serves three uses: it is that check, it seeds step 3 (only the
+|P| casualties are inserted, into a parity union-find over its
+component roots), and it decides whether the layout was
+phase-assignable before any correction (G is bipartite exactly when
+step 3 finds nothing and D0's edges also insert without
+contradiction).
+
 The report records everything Table 1 needs: the step-2-only count (the
 paper's NP column), the final count (PCG / FG columns), and the mapping
 from deleted graph edges back to shifter pairs for the correction step.
@@ -23,7 +31,6 @@ from typing import List, Optional, Tuple
 from ..graph import (
     METHOD_GADGET,
     greedy_planarize,
-    is_bipartite,
     optimal_planar_bipartization,
     residual_conflicts,
 )
@@ -158,7 +165,7 @@ def detect_conflicts(layout: Layout, tech: Technology,
         layout_name=layout.name,
         graph_kind=kind,
         num_features=layout.num_polygons,
-        num_critical=len(shifters.feature_pairs()),
+        num_critical=shifters.num_critical(),
         num_shifters=len(shifters),
         num_overlap_pairs=len(pairs),
         graph_nodes=graph.num_nodes(),
@@ -168,8 +175,6 @@ def detect_conflicts(layout: Layout, tech: Technology,
         step3_edges=0,
     )
 
-    report.phase_assignable = is_bipartite(graph)
-
     # Step 1(b): planarize; P = potential conflicts.
     potential = greedy_planarize(graph)
     report.crossings_removed = len(potential)
@@ -178,20 +183,26 @@ def detect_conflicts(layout: Layout, tech: Technology,
     bip = optimal_planar_bipartization(graph, method=method,
                                        max_clique_size=max_clique_size)
     report.step2_edges = len(bip.removed)
-    report.step2_weight = sum(graph.edge(eid).weight // GENERIC_SCALE
-                              for eid in bip.removed)
+    report.step2_weight = _base_weight(graph, bip.removed)
 
-    # Step 3: which planarization casualties close odd cycles?
-    extra = residual_conflicts(graph, bip.removed, potential)
+    # Step 3: which planarization casualties close odd cycles?  The
+    # bipartization check labelled G - P - D0; P goes in heaviest
+    # first, then D0 decides whether G itself was bipartite.
+    labelling = bip.labelling
+    extra = residual_conflicts(graph, bip.removed, potential,
+                               base=labelling)
     report.step3_edges = len(extra)
+    report.phase_assignable = not extra \
+        and not labelling.insert(bip.removed)
 
     removed = sorted(set(bip.removed) | set(extra))
     report.removed_edge_ids = removed
-    report.removed_weight = sum(graph.edge(eid).weight // GENERIC_SCALE
-                                for eid in removed)
+    report.removed_weight = _base_weight(graph, removed)
 
     pair_keys, feature_indices = cg.classify_edges(removed)
-    weight_of = _pair_weight_map(cg)
+    # Both edges of an overlap pair carry the pair's weight.
+    weight_of = {cg.edge_pair[eid]: graph.edge_weight(eid) // GENERIC_SCALE
+                 for eid in removed if eid in cg.edge_pair}
     all_conflicts = [
         Conflict(a=a, b=b, weight=weight_of[(a, b)])
         for a, b in sorted(pair_keys)
@@ -205,10 +216,9 @@ def detect_conflicts(layout: Layout, tech: Technology,
 
     tshapes = tshape_feature_indices(layout)
     report.tshape_features = sorted(tshapes)
+    feature = shifters.feature_column()
     for conflict in all_conflicts:
-        features = {shifters[conflict.a].feature_index,
-                    shifters[conflict.b].feature_index}
-        if features & tshapes:
+        if feature[conflict.a] in tshapes or feature[conflict.b] in tshapes:
             report.tshape_conflicts.append(conflict)
         else:
             report.conflicts.append(conflict)
@@ -216,10 +226,7 @@ def detect_conflicts(layout: Layout, tech: Technology,
     return report
 
 
-def _pair_weight_map(cg: ConflictGraph) -> dict:
-    """Base-scale weight of every overlap pair's graph edge, keyed by
-    pair.  Built in one pass over ``edge_pair`` (a per-conflict linear
-    scan here was a measurable hot spot on chip-scale layouts)."""
-    graph = cg.graph
-    return {pair_key: graph.edge(eid).weight // GENERIC_SCALE
-            for eid, pair_key in cg.edge_pair.items()}
+def _base_weight(graph, edge_ids) -> int:
+    """Total base-scale weight of edges carrying refined weights."""
+    weight = graph.edge_weight
+    return sum(weight(eid) // GENERIC_SCALE for eid in edge_ids)

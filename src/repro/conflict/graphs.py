@@ -30,13 +30,14 @@ offset by quarter-nanometre nudges without colliding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, cycle, repeat
 from typing import Dict, List, Optional, Tuple
 
 from ..geometry.kernels import get_kernel
 from ..geometry.rect import rect_columns
 from ..graph import GeomGraph
 from ..layout import Technology
-from ..shifters import OverlapPair, ShifterSet
+from ..shifters import LEFT, RIGHT, OverlapPair, ShifterSet, pair_columns
 from .weights import WeightModel, feature_edge_weight, space_needed_weight
 
 PCG = "pcg"
@@ -93,28 +94,67 @@ class ConflictGraph:
         return pairs, features
 
 
-def _base_graph(kind: str, shifters: ShifterSet) -> ConflictGraph:
+def _overlap_weights(pairs: List[OverlapPair], shifters: ShifterSet,
+                     tech: Technology, weight_model: WeightModel
+                     ) -> Tuple[List[int], int]:
+    """The model's overlap-edge weights as Python ints, and the
+    feature-edge weight (exact: summed in Python ints)."""
+    import numpy as np
+
+    weights = np.asarray(weight_model(pairs, shifters, tech))
+    if weights.shape != (len(pairs),):
+        raise ValueError("weight model must return one weight per pair")
+    if len(weights) and weights.min() <= 0:
+        raise ValueError("weight model must return positive weights")
+    weights = weights.tolist()
+    return weights, feature_edge_weight(weights)
+
+
+def _assemble(kind: str, shifters: ShifterSet, pairs: List[OverlapPair],
+              tech: Technology, weight_model: WeightModel,
+              aux_x, aux_y, feature_u, feature_v, feature_index
+              ) -> ConflictGraph:
+    """A conflict graph from columns, in one bulk append each for
+    nodes and edges.
+
+    Nodes: one per shifter, at its centre (ids ``0..S-1``), then the
+    auxiliary nodes at ``aux_x`` / ``aux_y``: one per overlap pair
+    (ids ``S..S+P-1``), then any feature nodes.  Edges: two per overlap
+    pair, shifter ``a`` then ``b`` to the pair's node, then the feature
+    edges ``feature_u[k]``–``feature_v[k]`` tagged with
+    ``feature_index[k]``.  Ids, orders, weights and tags are those of a
+    per-pair loop of :meth:`~repro.graph.GeomGraph.add_edge` calls.
+    """
+    import numpy as np
+
+    weights, inf_weight = _overlap_weights(pairs, shifters, tech,
+                                           weight_model)
     graph = GeomGraph(name=kind)
     # Shifter ids are dense insertion indices, so the node map is the
-    # identity — built off the rect column, no Shifter objects.
-    shifter_node: Dict[int, int] = {i: i for i in range(len(shifters))}
-    # Shifter centres in 4x coordinates, off the set's memoized int64
-    # rect columns; tolist() hands back Python ints.
+    # identity.  Shifter centres in 4x coordinates.
     x1, y1, x2, y2 = rect_columns(shifters.rects)
-    graph.add_nodes(shifter_node, zip((2 * (x1 + x2)).tolist(),
-                                      (2 * (y1 + y2)).tolist()))
-    return ConflictGraph(graph=graph, kind=kind, shifters=shifters,
-                         shifter_node=shifter_node)
-
-
-def _pair_weights(pairs: List[OverlapPair], shifters: ShifterSet,
-                  tech: Technology,
-                  weight_model: WeightModel) -> Tuple[List[int], int]:
-    weights = [weight_model(p, shifters, tech) for p in pairs]
-    for w in weights:
-        if w <= 0:
-            raise ValueError("weight model must return positive weights")
-    return weights, feature_edge_weight(weights)
+    graph.add_node_columns(np.concatenate((2 * (x1 + x2), aux_x)),
+                           np.concatenate((2 * (y1 + y2), aux_y)))
+    cols = pair_columns(pairs)
+    a, b = cols[:, 0], cols[:, 1]
+    keys = list(zip(a.tolist(), b.tolist()))
+    keys2 = list(chain.from_iterable(zip(keys, keys)))
+    features = feature_index.tolist()
+    eids = graph.add_edge_columns(
+        np.concatenate((np.stack((a, b), axis=1).ravel(), feature_u)),
+        np.concatenate((np.repeat(len(shifters) + np.arange(len(a)), 2),
+                        feature_v)),
+        list(chain.from_iterable(zip(weights, weights)))
+        + [inf_weight] * len(features),
+        list(zip(repeat(OVERLAP_TAG), keys2, cycle((0, 1))))
+        + list(zip(repeat(FEATURE_TAG), features)))
+    split = eids.start + len(keys2)
+    return ConflictGraph(
+        graph=graph, kind=kind, shifters=shifters,
+        shifter_node=dict(zip(range(len(shifters)), range(len(shifters)))),
+        edge_pair=dict(zip(range(eids.start, split), keys2)),
+        edge_feature=dict(zip(range(split, eids.stop), features)),
+        pairs=dict(zip(keys, pairs)))
 
 
 def build_phase_conflict_graph(
@@ -122,47 +162,22 @@ def build_phase_conflict_graph(
         pairs: List[OverlapPair],
         tech: Technology,
         weight_model: WeightModel = space_needed_weight) -> ConflictGraph:
-    """The paper's phase conflict graph."""
-    cg = _base_graph(PCG, shifters)
-    graph = cg.graph
-    weights, inf_weight = _pair_weights(pairs, shifters, tech, weight_model)
+    """The paper's phase conflict graph, built in column passes."""
+    import numpy as np
 
-    # Buffered bulk build: node ids and edge rows accumulate in the
-    # same sequence the per-call loop used, so ids and iteration order
-    # are identical — only the per-edge call overhead is gone.
-    next_node = len(shifters)
-    node_ids: List[int] = []
-    node_coords: List[Tuple[int, int]] = []
-    rows: List[Tuple[int, int, int, Tuple]] = []
-    for pair, weight in zip(pairs, weights):
-        na = cg.shifter_node[pair.a]
-        nb = cg.shifter_node[pair.b]
-        ax, ay = graph.coord(na)
-        bx, by = graph.coord(nb)
-        overlap_node = next_node
-        next_node += 1
-        # Midpoint of the segment between the two shifter nodes: the
-        # 2-edge same-phase path draws as one straight line (the PCG's
-        # key geometric advantage).
-        node_ids.append(overlap_node)
-        node_coords.append(((ax + bx) // 2, (ay + by) // 2))
-        for endpoint, half in ((na, 0), (nb, 1)):
-            rows.append((endpoint, overlap_node, weight,
-                         (OVERLAP_TAG, pair.key, half)))
-        cg.pairs[pair.key] = pair
-    graph.add_nodes(node_ids, node_coords)
-
-    n_overlap = len(rows)
-    for sa, sb in shifters.feature_pairs():
-        rows.append((cg.shifter_node[sa.id], cg.shifter_node[sb.id],
-                     inf_weight, (FEATURE_TAG, sa.feature_index)))
-    eids = graph.add_edge_rows(rows)
-    start = eids.start
-    for k in range(n_overlap):
-        cg.edge_pair[start + k] = rows[k][3][1]
-    for k in range(n_overlap, len(rows)):
-        cg.edge_feature[start + k] = rows[k][3][1]
-    return cg
+    x1, y1, x2, y2 = rect_columns(shifters.rects)
+    cols = pair_columns(pairs)
+    a, b = cols[:, 0], cols[:, 1]
+    # Each overlap node sits at the midpoint of the segment between its
+    # two shifter nodes, so the 2-edge same-phase path draws as one
+    # straight line (the PCG's key geometric advantage).  Shifter
+    # nodes are at twice the doubled centres.
+    cx, cy = x1 + x2, y1 + y2
+    first, second = shifters.feature_pair_ids()
+    feature = np.array(shifters.feature_column(), dtype=np.int64)
+    return _assemble(PCG, shifters, pairs, tech, weight_model,
+                     cx[a] + cx[b], cy[a] + cy[b], first, second,
+                     feature[first])
 
 
 def build_feature_graph(
@@ -171,73 +186,37 @@ def build_feature_graph(
         tech: Technology,
         weight_model: WeightModel = space_needed_weight) -> ConflictGraph:
     """The baseline feature graph (our reading of ASP-DAC'01)."""
-    cg = _base_graph(FG, shifters)
-    graph = cg.graph
-    weights, inf_weight = _pair_weights(pairs, shifters, tech, weight_model)
+    import numpy as np
 
-    next_node = len(shifters)
-    centers2 = get_kernel().region_centers2(shifters.rects,
-                                            [p.key for p in pairs])
-    node_ids: List[int] = []
-    node_coords: List[Tuple[int, int]] = []
-    rows: List[Tuple[int, int, int, Tuple]] = []
-    for pair, weight, (cx2, cy2) in zip(pairs, weights, centers2):
-        na = cg.shifter_node[pair.a]
-        nb = cg.shifter_node[pair.b]
-        conflict_node = next_node
-        next_node += 1
-        # Detour through the centre of the overlap *region* — in general
-        # off the straight line between the shifter nodes.
-        node_ids.append(conflict_node)
-        node_coords.append((2 * cx2, 2 * cy2))
-        for endpoint, half in ((na, 0), (nb, 1)):
-            rows.append((endpoint, conflict_node, weight,
-                         (OVERLAP_TAG, pair.key, half)))
-        cg.pairs[pair.key] = pair
-    graph.add_nodes(node_ids, node_coords)
-
-    n_overlap = len(rows)
-    node_ids = []
-    node_coords = []
-    for sa, sb in shifters.feature_pairs():
-        fi = sa.feature_index
-        cx, cy = _node_coord_center(shifters, fi)
-        # Two feature nodes, nudged a quarter-nm apart along the feature
-        # axis: the 3-edge path keeps the constraint's odd parity.
-        vertical = sa.side in ("left", "right")
-        d = (0, 1) if vertical else (1, 0)
-        f1 = next_node
-        f2 = next_node + 1
-        next_node += 2
-        node_ids.extend((f1, f2))
-        node_coords.extend(((cx - d[0], cy - d[1]),
-                            (cx + d[0], cy + d[1])))
-        for u, v in ((cg.shifter_node[sa.id], f1), (f1, f2),
-                     (f2, cg.shifter_node[sb.id])):
-            rows.append((u, v, inf_weight, (FEATURE_TAG, fi)))
-    graph.add_nodes(node_ids, node_coords)
-    eids = graph.add_edge_rows(rows)
-    start = eids.start
-    for k in range(n_overlap):
-        cg.edge_pair[start + k] = rows[k][3][1]
-    for k in range(n_overlap, len(rows)):
-        cg.edge_feature[start + k] = rows[k][3][1]
-    return cg
-
-
-def _node_coord_center(shifters: ShifterSet, feature_index: int
-                       ) -> Tuple[int, int]:
-    """4x coordinate of the feature centre, inferred from its shifters.
-
-    The midpoint between the two flanking shifter centres *is* the
-    feature centre, which saves the graph builders from needing the
-    layout object.
-    """
-    sa, sb = shifters.of_feature(feature_index)
-    # A doubled centre is half the 4x coordinate, so the sum of the
-    # two doubled centres is the 4x midpoint.
-    (ax, ay), (bx, by) = sa.center2, sb.center2
-    return (ax + bx, ay + by)
+    cols = pair_columns(pairs)
+    # Detour through the centre of the overlap *region* — in general
+    # off the straight line between the shifter nodes.
+    rx2, ry2 = get_kernel().region_center_arrays(shifters.rects,
+                                                 cols[:, 0], cols[:, 1])
+    # Two feature nodes per critical feature, nudged a quarter-nm apart
+    # along the feature axis around its centre (the midpoint of its two
+    # shifter centres): the 3-edge path keeps the constraint's odd
+    # parity.
+    x1, y1, x2, y2 = rect_columns(shifters.rects)
+    first, second = shifters.feature_pair_ids()
+    cx = (x1 + x2)[first] + (x1 + x2)[second]
+    cy = (y1 + y2)[first] + (y1 + y2)[second]
+    side = shifters.side_column()
+    dy = np.fromiter(map({LEFT, RIGHT}.__contains__,
+                         map(side.__getitem__, first.tolist())),
+                     dtype=np.int64, count=len(first))
+    dx = 1 - dy
+    f1 = len(shifters) + len(cols) + 2 * np.arange(len(first))
+    feature = np.array(shifters.feature_column(), dtype=np.int64)
+    return _assemble(
+        FG, shifters, pairs, tech, weight_model,
+        np.concatenate((2 * rx2, np.stack((cx - dx, cx + dx),
+                                          axis=1).ravel())),
+        np.concatenate((2 * ry2, np.stack((cy - dy, cy + dy),
+                                          axis=1).ravel())),
+        np.stack((first, f1, f1 + 1), axis=1).ravel(),
+        np.stack((f1, f1 + 1, second), axis=1).ravel(),
+        np.repeat(feature[first], 3))
 
 
 def build_conflict_graph(kind: str, shifters: ShifterSet,

@@ -7,48 +7,69 @@ ablate them.  All weights are positive integers, and Condition-1 feature
 edges get an effectively infinite weight (they are never correctable by
 spacing — Condition 1 is structural), implemented as a finite bound that
 provably exceeds any sum of overlap-edge weights.
+
+A weight model is a *column function*: ``model(pairs, shifters, tech)``
+returns one int64 weight per overlap pair, in list order, computed in
+passes over the pair columns (:func:`~repro.shifters.pair_columns`)
+and the shifter rect columns (:func:`~repro.geometry.rect.rect_columns`).
 """
 
 from __future__ import annotations
 
-import struct
 import zlib
 from typing import Callable, Sequence
 
+from ..geometry.rect import rect_columns
 from ..layout import Technology
-from ..shifters import OverlapPair, ShifterSet
+from ..shifters import OverlapPair, ShifterSet, pair_columns
 
-WeightModel = Callable[[OverlapPair, ShifterSet, Technology], int]
+WeightModel = Callable[[Sequence[OverlapPair], ShifterSet, Technology],
+                       "numpy.ndarray"]
 
 # Scale factor for the generic (tie-free) weight refinement below.
 # The full 32-bit CRC space keeps birthday collisions negligible even
 # at full-chip pair counts (~50K pairs → p ≈ 3e-4, and a collision
 # only matters if the two pairs also tie in base weight inside one
-# cluster); Python integers make the magnitude free.
+# cluster).
 GENERIC_SCALE = 1 << 32
 
+# Base weights the refinement takes: ``base * GENERIC_SCALE + tie``
+# stays inside int64 exactly when ``-2**31 <= base < 2**31``.
+_GENERIC_BASE_LIMIT = 1 << 31
 
-def pair_tie_breaker(pair: OverlapPair, shifters: ShifterSet) -> int:
+
+def pair_tie_breakers(pairs: Sequence[OverlapPair],
+                      shifters: ShifterSet):
     """A stable pseudo-random value in [0, GENERIC_SCALE) per pair.
 
-    Derived from the two shifter rectangles' absolute coordinates via
-    CRC-32, so it is identical across processes, runs, and — crucially
-    — across different *views* of the same geometry (a full chip and a
-    tile both compute the same value for the same pair).  Python's
-    built-in ``hash`` is salted per process and cannot be used here.
+    The CRC-32 of the pair's two shifter rectangles as one 64-byte row
+    of little-endian int64 ``(x1, y1, x2, y2)`` of ``a`` then ``b``:
+    absolute coordinates, so it is identical across processes, runs,
+    and — crucially — across different *views* of the same geometry (a
+    full chip and a tile both compute the same value for the same
+    pair).  Python's built-in ``hash`` is salted per process and cannot
+    be used here.
     """
-    ra = shifters[pair.a].rect
-    rb = shifters[pair.b].rect
-    payload = struct.pack("<8q", ra.x1, ra.y1, ra.x2, ra.y2,
-                          rb.x1, rb.y1, rb.x2, rb.y2)
-    return zlib.crc32(payload) % GENERIC_SCALE
+    import numpy as np
+
+    cols = pair_columns(pairs)
+    x1, y1, x2, y2 = rect_columns(shifters.rects)
+    a, b = cols[:, 0], cols[:, 1]
+    data = np.stack((x1[a], y1[a], x2[a], y2[a], x1[b], y1[b], x2[b],
+                     y2[b]), axis=1).astype("<i8").tobytes()
+    rows = range(0, len(data), 64)
+    return np.fromiter(map(zlib.crc32, map(data.__getitem__,
+                                           map(slice, rows,
+                                               range(64, len(data) + 64,
+                                                     64)))),
+                       dtype=np.int64, count=len(rows))
 
 
 def make_generic(model: WeightModel) -> WeightModel:
     """Refine a weight model into a generically tie-free one.
 
     Returns a model computing ``base * GENERIC_SCALE + tie`` where
-    ``tie`` is :func:`pair_tie_breaker`.  The refinement preserves the
+    ``tie`` is :func:`pair_tie_breakers`.  The refinement preserves the
     base model's strict order, so every minimum under the refined
     weights is a minimum under the base weights — but ties between
     distinct pairs become (generically) impossible, which makes the
@@ -58,50 +79,71 @@ def make_generic(model: WeightModel) -> WeightModel:
     internal edge numbering, which differs between a tile view and the
     full chip.
 
-    Divide by :data:`GENERIC_SCALE` to recover base-scale weights for
+    The refined weights are exact int64: a base weight outside
+    ``[-2**31, 2**31)`` raises ValueError instead of wrapping.  Divide
+    by :data:`GENERIC_SCALE` to recover base-scale weights for
     reporting.
     """
 
-    def generic(pair: OverlapPair, shifters: ShifterSet,
-                tech: Technology) -> int:
-        return (model(pair, shifters, tech) * GENERIC_SCALE
-                + pair_tie_breaker(pair, shifters))
+    def generic(pairs: Sequence[OverlapPair], shifters: ShifterSet,
+                tech: Technology):
+        import numpy as np
+
+        try:
+            base = np.asarray(model(pairs, shifters, tech), dtype=np.int64)
+        except OverflowError:
+            base = None
+        if base is None or (len(base) and not (
+                -_GENERIC_BASE_LIMIT <= base.min()
+                and base.max() < _GENERIC_BASE_LIMIT)):
+            raise ValueError(
+                "a base weight lies outside the range the generic "
+                "refinement keeps within int64")
+        return base * GENERIC_SCALE + pair_tie_breakers(pairs, shifters)
 
     generic.__name__ = f"generic_{getattr(model, '__name__', 'model')}"
     return generic
 
 
-def uniform_weight(pair: OverlapPair, shifters: ShifterSet,
-                   tech: Technology) -> int:
+def uniform_weight(pairs: Sequence[OverlapPair], shifters: ShifterSet,
+                   tech: Technology):
     """Every conflict is equally painful — counts conflicts, not cost."""
-    del pair, shifters, tech
-    return 1
+    import numpy as np
+
+    del shifters, tech
+    return np.ones(len(pairs), dtype=np.int64)
 
 
-def space_needed_weight(pair: OverlapPair, shifters: ShifterSet,
-                        tech: Technology) -> int:
+def space_needed_weight(pairs: Sequence[OverlapPair], shifters: ShifterSet,
+                        tech: Technology):
     """1 + missing spacing: separating nearly-legal pairs is cheap.
 
+    The separation is the truncated square root of ``separation_sq``.
     This is the model the detection flow defaults to; it makes the
     minimum-weight bipartization prefer conflicts that the correction
     step can fix with narrow end-to-end spaces.
     """
+    import numpy as np
+
     del shifters
-    sep = int(pair.separation_sq ** 0.5)
-    return 1 + max(0, tech.shifter_spacing - sep)
+    sep = np.sqrt(pair_columns(pairs)[:, 2]).astype(np.int64)
+    return 1 + np.maximum(0, tech.shifter_spacing - sep)
 
 
-def facing_span_weight(pair: OverlapPair, shifters: ShifterSet,
-                       tech: Technology) -> int:
+def facing_span_weight(pairs: Sequence[OverlapPair], shifters: ShifterSet,
+                       tech: Technology):
     """1 + length of the facing span: separating long abutments is
     expensive because the inserted space must clear the whole run."""
+    import numpy as np
+
     del tech
-    ra = shifters[pair.a].rect
-    rb = shifters[pair.b].rect
-    xi = ra.xspan.intersection(rb.xspan)
-    yi = ra.yspan.intersection(rb.yspan)
-    span = max(xi.length if xi else 0, yi.length if yi else 0)
-    return 1 + span
+    cols = pair_columns(pairs)
+    a, b = cols[:, 0], cols[:, 1]
+    x1, y1, x2, y2 = rect_columns(shifters.rects)
+    # Length of each axis' closed projection intersection, 0 if empty.
+    xs = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
+    ys = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
+    return 1 + np.maximum(np.maximum(xs, ys), 0)
 
 
 NAMED_MODELS = {
@@ -116,5 +158,6 @@ def feature_edge_weight(overlap_weights: Sequence[int]) -> int:
 
     Any bipartization that can avoid feature edges will: the minimum
     alternative solution costs at most the sum of all overlap weights.
+    Pass Python ints: the sum is then exact at any size.
     """
     return 2 * sum(overlap_weights) + 1

@@ -108,6 +108,6 @@ def conflict_options(conflicts: List[Tuple[int, int]],
     """Correction options per conflict; an empty list means the conflict
     cannot be fixed by end-to-end spacing (e.g. a T-shape interaction —
     the paper hands those to mask splitting or feature widening)."""
-    keyed = {key: (shifters[key[0]].rect, shifters[key[1]].rect)
-             for key in conflicts}
+    rect_of = shifters.rect_of
+    keyed = {key: (rect_of(key[0]), rect_of(key[1])) for key in conflicts}
     return rect_pair_options(keyed, tech.shifter_spacing)

@@ -32,10 +32,8 @@ from ..geometry import neighbor_pairs
 from ..graph import (
     GeomGraph,
     greedy_planarize,
-    is_bipartite,
     optimal_planar_bipartization,
     residual_conflicts,
-    two_color,
 )
 from ..layout import CriticalFeature, Layout, Technology, extract_critical_features
 
@@ -114,22 +112,27 @@ def detect_darkfield_conflicts(layout: Layout, tech: Technology,
         layout_name=layout.name,
         num_critical=len(df.features),
         num_edges=graph.num_edges(),
-        phase_assignable=is_bipartite(graph),
+        phase_assignable=False,
         crossings_removed=0,
     )
 
     potential = greedy_planarize(graph)
     report.crossings_removed = len(potential)
     bip = optimal_planar_bipartization(graph)
-    extra = residual_conflicts(graph, bip.removed, potential)
+    # One labelling of G - P - D0, as in the bright-field flow: step 3,
+    # the assignability of G, and the phases of G - P - D0.
+    labelling = bip.labelling
+    extra = residual_conflicts(graph, bip.removed, potential,
+                               base=labelling)
+    report.phase_assignable = not extra \
+        and not labelling.insert(bip.removed)
     removed = sorted(set(bip.removed) | set(extra))
     report.conflicts = sorted({df.edge_pair[eid] for eid in removed})
 
-    colors = two_color(graph, skip_edges=removed)
-    if colors is not None:
-        report.phases = {df.node_feature[n]: (0 if c == 0 else 180)
-                         for n, c in colors.items()
-                         if n in df.node_feature}
+    colors = labelling.colors()
+    report.phases = {df.node_feature[n]: (0 if c == 0 else 180)
+                     for n, c in colors.items()
+                     if n in df.node_feature}
     report.detect_seconds = time.perf_counter() - start
     return report
 

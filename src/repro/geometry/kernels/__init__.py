@@ -55,6 +55,20 @@ class GeometryKernel:
         """Doubled overlap-region centre for each ``(i, j)`` pair."""
         raise NotImplementedError
 
+    def region_center_arrays(self, rects: Sequence, i, j):
+        """:meth:`region_centers2` over int64 index columns.
+
+        Returns the doubled centres as two int64 arrays ``(cx2, cy2)``.
+        This default defers to :meth:`region_centers2`; a batch kernel
+        computes the columns directly.
+        """
+        import numpy as np
+
+        centers = np.array(self.region_centers2(
+            rects, list(zip(i.tolist(), j.tolist()))),
+            dtype=np.int64).reshape(-1, 2)
+        return centers[:, 0], centers[:, 1]
+
     def neighbor_pair_arrays(self, x1, y1, x2, y2, dist: int):
         """:meth:`neighbor_pairs` over int64 corner columns.
 

@@ -94,6 +94,9 @@ class NumpyKernel(GeometryKernel):
         cx2, cy2 = _region_centers2(ra, pq[:, 0], pq[:, 1])
         return list(zip(cx2.tolist(), cy2.tolist()))
 
+    def region_center_arrays(self, rects: Sequence, i, j):
+        return _region_centers2(RectArray.from_rects(rects), i, j)
+
     # ------------------------------------------------------------------
     def _pairs(self, ra: RectArray, dist: int,
                exempt_same_id: bool = False):

@@ -17,8 +17,10 @@ from .bipartize import (
 )
 from .coloring import (
     ParityDSU,
+    ParityLabelling,
     color_component,
     is_bipartite,
+    parity_labelling,
     residual_conflicts,
     two_color,
 )
@@ -88,6 +90,8 @@ __all__ = [
     "is_bipartite",
     "residual_conflicts",
     "ParityDSU",
+    "ParityLabelling",
+    "parity_labelling",
     "GraphComponent",
     "decompose",
     "encode_coloring",

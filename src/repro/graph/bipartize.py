@@ -16,10 +16,10 @@ Three families, matching the paper's Table 1 columns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .coloring import ParityDSU, is_bipartite
+from .coloring import ParityDSU, ParityLabelling, parity_labelling
 from .dual import build_dual
 from .embedding import build_embedding
 from .gadgets import min_tjoin_gadget
@@ -38,11 +38,16 @@ class BipartizationResult:
         removed: primal edge ids whose deletion makes the graph bipartite.
         weight: total weight of the removed edges.
         method: algorithm identifier for reporting.
+        labelling: the parity labelling of the graph minus ``removed``
+            that the post-bipartization check computed (None when
+            unchecked); the detection flow's step 3 starts from it.
     """
 
     removed: List[int]
     weight: int
     method: str
+    labelling: Optional[ParityLabelling] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def num_conflicts(self) -> int:
@@ -71,15 +76,19 @@ def optimal_planar_bipartization(
     else:
         raise ValueError(f"unknown T-join method {method!r}")
     removed = dual.primal_edges(join)
-    if verify and not is_bipartite(graph, skip_edges=removed):
-        raise AssertionError(
-            "bipartization invariant violated: residual graph has an "
-            "odd cycle")
+    labelling = None
+    if verify:
+        labelling = parity_labelling(graph, skip_edges=removed)
+        if labelling.odd:
+            raise AssertionError(
+                "bipartization invariant violated: residual graph has an "
+                "odd cycle")
     return BipartizationResult(
         removed=removed,
         weight=graph.total_weight(removed),
         method=f"{method}" if max_clique_size is None
         else f"{method}/clique<={max_clique_size}",
+        labelling=labelling,
     )
 
 

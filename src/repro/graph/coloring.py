@@ -2,16 +2,27 @@
 
 Every edge of a phase conflict graph means "endpoints take different
 colors" (overlap constraints are expanded into two such edges through
-the overlap node), so phase assignment is exactly 2-coloring.  The
-parity union-find here also powers the greedy bipartization baseline and
-step 3 of the detection flow.
+the overlap node), so phase assignment is exactly 2-coloring.
+
+Every 2-coloring here reads one *parity labelling*
+(:func:`parity_labelling`): min-label hooking with pointer jumping
+over the live edges, carrying one parity bit per hook.  It gives every
+node its component root and its side, in column passes over the
+graph's flat arrays.  An edge is odd exactly when both ends share a
+side, so the labelling is at once the bipartiteness check, the
+coloring (the component's minimum node label takes color 0) and the
+seed of step 3: :func:`residual_conflicts` inserts only the
+planarization casualties, heaviest first, into a parity union-find
+over component roots (:meth:`ParityLabelling.insert`).
+:class:`ParityDSU` is that union-find; the greedy bipartization
+baseline uses it on nodes directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .geomgraph import GeomGraph
+from .geomgraph import GeomGraph, _numpy
 
 
 class ParityDSU:
@@ -42,6 +53,25 @@ class ParityDSU:
             self._parity[node] = parity
         return x, self._parity[path[0]] if path else 0
 
+    def union(self, a: int, b: int, parity: int) -> bool:
+        """Record "the colors of a and b differ by ``parity``" (0 or 1).
+
+        Returns False (and changes nothing) if that contradicts the
+        constraints recorded so far.
+        """
+        ra, pa = self.find(a)
+        rb, pb = self.find(b)
+        if ra == rb:
+            return pa ^ pb == parity
+        if self._rank[ra] < self._rank[rb]:
+            ra, rb = rb, ra
+            pa, pb = pb, pa
+        self._parent[rb] = ra
+        self._parity[rb] = pa ^ pb ^ parity
+        if self._rank[ra] == self._rank[rb]:
+            self._rank[ra] += 1
+        return True
+
     def union_unequal(self, a: int, b: int) -> bool:
         """Record "a and b have different colors".
 
@@ -49,18 +79,156 @@ class ParityDSU:
         constraints recorded so far, i.e. the edge would close an odd
         cycle.
         """
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return pa != pb
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-            pa, pb = pb, pa
-        self._parent[rb] = ra
-        self._parity[rb] = pa ^ pb ^ 1
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-        return True
+        return self.union(a, b, 1)
+
+
+class ParityLabelling:
+    """The parity labelling of a graph's live edges minus a skip set.
+
+    Attributes:
+        graph: the labelled graph.
+        root: int64 per dense node index, the index of the node's
+            component root (the component's smallest dense index).
+        color: int64 per dense node index, a proper 2-coloring of every
+            bipartite component in which the component's minimum node
+            label takes color 0 — the canonical polarity of the whole
+            coloring stack.
+        odd: ids of the labelled edges whose ends share a color, in id
+            order; empty exactly when the labelled graph is bipartite.
+
+    :meth:`insert` extends the labelling edge by edge through a parity
+    union-find over component roots, so a caller can test edges the
+    labelling left out without labelling again.
+    """
+
+    __slots__ = ("graph", "root", "color", "odd", "_dsu", "_lists")
+
+    def __init__(self, graph: GeomGraph, root, color,
+                 odd: List[int]) -> None:
+        self.graph = graph
+        self.root = root
+        self.color = color
+        self.odd = odd
+        self._dsu = ParityDSU()
+        self._lists = None
+
+    def colors(self) -> Optional[Dict[int, int]]:
+        """Node -> color of the whole graph; None unless bipartite."""
+        if self.odd:
+            return None
+        return dict(zip(self.graph._labels, self.color.tolist()))
+
+    def component_colors(self, nodes: Sequence[int]
+                         ) -> Optional[Dict[int, int]]:
+        """The colors of one whole component's nodes; None when the
+        component holds an odd edge."""
+        graph = self.graph
+        if self._lists is None:
+            ui, _vi = graph._dense_endpoints(_numpy())
+            self._lists = (self.root.tolist(), self.color.tolist(),
+                           set(self.root[ui[self.odd]].tolist()))
+        root, color, odd_roots = self._lists
+        index = nodes if graph._dense_labels \
+            else list(map(graph._node_index.__getitem__, nodes))
+        if root[index[0]] in odd_roots:
+            return None
+        return dict(zip(nodes, map(color.__getitem__, index)))
+
+    def insert(self, edge_ids: Sequence[int]) -> List[int]:
+        """Offer edges, in order, to a parity union-find over component
+        roots; returns the ids of those that would close an odd cycle.
+
+        Accepted edges stay inserted, so a later call tests its edges
+        against the labelling plus every edge accepted so far.
+        """
+        if not len(edge_ids):
+            return []
+        np = _numpy()
+        ui, vi = self.graph._dense_endpoints(np)
+        eids = np.asarray(edge_ids, dtype=np.int64)
+        u, v = ui[eids], vi[eids]
+        root, color = self.root, self.color
+        union = self._dsu.union
+        return [eid for eid, ru, rv, parity in zip(
+                    eids.tolist(), root[u].tolist(), root[v].tolist(),
+                    (color[u] ^ color[v] ^ 1).tolist())
+                if not union(ru, rv, parity)]
+
+
+def parity_labelling(graph: GeomGraph,
+                     skip_edges: Iterable[int] = ()) -> ParityLabelling:
+    """Label the live graph minus ``skip_edges`` in column passes.
+
+    Components and sides come from :func:`_parity_roots`; the odd edges
+    are those whose ends share a side.  The side of a node is its color
+    relative to its root; one flip per component moves color 0 to the
+    component's minimum node label (the root itself when labels are
+    dense, as on conflict graphs).
+    """
+    np = _numpy()
+    n = len(graph._labels)
+    ui, vi = graph._dense_endpoints(np)
+    blocked = set(skip_edges)
+    blocked |= graph._removed
+    if blocked:
+        live = np.ones(len(ui), dtype=bool)
+        live[np.fromiter(blocked, dtype=np.int64,
+                         count=len(blocked))] = False
+        eids = np.flatnonzero(live)
+        u, v = ui[live], vi[live]
+    else:
+        eids = None
+        u, v = ui, vi
+    root, side = _parity_roots(np, n, u, v)
+    odd = np.flatnonzero(side[u] == side[v])
+    odd = (odd if eids is None else eids[odd]).tolist()
+    if not graph._dense_labels and n:
+        label = np.array(graph._labels, dtype=np.int64)
+        low = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(low, root, label)
+        anchor = label == low[root]
+        flip = np.zeros(n, dtype=np.int64)
+        flip[root[anchor]] = side[anchor]
+        side = side ^ flip[root]
+    return ParityLabelling(graph, root, side, odd)
+
+
+def _parity_roots(np, n: int, u, v):
+    """Each node's component root and its side relative to that root.
+
+    Min-label hooking with pointer jumping, one parity bit per pointer:
+    every round hooks the larger root of each edge under the smaller,
+    with the parity that puts the edge's two ends on opposite sides,
+    then flattens every node onto its root, composing parities on the
+    way, until no edge joins two roots.  Where several edges hook one
+    root in a round, the smallest ``2 * target + parity`` wins.
+    Pointers only ever decrease, so the final root is the component's
+    smallest dense index, with side 0.  An edge whose ends end up on
+    one side closes an odd cycle: the labelling is a spanning forest's
+    2-coloring, which every edge of a bipartite component respects.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    side = np.zeros(n, dtype=np.int64)
+    while len(u):
+        pu, pv = parent[u], parent[v]
+        join = pu != pv
+        if not join.any():
+            break
+        pu, pv = pu[join], pv[join]
+        hook = 2 * np.minimum(pu, pv) + (side[u[join]] ^ side[v[join]] ^ 1)
+        key = 2 * parent + side
+        np.minimum.at(key, np.maximum(pu, pv), hook)
+        parent = key >> 1
+        side = key & 1
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            side = side ^ side[parent]
+            parent = jumped
+        keep = parent[u] != parent[v]
+        u, v = u[keep], v[keep]
+    return parent, side
 
 
 def color_component(graph: GeomGraph, start: int,
@@ -68,63 +236,22 @@ def color_component(graph: GeomGraph, start: int,
                     ) -> Optional[Dict[int, int]]:
     """2-color the connected component containing ``start``.
 
-    The canonical polarity rule of the whole coloring stack: the
-    traversal root gets color 0.  Returns colors for every node
-    reachable from ``start`` over live edges minus ``skip_edges``, or
-    None when that component is not bipartite.
-
-    Runs straight on the graph's CSR adjacency: a proper 2-coloring is
-    unique per component up to the pinned root polarity, so traversal
-    order is free and the flat arrays are walked without materializing
-    :class:`~repro.graph.geomgraph.Edge` objects (this is the verify
-    stage's hottest loop on chip-scale layouts).
+    Returns colors for every node reachable from ``start`` over live
+    edges minus ``skip_edges``, with ``start`` colored 0, or None when
+    that component is not bipartite.
     """
-    skip = skip_edges if isinstance(skip_edges, set) else set(skip_edges)
-    return _color_from(graph, start, _blocked_edges(graph, skip))
-
-
-def _blocked_edges(graph: GeomGraph, skip: Set[int]) -> Set[int]:
-    """The edge ids a traversal must not cross: removed plus skipped."""
-    removed = graph._removed
-    if not removed:
-        return skip
-    if not skip:
-        return removed
-    return removed | skip
-
-
-def _color_from(graph: GeomGraph, start: int,
-                blocked: Set[int]) -> Optional[Dict[int, int]]:
-    """:func:`color_component` over a prebuilt blocked-edge set."""
-    csr = graph.csr()
-    indptr = csr.indptr
-    neighbors = csr.neighbors
-    edge_ids = csr.edge_ids
-    index = graph._node_index
-    colors: Dict[int, int] = {start: 0}
-    queue = [start]
-    pop = queue.pop
-    push = queue.append
-    get = colors.get
-    while queue:
-        node = pop()
-        color = colors[node]
-        i = index.get(node)
-        if i is None:        # unknown start label: colored, no edges
-            continue
-        for k in range(indptr[i], indptr[i + 1]):
-            if blocked and edge_ids[k] in blocked:
-                continue
-            nxt = neighbors[k]
-            if nxt == node:      # self-loop: never 2-colorable
-                return None
-            seen = get(nxt)
-            if seen is None:
-                colors[nxt] = color ^ 1
-                push(nxt)
-            elif seen == color:
-                return None
-    return colors
+    np = _numpy()
+    i = graph._node_index.get(start)
+    if i is None:        # unknown start label: colored, no edges
+        return {start: 0}
+    labelling = parity_labelling(graph, skip_edges)
+    members = np.flatnonzero(labelling.root == labelling.root[i])
+    nodes = np.array(graph._labels, dtype=np.int64)[members].tolist()
+    colors = labelling.component_colors(nodes)
+    if colors is None:
+        return None
+    flip = colors[start]
+    return {node: color ^ flip for node, color in colors.items()}
 
 
 def two_color(graph: GeomGraph,
@@ -132,60 +259,45 @@ def two_color(graph: GeomGraph,
     """Proper 2-coloring of the live graph minus ``skip_edges``.
 
     Returns node -> {0, 1}, or None when the remaining graph is not
-    bipartite.  Deterministic, one component at a time: each
-    component's root is its minimum node id and is colored 0 — the
+    bipartite.  Each component's minimum node id is colored 0 — the
     same polarity :mod:`repro.graph.components` replays from cache, so
-    incremental recoloring reproduces this function bit for bit.  The
-    blocked-edge set is built once per call, so the cost is linear in
-    the graph, however many components it has.
+    incremental recoloring reproduces this function bit for bit.
     """
-    blocked = _blocked_edges(graph, set(skip_edges))
-    colors: Dict[int, int] = {}
-    for start in sorted(graph.nodes):
-        if start in colors:
-            continue
-        component = _color_from(graph, start, blocked)
-        if component is None:
-            return None
-        colors.update(component)
-    return colors
+    return parity_labelling(graph, skip_edges).colors()
 
 
 def is_bipartite(graph: GeomGraph,
                  skip_edges: Iterable[int] = ()) -> bool:
-    return two_color(graph, skip_edges) is not None
+    return not parity_labelling(graph, skip_edges).odd
 
 
 def residual_conflicts(graph: GeomGraph, deleted: Sequence[int],
-                       candidates: Sequence[int]) -> List[int]:
+                       candidates: Sequence[int],
+                       base: Optional[ParityLabelling] = None
+                       ) -> List[int]:
     """Step 3 of the paper flow: which planarization casualties matter?
 
-    Colors the graph without ``deleted`` and ``candidates``, then re-adds
-    the candidate edges — heaviest first, so expensive edges are kept
-    whenever the parity structure allows — returning those that would
-    close an odd cycle (the endpoints already have equal colors).  A
-    parity union-find generalizes the paper's single 2-coloring: it also
-    handles candidates that reconnect separate components, which a fixed
-    coloring would misclassify.
-    """
-    deleted_set = set(deleted)
-    candidate_set = set(candidates)
-    dsu = ParityDSU()
-    for node in graph.nodes:
-        dsu.add(node)
-    for eid, u, v, _w in graph.live_edge_rows():
-        if eid in deleted_set or eid in candidate_set:
-            continue
-        if not dsu.union_unequal(u, v):
-            raise ValueError(
-                "graph minus deleted edges is not bipartite; "
-                "bipartization output is inconsistent")
+    Labels the graph without ``deleted`` and ``candidates``, then
+    re-adds the candidate edges — heaviest first, so expensive edges
+    are kept whenever the parity structure allows — returning, sorted
+    by id, those that would close an odd cycle.  The re-adding runs
+    through a parity union-find over the labelling's component roots,
+    which also handles candidates that reconnect separate components
+    (a fixed 2-coloring would misclassify those).
 
+    ``base`` is the :func:`parity_labelling` of the graph minus
+    ``deleted`` and ``candidates`` when the caller already has it (the
+    detection flow takes it from the bipartization check); it is
+    computed otherwise.  The accepted candidates stay inserted in it.
+    Raises ValueError when that labelling is not bipartite.
+    """
+    candidate_set = set(candidates)
+    if base is None:
+        base = parity_labelling(graph, candidate_set.union(deleted))
+    if base.odd:
+        raise ValueError(
+            "graph minus deleted edges is not bipartite; "
+            "bipartization output is inconsistent")
     weight = graph.edge_weight
     ordered = sorted(candidate_set, key=lambda eid: (-weight(eid), eid))
-    conflicts: List[int] = []
-    for eid in ordered:
-        e = graph.edge(eid)
-        if not dsu.union_unequal(e.u, e.v):
-            conflicts.append(eid)
-    return sorted(conflicts)
+    return sorted(base.insert(ordered))

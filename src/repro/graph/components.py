@@ -15,8 +15,8 @@ Colorings are cached in *canonical form*: colors listed in canonical
 node order, normalized so the first canonical node has color 0.
 Replay re-anchors the canonical vector onto the current node ids and
 flips it so the component's minimum node id takes color 0 — exactly
-the polarity :func:`repro.graph.coloring.two_color` produces (its
-BFS roots are component-minimum node ids and are always colored 0).
+the polarity :func:`repro.graph.coloring.two_color` produces (the
+parity labelling gives every component's minimum node id color 0).
 Within a connected component a proper 2-coloring is unique up to that
 flip, so a cache replay is *identical* to a cold chip-wide coloring,
 not merely equivalent.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coloring import color_component
+from .coloring import _parity_roots, parity_labelling
 from .geomgraph import GeomGraph, _numpy
 
 # Bump when the canonical coloring encoding or the content-id encoding
@@ -81,7 +81,8 @@ def decompose(graph: GeomGraph) -> List[GraphComponent]:
     assign stage over chip-scale graphs):
 
     * components by min-label hooking with pointer jumping over the
-      live edges (:func:`_component_roots`);
+      live edges (:func:`~repro.graph.coloring._parity_roots`, whose
+      sides the coloring reads);
     * each component's nodes ascending, and its canonical order — by
       coordinate, ties by id, when every node of the component has
       one; by id otherwise — from one lexsort each.  Coordinate order
@@ -119,7 +120,7 @@ def decompose(graph: GeomGraph) -> List[GraphComponent]:
             "range component content ids encode") from None
 
     # Components, indexed by their minimum node label.
-    root = _component_roots(np, n, u, v)
+    root, _side = _parity_roots(np, n, u, v)
     roots = np.flatnonzero(root == np.arange(n, dtype=np.int64))
     low = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(low, root, label)
@@ -169,32 +170,6 @@ def decompose(graph: GeomGraph) -> List[GraphComponent]:
                            order=tuple(order[a:b]), content_id=cid)
             for i, (a, b, cid) in enumerate(zip(starts.tolist(),
                                                 ends.tolist(), content))]
-
-
-def _component_roots(np, n: int, u, v):
-    """Each node's component root: the smallest dense index in it.
-
-    Min-label hooking with pointer jumping: every round hooks the
-    larger root of each edge under the smaller, then flattens every
-    node onto its root, until no edge joins two roots.  Pointers only
-    ever decrease, so the final root is the component's minimum.
-    """
-    parent = np.arange(n, dtype=np.int64)
-    while len(u):
-        pu, pv = parent[u], parent[v]
-        join = pu != pv
-        if not join.any():
-            break
-        np.minimum.at(parent, np.maximum(pu, pv)[join],
-                      np.minimum(pu, pv)[join])
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-        keep = parent[u] != parent[v]
-        u, v = u[keep], v[keep]
-    return parent
 
 
 def _content_ids(node_rows, sizes, edge_rows, edge_sizes) -> List[str]:
@@ -268,9 +243,11 @@ def two_color_incremental(graph: GeomGraph, store,
     cached under the ``coloring`` kind keyed by component content id.
     A component whose node/edge content is unchanged since any earlier
     run (this process or a persisted cache directory) replays its
-    canonical coloring instead of re-running BFS.  The store counts
+    canonical coloring instead of being recolored.  The store counts
     one ``coloring`` get per component: a hit replayed, a miss
-    recolored.
+    recolored.  The first miss labels the whole graph once
+    (:func:`~repro.graph.coloring.parity_labelling`), and every missed
+    component reads its colors from that labelling.
 
     Returns colors matching :func:`~repro.graph.coloring.two_color`
     exactly, or None when some component is not bipartite.  Unlike the
@@ -283,6 +260,7 @@ def two_color_incremental(graph: GeomGraph, store,
     tracer = get_tracer()
     colors: Dict[int, int] = {}
     failed = False
+    labelling = None
     for component in components if components is not None \
             else decompose(graph):
         canonical = store.get(KIND_COLORING, component.content_id)
@@ -293,11 +271,13 @@ def two_color_incremental(graph: GeomGraph, store,
             with tracer.span("component", cat="component", op="recolor",
                              component=component.content_id[:12],
                              nodes=len(component.nodes)):
-                fresh = color_component(graph, component.min_node)
+                if labelling is None:
+                    labelling = parity_labelling(graph)
+                fresh = labelling.component_colors(component.nodes)
                 canonical = (ODD_COMPONENT if fresh is None
                              else encode_coloring(component, fresh))
             store.put(KIND_COLORING, component.content_id, canonical)
-            # A fresh coloring is rooted at the minimum node, which is
+            # A fresh coloring gives the minimum node color 0, which is
             # exactly the polarity a decode would restore.
             if fresh is None:
                 failed = True

@@ -200,6 +200,63 @@ class GeomGraph:
         self._dirty()
         return range(start, len(self._eu))
 
+    def add_node_columns(self, xs, ys) -> range:
+        """Bulk-append nodes with coordinates from two int64 columns.
+
+        The column counterpart of :meth:`add_nodes` for graphs whose
+        labels are dense: the new nodes take the next labels,
+        ``num_nodes()`` onwards, in column order.  Returns that
+        ``range``.
+        """
+        if not self._dense_labels:
+            raise ValueError(f"graph {self.name!r}: column appends need "
+                             "dense node labels")
+        start = len(self._labels)
+        ids = range(start, start + len(xs))
+        self._node_index.update(zip(ids, ids))
+        self._labels.extend(ids)
+        self._coords.update(zip(ids, zip(xs.tolist(), ys.tolist())))
+        self._dirty()
+        if not start:
+            np = _numpy()
+            self._array_cache["coords"] = (
+                self._epoch, (np.array(xs, dtype=np.int64),
+                              np.array(ys, dtype=np.int64)))
+        return ids
+
+    def add_edge_columns(self, u, v, weights: Sequence[int],
+                         tags: Sequence[Any]) -> range:
+        """Bulk edge append over parallel columns.
+
+        ``u`` and ``v`` are int64 arrays of existing node labels of a
+        dense-labelled graph; ``weights`` and ``tags`` are per-edge
+        lists (weights as Python ints).  Ids are assigned sequentially
+        in column order — the same ids, orders and values as the
+        equivalent :meth:`add_edge_rows` call.  Returns the ``range``
+        of assigned ids.
+        """
+        np = _numpy()
+        n = len(self._labels)
+        if not self._dense_labels or (len(u) and (
+                min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n)):
+            raise ValueError(f"graph {self.name!r}: column edge endpoints "
+                             "must be nodes of a dense-labelled graph")
+        start = len(self._eu)
+        coords = self._array_cache.get("coords")
+        self._eu.extend(u.tolist())
+        self._ev.extend(v.tolist())
+        self._ew.extend(weights)
+        self._etags.extend(tags)
+        self._dirty()
+        # Edges move no node: current coordinate columns stay valid.
+        if coords is not None and coords[0] == self._epoch - 1:
+            self._array_cache["coords"] = (self._epoch, coords[1])
+        if not start:
+            self._array_cache["endpoints"] = (
+                self._epoch, (np.array(u, dtype=np.int64),
+                              np.array(v, dtype=np.int64)))
+        return range(start, len(self._eu))
+
     def add_edges(self, rows: Iterable[Tuple[int, int, int, Any]]
                   ) -> List[Edge]:
         """Bulk :meth:`add_edge` over ``(u, v, weight, tag)`` rows.

@@ -28,15 +28,17 @@ success signal) is revision-independent.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 from ..cache import KIND_VERIFY, ArtifactCache
 from ..graph import decompose, two_color_incremental
 from ..layout import Technology, tech_fingerprint
 from ..obs import get_tracer
-from ..shifters import OverlapPair
+from ..shifters import OverlapPair, pair_columns
 from .assignment import PhaseAssignment, assignment_from_colors
-from .verify import condition1_problems, condition2_problems
+from .verify import condition1_problems, condition2_problems, \
+    feature_pair_triples
 
 
 def verify_key(content_id: str, tech: Technology) -> str:
@@ -79,21 +81,25 @@ def assign_and_verify_incremental(
     # Constraint grouping is chip-wide work; on a warm run every verdict
     # replays from the store and the grouping would be wasted, so it is
     # deferred until the first component that actually re-verifies.
-    feature_pairs_by: Optional[Dict[int, list]] = None
-    pairs_by: Optional[Dict[int, list]] = None
+    groups: Optional[Tuple[list, list]] = None
 
-    def group_constraints() -> None:
-        nonlocal feature_pairs_by, pairs_by
-        comp_of: Dict[int, int] = {}
-        for component in components:
-            for node in component.nodes:
-                comp_of[node] = component.index
-        feature_pairs_by = {}
-        for sa, sb in conflict_graph.shifters.feature_pairs():
-            feature_pairs_by.setdefault(comp_of[sa.id], []).append((sa, sb))
-        pairs_by = {}
-        for pair in pairs:
-            pairs_by.setdefault(comp_of[pair.a], []).append(pair)
+    def group_constraints() -> Tuple[list, list]:
+        """Condition-1 triples and Condition-2 id pairs, each grouped by
+        the component of its first shifter, in check order."""
+        import numpy as np
+
+        comp_of = np.empty(graph.num_nodes(), dtype=np.int64)
+        comp_of[np.fromiter(chain.from_iterable(
+            c.nodes for c in components), dtype=np.int64,
+            count=graph.num_nodes())] = np.repeat(
+                np.arange(len(components)),
+                [c.num_nodes for c in components])
+        triples = feature_pair_triples(conflict_graph.shifters)
+        cols = pair_columns(pairs)
+        ends = (cols[:, 0], cols[:, 1])
+        return (_grouped(np, comp_of[triples[1]], triples,
+                         len(components)),
+                _grouped(np, comp_of[ends[0]], ends, len(components)))
 
     tracer = get_tracer()
     problems: List[str] = []
@@ -101,22 +107,31 @@ def assign_and_verify_incremental(
         key = verify_key(component.content_id, tech)
         cached = store.get(KIND_VERIFY, key)
         if cached is None:
-            if feature_pairs_by is None:
-                group_constraints()
+            if groups is None:
+                groups = group_constraints()
             # Spans only for components actually re-verified; replayed
             # verdicts are already visible as verify-kind cache hits.
             with tracer.span("component", cat="component", op="verify",
                              component=component.content_id[:12],
                              nodes=len(component.nodes)) as span:
                 verdict = tuple(
-                    condition1_problems(
-                        feature_pairs_by.get(component.index, ()),
-                        assignment)
-                    + condition2_problems(
-                        pairs_by.get(component.index, ()), assignment))
+                    condition1_problems(groups[0][component.index],
+                                        assignment)
+                    + condition2_problems(groups[1][component.index],
+                                          assignment))
                 span.set(violations=len(verdict))
             store.put(KIND_VERIFY, key, verdict)
         else:
             verdict = cached
         problems.extend(verdict)
     return assignment, problems, len(components)
+
+
+def _grouped(np, comp, columns, count: int) -> list:
+    """The rows of parallel id ``columns`` bucketed by their component
+    ``comp``: one list of tuples per component, rows in input order."""
+    order = np.argsort(comp, kind="stable")
+    rows = list(zip(*(col[order].tolist() for col in columns)))
+    bounds = np.searchsorted(comp[order],
+                             np.arange(count + 1)).tolist()
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]

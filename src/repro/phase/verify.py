@@ -24,34 +24,48 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..layout import Technology
-from ..shifters import OverlapPair, Shifter, ShifterSet, find_overlap_pairs
+from ..shifters import OverlapPair, ShifterSet, find_overlap_pairs, \
+    pair_columns
 
 
-def condition1_problems(feature_pairs: Iterable[Tuple[Shifter, Shifter]],
+def condition1_problems(feature_pairs: Iterable[Tuple[int, int, int]],
                         assignment) -> List[str]:
-    """Opposite-phase violations among flanking shifter pairs."""
+    """Opposite-phase violations among flanking shifter pairs, given as
+    ``(feature index, shifter id, shifter id)`` triples."""
     problems: List[str] = []
     phases = assignment.phases
-    for sa, sb in feature_pairs:
-        pa = phases[sa.id]
-        if pa == phases[sb.id]:
+    for feature, a, b in feature_pairs:
+        pa = phases[a]
+        if pa == phases[b]:
             problems.append(
-                f"condition1: feature {sa.feature_index} shifters "
-                f"{sa.id}/{sb.id} share phase {pa}")
+                f"condition1: feature {feature} shifters "
+                f"{a}/{b} share phase {pa}")
     return problems
 
 
-def condition2_problems(pairs: Iterable[OverlapPair],
+def condition2_problems(pairs: Iterable[Tuple[int, int]],
                         assignment) -> List[str]:
-    """Same-phase violations among overlapping shifter pairs."""
+    """Same-phase violations among overlapping shifter pairs, given as
+    ``(shifter id, shifter id)`` tuples."""
     problems: List[str] = []
     phases = assignment.phases
-    for pair in pairs:
-        if phases[pair.a] != phases[pair.b]:
+    for a, b in pairs:
+        if phases[a] != phases[b]:
             problems.append(
-                f"condition2: overlapping shifters {pair.a}/{pair.b} "
+                f"condition2: overlapping shifters {a}/{b} "
                 f"have opposite phases")
     return problems
+
+
+def feature_pair_triples(shifters: ShifterSet):
+    """Every critical feature's ``(feature index, shifter, shifter)``
+    ids as three int64 columns, features ascending (the order of
+    :meth:`~repro.shifters.ShifterSet.feature_pairs`)."""
+    import numpy as np
+
+    first, second = shifters.feature_pair_ids()
+    feature = np.array(shifters.feature_column(), dtype=np.int64)
+    return feature[first], first, second
 
 
 def verify_assignment(shifters: ShifterSet, assignment,
@@ -68,15 +82,23 @@ def verify_assignment(shifters: ShifterSet, assignment,
     of any constraint share a conflict-graph component, scoping by
     component partitions the full check exactly — no constraint is
     double-counted or dropped across a union of component scopes.
+    Both checks read id columns: no shifter object is built.
     """
-    feature_pairs = shifters.feature_pairs()
-    if scope is not None:
-        feature_pairs = [(sa, sb) for sa, sb in feature_pairs
-                         if sa.id in scope or sb.id in scope]
-    problems = condition1_problems(feature_pairs, assignment)
+    import numpy as np
+
     if pairs is None:
         pairs = find_overlap_pairs(shifters, tech)
+    cols = pair_columns(pairs)
+    triples = feature_pair_triples(shifters)
+    ends = (cols[:, 0], cols[:, 1])
     if scope is not None:
-        pairs = [p for p in pairs if p.a in scope or p.b in scope]
-    problems += condition2_problems(pairs, assignment)
+        ids = np.fromiter(scope, dtype=np.int64, count=len(scope))
+        keep = np.isin(triples[1], ids) | np.isin(triples[2], ids)
+        triples = tuple(col[keep] for col in triples)
+        keep = np.isin(ends[0], ids) | np.isin(ends[1], ids)
+        ends = tuple(col[keep] for col in ends)
+    problems = condition1_problems(
+        zip(*(col.tolist() for col in triples)), assignment)
+    problems += condition2_problems(
+        zip(*(col.tolist() for col in ends)), assignment)
     return problems

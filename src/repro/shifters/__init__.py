@@ -22,7 +22,13 @@ from .frontend import (
     tiled_front_end,
 )
 from .generation import generate_shifters, shifter_rects_for_feature
-from .overlap import OverlapPair, find_overlap_pairs, needed_space
+from .overlap import (
+    OverlapPair,
+    PairList,
+    find_overlap_pairs,
+    needed_space,
+    pair_columns,
+)
 from .shifter import (
     BOTTOM,
     LEFT,
@@ -45,6 +51,8 @@ __all__ = [
     "generate_shifters",
     "shifter_rects_for_feature",
     "OverlapPair",
+    "PairList",
+    "pair_columns",
     "find_overlap_pairs",
     "needed_space",
     "FrontEndSlicer",

@@ -50,9 +50,7 @@ anything carrying ``ix``/``iy``/``layout``/``owner``/``digest``.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..cache import KIND_FRONTEND, ArtifactCache
@@ -61,7 +59,7 @@ from ..geometry.rect import rect_columns
 from ..layout import Layout, Technology, tech_fingerprint
 from ..obs import get_logger, get_tracer
 from .generation import generate_shifters
-from .overlap import OverlapPair, find_overlap_pairs
+from .overlap import OverlapPair, PairList, find_overlap_pairs, pair_columns
 from .shifter import BOTTOM, LEFT, RIGHT, TOP, ShifterSet
 
 # A feature/shifter rectangle as a plain hashable tuple.
@@ -84,9 +82,6 @@ FRONTEND_CACHE_FORMAT = 2
 # so ordering rows by ``(rect, code)`` orders them by ``ShifterKey``.
 SIDES = (BOTTOM, LEFT, RIGHT, TOP)
 SIDE_CODE = {side: code for code, side in enumerate(SIDES)}
-
-_pair_row = operator.attrgetter("a", "b", "separation_sq", "x_gap",
-                                "y_gap")
 
 
 class SpliceError(ValueError):
@@ -235,11 +230,9 @@ class _FrontColumns:
         self.feature_centers = (self.features[:, 0] + self.features[:, 2],
                                 self.features[:, 1] + self.features[:, 3])
 
-        cols = _pair_columns(pairs)
-        centers = np.fromiter(
-            chain.from_iterable(get_kernel().region_centers2(
-                shifters.rects, cols[:, :2])),
-            dtype=np.int64, count=2 * len(cols)).reshape(-1, 2)
+        cols = pair_columns(pairs)
+        cx2, cy2 = get_kernel().region_center_arrays(shifters.rects,
+                                                     cols[:, 0], cols[:, 1])
         # Orient every pair a < b by key and sort by (a, b): rank the
         # keys once.  Equal keys (duplicate features) share a rank, so
         # they neither swap nor reorder, as under a key comparison.
@@ -255,7 +248,7 @@ class _FrontColumns:
         ka, kb = ka[order], kb[order]
         self.pairs = np.concatenate((keys[ka], keys[kb], cols[order, 2:]),
                                     axis=1)
-        self.pair_centers = (centers[order, 0], centers[order, 1])
+        self.pair_centers = (cx2[order], cy2[order])
 
         self.feature_owners = np.zeros(len(self.features), dtype=np.int64)
         self.pair_owners = np.zeros(len(self.pairs), dtype=np.int64)
@@ -305,7 +298,7 @@ class FrontEndSlicer:
         self.shifters = shifters
         self.num_features = num_features
         self.feature = np.array(shifters.feature_column(), dtype=np.int64)
-        self.pairs = _pair_columns(pairs)
+        self.pairs = pair_columns(pairs)
 
     def slice(self, feature_ids: Sequence[int]
               ) -> Tuple[ShifterSet, List[OverlapPair]]:
@@ -331,18 +324,10 @@ class FrontEndSlicer:
         a = renumber[rows[:, 0]]
         b = renumber[rows[:, 1]]
         inside = (a >= 0) & (b >= 0)
-        pairs = list(map(OverlapPair, a[inside].tolist(), b[inside].tolist(),
-                         *rows[inside, 2:].T.tolist()))
+        cols = np.concatenate((a[inside, None], b[inside, None],
+                               rows[inside, 2:]), axis=1)
+        pairs = PairList(map(OverlapPair, *cols.T.tolist()), columns=cols)
         return shifters, pairs
-
-
-def _pair_columns(pairs: Sequence[OverlapPair]):
-    """Every pair as one int64 row ``a, b, separation_sq, x_gap,
-    y_gap``."""
-    import numpy as np
-
-    return np.fromiter(chain.from_iterable(map(_pair_row, pairs)),
-                       dtype=np.int64, count=5 * len(pairs)).reshape(-1, 5)
 
 
 def _owns_points2(owner: Bounds, px2, py2):
@@ -431,9 +416,9 @@ def splice_front_ends(layout: Layout,
         ends.append((ga, gb, *row[10:]) if ga < gb
                     else (gb, ga, *row[10:]))
     ends.sort()
-    return shifters, [OverlapPair(a=a, b=b, separation_sq=sep, x_gap=xg,
-                                  y_gap=yg)
-                      for a, b, sep, xg, yg in ends]
+    return shifters, PairList(OverlapPair(a=a, b=b, separation_sq=sep,
+                                          x_gap=xg, y_gap=yg)
+                              for a, b, sep, xg, yg in ends)
 
 
 def _key_text(key: Sequence[int]) -> str:

@@ -8,8 +8,10 @@ feature itself, and Condition 1 forces them to *opposite* phases.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import chain
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..geometry.kernels import get_kernel
 from ..layout import Technology
@@ -39,6 +41,42 @@ class OverlapPair:
         return (self.a, self.b)
 
 
+class PairList(list):
+    """An overlap-pair list that can carry its int64 columns.
+
+    :func:`pair_columns` memoizes its result on the ``columns`` slot,
+    as :class:`~repro.geometry.rect.RectList` does for rects, so the
+    several conflict-graph builds, weight models and ownership counts
+    that read one revision's pairs extract them once.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, pairs: Iterable[OverlapPair] = (),
+                 columns=None) -> None:
+        super().__init__(pairs)
+        self.columns = columns
+
+
+_pair_row = operator.attrgetter("a", "b", "separation_sq", "x_gap",
+                                "y_gap")
+
+
+def pair_columns(pairs: Sequence[OverlapPair]):
+    """Every pair as one int64 row ``a, b, separation_sq, x_gap,
+    y_gap`` (memoized on a :class:`PairList`)."""
+    cols = getattr(pairs, "columns", None)
+    if cols is not None:
+        return cols
+    import numpy as np
+
+    cols = np.fromiter(chain.from_iterable(map(_pair_row, pairs)),
+                       dtype=np.int64, count=5 * len(pairs)).reshape(-1, 5)
+    if isinstance(pairs, PairList):
+        pairs.columns = cols
+    return cols
+
+
 def find_overlap_pairs(shifters: ShifterSet,
                        tech: Technology) -> List[OverlapPair]:
     """All Condition-2 pairs of a shifter set, sorted by id pair.
@@ -63,8 +101,9 @@ def find_overlap_pairs(shifters: ShifterSet,
     """
     rows = get_kernel().overlap_rows(shifters.rects, tech.shifter_spacing,
                                      groups=shifters.feature_column())
-    return [OverlapPair(a=i, b=j, separation_sq=sep, x_gap=xg, y_gap=yg)
-            for i, j, sep, xg, yg in rows]
+    return PairList(OverlapPair(a=i, b=j, separation_sq=sep, x_gap=xg,
+                                y_gap=yg)
+                    for i, j, sep, xg, yg in rows)
 
 
 def needed_space(pair: OverlapPair, tech: Technology,

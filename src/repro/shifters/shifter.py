@@ -8,9 +8,10 @@ only models geometry and identity; phases live in :mod:`repro.phase`.
 :class:`ShifterSet` is a batch table: shifters live in parallel
 feature / side / rect columns (plus one feature→ids dict built as rows
 land), and :class:`Shifter` objects are materialized lazily and
-memoized.  The hot paths — frontend splice, conflict-graph
-construction, the verifier's ``feature_pairs`` — read the columns and
-cached pair list instead of paying a dataclass per lookup.
+memoized.  The flow reads the columns only — the front end, the
+conflict-graph build, detection, correction and the verifier go
+through ``rects``, ``feature_column``, ``side_column``, ``rect_of``
+and ``feature_pair_ids`` — so it builds no :class:`Shifter`.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class ShifterSet:
 
     Append-only; ids are dense insertion indices.  Rows are stored as
     columns, :class:`Shifter` objects materialize on demand, and the
-    ``rects`` / ``feature_pairs`` views are cached per size.
+    ``rects`` view is cached until the next append.
     """
 
     def __init__(self) -> None:
@@ -70,8 +71,6 @@ class ShifterSet:
         self._by_feature: Dict[int, List[int]] = {}
         self._objs: Dict[int, Shifter] = {}
         self._rects: Optional[RectList] = None
-        self._pairs: Optional[Tuple[int, List[Tuple[Shifter, Shifter]]]] = \
-            None
 
     def add(self, feature_index: int, side: str, rect: Rect) -> Shifter:
         sid = len(self._feature)
@@ -153,19 +152,13 @@ class ShifterSet:
         return [self[i] for i in self._by_feature.get(feature_index, ())]
 
     def feature_pairs(self) -> List[Tuple[Shifter, Shifter]]:
-        """The opposing shifter pair of every critical feature.
-
-        Cached per set size (the set is append-only, so a size match
-        means identical content).
-        """
-        if self._pairs is not None and self._pairs[0] == len(self._feature):
-            return self._pairs[1]
+        """The opposing shifter pair of every critical feature, as
+        :class:`Shifter` objects, features ascending (the column form
+        is :meth:`feature_pair_ids`)."""
         self._check_pairs()
-        pairs = [(self[a], self[b])
-                 for a, b in (self._by_feature[fi]
-                              for fi in self.feature_indices())]
-        self._pairs = (len(self._feature), pairs)
-        return pairs
+        return [(self[a], self[b])
+                for a, b in (self._by_feature[fi]
+                             for fi in self.feature_indices())]
 
     def num_critical(self) -> int:
         """``len(feature_pairs())``, read off the per-feature index: no

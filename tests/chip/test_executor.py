@@ -192,3 +192,39 @@ class TestBackendRegistry:
     def test_executors_expose_names(self):
         assert SerialExecutor().name == "serial"
         assert ProcessExecutor(2).name == "process"
+
+
+class TestCanonicalizationOracle:
+    """``detect_tile`` canonicalizes in column passes; its result equals
+    the per-conflict union-find, witness scan and point tests it
+    replaced (``tests/oracles.py:scalar_canonical_tile``), witness
+    order included, so cached ``TileResult`` bytes do not move."""
+
+    @pytest.mark.parametrize("name", [f"{s}:{seed}" for s in stratum_names()
+                                      for seed in range(3)]
+                             + ["D1", "D2", "D3", "cold-chip:17"])
+    def test_matches_per_conflict_canonicalization(self, tech, name):
+        from repro.bench import build_design
+        from repro.shifters import find_overlap_pairs, generate_shifters
+
+        from ..conftest import cold_chip_layout
+        from ..oracles import scalar_canonical_tile
+
+        if name.startswith("cold-chip"):
+            layout, grids = cold_chip_layout(17), (2,)
+        elif ":" in name:
+            stratum, seed = name.split(":")
+            layout, grids = build_scenario(stratum, int(seed)).layout, \
+                (1, 2, 3)
+        else:
+            layout, grids = build_design(name), (1, 3)
+        for tiles in grids:
+            for _job, sliced in sliced_jobs(layout, tech, tiles):
+                result = detect_tile(sliced)
+                shifters = generate_shifters(sliced.layout, tech)
+                pairs = find_overlap_pairs(shifters, tech)
+                assert (result.conflicts, result.owned_pairs,
+                        result.owned_uncorrectable,
+                        result.owned_tshape_features) \
+                    == tuple(scalar_canonical_tile(sliced, shifters, pairs,
+                                                   result.report))

@@ -41,6 +41,7 @@ import hashlib
 import importlib
 import struct
 import sys
+import zlib
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from contextlib import contextmanager
@@ -580,3 +581,289 @@ def scalar_decompose(graph: GeomGraph):
         out.append((i, tuple(comp), tuple(order),
                     hashlib.sha256(payload).hexdigest()))
     return out
+
+
+# ----------------------------------------------------------------------
+# 2-coloring, step 3, conflict-graph builds, weights and tile
+# canonicalization: the per-node, per-pair and per-conflict routines
+# the column passes replaced.
+# ----------------------------------------------------------------------
+def color_from(graph: GeomGraph, start: int,
+               blocked: Set[int]) -> Optional[Dict[int, int]]:
+    """BFS 2-coloring of ``start``'s component over the CSR adjacency,
+    crossing no edge in ``blocked`` (nor a soft-removed one); ``start``
+    gets color 0.  None when the component is not bipartite."""
+    blocked = blocked | graph._removed
+    csr = graph.csr()
+    index = graph._node_index
+    colors: Dict[int, int] = {start: 0}
+    queue = [start]
+    while queue:
+        node = queue.pop()
+        color = colors[node]
+        i = index.get(node)
+        if i is None:        # unknown start label: colored, no edges
+            continue
+        for k in range(csr.indptr[i], csr.indptr[i + 1]):
+            if csr.edge_ids[k] in blocked:
+                continue
+            nxt = csr.neighbors[k]
+            if nxt == node:      # self-loop: never 2-colorable
+                return None
+            seen = colors.get(nxt)
+            if seen is None:
+                colors[nxt] = color ^ 1
+                queue.append(nxt)
+            elif seen == color:
+                return None
+    return colors
+
+
+def scalar_two_color(graph: GeomGraph,
+                     skip_edges: Iterable[int] = ()
+                     ) -> Optional[Dict[int, int]]:
+    """``two_color`` as one BFS per component, each rooted (color 0)
+    at its minimum node id."""
+    blocked = set(skip_edges)
+    colors: Dict[int, int] = {}
+    for start in sorted(graph.nodes):
+        if start in colors:
+            continue
+        component = color_from(graph, start, blocked)
+        if component is None:
+            return None
+        colors.update(component)
+    return colors
+
+
+def scalar_residual_conflicts(graph: GeomGraph, deleted: Sequence[int],
+                              candidates: Sequence[int]) -> List[int]:
+    """Step 3 seeded node by node: every live edge outside ``deleted``
+    and ``candidates`` goes through a node-level parity union-find,
+    then the candidates, heaviest first."""
+    from repro.graph import ParityDSU
+
+    skip = set(deleted) | set(candidates)
+    dsu = ParityDSU()
+    for node in graph.nodes:
+        dsu.add(node)
+    for eid, u, v, _w in graph.live_edge_rows():
+        if eid not in skip and not dsu.union_unequal(u, v):
+            raise ValueError("graph minus deleted edges is not bipartite")
+    ordered = sorted(set(candidates),
+                     key=lambda eid: (-graph.edge_weight(eid), eid))
+    return sorted(eid for eid in ordered
+                  if not dsu.union_unequal(graph.edge(eid).u,
+                                           graph.edge(eid).v))
+
+
+GENERIC_SCALE = 1 << 32
+
+
+def pair_tie_breaker(pair: OverlapPair, shifters: ShifterSet) -> int:
+    """CRC-32 of the pair's two shifter rects packed as ``<8q``."""
+    ra = shifters[pair.a].rect
+    rb = shifters[pair.b].rect
+    payload = struct.pack("<8q", ra.x1, ra.y1, ra.x2, ra.y2,
+                          rb.x1, rb.y1, rb.x2, rb.y2)
+    return zlib.crc32(payload) % GENERIC_SCALE
+
+
+def scalar_make_generic(model):
+    """``make_generic`` for a per-pair model, in Python ints."""
+
+    def generic(pair, shifters, tech):
+        return (model(pair, shifters, tech) * GENERIC_SCALE
+                + pair_tie_breaker(pair, shifters))
+
+    return generic
+
+
+def scalar_uniform_weight(pair, shifters, tech) -> int:
+    return 1
+
+
+def scalar_space_needed_weight(pair, shifters, tech) -> int:
+    sep = int(pair.separation_sq ** 0.5)
+    return 1 + max(0, tech.shifter_spacing - sep)
+
+
+def scalar_facing_span_weight(pair, shifters, tech) -> int:
+    ra = shifters[pair.a].rect
+    rb = shifters[pair.b].rect
+    xi = ra.xspan.intersection(rb.xspan)
+    yi = ra.yspan.intersection(rb.yspan)
+    return 1 + max(xi.length if xi else 0, yi.length if yi else 0)
+
+
+# The per-pair model of each :data:`repro.conflict.NAMED_MODELS` entry.
+SCALAR_MODELS = {
+    "uniform": scalar_uniform_weight,
+    "space": scalar_space_needed_weight,
+    "span": scalar_facing_span_weight,
+}
+
+
+def _scalar_graph_base(kind: str, shifters: ShifterSet, pairs, tech,
+                       model):
+    from repro.conflict import ConflictGraph, feature_edge_weight
+
+    graph = GeomGraph(name=kind)
+    shifter_node = {s.id: s.id for s in shifters}
+    graph.add_nodes(shifter_node,
+                    [(2 * s.center2[0], 2 * s.center2[1])
+                     for s in shifters])
+    weights = [model(p, shifters, tech) for p in pairs]
+    if any(w <= 0 for w in weights):
+        raise ValueError("weight model must return positive weights")
+    cg = ConflictGraph(graph=graph, kind=kind, shifters=shifters,
+                       shifter_node=shifter_node)
+    return cg, weights, feature_edge_weight(weights)
+
+
+def _scalar_finish(cg, rows, n_overlap) -> None:
+    eids = cg.graph.add_edge_rows(rows)
+    for k, eid in enumerate(eids):
+        if k < n_overlap:
+            cg.edge_pair[eid] = rows[k][3][1]
+        else:
+            cg.edge_feature[eid] = rows[k][3][1]
+
+
+def scalar_phase_conflict_graph(shifters: ShifterSet, pairs, tech,
+                                model=scalar_space_needed_weight):
+    """The PCG built pair by pair and feature by feature over
+    :class:`~repro.shifters.Shifter` objects."""
+    from repro.conflict import FEATURE_TAG, OVERLAP_TAG, PCG
+
+    cg, weights, inf_weight = _scalar_graph_base(PCG, shifters, pairs,
+                                                 tech, model)
+    graph = cg.graph
+    next_node = len(shifters)
+    rows = []
+    for pair, weight in zip(pairs, weights):
+        (ax, ay), (bx, by) = graph.coord(pair.a), graph.coord(pair.b)
+        graph.add_node(next_node, ((ax + bx) // 2, (ay + by) // 2))
+        for endpoint, half in ((pair.a, 0), (pair.b, 1)):
+            rows.append((endpoint, next_node, weight,
+                         (OVERLAP_TAG, pair.key, half)))
+        cg.pairs[pair.key] = pair
+        next_node += 1
+    n_overlap = len(rows)
+    for sa, sb in shifters.feature_pairs():
+        rows.append((sa.id, sb.id, inf_weight,
+                     (FEATURE_TAG, sa.feature_index)))
+    _scalar_finish(cg, rows, n_overlap)
+    return cg
+
+
+def scalar_feature_graph(shifters: ShifterSet, pairs, tech,
+                         model=scalar_space_needed_weight):
+    """The FG built pair by pair and feature by feature over
+    :class:`~repro.shifters.Shifter` objects."""
+    from repro.conflict import FEATURE_TAG, FG, OVERLAP_TAG
+
+    cg, weights, inf_weight = _scalar_graph_base(FG, shifters, pairs,
+                                                 tech, model)
+    graph = cg.graph
+    next_node = len(shifters)
+    rows = []
+    for pair, weight in zip(pairs, weights):
+        cx2, cy2 = region_center2(shifters[pair.a].rect,
+                                  shifters[pair.b].rect)
+        graph.add_node(next_node, (2 * cx2, 2 * cy2))
+        for endpoint, half in ((pair.a, 0), (pair.b, 1)):
+            rows.append((endpoint, next_node, weight,
+                         (OVERLAP_TAG, pair.key, half)))
+        cg.pairs[pair.key] = pair
+        next_node += 1
+    n_overlap = len(rows)
+    for sa, sb in shifters.feature_pairs():
+        fi = sa.feature_index
+        cx = sa.center2[0] + sb.center2[0]
+        cy = sa.center2[1] + sb.center2[1]
+        dx, dy = (0, 1) if sa.side in ("left", "right") else (1, 0)
+        f1, f2 = next_node, next_node + 1
+        next_node += 2
+        graph.add_node(f1, (cx - dx, cy - dy))
+        graph.add_node(f2, (cx + dx, cy + dy))
+        for u, v in ((sa.id, f1), (f1, f2), (f2, sb.id)):
+            rows.append((u, v, inf_weight, (FEATURE_TAG, fi)))
+    _scalar_finish(cg, rows, n_overlap)
+    return cg
+
+
+def conflict_graph_columns(cg):
+    """Everything a conflict graph holds, for exact comparison: node
+    labels and coordinates, edge columns (weights with their Python
+    types), tags, removed set and the maps back to shifters."""
+    g = cg.graph
+    return (cg.kind, g.name, list(g._labels), dict(g._coords),
+            list(g._eu), list(g._ev),
+            [(type(w), w) for w in g._ew], list(g._etags),
+            set(g._removed), dict(cg.shifter_node), dict(cg.edge_pair),
+            dict(cg.edge_feature), dict(cg.pairs))
+
+
+def scalar_canonical_tile(job, shifters: ShifterSet, pairs, report):
+    """``detect_tile``'s canonicalization per conflict and per feature:
+    ``(conflicts, owned_pairs, owned_uncorrectable,
+    owned_tshape_features)`` as a union-find over pair features, a
+    witness scan per conflict and a point test per pair and feature."""
+    from repro.chip.executor import CanonicalConflict
+    from repro.chip.partition import interaction_distance
+
+    feats = job.layout.features
+    feature = shifters.feature_column()
+    side = shifters.side_column()
+    ox1, oy1, ox2, oy2 = job.owner
+
+    def owns(px2, py2):
+        return 2 * ox1 <= px2 < 2 * ox2 and 2 * oy1 <= py2 < 2 * oy2
+
+    def tup(r):
+        return (r.x1, r.y1, r.x2, r.y2)
+
+    parent: Dict[int, int] = {}
+
+    def find(x: int) -> int:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p in pairs:
+        ra, rb = find(feature[p.a]), find(feature[p.b])
+        if ra != rb:
+            parent[rb] = ra
+    members: Dict[int, List[int]] = {}
+    for fi in list(parent):
+        members.setdefault(find(fi), []).append(fi)
+    reach = 2 * (2 * interaction_distance(job.tech))
+    tagged = ([(c, False) for c in report.conflicts]
+              + [(c, True) for c in report.tshape_conflicts])
+    conflicts = []
+    for conflict, tshape in tagged:
+        px2, py2 = region_center2(shifters.rect_of(conflict.a),
+                                  shifters.rect_of(conflict.b))
+        witness = []
+        for fi in members.get(find(feature[conflict.a]), ()):
+            r = feats[fi]
+            dx = max(2 * r.x1 - px2, px2 - 2 * r.x2, 0)
+            dy = max(2 * r.y1 - py2, py2 - 2 * r.y2, 0)
+            if dx * dx + dy * dy <= reach * reach:
+                witness.append(tup(r))
+        ka, kb = sorted(((tup(feats[feature[conflict.a]]), side[conflict.a]),
+                         (tup(feats[feature[conflict.b]]), side[conflict.b])))
+        conflicts.append(CanonicalConflict(
+            a=ka, b=kb, weight=conflict.weight, ref2=(px2, py2),
+            tshape=tshape, witness=tuple(witness)))
+    owned_pairs = sum(owns(*region_center2(shifters.rect_of(p.a),
+                                           shifters.rect_of(p.b)))
+                      for p in pairs)
+    owned = [owns(*r.center2) for r in feats]
+    return (conflicts, owned_pairs,
+            [tup(feats[fi]) for fi in report.uncorrectable_features
+             if owned[fi]],
+            [tup(feats[fi]) for fi in report.tshape_features
+             if owned[fi]])

@@ -310,3 +310,27 @@ class TestFlowCompatibility:
         assert result.pipeline.success == result.success
         assert result.detection is result.pipeline.detection.report
         assert result.corrected_layout is result.pipeline.corrected_layout
+
+
+class TestNoShifterObjects:
+    """Detection, correction, verification and assignment read the
+    shifter set's id and rect columns: a flow builds no ``Shifter``."""
+
+    @pytest.mark.parametrize("kwargs", [dict(tiles=3), dict()],
+                             ids=["tiled-cold", "monolithic-storeless"])
+    def test_d3_flow_never_indexes_a_shifter(self, tech, kwargs):
+        from unittest import mock
+
+        from repro.bench import build_design
+        from repro.shifters import ShifterSet
+
+        def refuse(self, shifter_id):
+            raise AssertionError(f"Shifter {shifter_id} built")
+
+        layout = build_design("D3")
+        expected = run_aapsm_flow(layout, tech, **kwargs)
+        with mock.patch.object(ShifterSet, "__getitem__", refuse):
+            result = run_aapsm_flow(layout, tech, **kwargs)
+        assert result.success and expected.success
+        assert result.corrected_layout.features == \
+            expected.corrected_layout.features
