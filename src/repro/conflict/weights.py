@@ -36,6 +36,8 @@ GENERIC_SCALE = 1 << 32
 # Base weights the refinement takes: ``base * GENERIC_SCALE + tie``
 # stays inside int64 exactly when ``-2**31 <= base < 2**31``.
 _GENERIC_BASE_LIMIT = 1 << 31
+_GENERIC_RANGE_ERROR = ("a base weight lies outside the range the generic "
+                        "refinement keeps in int64")
 
 
 def pair_tie_breakers(pairs: Sequence[OverlapPair],
@@ -57,12 +59,11 @@ def pair_tie_breakers(pairs: Sequence[OverlapPair],
     a, b = cols[:, 0], cols[:, 1]
     data = np.stack((x1[a], y1[a], x2[a], y2[a], x1[b], y1[b], x2[b],
                      y2[b]), axis=1).astype("<i8").tobytes()
-    rows = range(0, len(data), 64)
-    return np.fromiter(map(zlib.crc32, map(data.__getitem__,
-                                           map(slice, rows,
-                                               range(64, len(data) + 64,
-                                                     64)))),
-                       dtype=np.int64, count=len(rows))
+    starts = range(0, len(data), 64)
+    rows = map(data.__getitem__, map(slice, starts, range(64, len(data)
+                                                          + 64, 64)))
+    return np.fromiter(map(zlib.crc32, rows), dtype=np.int64,
+                       count=len(starts))
 
 
 def make_generic(model: WeightModel) -> WeightModel:
@@ -92,13 +93,10 @@ def make_generic(model: WeightModel) -> WeightModel:
         try:
             base = np.asarray(model(pairs, shifters, tech), dtype=np.int64)
         except OverflowError:
-            base = None
-        if base is None or (len(base) and not (
-                -_GENERIC_BASE_LIMIT <= base.min()
-                and base.max() < _GENERIC_BASE_LIMIT)):
-            raise ValueError(
-                "a base weight lies outside the range the generic "
-                "refinement keeps within int64")
+            raise ValueError(_GENERIC_RANGE_ERROR) from None
+        if len(base) and not (-_GENERIC_BASE_LIMIT <= base.min()
+                              and base.max() < _GENERIC_BASE_LIMIT):
+            raise ValueError(_GENERIC_RANGE_ERROR)
         return base * GENERIC_SCALE + pair_tie_breakers(pairs, shifters)
 
     generic.__name__ = f"generic_{getattr(model, '__name__', 'model')}"

@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from ..correction.flow import CorrectionReport
 from ..correction.options import rect_pair_options
 from ..correction.spacer import SpaceCut, apply_cuts
 from ..correction.windows import solve_cover_windows
-from ..geometry import neighbor_pairs
+from ..geometry.interval import batch_gap
+from ..geometry.kernels import get_kernel
+from ..geometry.rect import batch_separation_sq, rect_columns
 from ..graph import (
     GeomGraph,
     greedy_planarize,
@@ -63,28 +66,34 @@ class DarkFieldGraph:
 def build_darkfield_graph(layout: Layout, tech: Technology,
                           distance: Optional[int] = None
                           ) -> DarkFieldGraph:
-    """One node per critical feature, one edge per interacting pair."""
+    """One node per critical feature, one edge per interacting pair.
+
+    Built in column passes over the critical features' rect columns:
+    the pairs come from the kernel's sweep, in ``(i, j)`` order, and
+    each edge weighs ``1 + max(0, distance - separation)`` with the
+    separation truncated to an integer.
+    """
+    import numpy as np
+
     if distance is None:
         distance = interaction_distance(tech)
     features = extract_critical_features(layout, tech)
+    x1, y1, x2, y2 = rect_columns([f.rect for f in features])
     graph = GeomGraph(name="darkfield")
-    node_feature: Dict[int, int] = {}
-    for node, feat in enumerate(features):
-        cx2, cy2 = feat.rect.center2
-        graph.add_node(node, (2 * cx2, 2 * cy2))
-        node_feature[node] = feat.index
-
-    edge_pair: Dict[int, FeaturePair] = {}
-    rects = [f.rect for f in features]
-    for i, j in neighbor_pairs(rects, distance):
-        sep = int(rects[i].separation_sq(rects[j]) ** 0.5)
-        weight = 1 + max(0, distance - sep)
-        edge = graph.add_edge(i, j, weight=weight,
-                              tag=("pair", (features[i].index,
-                                            features[j].index)))
-        edge_pair[edge.id] = (features[i].index, features[j].index)
+    graph.add_node_columns(2 * (x1 + x2), 2 * (y1 + y2))
+    i, j = get_kernel().neighbor_pair_arrays(x1, y1, x2, y2, distance)
+    sep = np.sqrt(batch_separation_sq(
+        batch_gap(x1[i], x2[i], x1[j], x2[j]),
+        batch_gap(y1[i], y2[i], y1[j], y2[j]))).astype(np.int64)
+    index = [f.index for f in features]
+    keys = list(zip(map(index.__getitem__, i.tolist()),
+                    map(index.__getitem__, j.tolist())))
+    eids = graph.add_edge_columns(
+        i, j, (1 + np.maximum(0, distance - sep)).tolist(),
+        list(zip(repeat("pair"), keys)))
     return DarkFieldGraph(graph=graph, features=features,
-                          node_feature=node_feature, edge_pair=edge_pair)
+                          node_feature=dict(enumerate(index)),
+                          edge_pair=dict(zip(eids, keys)))
 
 
 @dataclass

@@ -159,3 +159,39 @@ class TestCrossVariant:
         dark = detect_darkfield_conflicts(lay, tech)
         bright = detect_conflicts(lay, tech)
         assert dark.phase_assignable and bright.phase_assignable
+
+
+class TestColumnBuildOracle:
+    """The dark-field graph is built in column passes; it equals the
+    node-by-node, pair-by-pair build it replaced
+    (``tests/oracles.py:scalar_darkfield_graph``)."""
+
+    @pytest.mark.parametrize("name", [
+        f"{s}:{seed}" for s in ("boundary", "density", "duplicate",
+                                "oddcycle", "tjoin", "darkfield")
+        for seed in range(3)] + ["D1", "D2", "D3", "empty"])
+    def test_matches_per_pair_build(self, tech, name):
+        from repro.bench import build_design
+        from repro.scenarios import build_scenario, stratum_names
+
+        from ..oracles import scalar_darkfield_graph
+
+        if name == "empty":
+            layout = layout_from_rects([])
+        elif ":" in name:
+            stratum, seed = name.split(":")
+            assert stratum in stratum_names()
+            layout = build_scenario(stratum, int(seed)).layout
+        else:
+            layout = build_design(name)
+        for distance in (None, 150):
+            got = build_darkfield_graph(layout, tech, distance)
+            want = scalar_darkfield_graph(layout, tech, distance)
+            g, w = got.graph, want.graph
+            assert (g._labels, g._coords, g._eu, g._ev, g._etags) \
+                == (w._labels, w._coords, w._eu, w._ev, w._etags)
+            assert [(type(x), x) for x in g._ew] \
+                == [(type(x), x) for x in w._ew]
+            assert got.node_feature == want.node_feature
+            assert got.edge_pair == want.edge_pair
+            assert got.features == want.features

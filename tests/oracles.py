@@ -25,7 +25,17 @@ compare them with live here:
   one tuple per owned feature and pair, sorted per tile; BFS
   components with per-component canonical orders and content ids),
   which the column passes of ``partition_layout``, the front end's
-  ownership cut and ``decompose`` must reproduce exactly.
+  ownership cut and ``decompose`` must reproduce exactly;
+* :func:`color_from` / :func:`scalar_two_color` (the per-node BFS
+  2-coloring), :func:`scalar_residual_conflicts` (step 3 seeded node
+  by node), :func:`scalar_phase_conflict_graph` /
+  :func:`scalar_feature_graph` (the per-pair graph builders),
+  :data:`SCALAR_MODELS` with :func:`pair_tie_breaker` and
+  :func:`scalar_make_generic` (the per-pair weight models) and
+  :func:`scalar_canonical_tile` (``detect_tile``'s per-conflict
+  canonicalization) — the routines the detector's parity labelling,
+  column graph build, column weight models and column
+  canonicalization replaced.
 
 :func:`use_kernel` / :func:`use_matcher` run the flow on an oracle by
 swapping it in behind the production accessors ``get_kernel`` /
@@ -867,3 +877,53 @@ def scalar_canonical_tile(job, shifters: ShifterSet, pairs, report):
              if owned[fi]],
             [tup(feats[fi]) for fi in report.tshape_features
              if owned[fi]])
+
+
+def scalar_darkfield_graph(layout: Layout, tech: Technology,
+                           distance: Optional[int] = None):
+    """``build_darkfield_graph`` node by node and pair by pair."""
+    from repro.darkfield import DarkFieldGraph, interaction_distance
+    from repro.geometry import neighbor_pairs
+    from repro.layout import extract_critical_features
+
+    if distance is None:
+        distance = interaction_distance(tech)
+    features = extract_critical_features(layout, tech)
+    graph = GeomGraph(name="darkfield")
+    node_feature = {}
+    for node, feat in enumerate(features):
+        cx2, cy2 = feat.rect.center2
+        graph.add_node(node, (2 * cx2, 2 * cy2))
+        node_feature[node] = feat.index
+    edge_pair = {}
+    rects = [f.rect for f in features]
+    for i, j in neighbor_pairs(rects, distance):
+        sep = int(rects[i].separation_sq(rects[j]) ** 0.5)
+        key = (features[i].index, features[j].index)
+        edge = graph.add_edge(i, j, weight=1 + max(0, distance - sep),
+                              tag=("pair", key))
+        edge_pair[edge.id] = key
+    return DarkFieldGraph(graph=graph, features=features,
+                          node_feature=node_feature, edge_pair=edge_pair)
+
+
+def scalar_verify_assignment(shifters: ShifterSet, assignment, pairs,
+                             scope: Optional[Set[int]] = None) -> List[str]:
+    """``verify_assignment`` over :class:`~repro.shifters.Shifter`
+    pairs and :class:`OverlapPair` objects, messages included."""
+    phases = assignment.phases
+    problems = []
+    for sa, sb in shifters.feature_pairs():
+        if scope is not None and sa.id not in scope and sb.id not in scope:
+            continue
+        if phases[sa.id] == phases[sb.id]:
+            problems.append(
+                f"condition1: feature {sa.feature_index} shifters "
+                f"{sa.id}/{sb.id} share phase {phases[sa.id]}")
+    for p in pairs:
+        if scope is not None and p.a not in scope and p.b not in scope:
+            continue
+        if phases[p.a] != phases[p.b]:
+            problems.append(f"condition2: overlapping shifters "
+                            f"{p.a}/{p.b} have opposite phases")
+    return problems

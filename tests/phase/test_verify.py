@@ -133,3 +133,64 @@ class TestVerifyKey:
         assert verify_key("abc", tech) != verify_key("abd", tech)
         assert (verify_key("abc", tech)
                 != verify_key("abc", Technology.node_65nm()))
+
+
+class TestColumnVerifyOracle:
+    """Both verifiers read id columns; their problems — message text,
+    order and grouping included, since cached ``verify`` verdicts store
+    them verbatim — equal the per-object oracle's on broken
+    assignments (``tests/oracles.py:scalar_verify_assignment``)."""
+
+    @staticmethod
+    def broken(cg, seed):
+        import random
+
+        assignment = assign_phases(cg)
+        rng = random.Random(seed)
+        for sid in rng.sample(sorted(assignment.phases),
+                              len(assignment.phases) // 5):
+            assignment.phases[sid] = PHASE_180 + PHASE_0 \
+                - assignment.phases[sid]
+        return assignment
+
+    @pytest.mark.parametrize("name", ["D1", "D2", "D3"])
+    def test_full_and_scoped(self, tech, name):
+        import random
+
+        from ..oracles import scalar_verify_assignment
+
+        cg, shifters, pairs = build_layout_conflict_graph(
+            corrected_design(name, tech), tech)
+        assignment = self.broken(cg, 3)
+        expected = scalar_verify_assignment(shifters, assignment, pairs)
+        assert expected
+        assert verify_assignment(shifters, assignment, tech,
+                                 pairs=pairs) == expected
+        rng = random.Random(5)
+        scope = set(rng.sample(range(len(shifters)), len(shifters) // 3))
+        assert verify_assignment(shifters, assignment, tech, pairs=pairs,
+                                 scope=scope) \
+            == scalar_verify_assignment(shifters, assignment, pairs, scope)
+
+    @pytest.mark.parametrize("name", ["D2", "D3"])
+    def test_incremental_groups_per_component(self, tech, name,
+                                              monkeypatch):
+        from repro.phase import incremental
+
+        from ..oracles import scalar_verify_assignment
+
+        cg, shifters, pairs = build_layout_conflict_graph(
+            corrected_design(name, tech), tech)
+        assignment = self.broken(cg, 7)
+        monkeypatch.setattr(incremental, "assignment_from_colors",
+                            lambda _cg, _colors: assignment)
+        _a, problems, _n = assign_and_verify_incremental(
+            cg, tech, pairs, ArtifactCache())
+        expected = []
+        for comp in decompose(cg.graph):
+            scope = set(comp.nodes)
+            # Each constraint belongs to the component of its first
+            # shifter; both shifters share it.
+            expected += scalar_verify_assignment(shifters, assignment,
+                                                 pairs, scope)
+        assert problems == expected and problems
