@@ -56,8 +56,8 @@ def test_gadget_graph_sizes(benchmark, tech, collect_row, name):
 # Alternating repeats per side: one-shot totals vary by about +-25% on a
 # shared 2-CPU box, more than the effect measured, so each side is
 # timed as its fastest repeat, with the cyclic collector paused as the
-# flow pauses it (a collection landing inside one side's timer is the
-# largest single source of that spread).
+# flow pauses it (a collection landing inside one side's timer adds to
+# that spread).
 REPEATS = 15
 
 

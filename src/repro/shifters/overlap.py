@@ -47,7 +47,8 @@ class PairList(list):
     :func:`pair_columns` memoizes its result on the ``columns`` slot,
     as :class:`~repro.geometry.rect.RectList` does for rects, so the
     several conflict-graph builds, weight models and ownership counts
-    that read one revision's pairs extract them once.
+    that read one revision's pairs extract them once.  Like a rect
+    list, it is immutable by convention once its columns are read.
     """
 
     __slots__ = ("columns",)
