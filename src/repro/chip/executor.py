@@ -31,7 +31,7 @@ from ..conflict import PCG, DetectionReport, build_layout_conflict_graph, \
 from ..geometry.kernels import get_kernel
 from ..geometry.rect import rect_columns
 from ..graph import METHOD_GADGET
-from ..graph.coloring import _parity_roots
+from ..graph.geomgraph import _parity_roots
 from ..layout import Layout, Technology
 from ..shifters import OverlapPair, ShifterSet, pair_columns
 from ..shifters.frontend import ShifterKey, _owns_points2

@@ -8,16 +8,18 @@ cuts).  Because the space runs end-to-end, no pair of shapes ever gets
 spacing violations (verified by the test suite with a real DRC run).
 
 Cut positions always refer to the *original* coordinate system; the
-inserter composes any number of cuts in one pass via prefix sums.
+inserter composes any number of cuts in one column pass per layer via
+prefix sums.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from ..geometry import Rect
+from ..geometry.rect import rect_columns
 from ..layout import Layout
 
 
@@ -43,44 +45,43 @@ class SpaceCut:
             raise ValueError("cut width must be positive")
 
 
-class _AxisShift:
-    """Prefix-sum shifter for one axis."""
+def _shift_columns(np, cuts: Sequence[SpaceCut], low, high):
+    """One axis of :func:`apply_cuts`: the low and high coordinate
+    columns, each moved by the total width of the cuts before it.
 
-    def __init__(self, cuts: Iterable[SpaceCut]):
-        items = sorted((c.position, c.width) for c in cuts)
-        self.positions = [p for p, _ in items]
-        self.prefix = [0]
-        for _, w in items:
-            self.prefix.append(self.prefix[-1] + w)
-
-    def shift_low(self, coord: int) -> int:
-        """Total width of cuts at positions <= coord (moves low edges)."""
-        return self.prefix[bisect.bisect_right(self.positions, coord)]
-
-    def shift_high(self, coord: int) -> int:
-        """Total width of cuts at positions < coord (moves high edges,
-        stretching anything that spans a cut)."""
-        return self.prefix[bisect.bisect_left(self.positions, coord)]
-
-
-def transform_rect(rect: Rect, xshift: _AxisShift,
-                   yshift: _AxisShift) -> Rect:
-    return Rect(
-        rect.x1 + xshift.shift_low(rect.x1),
-        rect.y1 + yshift.shift_low(rect.y1),
-        rect.x2 + xshift.shift_high(rect.x2),
-        rect.y2 + yshift.shift_high(rect.y2),
-    )
+    A low edge moves by the cuts at positions <= its coordinate, a high
+    edge by those at positions < its coordinate, so a rect spanning a
+    cut stretches and one starting on it moves whole.  One
+    ``searchsorted`` per column against the sorted cut positions reads
+    the prefix sums of the cut widths.
+    """
+    positions = np.array([c.position for c in cuts], dtype=np.int64)
+    order = np.argsort(positions, kind="stable")
+    prefix = np.zeros(len(cuts) + 1, dtype=np.int64)
+    np.cumsum(np.array([c.width for c in cuts], dtype=np.int64)[order],
+              out=prefix[1:])
+    positions = positions[order]
+    return (low + prefix[np.searchsorted(positions, low, side="right")],
+            high + prefix[np.searchsorted(positions, high, side="left")])
 
 
 def apply_cuts(layout: Layout, cuts: Sequence[SpaceCut]) -> Layout:
-    """Return a new layout with all cuts applied (input untouched)."""
-    xshift = _AxisShift(c for c in cuts if c.axis == "x")
-    yshift = _AxisShift(c for c in cuts if c.axis == "y")
+    """Return a new layout with all cuts applied (input untouched).
+
+    Column passes over each layer's rect columns; every layer keeps its
+    rect order.
+    """
+    import numpy as np
+
+    xcuts = [c for c in cuts if c.axis == "x"]
+    ycuts = [c for c in cuts if c.axis == "y"]
     out = Layout(name=f"{layout.name}+spaced")
     for layer, rects in layout.layers.items():
-        out.layers[layer] = [transform_rect(r, xshift, yshift)
-                             for r in rects]
+        x1, y1, x2, y2 = rect_columns(rects)
+        x1, x2 = _shift_columns(np, xcuts, x1, x2)
+        y1, y2 = _shift_columns(np, ycuts, y1, y2)
+        out.layers[layer] = list(map(Rect, x1.tolist(), y1.tolist(),
+                                     x2.tolist(), y2.tolist()))
     return out
 
 

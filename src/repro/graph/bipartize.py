@@ -3,10 +3,10 @@
 Three families, matching the paper's Table 1 columns:
 
 * :func:`optimal_planar_bipartization` — the paper's *Bipartize*:
-  embedded planar graph → geometric dual → minimum T-join (via the
-  generalized-gadget matching reduction or the reference shortest-path
-  reduction) → minimum-weight edge set whose removal kills every odd
-  face, hence every odd cycle.
+  embedded planar graph → geometric dual, reduced to a simple graph →
+  minimum T-join (via the generalized-gadget matching reduction or the
+  reference shortest-path reduction) → minimum-weight edge set whose
+  removal kills every odd face, hence every odd cycle.
 * :func:`greedy_spanning_tree_bipartization` — the paper's GB baseline,
   implemented literally: keep a maximum-weight spanning forest, report
   every leftover edge as a conflict.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .coloring import ParityDSU, ParityLabelling, parity_labelling
-from .dual import build_dual
+from .dual import build_dual, simple_dual
 from .embedding import build_embedding
 from .gadgets import min_tjoin_gadget
 from .geomgraph import GeomGraph
@@ -65,10 +65,12 @@ def optimal_planar_bipartization(
     :func:`repro.graph.crossings.greedy_planarize` first).  ``method``
     selects the T-join engine; ``max_clique_size`` configures the
     gadget decomposition (None = generalized gadget, 1 = optimized
-    gadgets of ASP-DAC'01).
+    gadgets of ASP-DAC'01).  Either engine solves the dual's simple
+    instance (:func:`~repro.graph.dual.simple_dual`), which has the
+    same minimum T-join weight.
     """
     embedding = build_embedding(graph)
-    dual = build_dual(embedding)
+    dual = simple_dual(build_dual(embedding))
     if method == METHOD_GADGET:
         join = min_tjoin_gadget(dual.graph, dual.tset, max_clique_size)
     elif method == METHOD_PATHS:

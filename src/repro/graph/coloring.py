@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .geomgraph import GeomGraph, _numpy
+from .geomgraph import GeomGraph, _numpy, _parity_roots
 
 
 class ParityDSU:
@@ -191,44 +191,6 @@ def parity_labelling(graph: GeomGraph,
         flip[root[anchor]] = side[anchor]
         side = side ^ flip[root]
     return ParityLabelling(graph, root, side, odd)
-
-
-def _parity_roots(np, n: int, u, v):
-    """Each node's component root and its side relative to that root.
-
-    Min-label hooking with pointer jumping, one parity bit per pointer:
-    every round hooks the larger root of each edge under the smaller,
-    with the parity that puts the edge's two ends on opposite sides,
-    then flattens every node onto its root, composing parities on the
-    way, until no edge joins two roots.  Where several edges hook one
-    root in a round, the smallest ``2 * target + parity`` wins.
-    Pointers only ever decrease, so the final root is the component's
-    smallest dense index, with side 0.  An edge whose ends end up on
-    one side closes an odd cycle: the labelling is a spanning forest's
-    2-coloring, which every edge of a bipartite component respects.
-    """
-    parent = np.arange(n, dtype=np.int64)
-    side = np.zeros(n, dtype=np.int64)
-    while len(u):
-        pu, pv = parent[u], parent[v]
-        join = pu != pv
-        if not join.any():
-            break
-        pu, pv = pu[join], pv[join]
-        hook = 2 * np.minimum(pu, pv) + (side[u[join]] ^ side[v[join]] ^ 1)
-        key = 2 * parent + side
-        np.minimum.at(key, np.maximum(pu, pv), hook)
-        parent = key >> 1
-        side = key & 1
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            side = side ^ side[parent]
-            parent = jumped
-        keep = parent[u] != parent[v]
-        u, v = u[keep], v[keep]
-    return parent, side
 
 
 def color_component(graph: GeomGraph, start: int,

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coloring import _parity_roots, parity_labelling
-from .geomgraph import GeomGraph, _numpy
+from .coloring import parity_labelling
+from .geomgraph import GeomGraph, _numpy, _parity_roots
 
 # Bump when the canonical coloring encoding or the content-id encoding
 # changes so stale cache directories self-invalidate.  Format 2: content
@@ -81,7 +81,7 @@ def decompose(graph: GeomGraph) -> List[GraphComponent]:
     assign stage over chip-scale graphs):
 
     * components by min-label hooking with pointer jumping over the
-      live edges (:func:`~repro.graph.coloring._parity_roots`, whose
+      live edges (:func:`~repro.graph.geomgraph._parity_roots`, whose
       sides the coloring reads);
     * each component's nodes ascending, and its canonical order — by
       coordinate, ties by id, when every node of the component has

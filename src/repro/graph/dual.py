@@ -10,7 +10,8 @@ faces iff its dual edges form a T-join.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from operator import itemgetter
+from typing import Dict, List, Set, Tuple
 
 from .embedding import PlanarEmbedding
 from .geomgraph import GeomGraph
@@ -55,3 +56,41 @@ def build_dual(embedding: PlanarEmbedding) -> DualGraph:
 
     return DualGraph(graph=dual, tset=set(embedding.odd_faces()),
                      primal_of=primal_of)
+
+
+def simple_dual(dual: DualGraph) -> DualGraph:
+    """The dual's simple T-join instance.
+
+    Same faces and T set, no self-loop, and one edge per face pair: the
+    lightest, ties to the lowest primal edge id.  Weights compare as
+    Python ints, since the Condition-1 feature-edge weight has no int64
+    bound.  Kept edges keep their orientation and come in primal id
+    order, the raw dual's order; ``primal_of`` maps each to its primal
+    edge.
+
+    Exact for a minimum T-join under non-negative weights: a self-loop
+    changes no degree parity, and two edges of one face pair change the
+    same two parities, so some minimum T-join uses no self-loop and at
+    most one edge of each pair, and that edge can be the pair's
+    lightest.  The planarized conflict graph draws each overlap pair as
+    a two-edge path of one weight, so a pair that lies on a cycle comes
+    as two parallel dual edges, and every bridge is a self-loop.
+    """
+    graph = dual.graph
+    primal_of = dual.primal_of
+    best: Dict[Tuple[int, int], Tuple[int, int, int, int]] = {}
+    for eid, u, v, w in graph.live_edge_rows():
+        if u == v:
+            continue
+        pair = (u, v) if u < v else (v, u)
+        row = (w, primal_of[eid], u, v)
+        kept = best.get(pair)
+        if kept is None or row < kept:
+            best[pair] = row
+    rows = sorted(best.values(), key=itemgetter(1))
+    simple = GeomGraph(name=f"{graph.name}#simple")
+    simple.add_nodes(graph.nodes)
+    ids = simple.add_edge_rows([(u, v, w, (PRIMAL_TAG, primal))
+                                for w, primal, u, v in rows])
+    return DualGraph(graph=simple, tset=dual.tset,
+                     primal_of=dict(zip(ids, map(itemgetter(1), rows))))

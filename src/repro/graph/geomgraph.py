@@ -41,6 +41,44 @@ def _numpy():
     return _np
 
 
+def _parity_roots(np, n: int, u, v):
+    """Each node's component root and its side relative to that root.
+
+    Min-label hooking with pointer jumping, one parity bit per pointer:
+    every round hooks the larger root of each edge under the smaller,
+    with the parity that puts the edge's two ends on opposite sides,
+    then flattens every node onto its root, composing parities on the
+    way, until no edge joins two roots.  Where several edges hook one
+    root in a round, the smallest ``2 * target + parity`` wins.
+    Pointers only ever decrease, so the final root is the component's
+    smallest dense index, with side 0.  An edge whose ends end up on
+    one side closes an odd cycle: the labelling is a spanning forest's
+    2-coloring, which every edge of a bipartite component respects.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    side = np.zeros(n, dtype=np.int64)
+    while len(u):
+        pu, pv = parent[u], parent[v]
+        join = pu != pv
+        if not join.any():
+            break
+        pu, pv = pu[join], pv[join]
+        hook = 2 * np.minimum(pu, pv) + (side[u[join]] ^ side[v[join]] ^ 1)
+        key = 2 * parent + side
+        np.minimum.at(key, np.maximum(pu, pv), hook)
+        parent = key >> 1
+        side = key & 1
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            side = side ^ side[parent]
+            parent = jumped
+        keep = parent[u] != parent[v]
+        u, v = u[keep], v[keep]
+    return parent, side
+
+
 @dataclass(frozen=True, slots=True)
 class Edge:
     """An undirected weighted edge with a stable id and an opaque tag."""
@@ -460,34 +498,31 @@ class GeomGraph:
     # Structure queries
     # ------------------------------------------------------------------
     def connected_components(self) -> List[List[int]]:
-        """Components over live edges, each sorted; includes isolated nodes."""
-        csr = self._csr or self._build_csr()
-        indptr = csr.indptr
-        neighbors = csr.neighbors
-        edge_ids = csr.edge_ids
-        index = self._node_index
-        removed = self._removed
-        seen: Set[int] = set()
-        components: List[List[int]] = []
-        for start in self._labels:
-            if start in seen:
-                continue
-            seen.add(start)
-            stack = [start]
-            comp: List[int] = []
-            while stack:
-                node = stack.pop()
-                comp.append(node)
-                i = index[node]
-                for k in range(indptr[i], indptr[i + 1]):
-                    if edge_ids[k] in removed:
-                        continue
-                    nxt = neighbors[k]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            components.append(sorted(comp))
-        return components
+        """Components over live edges, each sorted; includes isolated
+        nodes.
+
+        Components come in the order of their smallest dense index
+        (the first inserted node), from one min-label hooking pass
+        (:func:`_parity_roots`) over the endpoint columns.
+        """
+        np = _numpy()
+        n = len(self._labels)
+        ui, vi = self._dense_endpoints(np)
+        if self._removed:
+            live = np.ones(len(ui), dtype=bool)
+            live[np.fromiter(self._removed, dtype=np.int64,
+                             count=len(self._removed))] = False
+            ui, vi = ui[live], vi[live]
+        root, _side = _parity_roots(np, n, ui, vi)
+        if self._dense_labels:
+            members = np.argsort(root, kind="stable").tolist()
+        else:
+            label = np.array(self._labels, dtype=np.int64)
+            members = label[np.lexsort((label, root))].tolist()
+        sizes = np.bincount(root, minlength=n)
+        ends = np.cumsum(sizes[sizes > 0]).tolist()
+        return [members[start:end]
+                for start, end in zip([0] + ends, ends)]
 
     def subgraph(self, nodes: Iterable[int]) -> "GeomGraph":
         """Live-edge induced subgraph (edge ids are re-numbered; original

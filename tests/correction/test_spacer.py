@@ -13,6 +13,7 @@ from repro.layout import check_spacing, layout_from_rects
 from repro.layout.generator import random_rect_layout
 
 from ..conftest import min_separation
+from ..oracles import scalar_apply_cuts
 
 
 class TestSingleCut:
@@ -120,6 +121,75 @@ class TestNoNewViolations:
                 vertical = a.height >= a.width
                 if vertical:
                     assert b.width == a.width
+
+
+class TestColumnPassOracle:
+    """The column pass against the per-rect bisect oracle: same rects,
+    same layer and rect order, on edges exactly on a cut, several cuts
+    at one position, both axes and no cut at all."""
+
+    @staticmethod
+    def layered(seed):
+        rng = random.Random(seed)
+        lay = random_rect_layout(20, seed=seed, region=3000)
+        for layer in (7, 3):
+            for _ in range(rng.randint(0, 6)):
+                x, y = rng.randrange(0, 3000), rng.randrange(0, 3000)
+                lay.add_shape(layer, Rect(x, y, x + rng.randint(1, 200),
+                                          y + rng.randint(1, 200)))
+        return lay
+
+    @staticmethod
+    def assert_same(lay, cuts):
+        out = apply_cuts(lay, cuts)
+        ref = scalar_apply_cuts(lay, cuts)
+        assert out.name == ref.name
+        assert list(out.layers) == list(ref.layers) == list(lay.layers)
+        assert out.layers == ref.layers
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_cuts_on_edges(self, seed):
+        rng = random.Random(seed)
+        lay = self.layered(seed)
+        rects = [r for rects in lay.layers.values() for r in rects]
+        cuts = []
+        for _ in range(rng.randint(1, 8)):
+            axis = rng.choice("xy")
+            r = rng.choice(rects)
+            position = rng.choice(
+                (r.x1, r.x2, (r.x1 + r.x2) // 2, rng.randrange(-50, 3300))
+                if axis == "x" else
+                (r.y1, r.y2, (r.y1 + r.y2) // 2, rng.randrange(-50, 3300)))
+            cuts.append(SpaceCut(axis, position, rng.randint(1, 300)))
+            if rng.random() < 0.3:
+                cuts.append(SpaceCut(axis, position, rng.randint(1, 300)))
+        rng.shuffle(cuts)
+        self.assert_same(lay, cuts)
+
+    def test_stacked_cuts_on_both_edges(self):
+        lay = layout_from_rects([Rect(10, 20, 30, 40), Rect(30, 40, 50, 60)])
+        cuts = [SpaceCut("x", 30, 5), SpaceCut("x", 30, 7),
+                SpaceCut("y", 40, 11), SpaceCut("y", 20, 2),
+                SpaceCut("y", 40, 3), SpaceCut("x", 10, 1)]
+        self.assert_same(lay, cuts)
+        assert apply_cuts(lay, cuts).features == [
+            Rect(11, 22, 31, 42), Rect(43, 56, 63, 76)]
+
+    @pytest.mark.parametrize("axis", "xy")
+    def test_one_axis_only(self, axis):
+        lay = self.layered(99)
+        self.assert_same(lay, [SpaceCut(axis, 1500, 40),
+                               SpaceCut(axis, 700, 9)])
+
+    def test_no_cuts(self):
+        lay = self.layered(5)
+        self.assert_same(lay, [])
+        assert apply_cuts(lay, []).layers == lay.layers
+
+    def test_empty_layer(self):
+        lay = layout_from_rects([Rect(0, 0, 10, 10)])
+        lay.layers[9] = []
+        self.assert_same(lay, [SpaceCut("x", 5, 3)])
 
 
 class TestStretchedDetector:

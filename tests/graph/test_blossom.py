@@ -202,10 +202,16 @@ class TestJumpStart:
 
     @pytest.fixture(scope="class")
     def gadget_component(self):
-        """The largest matching instance the detector hands the matcher
-        on a suite design, in the matcher's max-weight form."""
+        """The largest matching instance of the gadget T-join on a suite
+        design's raw dual, in the matcher's max-weight form.
+
+        The raw dual is what Table 1 solves: the detector hands the
+        matcher the dual's simple instance, whose gadget components on
+        D2 are too small to show the jump start."""
         from repro.bench.suite import build_design
-        from repro.conflict import detect_conflicts
+        from repro.conflict.detection import build_layout_conflict_graph
+        from repro.graph import (build_dual, build_embedding,
+                                 greedy_planarize, min_tjoin_gadget)
         from repro.graph.matching import BlossomMatcher
         from repro.layout import Technology
         from tests.oracles import use_matcher
@@ -218,8 +224,12 @@ class TestJumpStart:
                     (nvertex, [(u, v, transform - w) for u, v, w in edges]))
                 return super().match(nvertex, edges, transform)
 
+        cg, _shifters, _pairs = build_layout_conflict_graph(
+            build_design("D2"), Technology.node_90nm())
+        greedy_planarize(cg.graph)
+        dual = build_dual(build_embedding(cg.graph))
         with use_matcher(Harvest()):
-            detect_conflicts(build_design("D2"), Technology.node_90nm())
+            min_tjoin_gadget(dual.graph, dual.tset)
         return max(instances, key=lambda inst: inst[0])
 
     def test_greedy_start_saves_stages(self, gadget_component):

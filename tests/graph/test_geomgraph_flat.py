@@ -13,7 +13,10 @@ batch embedding.  Its oracles live here:
 The randomized cases assert the numpy implementation matches them on
 node/edge ids, iteration order, incidence order, components, and
 embedding rotation systems and faces, across >= 50 seeds; the
-duplicate-stratum case covers zero-length darts.
+duplicate-stratum case covers zero-length darts.  Components are also
+checked against the per-node DFS in ``tests/oracles.py`` on flow
+graphs: planarized PCGs, raw and simple duals, sparse-label dual
+subgraphs and gadget graphs.
 """
 
 from __future__ import annotations
@@ -24,11 +27,15 @@ import random
 import pytest
 
 from repro.conflict import build_layout_conflict_graph
-from repro.graph import GeomGraph, build_embedding, decompose
+from repro.graph import (GeomGraph, build_dual, build_embedding,
+                         build_gadget_graph, decompose)
 from repro.graph import embedding as embedding_mod
 from repro.graph.crossings import greedy_planarize
+from repro.graph.dual import simple_dual
 from repro.graph.geomgraph import _CSR
-from repro.scenarios import build_scenario
+from repro.scenarios import build_scenario, stratum_names
+
+from ..oracles import scalar_connected_components
 
 np = pytest.importorskip("numpy")
 
@@ -338,6 +345,72 @@ def test_components_decomposition_matches_reference(seed):
     comps = decompose(g)
     assert [list(c.nodes) for c in comps] == \
         sorted(ref.components(), key=lambda c: c[0])
+
+
+def flow_graphs(stratum, seed):
+    """A scenario's planarized PCG (soft-removed crossing edges), its
+    raw and simple duals, the T-bearing dual subgraph (sparse labels)
+    and that subgraph's gadget graph."""
+    s = build_scenario(stratum, seed)
+    cg, _s, _p = build_layout_conflict_graph(s.layout, s.tech)
+    greedy_planarize(cg.graph)
+    dual = build_dual(build_embedding(cg.graph))
+    out = [cg.graph, dual.graph, simple_dual(dual).graph]
+    relevant = {n for comp in scalar_connected_components(dual.graph)
+                if dual.tset.intersection(comp) for n in comp}
+    if relevant:
+        sub = dual.graph.subgraph(relevant)
+        out += [sub, build_gadget_graph(sub, dual.tset).matching_graph]
+    return out
+
+
+@pytest.mark.parametrize("stratum", stratum_names())
+def test_components_match_dfs_oracle_on_flow_graphs(stratum):
+    for seed in range(3):
+        for g in flow_graphs(stratum, seed):
+            assert g.connected_components() == \
+                scalar_connected_components(g)
+            # Soft-remove every third live edge on top.
+            for eid, *_row in list(g.live_edge_rows())[::3]:
+                g.remove_edge(eid)
+            assert g.connected_components() == \
+                scalar_connected_components(g)
+
+
+def test_flow_graphs_cover_removed_edges_and_sparse_labels():
+    assert flow_graphs("duplicate", 0)[0]._removed
+    assert not flow_graphs("boundary", 0)[3]._dense_labels
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_components_match_dfs_oracle_on_random_graphs(seed):
+    g, _ref = random_graph(seed)
+    rng = random.Random(seed)
+    # Sparse, unordered labels: nodes inserted far from 0..n-1.
+    sparse = GeomGraph()
+    for node in rng.sample(range(-50, 500), rng.randint(1, 30)):
+        sparse.add_node(node)
+    labels = sparse.nodes
+    sparse.add_edge_rows([(rng.choice(labels), rng.choice(labels), 1, None)
+                          for _ in range(rng.randint(0, 40))])
+    for eid in rng.sample(range(len(sparse._eu)), len(sparse._eu) // 4):
+        sparse.remove_edge(eid)
+    for graph in (g, sparse):
+        assert graph.connected_components() == \
+            scalar_connected_components(graph)
+
+
+def test_components_of_edge_cases():
+    assert GeomGraph().connected_components() == []
+    g = GeomGraph()
+    g.add_nodes([4, 1, 9])
+    g.add_edge(9, 1)
+    g.add_edge(4, 4)
+    assert g.connected_components() == [[4], [1, 9]] == \
+        scalar_connected_components(g)
+    g.remove_edge(0)
+    assert g.connected_components() == [[4], [1], [9]] == \
+        scalar_connected_components(g)
 
 
 # ----------------------------------------------------------------------

@@ -35,13 +35,20 @@ compare them with live here:
   :func:`scalar_canonical_tile` (``detect_tile``'s per-conflict
   canonicalization) — the routines the detector's parity labelling,
   column graph build, column weight models and column
-  canonicalization replaced.
+  canonicalization replaced;
+* :func:`scalar_connected_components` — the per-node DFS that
+  ``GeomGraph.connected_components``' hooking pass replaced;
+* :func:`scalar_apply_cuts` (with :func:`transform_rect`) — space
+  insertion rect by rect, two bisects per axis, which ``apply_cuts``'
+  column pass must reproduce exactly.
 
 :func:`use_kernel` / :func:`use_matcher` run the flow on an oracle by
 swapping it in behind the production accessors ``get_kernel`` /
 ``get_matcher``; :func:`use_whole_instance_cover` swaps the unwindowed
-cover in behind ``solve_cover_windows``.  The graph core's scalar
-oracles live with their differential suite in
+cover in behind ``solve_cover_windows``; :func:`use_raw_dual` solves
+every T-join on the raw dual, self-loops and parallel edges kept,
+instead of its simple instance.  The graph core's other scalar oracles
+live with their differential suite in
 ``tests/graph/test_geomgraph_flat.py``.
 """
 
@@ -66,7 +73,7 @@ from repro.chip.partition import (
     normalize_tile_spec,
 )
 from repro.core.flow import run_aapsm_flow
-from repro.correction import plan_correction
+from repro.correction import SpaceCut, plan_correction
 from repro.correction.setcover import (
     EXACT_CAP_ELEMENTS,
     EXACT_CAP_SETS,
@@ -560,12 +567,42 @@ def front_end_tuples(front: TileFrontEnd):
     return features, pairs
 
 
+def scalar_connected_components(graph: GeomGraph) -> List[List[int]]:
+    """``GeomGraph.connected_components`` as a per-node DFS over the
+    CSR adjacency: components over live edges, each sorted, in the
+    order of their first inserted node, isolated nodes included."""
+    csr = graph.csr()
+    index = graph._node_index
+    removed = graph._removed
+    seen: Set[int] = set()
+    components: List[List[int]] = []
+    for start in graph.nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        comp: List[int] = []
+        while stack:
+            node = stack.pop()
+            comp.append(node)
+            i = index[node]
+            for k in range(csr.indptr[i], csr.indptr[i + 1]):
+                if csr.edge_ids[k] in removed:
+                    continue
+                nxt = csr.neighbors[k]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        components.append(sorted(comp))
+    return components
+
+
 def scalar_decompose(graph: GeomGraph):
     """Components as ``(index, nodes, order, content_id)`` tuples from
-    a per-node BFS, a per-component canonical sort and a per-node,
+    a per-node DFS, a per-component canonical sort and a per-node,
     per-edge content encoding (``struct.pack`` of the same int64
     rows the production digest hashes)."""
-    comps = sorted(graph.connected_components(), key=lambda c: c[0])
+    comps = sorted(scalar_connected_components(graph), key=lambda c: c[0])
     comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
     edges = [[] for _ in comps]
     for _eid, u, v, w in graph.live_edge_rows():
@@ -927,3 +964,54 @@ def scalar_verify_assignment(shifters: ShifterSet, assignment, pairs,
             problems.append(f"condition2: overlapping shifters "
                             f"{p.a}/{p.b} have opposite phases")
     return problems
+
+
+# ----------------------------------------------------------------------
+# The T-join on the raw dual, and per-rect space insertion
+# ----------------------------------------------------------------------
+def use_raw_dual():
+    """Solve the block's T-joins on the raw dual: every self-loop and
+    parallel edge kept, as the Table 1 harness solves it, instead of
+    the simple instance :func:`repro.graph.dual.simple_dual` gives."""
+    return _rebind("repro.graph.dual", "simple_dual", lambda dual: dual)
+
+
+class _AxisShift:
+    """Prefix-sum shifter for one axis, one bisect per coordinate."""
+
+    def __init__(self, cuts: Iterable[SpaceCut]):
+        items = sorted((c.position, c.width) for c in cuts)
+        self.positions = [p for p, _ in items]
+        self.prefix = [0]
+        for _, w in items:
+            self.prefix.append(self.prefix[-1] + w)
+
+    def shift_low(self, coord: int) -> int:
+        """Total width of cuts at positions <= coord (moves low edges)."""
+        return self.prefix[bisect_right(self.positions, coord)]
+
+    def shift_high(self, coord: int) -> int:
+        """Total width of cuts at positions < coord (moves high edges,
+        stretching anything that spans a cut)."""
+        return self.prefix[bisect_left(self.positions, coord)]
+
+
+def transform_rect(rect: Rect, xshift: _AxisShift,
+                   yshift: _AxisShift) -> Rect:
+    return Rect(
+        rect.x1 + xshift.shift_low(rect.x1),
+        rect.y1 + yshift.shift_low(rect.y1),
+        rect.x2 + xshift.shift_high(rect.x2),
+        rect.y2 + yshift.shift_high(rect.y2),
+    )
+
+
+def scalar_apply_cuts(layout: Layout, cuts: Sequence[SpaceCut]) -> Layout:
+    """``apply_cuts`` rect by rect through :func:`transform_rect`."""
+    xshift = _AxisShift(c for c in cuts if c.axis == "x")
+    yshift = _AxisShift(c for c in cuts if c.axis == "y")
+    out = Layout(name=f"{layout.name}+spaced")
+    for layer, rects in layout.layers.items():
+        out.layers[layer] = [transform_rect(r, xshift, yshift)
+                             for r in rects]
+    return out

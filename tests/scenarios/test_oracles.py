@@ -6,7 +6,8 @@ kernel, the networkx / brute matchers and the whole-instance set cover
 ship only in the tests, so their scenario-level differentials live
 here.  Every smoke-corpus scenario (six strata x seeds 0-2) must
 produce a byte-identical flow report with a kernel or matcher oracle
-swapped in behind ``get_kernel`` / ``get_matcher``, and the same
+swapped in behind ``get_kernel`` / ``get_matcher`` (and, under
+networkx, the same removed edge ids), and the same
 correction with the whole-instance cover swapped in behind
 ``solve_cover_windows``.  The shortest-path T-join engine, which the
 flow still ships behind ``method=``, must give the gadget reduction's
@@ -52,7 +53,12 @@ def test_networkx_matcher_oracle(stratum, seed):
     s = build_scenario(stratum, seed)
     with use_matcher(NetworkxMatcher()):
         oracle = run_aapsm_flow(s.layout, s.tech)
-    assert report_key(oracle) == report_key(run_aapsm_flow(s.layout, s.tech))
+    base = run_aapsm_flow(s.layout, s.tech)
+    assert report_key(oracle) == report_key(base)
+    # The simple T-join instance leaves the matcher no tie to break.
+    for section in ("detection", "post_detection"):
+        assert getattr(oracle, section).removed_edge_ids == \
+            getattr(base, section).removed_edge_ids
 
 
 @pytest.mark.parametrize("stratum,seed", SMOKE)
