@@ -33,7 +33,7 @@ from ..geometry.rect import rect_columns
 from ..graph import METHOD_GADGET
 from ..graph.geomgraph import _parity_roots
 from ..layout import Layout, Technology
-from ..shifters import OverlapPair, ShifterSet, pair_columns
+from ..shifters import SIDES, OverlapPair, ShifterSet, pair_columns
 from ..shifters.frontend import ShifterKey, _owns_points2
 from .partition import Bounds, Tile, interaction_distance
 
@@ -185,8 +185,8 @@ def _canonicalize(job: TileJob, shifters: ShifterSet,
     fx1, fy1, fx2, fy2 = rect_columns(job.layout.features)
     rects = list(zip(fx1.tolist(), fy1.tolist(), fx2.tolist(),
                      fy2.tolist()))
-    feature = np.array(shifters.feature_column(), dtype=np.int64)
-    side = shifters.side_column()
+    feature = shifters.feature_column()
+    code = shifters.code_column()
     cols = pair_columns(pairs)
     kernel = get_kernel()
 
@@ -207,7 +207,7 @@ def _canonicalize(job: TileJob, shifters: ShifterSet,
               + [(c, True) for c in report.tshape_conflicts])
     ca = np.array([c.a for c, _ in tagged], dtype=np.int64)
     cb = np.array([c.b for c, _ in tagged], dtype=np.int64)
-    rx2, ry2 = kernel.region_center_arrays(shifters.rects, ca, cb)
+    rx2, ry2 = kernel.region_center_arrays(*shifters.box, ca, cb)
     comp = root[feature[ca]]
     lo = np.searchsorted(member_root, comp, side="left")
     size = np.searchsorted(member_root, comp, side="right") - lo
@@ -220,19 +220,21 @@ def _canonicalize(job: TileJob, shifters: ShifterSet,
     near = dx * dx + dy * dy <= (4 * interaction_distance(job.tech)) ** 2
     witness = list(map(rects.__getitem__, m[near].tolist()))
     ends = np.cumsum(np.bincount(owner[near], minlength=len(tagged)))
-    fl = feature.tolist()
-    for (conflict, tshape), ref2, a, b in zip(
+    for (conflict, tshape), ref2, feat_a, side_a, feat_b, side_b, a, b \
+            in zip(
             tagged, zip(rx2.tolist(), ry2.tolist()),
+            feature[ca].tolist(), code[ca].tolist(),
+            feature[cb].tolist(), code[cb].tolist(),
             np.concatenate(([0], ends[:-1])).tolist(), ends.tolist()):
-        ka, kb = sorted(((rects[fl[conflict.a]], side[conflict.a]),
-                         (rects[fl[conflict.b]], side[conflict.b])))
+        ka, kb = sorted(((rects[feat_a], SIDES[side_a]),
+                         (rects[feat_b], SIDES[side_b])))
         result.conflicts.append(CanonicalConflict(
             a=ka, b=kb, weight=conflict.weight, ref2=ref2,
             tshape=tshape, witness=tuple(witness[a:b])))
 
     # Ownership-filtered counts: summed over tiles these reproduce the
     # monolithic totals exactly (each feature/pair has one owner).
-    px2, py2 = kernel.region_center_arrays(shifters.rects, cols[:, 0],
+    px2, py2 = kernel.region_center_arrays(*shifters.box, cols[:, 0],
                                            cols[:, 1])
     result.owned_pairs = int(_owns_points2(job.owner, px2, py2).sum())
     owned = _owns_points2(job.owner, fx1 + fx2, fy1 + fy2).tolist()

@@ -63,7 +63,7 @@ from ..cache import KIND_STITCH, ArtifactCache
 from ..conflict import Conflict, DetectionReport
 from ..layout import Layout
 from ..obs import get_tracer
-from ..shifters import ShifterSet
+from ..shifters import SIDE_CODE, ShifterSet
 from .executor import CanonicalConflict, ShifterKey, TileResult
 from .partition import TileGrid
 
@@ -320,13 +320,13 @@ def stitch_results(layout: Layout, kind: str,
     ``store`` under ``tile_keys`` (see :func:`arbitrate_clusters`);
     the report is byte-identical whether they replay or not.
     """
-    # Both maps are read off columns: no Shifter object is built.
-    rects = list(map(_rect_corners, layout.features))
-    key_to_id: Dict[ShifterKey, int] = dict(zip(
-        zip(map(rects.__getitem__, shifters.feature_column()),
-            shifters.side_column()),
-        range(len(shifters))))
-    rect_to_feature = dict(zip(rects, range(len(rects))))
+    import numpy as np
+
+    # A key maps to its feature through one per-feature map, and to its
+    # shifter through the set's columns: no Shifter or per-shifter key
+    # is built.
+    rect_to_feature = dict(zip(map(_rect_corners, layout.features),
+                               range(layout.num_polygons)))
 
     report = DetectionReport(
         layout_name=layout.name,
@@ -351,10 +351,14 @@ def stitch_results(layout: Layout, kind: str,
 
     plain: List[Conflict] = []
     tshape: List[Conflict] = []
-    for cc in survivors:
-        ga = key_to_id.get(cc.a)
-        gb = key_to_id.get(cc.b)
-        if ga is None or gb is None:
+    ends = shifters.ids_of(
+        np.array([rect_to_feature.get(rect, -1) for cc in survivors
+                  for rect, _side in (cc.a, cc.b)], dtype=np.int64),
+        np.array([SIDE_CODE[side] for cc in survivors
+                  for _rect, side in (cc.a, cc.b)], dtype=np.int64)
+    ).reshape(-1, 2).tolist()
+    for cc, (ga, gb) in zip(survivors, ends):
+        if ga < 0 or gb < 0:
             # A cached result from a stale layout revision can name
             # geometry that no longer exists; surface it instead of
             # crashing or silently dropping.

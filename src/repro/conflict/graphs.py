@@ -34,10 +34,10 @@ from itertools import chain, cycle, repeat
 from typing import Dict, List, Optional, Tuple
 
 from ..geometry.kernels import get_kernel
-from ..geometry.rect import rect_columns
 from ..graph import GeomGraph
 from ..layout import Technology
-from ..shifters import LEFT, RIGHT, OverlapPair, ShifterSet, pair_columns
+from ..shifters import LEFT, RIGHT, SIDE_CODE, OverlapPair, ShifterSet, \
+    pair_columns
 from .weights import WeightModel, feature_edge_weight, space_needed_weight
 
 PCG = "pcg"
@@ -58,7 +58,6 @@ class ConflictGraph:
         shifter_node: shifter id -> graph node id.
         edge_pair: overlap-edge id -> (shifter a, shifter b).
         edge_feature: feature-edge id -> feature index.
-        pairs: the overlap pairs by key.
     """
 
     graph: "GeomGraph"
@@ -67,7 +66,6 @@ class ConflictGraph:
     shifter_node: Dict[int, int]
     edge_pair: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     edge_feature: Dict[int, int] = field(default_factory=dict)
-    pairs: Dict[Tuple[int, int], OverlapPair] = field(default_factory=dict)
 
     def classify_edges(self, edge_ids) -> Tuple[List[Tuple[int, int]],
                                                 List[int]]:
@@ -132,7 +130,7 @@ def _assemble(kind: str, shifters: ShifterSet, pairs: List[OverlapPair],
     graph = GeomGraph(name=kind)
     # Shifter ids are dense insertion indices, so the node map is the
     # identity.  Shifter centres in 4x coordinates.
-    x1, y1, x2, y2 = rect_columns(shifters.rects)
+    x1, y1, x2, y2 = shifters.box
     graph.add_node_columns(np.concatenate((2 * (x1 + x2), aux_x)),
                            np.concatenate((2 * (y1 + y2), aux_y)))
     cols = pair_columns(pairs)
@@ -153,8 +151,7 @@ def _assemble(kind: str, shifters: ShifterSet, pairs: List[OverlapPair],
         graph=graph, kind=kind, shifters=shifters,
         shifter_node=dict(zip(range(len(shifters)), range(len(shifters)))),
         edge_pair=dict(zip(range(eids.start, split), keys2)),
-        edge_feature=dict(zip(range(split, eids.stop), features)),
-        pairs=dict(zip(keys, pairs)))
+        edge_feature=dict(zip(range(split, eids.stop), features)))
 
 
 def build_phase_conflict_graph(
@@ -165,7 +162,7 @@ def build_phase_conflict_graph(
     """The paper's phase conflict graph, built in column passes."""
     import numpy as np
 
-    x1, y1, x2, y2 = rect_columns(shifters.rects)
+    x1, y1, x2, y2 = shifters.box
     cols = pair_columns(pairs)
     a, b = cols[:, 0], cols[:, 1]
     # Each overlap node sits at the midpoint of the segment between its
@@ -174,10 +171,9 @@ def build_phase_conflict_graph(
     # nodes are at twice the doubled centres.
     cx, cy = x1 + x2, y1 + y2
     first, second = shifters.feature_pair_ids()
-    feature = np.array(shifters.feature_column(), dtype=np.int64)
     return _assemble(PCG, shifters, pairs, tech, weight_model,
                      cx[a] + cx[b], cy[a] + cy[b], first, second,
-                     feature[first])
+                     shifters.feature_column()[first])
 
 
 def build_feature_graph(
@@ -191,23 +187,22 @@ def build_feature_graph(
     cols = pair_columns(pairs)
     # Detour through the centre of the overlap *region* — in general
     # off the straight line between the shifter nodes.
-    rx2, ry2 = get_kernel().region_center_arrays(shifters.rects,
+    rx2, ry2 = get_kernel().region_center_arrays(*shifters.box,
                                                  cols[:, 0], cols[:, 1])
     # Two feature nodes per critical feature, nudged a quarter-nm apart
     # along the feature axis around its centre (the midpoint of its two
     # shifter centres): the 3-edge path keeps the constraint's odd
     # parity.
-    x1, y1, x2, y2 = rect_columns(shifters.rects)
+    x1, y1, x2, y2 = shifters.box
     first, second = shifters.feature_pair_ids()
     cx = (x1 + x2)[first] + (x1 + x2)[second]
     cy = (y1 + y2)[first] + (y1 + y2)[second]
-    side = shifters.side_column()
-    dy = np.fromiter(map({LEFT, RIGHT}.__contains__,
-                         map(side.__getitem__, first.tolist())),
-                     dtype=np.int64, count=len(first))
+    code = shifters.code_column()[first]
+    dy = ((code == SIDE_CODE[LEFT]) | (code == SIDE_CODE[RIGHT])) \
+        .astype(np.int64)
     dx = 1 - dy
     f1 = len(shifters) + len(cols) + 2 * np.arange(len(first))
-    feature = np.array(shifters.feature_column(), dtype=np.int64)
+    feature = shifters.feature_column()
     return _assemble(
         FG, shifters, pairs, tech, weight_model,
         np.concatenate((2 * rx2, np.stack((cx - dx, cx + dx),

@@ -11,7 +11,7 @@ provably exceeds any sum of overlap-edge weights.
 A weight model is a *column function*: ``model(pairs, shifters, tech)``
 returns one int64 weight per overlap pair, in list order, computed in
 passes over the pair columns (:func:`~repro.shifters.pair_columns`)
-and the shifter rect columns (:func:`~repro.geometry.rect.rect_columns`).
+and the shifter rect columns (:attr:`~repro.shifters.ShifterSet.box`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Sequence
 
-from ..geometry.rect import rect_columns
 from ..layout import Technology
 from ..shifters import OverlapPair, ShifterSet, pair_columns
 
@@ -55,7 +54,7 @@ def pair_tie_breakers(pairs: Sequence[OverlapPair],
     import numpy as np
 
     cols = pair_columns(pairs)
-    x1, y1, x2, y2 = rect_columns(shifters.rects)
+    x1, y1, x2, y2 = shifters.box
     a, b = cols[:, 0], cols[:, 1]
     data = np.stack((x1[a], y1[a], x2[a], y2[a], x1[b], y1[b], x2[b],
                      y2[b]), axis=1).astype("<i8").tobytes()
@@ -137,7 +136,7 @@ def facing_span_weight(pairs: Sequence[OverlapPair], shifters: ShifterSet,
     del tech
     cols = pair_columns(pairs)
     a, b = cols[:, 0], cols[:, 1]
-    x1, y1, x2, y2 = rect_columns(shifters.rects)
+    x1, y1, x2, y2 = shifters.box
     # Length of each axis' closed projection intersection, 0 if empty.
     xs = np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b])
     ys = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])

@@ -38,7 +38,7 @@ from ..graph import (
     optimal_planar_bipartization,
     residual_conflicts,
 )
-from ..layout import CriticalFeature, Layout, Technology, extract_critical_features
+from ..layout import Layout, Technology, critical_mask
 
 FeaturePair = Tuple[int, int]
 
@@ -58,7 +58,7 @@ class DarkFieldGraph:
     """Dark-field conflict graph plus feature bookkeeping."""
 
     graph: GeomGraph
-    features: List[CriticalFeature]
+    features: List[int]                   # critical feature indices
     node_feature: Dict[int, int]          # graph node -> feature index
     edge_pair: Dict[int, FeaturePair]     # edge id -> feature-index pair
 
@@ -68,30 +68,31 @@ def build_darkfield_graph(layout: Layout, tech: Technology,
                           ) -> DarkFieldGraph:
     """One node per critical feature, one edge per interacting pair.
 
-    Built in column passes over the critical features' rect columns:
-    the pairs come from the kernel's sweep, in ``(i, j)`` order, and
-    each edge weighs ``1 + max(0, distance - separation)`` with the
-    separation truncated to an integer.
+    Built in column passes over the critical features' rect columns
+    (the critical mask the shifter generator reads): the pairs come
+    from the kernel's sweep, in ``(i, j)`` order, and each edge weighs
+    ``1 + max(0, distance - separation)`` with the separation truncated
+    to an integer.
     """
     import numpy as np
 
     if distance is None:
         distance = interaction_distance(tech)
-    features = extract_critical_features(layout, tech)
-    x1, y1, x2, y2 = rect_columns([f.rect for f in features])
+    x1, y1, x2, y2 = rect_columns(layout.features)
+    critical = np.flatnonzero(critical_mask(x1, y1, x2, y2, tech))
+    x1, y1, x2, y2 = x1[critical], y1[critical], x2[critical], y2[critical]
     graph = GeomGraph(name="darkfield")
     graph.add_node_columns(2 * (x1 + x2), 2 * (y1 + y2))
     i, j = get_kernel().neighbor_pair_arrays(x1, y1, x2, y2, distance)
     sep = np.sqrt(batch_separation_sq(
         batch_gap(x1[i], x2[i], x1[j], x2[j]),
         batch_gap(y1[i], y2[i], y1[j], y2[j]))).astype(np.int64)
-    index = [f.index for f in features]
-    keys = list(zip(map(index.__getitem__, i.tolist()),
-                    map(index.__getitem__, j.tolist())))
+    index = critical.tolist()
+    keys = list(zip(critical[i].tolist(), critical[j].tolist()))
     eids = graph.add_edge_columns(
         i, j, (1 + np.maximum(0, distance - sep)).tolist(),
         list(zip(repeat("pair"), keys)))
-    return DarkFieldGraph(graph=graph, features=features,
+    return DarkFieldGraph(graph=graph, features=index,
                           node_feature=dict(enumerate(index)),
                           edge_pair=dict(zip(eids, keys)))
 

@@ -55,17 +55,18 @@ class GeometryKernel:
         """Doubled overlap-region centre for each ``(i, j)`` pair."""
         raise NotImplementedError
 
-    def region_center_arrays(self, rects: Sequence, i, j):
-        """:meth:`region_centers2` over int64 index columns.
+    def region_center_arrays(self, x1, y1, x2, y2, i, j):
+        """:meth:`region_centers2` over int64 corner and index columns.
 
         Returns the doubled centres as two int64 arrays ``(cx2, cy2)``.
-        This default defers to :meth:`region_centers2`; a batch kernel
-        computes the columns directly.
+        This default builds the rect list and defers to
+        :meth:`region_centers2`; a batch kernel computes the columns
+        directly.
         """
         import numpy as np
 
         centers = np.array(self.region_centers2(
-            rects, list(zip(i.tolist(), j.tolist()))),
+            _rects(x1, y1, x2, y2), list(zip(i.tolist(), j.tolist()))),
             dtype=np.int64).reshape(-1, 2)
         return centers[:, 0], centers[:, 1]
 
@@ -81,16 +82,32 @@ class GeometryKernel:
         """
         import numpy as np
 
-        from ..rect import Rect
-
-        rects = [Rect(*row) for row in zip(x1.tolist(), y1.tolist(),
-                                           x2.tolist(), y2.tolist())]
-        pairs = np.array(self.neighbor_pairs(rects, dist),
+        pairs = np.array(self.neighbor_pairs(_rects(x1, y1, x2, y2), dist),
                          dtype=np.int64).reshape(-1, 2)
         return pairs[:, 0], pairs[:, 1]
 
+    def overlap_row_array(self, x1, y1, x2, y2, dist: int, groups=None):
+        """:meth:`overlap_rows` over int64 corner columns (and an int64
+        ``groups`` column), as one ``(P, 5)`` int64 array.  This
+        default builds the rect list and defers to
+        :meth:`overlap_rows`."""
+        import numpy as np
+
+        rows = self.overlap_rows(
+            _rects(x1, y1, x2, y2), dist,
+            groups=None if groups is None else groups.tolist())
+        return np.array(rows, dtype=np.int64).reshape(-1, 5)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GeometryKernel {self.name}>"
+
+
+def _rects(x1, y1, x2, y2) -> list:
+    """The :class:`~repro.geometry.Rect` list of four corner columns."""
+    from ..rect import Rect
+
+    return list(map(Rect, x1.tolist(), y1.tolist(), x2.tolist(),
+                    y2.tolist()))
 
 
 def get_kernel() -> GeometryKernel:

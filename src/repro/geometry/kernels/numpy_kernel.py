@@ -5,15 +5,28 @@ arithmetic stays in int64, every comparison is the same strict/closed
 test the ``Rect``/``Interval`` methods perform — so its output is
 bit-identical, just computed a few thousand rows at a time.
 
-Candidate generation is a plane sweep over the x-sorted rect array:
-after a stable argsort by ``x1``, every pair within interaction
-distance ``d`` satisfies ``x1[q] < x2[p] + d`` for the earlier rect
-``p``, so ``searchsorted`` bounds each rect's candidate window and the
-windows are materialized block-wise (bounded memory) as flat ``(p, q)``
-index arrays.  Exact integer gap/separation masks then filter the
-superset, and the surviving rows are mapped back through the sort
-order, normalized to ``i < j`` and lexsorted — the same sorted pair
-list the scalar oracle emits.
+Candidate generation is a plane sweep in x, run inside horizontal
+*bands*.  After a stable argsort by ``x1``, every pair within
+interaction distance ``d`` satisfies ``x1[q] < x2[p] + d`` for the
+earlier rect ``p``, so ``searchsorted`` bounds each rect's candidate
+window.  Alone, that window takes in every rect of the die in the
+x-range; the bands cut it to the rects near in y too:
+
+* each rect joins every band its inflated span ``[y1, y2 + d)`` meets;
+* the band members are ordered by one packed ``band * n + x-rank`` key,
+  so one ``searchsorted`` over the sorted keys bounds every member's
+  window inside its band;
+* a pair closer than ``d`` has a y-gap below ``d``, so the point
+  ``max(y1_p, y1_q)`` lies in both inflated spans: both rects sit in
+  that point's band, and the pair is kept in that band only — found
+  exactly once.
+
+The band height comes from the input's columns (:func:`_band_layout`);
+one band is the plain sweep.  The windows are materialized block-wise
+(bounded memory) as flat ``(p, q)`` row arrays; exact integer
+gap/separation masks filter the superset, and the surviving rows are
+mapped back to input indices, normalized to ``i < j`` and lexsorted —
+the same sorted pair list the scalar oracle emits.
 """
 
 from __future__ import annotations
@@ -22,13 +35,18 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...obs import get_tracer
 from ..interval import batch_gap
 from ..rect import batch_separation_sq, rect_columns
 from . import GeometryKernel, PairRow
 
 #: Upper bound on candidate rows materialized per sweep block; it bounds
 #: the sweep's peak memory on chip-sized tiles.
-SWEEP_BLOCK = 1 << 16
+SWEEP_BLOCK = 1 << 14
+
+#: Below this many one-band candidates the plain sweep is cheaper than
+#: laying out bands at all (tiny inputs take one band).
+BAND_MIN_CANDIDATES = 1 << 12
 
 
 class RectArray:
@@ -57,7 +75,7 @@ class RectArray:
 
 
 class NumpyKernel(GeometryKernel):
-    """Vectorized sweep + batch int64 predicates (bit-identical)."""
+    """Vectorized banded sweep + batch int64 predicates (bit-identical)."""
 
     name = "numpy"
 
@@ -84,6 +102,10 @@ class NumpyKernel(GeometryKernel):
                                              dist)
         return ii, jj
 
+    def overlap_row_array(self, x1, y1, x2, y2, dist: int, groups=None):
+        return np.stack(self._pairs(RectArray(x1, y1, x2, y2, groups),
+                                    dist, exempt_same_id=True), axis=1)
+
     def region_centers2(self, rects: Sequence,
                         pairs: Sequence[Tuple[int, int]]
                         ) -> List[Tuple[int, int]]:
@@ -94,8 +116,8 @@ class NumpyKernel(GeometryKernel):
         cx2, cy2 = _region_centers2(ra, pq[:, 0], pq[:, 1])
         return list(zip(cx2.tolist(), cy2.tolist()))
 
-    def region_center_arrays(self, rects: Sequence, i, j):
-        return _region_centers2(RectArray.from_rects(rects), i, j)
+    def region_center_arrays(self, x1, y1, x2, y2, i, j):
+        return _region_centers2(RectArray(x1, y1, x2, y2), i, j)
 
     # ------------------------------------------------------------------
     def _pairs(self, ra: RectArray, dist: int,
@@ -103,7 +125,9 @@ class NumpyKernel(GeometryKernel):
         """Sorted, measured ``i < j`` pairs with separation < ``dist``.
 
         Returns five parallel int64 arrays: i, j, separation_sq,
-        x_gap, y_gap.
+        x_gap, y_gap.  Counts the candidate rows it examined
+        (``kernel.sweep.candidates``) and the pairs it returns
+        (``kernel.sweep.pairs``) on the active tracer.
         """
         empty = np.empty(0, dtype=np.int64)
         n = ra.n
@@ -125,11 +149,35 @@ class NumpyKernel(GeometryKernel):
         hi = np.searchsorted(sx1, sx2 + dist, side="left")
         counts = hi - np.arange(1, n + 1, dtype=np.int64)
         np.maximum(counts, 0, out=counts)
-        cum = np.empty(n + 1, dtype=np.int64)
+        bands = None
+        if int(counts.sum()) >= BAND_MIN_CANDIDATES:
+            bands = _band_layout(sx1, sy1, sx2, sy2, dist)
+        row_band = None
+        if bands is not None:
+            # Rows are band members, ordered by the packed (band, x-rank)
+            # key; a row's window ends at its band's first member at or
+            # past its x-rank bound.
+            y0, height, first, span = bands
+            rank = np.repeat(np.arange(n, dtype=np.int64), span)
+            key = first[rank] + np.arange(len(rank), dtype=np.int64) \
+                - np.repeat(np.cumsum(span) - span, span)
+            key *= n
+            key += rank
+            key.sort()
+            row_band = key // n
+            rank = key - row_band * n
+            counts = np.searchsorted(key, key - rank + hi[rank],
+                                     side="left") \
+                - np.arange(1, len(key) + 1, dtype=np.int64)
+            np.maximum(counts, 0, out=counts)
+            order, sx1, sy1, sx2, sy2 = (order[rank], sx1[rank],
+                                         sy1[rank], sx2[rank], sy2[rank])
+            if sid is not None:
+                sid = sid[rank]
+        rows = len(order)
+        cum = np.empty(rows + 1, dtype=np.int64)
         cum[0] = 0
         np.cumsum(counts, out=cum[1:])
-        if cum[-1] == 0:
-            return empty, empty, empty.copy(), empty.copy(), empty.copy()
 
         dist_sq = dist * dist
         out_i: List[np.ndarray] = []
@@ -139,10 +187,10 @@ class NumpyKernel(GeometryKernel):
         out_yg: List[np.ndarray] = []
 
         p0 = 0
-        while p0 < n:
+        while p0 < rows:
             p1 = int(np.searchsorted(cum, cum[p0] + self.block,
                                      side="left"))
-            p1 = min(max(p1, p0 + 1), n)
+            p1 = min(max(p1, p0 + 1), rows)
             blk = counts[p0:p1]
             total = int(cum[p1] - cum[p0])
             if total == 0:
@@ -156,12 +204,17 @@ class NumpyKernel(GeometryKernel):
             # x1[q] >= x1[p] after the sort, so the interval-gap
             # formula collapses to x1[q] - min(x2).
             xg = sx1[q_idx] - np.minimum(sx2[p_idx], sx2[q_idx])
-            yg = batch_gap(sy1[p_idx], sy2[p_idx],
-                           sy1[q_idx], sy2[q_idx])
+            py1 = sy1[p_idx]
+            qy1 = sy1[q_idx]
+            yg = batch_gap(py1, sy2[p_idx], qy1, sy2[q_idx])
             sep = batch_separation_sq(xg, yg)
             mask = sep < dist_sq
             if sid is not None:
                 mask &= sid[p_idx] != sid[q_idx]
+            if row_band is not None:
+                # Keep the pair in the band of max(y1_p, y1_q) only.
+                mask &= (np.maximum(py1, qy1) - y0) // height \
+                    == row_band[p_idx]
             if mask.any():
                 out_i.append(order[p_idx[mask]])
                 out_j.append(order[q_idx[mask]])
@@ -170,7 +223,10 @@ class NumpyKernel(GeometryKernel):
                 out_yg.append(yg[mask])
             p0 = p1
 
+        tracer = get_tracer()
+        tracer.count("kernel.sweep.candidates", int(cum[-1]))
         if not out_i:
+            tracer.count("kernel.sweep.pairs", 0)
             return empty, empty, empty.copy(), empty.copy(), empty.copy()
         oi = np.concatenate(out_i)
         oj = np.concatenate(out_j)
@@ -180,7 +236,45 @@ class NumpyKernel(GeometryKernel):
         ii = np.minimum(oi, oj)
         jj = np.maximum(oi, oj)
         perm = np.lexsort((jj, ii))
+        tracer.count("kernel.sweep.pairs", len(perm))
         return ii[perm], jj[perm], sep[perm], xg[perm], yg[perm]
+
+
+def _band_layout(x1, y1, x2, y2, dist: int):
+    """The bands of a sweep over these rects, or None for one band.
+
+    Returns ``(y0, height, first, span)``: band ``k`` covers
+    ``[y0 + k*height, y0 + (k+1)*height)``, and rect ``r`` joins bands
+    ``first[r] .. first[r] + span[r] - 1`` — every band its inflated
+    span ``[y1, y2 + dist)`` meets.
+
+    The height balances the two costs of a band.  With ``n`` rects of
+    mean inflated size ``w x h`` spread over an ``X x Y`` box, a band of
+    height ``H`` holds about ``n (h + H) / Y`` rects, each replicated
+    into about ``(h + H) / H`` bands, and a member's window holds its
+    band's rects within ``w`` in x.  Replicas cost ``n (1 + h/H)`` rows
+    and the windows about ``n (h + H)^2 w / (2 X Y H)`` candidates;
+    their sum is least at ``H^2 = h^2 + 2 (X Y / n) (h / w)``.  One
+    band (None) when that covers the whole box.
+
+    The height is never below ``h``, so a rect of inflated height
+    ``h_r`` joins fewer than ``h_r / H + 2`` bands, and all rects fewer
+    than ``3 n``: the replicas stay within three times the input
+    whatever the shapes — a chip-spanning wire raises ``h``, and the
+    height with it.
+    """
+    n = len(x1)
+    y0 = int(y1.min())
+    extent_y = int(y2.max()) - y0 + dist
+    extent_x = int(x2.max()) - int(x1.min()) + dist
+    w = float((x2 - x1).mean()) + dist
+    h = float((y2 - y1).mean()) + dist
+    height = int((h * h + 2.0 * extent_x * extent_y / n * h / w) ** 0.5) + 1
+    if height >= extent_y:
+        return None
+    first = (y1 - y0) // height
+    span = (y2 + (dist - 1 - y0)) // height - first + 1
+    return y0, height, first, span
 
 
 def _region_centers2(ra: RectArray, pi: np.ndarray, pj: np.ndarray):

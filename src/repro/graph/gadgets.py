@@ -84,8 +84,10 @@ class GadgetGraph:
         return self.matching_graph.num_edges()
 
 
-def _internal_edges(graph: GeomGraph, tset: Set[int]) -> List[_InternalEdge]:
-    """Collect non-self-loop edges and add pendants for odd components."""
+def _internal_edges(graph: GeomGraph, components: List[List[int]]
+                    ) -> List[_InternalEdge]:
+    """Collect non-self-loop edges and add pendants for odd components
+    (``components`` is ``graph.connected_components()``)."""
     edges: List[_InternalEdge] = []
     for eid, u, v, w in graph.live_edge_rows():
         if u != v:
@@ -95,7 +97,7 @@ def _internal_edges(graph: GeomGraph, tset: Set[int]) -> List[_InternalEdge]:
     comp_edges: Dict[int, int] = {}
     comp_anchor: Dict[int, int] = {}
     comp_of: Dict[int, int] = {}
-    for ci, comp in enumerate(graph.connected_components()):
+    for ci, comp in enumerate(components):
         for node in comp:
             comp_of[node] = ci
         comp_anchor[ci] = comp[0]
@@ -179,7 +181,9 @@ def _assign_edges(edges: Sequence[_InternalEdge], tset: Set[int]
 
 
 def build_gadget_graph(graph: GeomGraph, tset: Set[int],
-                       max_clique_size: Optional[int] = None) -> GadgetGraph:
+                       max_clique_size: Optional[int] = None,
+                       components: Optional[List[List[int]]] = None
+                       ) -> GadgetGraph:
     """Construct the matching instance for a T-join problem.
 
     Args:
@@ -188,11 +192,16 @@ def build_gadget_graph(graph: GeomGraph, tset: Set[int],
         max_clique_size: chunk size of the divide-node decomposition;
             ``None`` = one clique per gadget (generalized gadget),
             ``1`` = ASP-DAC'01 optimized gadgets (cliques <= 3).
+        components: ``graph.connected_components()``, when the caller
+            already has it; computed here otherwise.  The feasibility
+            check runs either way.
     """
-    check_feasible(graph, tset)
+    if components is None:
+        components = graph.connected_components()
+    check_feasible(graph, tset, components)
     if max_clique_size is not None and max_clique_size < 1:
         raise ValueError("max_clique_size must be >= 1 or None")
-    edges = _internal_edges(graph, tset)
+    edges = _internal_edges(graph, components)
     assigned = _assign_edges(edges, tset)
 
     # Nodes are dense sequential ints and edges are appended in one
@@ -294,16 +303,22 @@ def min_tjoin_gadget(graph: GeomGraph, tset: Set[int],
     T-join (weights are non-negative), so the gadget is only built over
     the T-bearing components — on conflict-sparse layouts this shrinks
     the matching instance by orders of magnitude.
+
+    The components are computed once per solve.  The T-bearing ones
+    are exactly the components of the induced subgraph: each is a
+    sorted node list, and the subgraph inserts its nodes in sorted
+    order, so its own labelling would list them by smallest node.
     """
     if not tset:
         return []
-    check_feasible(graph, tset)
-    relevant: Set[int] = set()
-    for comp in graph.connected_components():
-        if tset.intersection(comp):
-            relevant.update(comp)
+    components = graph.connected_components()
+    check_feasible(graph, tset, components)
+    bearing = sorted(comp for comp in components
+                     if not tset.isdisjoint(comp))
+    relevant: Set[int] = set().union(*bearing)
     sub = graph.subgraph(relevant)
-    gadget = build_gadget_graph(sub, tset & relevant, max_clique_size)
+    gadget = build_gadget_graph(sub, tset & relevant, max_clique_size,
+                                components=bearing)
     matched = min_weight_perfect_matching(gadget.matching_graph)
     sub_join = extract_tjoin(gadget, matched)
     return sorted(sub.edge(eid).tag[1] for eid in sub_join)

@@ -78,9 +78,15 @@ def _path_edges(graph: GeomGraph, pred: Dict[int, int],
     return edges
 
 
-def check_feasible(graph: GeomGraph, tset: Set[int]) -> None:
-    """Raise unless every component holds an even number of T nodes."""
-    for comp in graph.connected_components():
+def check_feasible(graph: GeomGraph, tset: Set[int],
+                   components: Optional[List[List[int]]] = None) -> None:
+    """Raise unless every component holds an even number of T nodes.
+
+    ``components`` is ``graph.connected_components()`` when the caller
+    already has it."""
+    if components is None:
+        components = graph.connected_components()
+    for comp in components:
         if len(tset.intersection(comp)) % 2 == 1:
             raise TJoinInfeasibleError(
                 f"component with odd |T|: {sorted(set(comp) & tset)}")

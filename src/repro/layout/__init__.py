@@ -1,6 +1,6 @@
 """Layout database, rules, DRC and workload generation (substrate S3/S12)."""
 
-from .critical import CriticalFeature, critical_fraction, extract_critical_features
+from .critical import critical_fraction, critical_mask
 from .drc import Violation, check_layout, check_spacing, check_width, is_drc_clean
 from .generator import (
     GeneratorParams,
@@ -35,8 +35,7 @@ __all__ = [
     "SHIFTER_180_LAYER",
     "Technology",
     "tech_fingerprint",
-    "CriticalFeature",
-    "extract_critical_features",
+    "critical_mask",
     "critical_fraction",
     "Violation",
     "check_layout",

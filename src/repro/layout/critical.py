@@ -6,64 +6,29 @@ features must be flanked by opposite-phase shifters.  The paper's earlier
 work assumed only minimum-width features are critical; this paper relaxes
 that, so the extractor reports every sub-threshold feature regardless of
 how its width compares to the minimum rule.
+
+Extraction is one mask over the layout's int64 rect columns, shared by
+the bright-field shifter generator and the dark-field conflict graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
-from ..geometry import Rect
+from ..geometry.rect import rect_columns
 from .layout import Layout
 from .technology import Technology
 
 
-@dataclass(frozen=True)
-class CriticalFeature:
-    """A poly feature that requires phase shifting.
+def critical_mask(x1, y1, x2, y2, tech: Technology):
+    """Which rects are critical: a boolean column over int64 corner
+    columns, true where ``min(w, h)`` is below the critical width."""
+    import numpy as np
 
-    Attributes:
-        index: index of the rectangle in ``layout.features``.
-        rect: the feature geometry.
-        vertical: True when the feature runs vertically, i.e. its
-            critical dimension is the x-extent and shifters go to its
-            left and right.
-    """
-
-    index: int
-    rect: Rect
-    vertical: bool
-
-    @property
-    def drawn_width(self) -> int:
-        return self.rect.min_dimension
-
-    @property
-    def drawn_length(self) -> int:
-        return self.rect.max_dimension
-
-
-def extract_critical_features(layout: Layout,
-                              tech: Technology) -> List[CriticalFeature]:
-    """All critical features of a layout, in feature-index order.
-
-    A square sub-threshold feature (width == height) is treated as
-    vertical; the tie is irrelevant to assignability but must be
-    deterministic so reruns produce identical conflict graphs.
-    """
-    out: List[CriticalFeature] = []
-    for index, rect in enumerate(layout.features):
-        if tech.is_critical_width(rect.min_dimension):
-            out.append(CriticalFeature(
-                index=index,
-                rect=rect,
-                vertical=rect.height >= rect.width,
-            ))
-    return out
+    return tech.is_critical_width(np.minimum(x2 - x1, y2 - y1))
 
 
 def critical_fraction(layout: Layout, tech: Technology) -> float:
     """Share of features that are critical (workload characterisation)."""
     if not layout.features:
         return 0.0
-    return len(extract_critical_features(layout, tech)) / len(layout.features)
+    mask = critical_mask(*rect_columns(layout.features), tech)
+    return int(mask.sum()) / len(layout.features)

@@ -61,11 +61,8 @@ def feature_pair_triples(shifters: ShifterSet):
     """Every critical feature's ``(feature index, shifter, shifter)``
     ids as three int64 columns, features ascending (the order of
     :meth:`~repro.shifters.ShifterSet.feature_pairs`)."""
-    import numpy as np
-
     first, second = shifters.feature_pair_ids()
-    feature = np.array(shifters.feature_column(), dtype=np.int64)
-    return feature[first], first, second
+    return shifters.feature_column()[first], first, second
 
 
 def verify_assignment(shifters: ShifterSet, assignment,

@@ -200,12 +200,11 @@ def isolated_interior_features(layout: Layout,
     this set so the dirty-tile assertions are exact.
     """
     from ..conflict import layout_front_end
+    from ..shifters import pair_columns
 
     shifters, pairs = layout_front_end(layout, tech)
-    involved = set()
-    for p in pairs:
-        involved.add(shifters[p.a].feature_index)
-        involved.add(shifters[p.b].feature_index)
+    involved = set(shifters.feature_column()[
+        pair_columns(pairs)[:, :2]].ravel().tolist())
     box = layout.bbox()
     if box is None:
         return []

@@ -21,7 +21,7 @@ from .frontend import (
     splice_front_ends,
     tiled_front_end,
 )
-from .generation import generate_shifters, shifter_rects_for_feature
+from .generation import generate_shifters
 from .overlap import (
     OverlapPair,
     PairList,
@@ -34,6 +34,8 @@ from .shifter import (
     LEFT,
     OPPOSING_SIDES,
     RIGHT,
+    SIDE_CODE,
+    SIDES,
     TOP,
     Shifter,
     ShifterSet,
@@ -48,8 +50,9 @@ __all__ = [
     "TOP",
     "BOTTOM",
     "OPPOSING_SIDES",
+    "SIDES",
+    "SIDE_CODE",
     "generate_shifters",
-    "shifter_rects_for_feature",
     "OverlapPair",
     "PairList",
     "pair_columns",

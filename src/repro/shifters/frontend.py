@@ -54,13 +54,12 @@ from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..cache import KIND_FRONTEND, ArtifactCache
-from ..geometry import Rect
 from ..geometry.rect import rect_columns
 from ..layout import Layout, Technology, tech_fingerprint
 from ..obs import get_logger, get_tracer
-from .generation import generate_shifters
-from .overlap import OverlapPair, PairList, find_overlap_pairs, pair_columns
-from .shifter import BOTTOM, LEFT, RIGHT, TOP, ShifterSet
+from . import generation, overlap
+from .overlap import OverlapPair, PairList, pair_columns
+from .shifter import SIDES, ShifterSet
 
 # A feature/shifter rectangle as a plain hashable tuple.
 RectTuple = Tuple[int, int, int, int]
@@ -77,11 +76,6 @@ Bounds = Tuple[int, int, int, int]
 # Format 2: int64 row arrays (see TileFrontEnd), keyed on the tile's
 # sorted-rect digest.
 FRONTEND_CACHE_FORMAT = 2
-
-# Side codes in the artifact's rows.  Codes ascend with the side names,
-# so ordering rows by ``(rect, code)`` orders them by ``ShifterKey``.
-SIDES = (BOTTOM, LEFT, RIGHT, TOP)
-SIDE_CODE = {side: code for code, side in enumerate(SIDES)}
 
 
 class SpliceError(ValueError):
@@ -185,8 +179,8 @@ def compute_tile_front_end(layout: Layout, owner: Bounds,
     owned view is complete, and owner regions partition the plane, so
     summing tiles covers the chip with no double counting.
     """
-    shifters = generate_shifters(layout, tech)
-    pairs = find_overlap_pairs(shifters, tech)
+    shifters = generation.generate_shifters(layout, tech)
+    pairs = overlap.find_overlap_pairs(shifters, tech)
     return _FrontColumns(layout, shifters, pairs).owned(
         owner, ix, iy, layout.num_polygons)
 
@@ -210,44 +204,49 @@ class _FrontColumns:
 
         from ..geometry.kernels import get_kernel
 
-        n = len(shifters)
-        feature = np.array(shifters.feature_column(), dtype=np.int64)
-        code = np.fromiter(map(SIDE_CODE.__getitem__,
-                               shifters.side_column()),
-                           dtype=np.int64, count=n)
+        feature = shifters.feature_column()
+        code = shifters.code_column()
+        box = shifters.box
         lx1, ly1, lx2, ly2 = rect_columns(layout.features)
-        # Canonical key of every shifter: its feature's rect + side.
-        keys = np.stack((lx1[feature], ly1[feature], lx2[feature],
-                         ly2[feature], code), axis=1)
-        srect = np.stack(rect_columns(shifters.rects), axis=1)
-
         first, second = shifters.feature_pair_ids()
-        rows = np.concatenate((keys[first, :4], code[first, None],
-                               srect[first], code[second, None],
-                               srect[second]), axis=1)
-        order = np.lexsort(rows[:, 3::-1].T)
-        self.features = rows[order]
+        # Critical features by rect (stable: equal rects keep feature
+        # order), each with its two shifters.
+        f = feature[first]
+        by_rect = np.lexsort((ly2[f], lx2[f], ly1[f], lx1[f]))
+        f, a, b = f[by_rect], first[by_rect], second[by_rect]
+        self.features = np.stack((lx1[f], ly1[f], lx2[f], ly2[f],
+                                  code[a], *box[:, a], code[b], *box[:, b]),
+                                 axis=1)
         self.feature_centers = (self.features[:, 0] + self.features[:, 2],
                                 self.features[:, 1] + self.features[:, 3])
 
+        # A shifter's canonical key is its feature's rect + side, so its
+        # rank among the keys is its feature's rect rank, then its side
+        # code.  Equal rects (duplicate features) share a rank, so their
+        # shifters' keys tie, as under a key comparison.
+        rect_rank = np.cumsum(np.concatenate((
+            [0], (self.features[1:, :4] != self.features[:-1, :4])
+            .any(axis=1))))
+        rank = np.empty(len(shifters), dtype=np.int64)
+        rank[a] = 4 * rect_rank + code[a]
+        rank[b] = 4 * rect_rank + code[b]
+
+        # Orient every pair a < b by key and sort by (a, b), stably.
         cols = pair_columns(pairs)
-        cx2, cy2 = get_kernel().region_center_arrays(shifters.rects,
-                                                     cols[:, 0], cols[:, 1])
-        # Orient every pair a < b by key and sort by (a, b): rank the
-        # keys once.  Equal keys (duplicate features) share a rank, so
-        # they neither swap nor reorder, as under a key comparison.
-        by_key = np.lexsort(keys[:, ::-1].T)
-        rank = np.empty(n, dtype=np.int64)
-        rank[by_key] = np.cumsum(np.concatenate((
-            [0], np.any(keys[by_key[1:]] != keys[by_key[:-1]], axis=1))))
+        cx2, cy2 = get_kernel().region_center_arrays(
+            *shifters.box, cols[:, 0], cols[:, 1])
         pa, pb = cols[:, 0], cols[:, 1]
         swap = rank[pb] < rank[pa]
         ka = np.where(swap, pb, pa)
         kb = np.where(swap, pa, pb)
-        order = np.lexsort((rank[kb], rank[ka]))
+        order = np.argsort(rank[ka] * (4 * len(f)) + rank[kb],
+                           kind="stable")
         ka, kb = ka[order], kb[order]
-        self.pairs = np.concatenate((keys[ka], keys[kb], cols[order, 2:]),
-                                    axis=1)
+        fa, fb = feature[ka], feature[kb]
+        self.pairs = np.concatenate((
+            np.stack((lx1[fa], ly1[fa], lx2[fa], ly2[fa], code[ka],
+                      lx1[fb], ly1[fb], lx2[fb], ly2[fb], code[kb]),
+                     axis=1), cols[order, 2:]), axis=1)
         self.pair_centers = (cx2[order], cy2[order])
 
         self.feature_owners = np.zeros(len(self.features), dtype=np.int64)
@@ -284,50 +283,42 @@ class FrontEndSlicer:
 
     A tile's slice is the shifters of its features — renumbered in
     chip order, with tile-local feature indices — and the overlap pairs
-    with both shifters inside, renumbered.  It equals
-    :func:`generate_shifters` + :func:`find_overlap_pairs` on the
-    tile's sub-layout byte for byte: the partition appends each tile's
-    features in chip order, generation is per feature, and Condition-2
-    pairing is pairwise.
+    with both shifters inside, renumbered: column slices of the chip's
+    shifter and pair columns.  It equals :func:`generate_shifters` +
+    :func:`find_overlap_pairs` on the tile's sub-layout byte for byte:
+    the partition appends each tile's features in chip order,
+    generation is per feature, and Condition-2 pairing is pairwise.
     """
 
     def __init__(self, shifters: ShifterSet,
                  pairs: Sequence[OverlapPair], num_features: int) -> None:
-        import numpy as np
-
         self.shifters = shifters
         self.num_features = num_features
-        self.feature = np.array(shifters.feature_column(), dtype=np.int64)
         self.pairs = pair_columns(pairs)
 
     def slice(self, feature_ids: Sequence[int]
-              ) -> Tuple[ShifterSet, List[OverlapPair]]:
+              ) -> Tuple[ShifterSet, PairList]:
         """The front end of the sub-layout made of ``feature_ids``
         (ascending chip feature indices, in sub-layout order)."""
         import numpy as np
 
+        chip = self.shifters
         local = np.full(self.num_features, -1, dtype=np.int64)
         local[np.asarray(feature_ids, dtype=np.int64)] = \
             np.arange(len(feature_ids), dtype=np.int64)
-        tile_feature = local[self.feature]
+        tile_feature = local[chip.feature_column()]
         picked = np.flatnonzero(tile_feature >= 0)
-        ids = picked.tolist()
-        shifters = ShifterSet()
-        shifters.extend_rows(list(zip(
-            tile_feature[picked].tolist(),
-            map(self.shifters.side_column().__getitem__, ids),
-            map(self.shifters.rect_of, ids))))
+        shifters = ShifterSet(tile_feature[picked],
+                              chip.code_column()[picked],
+                              chip.box[:, picked])
 
-        renumber = np.full(len(self.feature), -1, dtype=np.int64)
+        renumber = np.full(len(chip), -1, dtype=np.int64)
         renumber[picked] = np.arange(len(picked), dtype=np.int64)
         rows = self.pairs
-        a = renumber[rows[:, 0]]
-        b = renumber[rows[:, 1]]
-        inside = (a >= 0) & (b >= 0)
-        cols = np.concatenate((a[inside, None], b[inside, None],
-                               rows[inside, 2:]), axis=1)
-        pairs = PairList(map(OverlapPair, *cols.T.tolist()), columns=cols)
-        return shifters, pairs
+        ab = renumber[rows[:, :2]]
+        inside = (ab >= 0).all(axis=1)
+        cols = np.concatenate((ab[inside], rows[inside, 2:]), axis=1)
+        return shifters, PairList(cols)
 
 
 def _owns_points2(owner: Bounds, px2, py2):
@@ -344,7 +335,7 @@ def _owns_points2(owner: Bounds, px2, py2):
 
 def splice_front_ends(layout: Layout,
                       fronts: Iterable[TileFrontEnd]
-                      ) -> Tuple[ShifterSet, List[OverlapPair]]:
+                      ) -> Tuple[ShifterSet, PairList]:
     """Reassemble the chip-global front end from per-tile artifacts.
 
     Pure bookkeeping — no geometry is recomputed.  Owned features are
@@ -352,7 +343,9 @@ def splice_front_ends(layout: Layout,
     shifter ids side by side, reproducing the monolithic numbering
     exactly; owned pairs are mapped from canonical keys to those ids
     and sorted by id pair, reproducing the monolithic
-    :func:`~repro.shifters.overlap.find_overlap_pairs` order.
+    :func:`~repro.shifters.overlap.find_overlap_pairs` order.  Keys are
+    matched as int64 rows (:func:`_match_rows`), and the set and the
+    pair list are built from the matched columns.
 
     Raises:
         SpliceError: on duplicate feature rects, a feature owned by two
@@ -362,27 +355,29 @@ def splice_front_ends(layout: Layout,
     import numpy as np
 
     fronts = list(fronts)  # iterated twice; accept generators safely
-    rect_index = {}
-    for i, r in enumerate(layout.features):
-        t = (r.x1, r.y1, r.x2, r.y2)
-        if t in rect_index:
-            raise SpliceError(
-                f"duplicate feature rect {t} defeats coordinate keys")
-        rect_index[t] = i
+    layout_rows = np.stack(rect_columns(layout.features), axis=1)
+    by_rect = np.lexsort(layout_rows.T[::-1])
+    ranked = layout_rows[by_rect]
+    repeat = np.flatnonzero((ranked[1:] == ranked[:-1]).all(axis=1))
+    if repeat.size:
+        # The first feature, in layout order, whose rect came before.
+        i = int(by_rect[repeat + 1].min())
+        raise SpliceError(f"duplicate feature rect "
+                          f"{tuple(layout_rows[i].tolist())} defeats "
+                          "coordinate keys")
 
     rows = np.concatenate([np.empty((0, 14), dtype=np.int64)]
                           + [tf.features for tf in fronts])
-    found = [rect_index.get(t, -1) for t in map(tuple,
-                                                 rows[:, :4].tolist())]
-    if -1 in found:
-        k = found.index(-1)
+    index = _match_rows(layout_rows, rows[:, :4])
+    unknown = np.flatnonzero(index < 0)
+    if unknown.size:
+        k = int(unknown[0])
         tile = fronts[np.searchsorted(
             np.cumsum([len(tf.features) for tf in fronts]), k,
             side="right")]
         raise SpliceError(
             f"tile[{tile.ix},{tile.iy}] owns unknown feature "
             f"{tuple(rows[k, :4].tolist())} (stale artifact?)")
-    index = np.array(found, dtype=np.int64)
     order = np.argsort(index, kind="stable")
     index = index[order]
     rows = rows[order]
@@ -393,32 +388,44 @@ def splice_front_ends(layout: Layout,
 
     # Shifter 2k and 2k+1 flank the k-th feature in layout order.
     shifter_rows = rows[:, 4:].reshape(-1, 5)
-    sides = list(map(SIDES.__getitem__, shifter_rows[:, 0].tolist()))
-    shifters = ShifterSet()
-    shifters.extend_rows(list(zip(
-        np.repeat(index, 2).tolist(), sides,
-        map(Rect, *shifter_rows[:, 1:].T.tolist()))))
+    shifters = ShifterSet(np.repeat(index, 2), shifter_rows[:, 0].copy(),
+                          np.ascontiguousarray(shifter_rows[:, 1:].T))
     key_rows = np.concatenate(
         (np.repeat(rows[:, :4], 2, axis=0), shifter_rows[:, :1]), axis=1)
-    key_to_id = {key: sid for sid, key
-                 in enumerate(map(tuple, key_rows.tolist()))}
 
     pair_rows = np.concatenate([np.empty((0, 13), dtype=np.int64)]
-                               + [tf.pairs for tf in fronts]).tolist()
-    ends: List[Tuple[int, int, int, int, int]] = []
-    for row in pair_rows:
-        ga = key_to_id.get(tuple(row[:5]))
-        gb = key_to_id.get(tuple(row[5:10]))
-        if ga is None or gb is None:
-            raise SpliceError(
-                f"pair {_key_text(row[:5])} / {_key_text(row[5:10])} "
-                "names an unowned shifter")
-        ends.append((ga, gb, *row[10:]) if ga < gb
-                    else (gb, ga, *row[10:]))
-    ends.sort()
-    return shifters, PairList(OverlapPair(a=a, b=b, separation_sq=sep,
-                                          x_gap=xg, y_gap=yg)
-                              for a, b, sep, xg, yg in ends)
+                               + [tf.pairs for tf in fronts])
+    ends = _match_rows(key_rows, np.concatenate(
+        (pair_rows[:, :5], pair_rows[:, 5:10]))).reshape(2, -1).T
+    missing = np.flatnonzero((ends < 0).any(axis=1))
+    if missing.size:
+        row = pair_rows[missing[0]].tolist()
+        raise SpliceError(
+            f"pair {_key_text(row[:5])} / {_key_text(row[5:10])} "
+            "names an unowned shifter")
+    ends.sort(axis=1)
+    cols = np.concatenate((ends, pair_rows[:, 10:]), axis=1)
+    return shifters, PairList(cols[np.lexsort(cols.T[::-1])])
+
+
+def _match_rows(table, queries):
+    """For each int64 row of ``queries``, the index of the equal row of
+    ``table`` (whose rows are distinct), or -1: one lexsort of both."""
+    import numpy as np
+
+    both = np.concatenate((table, queries))
+    if not len(both):
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort(both.T[::-1])
+    ranked = both[order]
+    group = np.cumsum(np.concatenate((
+        [0], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    own = order < len(table)
+    found = np.full(len(both), -1, dtype=np.int64)
+    found[group[own]] = order[own]
+    out = np.empty(len(both), dtype=np.int64)
+    out[order] = found[group]
+    return out[len(table):]
 
 
 def _key_text(key: Sequence[int]) -> str:
@@ -428,7 +435,7 @@ def _key_text(key: Sequence[int]) -> str:
 
 def tiled_front_end(layout: Layout, tech: Technology,
                     tiles: Sequence, store: ArtifactCache
-                    ) -> Tuple[ShifterSet, List[OverlapPair]]:
+                    ) -> Tuple[ShifterSet, PairList]:
     """The chip front end via per-tile artifacts, cached when possible.
 
     Every tile's artifact is looked up first, and the path follows from
@@ -519,8 +526,8 @@ def tiled_front_end(layout: Layout, tech: Technology,
 
 
 def _chip_wide_pass(layout: Layout, tech: Technology
-                    ) -> Tuple[ShifterSet, List[OverlapPair]]:
+                    ) -> Tuple[ShifterSet, PairList]:
     """The monolithic front end, counted as one chip-wide pass."""
     get_tracer().count("frontend.chip_wide_passes")
-    shifters = generate_shifters(layout, tech)
-    return shifters, find_overlap_pairs(shifters, tech)
+    shifters = generation.generate_shifters(layout, tech)
+    return shifters, overlap.find_overlap_pairs(shifters, tech)

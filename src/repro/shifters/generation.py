@@ -9,38 +9,26 @@ critical feature").
 
 from __future__ import annotations
 
-from ..geometry import Rect
-from ..layout import Layout, Technology, extract_critical_features
-from .shifter import BOTTOM, LEFT, RIGHT, TOP, ShifterSet
-
-
-def shifter_rects_for_feature(rect: Rect, vertical: bool,
-                              tech: Technology):
-    """The two flanking shifter rects of one critical feature.
-
-    Returns ``((side, rect), (side, rect))`` ordered left/right for
-    vertical features and bottom/top for horizontal ones, which fixes a
-    deterministic shifter numbering.
-    """
-    w = tech.shifter_width
-    e = tech.shifter_extension
-    if vertical:
-        left = Rect(rect.x1 - w, rect.y1 - e, rect.x1, rect.y2 + e)
-        right = Rect(rect.x2, rect.y1 - e, rect.x2 + w, rect.y2 + e)
-        return ((LEFT, left), (RIGHT, right))
-    bottom = Rect(rect.x1 - e, rect.y1 - w, rect.x2 + e, rect.y1)
-    top = Rect(rect.x1 - e, rect.y2, rect.x2 + e, rect.y2 + w)
-    return ((BOTTOM, bottom), (TOP, top))
+from ..geometry.rect import rect_columns
+from ..layout import Layout, Technology, critical_mask
+from .shifter import BOTTOM, LEFT, RIGHT, SIDE_CODE, TOP, ShifterSet
 
 
 def generate_shifters(layout: Layout, tech: Technology) -> ShifterSet:
-    """Generate the full shifter set of a layout.
+    """Generate the full shifter set of a layout, in one column pass.
 
     Args:
-        layout: the layout; every feature whose drawn width is below
-            the rule deck's critical threshold gets two shifters.
+        layout: the layout; every feature whose drawn width
+            (``min(w, h)``) is below the rule deck's critical threshold
+            gets two shifters.
         tech: rule deck (shifter width/extension and the criticality
             threshold).
+
+    A critical feature is *vertical* when ``h >= w`` (a square one
+    included): its shifters are ``w`` wide, abut its left and right
+    edges and overhang both line ends by the extension ``e``; a
+    horizontal one gets a bottom and a top shifter the same way.  The
+    rects are computed by arithmetic on the layout's rect columns.
 
     Determinism guarantee: shifter ids are dense and reproducible —
     features in index order, left-before-right / bottom-before-top
@@ -51,11 +39,24 @@ def generate_shifters(layout: Layout, tech: Technology) -> ShifterSet:
     (:mod:`repro.shifters.frontend`) reproduces this exact numbering
     when splicing cached per-tile artifacts.
     """
-    rows = []
-    for feat in extract_critical_features(layout, tech):
-        for side, rect in shifter_rects_for_feature(feat.rect, feat.vertical,
-                                                    tech):
-            rows.append((feat.index, side, rect))
-    shifters = ShifterSet()
-    shifters.extend_rows(rows)
-    return shifters
+    import numpy as np
+
+    x1, y1, x2, y2 = rect_columns(layout.features)
+    index = np.flatnonzero(critical_mask(x1, y1, x2, y2, tech))
+    x1, y1, x2, y2 = x1[index], y1[index], x2[index], y2[index]
+    vertical = y2 - y1 >= x2 - x1
+    w = tech.shifter_width
+    e = tech.shifter_extension
+    # Rows 0-3: the first shifter's rect (left / bottom), 4-7: the
+    # second's (right / top), one column per critical feature.
+    box = np.where(vertical, (x1 - w, y1 - e, x1, y2 + e,
+                              x2, y1 - e, x2 + w, y2 + e),
+                   (x1 - e, y1 - w, x2 + e, y1,
+                    x1 - e, y2, x2 + e, y2 + w))
+    code = np.where(vertical, [[SIDE_CODE[LEFT]], [SIDE_CODE[RIGHT]]],
+                    [[SIDE_CODE[BOTTOM]], [SIDE_CODE[TOP]]])
+    # Interleave: shifters 2k and 2k+1 flank the k-th critical feature.
+    n = 2 * len(index)
+    return ShifterSet(np.repeat(index, 2), code.T.reshape(n),
+                      box.reshape(2, 4, len(index)).transpose(1, 2, 0)
+                      .reshape(4, n))

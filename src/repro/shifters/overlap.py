@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..geometry.kernels import get_kernel
 from ..layout import Technology
@@ -41,22 +41,58 @@ class OverlapPair:
         return (self.a, self.b)
 
 
-class PairList(list):
-    """An overlap-pair list that can carry its int64 columns.
+class PairList:
+    """Overlap pairs as int64 columns, objects on demand.
 
-    :func:`pair_columns` memoizes its result on the ``columns`` slot,
-    as :class:`~repro.geometry.rect.RectList` does for rects, so the
-    several conflict-graph builds, weight models and ownership counts
-    that read one revision's pairs extract them once.  Like a rect
-    list, it is immutable by convention once its columns are read.
+    ``columns`` is a ``(P, 5)`` int64 array with one row ``a, b,
+    separation_sq, x_gap, y_gap`` per pair, sorted by ``(a, b)`` — what
+    the kernel's sweep returns and every consumer on the flow reads
+    (:func:`pair_columns`).  :class:`OverlapPair` objects are built, all
+    at once, only when a caller indexes or iterates the list.  Equal
+    to another :class:`PairList` with equal columns, or to a list of
+    the same pairs.  Immutable by convention.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "_objs")
 
-    def __init__(self, pairs: Iterable[OverlapPair] = (),
-                 columns=None) -> None:
-        super().__init__(pairs)
+    def __init__(self, columns=None) -> None:
+        if columns is None:
+            import numpy as np
+
+            columns = np.empty((0, 5), dtype=np.int64)
         self.columns = columns
+        self._objs: Optional[List[OverlapPair]] = None
+
+    def _pairs(self) -> List[OverlapPair]:
+        if self._objs is None:
+            self._objs = list(map(OverlapPair, *self.columns.T.tolist()))
+        return self._objs
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __iter__(self) -> Iterator[OverlapPair]:
+        return iter(self._pairs())
+
+    def __getitem__(self, index):
+        return self._pairs()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PairList):
+            import numpy as np
+
+            return np.array_equal(self.columns, other.columns)
+        if isinstance(other, (list, tuple)):
+            return self._pairs() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PairList({self._pairs()!r})"
+
+    def __reduce__(self):
+        return (PairList, (self.columns,))
 
 
 _pair_row = operator.attrgetter("a", "b", "separation_sq", "x_gap",
@@ -65,21 +101,18 @@ _pair_row = operator.attrgetter("a", "b", "separation_sq", "x_gap",
 
 def pair_columns(pairs: Sequence[OverlapPair]):
     """Every pair as one int64 row ``a, b, separation_sq, x_gap,
-    y_gap`` (memoized on a :class:`PairList`)."""
-    cols = getattr(pairs, "columns", None)
-    if cols is not None:
-        return cols
+    y_gap``: a :class:`PairList`'s own columns, else built from the
+    objects."""
+    if isinstance(pairs, PairList):
+        return pairs.columns
     import numpy as np
 
-    cols = np.fromiter(chain.from_iterable(map(_pair_row, pairs)),
+    return np.fromiter(chain.from_iterable(map(_pair_row, pairs)),
                        dtype=np.int64, count=5 * len(pairs)).reshape(-1, 5)
-    if isinstance(pairs, PairList):
-        pairs.columns = cols
-    return cols
 
 
 def find_overlap_pairs(shifters: ShifterSet,
-                       tech: Technology) -> List[OverlapPair]:
+                       tech: Technology) -> PairList:
     """All Condition-2 pairs of a shifter set, sorted by id pair.
 
     Args:
@@ -89,22 +122,20 @@ def find_overlap_pairs(shifters: ShifterSet,
 
     Determinism guarantee: the result is a pure function of the
     shifter geometry and the spacing rule — the geometry kernel
-    (the numpy sweep of :mod:`repro.geometry.kernels`) only
+    (the banded numpy sweep of :mod:`repro.geometry.kernels`) only
     accelerates the search, every candidate is confirmed by the exact
-    integer separation test — and the list is sorted by ``(a, b)`` id
-    pair, so reruns are byte-identical.  The two shifters flanking one
-    feature share a
-    ``feature_index`` and are exempt (a Condition-1 pair, already
-    forced to opposite phases).  Pair measurements
-    (``separation_sq``, ``x_gap``, ``y_gap``) are symmetric in the two
-    rects, which lets the tile-scoped front end cache them
-    tile-independently.
+    integer separation test — and the pairs are sorted by ``(a, b)``
+    id pair, so reruns are byte-identical.  The two shifters flanking
+    one feature share a ``feature_index`` and are exempt (a
+    Condition-1 pair, already forced to opposite phases).  Pair
+    measurements (``separation_sq``, ``x_gap``, ``y_gap``) are
+    symmetric in the two rects, which lets the tile-scoped front end
+    cache them tile-independently.  The kernel's columns are kept as
+    they are (:class:`PairList`): no :class:`OverlapPair` is built.
     """
-    rows = get_kernel().overlap_rows(shifters.rects, tech.shifter_spacing,
-                                     groups=shifters.feature_column())
-    return PairList(OverlapPair(a=i, b=j, separation_sq=sep, x_gap=xg,
-                                y_gap=yg)
-                    for i, j, sep, xg, yg in rows)
+    return PairList(get_kernel().overlap_row_array(
+        *shifters.box, tech.shifter_spacing,
+        groups=shifters.feature_column()))
 
 
 def needed_space(pair: OverlapPair, tech: Technology,

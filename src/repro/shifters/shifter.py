@@ -5,19 +5,21 @@ by 180 degrees; in bright-field AAPSM every critical feature is flanked by
 two of them on opposite sides of its critical dimension.  This module
 only models geometry and identity; phases live in :mod:`repro.phase`.
 
-:class:`ShifterSet` is a batch table: shifters live in parallel
-feature / side / rect columns (plus one feature→ids dict built as rows
-land), and :class:`Shifter` objects are materialized lazily and
-memoized.  The flow reads the columns only — the front end, the
-conflict-graph build, detection, correction and the verifier go
-through ``rects``, ``feature_column``, ``side_column``, ``rect_of``
-and ``feature_pair_ids`` — so it builds no :class:`Shifter`.
+:class:`ShifterSet` is a column table: shifters live in int64 feature,
+side-code and rect columns, built in bulk (one array pass of
+:func:`~repro.shifters.generation.generate_shifters`, or a column slice
+of another set), and :class:`Shifter` objects and :class:`Rect` values
+are made on demand.  The flow reads the columns only — the front end,
+the conflict-graph build, detection, correction and the verifier go
+through ``box``, ``feature_column``, ``code_column``, ``rect_of`` and
+``feature_pair_ids`` — so it builds no :class:`Shifter` and no
+per-shifter :class:`Rect`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..geometry import Rect
 from ..geometry.rect import RectList
@@ -28,6 +30,12 @@ TOP = "top"
 BOTTOM = "bottom"
 
 OPPOSING_SIDES = {LEFT: RIGHT, RIGHT: LEFT, TOP: BOTTOM, BOTTOM: TOP}
+
+# Side codes of the code column.  Codes ascend with the side names, so
+# ordering shifters by ``(feature rect, code)`` orders them by
+# ``(feature rect, side)``.
+SIDES = (BOTTOM, LEFT, RIGHT, TOP)
+SIDE_CODE = {side: code for code, side in enumerate(SIDES)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,56 +61,51 @@ class Shifter:
 
 
 class ShifterSet:
-    """All shifters of a layout, with per-feature lookup.
+    """All shifters of a layout, as int64 columns.
+
+    ``feature`` holds each shifter's feature index, ``code`` its side
+    (an index into :data:`SIDES`) and ``box`` its rect as a ``(4, n)``
+    array of ``x1, y1, x2, y2`` rows; ids are dense row indices.  The
+    arrays are owned by the set and read-only by convention.
 
     Invariant (tested): the shifters of one feature come in opposing
     pairs, so the feature edges of the phase conflict graph form a
     perfect matching on the shifter nodes.
 
-    Append-only; ids are dense insertion indices.  Rows are stored as
-    columns, :class:`Shifter` objects materialize on demand, and the
-    ``rects`` view is cached until the next append.
+    :meth:`add` appends one row (hand-built sets); :class:`Shifter`
+    objects are memoized, and the ``rects`` view and the feature-pair
+    ids are cached until the next append.
     """
 
-    def __init__(self) -> None:
-        self._feature: List[int] = []
-        self._side: List[str] = []
-        self._rect: List[Rect] = []
-        self._by_feature: Dict[int, List[int]] = {}
+    def __init__(self, feature=None, code=None, box=None) -> None:
+        import numpy as np
+
+        if feature is None:
+            feature = np.empty(0, dtype=np.int64)
+            code = np.empty(0, dtype=np.int64)
+            box = np.empty((4, 0), dtype=np.int64)
+        if not (len(feature) == len(code) == box.shape[1]
+                and box.shape[0] == 4):
+            raise ValueError("shifter columns differ in length")
+        self._feature = feature
+        self._code = code
+        self._box = box
         self._objs: Dict[int, Shifter] = {}
         self._rects: Optional[RectList] = None
+        self._pair_ids = None
 
     def add(self, feature_index: int, side: str, rect: Rect) -> Shifter:
+        """Append one shifter (an array copy: for hand-built sets)."""
+        import numpy as np
+
         sid = len(self._feature)
-        self._feature.append(feature_index)
-        self._side.append(side)
-        self._rect.append(rect)
-        self._by_feature.setdefault(feature_index, []).append(sid)
+        self._feature = np.append(self._feature, feature_index)
+        self._code = np.append(self._code, SIDE_CODE[side])
+        self._box = np.append(self._box, [[rect.x1], [rect.y1],
+                                          [rect.x2], [rect.y2]], axis=1)
         self._rects = None
-        shifter = Shifter(sid, feature_index, side, rect)
-        self._objs[sid] = shifter
-        return shifter
-
-    def extend_rows(self, rows: Iterable[Tuple[int, str, Rect]]) -> range:
-        """Bulk :meth:`add` over ``(feature_index, side, rect)`` rows.
-
-        Ids are assigned sequentially in row order — identical to the
-        equivalent loop of :meth:`add` calls — but no :class:`Shifter`
-        objects are built.  Returns the ``range`` of assigned ids.
-        """
-        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
-        start = len(self._feature)
-        if not rows:
-            return range(start, start)
-        by_feature = self._by_feature
-        for sid, row in enumerate(rows, start):
-            by_feature.setdefault(row[0], []).append(sid)
-        features, sides, rects = zip(*rows)
-        self._feature.extend(features)
-        self._side.extend(sides)
-        self._rect.extend(rects)
-        self._rects = None
-        return range(start, len(self._feature))
+        self._pair_ids = None
+        return self[sid]
 
     def __len__(self) -> int:
         return len(self._feature)
@@ -113,81 +116,111 @@ class ShifterSet:
     def __getitem__(self, shifter_id: int) -> Shifter:
         # Memoize under the dense id: a negative index names a
         # different shifter once more rows are appended.
+        n = len(self._feature)
         if shifter_id < 0:
-            shifter_id += len(self._feature)
-            if shifter_id < 0:
-                raise IndexError("shifter id out of range")
+            shifter_id += n
+        if not 0 <= shifter_id < n:
+            raise IndexError("shifter id out of range")
         shifter = self._objs.get(shifter_id)
         if shifter is None:
-            shifter = Shifter(shifter_id, self._feature[shifter_id],
-                              self._side[shifter_id], self._rect[shifter_id])
+            shifter = Shifter(shifter_id, int(self._feature[shifter_id]),
+                              SIDES[self._code[shifter_id]],
+                              self.rect_of(shifter_id))
             self._objs[shifter_id] = shifter
         return shifter
 
     @property
+    def box(self):
+        """The rect columns as one ``(4, n)`` int64 array: rows ``x1,
+        y1, x2, y2`` (``x1, y1, x2, y2 = shifters.box``)."""
+        return self._box
+
+    @property
     def rects(self) -> List[Rect]:
-        """The rect column (cached; shared with the geometry kernels,
-        whose :func:`~repro.geometry.rect.rect_columns` memoizes its
-        int64 columns on the returned list)."""
+        """Every shifter's :class:`Rect` (built on first use and cached;
+        the list carries the rect columns, so
+        :func:`~repro.geometry.rect.rect_columns` reads them free)."""
         if self._rects is None:
-            self._rects = RectList(self._rect)
+            self._rects = RectList(map(Rect, *self._box.tolist()))
+            self._rects.columns = tuple(self._box)
         return self._rects
 
-    def feature_column(self) -> List[int]:
-        """The feature-index column (read-only by convention)."""
+    def feature_column(self):
+        """The feature-index column (int64, read-only by convention)."""
         return self._feature
 
-    def side_column(self) -> List[str]:
-        """The side column (read-only by convention)."""
-        return self._side
+    def code_column(self):
+        """The side-code column (int64 indices into :data:`SIDES`)."""
+        return self._code
 
     def rect_of(self, shifter_id: int) -> Rect:
-        """Rect of a shifter, no :class:`Shifter` needed."""
-        return self._rect[shifter_id]
+        """Rect of one shifter, made on demand."""
+        return Rect(*self._box[:, shifter_id].tolist())
 
     def feature_indices(self) -> List[int]:
-        return sorted(self._by_feature)
+        import numpy as np
+
+        return np.unique(self._feature).tolist()
 
     def of_feature(self, feature_index: int) -> List[Shifter]:
-        return [self[i] for i in self._by_feature.get(feature_index, ())]
+        import numpy as np
+
+        return [self[i] for i in
+                np.flatnonzero(self._feature == feature_index).tolist()]
 
     def feature_pairs(self) -> List[Tuple[Shifter, Shifter]]:
         """The opposing shifter pair of every critical feature, as
         :class:`Shifter` objects, features ascending (the column form
         is :meth:`feature_pair_ids`)."""
-        self._check_pairs()
+        first, second = self.feature_pair_ids()
         return [(self[a], self[b])
-                for a, b in (self._by_feature[fi]
-                             for fi in self.feature_indices())]
+                for a, b in zip(first.tolist(), second.tolist())]
 
     def num_critical(self) -> int:
-        """``len(feature_pairs())``, read off the per-feature index: no
-        :class:`Shifter` is built, and the exactly-two check is the
-        same."""
-        self._check_pairs()
-        return len(self._by_feature)
+        """``len(feature_pairs())`` with no :class:`Shifter` built; the
+        exactly-two check is the same."""
+        return len(self.feature_pair_ids()[0])
+
+    def ids_of(self, feature, code):
+        """The id of the shifter on side ``code`` of feature ``feature``,
+        elementwise over two int64 columns; -1 where there is none."""
+        import numpy as np
+
+        first, second = self.feature_pair_ids()
+        if not len(first):
+            return np.full(len(feature), -1, dtype=np.int64)
+        ranked = self._feature[first]
+        pos = np.minimum(np.searchsorted(ranked, feature), len(ranked) - 1)
+        a, b = first[pos], second[pos]
+        ids = np.where(self._code[a] == code, a,
+                       np.where(self._code[b] == code, b, -1))
+        ids[ranked[pos] != feature] = -1
+        return ids
 
     def feature_pair_ids(self):
         """:meth:`feature_pairs` as two int64 id columns.
 
         ``(first, second)``: the ids of each critical feature's two
-        shifters, in id order, features ascending — one numpy pass over
-        the feature column, same exactly-two check.
+        shifters, in id order, features ascending — one stable sort of
+        the feature column, which also checks that every guarded
+        feature has exactly two shifters (ValueError naming the
+        smallest offending feature).
         """
-        import numpy as np
+        if self._pair_ids is None:
+            import numpy as np
 
-        self._check_pairs()
-        order = np.argsort(np.array(self._feature, dtype=np.int64),
-                           kind="stable")
-        return order[0::2], order[1::2]
-
-    def _check_pairs(self) -> None:
-        """Raise ValueError unless every guarded feature has exactly
-        two shifters (the smallest offending feature is named)."""
-        by_feature = self._by_feature
-        if set(map(len, by_feature.values())) <= {2}:
-            return
-        bad = min(fi for fi, ids in by_feature.items() if len(ids) != 2)
-        raise ValueError(
-            f"feature {bad} has {len(by_feature[bad])} shifters, "
-            "expected exactly 2")
+            feature = self._feature
+            order = np.argsort(feature, kind="stable")
+            ranked = feature[order]
+            starts = np.flatnonzero(np.concatenate((
+                [True], ranked[1:] != ranked[:-1]))) if len(ranked) \
+                else np.empty(0, dtype=np.int64)
+            counts = np.diff(np.append(starts, len(ranked)))
+            bad = np.flatnonzero(counts != 2)
+            if bad.size:
+                k = int(bad[0])
+                raise ValueError(
+                    f"feature {int(ranked[starts[k]])} has "
+                    f"{int(counts[k])} shifters, expected exactly 2")
+            self._pair_ids = (order[0::2], order[1::2])
+        return self._pair_ids

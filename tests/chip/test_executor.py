@@ -59,9 +59,10 @@ class TestFrontSlices:
                                                tiles):
                     got_s, got_p = sliced.front
                     exp_s, exp_p = layout_front_end(job.layout, tech)
-                    assert got_s.feature_column() == exp_s.feature_column()
-                    assert got_s.side_column() == exp_s.side_column()
-                    assert list(got_s.rects) == list(exp_s.rects)
+                    for column in ("feature_column", "code_column"):
+                        assert getattr(got_s, column)().tolist() \
+                            == getattr(exp_s, column)().tolist()
+                    assert got_s.box.tolist() == exp_s.box.tolist()
                     assert got_p == exp_p
 
     def test_detect_tile_same_with_or_without_slice(self, tech):

@@ -22,7 +22,7 @@ from repro.layout import (
 
 def brute_force_darkfield(layout, tech, distance=None):
     """Oracle: try every phase vector over critical features."""
-    from repro.layout import extract_critical_features
+    from ..oracles import extract_critical_features
 
     if distance is None:
         distance = interaction_distance(tech)
@@ -169,7 +169,7 @@ class TestColumnBuildOracle:
     @pytest.mark.parametrize("name", [
         f"{s}:{seed}" for s in ("boundary", "density", "duplicate",
                                 "oddcycle", "tjoin", "darkfield")
-        for seed in range(3)] + ["D1", "D2", "D3", "empty"])
+        for seed in range(3)] + ["D1", "D2", "D3", "empty", "widths"])
     def test_matches_per_pair_build(self, tech, name):
         from repro.bench import build_design
         from repro.scenarios import build_scenario, stratum_names
@@ -178,6 +178,14 @@ class TestColumnBuildOracle:
 
         if name == "empty":
             layout = layout_from_rects([])
+        elif name == "widths":
+            # Drawn widths at the critical threshold and just below it,
+            # both orientations, and a square.
+            cw = tech.critical_width
+            layout = layout_from_rects([
+                Rect(0, 0, cw - 1, 900), Rect(cw + 20, 0, 2 * cw + 20, 900),
+                Rect(0, 950, 900, 950 + cw - 1), Rect(0, 1100, 900, 1100 + cw),
+                Rect(1000, 0, 1000 + cw - 1, cw - 1)])
         elif ":" in name:
             stratum, seed = name.split(":")
             assert stratum in stratum_names()

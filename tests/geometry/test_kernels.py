@@ -5,8 +5,10 @@ measurements, region centres, and whole detection reports must be
 byte-for-byte equal between the production numpy sweep and the scalar
 grid sweep of ``tests/oracles.py``, on randomized rect sets including
 the degenerate configurations (touching edges, duplicate rects,
-slivers, multi-tile straddlers), at sweep blocks small enough that
-every sweep spans many blocks, and across executors.
+slivers, multi-tile straddlers), on inputs the sweep cuts into bands
+(rects crossing many bands, chip-spanning wires, coordinates near
+±1e9, and one row that stays one band), at sweep blocks small enough
+that every sweep spans many blocks, and across executors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
+from unittest import mock
 
 import pytest
 
@@ -23,6 +27,7 @@ import repro
 import repro.geometry.kernels as kernels
 from repro.chip import run_chip_flow
 from repro.geometry import Rect, neighbor_pairs
+from repro.geometry.kernels import numpy_kernel
 from repro.geometry.kernels.numpy_kernel import NumpyKernel
 from repro.layout import GeneratorParams, layout_from_rects, \
     standard_cell_layout
@@ -63,7 +68,126 @@ def random_rects(rng: random.Random, n: int, span: int = 3000,
     return rects
 
 
+def grid_rects(rng: random.Random, cols: int, rows: int, pitch: int = 80,
+               x0: int = 0, y0: int = 0) -> list:
+    """A jittered grid of small rects: dense enough that one sweep band
+    would hold thousands of candidates."""
+    rects = []
+    for i in range(cols):
+        for j in range(rows):
+            x = x0 + i * pitch + rng.randrange(0, 40)
+            y = y0 + j * pitch + rng.randrange(0, 40)
+            rects.append(Rect(x, y, x + rng.randrange(20, 90),
+                              y + rng.randrange(20, 90)))
+    return rects
+
+
+def banded_inputs(name: str, seed: int) -> list:
+    """Rect sets for the banded sweep, each with its hard case."""
+    rng = random.Random(seed)
+    if name == "many-bands":
+        # Tall rects crossing many bands among small ones.
+        rects = grid_rects(rng, 36, 36)
+        for _ in range(40):
+            x = rng.randrange(0, 36 * 80)
+            y = rng.randrange(0, 3000)
+            rects.append(Rect(x, y, x + 60, y + rng.randrange(1500, 5000)))
+        return rects
+    if name == "chip-wire":
+        # Vertical wires spanning the whole chip, one at each edge.
+        rects = grid_rects(rng, 36, 36)
+        return rects + [Rect(-90, -500, 0, 36 * 80 + 500),
+                        Rect(1000, -500, 1090, 36 * 80 + 500)]
+    if name == "one-band":
+        # A single row of equal heights: every rect lies in one band.
+        xs = [rng.randrange(0, 40_000) for _ in range(1200)]
+        return [Rect(x, 0, x + rng.randrange(20, 90), 100) for x in xs]
+    if name == "far":
+        # Two clusters near -1e9 and +1e9.
+        return (grid_rects(rng, 30, 30, x0=-10 ** 9, y0=-10 ** 9)
+                + grid_rects(rng, 30, 30, x0=10 ** 9 - 6000,
+                             y0=10 ** 9 - 6000))
+    raise ValueError(name)
+
+
+BANDED = ["many-bands", "chip-wire", "far"]
+
+
+@contextmanager
+def recorded_bands():
+    """Record what every sweep's band layout returned (None: one band,
+    else the replica count and the input size)."""
+    seen = []
+    layout = numpy_kernel._band_layout
+
+    def record(x1, y1, x2, y2, dist):
+        bands = layout(x1, y1, x2, y2, dist)
+        seen.append(None if bands is None
+                    else (int(bands[3].sum()), len(x1)))
+        return bands
+
+    with mock.patch.object(numpy_kernel, "_band_layout", record):
+        yield seen
+
+
 class TestKernelEquivalence:
+    @pytest.mark.parametrize("dist", [1, 120])
+    @pytest.mark.parametrize("name", BANDED + ["one-band"])
+    def test_banded_inputs_match(self, name, dist):
+        rects = banded_inputs(name, 7)
+        groups = [i // 3 for i in range(len(rects))]
+        with recorded_bands() as seen:
+            pairs = NUMPY.neighbor_pairs(rects, dist)
+            rows = NUMPY.overlap_rows(rects, dist, groups=groups)
+        assert pairs == SCALAR.neighbor_pairs(rects, dist)
+        assert rows == SCALAR.overlap_rows(rects, dist, groups=groups)
+        assert pairs, "a vacuous input"
+        if name == "one-band":
+            assert all(bands is None for bands in seen)
+        else:
+            assert len(seen) == 2 and None not in seen
+            # The height rule keeps replicas under three per rect.
+            assert all(rows_ < 3 * n for rows_, n in seen)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dist", [1, 120, 400])
+    def test_every_input_banded_matches(self, seed, dist):
+        """With the candidate floor lifted, small random inputs band
+        too: every degenerate configuration crosses band edges."""
+        rng = random.Random(900 + seed)
+        rects = random_rects(rng, rng.choice([5, 40, 150]))
+        groups = [rng.randrange(max(1, len(rects) // 2)) for _ in rects]
+        with mock.patch.object(numpy_kernel, "BAND_MIN_CANDIDATES", 0), \
+                recorded_bands() as seen:
+            pairs = NUMPY.neighbor_pairs(rects, dist)
+            rows = NUMPY.overlap_rows(rects, dist, groups=groups)
+        assert pairs == SCALAR.neighbor_pairs(rects, dist)
+        assert rows == SCALAR.overlap_rows(rects, dist, groups=groups)
+        assert any(bands is not None for bands in seen)
+
+    def test_tiny_inputs_take_one_band(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            rects = random_rects(rng, rng.choice([2, 5, 40]))
+            with recorded_bands() as seen:
+                NUMPY.neighbor_pairs(rects, 120)
+            assert seen == []
+
+    def test_sweep_counters(self):
+        from repro.obs import Tracer, use_tracer
+
+        rects = banded_inputs("many-bands", 3)
+        counts = {}
+        for label, floor in (("banded", 0), ("one-band", 1 << 62)):
+            tracer = Tracer()
+            with mock.patch.object(numpy_kernel, "BAND_MIN_CANDIDATES",
+                                   floor), use_tracer(tracer):
+                pairs = NUMPY.neighbor_pairs(rects, 120)
+            counter = tracer.metrics.counter
+            assert counter("kernel.sweep.pairs").value == len(pairs)
+            counts[label] = counter("kernel.sweep.candidates").value
+        assert len(pairs) < counts["banded"] < counts["one-band"] / 2
+
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("dist", [1, 13, 120, 400])
     def test_neighbor_pairs_match(self, seed, dist):
@@ -115,6 +239,18 @@ class TestKernelEquivalence:
 class TestSweepBlocks:
     """Blocks of 1-7 candidate rows: every sweep spans many blocks, and
     single rects' candidate windows outgrow a whole block."""
+
+    @pytest.mark.parametrize("name", BANDED)
+    def test_tiny_blocks_banded(self, name):
+        rng = random.Random(11)
+        kernel = NumpyKernel(block=rng.randint(1, 7))
+        rects = banded_inputs(name, 5)
+        groups = [i // 2 for i in range(len(rects))]
+        for dist in (1, 120):
+            with recorded_bands() as seen:
+                rows = kernel.overlap_rows(rects, dist, groups=groups)
+            assert None not in seen
+            assert rows == SCALAR.overlap_rows(rects, dist, groups=groups)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_tiny_blocks_match_oracle(self, seed):

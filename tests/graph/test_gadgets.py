@@ -6,6 +6,7 @@ total weight as the reference shortest-path solver.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from repro.graph import (
     min_tjoin_gadget,
     min_tjoin_shortest_paths,
 )
+from repro.graph.gadgets import extract_tjoin
+from repro.graph.matching import min_weight_perfect_matching
 
 
 def graph_from_edges(n, edges):
@@ -139,3 +142,139 @@ class TestEquivalence:
             assert is_tjoin(g, join, tset)
             costs.add(g.total_weight(join))
         assert len(costs) == 1
+
+
+def recomputing_solve(graph, tset):
+    """``min_tjoin_gadget`` as it read before it passed its components
+    down: the T-bearing subgraph's components are computed again, by
+    ``build_gadget_graph`` itself.  Returns the join and the matching
+    instance's edge rows."""
+    relevant = set()
+    for comp in graph.connected_components():
+        if tset.intersection(comp):
+            relevant.update(comp)
+    sub = graph.subgraph(relevant)
+    gadget = build_gadget_graph(sub, tset & relevant)
+    matched = min_weight_perfect_matching(gadget.matching_graph)
+    return (sorted(sub.edge(eid).tag[1]
+                   for eid in extract_tjoin(gadget, matched)),
+            list(gadget.matching_graph.live_edge_rows()))
+
+
+def recorded_solve(graph, tset):
+    """``min_tjoin_gadget``'s join and the matching instance's edge
+    rows it built."""
+    from repro.graph import gadgets
+
+    instances = []
+
+    def record(matching_graph):
+        instances.append(list(matching_graph.live_edge_rows()))
+        return min_weight_perfect_matching(matching_graph)
+
+    with mock.patch.object(gadgets, "min_weight_perfect_matching", record):
+        join = min_tjoin_gadget(graph, tset)
+    assert len(instances) == 1
+    return join, instances[0]
+
+
+def harvested_instances(name, raw):
+    """Every T-join instance one detection hands ``min_tjoin_gadget``:
+    of the dual's simple instance, or of the raw dual."""
+    from contextlib import nullcontext
+
+    from repro.bench import build_design
+    from repro.conflict import detect_conflicts
+    from repro.graph import bipartize
+    from repro.layout import Technology
+    from repro.scenarios import build_scenario
+
+    from ..oracles import use_raw_dual
+
+    if ":" in name:
+        stratum, seed = name.split(":")
+        scenario = build_scenario(stratum, int(seed))
+        layout, tech = scenario.layout, scenario.tech
+    else:
+        layout, tech = build_design(name), Technology.node_90nm()
+    instances = []
+    solve = bipartize.min_tjoin_gadget
+
+    def record(graph, tset, max_clique_size=None):
+        instances.append((graph, set(tset)))
+        return solve(graph, tset, max_clique_size)
+
+    with mock.patch.object(bipartize, "min_tjoin_gadget", record), \
+            (use_raw_dual() if raw else nullcontext()):
+        detect_conflicts(layout, tech)
+    return instances
+
+
+def corpus():
+    from repro.scenarios import stratum_names
+
+    return [f"{s}:{seed}" for s in stratum_names() for seed in range(3)] \
+        + ["D1", "D2", "D3"]
+
+
+class TestComponentsOncePerSolve:
+    """A solve labels the instance's components once and hands the
+    T-bearing ones to ``build_gadget_graph`` for the subgraph: the same
+    matching instance and join as labelling the subgraph again."""
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["simple", "raw"])
+    @pytest.mark.parametrize("name", corpus())
+    def test_one_pass_and_the_same_join(self, name, raw):
+        calls = []
+        labelled = GeomGraph.connected_components
+
+        def counting(graph):
+            calls.append(graph.name)
+            return labelled(graph)
+
+        instances = harvested_instances(name, raw)
+        assert instances
+        for graph, tset in instances:
+            expected = recomputing_solve(graph, tset) if tset else None
+            calls.clear()
+            with mock.patch.object(GeomGraph, "connected_components",
+                                   counting):
+                if tset:
+                    assert recorded_solve(graph, tset) == expected
+                else:
+                    assert min_tjoin_gadget(graph, tset) == []
+            assert calls == ([graph.name] if tset else [])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_labels_inserted_out_of_order(self, seed):
+        """Components listed by first insertion differ from the
+        subgraph's own order (smallest label first) when labels come
+        out of order; the solve hands them over in the subgraph's."""
+        rng = random.Random(seed)
+        labels = rng.sample(range(100), 24)
+        g = GeomGraph()
+        for label in labels:
+            g.add_node(label)
+        parts = [labels[i:i + 6] for i in range(0, 24, 6)]
+        tset = set()
+        for part in parts:
+            edges = list(zip(part, part[1:])) \
+                + [rng.sample(part, 2) for _ in range(4)]
+            for u, v in edges:
+                g.add_edge(u, v, weight=rng.randint(1, 2))
+            if rng.random() < 0.8:
+                tset.update(rng.sample(part, 2))
+        if not tset:
+            tset = set(parts[0][:2])
+        expected = recomputing_solve(g, tset)
+        assert recorded_solve(g, tset) == expected
+        assert is_tjoin(g, expected[0], tset)
+
+    def test_public_builder_still_checks_feasibility(self):
+        from repro.graph import TJoinInfeasibleError
+
+        g = graph_from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(TJoinInfeasibleError, match="odd"):
+            build_gadget_graph(g, {0})
+        with pytest.raises(TJoinInfeasibleError, match="odd"):
+            build_gadget_graph(g, {0}, components=[[0, 1, 2]])

@@ -18,6 +18,11 @@ compare them with live here:
   over every candidate grid line;
 * :func:`scalar_crossing_pairs` — planarization's crossing search with
   the scalar segment predicate run on every candidate pair;
+* :func:`extract_critical_features` (with :class:`CriticalFeature`),
+  :func:`shifter_rects_for_feature` and :func:`scalar_generate_shifters`
+  — shifter generation feature by feature, one :class:`Rect` per
+  shifter, which ``generate_shifters``' column pass (the critical mask
+  and the flanking rects by arithmetic) must reproduce exactly;
 * :func:`scalar_partition` (with :func:`rect_digest`),
   :func:`scalar_owned_front_end` and :func:`scalar_decompose` — the
   tiled path's per-rect, per-feature
@@ -62,6 +67,7 @@ import zlib
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import (Dict, Generic, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, TypeVar)
 
@@ -88,8 +94,17 @@ from repro.graph import GeomGraph
 from repro.graph.components import COMPONENT_FORMAT
 from repro.graph.matching import BlossomMatcher, LocalEdge, MatcherBackend
 from repro.layout import Layout, Technology
-from repro.shifters import OverlapPair, ShifterSet
-from repro.shifters.frontend import SIDES, TileFrontEnd
+from repro.shifters import (
+    BOTTOM,
+    LEFT,
+    RIGHT,
+    SIDE_CODE,
+    SIDES,
+    TOP,
+    OverlapPair,
+    ShifterSet,
+)
+from repro.shifters.frontend import TileFrontEnd
 
 T = TypeVar("T")
 
@@ -504,6 +519,86 @@ def scalar_partition(layout: Layout, tech: Technology, tiles=None,
     return (box.x1, box.y1, box.x2, box.y2), xs, ys, out
 
 
+@dataclass(frozen=True)
+class CriticalFeature:
+    """A poly feature that requires phase shifting.
+
+    Attributes:
+        index: index of the rectangle in ``layout.features``.
+        rect: the feature geometry.
+        vertical: True when the feature runs vertically, i.e. its
+            critical dimension is the x-extent and shifters go to its
+            left and right.
+    """
+
+    index: int
+    rect: Rect
+    vertical: bool
+
+    @property
+    def drawn_width(self) -> int:
+        return self.rect.min_dimension
+
+    @property
+    def drawn_length(self) -> int:
+        return self.rect.max_dimension
+
+
+def extract_critical_features(layout: Layout,
+                              tech: Technology) -> List[CriticalFeature]:
+    """All critical features of a layout, in feature-index order, one
+    object per feature; a square sub-threshold feature is vertical."""
+    out: List[CriticalFeature] = []
+    for index, rect in enumerate(layout.features):
+        if tech.is_critical_width(rect.min_dimension):
+            out.append(CriticalFeature(
+                index=index,
+                rect=rect,
+                vertical=rect.height >= rect.width,
+            ))
+    return out
+
+
+def shifter_rects_for_feature(rect: Rect, vertical: bool,
+                              tech: Technology):
+    """The two flanking shifter rects of one critical feature, as
+    ``((side, rect), (side, rect))``: left/right for a vertical feature,
+    bottom/top for a horizontal one."""
+    w = tech.shifter_width
+    e = tech.shifter_extension
+    if vertical:
+        left = Rect(rect.x1 - w, rect.y1 - e, rect.x1, rect.y2 + e)
+        right = Rect(rect.x2, rect.y1 - e, rect.x2 + w, rect.y2 + e)
+        return ((LEFT, left), (RIGHT, right))
+    bottom = Rect(rect.x1 - e, rect.y1 - w, rect.x2 + e, rect.y1)
+    top = Rect(rect.x1 - e, rect.y2, rect.x2 + e, rect.y2 + w)
+    return ((BOTTOM, bottom), (TOP, top))
+
+
+def shifter_set(rows: Iterable[Tuple[int, str, Rect]]) -> ShifterSet:
+    """A :class:`ShifterSet` of ``(feature index, side, rect)`` rows,
+    ids in row order."""
+    import numpy as np
+
+    rows = list(rows)
+    return ShifterSet(
+        np.array([r[0] for r in rows], dtype=np.int64),
+        np.array([SIDE_CODE[r[1]] for r in rows], dtype=np.int64),
+        np.array([(r[2].x1, r[2].y1, r[2].x2, r[2].y2) for r in rows],
+                 dtype=np.int64).reshape(-1, 4).T.copy())
+
+
+def scalar_generate_shifters(layout: Layout,
+                             tech: Technology) -> ShifterSet:
+    """``generate_shifters`` feature by feature: the critical features
+    in index order, each one's two flanking rects in side order."""
+    return shifter_set(
+        (feat.index, side, rect)
+        for feat in extract_critical_features(layout, tech)
+        for side, rect in shifter_rects_for_feature(feat.rect,
+                                                    feat.vertical, tech))
+
+
 def rect_digest(rects: Sequence[Rect]) -> str:
     """A rect multiset's digest computed on its own: sha256 of the
     rects sorted by ``(x1, y1, x2, y2)``, as little-endian int64 rows.
@@ -794,7 +889,6 @@ def scalar_phase_conflict_graph(shifters: ShifterSet, pairs, tech,
         for endpoint, half in ((pair.a, 0), (pair.b, 1)):
             rows.append((endpoint, next_node, weight,
                          (OVERLAP_TAG, pair.key, half)))
-        cg.pairs[pair.key] = pair
         next_node += 1
     n_overlap = len(rows)
     for sa, sb in shifters.feature_pairs():
@@ -822,7 +916,6 @@ def scalar_feature_graph(shifters: ShifterSet, pairs, tech,
         for endpoint, half in ((pair.a, 0), (pair.b, 1)):
             rows.append((endpoint, next_node, weight,
                          (OVERLAP_TAG, pair.key, half)))
-        cg.pairs[pair.key] = pair
         next_node += 1
     n_overlap = len(rows)
     for sa, sb in shifters.feature_pairs():
@@ -849,7 +942,7 @@ def conflict_graph_columns(cg):
             list(g._eu), list(g._ev),
             [(type(w), w) for w in g._ew], list(g._etags),
             set(g._removed), dict(cg.shifter_node), dict(cg.edge_pair),
-            dict(cg.edge_feature), dict(cg.pairs))
+            dict(cg.edge_feature))
 
 
 def scalar_canonical_tile(job, shifters: ShifterSet, pairs, report):
@@ -861,8 +954,8 @@ def scalar_canonical_tile(job, shifters: ShifterSet, pairs, report):
     from repro.chip.partition import interaction_distance
 
     feats = job.layout.features
-    feature = shifters.feature_column()
-    side = shifters.side_column()
+    feature = shifters.feature_column().tolist()
+    side = [SIDES[code] for code in shifters.code_column().tolist()]
     ox1, oy1, ox2, oy2 = job.owner
 
     def owns(px2, py2):
@@ -921,7 +1014,6 @@ def scalar_darkfield_graph(layout: Layout, tech: Technology,
     """``build_darkfield_graph`` node by node and pair by pair."""
     from repro.darkfield import DarkFieldGraph, interaction_distance
     from repro.geometry import neighbor_pairs
-    from repro.layout import extract_critical_features
 
     if distance is None:
         distance = interaction_distance(tech)
@@ -940,7 +1032,8 @@ def scalar_darkfield_graph(layout: Layout, tech: Technology,
         edge = graph.add_edge(i, j, weight=1 + max(0, distance - sep),
                               tag=("pair", key))
         edge_pair[edge.id] = key
-    return DarkFieldGraph(graph=graph, features=features,
+    return DarkFieldGraph(graph=graph,
+                          features=[f.index for f in features],
                           node_feature=node_feature, edge_pair=edge_pair)
 
 

@@ -313,8 +313,10 @@ class TestFlowCompatibility:
 
 
 class TestNoShifterObjects:
-    """Detection, correction, verification and assignment read the
-    shifter set's id and rect columns: a flow builds no ``Shifter``."""
+    """The front end, detection, correction, verification and
+    assignment read the shifter set's id and rect columns and the pair
+    columns: a flow builds no ``Shifter``, no per-shifter ``Rect``, no
+    ``OverlapPair`` and no ``CriticalFeature``."""
 
     @pytest.mark.parametrize("kwargs", [dict(tiles=3), dict()],
                              ids=["tiled-cold", "monolithic-storeless"])
@@ -322,15 +324,33 @@ class TestNoShifterObjects:
         from unittest import mock
 
         from repro.bench import build_design
-        from repro.shifters import ShifterSet
+        from repro.shifters import OverlapPair, ShifterSet
 
-        def refuse(self, shifter_id):
-            raise AssertionError(f"Shifter {shifter_id} built")
+        from ..oracles import CriticalFeature
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built")
+
+        rect_of = ShifterSet.rect_of
+        looked_up = []
+
+        def counted_rect_of(self, shifter_id):
+            looked_up.append(shifter_id)
+            return rect_of(self, shifter_id)
 
         layout = build_design("D3")
         expected = run_aapsm_flow(layout, tech, **kwargs)
-        with mock.patch.object(ShifterSet, "__getitem__", refuse):
+        with mock.patch.object(ShifterSet, "__getitem__", refuse), \
+                mock.patch.object(ShifterSet, "rects", property(refuse)), \
+                mock.patch.object(ShifterSet, "rect_of", counted_rect_of), \
+                mock.patch.object(OverlapPair, "__init__", refuse), \
+                mock.patch.object(CriticalFeature, "__init__", refuse):
             result = run_aapsm_flow(layout, tech, **kwargs)
         assert result.success and expected.success
         assert result.corrected_layout.features == \
             expected.corrected_layout.features
+        # Rects are made for the conflicted shifters' correction
+        # options only: two per conflict.
+        conflicts = result.detection.num_conflicts \
+            + len(result.detection.tshape_conflicts)
+        assert 0 < len(looked_up) <= 2 * conflicts

@@ -302,6 +302,12 @@ class TestSpliceGuards:
         assert lay.features[0] == lay.features[1]
         with pytest.raises(SpliceError, match=r"\(0, 0, 90, 1000\)"):
             splice_front_ends(lay, [])
+        # The first rect, in layout order, that was seen before is named.
+        a, b = Rect(0, 0, 90, 1000), Rect(500, 0, 590, 1000)
+        with pytest.raises(SpliceError, match=r"\(0, 0, 90, 1000\)"):
+            splice_front_ends(layout_from_rects([a, b, a, b]), [])
+        with pytest.raises(SpliceError, match=r"\(500, 0, 590, 1000\)"):
+            splice_front_ends(layout_from_rects([a, b, b, a]), [])
 
     def test_no_duplicates_on_suite_designs(self, tech):
         """The golden designs never take the splice's recovery path."""
@@ -320,7 +326,22 @@ class TestSpliceGuards:
                                 right, 95, 0, 100, 1010]]),
             pairs=np.empty((0, 13), dtype=np.int64),
         )
-        with pytest.raises(SpliceError):
+        with pytest.raises(SpliceError, match=r"tile\[0,0\] owns unknown "
+                           r"feature \(5, 5, 95, 1005\)"):
+            splice_front_ends(lay, [stale])
+
+    def test_pair_naming_an_unowned_shifter_rejected(self, tech):
+        lay = layout_from_rects([Rect(0, 0, 90, 1000)])
+        wide_open = (-1 << 40, -1 << 40, 1 << 40, 1 << 40)
+        front = compute_tile_front_end(lay, wide_open, tech)
+        left = SIDES.index("left")
+        stale = TileFrontEnd(
+            ix=0, iy=0, features=front.features,
+            pairs=np.array([[0, 0, 90, 1000, left,
+                             7, 0, 97, 1000, left, 100, -10, 0]]))
+        with pytest.raises(SpliceError, match=r"pair \(\(0, 0, 90, 1000\), "
+                           r"'left'\) / \(\(7, 0, 97, 1000\), 'left'\) "
+                           "names an unowned shifter"):
             splice_front_ends(lay, [stale])
 
     def test_doubly_owned_feature_rejected(self, tech):
@@ -328,7 +349,7 @@ class TestSpliceGuards:
         wide_open = (-1 << 40, -1 << 40, 1 << 40, 1 << 40)
         front = compute_tile_front_end(lay, wide_open, tech)
         assert front.num_owned_features == 1
-        with pytest.raises(SpliceError):
+        with pytest.raises(SpliceError, match="feature 0 owned by two"):
             splice_front_ends(lay, [front, front])
 
 

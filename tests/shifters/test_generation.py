@@ -1,5 +1,7 @@
 """Shifter generation tests."""
 
+import pytest
+
 from repro.geometry import Rect
 from repro.layout import layout_from_rects
 from repro.shifters import (
@@ -8,8 +10,9 @@ from repro.shifters import (
     TOP,
     BOTTOM,
     generate_shifters,
-    shifter_rects_for_feature,
 )
+
+from ..oracles import shifter_rects_for_feature
 
 
 class TestShifterRects:
@@ -87,3 +90,63 @@ class TestGenerateShifters:
         left = shifters[0]
         assert left.center2 == (left.rect.x1 + left.rect.x2,
                                 left.rect.y1 + left.rect.y2)
+
+
+def _columns(shifters):
+    return (shifters.feature_column().tolist(),
+            shifters.code_column().tolist(), shifters.box.tolist())
+
+
+def _corpus():
+    from repro.scenarios import stratum_names
+
+    return ([f"{s}:{seed}" for s in stratum_names() for seed in range(3)]
+            + ["D1", "D2", "D3", "cold-chip:17", "cold-chip:23"])
+
+
+class TestColumnGenerationOracle:
+    """``generate_shifters``' column pass against the feature-by-feature
+    oracle (``tests/oracles.py:scalar_generate_shifters``): same ids,
+    feature indices, sides and rects."""
+
+    @pytest.mark.parametrize("name", _corpus())
+    def test_matches_per_feature_generation(self, tech, name):
+        from repro.bench import build_design
+        from repro.scenarios import build_scenario
+
+        from ..conftest import cold_chip_layout
+        from ..oracles import scalar_generate_shifters
+
+        if name.startswith("cold-chip:"):
+            layout = cold_chip_layout(int(name.split(":")[1]))
+        elif ":" in name:
+            stratum, seed = name.split(":")
+            scenario = build_scenario(stratum, int(seed))
+            layout, tech = scenario.layout, scenario.tech
+        else:
+            layout = build_design(name)
+        got = generate_shifters(layout, tech)
+        assert _columns(got) == _columns(scalar_generate_shifters(layout,
+                                                                  tech))
+        assert got.box.dtype.name == "int64"
+        assert got.num_critical() == len(got) // 2
+
+    @pytest.mark.parametrize("rects", [
+        [Rect(0, 0, 100, 100)],                           # square: vertical
+        [Rect(0, 0, 149, 900), Rect(500, 0, 650, 900)],   # cw - 1, cw
+        [Rect(0, 0, 900, 149), Rect(0, 500, 900, 650)],   # both, horizontal
+        [],                                               # empty layout
+        [Rect(0, 0, 90, 500), Rect(0, 0, 90, 500),        # duplicates
+         Rect(300, 0, 1000, 90), Rect(300, 0, 1000, 90)],
+    ], ids=["square", "widths-vertical", "widths-horizontal", "empty",
+            "duplicates"])
+    def test_edge_cases(self, tech, rects):
+        from ..oracles import scalar_generate_shifters
+
+        assert tech.critical_width == 150
+        layout = layout_from_rects(rects)
+        got = generate_shifters(layout, tech)
+        assert _columns(got) == _columns(scalar_generate_shifters(layout,
+                                                                  tech))
+        assert len(got) == 2 * sum(min(r.width, r.height) < 150
+                                   for r in rects)

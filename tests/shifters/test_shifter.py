@@ -5,6 +5,8 @@ import pytest
 from repro.geometry import Rect
 from repro.shifters import LEFT, RIGHT, ShifterSet
 
+from ..oracles import shifter_set
+
 
 def _pair(shifters: ShifterSet, feature_index: int, x: int) -> None:
     shifters.add(feature_index, LEFT, Rect(x, 0, x + 10, 100))
@@ -23,14 +25,13 @@ class TestNegativeIds:
         assert shifters[-4] is shifters[0]
 
     def test_last_shifter_follows_bulk_rows(self):
-        shifters = ShifterSet()
-        shifters.extend_rows([(0, LEFT, Rect(0, 0, 10, 100)),
-                              (0, RIGHT, Rect(100, 0, 110, 100))])
+        shifters = shifter_set([(0, LEFT, Rect(0, 0, 10, 100)),
+                                (0, RIGHT, Rect(100, 0, 110, 100))])
         assert shifters[-1].id == 1
-        shifters.extend_rows([(1, LEFT, Rect(1000, 0, 1010, 100)),
-                              (1, RIGHT, Rect(1100, 0, 1110, 100))])
+        _pair(shifters, 1, 1000)
         assert shifters[-1].id == 3
         assert shifters[-1] is shifters[3]
+        assert shifters[-1].rect == Rect(1100, 0, 1110, 100)
 
     def test_out_of_range(self):
         shifters = ShifterSet()
@@ -60,11 +61,10 @@ class TestFeaturePairColumns:
             == [(a.id, b.id) for a, b in pairs]
 
     def test_interleaved_rows(self):
-        shifters = ShifterSet()
-        shifters.extend_rows([(5, LEFT, Rect(0, 0, 10, 100)),
-                              (2, LEFT, Rect(500, 0, 510, 100)),
-                              (5, RIGHT, Rect(100, 0, 110, 100)),
-                              (2, RIGHT, Rect(600, 0, 610, 100))])
+        shifters = shifter_set([(5, LEFT, Rect(0, 0, 10, 100)),
+                                (2, LEFT, Rect(500, 0, 510, 100)),
+                                (5, RIGHT, Rect(100, 0, 110, 100)),
+                                (2, RIGHT, Rect(600, 0, 610, 100))])
         first, second = shifters.feature_pair_ids()
         assert (first.tolist(), second.tolist()) == ([1, 0], [3, 2])
         assert shifters.num_critical() == 2
