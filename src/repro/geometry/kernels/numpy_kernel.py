@@ -149,8 +149,10 @@ class NumpyKernel(GeometryKernel):
         hi = np.searchsorted(sx1, sx2 + dist, side="left")
         counts = hi - np.arange(1, n + 1, dtype=np.int64)
         np.maximum(counts, 0, out=counts)
+        cum = _offsets(counts)
+        total = int(cum[-1])
         bands = None
-        if int(counts.sum()) >= BAND_MIN_CANDIDATES:
+        if total >= BAND_MIN_CANDIDATES:
             bands = _band_layout(sx1, sy1, sx2, sy2, dist)
         row_band = None
         if bands is not None:
@@ -170,15 +172,19 @@ class NumpyKernel(GeometryKernel):
                                      side="left") \
                 - np.arange(1, len(key) + 1, dtype=np.int64)
             np.maximum(counts, 0, out=counts)
+            cum = _offsets(counts)
+            total = int(cum[-1])
             order, sx1, sy1, sx2, sy2 = (order[rank], sx1[rank],
                                          sy1[rank], sx2[rank], sy2[rank])
             if sid is not None:
                 sid = sid[rank]
-        rows = len(order)
-        cum = np.empty(rows + 1, dtype=np.int64)
-        cum[0] = 0
-        np.cumsum(counts, out=cum[1:])
+        tracer = get_tracer()
+        tracer.count("kernel.sweep.candidates", total)
+        if not total:
+            tracer.count("kernel.sweep.pairs", 0)
+            return empty, empty, empty.copy(), empty.copy(), empty.copy()
 
+        rows = len(order)
         dist_sq = dist * dist
         out_i: List[np.ndarray] = []
         out_j: List[np.ndarray] = []
@@ -223,8 +229,6 @@ class NumpyKernel(GeometryKernel):
                 out_yg.append(yg[mask])
             p0 = p1
 
-        tracer = get_tracer()
-        tracer.count("kernel.sweep.candidates", int(cum[-1]))
         if not out_i:
             tracer.count("kernel.sweep.pairs", 0)
             return empty, empty, empty.copy(), empty.copy(), empty.copy()
@@ -238,6 +242,15 @@ class NumpyKernel(GeometryKernel):
         perm = np.lexsort((jj, ii))
         tracer.count("kernel.sweep.pairs", len(perm))
         return ii[perm], jj[perm], sep[perm], xg[perm], yg[perm]
+
+
+def _offsets(counts):
+    """Each row's first candidate slot: ``counts``' exclusive prefix
+    sums, with the total appended."""
+    cum = np.empty(len(counts) + 1, dtype=np.int64)
+    cum[0] = 0
+    np.cumsum(counts, out=cum[1:])
+    return cum
 
 
 def _band_layout(x1, y1, x2, y2, dist: int):

@@ -535,14 +535,6 @@ class CriticalFeature:
     rect: Rect
     vertical: bool
 
-    @property
-    def drawn_width(self) -> int:
-        return self.rect.min_dimension
-
-    @property
-    def drawn_length(self) -> int:
-        return self.rect.max_dimension
-
 
 def extract_critical_features(layout: Layout,
                               tech: Technology) -> List[CriticalFeature]:
