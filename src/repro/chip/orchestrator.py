@@ -22,7 +22,7 @@ from ..cache import KIND_STITCH, KIND_TILE, ArtifactCache, cache_delta
 from ..conflict import PCG, DetectionReport
 from ..gcpause import gc_paused
 from ..graph import METHOD_GADGET
-from ..layout import Layout, Technology
+from ..layout import Layout, Technology, with_rect_columns
 from ..obs import get_tracer
 from ..shifters import (
     FrontEndSlicer,
@@ -190,6 +190,7 @@ def run_chip_flow(layout: Layout, tech: Technology,
     with gc_paused():
         start = time.perf_counter()
         tracer = get_tracer()
+        layout = with_rect_columns(layout)
         if cache is None:
             cache = ArtifactCache(cache_dir)
         with tracer.span("chip", cat="chip", design=layout.name) as chip_span, \

@@ -31,8 +31,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from ..geometry.rect import rect_columns
-from ..layout import Layout, Technology
+from ..geometry.rect import RectList, rect_columns
+from ..layout import POLY_LAYER, Layout, Technology
 
 # Owner-region sentinel: far outside any plausible chip coordinate.
 OPEN = 1 << 62
@@ -203,7 +203,9 @@ def partition_layout(layout: Layout, tech: Technology,
     and rows is a :func:`numpy.searchsorted` against the cut lines, and
     the per-tile feature lists and geometry digests come out of one
     stable sort of the (tile, feature) memberships.  Each tile's
-    features keep chip order.
+    features keep chip order, in a
+    :class:`~repro.geometry.rect.RectList` carrying its slice of the
+    chip's columns.
 
     Args:
         layout: the chip layout (only the poly layer is partitioned).
@@ -255,7 +257,8 @@ def partition_layout(layout: Layout, tech: Technology,
     for iy in range(ny):
         for ix in range(nx):
             end = ends[iy * nx + ix]
-            ids = by_tile[start:end].tolist()
+            members = by_tile[start:end]
+            ids = members.tolist()
             core = (xs[ix], ys[iy], xs[ix + 1], ys[iy + 1])
             owner = (
                 -OPEN if ix == 0 else core[0],
@@ -265,8 +268,10 @@ def partition_layout(layout: Layout, tech: Technology,
             )
             bounds = (core[0] - halo, core[1] - halo,
                       core[2] + halo, core[3] + halo)
-            sub = Layout(name=f"{layout.name}[{ix},{iy}]")
-            sub.add_features(map(feats.__getitem__, ids))
+            sub = Layout(name=f"{layout.name}[{ix},{iy}]", layers={
+                POLY_LAYER: RectList(map(feats.__getitem__, ids),
+                                     (x1[members], y1[members],
+                                      x2[members], y2[members]))})
             grid.tiles.append(Tile(
                 ix=ix, iy=iy, core=core, owner=owner, bounds=bounds,
                 layout=sub,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..geometry import Rect
-from ..geometry.rect import rect_columns
+from ..geometry.rect import RectList, rect_columns
 from ..layout import Layout
 
 
@@ -69,7 +69,8 @@ def apply_cuts(layout: Layout, cuts: Sequence[SpaceCut]) -> Layout:
     """Return a new layout with all cuts applied (input untouched).
 
     Column passes over each layer's rect columns; every layer keeps its
-    rect order.
+    rect order, in a :class:`~repro.geometry.rect.RectList` carrying
+    the moved columns.
     """
     import numpy as np
 
@@ -80,8 +81,9 @@ def apply_cuts(layout: Layout, cuts: Sequence[SpaceCut]) -> Layout:
         x1, y1, x2, y2 = rect_columns(rects)
         x1, x2 = _shift_columns(np, xcuts, x1, x2)
         y1, y2 = _shift_columns(np, ycuts, y1, y2)
-        out.layers[layer] = list(map(Rect, x1.tolist(), y1.tolist(),
-                                     x2.tolist(), y2.tolist()))
+        out.layers[layer] = RectList(
+            map(Rect, x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist()),
+            (x1, y1, x2, y2))
     return out
 
 

@@ -201,17 +201,40 @@ _rect_corners = operator.attrgetter("x1", "y1", "x2", "y2")
 class RectList(list):
     """A rect list that can carry its int64 columns.
 
-    :func:`rect_columns` memoizes its result on the ``columns`` slot, so
-    producers that hand the same (immutable-by-convention) rect list to
-    several kernel calls — e.g. ``ShifterSet.rects`` — pay the
-    struct-of-arrays conversion once.
+    :func:`rect_columns` memoizes its result on the ``columns`` slot, and
+    a producer that already has the columns passes them in, so the
+    consumers of one rect list — ``ShifterSet.rects``, a flow's layout
+    revision, a tile's sub-layout — pay the struct-of-arrays conversion
+    at most once.  Every list mutation drops the columns, so they never
+    go stale.
     """
 
     __slots__ = ("columns",)
 
-    def __init__(self, rects: Iterable["Rect"] = ()) -> None:
+    def __init__(self, rects: Iterable["Rect"] = (),
+                 columns=None) -> None:
         super().__init__(rects)
+        self.columns = columns
+
+    def __reduce__(self):
+        return (RectList, (list(self), self.columns))
+
+
+def _dropping_columns(name: str):
+    mutate = getattr(list, name)
+
+    def method(self, *args, **kwargs):
         self.columns = None
+        return mutate(self, *args, **kwargs)
+
+    method.__name__ = name
+    return method
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__",
+              "append", "extend", "insert", "pop", "remove", "clear",
+              "sort", "reverse"):
+    setattr(RectList, _name, _dropping_columns(_name))
 
 
 def rect_columns(rects: Sequence["Rect"]):

@@ -6,7 +6,8 @@ Three families, matching the paper's Table 1 columns:
   embedded planar graph → geometric dual, reduced to a simple graph →
   minimum T-join (via the generalized-gadget matching reduction or the
   reference shortest-path reduction) → minimum-weight edge set whose
-  removal kills every odd face, hence every odd cycle.
+  removal kills every odd face, hence every odd cycle.  Only the
+  components that hold an odd cycle are embedded.
 * :func:`greedy_spanning_tree_bipartization` — the paper's GB baseline,
   implemented literally: keep a maximum-weight spanning forest, report
   every leftover edge as a conflict.
@@ -23,7 +24,7 @@ from .coloring import ParityDSU, ParityLabelling, parity_labelling
 from .dual import build_dual, simple_dual
 from .embedding import build_embedding
 from .gadgets import min_tjoin_gadget
-from .geomgraph import GeomGraph
+from .geomgraph import GeomGraph, _numpy
 from .tjoin import min_tjoin_shortest_paths
 
 METHOD_GADGET = "gadget"
@@ -39,8 +40,8 @@ class BipartizationResult:
         weight: total weight of the removed edges.
         method: algorithm identifier for reporting.
         labelling: the parity labelling of the graph minus ``removed``
-            that the post-bipartization check computed (None when
-            unchecked); the detection flow's step 3 starts from it.
+            that the bipartization check computed (None for the greedy
+            baselines); the detection flow's step 3 starts from it.
     """
 
     removed: List[int]
@@ -57,8 +58,7 @@ class BipartizationResult:
 def optimal_planar_bipartization(
         graph: GeomGraph,
         method: str = METHOD_GADGET,
-        max_clique_size: Optional[int] = None,
-        verify: bool = True) -> BipartizationResult:
+        max_clique_size: Optional[int] = None) -> BipartizationResult:
     """Minimum-weight bipartization of an embedded planar graph.
 
     ``graph`` must be a crossing-free straight-line drawing (run
@@ -68,30 +68,55 @@ def optimal_planar_bipartization(
     gadgets of ASP-DAC'01).  Either engine solves the dual's simple
     instance (:func:`~repro.graph.dual.simple_dual`), which has the
     same minimum T-join weight.
+
+    The problem splits over the components of the live graph, and a
+    bipartite component has only even faces, so it adds no terminal to
+    the T-join.  One parity labelling of the live graph finds the
+    components that hold an odd edge, and only those are embedded,
+    dualized and joined.  A bipartite graph returns at once: that
+    labelling is the check of the graph minus an empty edge set.
     """
-    embedding = build_embedding(graph)
+    if method not in (METHOD_GADGET, METHOD_PATHS):
+        raise ValueError(f"unknown T-join method {method!r}")
+    name = method if max_clique_size is None \
+        else f"{method}/clique<={max_clique_size}"
+    labelling = parity_labelling(graph)
+    if not labelling.odd:
+        return BipartizationResult(removed=[], weight=0, method=name,
+                                   labelling=labelling)
+    embedding = build_embedding(graph, _odd_component_edges(graph,
+                                                            labelling))
     dual = simple_dual(build_dual(embedding))
     if method == METHOD_GADGET:
         join = min_tjoin_gadget(dual.graph, dual.tset, max_clique_size)
-    elif method == METHOD_PATHS:
-        join = min_tjoin_shortest_paths(dual.graph, dual.tset)
     else:
-        raise ValueError(f"unknown T-join method {method!r}")
+        join = min_tjoin_shortest_paths(dual.graph, dual.tset)
     removed = dual.primal_edges(join)
-    labelling = None
-    if verify:
-        labelling = parity_labelling(graph, skip_edges=removed)
-        if labelling.odd:
-            raise AssertionError(
-                "bipartization invariant violated: residual graph has an "
-                "odd cycle")
+    labelling = parity_labelling(graph, skip_edges=removed)
+    if labelling.odd:
+        raise AssertionError(
+            "bipartization invariant violated: residual graph has an "
+            "odd cycle")
     return BipartizationResult(
         removed=removed,
         weight=graph.total_weight(removed),
-        method=f"{method}" if max_clique_size is None
-        else f"{method}/clique<={max_clique_size}",
+        method=name,
         labelling=labelling,
     )
+
+
+def _odd_component_edges(graph: GeomGraph,
+                         labelling: ParityLabelling) -> List[int]:
+    """The live edge ids, ascending, of the components of ``graph``
+    that hold an odd edge of its ``labelling``."""
+    np = _numpy()
+    ui, _vi = graph._dense_endpoints(np)
+    odd = np.zeros(graph.num_nodes(), dtype=bool)
+    odd[labelling.root[ui[labelling.odd]]] = True
+    keep = odd[labelling.root[ui]]
+    if graph._removed:
+        keep[list(graph._removed)] = False
+    return np.flatnonzero(keep).tolist()
 
 
 def greedy_spanning_tree_bipartization(graph: GeomGraph

@@ -20,9 +20,10 @@ builder) read the flat arrays.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geomgraph import GeomGraph, _numpy
+from ..obs import get_tracer
+from .geomgraph import GeomGraph, _numpy, _parity_roots
 
 # A dart is a directed copy of an edge: (edge_id, 0) runs u -> v,
 # (edge_id, 1) runs v -> u.
@@ -102,17 +103,21 @@ class PlanarEmbedding:
                 self._dart_face[1::2])
 
     def euler_check(self) -> bool:
-        """V - E + F == 1 + C (Euler's formula with C components)."""
-        v = self.graph.num_nodes()
-        e = self.graph.num_edges()
-        components = self.graph.connected_components()
-        # Each component has its own unbounded face in our per-component
-        # face accounting; isolated nodes contribute no face.
-        c_with_edges = sum(
-            1 for comp in components
-            if any(True for n in comp for _ in self.graph.incident(n)))
-        expected_f = e - v + len(components) + c_with_edges
-        return len(self._face_lens) == expected_f
+        """F == E - V + 2C over the embedded edges (Euler's formula).
+
+        V counts the nodes those edges touch and C their components:
+        each component has its own unbounded face in our per-component
+        face accounting, and a node no embedded edge touches has none.
+        """
+        np = _numpy()
+        ui, vi = self.graph._dense_endpoints(np)
+        edges = np.asarray(self._live_edges, dtype=np.int64)
+        u, v = ui[edges], vi[edges]
+        root, _side = _parity_roots(np, self.graph.num_nodes(), u, v)
+        touched = np.union1d(u, v)
+        components = len(np.unique(root[touched]))
+        return len(self._face_lens) == \
+            len(edges) - len(touched) + 2 * components
 
     # ------------------------------------------------------------------
     # Materialized views (lazy, for tests and exploratory callers)
@@ -155,19 +160,31 @@ class PlanarEmbedding:
         return self._face_of
 
 
-def build_embedding(graph: GeomGraph) -> PlanarEmbedding:
+def build_embedding(graph: GeomGraph,
+                    edges: Optional[Sequence[int]] = None
+                    ) -> PlanarEmbedding:
     """Compute rotations and faces of a crossing-free drawing.
 
     Requires coordinates on every node and no self-loops; callers run
     :func:`repro.graph.crossings.greedy_planarize` first, which also
     guarantees no two darts at a node share a direction.
+
+    ``edges`` embeds only those live edge ids, ascending; None embeds
+    every live edge.  When they are whole components of the live graph,
+    every face is a face of the whole embedding: face orbits never
+    leave a component, and faces and darts keep their relative order.
+    Counts the darts walked (``embedding.darts``) on the active tracer.
     """
-    removed = graph._removed
-    n_edges = len(graph._eu)
-    if removed:
-        live = [eid for eid in range(n_edges) if eid not in removed]
+    if edges is None:
+        removed = graph._removed
+        n_edges = len(graph._eu)
+        if removed:
+            live = [eid for eid in range(n_edges) if eid not in removed]
+        else:
+            live = list(range(n_edges))
     else:
-        live = list(range(n_edges))
+        live = list(edges)
+    get_tracer().count("embedding.darts", 2 * len(live))
     eu, ev = graph._eu, graph._ev
     for eid in live:
         if eu[eid] == ev[eid]:

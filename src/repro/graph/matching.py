@@ -5,10 +5,10 @@ of the detector (the paper treats the matcher as a black-box solver,
 and so did this repo until the profile said otherwise — see
 ``benchmarks/BENCH_profile_D8.json``).  The driver,
 :func:`min_weight_perfect_matching`, collapses parallel edges, splits
-the graph into connected components, and hands each component to the
-matcher :func:`get_matcher` returns: the dedicated integer-weight
-flat-array solver of :mod:`repro.graph.blossom`, which checks an exact
-integer dual certificate on every component.
+the graph into connected components (both in column passes), and hands
+each component to the matcher :func:`get_matcher` returns: the
+dedicated integer-weight flat-array solver of :mod:`repro.graph.blossom`,
+which checks an exact integer dual certificate on every component.
 
 The detection flow's weights are tie-free, so each minimum-weight
 perfect matching it asks for — and with it every T-join, flow report
@@ -21,11 +21,11 @@ against are test oracles (``tests/oracles.py``), swapped in behind
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..obs import get_tracer
 from .blossom import MatchingCertificateError, max_weight_matching
-from .geomgraph import GeomGraph
+from .geomgraph import GeomGraph, _numpy, _parity_roots
 
 #: One component's collapsed edge: (local u, local v, min-weight).
 LocalEdge = Tuple[int, int, int]
@@ -103,6 +103,14 @@ def min_weight_perfect_matching(graph: GeomGraph) -> List[int]:
     decomposes over connected components, and blossom is super-linear,
     so each component is matched separately — a large win on the highly
     fragmented gadget graphs the detection flow produces.
+
+    Both steps are column passes over the graph's endpoint columns: a
+    sort groups the edges by node pair, a lexsort keeps the lightest of
+    each pair (ties to the first edge id) when any pair has two, and
+    :func:`_parity_roots` labels the components.  Components come in
+    order of their first node, each with its nodes in insertion order
+    and its pairs in order of their first edge, every pair oriented
+    from its smaller node label.
     """
     n = graph.num_nodes()
     if n % 2 == 1:
@@ -110,75 +118,75 @@ def min_weight_perfect_matching(graph: GeomGraph) -> List[int]:
     if n == 0:
         return []
 
+    np = _numpy()
     backend = get_matcher()
     t0 = time.perf_counter()
 
-    best: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for eid, u, v, w in graph.live_edge_rows():
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        prev = best.get(key)
-        if prev is None or w < prev[0]:
-            best[key] = (w, eid)
+    ui, vi = graph._dense_endpoints(np)
+    live = ui != vi
+    if graph._removed:
+        live[list(graph._removed)] = False
+    eids = np.flatnonzero(live)
+    lo = np.minimum(ui[eids], vi[eids])
+    hi = np.maximum(ui[eids], vi[eids])
+    pair = lo * n + hi
+    ew = graph._ew
+    order = np.argsort(pair, kind="stable")
+    head = np.flatnonzero(np.diff(pair[order], prepend=-1))
+    first = order[head]                     # each pair's first edge
+    kept = first
+    if len(head) < len(order):
+        # Parallel edges: the lightest of each pair, ties in id order,
+        # weights compared as exact Python ints.
+        weight = np.array(ew, dtype=object)[eids]
+        kept = np.lexsort((weight, pair))[head]
 
-    # Union-find over the collapsed edges; isolated nodes stay their
-    # own (odd) components, exactly like the historical nx path.
-    parent: Dict[int, int] = {}
+    root, _side = _parity_roots(np, n, lo[kept], hi[kept])
+    members = np.argsort(root, kind="stable")
+    sizes = np.bincount(root, minlength=n)
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(n, dtype=np.int64)
+    local[members] = np.arange(n, dtype=np.int64) - starts[root[members]]
 
-    def find(x: int) -> int:
-        root = parent[x]
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    nodes = graph.nodes
-    for v in nodes:
-        parent[v] = v
-    for (u, v) in best:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-
-    # Group nodes per component, preserving graph insertion order (the
-    # networkx oracle's tie-breaking sees nodes and edges in the same
-    # relative order the historical code presented them).
-    comp_nodes: Dict[int, List[int]] = {}
-    for v in nodes:
-        comp_nodes.setdefault(find(v), []).append(v)
-    comp_edges: Dict[int, List[Tuple[int, int, int, int]]] = {}
-    for (u, v), (w, eid) in best.items():
-        comp_edges.setdefault(find(u), []).append((u, v, w, eid))
+    # List pairs component by component, in order of their first edge,
+    # each oriented from its smaller label.
+    by_comp = np.lexsort((first, root[lo[kept]]))
+    kept = kept[by_comp]
+    u, v = lo[kept], hi[kept]
+    if not graph._dense_labels:
+        label = np.array(graph._labels, dtype=np.int64)
+        swap = label[u] > label[v]
+        u, v = np.where(swap, v, u), np.where(swap, u, v)
+    edge_ids = eids[kept].tolist()
+    rows = list(zip(local[u].tolist(), local[v].tolist(),
+                    map(ew.__getitem__, edge_ids)))
+    edge_ends = np.cumsum(np.bincount(root[u], minlength=n)).tolist()
 
     # Any constant beats the max weight; +1 keeps transformed weights
     # positive.  Global (not per-component) to match the historical
     # reduction exactly.
-    transform = (max(w for w, _ in best.values()) + 1) if best else 1
+    transform = max(map(ew.__getitem__, edge_ids)) + 1 if edge_ids else 1
 
     matched: List[int] = []
     phases = 0
-    for root, members in comp_nodes.items():
-        if len(members) % 2 == 1:
-            raise NoPerfectMatchingError(
-                f"odd component of {len(members)} nodes")
-        local = {v: i for i, v in enumerate(members)}
-        rows = comp_edges.get(root, [])
-        edges: List[LocalEdge] = [(local[u], local[v], w)
-                                  for (u, v, w, _eid) in rows]
-        positions, comp_phases = backend.match(len(members), edges,
-                                               transform)
+    roots = np.flatnonzero(sizes).tolist()
+    for comp_root, size in zip(roots, sizes[roots].tolist()):
+        if size % 2 == 1:
+            raise NoPerfectMatchingError(f"odd component of {size} nodes")
+        lo_edge = edge_ends[comp_root - 1] if comp_root else 0
+        hi_edge = edge_ends[comp_root]
+        positions, comp_phases = backend.match(
+            size, rows[lo_edge:hi_edge], transform)
         phases += comp_phases
-        if 2 * len(positions) != len(members):
+        if 2 * len(positions) != size:
             raise NoPerfectMatchingError(
-                f"matched {2 * len(positions)} of {len(members)} nodes "
+                f"matched {2 * len(positions)} of {size} nodes "
                 "in a component")
-        matched.extend(rows[pos][3] for pos in positions)
+        matched.extend(edge_ids[lo_edge + pos] for pos in positions)
 
     tracer = get_tracer()
     if tracer.enabled:
-        tracer.count("matcher.components", len(comp_nodes))
+        tracer.count("matcher.components", len(roots))
         tracer.count("matcher.nodes", n)
         tracer.count("matcher.phases", phases)
         tracer.count("matcher.seconds", time.perf_counter() - t0)

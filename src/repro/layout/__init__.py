@@ -17,6 +17,7 @@ from .layout import (
     SHIFTER_180_LAYER,
     Layout,
     layout_from_rects,
+    with_rect_columns,
 )
 from .technology import Technology, tech_fingerprint
 from .tshapes import (
@@ -30,6 +31,7 @@ from .tshapes import (
 __all__ = [
     "Layout",
     "layout_from_rects",
+    "with_rect_columns",
     "POLY_LAYER",
     "SHIFTER_0_LAYER",
     "SHIFTER_180_LAYER",

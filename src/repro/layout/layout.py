@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..geometry import Rect, bounding_box, union_area
+from ..geometry.rect import RectList, rect_columns
 
 POLY_LAYER = 1
 SHIFTER_0_LAYER = 20
@@ -98,6 +99,24 @@ class Layout:
         for layer, rects in self.layers.items():
             out.layers[layer] = list(rects)
         return out
+
+
+def with_rect_columns(layout: Layout) -> Layout:
+    """One layout revision with its features' int64 columns converted.
+
+    A layout whose features already carry their columns (a corrected
+    layout, a tile's sub-layout) comes back as it is.  Any other comes
+    back as a new layout that shares every other layer and holds its
+    features in a :class:`~repro.geometry.rect.RectList` copy carrying
+    the columns, so every column pass over the revision reads one
+    conversion and the caller's layout keeps no memo.
+    """
+    if getattr(layout.features, "columns", None) is not None:
+        return layout
+    features = RectList(layout.features)
+    rect_columns(features)
+    return Layout(name=layout.name,
+                  layers={**layout.layers, POLY_LAYER: features})
 
 
 def layout_from_rects(rects: Sequence[Rect], name: str = "layout") -> Layout:

@@ -53,7 +53,7 @@ def find_tshapes(layout: Layout) -> List[TShape]:
     """All perpendicular abutments in a layout, both orientations."""
     feats = layout.features
     out: List[TShape] = []
-    for i, j in neighbor_pairs(list(feats), 1):
+    for i, j in neighbor_pairs(feats, 1):
         for stem, bar in ((i, j), (j, i)):
             if _is_tshape(feats[stem], feats[bar]):
                 out.append(TShape(stem=stem, bar=bar))

@@ -53,7 +53,7 @@ from ..conflict import (
 from ..correction import apply_cuts, plan_correction
 from ..gcpause import gc_paused
 from ..graph import METHOD_GADGET
-from ..layout import Layout, Technology
+from ..layout import Layout, Technology, with_rect_columns
 from ..obs import get_tracer
 from ..phase import (
     assign_and_verify_incremental,
@@ -131,8 +131,14 @@ def stage_front_end(layout: Layout, tech: Technology,
 
     Called with just ``(layout, tech)`` — the historical signature —
     or an untiled config, the stage is the plain monolithic front end.
+
+    The artifact's layout is the revision with its feature columns
+    converted (:func:`~repro.layout.with_rect_columns`), so the
+    partition, the front end, detection and correction of this
+    revision all read one conversion.
     """
     start = time.perf_counter()
+    layout = with_rect_columns(layout)
     with get_tracer().span("shifters", cat="stage") as span:
         if config is not None and config.is_tiled:
             if cache is None:

@@ -141,8 +141,8 @@ class ShifterSet:
         the list carries the rect columns, so
         :func:`~repro.geometry.rect.rect_columns` reads them free)."""
         if self._rects is None:
-            self._rects = RectList(map(Rect, *self._box.tolist()))
-            self._rects.columns = tuple(self._box)
+            self._rects = RectList(map(Rect, *self._box.tolist()),
+                                   tuple(self._box))
         return self._rects
 
     def feature_column(self):

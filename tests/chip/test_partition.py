@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench import build_design
@@ -13,6 +14,7 @@ from repro.chip import (
 )
 from repro.chip.partition import _boundaries
 from repro.geometry import Rect
+from repro.geometry.rect import rect_columns
 from repro.layout import (
     Layout,
     Technology,
@@ -178,6 +180,10 @@ class TestColumnPartitionOracle:
                 assert tile.feature_ids == want["feature_ids"]
                 assert tile.layout.features == want["features"]
                 assert tile.digest == rect_digest(want["features"])
+                # The tile carries its slice of the chip's columns.
+                fresh = rect_columns(list(tile.layout.features))
+                assert all(np.array_equal(a, b) for a, b in zip(
+                    tile.layout.features.columns, fresh))
 
     def test_cut_line_features_reach_both_sides(self, tech):
         """The on-cut-lines layout is a real boundary case: some of

@@ -3,12 +3,14 @@ property the paper argues for in §3.2."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.correction import SpaceCut, apply_cuts, stretched_feature_indices
 from repro.geometry import Rect
+from repro.geometry.rect import rect_columns
 from repro.layout import check_spacing, layout_from_rects
 from repro.layout.generator import random_rect_layout
 
@@ -146,6 +148,11 @@ class TestColumnPassOracle:
         assert out.name == ref.name
         assert list(out.layers) == list(ref.layers) == list(lay.layers)
         assert out.layers == ref.layers
+        # Each layer carries the columns the pass computed.
+        for rects in out.layers.values():
+            fresh = rect_columns(list(rects))
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(rects.columns, fresh))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_cuts_on_edges(self, seed):

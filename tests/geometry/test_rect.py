@@ -172,3 +172,52 @@ class TestPairwiseDisjoint:
 
     def test_overlap_false(self):
         assert not pairwise_disjoint([Rect(0, 0, 5, 5), Rect(4, 4, 6, 6)])
+
+
+class TestRectList:
+    """A rect list's memoized columns never outlive a mutation."""
+
+    @staticmethod
+    def columned():
+        from repro.geometry.rect import RectList, rect_columns
+
+        rects = RectList([Rect(0, 0, 5, 9), Rect(7, 1, 9, 4),
+                          Rect(2, 3, 6, 8)])
+        assert rect_columns(rects) is rects.columns
+        return rects
+
+    @pytest.mark.parametrize("mutate", [
+        lambda r: r.append(Rect(1, 1, 2, 2)),
+        lambda r: r.extend([Rect(1, 1, 2, 2)]),
+        lambda r: r.insert(0, Rect(1, 1, 2, 2)),
+        lambda r: r.pop(),
+        lambda r: r.remove(r[0]),
+        lambda r: r.clear(),
+        lambda r: r.sort(key=lambda rect: rect.y1),
+        lambda r: r.reverse(),
+        lambda r: r.__setitem__(0, Rect(1, 1, 2, 2)),
+        lambda r: r.__setitem__(slice(0, 2), []),
+        lambda r: r.__delitem__(0),
+        lambda r: r.__iadd__([Rect(1, 1, 2, 2)]),
+        lambda r: r.__imul__(2),
+    ])
+    def test_every_mutation_drops_the_columns(self, mutate):
+        from repro.geometry.rect import rect_columns
+
+        rects = self.columned()
+        mutate(rects)
+        assert rects.columns is None
+        fresh = rect_columns(list(rects))
+        assert [c.tolist() for c in rect_columns(rects)] \
+            == [c.tolist() for c in fresh]
+
+    def test_pickles_with_its_columns(self):
+        import pickle
+
+        from repro.geometry.rect import RectList
+
+        rects = self.columned()
+        back = pickle.loads(pickle.dumps(rects))
+        assert isinstance(back, RectList) and back == rects
+        assert [c.tolist() for c in back.columns] \
+            == [c.tolist() for c in rects.columns]

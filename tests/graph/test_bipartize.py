@@ -16,6 +16,8 @@ from repro.graph import (
     optimal_planar_bipartization,
 )
 
+from .test_gadgets import corpus, planarized_conflict_graph
+
 
 def random_geometric_graph(seed, n=14, m=24, max_w=9):
     rng = random.Random(seed)
@@ -157,3 +159,150 @@ class TestGreedyBaselines:
         g.add_edge(2, 0, weight=1)
         res = greedy_spanning_tree_bipartization(g)
         assert res.removed == [2]
+
+
+def _drawn(nodes, edges):
+    """A drawn graph: ``nodes`` as ``(label, (x, y))``, ``edges`` as
+    ``(u, v, weight)``."""
+    g = GeomGraph()
+    for label, coord in nodes:
+        g.add_node(label, coord)
+    for u, v, w in edges:
+        g.add_edge(u, v, weight=w)
+    return g
+
+
+def _polygon(first, coords, weights):
+    """Nodes and edges of a closed polygon labelled from ``first``."""
+    k = len(coords)
+    nodes = [(first + i, c) for i, c in enumerate(coords)]
+    edges = [(first + i, first + (i + 1) % k, w)
+             for i, w in enumerate(weights)]
+    return nodes, edges
+
+
+def _hand_built():
+    """Hand-built drawings: bipartite ones, odd ones, and mixes."""
+    tree = ([(0, (0, 0)), (1, (10, 0)), (2, (20, 5)), (3, (10, 10))],
+            [(0, 1, 3), (1, 2, 4), (1, 3, 5)])
+    square = _polygon(0, [(0, 0), (100, 0), (100, 100), (0, 100)],
+                      [1, 2, 3, 4])
+    triangle_inside = _polygon(10, [(40, 40), (60, 40), (50, 60)],
+                               [5, 3, 4])
+    pentagon = _polygon(20, [(300, 0), (340, 10), (350, 50), (320, 70),
+                             (290, 40)], [2, 7, 1, 9, 4])
+    cases = {
+        "tree": tree,
+        "even-cycle": square,
+        "odd-inside-even-face": (square[0] + triangle_inside[0],
+                                 square[1] + triangle_inside[1]),
+        "two-odd-components": (triangle_inside[0] + pentagon[0],
+                               triangle_inside[1] + pentagon[1]),
+        "tree-then-odd": (
+            [(label + 30, c) for label, c in tree[0]] + pentagon[0],
+            [(u + 30, v + 30, w) for u, v, w in tree[1]] + pentagon[1]),
+    }
+    return {name: _drawn(*case) for name, case in cases.items()}
+
+
+def _solve_recorded(solve, graph, method):
+    """``solve``'s result and every matcher instance it built."""
+    from ..oracles import RecordingMatcher, use_matcher
+
+    recorder = RecordingMatcher()
+    with use_matcher(recorder):
+        result = solve(graph, method=method)
+    return result, recorder.instances
+
+
+def _assert_same(graph, method):
+    from ..oracles import whole_graph_bipartization
+
+    got, got_instances = _solve_recorded(optimal_planar_bipartization,
+                                         graph, method)
+    want, want_instances = _solve_recorded(whole_graph_bipartization,
+                                           graph, method)
+    assert got.removed == want.removed
+    assert got.weight == want.weight
+    assert got.method == want.method
+    assert got.labelling.colors() == want.labelling.colors()
+    assert got.labelling.root.tolist() == want.labelling.root.tolist()
+    assert got_instances == want_instances
+
+
+class TestOddComponentsOnly:
+    """Embedding, dualizing and joining only the components that hold
+    an odd cycle gives the whole-graph route's answer, labelling and
+    matcher instances."""
+
+    @pytest.mark.parametrize("name", corpus())
+    def test_conflict_graphs(self, name):
+        _assert_same(planarized_conflict_graph(name), "gadget")
+
+    @pytest.mark.parametrize("method", ["gadget", "paths"])
+    @pytest.mark.parametrize("name", sorted(_hand_built()))
+    def test_hand_built(self, name, method):
+        _assert_same(_hand_built()[name], method)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_drawings(self, seed):
+        g = random_geometric_graph(1000 + seed, n=18, m=22)
+        _assert_same(g, "gadget")
+        _assert_same(g, "paths")
+
+    def test_bipartite_graphs_embed_nothing(self):
+        from unittest import mock
+
+        from repro.graph import bipartize
+
+        for name in ("tree", "even-cycle"):
+            g = _hand_built()[name]
+            with mock.patch.object(bipartize, "build_embedding") as embed:
+                result = optimal_planar_bipartization(g)
+            assert embed.call_count == 0
+            assert result.removed == [] and result.weight == 0
+            assert not result.labelling.odd
+
+    def test_only_odd_components_are_embedded(self):
+        from unittest import mock
+
+        from repro.graph import bipartize, build_embedding
+
+        g = _hand_built()["odd-inside-even-face"]
+        with mock.patch.object(bipartize, "build_embedding",
+                               wraps=build_embedding) as embed:
+            optimal_planar_bipartization(g)
+        (_graph, edges), _kwargs = embed.call_args
+        # The square's four edges are dropped; the triangle's kept.
+        assert edges == [4, 5, 6]
+
+    def test_bipartite_graph_with_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="unknown T-join method"):
+            optimal_planar_bipartization(_hand_built()["even-cycle"],
+                                         method="magic")
+
+    def test_self_loop_still_raises(self):
+        g = _hand_built()["even-cycle"]
+        g.add_edge(0, 0, weight=1)
+        with pytest.raises(ValueError, match="self-loops"):
+            optimal_planar_bipartization(g)
+
+    def test_bipartite_detection_builds_no_embedding(self):
+        from unittest import mock
+
+        from repro.bench import build_design
+        from repro.conflict import detect_conflicts
+        from repro.correction import correct_layout
+        from repro.graph import bipartize, build_embedding
+        from repro.layout import Technology
+
+        tech = Technology.node_90nm()
+        layout = build_design("D3")
+        report = detect_conflicts(layout, tech)
+        corrected, _plan = correct_layout(
+            layout, tech, [c.key for c in report.conflicts])
+        for design, calls in ((layout, 1), (corrected, 0)):
+            with mock.patch.object(bipartize, "build_embedding",
+                                   wraps=build_embedding) as embed:
+                detect_conflicts(design, tech)
+            assert embed.call_count == calls

@@ -134,3 +134,59 @@ class TestEuler:
         emb = build_embedding(g)
         # Sum of face lengths = 2E (even), so odd faces come in pairs.
         assert len(emb.odd_faces()) % 2 == 0
+
+
+def _component_edges(g, keep):
+    """Live edge ids, ascending, of the components picked by ``keep``
+    (called with each component's sorted node list)."""
+    picked = set()
+    for comp in g.connected_components():
+        if keep(comp):
+            picked.update(comp)
+    return [e.id for e in g.edges() if e.u in picked]
+
+
+class TestEdgeSubset:
+    """Embedding whole components only: the same faces, in the same
+    relative order, as the whole embedding."""
+
+    def test_euler_counts_only_embedded_edges(self):
+        g = triangle()
+        g.add_node(3, (100, 0))
+        g.add_node(4, (110, 0))
+        g.add_node(5, (120, 10))
+        g.add_edge(3, 4)
+        g.add_edge(4, 5)
+        emb = build_embedding(g, [3, 4])
+        assert emb.num_faces == 1
+        assert emb.euler_check()
+        assert build_embedding(g, [0, 1, 2]).euler_check()
+        assert build_embedding(g, []).euler_check()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_faces_keep_their_order(self, seed):
+        rng = random.Random(200 + seed)
+        g = GeomGraph()
+        for i in range(30):
+            g.add_node(i, (rng.randrange(0, 300), rng.randrange(0, 300)))
+        for _ in range(28):
+            u, v = rng.sample(list(g.nodes), 2)
+            g.add_edge(u, v, weight=rng.randint(1, 5))
+        greedy_planarize(g)
+        whole = build_embedding(g)
+        edges = _component_edges(g, lambda comp: comp[0] % 2 == 0)
+        part = build_embedding(g, edges)
+        kept = set(edges)
+        assert part.faces == [face for face in whole.faces
+                              if face[0][0] in kept]
+        assert part.euler_check()
+        assert sum(len(face) for face in part.faces) == 2 * len(edges)
+
+    def test_counts_darts_on_the_tracer(self):
+        from repro.obs import Tracer, use_tracer
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            build_embedding(triangle())
+            build_embedding(triangle(), [0, 1])
+        assert tracer.metrics.counter("embedding.darts").value == 10

@@ -183,20 +183,12 @@ def harvested_instances(name, raw):
     of the dual's simple instance, or of the raw dual."""
     from contextlib import nullcontext
 
-    from repro.bench import build_design
     from repro.conflict import detect_conflicts
     from repro.graph import bipartize
-    from repro.layout import Technology
-    from repro.scenarios import build_scenario
 
     from ..oracles import use_raw_dual
 
-    if ":" in name:
-        stratum, seed = name.split(":")
-        scenario = build_scenario(stratum, int(seed))
-        layout, tech = scenario.layout, scenario.tech
-    else:
-        layout, tech = build_design(name), Technology.node_90nm()
+    layout, tech = corpus_layout(name)
     instances = []
     solve = bipartize.min_tjoin_gadget
 
@@ -208,6 +200,38 @@ def harvested_instances(name, raw):
             (use_raw_dual() if raw else nullcontext()):
         detect_conflicts(layout, tech)
     return instances
+
+
+def planarized_conflict_graph(name):
+    """A corpus entry's G - P: its conflict graph with the
+    planarization casualties soft-removed."""
+    from repro.conflict import build_layout_conflict_graph
+    from repro.graph import greedy_planarize
+
+    cg, _shifters, _pairs = build_layout_conflict_graph(*corpus_layout(name))
+    greedy_planarize(cg.graph)
+    return cg.graph
+
+
+def odd_cycle_after_planarizing(name):
+    """Whether a detection's G - P holds an odd cycle, by the BFS
+    oracle."""
+    from ..oracles import scalar_two_color
+
+    return scalar_two_color(planarized_conflict_graph(name)) is None
+
+
+def corpus_layout(name):
+    """A corpus entry's ``(layout, tech)``."""
+    from repro.bench import build_design
+    from repro.layout import Technology
+    from repro.scenarios import build_scenario
+
+    if ":" in name:
+        stratum, seed = name.split(":")
+        scenario = build_scenario(stratum, int(seed))
+        return scenario.layout, scenario.tech
+    return build_design(name), Technology.node_90nm()
 
 
 def corpus():
@@ -233,17 +257,17 @@ class TestComponentsOncePerSolve:
             return labelled(graph)
 
         instances = harvested_instances(name, raw)
-        assert instances
+        # Only a G - P with an odd cycle reaches a T-join, and then only
+        # its odd components, each of which has an odd face.
+        assert bool(instances) == odd_cycle_after_planarizing(name)
         for graph, tset in instances:
-            expected = recomputing_solve(graph, tset) if tset else None
+            assert tset
+            expected = recomputing_solve(graph, tset)
             calls.clear()
             with mock.patch.object(GeomGraph, "connected_components",
                                    counting):
-                if tset:
-                    assert recorded_solve(graph, tset) == expected
-                else:
-                    assert min_tjoin_gadget(graph, tset) == []
-            assert calls == ([graph.name] if tset else [])
+                assert recorded_solve(graph, tset) == expected
+            assert calls == [graph.name]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_labels_inserted_out_of_order(self, seed):

@@ -18,6 +18,7 @@ import pytest
 from repro.bench import build_design
 from repro.cache import ArtifactCache
 from repro.conflict import build_layout_conflict_graph, detect_conflicts
+from repro.correction import correct_layout
 from repro.graph import (
     GeomGraph,
     build_dual,
@@ -249,8 +250,15 @@ class TestPhaseAssignable:
         assert report.phase_assignable is False
 
     def test_detection_labels_once(self):
+        """One labelling of G - P decides whether a T-join runs; a
+        bipartite G - P is its own check, and a T-join's result is
+        checked by one more labelling, of G - P - D0."""
         layout = build_design("D3")
-        with mock.patch.object(coloring, "_parity_roots",
-                               wraps=coloring._parity_roots) as roots:
-            detect_conflicts(layout, TECH)
-        assert roots.call_count == 1
+        report = detect_conflicts(layout, TECH)
+        corrected, _plan = correct_layout(
+            layout, TECH, [c.key for c in report.conflicts])
+        for design, labellings in ((layout, 2), (corrected, 1)):
+            with mock.patch.object(coloring, "_parity_roots",
+                                   wraps=coloring._parity_roots) as roots:
+                detect_conflicts(design, TECH)
+            assert roots.call_count == labellings

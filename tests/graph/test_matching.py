@@ -110,3 +110,76 @@ class TestValidator:
     def test_double_cover(self):
         g = graph_from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
         assert not is_perfect_matching(g, [0, 1, 2])
+
+
+def _recorded(driver, graph):
+    """``driver``'s matching (or its error text) and every component
+    instance it handed the matcher."""
+    from ..oracles import RecordingMatcher, use_matcher
+
+    recorder = RecordingMatcher()
+    with use_matcher(recorder):
+        try:
+            out = driver(graph)
+        except NoPerfectMatchingError as exc:
+            out = str(exc)
+    return out, recorder.instances
+
+
+def _multigraph(seed):
+    """Parallel edges, self-loops, soft-removed edges, weight ties,
+    weights past int64 (and past float64's integer precision) and, on
+    odd seeds, out-of-order node labels."""
+    rng = random.Random(seed)
+    n = 2 * rng.randint(1, 9)
+    labels = rng.sample(range(3 * n), n) if seed % 2 else list(range(n))
+    g = GeomGraph()
+    for label in labels:
+        g.add_node(label)
+    big = (0, 1 << 63, 1 << 70)[seed % 3]
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.choice(labels), rng.choice(labels)
+        g.add_edge(u, v, weight=rng.choice((0, big)) + rng.randint(0, 6))
+    for eid in range(g.num_edges()):
+        if rng.random() < 0.1:
+            g.remove_edge(eid)
+    return g
+
+
+class TestColumnDriver:
+    """The driver's column passes hand the matcher the same component
+    instances as the dict collapse and per-node union-find, in the same
+    order, with the same transform constant, and return the same ids."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_same_instances_as_the_dict_driver(self, seed):
+        from ..oracles import dict_perfect_matching
+
+        g = _multigraph(seed)
+        assert _recorded(min_weight_perfect_matching, g) \
+            == _recorded(dict_perfect_matching, g)
+
+    @pytest.mark.parametrize("name", ["D1", "D2", "D3"])
+    def test_gadget_graphs(self, name):
+        from unittest import mock
+
+        from repro.bench import build_design
+        from repro.conflict import detect_conflicts
+        from repro.graph import gadgets
+        from repro.layout import Technology
+
+        from ..oracles import dict_perfect_matching
+
+        graphs = []
+
+        def keep(graph):
+            graphs.append(graph)
+            return min_weight_perfect_matching(graph)
+
+        with mock.patch.object(gadgets, "min_weight_perfect_matching",
+                               keep):
+            detect_conflicts(build_design(name), Technology.node_90nm())
+        assert graphs
+        for graph in graphs:
+            assert _recorded(min_weight_perfect_matching, graph) \
+                == _recorded(dict_perfect_matching, graph)

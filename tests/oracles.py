@@ -13,7 +13,14 @@ compare them with live here:
 * :class:`BruteMatcher` and :func:`brute_force_perfect_matching` —
   exponential exact search;
 * :class:`RecordingMatcher` — the production matcher, recording the
-  component sizes it is handed (the brute oracle's budget gate);
+  component instances it is handed (their sizes are the brute
+  oracle's budget gate);
+* :func:`dict_perfect_matching` — the matching driver's dict
+  collapse of parallel edges and per-node union-find, which the
+  driver's column passes must reproduce instance for instance;
+* :func:`whole_graph_bipartization` — bipartization that embeds,
+  dualizes and T-joins every live edge, not only the components that
+  hold an odd cycle;
 * :func:`whole_instance_cover` — the unwindowed set cover, one solve
   over every candidate grid line;
 * :func:`scalar_crossing_pairs` — planarization's crossing search with
@@ -90,9 +97,21 @@ from repro.correction.setcover import (
 )
 from repro.geometry import Rect, segment_bbox, segments_conflict
 from repro.geometry.kernels import GeometryKernel, PairRow, get_kernel
-from repro.graph import GeomGraph
+from repro.graph import (
+    METHOD_GADGET,
+    METHOD_PATHS,
+    BipartizationResult,
+    GeomGraph,
+    build_dual,
+    build_embedding,
+    min_tjoin_gadget,
+    min_tjoin_shortest_paths,
+    parity_labelling,
+)
 from repro.graph.components import COMPONENT_FORMAT
-from repro.graph.matching import BlossomMatcher, LocalEdge, MatcherBackend
+from repro.graph.dual import simple_dual
+from repro.graph.matching import BlossomMatcher, LocalEdge, \
+    MatcherBackend, NoPerfectMatchingError
 from repro.layout import Layout, Technology
 from repro.shifters import (
     BOTTOM,
@@ -384,15 +403,104 @@ def brute_force_perfect_matching(graph: GeomGraph) -> Optional[List[int]]:
 
 
 class RecordingMatcher(BlossomMatcher):
-    """The production matcher, recording every component's node count."""
+    """The production matcher, recording every component it is handed:
+    its node count in ``sizes``, and ``(nvertex, edges, transform)`` in
+    ``instances``."""
 
     def __init__(self) -> None:
         self.sizes: List[int] = []
+        self.instances: List[Tuple[int, List[LocalEdge], int]] = []
 
     def match(self, nvertex: int, edges: Sequence[LocalEdge],
               transform: int) -> Tuple[List[int], int]:
         self.sizes.append(nvertex)
+        self.instances.append((nvertex, list(edges), transform))
         return super().match(nvertex, edges, transform)
+
+
+def dict_perfect_matching(graph: GeomGraph) -> List[int]:
+    """``min_weight_perfect_matching`` with the dict collapse and the
+    per-node union-find, on the active matcher: the lightest edge of
+    each node pair (ties to the first id) in order of the pair's first
+    edge, components in order of their first node, nodes in insertion
+    order."""
+    backend = importlib.import_module("repro.graph.matching").get_matcher()
+    n = graph.num_nodes()
+    if n % 2 == 1:
+        raise NoPerfectMatchingError(f"odd node count {n}")
+    if n == 0:
+        return []
+    best: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for eid, u, v, w in graph.live_edge_rows():
+        if u == v:
+            continue
+        key = (u, v) if u < v else (v, u)
+        prev = best.get(key)
+        if prev is None or w < prev[0]:
+            best[key] = (w, eid)
+    parent: Dict[int, int] = {v: v for v in graph.nodes}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (u, v) in best:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+    comp_nodes: Dict[int, List[int]] = {}
+    for v in graph.nodes:
+        comp_nodes.setdefault(find(v), []).append(v)
+    comp_edges: Dict[int, List[Tuple[int, int, int, int]]] = {}
+    for (u, v), (w, eid) in best.items():
+        comp_edges.setdefault(find(u), []).append((u, v, w, eid))
+    transform = (max(w for w, _ in best.values()) + 1) if best else 1
+    matched: List[int] = []
+    for root, members in comp_nodes.items():
+        if len(members) % 2 == 1:
+            raise NoPerfectMatchingError(
+                f"odd component of {len(members)} nodes")
+        local = {v: i for i, v in enumerate(members)}
+        rows = comp_edges.get(root, [])
+        positions, _phases = backend.match(
+            len(members), [(local[u], local[v], w) for u, v, w, _ in rows],
+            transform)
+        if 2 * len(positions) != len(members):
+            raise NoPerfectMatchingError(
+                f"matched {2 * len(positions)} of {len(members)} nodes "
+                "in a component")
+        matched.extend(rows[pos][3] for pos in positions)
+    return sorted(matched)
+
+
+def whole_graph_bipartization(graph: GeomGraph,
+                              method: str = METHOD_GADGET,
+                              max_clique_size: Optional[int] = None
+                              ) -> BipartizationResult:
+    """``optimal_planar_bipartization`` over the embedding of every
+    live edge, bipartite components included, checked by one labelling
+    of the graph minus the join."""
+    embedding = build_embedding(graph)
+    dual = simple_dual(build_dual(embedding))
+    if method == METHOD_GADGET:
+        join = min_tjoin_gadget(dual.graph, dual.tset, max_clique_size)
+    elif method == METHOD_PATHS:
+        join = min_tjoin_shortest_paths(dual.graph, dual.tset)
+    else:
+        raise ValueError(f"unknown T-join method {method!r}")
+    removed = dual.primal_edges(join)
+    labelling = parity_labelling(graph, skip_edges=removed)
+    if labelling.odd:
+        raise AssertionError(
+            "bipartization invariant violated: residual graph has an "
+            "odd cycle")
+    return BipartizationResult(
+        removed=removed, weight=graph.total_weight(removed),
+        method=method if max_clique_size is None
+        else f"{method}/clique<={max_clique_size}",
+        labelling=labelling)
 
 
 # ----------------------------------------------------------------------

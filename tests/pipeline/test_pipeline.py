@@ -354,3 +354,74 @@ class TestNoShifterObjects:
         conflicts = result.detection.num_conflicts \
             + len(result.detection.tshape_conflicts)
         assert 0 < len(looked_up) <= 2 * conflicts
+
+
+def _counted_conversions():
+    """Wrap ``rect_columns`` wherever a loaded ``repro`` module binds
+    it; returns the patches and the list that collects the length of
+    every rect list converted rather than read from its columns."""
+    import sys
+    from unittest import mock
+
+    from repro.geometry import rect as rect_module
+
+    original = rect_module.rect_columns
+    converted = []
+
+    def counting(rects):
+        if getattr(rects, "columns", None) is None:
+            converted.append(len(rects))
+        return original(rects)
+
+    patches = [mock.patch.object(module, "rect_columns", counting)
+               for name, module in list(sys.modules.items())
+               if name.startswith("repro")
+               and getattr(module, "rect_columns", None) is original]
+    return patches, converted
+
+
+class TestOneColumnConversionPerRevision:
+    """A flow converts its input layout's rect columns once.  Tiles get
+    their slice of them, correction hands the corrected layout the
+    columns it computed, and the caller's layout keeps no memo, so a
+    second flow on the same object converts again."""
+
+    @staticmethod
+    def converting(run, layout):
+        from contextlib import ExitStack
+
+        patches, converted = _counted_conversions()
+        with ExitStack() as stack:
+            for patch in patches:
+                stack.enter_context(patch)
+            result = run(layout)
+        return result, converted
+
+    @pytest.mark.parametrize("kwargs", [dict(tiles=3), dict()],
+                             ids=["tiled-cold", "monolithic-storeless"])
+    def test_d3_flow(self, tech, kwargs):
+        from repro.bench import build_design
+
+        layout = build_design("D3")
+        features = layout.features
+        expected = run_aapsm_flow(layout, tech, **kwargs)
+        for _ in range(2):
+            result, converted = self.converting(
+                lambda lay: run_aapsm_flow(lay, tech, **kwargs), layout)
+            assert converted == [len(features)]
+            assert result.corrected_layout.features \
+                == expected.corrected_layout.features
+            assert result.detection.conflicts == expected.detection.conflicts
+        assert layout.features is features and type(features) is list
+
+    def test_cold_chip_operation(self, tech):
+        from ..conftest import cold_chip_layout
+
+        layout = cold_chip_layout(17)
+        config = PipelineConfig(tiled=True, executor="serial")
+        result, converted = self.converting(
+            lambda lay: run_pipeline(lay, tech, config,
+                                     cache=ArtifactCache()), layout)
+        assert result.success
+        assert converted == [layout.num_polygons]
+        assert getattr(layout.features, "columns", None) is None
