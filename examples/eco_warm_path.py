@@ -5,9 +5,10 @@ This walks the incremental story end to end on the benchmark design
 D2 (~120 polygons):
 
 1. a **cold** pipeline run warms a persistent artifact store with
-   every kind of intermediate — per-tile front ends (shifters +
-   overlap pairs), per-tile detection results, window solutions,
-   component colorings, and verifier verdicts;
+   all four kinds of intermediate — per-tile front ends (shifters +
+   overlap pairs), per-tile detection results, component colorings,
+   and verifier verdicts (stitch arbitration and the correction
+   windows are cheap and recomputed on every run);
 2. a **single-feature edit** (the canonical conflict-neutral ECO:
    shrink one isolated interior polygon by 2 nm) dirties exactly the
    tiles whose capture window sees it;

@@ -18,16 +18,6 @@ frontend  a tile's front end — owned shifters + overlap pairs in
 tile      :class:`~repro.chip.executor.TileResult`; key hashes the
           captured geometry, rule deck, graph kind/method and the
           ownership window (:func:`repro.chip.cache.tile_cache_key`).
-stitch    a boundary stitch cluster's arbitrated verdict
-          (:class:`~repro.chip.stitch.StitchVerdict`); key hashes the
-          cluster's coordinate-anchored content id plus the
-          contributing tiles' result hashes
-          (:func:`repro.chip.stitch.stitch_verdict_key`).
-window    a conflict window's solved cut choice (local line indices);
-          key hashes the window's canonical set-cover instance —
-          line axis/position/width, dense cover structure — plus the
-          resolved solver and its caps
-          (:func:`repro.correction.windows.window_solution_key`).
 coloring  a conflict-graph component's canonical 2-coloring; key is
           the component's content id
           (:func:`repro.graph.components.decompose`).
@@ -67,13 +57,10 @@ from .obs import get_tracer
 
 KIND_FRONTEND = "frontend"
 KIND_TILE = "tile"
-KIND_STITCH = "stitch"
-KIND_WINDOW = "window"
 KIND_COLORING = "coloring"
 KIND_VERIFY = "verify"
 
-ARTIFACT_KINDS = (KIND_FRONTEND, KIND_TILE, KIND_STITCH, KIND_WINDOW,
-                  KIND_COLORING, KIND_VERIFY)
+ARTIFACT_KINDS = (KIND_FRONTEND, KIND_TILE, KIND_COLORING, KIND_VERIFY)
 
 
 @dataclass

@@ -9,8 +9,8 @@ layout in one process.  This package is the production-scale path:
   :func:`register_executor`), in canonical geometric keys;
 * :mod:`repro.chip.cache` — content keys of per-tile results;
 * :mod:`repro.chip.stitch` — merge owned tile conflicts into one
-  chip-level report in global shifter ids, with per-cluster verdicts
-  content-addressed in the unified store (incremental stitching);
+  chip-level report in global shifter ids, arbitrating each boundary
+  cluster to the tile that owns its anchor;
 * :mod:`repro.chip.orchestrator` — ``run_chip_flow`` ties it together.
 
 Distribution plugs in at two seams without touching detection itself:
@@ -43,14 +43,10 @@ from .partition import (
     partition_layout,
 )
 from .stitch import (
-    StitchClusterStat,
     StitchStats,
-    StitchVerdict,
     arbitrate_clusters,
     build_stitch_clusters,
-    stitch_cluster_id,
     stitch_results,
-    stitch_verdict_key,
 )
 
 __all__ = [
@@ -76,11 +72,7 @@ __all__ = [
     "resolve_executor",
     "tile_cache_key",
     "StitchStats",
-    "StitchVerdict",
-    "StitchClusterStat",
     "arbitrate_clusters",
     "build_stitch_clusters",
-    "stitch_cluster_id",
-    "stitch_verdict_key",
     "stitch_results",
 ]

@@ -14,7 +14,7 @@ The cache key hashes exactly those inputs, so:
 
 Results live in the unified artifact store
 (:class:`repro.cache.ArtifactCache`) under the ``tile`` kind, shared
-with window solutions and component colorings.
+with tile front ends and component colorings.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..cache import KIND_STITCH, KIND_TILE, ArtifactCache, cache_delta
+from ..cache import KIND_TILE, ArtifactCache, cache_delta
 from ..conflict import PCG, DetectionReport
 from ..gcpause import gc_paused
 from ..graph import METHOD_GADGET
@@ -56,10 +56,7 @@ class ChipReport:
 
     ``cache_delta`` is the run's own store work per artifact kind,
     ``{kind: (hits, misses)}`` (:func:`repro.cache.cache_delta`): the
-    ``tile`` kind counts tile results replayed vs detected, the
-    ``stitch`` kind cluster verdicts replayed vs re-arbitrated.
-    ``cluster_stats`` is the per-cluster accounting the ECO scheduler
-    classifies dirty/clean.
+    ``tile`` kind counts tile results replayed vs detected.
     """
 
     detection: DetectionReport
@@ -74,7 +71,6 @@ class ChipReport:
     boundary_duplicates_dropped: int = 0
     cache_delta: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     tile_stats: List[TileStat] = field(default_factory=list)
-    cluster_stats: List = field(default_factory=list)
     unmapped_conflicts: int = 0
 
     # Convenience passthroughs so a ChipReport reads like a report.
@@ -97,7 +93,6 @@ class ChipReport:
     def summary(self) -> str:
         d = self.detection
         hits, misses = self.cache_delta.get(KIND_TILE, (0, 0))
-        replayed, rearbitrated = self.cache_delta.get(KIND_STITCH, (0, 0))
         lines = [
             f"design {d.layout_name}: {d.num_features} polygons, "
             f"{d.num_shifters} shifters, {d.num_overlap_pairs} "
@@ -107,8 +102,6 @@ class ChipReport:
             f"detected {d.num_conflicts} conflicts in {self.clusters} "
             f"clusters ({len(d.tshape_conflicts)} routed to "
             f"widening/splitting); phase-assignable: {d.phase_assignable}",
-            f"stitch: {replayed} cluster verdict(s) replayed, "
-            f"{rearbitrated} re-arbitrated",
             f"wall {self.wall_seconds:.2f}s, tile work "
             f"{self.tile_seconds:.2f}s, cache {hits}/{hits + misses} hits",
         ]
@@ -154,8 +147,7 @@ def run_chip_flow(layout: Layout, tech: Technology,
             runs).
         cache: an existing :class:`~repro.cache.ArtifactCache` to use;
             overrides ``cache_dir``.  It holds the tile results (kind
-            ``tile``) and the per-cluster stitch verdicts (kind
-            ``stitch``).
+            ``tile``).
         kind: conflict-graph kind ("pcg"/"fg").
         method: bipartization engine for each tile.
         front: the revision's chip front end ``(shifters, pairs)``,
@@ -177,8 +169,8 @@ def run_chip_flow(layout: Layout, tech: Technology,
         A :class:`ChipReport`; ``report.detection`` is a chip-level
         :class:`DetectionReport` in global shifter ids.
         ``report.cache_delta`` is the store's count of this run's work
-        per kind (``tile`` and ``stitch``), so a store shared across
-        passes reports each pass separately.
+        (kind ``tile``), so a store shared across passes reports each
+        pass separately.
 
     Garbage collection: the run pauses CPython's cyclic garbage
     collector (:func:`repro.gcpause.gc_paused`) and re-enables it on
@@ -262,13 +254,10 @@ def run_chip_flow(layout: Layout, tech: Technology,
             final: List[TileResult] = [r for r in results if r is not None]
             with tracer.span("stitch", cat="chip") as stitch_span:
                 detection, stats = stitch_results(layout, kind, grid,
-                                                  final, shifters, keys,
-                                                  cache)
-        # ``delta`` is filled as its block exits; the chip and stitch
-        # spans take their cache figures from it.
-        replayed, rearbitrated = delta.get(KIND_STITCH, (0, 0))
-        stitch_span.set(clusters=stats.clusters, replayed=replayed,
-                        rearbitrated=rearbitrated)
+                                                  final, shifters)
+                stitch_span.set(clusters=stats.clusters)
+        # ``delta`` is filled as its block exits; the chip span takes
+        # its cache figures from it.
         hits, misses = delta.get(KIND_TILE, (0, 0))
         chip_span.set(tiles=grid.nx * grid.ny, cache_hits=hits,
                       cache_misses=misses, conflicts=detection.num_conflicts)
@@ -288,7 +277,6 @@ def run_chip_flow(layout: Layout, tech: Technology,
                                  seconds=r.seconds,
                                  from_cache=r.from_cache)
                         for r in final],
-            cluster_stats=stats.cluster_stats,
             unmapped_conflicts=len(stats.unmapped_conflicts),
         )
         report.wall_seconds = time.perf_counter() - start

@@ -25,18 +25,8 @@ actually works at — the conflict *cluster*:
 3. Keep exactly the chosen tile's conflicts for the cluster; every
    other tile's view of it is dropped as a boundary duplicate.
 
-Since the incremental-stitching refactor, step 2–3 — the arbitration
-*verdict* — is computed per :class:`StitchCluster` and content-
-addressed in the unified artifact store (kind ``stitch``): a cluster's
-cache key combines its coordinate-anchored content id
-(:func:`stitch_cluster_id`, stable under shifter renumbering and
-unrelated far-away edits, exactly like frontend/component ids) with
-the result hashes of the tiles contributing views
-(:func:`stitch_verdict_key`).  A warm ECO run therefore re-arbitrates
-only the clusters some dirty tile contributes to; every clean
-cluster's cached :class:`StitchVerdict` is spliced back unchanged —
-the report stays byte-identical because the verdict *is* the
-arbitration outcome, survivors and duplicate accounting included.
+Clustering and arbitration run in full on every pass: both are cheap,
+deterministic bookkeeping over tile results the store already caches.
 
 The surviving canonical conflicts are translated back into the
 chip-global shifter numbering, so the stitched
@@ -53,13 +43,11 @@ structure more than once; they report work done, not chip-graph sizes.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from ..cache import KIND_STITCH, ArtifactCache
 from ..conflict import Conflict, DetectionReport
 from ..layout import Layout
 from ..obs import get_tracer
@@ -67,43 +55,7 @@ from ..shifters import SIDE_CODE, ShifterSet
 from .executor import CanonicalConflict, ShifterKey, TileResult
 from .partition import TileGrid
 
-# Bump when StitchVerdict/CanonicalConflict shape or the arbitration
-# rule changes so stale cache directories self-invalidate.
-STITCH_FORMAT = 1
-
 _rect_corners = operator.attrgetter("x1", "y1", "x2", "y2")
-
-
-@dataclass(frozen=True)
-class StitchVerdict:
-    """The arbitrated outcome of one stitch cluster.
-
-    ``survivors`` are the chosen tile's deduplicated canonical
-    conflicts (witness sets stripped — they only matter for cluster
-    formation, which always runs); ``dropped`` counts the other tiles'
-    views discarded as boundary duplicates.  Together these are
-    everything the chip report takes from a cluster, which is what
-    makes a cached verdict splice back byte-identically.
-    """
-
-    survivors: Tuple[CanonicalConflict, ...]
-    dropped: int
-
-
-@dataclass(frozen=True)
-class StitchClusterStat:
-    """Per-cluster accounting row the chip report exposes.
-
-    ``tiles`` are the grid positions contributing views (the tiles
-    whose result hashes key the verdict); ``replayed`` is True when
-    the verdict came from the store instead of re-arbitration.
-    """
-
-    cluster_id: str
-    tiles: Tuple[Tuple[int, int], ...]
-    conflicts: int
-    dropped: int
-    replayed: bool
 
 
 @dataclass
@@ -112,23 +64,17 @@ class StitchCluster:
 
     members: List[Tuple[int, CanonicalConflict]]  # (flat tile, view)
     flats: Tuple[int, ...]                        # contributing tiles
-    content_id: str
 
 
 @dataclass
 class StitchStats:
-    """Bookkeeping the chip report exposes alongside the detection.
-
-    How many verdicts replayed is the store's own count: the pass's
-    ``stitch``-kind delta (:func:`repro.cache.cache_delta`).
-    """
+    """Bookkeeping the chip report exposes alongside the detection."""
 
     clusters: int = 0
     boundary_duplicates_dropped: int = 0
     tile_seconds: float = 0.0
     unmapped_conflicts: List[Tuple[ShifterKey, ShifterKey]] = \
         field(default_factory=list)
-    cluster_stats: List[StitchClusterStat] = field(default_factory=list)
 
 
 class _UnionFind:
@@ -150,58 +96,13 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def stitch_cluster_id(members: Sequence[Tuple[int, CanonicalConflict]]
-                      ) -> str:
-    """Content-derived identity of one stitch cluster.
-
-    Hashes the cluster's *distinct* canonical conflicts — coordinate-
-    anchored ``(shifter key, shifter key, weight, anchor, tshape)``
-    rows, view multiplicity and tile indices excluded — so the id is
-    stable under shifter renumbering, unrelated edits elsewhere on the
-    chip, and tile-grid changes that do not move cut lines through the
-    cluster's boundary neighbourhood (a cut line slicing closer can
-    give a halo tile a truncated view that legitimately cuts the same
-    cycle elsewhere, adding distinct rows; correctness never depends
-    on id stability — the verdict key also hashes the contributing
-    tiles' result hashes, which any such grid change already changes).
-    """
-    distinct = sorted({(cc.a, cc.b, cc.weight, cc.ref2, cc.tshape)
-                       for _, cc in members})
-    h = hashlib.sha256(f"stitch-cluster:{STITCH_FORMAT}".encode())
-    for row in distinct:
-        h.update(repr(row).encode())
-    return h.hexdigest()
-
-
-def stitch_verdict_key(content_id: str,
-                       tile_keys: Sequence[str]) -> str:
-    """Cache key of one cluster's arbitrated verdict.
-
-    The verdict is a pure function of the contributing tiles' results
-    (which views exist, where the anchor lands, which tile owns it —
-    each tile's result hash already covers its captured geometry,
-    ownership window, rule deck and graph settings), restricted to this
-    cluster.  Hashing the cluster's content id together with the sorted
-    contributing result hashes therefore covers every input: any dirty
-    contributing tile changes its result hash and forces
-    re-arbitration, while edits that leave every contributing tile
-    clean replay the cached verdict.
-    """
-    h = hashlib.sha256(f"stitch-verdict:{STITCH_FORMAT}".encode())
-    h.update(content_id.encode())
-    for key in sorted(tile_keys):
-        h.update(key.encode())
-    return h.hexdigest()
-
-
 def build_stitch_clusters(grid: TileGrid, results: List[TileResult]
                           ) -> List[StitchCluster]:
     """Group every reported conflict view into boundary stitch clusters.
 
     Pure bookkeeping over already-computed tile results (union-find by
-    shared features and cycle-scale witnesses); runs every pass — it is
-    the cluster *verdicts* that are cached, not the clustering.
-    Clusters come back in deterministic order (smallest anchor first).
+    shared features and cycle-scale witnesses).  Clusters come back in
+    deterministic order (smallest anchor first).
     """
     uf = _UnionFind()
     instances: List[Tuple[int, CanonicalConflict]] = []
@@ -227,15 +128,19 @@ def build_stitch_clusters(grid: TileGrid, results: List[TileResult]
             key=lambda item: min(cc.ref2 for _, cc in item[1])):
         clusters.append(StitchCluster(
             members=members,
-            flats=tuple(sorted({flat for flat, _ in members})),
-            content_id=stitch_cluster_id(members)))
+            flats=tuple(sorted({flat for flat, _ in members}))))
     return clusters
 
 
 def _arbitrate_cluster(grid: TileGrid,
                        members: List[Tuple[int, CanonicalConflict]]
-                       ) -> StitchVerdict:
-    """Pick one coherent tile view for a single cluster."""
+                       ) -> Tuple[List[CanonicalConflict], int]:
+    """Pick one coherent tile view for a single cluster.
+
+    Returns the chosen tile's deduplicated conflicts, witness sets
+    stripped (they only matter for cluster formation), and how many
+    other views were dropped as boundary duplicates.
+    """
     anchor_flat, anchor_cc = min(
         members, key=lambda m: (m[1].ref2, m[1].key, m[0]))
     owner = grid.owner_index_of_point2(*anchor_cc.ref2)
@@ -249,76 +154,44 @@ def _arbitrate_cluster(grid: TileGrid,
         if cc.key not in seen:
             seen.add(cc.key)
             survivors.append(replace(cc, witness=()))
-    return StitchVerdict(survivors=tuple(survivors),
-                         dropped=len(members) - len(seen))
+    return survivors, len(members) - len(seen)
 
 
-def arbitrate_clusters(grid: TileGrid, results: List[TileResult],
-                       tile_keys: Sequence[str], store: ArtifactCache
+def arbitrate_clusters(grid: TileGrid, results: List[TileResult]
                        ) -> Tuple[List[CanonicalConflict], StitchStats]:
-    """Arbitrate every stitch cluster, replaying cached verdicts.
+    """Arbitrate every stitch cluster of one detection pass.
 
     Args:
         grid: the partition the results came from.
         results: per-tile detection results (halo views included).
-        tile_keys: each tile's content-addressed result hash, indexed
-            by flat tile index (``iy * nx + ix``) — what
-            :func:`repro.chip.cache.tile_cache_key` produced for the
-            run.
-        store: the unified artifact store (kind ``stitch``).  A fresh
-            store arbitrates every cluster in place.
 
     Returns:
-        ``(surviving conflicts, stats)``; the survivors are identical
-        whether each verdict was replayed or recomputed, and the stats
-        carry the per-cluster accounting (``cluster_stats``).  The
-        store counts one ``stitch`` get per cluster.  A stored value
-        that is not a :class:`StitchVerdict` (a corrupted store) is a
-        store hit, yet its cluster is re-arbitrated and re-stored.
+        ``(surviving conflicts, stats)``, the survivors cluster by
+        cluster in cluster order.
     """
     tracer = get_tracer()
     clusters = build_stitch_clusters(grid, results)
     stats = StitchStats(clusters=len(clusters))
     survivors: List[CanonicalConflict] = []
-    for cluster in clusters:
-        with tracer.span("cluster", cat="stitch-cluster",
-                         cluster=cluster.content_id[:12],
+    for index, cluster in enumerate(clusters):
+        with tracer.span("cluster", cat="stitch-cluster", cluster=index,
                          tiles=len(cluster.flats)) as span:
-            key = stitch_verdict_key(
-                cluster.content_id,
-                [tile_keys[flat] for flat in cluster.flats])
-            verdict = store.get(KIND_STITCH, key)
-            replayed = isinstance(verdict, StitchVerdict)
-            if not replayed:
-                verdict = _arbitrate_cluster(grid, cluster.members)
-                store.put(KIND_STITCH, key, verdict)
-            span.set(conflicts=len(verdict.survivors),
-                     replayed=replayed)
-        survivors.extend(verdict.survivors)
-        stats.boundary_duplicates_dropped += verdict.dropped
-        stats.cluster_stats.append(StitchClusterStat(
-            cluster_id=cluster.content_id,
-            tiles=tuple((flat % grid.nx, flat // grid.nx)
-                        for flat in cluster.flats),
-            conflicts=len(verdict.survivors),
-            dropped=verdict.dropped,
-            replayed=replayed))
+            chosen, dropped = _arbitrate_cluster(grid, cluster.members)
+            span.set(conflicts=len(chosen))
+        survivors.extend(chosen)
+        stats.boundary_duplicates_dropped += dropped
     return survivors, stats
 
 
 def stitch_results(layout: Layout, kind: str,
                    grid: TileGrid, results: List[TileResult],
-                   shifters: ShifterSet,
-                   tile_keys: Sequence[str],
-                   store: ArtifactCache
+                   shifters: ShifterSet
                    ) -> Tuple[DetectionReport, StitchStats]:
     """Merge tile results into a chip-level :class:`DetectionReport`.
 
     ``shifters`` is the layout's chip-global shifter set (the
     revision's front end), whose dense ids — the ones the monolithic
-    flow assigns — the report speaks.  Cluster verdicts are cached in
-    ``store`` under ``tile_keys`` (see :func:`arbitrate_clusters`);
-    the report is byte-identical whether they replay or not.
+    flow assigns — the report speaks.
     """
     import numpy as np
 
@@ -345,8 +218,7 @@ def stitch_results(layout: Layout, kind: str,
     )
     report.removed_weight = sum(r.report.removed_weight for r in results)
 
-    survivors, stats = arbitrate_clusters(grid, results, tile_keys,
-                                          store)
+    survivors, stats = arbitrate_clusters(grid, results)
     stats.tile_seconds = sum(r.seconds for r in results)
 
     plain: List[Conflict] = []

@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 from .bench import build_design, design_names, format_table, table1_row, table2_row
 from .conflict import detect_conflicts
 from .core import run_aapsm_flow
+from .correction import ExactCoverTooLargeError
 from .gdsii import gds_to_layout, layout_to_gds, read_gds, write_gds
 from .layout import Layout, Technology
 from .obs import (
@@ -129,8 +130,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
                              "backend")
     parser.add_argument("--cache-dir",
                         help="persistent artifact store directory "
-                             "(front ends, tile results, stitch "
-                             "verdicts, window solutions, colorings, "
+                             "(front ends, tile results, colorings, "
                              "verify verdicts)")
     parser.add_argument("--json", action="store_true",
                         help="print a machine-readable JSON report "
@@ -305,8 +305,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     With ``--cache-dir`` (or ``--incremental``) the whole suite runs
     over **one persistent artifact store**: every design's tile,
-    front-end, window, coloring, and verifier artifacts land in the
-    same content-addressed directory, so re-invoking the suite against
+    front-end, coloring, and verifier artifacts land in the same
+    content-addressed directory, so re-invoking the suite against
     the same ``--cache-dir`` is a warm-path run — the regression
     surface for incremental behaviour.  The aggregate per-kind
     counters are reported (``cache_kinds`` in ``--json``, a footer
@@ -645,7 +645,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(getattr(args, "verbose", 0))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ExactCoverTooLargeError as exc:
+        # --cover exact on a window past the solver's caps: a usage
+        # error, reported in one line before any window is solved.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

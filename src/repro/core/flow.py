@@ -119,7 +119,7 @@ def run_aapsm_flow(layout: Layout, tech: Technology,
     With ``tiles`` set (or ``incremental=True``), shifter generation
     and both detection passes run tile-scoped through the shared
     artifact store (``cache_dir``/``cache``; kinds ``frontend`` and
-    ``tile``, plus ``window``/``coloring``/``verify`` downstream):
+    ``tile``, plus ``coloring``/``verify`` downstream):
     tiles the correction leaves untouched are hits in the
     post-correction pass, and a persistent store makes a re-run after
     an edit recompute only dirty tiles — shifters included (see

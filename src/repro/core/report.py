@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Tuple
 
-from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_STITCH, KIND_TILE, KIND_VERIFY, KIND_WINDOW
+from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_TILE, KIND_VERIFY
 from .flow import FlowResult
 
 
@@ -78,7 +78,6 @@ def chip_report_dict(chip, timings: bool = True) -> Dict[str, Any]:
         "boundary_duplicates_dropped": chip.boundary_duplicates_dropped,
         "unmapped_conflicts": chip.unmapped_conflicts,
         "cache": kind_dict(chip.cache_delta, KIND_TILE),
-        "stitch_cache": kind_dict(chip.cache_delta, KIND_STITCH),
         "detection": detection_dict(chip.detection, timings=timings),
     }
     tiles = [{"ix": s.ix, "iy": s.iy, "polygons": s.polygons,
@@ -116,19 +115,13 @@ def pipeline_dict(pipe, timings: bool = True) -> Dict[str, Any]:
     Every hit/miss figure is one kind of a store delta: a stage's
     ``cache_delta`` per pass, ``artifact_cache_counts()`` for the whole
     run.  ``cache``/``detect_cache``/``verify_cache`` keep their
-    historical tile-pass meaning; ``correct_cache`` and ``phase`` carry
-    the window, coloring and verifier kinds, so a warm ECO's "only
-    dirty work recomputed" property is assertable straight off the
-    JSON report.  ``frontend_cache`` is the ``frontend`` kind's delta
-    over the whole run (``front_cache`` / ``verify_front_cache`` split
-    it per front-end pass): on a warm run ``front_cache.misses`` is
-    exactly the dirty-tile count — zero clean-tile shifter
-    regeneration.  ``stitch_cache`` is likewise the ``stitch`` kind's
-    whole-run delta (``detect_stitch_cache`` / ``verify_stitch_cache``
-    per detection pass): on a warm run over a conflict-neutral edit
-    ``detect_stitch_cache.misses`` is exactly the dirty-cluster count
-    — zero clean-cluster re-arbitration (an edit that reshapes which
-    tiles contribute views can add conservative misses on top).
+    historical tile-pass meaning; ``phase`` carries the coloring and
+    verifier kinds, so a warm ECO's "only dirty work recomputed"
+    property is assertable straight off the JSON report.
+    ``frontend_cache`` is the ``frontend`` kind's delta over the whole
+    run (``front_cache`` / ``verify_front_cache`` split it per
+    front-end pass): on a warm run ``front_cache.misses`` is exactly
+    the dirty-tile count — zero clean-tile shifter regeneration.
     """
     totals = pipe.artifact_cache_counts()
     front, verification = pipe.front, pipe.verification
@@ -142,13 +135,6 @@ def pipeline_dict(pipe, timings: bool = True) -> Dict[str, Any]:
                                         KIND_FRONTEND),
         "detect_cache": kind_dict(pipe.detection.cache_delta, KIND_TILE),
         "verify_cache": kind_dict(verification.cache_delta, KIND_TILE),
-        "stitch_cache": cache_dict(*totals[KIND_STITCH]),
-        "detect_stitch_cache": kind_dict(pipe.detection.cache_delta,
-                                         KIND_STITCH),
-        "verify_stitch_cache": kind_dict(verification.cache_delta,
-                                         KIND_STITCH),
-        "correct_cache": kind_dict(pipe.correction.cache_delta,
-                                   KIND_WINDOW),
         "phase": {
             "incremental": pipe.phase.incremental,
             "components": pipe.phase.components,
@@ -189,14 +175,6 @@ def eco_result_dict(eco, timings: bool = True) -> Dict[str, Any]:
         "flow": flow_result_dict(flow_result_from_pipeline(eco.result),
                                  timings=timings),
     }
-    if plan.stitch_dirty is not None:
-        # The dirty-cluster split (clusters touching a dirty tile must
-        # re-arbitrate; the rest replay when the edit preserved their
-        # contributing views, as the canonical conflict-neutral edit
-        # does) — populated from the warm run's own chip report, so CI
-        # can assert zero clean-cluster re-arbitrations off the JSON.
-        out["plan"]["stitch"] = {"num_dirty": plan.num_stitch_dirty,
-                                 "num_clean": plan.num_stitch_clean}
     if timings:
         out["eco_seconds"] = eco.eco_seconds
         if eco.base_seconds:

@@ -19,7 +19,12 @@ from .setcover import (
     is_cover,
 )
 from .spacer import SpaceCut, apply_cuts, stretched_feature_indices
-from .windows import CorrectionWindow, cluster_windows, solve_cover_windows
+from .windows import (
+    CorrectionWindow,
+    ExactCoverTooLargeError,
+    cluster_windows,
+    solve_cover_windows,
+)
 from .widening import (
     WideningMove,
     apply_widening,
@@ -56,6 +61,7 @@ __all__ = [
     "GridLine",
     "build_grid_lines",
     "CorrectionWindow",
+    "ExactCoverTooLargeError",
     "cluster_windows",
     "solve_cover_windows",
     "CutRestrictions",

@@ -220,8 +220,8 @@ def plan_correction(layout: Layout, tech: Technology,
                     conflicts: Sequence[ConflictKey],
                     shifters: Optional[ShifterSet] = None,
                     cover: str = "auto",
-                    restrictions: Optional[CutRestrictions] = None,
-                    store=None) -> CorrectionReport:
+                    restrictions: Optional[CutRestrictions] = None
+                    ) -> CorrectionReport:
     """Choose end-to-end cuts correcting the given conflicts.
 
     The set cover is solved per independent conflict window (see
@@ -233,9 +233,10 @@ def plan_correction(layout: Layout, tech: Technology,
             small enough to finish instantly, greedy otherwise).
         restrictions: optional no-cut regions (hard macros etc.);
             conflicts only fixable inside them become uncorrectable.
-        store: optional :class:`repro.cache.ArtifactCache`; replays
-            content-addressed window solutions instead of re-solving
-            unchanged windows.
+
+    Raises:
+        ExactCoverTooLargeError: ``cover="exact"`` and some window is
+            past the exact solver's caps (checked before any solve).
     """
     if shifters is None:
         shifters = generate_shifters(layout, tech)
@@ -263,7 +264,7 @@ def plan_correction(layout: Layout, tech: Technology,
     report.max_cover = max(len(line.covers) for line in lines)
 
     chosen, report.cover_method, report.windows = \
-        solve_cover_windows(correctable, lines, cover=cover, store=store)
+        solve_cover_windows(correctable, lines, cover=cover)
 
     snap_index = _SnapIndex(layout)
     for set_id in chosen:

@@ -22,21 +22,13 @@ whole-instance optimum exactly.
   representatives — cost equality is the guarantee, cut-set identity
   only holds tie-free.
 
-Windows are also the unit of incremental correction: each window's
-set-cover instance is canonicalised (conflicts and candidate lines
-renumbered densely, in sorted order) and its solved cut choice is
-content-addressed in the unified artifact store under the ``window``
-kind.  An ECO edit that leaves a window's conflicts and grid lines
-untouched leaves its key — and therefore its replayed solution —
-untouched by construction, even when every shifter id shifted; only
-dirty windows re-enter the solver.
+Windows are cheap to solve, so every run solves every window.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 from ..obs import get_tracer
 from .setcover import (
@@ -51,9 +43,13 @@ from .setcover import (
 
 ConflictKey = Hashable
 
-# Bump when the canonical window instance or stored solution encoding
-# changes so stale cache directories self-invalidate.
-WINDOW_FORMAT = 2
+
+class ExactCoverTooLargeError(ValueError):
+    """A window exceeds the exact set cover's branch-and-bound caps.
+
+    Raised by :func:`solve_cover_windows` with the exact solver
+    selected, before any window is solved.
+    """
 
 
 @dataclass(frozen=True)
@@ -135,10 +131,8 @@ def _dense_window_instance(window: CorrectionWindow, lines: Sequence,
     Conflicts become their rank in the window's sorted conflict list;
     candidate lines become their rank in the window's sorted line-id
     list.  Dense renumbering is order-preserving, so greedy picks (and
-    exact-solver exploration order) match the historical global-id
-    instance pick for pick — and the instance, being free of raw
-    shifter ids and of string hashing, is identical across runs,
-    processes, and layout revisions that leave the window alone.
+    exact-solver exploration order) match the global-id instance pick
+    for pick.
     """
     rank = {key: j for j, key in enumerate(window.conflicts)}
     sub_universe = {rank[key] for key in window.conflicts
@@ -151,61 +145,22 @@ def _dense_window_instance(window: CorrectionWindow, lines: Sequence,
     return sub_universe, sub_sets
 
 
-def _instance_key(window: CorrectionWindow, lines: Sequence,
-                  sub_universe: Set[int], sub_sets: Sequence[CoverSet],
-                  method: str) -> str:
-    """Hash the *already-built* canonical instance (plus each line's
-    axis/position — the window geometry — and the resolved solver
-    configuration).  Keying off the same structure the solver consumes
-    keeps the stored local indices and the key mutually consistent by
-    construction, and puts universe membership in the key, so a store
-    shared across calls with different universes can never replay a
-    partial cover."""
-    h = hashlib.sha256()
-    h.update(f"window-format:{WINDOW_FORMAT};method:{method};".encode())
-    h.update(f"caps:{EXACT_CAP_ELEMENTS},{EXACT_CAP_SETS};".encode())
-    h.update(f"universe:{','.join(map(str, sorted(sub_universe)))};"
-             .encode())
-    for i, cover in zip(window.line_ids, sub_sets):
-        line = lines[i]
-        elements = ",".join(map(str, sorted(cover.elements)))
-        h.update(f"line:{line.axis},{line.position},"
-                 f"{line.width}:{elements};".encode())
-    return h.hexdigest()
-
-
-def window_solution_key(window: CorrectionWindow, lines: Sequence,
-                        method: str,
-                        universe: Optional[Set[ConflictKey]] = None
-                        ) -> str:
-    """Content hash of everything a window's solved cut choice depends
-    on; ``universe`` defaults to the window's full conflict set."""
-    if universe is None:
-        universe = set(window.conflicts)
-    sub_universe, sub_sets = _dense_window_instance(window, lines,
-                                                    universe)
-    return _instance_key(window, lines, sub_universe, sub_sets, method)
-
-
 def solve_cover_windows(universe: Set[ConflictKey],
                         lines: Sequence,
                         cover: str = "auto",
-                        store=None,
                         ) -> Tuple[List[int], str, List[CorrectionWindow]]:
     """Window-decomposed weighted set cover over candidate grid lines.
 
     The exact-vs-greedy ``auto`` decision is made on the *global*
     instance size via the shared :func:`use_exact_cover` policy (so
-    the method matches a whole-instance solve), then
-    each window is solved independently — or, when ``store`` (a
-    :class:`repro.cache.ArtifactCache`) holds a solution for the
-    window's content key, replayed without entering the solver at all.
+    the method matches a whole-instance solve), then each window is
+    solved independently.  With the exact solver selected, every
+    window is checked against its caps first: one past them raises
+    :class:`ExactCoverTooLargeError` before any window is solved.
 
     Returns ``(chosen line ids, method, windows)`` with the ids sorted
     — the same contract the whole-instance solve has.
     """
-    from ..cache import KIND_WINDOW
-
     windows = cluster_windows(lines)
     covered = {key for window in windows for key in window.conflicts}
     missing = set(universe) - covered
@@ -215,37 +170,36 @@ def solve_cover_windows(universe: Set[ConflictKey],
         raise UncoverableError(f"elements not coverable: {sorted(missing)}")
     use_exact = use_exact_cover(cover, len(universe), len(lines))
     method = "exact" if use_exact else "greedy"
+    instances = [_dense_window_instance(window, lines, universe)
+                 for window in windows]
+    if use_exact:
+        for window, (sub_universe, sub_sets) in zip(windows, instances):
+            if (len(sub_universe) > EXACT_CAP_ELEMENTS
+                    or len(sub_sets) > EXACT_CAP_SETS):
+                raise ExactCoverTooLargeError(
+                    f"window {window.index} has {len(sub_universe)} "
+                    f"conflicts and {len(sub_sets)} candidate lines, "
+                    f"past the exact cover's caps of "
+                    f"{EXACT_CAP_ELEMENTS} conflicts and "
+                    f"{EXACT_CAP_SETS} lines per window; use cover "
+                    f"'auto' or 'greedy'")
 
     tracer = get_tracer()
     chosen: List[int] = []
-    for index, window in enumerate(windows):
-        with tracer.span("window", cat="window", window=index,
+    for window, (sub_universe, sub_sets) in zip(windows, instances):
+        with tracer.span("window", cat="window", window=window.index,
                          lines=len(window.line_ids),
                          conflicts=len(window.conflicts),
                          method=method) as span:
-            sub_universe, sub_sets = _dense_window_instance(window, lines,
-                                                            universe)
-            local: Optional[Sequence[int]] = None
-            key = None
-            if store is not None:
-                key = _instance_key(window, lines, sub_universe, sub_sets,
-                                    method)
-                local = store.get(KIND_WINDOW, key)
-            replayed = local is not None
-            if local is None:
-                if not sub_universe:
-                    local = ()
-                elif use_exact:
-                    local = exact_weighted_set_cover(
-                        sub_universe, sub_sets,
-                        max_elements=EXACT_CAP_ELEMENTS,
-                        max_sets=EXACT_CAP_SETS)
-                else:
-                    local = greedy_weighted_set_cover(sub_universe,
-                                                      sub_sets)
-                local = tuple(sorted(local))
-                if store is not None:
-                    store.put(KIND_WINDOW, key, local)
-            span.set(replayed=replayed, cuts=len(local))
+            if not sub_universe:
+                local: Sequence[int] = ()
+            elif use_exact:
+                local = exact_weighted_set_cover(
+                    sub_universe, sub_sets,
+                    max_elements=EXACT_CAP_ELEMENTS,
+                    max_sets=EXACT_CAP_SETS)
+            else:
+                local = greedy_weighted_set_cover(sub_universe, sub_sets)
+            span.set(cuts=len(local))
         chosen += [window.line_ids[j] for j in local]
     return sorted(chosen), method, windows

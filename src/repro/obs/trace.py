@@ -8,8 +8,9 @@ mirrors the pipeline's actual call structure::
 
     flow(design=D3)
     ├─ shifters            tile ×9 (cached=...)
-    ├─ detect              chip → partition / execute → tile ×9 / stitch
-    ├─ correct             window ×4 (replayed=...)
+    ├─ detect              chip → partition / execute → tile ×9 /
+    │                      stitch → cluster ×M (arbitrated every run)
+    ├─ correct             window ×4 (solved every run)
     ├─ verify              nested shifters + detect
     └─ assign              component ×N (recomputed only)
 

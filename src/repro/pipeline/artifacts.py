@@ -67,10 +67,9 @@ class DetectionArtifact:
     """One detection pass (pre- or post-correction).
 
     ``chip`` is present when the pass ran tiled; ``cache_delta`` then
-    holds this pass's ``tile`` kind (tiles replayed vs detected) and
-    ``stitch`` kind (clusters replayed vs re-arbitrated), so the ECO
-    scheduler can assert exactly which tiles *and* which boundary
-    clusters recomputed per pass.
+    holds this pass's ``tile`` kind (tiles replayed vs detected), so
+    the ECO scheduler can assert exactly which tiles recomputed per
+    pass.
     """
 
     report: DetectionReport
@@ -87,16 +86,11 @@ class DetectionArtifact:
 
 @dataclass
 class CorrectionArtifact:
-    """Window-scoped correction plan plus the corrected layout.
-
-    Over a store, ``cache_delta`` holds this pass's ``window`` kind:
-    window-solution replays versus fresh solves.
-    """
+    """Window-scoped correction plan plus the corrected layout."""
 
     report: CorrectionReport
     corrected_layout: Layout
     seconds: float = 0.0
-    cache_delta: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
     @property
     def unchanged(self) -> bool:
@@ -175,7 +169,7 @@ class PipelineResult:
         """(hits, misses) per artifact kind across the whole run: the
         sum of every stage's ``cache_delta``."""
         totals = dict.fromkeys(ARTIFACT_KINDS, (0, 0))
-        for artifact in (self.front, self.detection, self.correction,
+        for artifact in (self.front, self.detection,
                          self.verification.front, self.verification,
                          self.phase):
             for kind, (hits, misses) in artifact.cache_delta.items():

@@ -9,10 +9,8 @@ front end, per-tile shifter sets and overlap pairs are too
 pipeline on the edited layout with the base run's cache recomputes
 *only* the tiles whose capture window intersects the edit; every clean
 tile's cached front end and detection result are spliced back into the
-chip-level view unchanged.  Boundary stitch clusters follow the same
-rule (:mod:`repro.chip.stitch`): a cluster re-arbitrates only when
-some contributing tile is dirty, so no stage performs a chip-wide
-pass on the warm path.
+chip-level view unchanged.  Stitch arbitration and the correction
+windows are cheap and recomputed on every run.
 
 :func:`plan_eco` predicts that dirty set by diffing the two layouts'
 partitions — the same comparison the cache keys make — so the ECO
@@ -33,8 +31,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_STITCH, KIND_TILE, KIND_VERIFY, \
-    KIND_WINDOW, ArtifactCache
+from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_TILE, KIND_VERIFY, \
+    ArtifactCache
 from ..chip.partition import TileGrid, TileSpec, auto_tile_grid, \
     normalize_tile_spec, partition_layout
 from ..gcpause import gc_paused
@@ -85,13 +83,6 @@ class EcoPlan:
     regenerates shifters for exactly ``dirty`` and replays a cached
     front end for exactly ``clean`` — the accounting
     :meth:`EcoResult.summary` and the ECO test suite assert.
-
-    Stitch-cluster dirtiness follows from tile dirtiness: a cluster's
-    verdict key hashes the contributing tiles' result hashes, so a
-    cluster with a dirty contributing tile always re-arbitrates.
-    :meth:`classify_stitch_clusters` computes that split once the
-    cluster → tiles mapping is known (the chip report carries it);
-    until then ``stitch_dirty``/``stitch_clean`` are None.
     """
 
     grid: TileGrid                      # partition of the edited layout
@@ -99,8 +90,6 @@ class EcoPlan:
     dirty: List[Tuple[int, int]] = field(default_factory=list)
     clean: List[Tuple[int, int]] = field(default_factory=list)
     bbox_changed: bool = False
-    stitch_dirty: Optional[List[str]] = None    # cluster content ids
-    stitch_clean: Optional[List[str]] = None
 
     @property
     def num_tiles(self) -> int:
@@ -113,40 +102,6 @@ class EcoPlan:
     @property
     def num_clean(self) -> int:
         return len(self.clean)
-
-    def classify_stitch_clusters(self, cluster_stats) -> None:
-        """Compute the dirty-cluster set from the dirty-tile set.
-
-        ``cluster_stats`` is a chip report's per-cluster accounting
-        (:class:`~repro.chip.stitch.StitchClusterStat`); a cluster
-        lands in ``stitch_dirty`` when any contributing tile is in
-        ``dirty``, else in ``stitch_clean``.  Dirty clusters always
-        re-arbitrate (a dirty tile's result hash changes the verdict
-        key).  Clean clusters replay whenever the edit left their
-        contributing-view set unchanged — guaranteed for the canonical
-        conflict-neutral edit, which is what the test suites and CI
-        assert exactly; a conflict-*changing* edit can reshape which
-        tiles contribute views, in which case a clean-classified
-        cluster conservatively re-arbitrates (a cache miss costs
-        recomputation, never correctness).
-        """
-        dirty_tiles = set(self.dirty)
-        self.stitch_dirty, self.stitch_clean = [], []
-        for stat in cluster_stats:
-            bucket = (self.stitch_dirty
-                      if any(t in dirty_tiles for t in stat.tiles)
-                      else self.stitch_clean)
-            bucket.append(stat.cluster_id)
-
-    @property
-    def num_stitch_dirty(self) -> Optional[int]:
-        return (None if self.stitch_dirty is None
-                else len(self.stitch_dirty))
-
-    @property
-    def num_stitch_clean(self) -> Optional[int]:
-        return (None if self.stitch_clean is None
-                else len(self.stitch_clean))
 
 
 def plan_eco(base: Layout, edited: Layout, tech: Technology,
@@ -273,29 +228,23 @@ class EcoResult:
 
     def stage_rows(self) -> List[Tuple[str, int, int]]:
         """Warm-path (stage, replayed, recomputed) deltas — one row
-        per pipeline stage, read off the run's per-kind store counts
-        (both passes summed where a stage runs twice).  ``phase`` sums
-        the coloring and verifier artifacts of the assign stage."""
+        per store-backed stage, read off the run's per-kind store
+        counts (both passes summed where a stage runs twice).
+        ``phase`` sums the coloring and verifier artifacts of the
+        assign stage."""
         counts = self.result.artifact_cache_counts()
         coloring, verify = counts[KIND_COLORING], counts[KIND_VERIFY]
         return [
             ("front end", *counts[KIND_FRONTEND]),
             ("detect", *counts[KIND_TILE]),
-            ("stitch", *counts[KIND_STITCH]),
-            ("correct", *counts[KIND_WINDOW]),
             ("phase", coloring[0] + verify[0], coloring[1] + verify[1]),
         ]
 
-    def _stage_seconds(self, pipe: PipelineResult,
-                       stage: str) -> Optional[float]:
-        """Map a summary-table row to pipeline stage wall-clock.
-
-        Stitching happens inside the detect passes, so its row has no
-        own timing; ``detect`` covers both detection passes.
-        """
+    def _stage_seconds(self, pipe: PipelineResult, stage: str) -> float:
+        """Map a summary-table row to pipeline stage wall-clock;
+        ``detect`` covers both detection passes."""
         from .artifacts import (
             STAGE_ASSIGN,
-            STAGE_CORRECT,
             STAGE_DETECT,
             STAGE_SHIFTERS,
             STAGE_VERIFY,
@@ -305,8 +254,6 @@ class EcoResult:
         return {
             "front end": secs[STAGE_SHIFTERS],
             "detect": secs[STAGE_DETECT] + secs[STAGE_VERIFY],
-            "stitch": None,
-            "correct": secs[STAGE_CORRECT],
             "phase": secs[STAGE_ASSIGN],
         }[stage]
 
@@ -317,10 +264,6 @@ class EcoResult:
                       f"{self.plan.num_tiles}"
                       + (" (bbox changed: full recompute)"
                          if self.plan.bbox_changed else ""))
-        if self.plan.stitch_dirty is not None:
-            tiles_line += (f"; stitch clusters: "
-                           f"{self.plan.num_stitch_dirty} dirty / "
-                           f"{self.plan.num_stitch_clean} clean")
         lines = [
             f"ECO on {r.layout.name}: {self.plan.diff.num_changed} "
             f"feature(s) changed "
@@ -335,10 +278,8 @@ class EcoResult:
         for stage, replayed, recomputed in self.stage_rows():
             row = f"  {stage:<10} {replayed:>9} {recomputed:>11}"
             if with_secs:
-                base_s = self._stage_seconds(self.base, stage)
-                eco_s = self._stage_seconds(r, stage)
-                row += ("" if base_s is None
-                        else f" {base_s:>8.2f} {eco_s:>8.2f}")
+                row += (f" {self._stage_seconds(self.base, stage):>8.2f}"
+                        f" {self._stage_seconds(r, stage):>8.2f}")
             lines.append(row)
         lines.append(
             f"result: {r.post_detection.num_conflicts} residual "
@@ -356,8 +297,8 @@ def run_eco_flow(base: Layout, edited: Layout, tech: Technology,
                  cache: Optional[ArtifactCache] = None,
                  warm_base: bool = True) -> EcoResult:
     """Run the edited layout through the pipeline, reusing every clean
-    tile front end, tile result, stitch-cluster verdict, window
-    solution, and component coloring of the base run.
+    tile front end, tile result, and component coloring and verdict of
+    the base run.
 
     Args:
         base: the already-flowed reference revision.
@@ -383,8 +324,7 @@ def run_eco_flow(base: Layout, edited: Layout, tech: Technology,
     warm result equals the cold result byte for byte; the accounting
     (``plan`` dirty set, per-stage hit/miss deltas) proves how little
     was recomputed (on the canonical single-feature edit: shifters and
-    detection recompute for dirty tiles only, zero window re-solves,
-    zero recolors).
+    detection recompute for dirty tiles only, zero recolors).
 
     Garbage collection: the run pauses CPython's cyclic garbage
     collector (:func:`repro.gcpause.gc_paused`) for the base and the
@@ -420,14 +360,6 @@ def run_eco_flow(base: Layout, edited: Layout, tech: Technology,
             t0 = time.perf_counter()
             result = run_pipeline(edited, tech, config, cache=cache)
             eco_seconds = time.perf_counter() - t0
-
-            # The warm run's own chip report names each stitch cluster's
-            # contributing tiles; the plan classifies them dirty/clean so
-            # the accounting (and the test suites) can assert that exactly
-            # the dirty clusters re-arbitrated.
-            if result.detection.chip is not None:
-                plan.classify_stitch_clusters(
-                    result.detection.chip.cluster_stats)
             eco_span.set(dirty_tiles=len(plan.dirty),
                          clean_tiles=len(plan.clean),
                          base_seconds=round(base_seconds, 6),

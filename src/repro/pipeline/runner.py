@@ -24,8 +24,8 @@ the old monolithic ``run_aapsm_flow`` body:
   job its slice of that front end instead of regenerating it;
 * both detection passes can run tiled through
   :func:`repro.chip.run_chip_flow` over one shared
-  :class:`~repro.cache.ArtifactCache`, and every stage records the
-  store's own hit/miss delta over its work
+  :class:`~repro.cache.ArtifactCache`, and every stage that uses the
+  store records the store's own hit/miss delta over its work
   (:func:`repro.cache.cache_delta`) — the accounting the dirty-tile
   ECO scheduler asserts on;
 * correction is window-scoped: the weighted set cover is solved per
@@ -40,8 +40,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_STITCH, KIND_TILE, KIND_VERIFY, \
-    KIND_WINDOW, ArtifactCache, cache_delta
+from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_TILE, KIND_VERIFY, \
+    ArtifactCache, cache_delta
 from ..chip import run_chip_flow
 from ..chip.partition import TileSpec, partition_layout
 from ..conflict import (
@@ -204,37 +204,26 @@ def stage_detect(front: FrontEnd, tech: Technology,
 def _detect_counts(artifact: DetectionArtifact) -> dict:
     """A detection pass's span attributes, read off its store delta."""
     hits, misses = artifact.cache_delta.get(KIND_TILE, (0, 0))
-    replayed, rearbitrated = artifact.cache_delta.get(KIND_STITCH, (0, 0))
-    return dict(cache_hits=hits, cache_misses=misses,
-                stitch_hits=replayed, stitch_misses=rearbitrated)
+    return dict(cache_hits=hits, cache_misses=misses)
 
 
 def stage_correct(detection: DetectionArtifact, tech: Technology,
-                  config: PipelineConfig,
-                  cache: Optional[ArtifactCache] = None
-                  ) -> CorrectionArtifact:
+                  config: PipelineConfig) -> CorrectionArtifact:
     """Stage 3 — window-scoped correction, cuts merged chip-wide.
 
-    Over a store, each conflict window's solved cut choice is
-    content-addressed: unchanged windows replay their solution instead
-    of re-entering the set-cover solver, and the artifact records this
-    pass's replay/solve delta.
+    Every window is solved on every run; the stage uses no store.
     """
     start = time.perf_counter()
     with get_tracer().span("correct", cat="stage") as span:
         front = detection.front
         conflicts = [c.key for c in detection.report.conflicts]
-        with cache_delta(cache) as delta:
-            report = plan_correction(front.layout, tech, conflicts,
-                                     shifters=front.shifters,
-                                     cover=config.cover, store=cache)
+        report = plan_correction(front.layout, tech, conflicts,
+                                 shifters=front.shifters,
+                                 cover=config.cover)
         corrected = apply_cuts(front.layout, report.cuts)
-        hits, misses = delta.get(KIND_WINDOW, (0, 0))
-        span.set(cuts=len(report.cuts), cache_hits=hits,
-                 cache_misses=misses)
+        span.set(cuts=len(report.cuts))
         return CorrectionArtifact(report=report, corrected_layout=corrected,
-                                  seconds=time.perf_counter() - start,
-                                  cache_delta=delta)
+                                  seconds=time.perf_counter() - start)
 
 
 def stage_verify(correction: CorrectionArtifact, tech: Technology,
@@ -341,20 +330,21 @@ def run_pipeline(layout: Layout, tech: Technology,
             monolithic configuration.
         cache: an :class:`~repro.cache.ArtifactCache` shared by
             every stage *and* across calls — pass the same store for a
-            base and an edited run and only dirty tiles, windows, and
-            graph components recompute (the ECO warm path).  A tiled
+            base and an edited run and only dirty tiles and graph
+            components recompute (the ECO warm path).  A tiled
             config with no cache gets a fresh store at
             ``config.cache_dir``; an untiled, uncached run stays on
             the historical chip-wide code path.
 
-    Cache behaviour: on the tiled path all six artifact kinds are
+    Cache behaviour: on the tiled path all four artifact kinds are
     exercised — per-tile front ends (``frontend``), per-tile detection
-    results (``tile``), stitch-cluster verdicts (``stitch``), window
-    solutions (``window``), component colorings (``coloring``), and
+    results (``tile``), component colorings (``coloring``), and
     verifier verdicts (``verify``) — and each stage records the store's
     delta over its own work on its artifact (``cache_delta``).  Each
     stage touches only its own kinds, so the deltas add up to the
-    store's counts for the run (``artifact_cache_counts()``).
+    store's counts for the run (``artifact_cache_counts()``).  Stitch
+    arbitration and the correction windows are recomputed on every
+    run.
 
     Determinism guarantee: the result is a pure function of
     ``(layout, tech, config)`` — identical conflicts, cuts, and phase
@@ -378,16 +368,16 @@ def run_pipeline(layout: Layout, tech: Technology,
         with get_tracer().span("flow", cat="flow", design=layout.name):
             front = stage_front_end(layout, tech, config, cache=cache)
             detection = stage_detect(front, tech, config, cache=cache)
-            correction = stage_correct(detection, tech, config, cache=cache)
+            correction = stage_correct(detection, tech, config)
             verification = stage_verify(correction, tech, config, front,
                                         cache=cache)
+            # The partitions have served both detection passes; don't
+            # pin their tile sub-layouts (halo-inflated duplicates of
+            # the chip geometry) through the assign stage, or on
+            # artifacts a caller may keep alive long after the run.
+            front.grid = None
+            verification.front.grid = None
             phase = stage_assign(verification, tech, config, cache=cache)
-
-        # The partitions have served both detection passes; don't pin the
-        # tile sub-layouts (halo-inflated duplicates of the chip geometry)
-        # on artifacts a caller may keep alive long after the run.
-        front.grid = None
-        verification.front.grid = None
 
         return PipelineResult(
             layout=layout,

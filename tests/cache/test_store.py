@@ -8,9 +8,8 @@ from repro.cache import (
     ARTIFACT_KINDS,
     KIND_COLORING,
     KIND_FRONTEND,
-    KIND_STITCH,
     KIND_TILE,
-    KIND_WINDOW,
+    KIND_VERIFY,
     ArtifactCache,
     FilesystemBackend,
     MemoryBackend,
@@ -23,8 +22,7 @@ from repro.cache import (
 class TestKindNamespacing:
     def test_every_pipeline_kind_is_registered(self):
         assert set(ARTIFACT_KINDS) == {KIND_FRONTEND, KIND_TILE,
-                                       "stitch", KIND_WINDOW,
-                                       KIND_COLORING, "verify"}
+                                       KIND_COLORING, KIND_VERIFY}
 
     def test_frontend_kind_is_namespaced(self):
         store = ArtifactCache()
@@ -36,79 +34,79 @@ class TestKindNamespacing:
 
     def test_same_key_different_kinds_are_distinct(self):
         store = ArtifactCache()
-        store.put(KIND_WINDOW, "k", (1, 2))
+        store.put(KIND_VERIFY, "k", (1, 2))
         store.put(KIND_COLORING, "k", (0, 1, 0))
-        assert store.get(KIND_WINDOW, "k") == (1, 2)
+        assert store.get(KIND_VERIFY, "k") == (1, 2)
         assert store.get(KIND_COLORING, "k") == (0, 1, 0)
 
     def test_miss_returns_none_and_counts(self):
         store = ArtifactCache()
-        assert store.get(KIND_WINDOW, "absent") is None
-        assert store.stats(KIND_WINDOW).misses == 1
-        assert store.stats(KIND_WINDOW).hits == 0
+        assert store.get(KIND_VERIFY, "absent") is None
+        assert store.stats(KIND_VERIFY).misses == 1
+        assert store.stats(KIND_VERIFY).hits == 0
         # Other kinds untouched.
         assert store.stats(KIND_COLORING).requests == 0
 
     def test_per_kind_counters_are_independent(self):
         store = ArtifactCache()
-        store.put(KIND_WINDOW, "a", ())
-        store.get(KIND_WINDOW, "a")
+        store.put(KIND_VERIFY, "a", ())
+        store.get(KIND_VERIFY, "a")
         store.get(KIND_COLORING, "a")
-        assert store.stats(KIND_WINDOW).as_tuple() == (1, 0)
+        assert store.stats(KIND_VERIFY).as_tuple() == (1, 0)
         assert store.stats(KIND_COLORING).as_tuple() == (0, 1)
         assert store.hits == 1 and store.misses == 1
 
     def test_counters_snapshot_for_stage_deltas(self):
         store = ArtifactCache()
-        store.put(KIND_WINDOW, "a", ())
-        store.get(KIND_WINDOW, "a")
+        store.put(KIND_VERIFY, "a", ())
+        store.get(KIND_VERIFY, "a")
         before = store.counters()
-        store.get(KIND_WINDOW, "a")
-        store.get(KIND_WINDOW, "b")
+        store.get(KIND_VERIFY, "a")
+        store.get(KIND_VERIFY, "b")
         after = store.counters()
-        hits0, misses0 = before[KIND_WINDOW]
-        hits1, misses1 = after[KIND_WINDOW]
+        hits0, misses0 = before[KIND_VERIFY]
+        hits1, misses1 = after[KIND_VERIFY]
         assert (hits1 - hits0, misses1 - misses0) == (1, 1)
 
     def test_cache_delta_counts_only_the_block(self):
         store = ArtifactCache()
-        store.put(KIND_WINDOW, "a", ())
-        store.get(KIND_WINDOW, "a")
+        store.put(KIND_VERIFY, "a", ())
+        store.get(KIND_VERIFY, "a")
         store.get(KIND_TILE, "t")
         with cache_delta(store) as delta:
             assert delta == {}  # filled when the block exits
-            store.get(KIND_WINDOW, "a")
-            store.get(KIND_WINDOW, "b")
+            store.get(KIND_VERIFY, "a")
+            store.get(KIND_VERIFY, "b")
             store.get(KIND_COLORING, "c")
         # Work before the block is not counted, and a kind the block
         # never asked for (tile) is absent.
-        assert delta == {KIND_WINDOW: (1, 1), KIND_COLORING: (0, 1)}
+        assert delta == {KIND_VERIFY: (1, 1), KIND_COLORING: (0, 1)}
         with cache_delta(None) as none:
-            store.get(KIND_WINDOW, "a")
+            store.get(KIND_VERIFY, "a")
         assert none == {}
 
 
 class TestPersistence:
     def test_directory_roundtrip_across_instances(self, tmp_path):
-        ArtifactCache(str(tmp_path)).put(KIND_WINDOW, "w1", (3, 1))
+        ArtifactCache(str(tmp_path)).put(KIND_VERIFY, "w1", (3, 1))
         fresh = ArtifactCache(str(tmp_path))
-        assert fresh.get(KIND_WINDOW, "w1") == (3, 1)
-        assert fresh.stats(KIND_WINDOW).hits == 1
+        assert fresh.get(KIND_VERIFY, "w1") == (3, 1)
+        assert fresh.stats(KIND_VERIFY).hits == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ArtifactCache(str(tmp_path))
-        store.put(KIND_WINDOW, "w1", (3, 1))
-        with open(store._path(KIND_WINDOW, "w1"), "wb") as fh:
+        store.put(KIND_VERIFY, "w1", (3, 1))
+        with open(store._path(KIND_VERIFY, "w1"), "wb") as fh:
             fh.write(b"not a pickle")
-        assert ArtifactCache(str(tmp_path)).get(KIND_WINDOW, "w1") is None
+        assert ArtifactCache(str(tmp_path)).get(KIND_VERIFY, "w1") is None
 
     def test_kinds_do_not_collide_on_disk(self, tmp_path):
         store = ArtifactCache(str(tmp_path))
-        store.put(KIND_WINDOW, "k", "window-value")
+        store.put(KIND_VERIFY, "k", "verify-value")
         store.put(KIND_TILE, "k", "tile-value")
         fresh = ArtifactCache(str(tmp_path))
         assert fresh.get(KIND_TILE, "k") == "tile-value"
-        assert fresh.get(KIND_WINDOW, "k") == "window-value"
+        assert fresh.get(KIND_VERIFY, "k") == "verify-value"
 
 
 class TestStoreBackends:
@@ -124,20 +122,20 @@ class TestStoreBackends:
     def test_cache_api_identical_over_every_backend(self, tmp_path):
         for backend in self.backends(tmp_path):
             store = ArtifactCache(backend=backend)
-            store.put(KIND_WINDOW, "k", (3, 1))
-            assert store.get(KIND_WINDOW, "k") == (3, 1)
-            assert store.get(KIND_WINDOW, "absent") is None
-            assert store.stats(KIND_WINDOW).as_tuple() == (1, 1)
+            store.put(KIND_VERIFY, "k", (3, 1))
+            assert store.get(KIND_VERIFY, "k") == (3, 1)
+            assert store.get(KIND_VERIFY, "absent") is None
+            assert store.stats(KIND_VERIFY).as_tuple() == (1, 1)
 
     def test_backends_shared_across_cache_instances(self, tmp_path):
         """Two stores over one backend see each other's artifacts —
         the remote-shaped sharing property (memory backend included:
         the 'machines' here are cache instances)."""
         for backend in self.backends(tmp_path):
-            ArtifactCache(backend=backend).put(KIND_STITCH, "v", "x")
+            ArtifactCache(backend=backend).put(KIND_COLORING, "v", "x")
             fresh = ArtifactCache(backend=backend)
-            assert fresh.get(KIND_STITCH, "v") == "x"
-            assert fresh.stats(KIND_STITCH).hits == 1
+            assert fresh.get(KIND_COLORING, "v") == "x"
+            assert fresh.stats(KIND_COLORING).hits == 1
 
     def test_cache_dir_reflects_backend_location(self, tmp_path):
         fs = ArtifactCache(backend=FilesystemBackend(str(tmp_path)))
@@ -175,15 +173,15 @@ class TestStoreBackends:
     def test_corrupt_backend_payload_is_a_miss(self, tmp_path):
         backend = MemoryBackend()
         store = ArtifactCache(backend=backend)
-        backend.save(KIND_WINDOW, "w", b"not a pickle")
-        assert store.get(KIND_WINDOW, "w") is None
-        assert store.stats(KIND_WINDOW).misses == 1
+        backend.save(KIND_VERIFY, "w", b"not a pickle")
+        assert store.get(KIND_VERIFY, "w") is None
+        assert store.stats(KIND_VERIFY).misses == 1
 
     def test_memory_only_store_has_no_backend(self):
         store = ArtifactCache()
         assert store.backend is None
-        store.put(KIND_WINDOW, "k", ())
-        assert store.get(KIND_WINDOW, "k") == ()
+        store.put(KIND_VERIFY, "k", ())
+        assert store.get(KIND_VERIFY, "k") == ()
 
     def test_base_protocol_is_abstract(self):
         with pytest.raises(NotImplementedError):
@@ -217,6 +215,4 @@ class TestStoreBackends:
                            warm_base=False)
         detect = eco.result.detection.cache_delta
         assert detect[KIND_TILE][0] == eco.plan.num_clean
-        assert detect[KIND_STITCH][1] == eco.plan.num_stitch_dirty
-        assert eco.result.correction.cache_delta[KIND_WINDOW][1] == 0
 

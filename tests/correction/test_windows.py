@@ -166,117 +166,51 @@ class TestPlanEquivalence:
         assert report.num_cuts == 8  # one shared corridor per row
 
 
-class TestWindowSolutionCache:
-    """Content-addressed window solutions (the `window` artifact kind)."""
+class TestExactCaps:
+    """``cover="exact"`` checks every window against the branch-and-
+    bound caps before it solves any, and fails with a typed error."""
 
     def _instance(self):
-        lines = [line("x", 0, [(0, 1), (2, 3)], width=5),
-                 line("x", 9, [(2, 3)], width=3),
-                 line("y", 4, [(8, 9)], width=7)]
-        universe = {(0, 1), (2, 3), (8, 9)}
-        return universe, lines
+        # Window 0: one small conflict; window 1: 65 conflicts sharing
+        # one line, one past EXACT_CAP_ELEMENTS.
+        big = [(2 * i + 10, 2 * i + 11) for i in range(65)]
+        lines = [line("x", 0, [(0, 1)]), line("x", 90, big)]
+        return {(0, 1), *big}, lines
 
-    def test_key_is_deterministic_and_method_sensitive(self):
-        from repro.correction.windows import window_solution_key
+    def test_window_past_caps_raises_before_any_solve(self, monkeypatch):
+        from repro.correction import ExactCoverTooLargeError
+        from repro.correction import windows as windows_module
+        from repro.correction.setcover import (
+            EXACT_CAP_ELEMENTS,
+            EXACT_CAP_SETS,
+        )
 
-        _u, lines = self._instance()
-        w = cluster_windows(lines)[0]
-        assert (window_solution_key(w, lines, "greedy")
-                == window_solution_key(w, lines, "greedy"))
-        assert (window_solution_key(w, lines, "greedy")
-                != window_solution_key(w, lines, "exact"))
-
-    def test_key_ignores_conflict_renumbering(self):
-        """The ECO property: the same window geometry under globally
-        shifted shifter ids keys identically."""
-        from repro.correction.windows import window_solution_key
-
-        _u, lines = self._instance()
-        shifted = [line(ln.axis, ln.position,
-                        [(a + 40, b + 40) for a, b in ln.covers],
-                        width=ln.width)
-                   for ln in lines]
-        for a, b in zip(cluster_windows(lines), cluster_windows(shifted)):
-            assert (window_solution_key(a, lines, "greedy")
-                    == window_solution_key(b, shifted, "greedy"))
-
-    def test_key_sensitive_to_geometry_and_weights(self):
-        from repro.correction.windows import window_solution_key
-
-        _u, lines = self._instance()
-        w = cluster_windows(lines)[0]
-        keys = {window_solution_key(w, lines, "greedy")}
-        for variant in (
-                [line("x", 1, [(0, 1), (2, 3)], width=5), *lines[1:]],
-                [line("y", 0, [(0, 1), (2, 3)], width=5), *lines[1:]],
-                [line("x", 0, [(0, 1), (2, 3)], width=6), *lines[1:]],
-                [line("x", 0, [(0, 1)], width=5), *lines[1:]]):
-            wv = cluster_windows(variant)[0]
-            keys.add(window_solution_key(wv, variant, "greedy"))
-        assert len(keys) == 5
-
-    @pytest.mark.parametrize("cover", ["greedy", "exact"])
-    def test_replay_equals_fresh_solve(self, cover):
-        from repro.cache import KIND_WINDOW, ArtifactCache
-
+        solved = []
+        monkeypatch.setattr(windows_module, "exact_weighted_set_cover",
+                            lambda *a, **k: solved.append(a) or [])
         universe, lines = self._instance()
-        plain, method, _w = solve_cover_windows(universe, lines, cover)
-        store = ArtifactCache()
-        cold, _m, _w = solve_cover_windows(universe, lines, cover,
-                                           store=store)
-        warm, _m, _w = solve_cover_windows(universe, lines, cover,
-                                           store=store)
-        assert plain == cold == warm
-        stats = store.stats(KIND_WINDOW)
-        assert stats.misses == 2 and stats.hits == 2  # two windows
+        with pytest.raises(ExactCoverTooLargeError) as info:
+            solve_cover_windows(universe, lines, cover="exact")
+        assert isinstance(info.value, ValueError)
+        assert solved == []  # window 0 was not solved either
+        message = str(info.value)
+        assert "window 1" in message
+        assert "65 conflicts" in message
+        assert f"{EXACT_CAP_ELEMENTS} conflicts" in message
+        assert f"{EXACT_CAP_SETS} lines" in message
 
-    def test_persisted_store_replays_across_instances(self, tmp_path):
-        from repro.cache import KIND_WINDOW, ArtifactCache
-
+    @pytest.mark.parametrize("cover", ["auto", "greedy"])
+    def test_auto_and_greedy_unaffected(self, cover):
         universe, lines = self._instance()
-        cold, _m, _w = solve_cover_windows(
-            universe, lines, "greedy",
-            store=ArtifactCache(str(tmp_path)))
-        fresh = ArtifactCache(str(tmp_path))
-        warm, _m, _w = solve_cover_windows(universe, lines, "greedy",
-                                           store=fresh)
-        assert warm == cold
-        assert fresh.stats(KIND_WINDOW).misses == 0
+        chosen, method, windows = solve_cover_windows(universe, lines,
+                                                      cover=cover)
+        assert method == "greedy"
+        assert chosen == [0, 1]
+        assert [w.num_conflicts for w in windows] == [1, 65]
 
-    def test_benchmark_plan_with_store_matches_plain(self, tech):
-        from repro.cache import ArtifactCache
-
-        lay = build_design("D2")
-        conflicts = [c.key for c in detect_conflicts(lay, tech).conflicts]
-        plain = plan_correction(lay, tech, conflicts)
-        store = ArtifactCache()
-        cold = plan_correction(lay, tech, conflicts, store=store)
-        warm = plan_correction(lay, tech, conflicts, store=store)
-        assert plain.cuts == cold.cuts == warm.cuts
-        assert plain.cover_method == warm.cover_method
-
-    def test_key_includes_universe_membership(self):
-        """A store shared across calls with different universes must
-        not replay a partial cover: shrinking the universe changes the
-        key."""
-        from repro.cache import ArtifactCache
-        from repro.correction.windows import window_solution_key
-
-        _u, lines = self._instance()
-        w = cluster_windows(lines)[0]
-        full = window_solution_key(w, lines, "greedy")
-        shrunk = window_solution_key(w, lines, "greedy",
-                                     universe={(0, 1)})
-        assert full != shrunk
-        # End to end: a full-universe solve after a shrunk-universe
-        # solve still covers everything.
-        store = ArtifactCache()
-        partial, _m, _w = solve_cover_windows({(0, 1)}, lines[:2],
-                                              "greedy", store=store)
-        complete, _m, _w = solve_cover_windows({(0, 1), (2, 3)},
-                                               lines[:2], "greedy",
-                                               store=store)
-        covered = set()
-        for i in complete:
-            covered |= set(lines[i].covers)
-        assert {(0, 1), (2, 3)} <= covered
+    def test_windows_at_the_caps_still_solve_exactly(self):
+        big = [(2 * i + 10, 2 * i + 11) for i in range(64)]
+        lines = [line("x", 0, [(0, 1)]), line("x", 90, big)]
+        chosen, method, _ = solve_cover_windows({(0, 1), *big}, lines,
+                                                cover="exact")
+        assert (chosen, method) == ([0, 1], "exact")

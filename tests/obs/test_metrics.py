@@ -45,12 +45,12 @@ class TestCacheWiring:
             assert store.get(KIND_TILE, "k1") is None
             store.put(KIND_TILE, "k1", {"v": 1})
             assert store.get(KIND_TILE, "k1") == {"v": 1}
-            assert store.get("window", "w1") is None
+            assert store.get("verify", "w1") is None
         counters = tracer.metrics.as_dict()["counters"]
         assert counters["cache.tile.misses"] == 1
         assert counters["cache.tile.hits"] == 1
         assert counters["cache.tile.puts"] == 1
-        assert counters["cache.window.misses"] == 1
+        assert counters["cache.verify.misses"] == 1
         # The tracer's counters agree with the store's own stats.
         assert store.stats(KIND_TILE).hits == 1
         assert store.stats(KIND_TILE).misses == 1

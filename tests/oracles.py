@@ -512,14 +512,14 @@ def whole_graph_bipartization(graph: GeomGraph,
 EXACT_COVER_BUDGET = 16
 
 
-def whole_instance_cover(universe, lines: Sequence, cover: str = "auto",
-                         store=None) -> Tuple[List[int], str, list]:
+def whole_instance_cover(universe, lines: Sequence, cover: str = "auto"
+                         ) -> Tuple[List[int], str, list]:
     """One set-cover solve over every candidate line, windows ignored.
 
     Same contract as :func:`repro.correction.solve_cover_windows`:
-    ``(sorted chosen line ids, method, windows)``, with no windows and
-    ``store`` unused.  The exact-vs-greedy ``auto`` policy is the
-    shared :func:`use_exact_cover`.
+    ``(sorted chosen line ids, method, windows)``, with no windows.
+    The exact-vs-greedy ``auto`` policy is the shared
+    :func:`use_exact_cover`.
     """
     sets = [CoverSet(id=i, elements=frozenset(line.covers),
                      weight=line.width)

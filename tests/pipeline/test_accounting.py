@@ -25,15 +25,12 @@ from repro.scenarios import build_scenario, stratum_names
 PASS_FIGURES = {
     "frontend": [("front_cache",), ("verify_front_cache",)],
     "tile": [("detect_cache",), ("verify_cache",)],
-    "stitch": [("detect_stitch_cache",), ("verify_stitch_cache",)],
-    "window": [("correct_cache",)],
     "coloring": [("phase", "coloring")],
     "verify": [("phase", "verify")],
 }
 
 # The whole-run figures, by kind.
-RUN_FIGURES = {"frontend": "frontend_cache", "tile": "cache",
-               "stitch": "stitch_cache"}
+RUN_FIGURES = {"frontend": "frontend_cache", "tile": "cache"}
 
 SMOKE_CORPUS = [(stratum, seed) for stratum in stratum_names()
                 for seed in range(3)]
@@ -45,20 +42,14 @@ D3_RUNS = {
     "cold": dict(front_cache=(0, 9), verify_front_cache=(0, 9),
                  frontend_cache=(0, 18), detect_cache=(0, 9),
                  verify_cache=(0, 9), cache=(0, 18),
-                 detect_stitch_cache=(0, 6), verify_stitch_cache=(0, 0),
-                 stitch_cache=(0, 6), correct_cache=(0, 5),
                  coloring=(0, 114), verify=(0, 114)),
     "warm": dict(front_cache=(9, 0), verify_front_cache=(9, 0),
                  frontend_cache=(18, 0), detect_cache=(9, 0),
                  verify_cache=(9, 0), cache=(18, 0),
-                 detect_stitch_cache=(6, 0), verify_stitch_cache=(0, 0),
-                 stitch_cache=(6, 0), correct_cache=(5, 0),
                  coloring=(114, 0), verify=(114, 0)),
     "eco": dict(front_cache=(8, 1), verify_front_cache=(8, 1),
                 frontend_cache=(16, 2), detect_cache=(8, 1),
                 verify_cache=(8, 1), cache=(16, 2),
-                detect_stitch_cache=(5, 1), verify_stitch_cache=(0, 0),
-                stitch_cache=(5, 1), correct_cache=(5, 0),
                 coloring=(114, 0), verify=(114, 0)),
 }
 

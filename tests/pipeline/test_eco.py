@@ -15,10 +15,8 @@ from repro.bench import build_design
 from repro.cache import (
     KIND_COLORING,
     KIND_FRONTEND,
-    KIND_STITCH,
     KIND_TILE,
     KIND_VERIFY,
-    KIND_WINDOW,
     ArtifactCache,
 )
 from repro.core import flow_result_dict, flow_result_from_pipeline
@@ -231,16 +229,15 @@ def critical_isolated_edit(layout, tech):
 
 class TestWarmPathIncremental:
     """The tentpole acceptance: a warm ECO run performs no chip-wide
-    coloring, verification, or window re-solve — only dirty
-    components/windows recompute — and the domain report is
-    byte-identical to a cold run."""
+    coloring or verification — only dirty components recompute — and
+    the domain report is byte-identical to a cold run."""
 
     @pytest.mark.parametrize("name,tiles", ECO_CASES)
     def test_conflict_graph_neutral_edit_replays_everything(
             self, tech, name, tiles):
         """The canonical edit touches a non-critical polygon: the
-        conflict graph and windows are untouched, so the warm phase
-        and correction stages do zero recompute work."""
+        conflict graph is untouched, so the warm phase stage does zero
+        recompute work."""
         base = build_design(name)
         edited, _ = propose_eco_edit(base, tech)
         eco = run_eco_flow(base, edited, tech,
@@ -250,8 +247,6 @@ class TestWarmPathIncremental:
         assert counts(r.phase, KIND_COLORING)[1] == 0
         assert counts(r.phase, KIND_VERIFY)[1] == 0
         assert counts(r.phase, KIND_COLORING)[0] == r.phase.components > 0
-        assert counts(r.correction, KIND_WINDOW) \
-            == (r.correction.report.num_windows, 0)
 
     @pytest.mark.parametrize("name,tiles", ECO_CASES)
     def test_shifter_moving_edit_recolors_one_component(
@@ -267,7 +262,6 @@ class TestWarmPathIncremental:
         one_dirty = (r.phase.components - 1, 1)
         assert counts(r.phase, KIND_COLORING) == one_dirty
         assert counts(r.phase, KIND_VERIFY) == one_dirty
-        assert counts(r.correction, KIND_WINDOW)[1] == 0
 
     def test_artifact_cache_counts_view(self, tech):
         base = build_design("D1")
@@ -276,8 +270,7 @@ class TestWarmPathIncremental:
                            config=PipelineConfig(tiles=2))
         r = eco.result
         totals = r.artifact_cache_counts()
-        assert set(totals) == {"frontend", "tile", "stitch", "window",
-                               "coloring", "verify"}
+        assert set(totals) == {"frontend", "tile", "coloring", "verify"}
 
         def both_passes(first, second, kind):
             return tuple(a + b for a, b in zip(counts(first, kind),
@@ -287,9 +280,22 @@ class TestWarmPathIncremental:
                                              KIND_TILE)
         assert totals["frontend"] == both_passes(
             r.front, r.verification.front, KIND_FRONTEND)
-        assert totals["stitch"] == both_passes(r.detection, r.verification,
-                                               KIND_STITCH)
-        assert totals["window"][1] == 0  # no window re-solves when warm
+
+    def test_store_sees_only_four_kinds(self, tech):
+        """A cold base run, then a warm ECO, over one store on D3 at
+        tiles=3: stitch clusters and correction windows never reach
+        the store, and the warm report equals a cold one."""
+        base = build_design("D3")
+        edited, _ = propose_eco_edit(base, tech)
+        config = PipelineConfig(tiles=3)
+        store = ArtifactCache()
+        eco = run_eco_flow(base, edited, tech, config=config, cache=store)
+        assert set(store.counters()) == {"frontend", "tile", "coloring",
+                                         "verify"}
+        assert {kind for kind, _key in store._memory} \
+            == set(store.counters())
+        cold = run_pipeline(edited, tech, config, cache=ArtifactCache())
+        assert canonical(eco.result) == canonical(cold)
 
     def test_summary_reports_incremental_stages(self, tech):
         base = build_design("D1")
@@ -299,14 +305,12 @@ class TestWarmPathIncremental:
         text = eco.summary()
         # One aligned warm-path table covering every stage, with the
         # base-vs-eco per-stage wall clock alongside (base was run).
-        for stage in ("front end", "detect", "stitch", "correct",
-                      "phase"):
+        for stage in ("front end", "detect", "phase"):
             assert stage in text, stage
         header = next(ln for ln in text.splitlines()
                       if "replayed" in ln)
         assert "recomputed" in header
         assert "base_s" in header and "eco_s" in header
-        assert "stitch clusters:" in text
 
     def test_summary_stage_rows_match_artifact_counts(self, tech):
         base = build_design("D1")
@@ -318,8 +322,7 @@ class TestWarmPathIncremental:
         counts = eco.result.artifact_cache_counts()
         assert rows["front end"] == counts["frontend"]
         assert rows["detect"] == counts["tile"]
-        assert rows["stitch"] == counts["stitch"]
-        assert rows["correct"] == counts["window"]
+        assert set(rows) == {"front end", "detect", "phase"}
         assert rows["phase"] == tuple(
             a + b for a, b in zip(counts["coloring"], counts["verify"]))
 
@@ -357,8 +360,8 @@ class TestWarmPathIncremental:
 
     def test_persistent_store_across_processes_shape(self, tech,
                                                      tmp_path):
-        """Cold run persists tile/window/coloring/verify artifacts; a
-        fresh store in a new 'process' replays them all."""
+        """Cold run persists tile/coloring/verify artifacts; a fresh
+        store in a new 'process' replays them all."""
         base = build_design("D2")
         edited, _ = propose_eco_edit(base, tech)
         cfg = PipelineConfig(tiles=3, cache_dir=str(tmp_path))
@@ -370,4 +373,3 @@ class TestWarmPathIncremental:
         r = eco.result
         assert counts(r.detection, KIND_TILE)[0] == eco.plan.num_clean
         assert counts(r.phase, KIND_COLORING)[1] == 0
-        assert counts(r.correction, KIND_WINDOW)[1] == 0

@@ -163,35 +163,37 @@ class TestJsonOutput:
         assert second["detection"] == first["detection"]
 
 
-class TestEco:
-    def _write_pair(self, tmp_path):
-        from repro.bench import build_design
-        from repro.layout import Technology
-        from repro.pipeline import propose_eco_edit
+def write_eco_pair(tmp_path):
+    """D1 and its canonical ECO edit as two GDS files."""
+    from repro.bench import build_design
+    from repro.layout import Technology
+    from repro.pipeline import propose_eco_edit
 
-        base_layout = build_design("D1")
-        edited_layout, _ = propose_eco_edit(
-            base_layout, Technology.node_90nm())
-        base = str(tmp_path / "base.gds")
-        edited = str(tmp_path / "edited.gds")
-        write_gds(layout_to_gds(base_layout), base)
-        write_gds(layout_to_gds(edited_layout), edited)
-        return base, edited
+    base_layout = build_design("D1")
+    edited_layout, _ = propose_eco_edit(
+        base_layout, Technology.node_90nm())
+    base = str(tmp_path / "base.gds")
+    edited = str(tmp_path / "edited.gds")
+    write_gds(layout_to_gds(base_layout), base)
+    write_gds(layout_to_gds(edited_layout), edited)
+    return base, edited
+
+
+class TestEco:
 
     def test_eco_summary(self, tmp_path, capsys):
-        base, edited = self._write_pair(tmp_path)
+        base, edited = write_eco_pair(tmp_path)
         code = main(["eco", base, edited, "--tiles", "2", "--jobs", "1",
                      "--cache-dir", str(tmp_path / "cache")])
         out = capsys.readouterr().out
         assert code == 0
         assert "dirty" in out and "clean" in out
         assert "replayed" in out and "recomputed" in out
-        assert "stitch" in out
 
     def test_eco_json_dirty_accounting(self, tmp_path, capsys):
         import json
 
-        base, edited = self._write_pair(tmp_path)
+        base, edited = write_eco_pair(tmp_path)
         assert main(["eco", base, edited, "--tiles", "2", "--jobs", "1",
                      "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -204,12 +206,42 @@ class TestEco:
         assert data["flow"]["success"] is True
 
     def test_eco_writes_corrected_gds(self, tmp_path, capsys):
-        base, edited = self._write_pair(tmp_path)
+        base, edited = write_eco_pair(tmp_path)
         out_path = str(tmp_path / "fixed.gds")
         assert main(["eco", base, edited, "--tiles", "2", "--jobs", "1",
                      "-o", out_path]) == 0
         capsys.readouterr()
         assert main(["detect", out_path]) == 0
+
+
+class TestExactCoverCaps:
+    """``--cover exact`` with a window past the exact solver's caps:
+    flow, eco and bench print one error line and exit 2."""
+
+    @pytest.fixture(autouse=True)
+    def no_room(self, monkeypatch):
+        # Caps of zero conflicts: every window of a conflicted design
+        # is past them, so small designs reach the error path.
+        from repro.correction import windows
+
+        monkeypatch.setattr(windows, "EXACT_CAP_ELEMENTS", 0)
+
+    @pytest.mark.parametrize("command", ["flow", "eco", "bench"])
+    def test_one_line_and_exit_2(self, command, figure1_gds, tmp_path,
+                                 capsys):
+        argv = {"flow": ["flow", figure1_gds],
+                "eco": ["eco", *write_eco_pair(tmp_path), "--tiles",
+                        "2", "--jobs", "1"],
+                "bench": ["bench", "--designs", "D1"]}[command]
+        assert main(argv + ["--cover", "exact"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: window 0 has ")
+        assert "caps of 0 conflicts and 64 lines" in err[0]
+
+    def test_greedy_unaffected(self, figure1_gds, capsys):
+        assert main(["flow", figure1_gds, "--cover", "greedy"]) == 0
+        assert "success: True" in capsys.readouterr().out
 
 
 class TestGenerateAndTables:
@@ -259,7 +291,6 @@ class TestBench:
             assert key in design, key
         pipe = design["pipeline"]
         assert pipe["phase"]["incremental"] is True
-        assert "correct_cache" in pipe
 
     def test_bench_json_progress_on_stderr(self, capsys):
         main(["bench", "--designs", "D1", "--json"])
@@ -286,8 +317,9 @@ class TestBench:
         assert main(["bench", "--designs", "D1", "--cache-dir", cache,
                      "--json"]) == 0
         warm = json_mod.loads(capsys.readouterr().out)
-        for kind in ("frontend", "tile", "stitch", "window",
-                     "coloring", "verify"):
+        assert set(warm["cache_kinds"]) == {"frontend", "tile",
+                                            "coloring", "verify"}
+        for kind in ("frontend", "tile", "coloring", "verify"):
             hits = warm["cache_kinds"][kind]
             assert hits["misses"] == 0, (kind, hits)
             assert hits["hits"] == kinds[kind]["misses"], (kind, hits)
@@ -298,7 +330,8 @@ class TestBench:
                      "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
         assert "artifact cache hits" in out
-        assert "stitch:" in out  # the stitch kind reaches the footer
+        for kind in ("frontend", "tile", "coloring", "verify"):
+            assert f"{kind}:" in out, kind  # every kind reaches the footer
 
     def test_bench_executor_backends_agree(self, capsys):
         """--executor process|serial: identical domain reports."""
