@@ -201,8 +201,9 @@ def detect_conflicts(layout: Layout, tech: Technology,
 
     pair_keys, feature_indices = cg.classify_edges(removed)
     # Both edges of an overlap pair carry the pair's weight.
-    weight_of = {cg.edge_pair[eid]: graph.edge_weight(eid) // GENERIC_SCALE
-                 for eid in removed if eid in cg.edge_pair}
+    split = cg.num_overlap_edges
+    weight_of = {cg.pair_key(eid): graph.edge_weight(eid) // GENERIC_SCALE
+                 for eid in removed if eid < split}
     all_conflicts = [
         Conflict(a=a, b=b, weight=weight_of[(a, b)])
         for a, b in sorted(pair_keys)

@@ -29,9 +29,9 @@ offset by quarter-nanometre nudges without colliding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, cycle, repeat
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import Any, List, Optional, Tuple
 
 from ..geometry.kernels import get_kernel
 from ..graph import GeomGraph
@@ -47,49 +47,83 @@ FEATURE_TAG = "feature"
 OVERLAP_TAG = "overlap"
 
 
-@dataclass
+@dataclass(eq=False)
 class ConflictGraph:
-    """A conflict graph plus the maps back into shifter-land.
+    """A conflict graph plus the columns back into shifter-land.
+
+    Shifter ``s`` is graph node ``s``.  Edges come in two runs: two per
+    overlap pair, shifter ``a`` then ``b`` to the pair's node (edges
+    ``2k`` and ``2k + 1`` for pair ``k``), then the feature edges.  So
+    an edge id finds its pair or feature by arithmetic, with no
+    per-edge map.
 
     Attributes:
         graph: the geometric graph (nodes placed at 4x layout coords).
         kind: "pcg" or "fg".
         shifters: the shifter set the graph was built from.
-        shifter_node: shifter id -> graph node id.
-        edge_pair: overlap-edge id -> (shifter a, shifter b).
-        edge_feature: feature-edge id -> feature index.
+        pair_ends: ``(P, 2)`` int64, the shifter ids ``a, b`` of each
+            overlap pair, pair order.
+        edge_features: int64, the feature index of each feature edge,
+            edge order.
     """
 
     graph: "GeomGraph"
     kind: str
     shifters: ShifterSet
-    shifter_node: Dict[int, int]
-    edge_pair: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    edge_feature: Dict[int, int] = field(default_factory=dict)
+    pair_ends: Any
+    edge_features: Any
+
+    @property
+    def num_overlap_edges(self) -> int:
+        """Edges ``0 .. num_overlap_edges - 1`` are overlap edges."""
+        return 2 * len(self.pair_ends)
+
+    def pair_key(self, edge_id: int) -> Tuple[int, int]:
+        """The ``(a, b)`` shifter pair of an overlap edge."""
+        a, b = self.pair_ends[edge_id >> 1].tolist()
+        return a, b
 
     def classify_edges(self, edge_ids) -> Tuple[List[Tuple[int, int]],
                                                 List[int]]:
         """Split removed edge ids into (overlap pairs, feature indices).
 
-        Overlap pairs are deduplicated: deleting either edge of a
-        same-phase path breaks the constraint, and correction always
-        separates the *pair*.
+        Both lists keep first-seen order.  Overlap pairs are
+        deduplicated: deleting either edge of a same-phase path breaks
+        the constraint, and correction always separates the *pair*.
         """
-        pairs: List[Tuple[int, int]] = []
-        features: List[int] = []
-        seen = set()
-        for eid in edge_ids:
-            if eid in self.edge_pair:
-                key = self.edge_pair[eid]
-                if key not in seen:
-                    seen.add(key)
-                    pairs.append(key)
-            elif eid in self.edge_feature:
-                fi = self.edge_feature[eid]
-                if ("f", fi) not in seen:
-                    seen.add(("f", fi))
-                    features.append(fi)
-        return pairs, features
+        import numpy as np
+
+        eids = np.asarray(edge_ids, dtype=np.int64)
+        split = self.num_overlap_edges
+        overlap = eids < split
+        pairs = dict.fromkeys(map(tuple, self.pair_ends[
+            eids[overlap] >> 1].tolist()))
+        features = dict.fromkeys(
+            self.edge_features[eids[~overlap] - split].tolist())
+        return list(pairs), list(features)
+
+
+class ConflictEdgeTags:
+    """The tag maker of a conflict graph's edges: ``(OVERLAP_TAG,
+    (a, b), half)`` for half ``0``/``1`` of a pair's path,
+    ``(FEATURE_TAG, feature index)`` for a feature edge.
+
+    It holds the graph's two columns, not the graph, so a graph that
+    carries it holds no reference cycle.
+    """
+
+    __slots__ = ("pair_ends", "edge_features")
+
+    def __init__(self, pair_ends, edge_features) -> None:
+        self.pair_ends = pair_ends
+        self.edge_features = edge_features
+
+    def __call__(self, edge_id: int):
+        split = 2 * len(self.pair_ends)
+        if edge_id < split:
+            a, b = self.pair_ends[edge_id >> 1].tolist()
+            return OVERLAP_TAG, (a, b), edge_id & 1
+        return FEATURE_TAG, int(self.edge_features[edge_id - split])
 
 
 def _overlap_weights(pairs: List[OverlapPair], shifters: ShifterSet,
@@ -121,37 +155,29 @@ def _assemble(kind: str, shifters: ShifterSet, pairs: List[OverlapPair],
     pair, shifter ``a`` then ``b`` to the pair's node, then the feature
     edges ``feature_u[k]``–``feature_v[k]`` tagged with
     ``feature_index[k]``.  Ids, orders, weights and tags are those of a
-    per-pair loop of :meth:`~repro.graph.GeomGraph.add_edge` calls.
+    per-pair loop of :meth:`~repro.graph.GeomGraph.add_edge` calls;
+    the tags are made on demand (:class:`ConflictEdgeTags`).
     """
     import numpy as np
 
     weights, inf_weight = _overlap_weights(pairs, shifters, tech,
                                            weight_model)
     graph = GeomGraph(name=kind)
-    # Shifter ids are dense insertion indices, so the node map is the
-    # identity.  Shifter centres in 4x coordinates.
+    # Shifter centres in 4x coordinates.
     x1, y1, x2, y2 = shifters.box
     graph.add_node_columns(np.concatenate((2 * (x1 + x2), aux_x)),
                            np.concatenate((2 * (y1 + y2), aux_y)))
-    cols = pair_columns(pairs)
-    a, b = cols[:, 0], cols[:, 1]
-    keys = list(zip(a.tolist(), b.tolist()))
-    keys2 = list(chain.from_iterable(zip(keys, keys)))
-    features = feature_index.tolist()
-    eids = graph.add_edge_columns(
-        np.concatenate((np.stack((a, b), axis=1).ravel(), feature_u)),
-        np.concatenate((np.repeat(len(shifters) + np.arange(len(a)), 2),
+    ends = pair_columns(pairs)[:, :2]
+    features = np.asarray(feature_index, dtype=np.int64)
+    graph.add_edge_columns(
+        np.concatenate((ends.ravel(), feature_u)),
+        np.concatenate((np.repeat(len(shifters) + np.arange(len(ends)), 2),
                         feature_v)),
         list(chain.from_iterable(zip(weights, weights)))
         + [inf_weight] * len(features),
-        list(zip(repeat(OVERLAP_TAG), keys2, cycle((0, 1))))
-        + list(zip(repeat(FEATURE_TAG), features)))
-    split = eids.start + len(keys2)
-    return ConflictGraph(
-        graph=graph, kind=kind, shifters=shifters,
-        shifter_node=dict(zip(range(len(shifters)), range(len(shifters)))),
-        edge_pair=dict(zip(range(eids.start, split), keys2)),
-        edge_feature=dict(zip(range(split, eids.stop), features)))
+        ConflictEdgeTags(ends, features))
+    return ConflictGraph(graph=graph, kind=kind, shifters=shifters,
+                         pair_ends=ends, edge_features=features)
 
 
 def build_phase_conflict_graph(

@@ -26,10 +26,8 @@ from .coloring import (
 )
 from .components import (
     ODD_COMPONENT,
-    GraphComponent,
-    decode_coloring,
+    Decomposition,
     decompose,
-    encode_coloring,
     two_color_incremental,
 )
 from .crossings import count_crossings, find_crossing_pairs, greedy_planarize
@@ -92,10 +90,8 @@ __all__ = [
     "ParityDSU",
     "ParityLabelling",
     "parity_labelling",
-    "GraphComponent",
+    "Decomposition",
     "decompose",
-    "encode_coloring",
-    "decode_coloring",
     "two_color_incremental",
     "ODD_COMPONENT",
     "BipartizationResult",

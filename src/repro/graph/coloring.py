@@ -203,12 +203,12 @@ def color_component(graph: GeomGraph, start: int,
     that component is not bipartite.
     """
     np = _numpy()
-    i = graph._node_index.get(start)
+    i = graph._index_of(start)
     if i is None:        # unknown start label: colored, no edges
         return {start: 0}
     labelling = parity_labelling(graph, skip_edges)
     members = np.flatnonzero(labelling.root == labelling.root[i])
-    nodes = np.array(graph._labels, dtype=np.int64)[members].tolist()
+    nodes = graph._label_array(np)[members].tolist()
     colors = labelling.component_colors(nodes)
     if colors is None:
         return None

@@ -11,85 +11,92 @@ component's geometry untouched therefore leaves its content id — and
 its cached coloring — valid, even when every shifter id on the chip
 shifted under it.
 
-Colorings are cached in *canonical form*: colors listed in canonical
-node order, normalized so the first canonical node has color 0.
-Replay re-anchors the canonical vector onto the current node ids and
-flips it so the component's minimum node id takes color 0 — exactly
-the polarity :func:`repro.graph.coloring.two_color` produces (the
-parity labelling gives every component's minimum node id color 0).
-Within a connected component a proper 2-coloring is unique up to that
-flip, so a cache replay is *identical* to a cold chip-wide coloring,
-not merely equivalent.
+Colorings are cached in *canonical form*: one byte per node, the
+colors in canonical node order, normalized so the first canonical node
+has color 0.  Replay scatters every replayed code back onto the
+current node indices at once and flips each component so its minimum
+node label takes color 0 — exactly the polarity
+:func:`repro.graph.coloring.two_color` produces (the parity labelling
+gives every component's minimum node label color 0).  Within a
+connected component a proper 2-coloring is unique up to that flip, so
+a cache replay is *identical* to a cold chip-wide coloring, not merely
+equivalent.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional
 
-from .coloring import parity_labelling
 from .geomgraph import GeomGraph, _numpy, _parity_roots
 
 # Bump when the canonical coloring encoding or the content-id encoding
 # changes so stale cache directories self-invalidate.  Format 2: content
-# ids hash int64 node and edge rows (:func:`_content_ids`).
-COMPONENT_FORMAT = 2
+# ids hash int64 node and edge rows (:func:`_content_ids`).  Format 3:
+# colorings are stored as bytes, one per canonical node.
+COMPONENT_FORMAT = 3
 
-# The value stored for a component whose subgraph is not 2-colorable.
-ODD_COMPONENT = "odd"
+# The code stored for a component whose subgraph is not 2-colorable (a
+# real code has one byte per node, and every component has a node).
+ODD_COMPONENT = b""
 
 
-@dataclass(frozen=True, slots=True)
-class GraphComponent:
-    """One connected component of a graph's live-edge structure.
+@dataclass(frozen=True)
+class Decomposition:
+    """A graph's live-edge components, as columns over dense node
+    indices.
+
+    Components are indexed in order of their minimum node label.
 
     Attributes:
-        index: dense component index (ordered by minimum node id).
-        nodes: the component's node ids, ascending.
-        order: the same nodes in *canonical* order — sorted by
-            coordinate when the graph has coordinates (so the order
-            survives node renumbering), by id otherwise.
-        content_id: hex digest of the component's content (canonical
-            node keys plus edge multiset), independent of node ids
+        comp: int64 per node, the index of its component.
+        order: int64, every node in *canonical* order, grouped by
+            component: component ``i`` is ``order[bounds[i]:bounds[i +
+            1]]``, sorted by coordinate when all its nodes have one (so
+            the order survives node renumbering), ties and the rest by
+            label.
+        bounds: int64, one more entry than there are components.
+        content_ids: hex digest per component of its content (canonical
+            node keys plus edge multiset), independent of node labels
             whenever coordinates exist.
+        anchor: int64 per component, the node with its minimum label.
+        color: int64 per node, the parity labelling's 2-coloring, each
+            anchor colored 0 (proper on every component not ``odd``).
+        odd: bool per component, whether it holds an odd cycle.
     """
 
-    index: int
-    nodes: Tuple[int, ...]
-    order: Tuple[int, ...]
-    content_id: str
+    comp: Any
+    order: Any
+    bounds: Any
+    content_ids: List[str]
+    anchor: Any
+    color: Any
+    odd: Any
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def min_node(self) -> int:
-        return self.nodes[0]
+    def __len__(self) -> int:
+        return len(self.content_ids)
 
 
-def decompose(graph: GeomGraph) -> List[GraphComponent]:
+def decompose(graph: GeomGraph) -> Decomposition:
     """The graph's live-edge components with content ids.
 
-    Deterministic: components are ordered by minimum node id, so the
+    Deterministic: components are ordered by minimum node label, so the
     decomposition of a given graph is reproducible across runs and
     processes.  Everything is column passes over the graph's flat
-    arrays — no per-node or per-edge Python loop, and no
-    :class:`~repro.graph.geomgraph.Edge` objects (this runs once per
-    assign stage over chip-scale graphs):
+    arrays — no per-node, per-edge or per-component Python loop besides
+    hashing, and no :class:`~repro.graph.geomgraph.Edge` objects (this
+    runs once per assign stage over chip-scale graphs):
 
-    * components by min-label hooking with pointer jumping over the
-      live edges (:func:`~repro.graph.geomgraph._parity_roots`, whose
-      sides the coloring reads);
-    * each component's nodes ascending, and its canonical order — by
-      coordinate, ties by id, when every node of the component has
-      one; by id otherwise — from one lexsort each.  Coordinate order
-      is what keeps content ids stable under renumbering: the front
-      end renumbers shifter and auxiliary nodes monotonically, so
-      equal-coordinate ties resolve the same way in every revision
-      that leaves the geometry alone;
+    * components and the 2-coloring by min-label hooking with pointer
+      jumping over the live edges
+      (:func:`~repro.graph.geomgraph._parity_roots`);
+    * each component's canonical order — by coordinate, ties by label,
+      when every node of the component has one; by label otherwise —
+      from one lexsort.  Coordinate order is what keeps content ids
+      stable under renumbering: the front end renumbers shifter and
+      auxiliary nodes monotonically, so equal-coordinate ties resolve
+      the same way in every revision that leaves the geometry alone;
     * content ids (:func:`_content_ids`) from the canonical node rows
       and the sorted canonical edge rows, hashed per component.
 
@@ -100,11 +107,12 @@ def decompose(graph: GeomGraph) -> List[GraphComponent]:
     2e16 on D8, 460 times below the limit.
     """
     np = _numpy()
-    labels = graph._labels
-    n = len(labels)
+    n = graph.num_nodes()
+    empty = np.zeros(0, dtype=np.int64)
     if not n:
-        return []
-    label = np.array(labels, dtype=np.int64)
+        return Decomposition(empty, empty, np.zeros(1, dtype=np.int64), [],
+                             empty, empty, np.zeros(0, dtype=bool))
+    label = graph._label_array(np)
     ui, vi = graph._dense_endpoints(np)
     live = np.ones(len(ui), dtype=bool)
     if graph._removed:
@@ -120,7 +128,7 @@ def decompose(graph: GeomGraph) -> List[GraphComponent]:
             "range component content ids encode") from None
 
     # Components, indexed by their minimum node label.
-    root, _side = _parity_roots(np, n, u, v)
+    root, side = _parity_roots(np, n, u, v)
     roots = np.flatnonzero(root == np.arange(n, dtype=np.int64))
     low = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(low, root, label)
@@ -129,28 +137,20 @@ def decompose(graph: GeomGraph) -> List[GraphComponent]:
         np.arange(len(roots), dtype=np.int64)
     comp = index[root]
     sizes = np.bincount(comp, minlength=len(roots))
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
 
-    # Node rows: (0, x, y) for a node with a coordinate, (1, id, 0)
+    # Node rows: (0, x, y) for a node with a coordinate, (1, label, 0)
     # without.  Coordinates order a component only when it has them
     # all.
-    coords = graph._coords
-    has = np.fromiter(map(coords.__contains__, labels), dtype=bool,
-                      count=n)
-    xy = np.fromiter(chain.from_iterable(map(coords.get, labels,
-                                             repeat((0, 0), n))),
-                     dtype=np.int64, count=2 * n).reshape(-1, 2)
-    node_rows = np.stack((np.where(has, 0, 1),
-                          np.where(has, xy[:, 0], label),
-                          np.where(has, xy[:, 1], 0)), axis=1)
+    has, xs, ys = graph._coord_columns(np)
+    node_rows = np.stack((np.where(has, 0, 1), np.where(has, xs, label),
+                          np.where(has, ys, 0)), axis=1)
     full = np.bincount(comp, weights=~has, minlength=len(roots)) == 0
-    sort_x = np.where(full[comp], xy[:, 0], 0)
-    sort_y = np.where(full[comp], xy[:, 1], 0)
-    by_id = np.lexsort((label, comp))
+    sort_x = np.where(full[comp], xs, 0)
+    sort_y = np.where(full[comp], ys, 0)
     canonical = np.lexsort((label, sort_y, sort_x, comp))
     rank = np.empty(n, dtype=np.int64)
-    rank[canonical] = np.arange(n, dtype=np.int64) - starts[comp[canonical]]
+    rank[canonical] = np.arange(n, dtype=np.int64) - bounds[comp[canonical]]
 
     # Canonical edge rows (rank u, rank v, weight), u <= v, sorted
     # within each component.
@@ -160,16 +160,22 @@ def decompose(graph: GeomGraph) -> List[GraphComponent]:
     edge_comp = comp[u]
     edge_order = np.lexsort((edge_rows[:, 2], edge_rows[:, 1],
                              edge_rows[:, 0], edge_comp))
-
     content = _content_ids(node_rows[canonical], sizes,
                            edge_rows[edge_order],
                            np.bincount(edge_comp, minlength=len(roots)))
-    nodes = label[by_id].tolist()
-    order = label[canonical].tolist()
-    return [GraphComponent(index=i, nodes=tuple(nodes[a:b]),
-                           order=tuple(order[a:b]), content_id=cid)
-            for i, (a, b, cid) in enumerate(zip(starts.tolist(),
-                                                ends.tolist(), content))]
+
+    # The parity sides, flipped per component so its minimum label
+    # takes color 0; an edge whose ends share a side closes an odd
+    # cycle.
+    anchored = np.flatnonzero(label == low[root])
+    anchor = np.empty(len(roots), dtype=np.int64)
+    anchor[comp[anchored]] = anchored
+    color = side ^ side[anchor][comp]
+    odd = np.zeros(len(roots), dtype=bool)
+    odd[edge_comp[side[u] == side[v]]] = True
+    return Decomposition(comp=comp, order=canonical, bounds=bounds,
+                         content_ids=content, anchor=anchor, color=color,
+                         odd=odd)
 
 
 def _content_ids(node_rows, sizes, edge_rows, edge_sizes) -> List[str]:
@@ -178,8 +184,8 @@ def _content_ids(node_rows, sizes, edge_rows, edge_sizes) -> List[str]:
     A component's content is little-endian int64 triples: the header
     ``(COMPONENT_FORMAT, nodes, edges)``, its node rows in canonical
     order, then its sorted canonical edge rows.  Nodes are coordinates
-    (or raw ids without one) and edges are ranks in the canonical
-    order, so the id is independent of node ids whenever coordinates
+    (or raw labels without one) and edges are ranks in the canonical
+    order, so the id is independent of node labels whenever coordinates
     exist; the edge rows are a sorted multiset, which keeps parallel
     edges and self-loops.  ``node_rows`` and ``edge_rows`` come grouped
     by component; every component's content is scattered into one
@@ -206,85 +212,63 @@ def _content_ids(node_rows, sizes, edge_rows, edge_sizes) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Canonical coloring codec
-# ----------------------------------------------------------------------
-def encode_coloring(component: GraphComponent,
-                    colors: Dict[int, int]) -> Tuple[int, ...]:
-    """A component's colors as a canonical vector (first canonical
-    node normalized to color 0)."""
-    base = colors[component.order[0]]
-    return tuple(colors[n] ^ base for n in component.order)
-
-
-def decode_coloring(component: GraphComponent,
-                    canonical: Sequence[int]) -> Dict[int, int]:
-    """Re-anchor a canonical color vector onto current node ids.
-
-    The polarity flip puts color 0 on the component's minimum node id,
-    matching a cold :func:`~repro.graph.coloring.two_color` exactly.
-    """
-    colors = dict(zip(component.order, canonical))
-    flip = colors[component.min_node]
-    if flip:
-        return {n: c ^ 1 for n, c in colors.items()}
-    return colors
-
-
-# ----------------------------------------------------------------------
 # Incremental recoloring
 # ----------------------------------------------------------------------
 def two_color_incremental(graph: GeomGraph, store,
-                          components: Optional[
-                              Sequence[GraphComponent]] = None,
-                          ) -> Optional[Dict[int, int]]:
+                          parts: Optional[Decomposition] = None):
     """Per-component 2-coloring that only recolors changed components.
 
     ``store`` is a :class:`repro.cache.ArtifactCache`; colorings are
-    cached under the ``coloring`` kind keyed by component content id.
+    cached under the ``coloring`` kind keyed by component content id
+    (``parts``, the graph's :func:`decompose`, when the caller has it).
     A component whose node/edge content is unchanged since any earlier
     run (this process or a persisted cache directory) replays its
-    canonical coloring instead of being recolored.  The store counts
-    one ``coloring`` get per component: a hit replayed, a miss
-    recolored.  The first miss labels the whole graph once
-    (:func:`~repro.graph.coloring.parity_labelling`), and every missed
-    component reads its colors from that labelling.
+    canonical code instead of being recolored.  The store counts one
+    ``coloring`` get per component, in component order: a hit
+    replayed, a miss recolored from the decomposition's labelling and
+    put.  Every code, replayed or fresh, is decoded in one scatter.
+    One ``recolor`` span covers the pass, with the component count and
+    how many were recomputed and replayed.
 
-    Returns colors matching :func:`~repro.graph.coloring.two_color`
-    exactly, or None when some component is not bipartite.  Unlike the
-    cold path, every component is processed even after a failure so
-    the cache warms completely.
+    Returns the color of every node as an int64 column over dense node
+    indices, equal to :func:`~repro.graph.coloring.two_color`, or None
+    when some component is not bipartite.  Unlike the cold path, every
+    component is processed even after a failure so the cache warms
+    completely.
     """
     from ..cache import KIND_COLORING
     from ..obs import get_tracer
 
-    tracer = get_tracer()
-    colors: Dict[int, int] = {}
-    failed = False
-    labelling = None
-    for component in components if components is not None \
-            else decompose(graph):
-        canonical = store.get(KIND_COLORING, component.content_id)
-        if canonical is None:
-            # Only recomputed components get spans — replays are pure
-            # cache lookups already counted by the store's metrics, and
-            # span-per-replay would balloon warm full-chip traces.
-            with tracer.span("component", cat="component", op="recolor",
-                             component=component.content_id[:12],
-                             nodes=len(component.nodes)):
-                if labelling is None:
-                    labelling = parity_labelling(graph)
-                fresh = labelling.component_colors(component.nodes)
-                canonical = (ODD_COMPONENT if fresh is None
-                             else encode_coloring(component, fresh))
-            store.put(KIND_COLORING, component.content_id, canonical)
-            # A fresh coloring gives the minimum node color 0, which is
-            # exactly the polarity a decode would restore.
-            if fresh is None:
-                failed = True
-            elif not failed:
-                colors.update(fresh)
-        elif canonical == ODD_COMPONENT:
-            failed = True
-        elif not failed:
-            colors.update(decode_coloring(component, canonical))
-    return None if failed else colors
+    np = _numpy()
+    if parts is None:
+        parts = decompose(graph)
+    order, bounds = parts.order, parts.bounds
+    # Every component's fresh code: its colors in canonical order,
+    # relative to its first canonical node.
+    first = order[bounds[:-1]]
+    fresh = (parts.color[order] ^ np.repeat(parts.color[first],
+                                            np.diff(bounds))) \
+        .astype(np.uint8).tobytes()
+    get, put = store.get, store.put
+    codes: List[bytes] = []
+    recomputed = 0
+    ends = bounds.tolist()
+    with get_tracer().span("recolor", cat="component",
+                           components=len(parts)) as span:
+        for cid, a, b, odd in zip(parts.content_ids, ends, ends[1:],
+                                  parts.odd.tolist()):
+            code = get(KIND_COLORING, cid)
+            if code is None:
+                code = ODD_COMPONENT if odd else fresh[a:b]
+                put(KIND_COLORING, cid, code)
+                recomputed += 1
+            codes.append(code)
+        span.set(recomputed=recomputed, replayed=len(codes) - recomputed)
+        if ODD_COMPONENT in codes:
+            return None
+        # Replay: the codes, concatenated in component order, line up
+        # with the canonical order; then each component flips so its
+        # anchor takes color 0.
+        color = np.empty(len(order), dtype=np.int64)
+        color[order] = np.frombuffer(b"".join(codes), dtype=np.uint8)
+        return color ^ color[parts.anchor][parts.comp]

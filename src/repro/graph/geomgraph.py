@@ -10,10 +10,15 @@ ids.
 Storage is struct-of-arrays: edges live in parallel endpoint / weight /
 tag columns and adjacency is a CSR table (``indptr`` / ``neighbors`` /
 ``edge_ids``) built lazily in one vectorized numpy pass instead of
-per-edge adjacency list appends.  :class:`Edge` objects are
-materialized on demand and memoized, so bulk construction and
-array-level consumers (coloring, components, embedding) never pay for
-them.  The id-stability contract:
+per-edge adjacency list appends.  A dense-labelled graph filled by
+:meth:`GeomGraph.add_node_columns` (conflict and dark-field graphs)
+keeps its node registry and coordinates as int64 columns, with no
+label -> index dict and no coordinate tuples; registering a node those
+columns do not hold converts them to dicts once.  Edge tags may be
+made on demand by a tag maker instead of stored per edge.
+:class:`Edge` objects are materialized on demand and memoized, so bulk
+construction and array-level consumers (coloring, components,
+embedding) never pay for them.  The id-stability contract:
 node iteration order is insertion order, edge ids are assigned
 sequentially, and a node's incident edges enumerate in ascending edge
 id — exactly the orders the incremental cache keys and component ids
@@ -23,8 +28,9 @@ were derived from, however the graph was built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, \
-    Set, Tuple
+from itertools import chain, repeat
+from typing import Any, Callable, Dict, Iterable, Iterator, List, \
+    Optional, Sequence, Set, Tuple
 
 Point = Tuple[int, int]
 
@@ -132,16 +138,24 @@ class GeomGraph:
 
     def __init__(self, name: str = "graph") -> None:
         self.name = name
-        # label -> dense index, in insertion order (the dict IS the
-        # node registry; dense index == insertion position).
-        self._node_index: Dict[int, int] = {}
-        self._labels: List[int] = []
-        self._coords: Dict[int, Point] = {}
-        # Edge columns, indexed by edge id.
+        # The node registry takes one of two forms.  Dict form: label ->
+        # dense index in insertion order (dense index == insertion
+        # position), the labels, and a coordinate tuple per placed
+        # label.  Column form (a dense-labelled graph filled by
+        # add_node_columns): the labels are range(n), the coordinates
+        # the int64 columns ``_xy``, and both dicts are None.
+        self._node_index: Optional[Dict[int, int]] = {}
+        self._labels: Sequence[int] = []
+        self._coords: Optional[Dict[int, Point]] = {}
+        self._xy: Optional[Tuple[Any, Any]] = None
+        # Edge columns, indexed by edge id.  Inside a range appended
+        # with a tag maker, ``_etags`` holds None and the maker makes
+        # the tag on demand.
         self._eu: List[int] = []
         self._ev: List[int] = []
         self._ew: List[int] = []
         self._etags: List[Any] = []
+        self._tag_makers: List[Tuple[int, int, Callable[[int], Any]]] = []
         self._removed: Set[int] = set()
         # True while node labels are exactly 0..n-1 in insertion order
         # (conflict/dual/gadget graphs) — lets the CSR builder skip the
@@ -156,8 +170,26 @@ class GeomGraph:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _holds(self, node: int) -> bool:
+        """Column form: whether ``node`` is one of the columns' labels."""
+        return 0 <= node < len(self._labels)
+
+    def _to_dicts(self) -> None:
+        """Convert the column form to the dict form (once)."""
+        n = len(self._labels)
+        xs, ys = self._xy
+        self._node_index = dict(zip(range(n), range(n)))
+        self._labels = list(range(n))
+        self._coords = dict(zip(range(n), zip(xs.tolist(), ys.tolist())))
+        self._xy = None
+
     def _register(self, node: int) -> None:
         index = self._node_index
+        if index is None:
+            if self._holds(node):
+                return
+            self._to_dicts()
+            index = self._node_index
         if node not in index:
             if node != len(self._labels):
                 self._dense_labels = False
@@ -168,10 +200,17 @@ class GeomGraph:
         self._epoch += 1
         self._csr = None
 
+    def _set_coord(self, node: int, coord: Point) -> None:
+        """Place a registered node."""
+        if self._xy is None:
+            self._coords[node] = coord
+        else:
+            self._xy[0][node], self._xy[1][node] = coord
+
     def add_node(self, node: int, coord: Optional[Point] = None) -> int:
         self._register(node)
         if coord is not None:
-            self._coords[node] = coord
+            self._set_coord(node, coord)
         self._dirty()
         return node
 
@@ -200,11 +239,11 @@ class GeomGraph:
             for node in nodes:
                 register(node)
         else:
-            cmap = self._coords
+            place = self._set_coord
             for node, coord in zip(nodes, coords):
                 register(node)
                 if coord is not None:
-                    cmap[node] = coord
+                    place(node, coord)
         self._dirty()
 
     def add_edge_rows(self, rows: Iterable[Tuple[int, int, int, Any]]
@@ -221,15 +260,20 @@ class GeomGraph:
         start = len(self._eu)
         if not rows:
             return range(start, start)
-        index = self._node_index
-        register = self._register
-        for row in rows:
-            u = row[0]
-            if u not in index:
-                register(u)
-            v = row[1]
-            if v not in index:
-                register(v)
+        holds = self._holds
+        if self._node_index is not None or not all(
+                holds(row[0]) and holds(row[1]) for row in rows):
+            if self._node_index is None:
+                self._to_dicts()
+            index = self._node_index
+            register = self._register
+            for row in rows:
+                u = row[0]
+                if u not in index:
+                    register(u)
+                v = row[1]
+                if v not in index:
+                    register(v)
         us, vs, ws, tags = zip(*rows)
         self._eu.extend(us)
         self._ev.extend(vs)
@@ -241,35 +285,41 @@ class GeomGraph:
     def add_node_columns(self, xs, ys) -> range:
         """Bulk-append nodes with coordinates from two int64 columns.
 
-        The column counterpart of :meth:`add_nodes` for graphs whose
-        labels are dense: the new nodes take the next labels,
-        ``num_nodes()`` onwards, in column order.  Returns that
-        ``range``.
+        The column counterpart of :meth:`add_nodes` for an empty graph
+        or one whose nodes all came from this method: the new nodes
+        take the next labels, ``num_nodes()`` onwards, in column order,
+        and the registry stays in column form (labels ``range(n)``,
+        coordinates int64 columns).  Returns that ``range``.
         """
-        if not self._dense_labels:
-            raise ValueError(f"graph {self.name!r}: column appends need "
-                             "dense node labels")
         start = len(self._labels)
+        if start and self._xy is None:
+            raise ValueError(f"graph {self.name!r}: column appends need "
+                             "an empty or column-form graph")
+        np = _numpy()
         ids = range(start, start + len(xs))
-        self._node_index.update(zip(ids, ids))
-        self._labels.extend(ids)
-        self._coords.update(zip(ids, zip(xs.tolist(), ys.tolist())))
+        xs = np.array(xs, dtype=np.int64)
+        ys = np.array(ys, dtype=np.int64)
+        if start:
+            xs = np.concatenate((self._xy[0], xs))
+            ys = np.concatenate((self._xy[1], ys))
+        self._node_index = self._coords = None
+        self._labels = range(ids.stop)
+        self._xy = (xs, ys)
         self._dirty()
-        if not start:
-            np = _numpy()
-            self._array_cache["coords"] = (
-                self._epoch, (np.array(xs, dtype=np.int64),
-                              np.array(ys, dtype=np.int64)))
+        self._array_cache["coords"] = (self._epoch, self._xy)
         return ids
 
     def add_edge_columns(self, u, v, weights: Sequence[int],
-                         tags: Sequence[Any]) -> range:
+                         tags: Any) -> range:
         """Bulk edge append over parallel columns.
 
         ``u`` and ``v`` are int64 arrays of existing node labels of a
-        dense-labelled graph; ``weights`` and ``tags`` are per-edge
-        lists (weights as Python ints).  Ids are assigned sequentially
-        in column order — the same ids, orders and values as the
+        dense-labelled graph; ``weights`` is a per-edge list (Python
+        ints).  ``tags`` is a per-edge list, or a tag maker: a callable
+        that makes the tag of an appended edge id on demand, so no
+        per-edge tag is stored (it must pickle with the graph and hold
+        no reference back to it).  Ids are assigned sequentially in
+        column order — the same ids, orders and values as the
         equivalent :meth:`add_edge_rows` call.  Returns the ``range``
         of assigned ids.
         """
@@ -284,7 +334,11 @@ class GeomGraph:
         self._eu.extend(u.tolist())
         self._ev.extend(v.tolist())
         self._ew.extend(weights)
-        self._etags.extend(tags)
+        if callable(tags):
+            self._etags.extend(repeat(None, len(u)))
+            self._tag_makers.append((start, len(self._eu), tags))
+        else:
+            self._etags.extend(tags)
         self._dirty()
         # Edges move no node: current coordinate columns stay valid.
         if coords is not None and coords[0] == self._epoch - 1:
@@ -326,16 +380,61 @@ class GeomGraph:
         return len(self._eu) - len(self._removed)
 
     def coord(self, node: int) -> Point:
-        return self._coords[node]
+        if self._xy is None:
+            return self._coords[node]
+        if not self._holds(node):
+            raise KeyError(node)
+        return int(self._xy[0][node]), int(self._xy[1][node])
 
     def has_coords(self) -> bool:
-        return len(self._coords) == len(self._labels)
+        return self._xy is not None \
+            or len(self._coords) == len(self._labels)
+
+    def _coord_or_none(self, node: int) -> Optional[Point]:
+        if self._xy is None:
+            return self._coords.get(node)
+        return self.coord(node) if self._holds(node) else None
+
+    def _index_of(self, node: int) -> Optional[int]:
+        """A node's dense index; None for an unknown label."""
+        if self._node_index is None:
+            return node if self._holds(node) else None
+        return self._node_index.get(node)
+
+    def _label_array(self, np):
+        """int64 label per dense index."""
+        if self._dense_labels:
+            return np.arange(len(self._labels), dtype=np.int64)
+        return np.array(self._labels, dtype=np.int64)
+
+    def _coord_columns(self, np):
+        """``(has, xs, ys)`` per dense index: whether the node has a
+        coordinate, and its coordinate (0, 0 without one)."""
+        n = len(self._labels)
+        if self._xy is not None:
+            return np.ones(n, dtype=bool), self._xy[0], self._xy[1]
+        coords = self._coords
+        labels = self._labels
+        has = np.fromiter(map(coords.__contains__, labels), dtype=bool,
+                          count=n)
+        xy = np.fromiter(chain.from_iterable(map(coords.get, labels,
+                                                 repeat((0, 0), n))),
+                         dtype=np.int64, count=2 * n).reshape(-1, 2)
+        return has, xy[:, 0], xy[:, 1]
+
+    def _tag(self, edge_id: int) -> Any:
+        tag = self._etags[edge_id]
+        if tag is None:
+            for start, stop, make in self._tag_makers:
+                if start <= edge_id < stop:
+                    return make(edge_id)
+        return tag
 
     def edge(self, edge_id: int) -> Edge:
         edge = self._edge_cache.get(edge_id)
         if edge is None:
             edge = Edge(edge_id, self._eu[edge_id], self._ev[edge_id],
-                        self._ew[edge_id], self._etags[edge_id])
+                        self._ew[edge_id], self._tag(edge_id))
             self._edge_cache[edge_id] = edge
         return edge
 
@@ -345,6 +444,10 @@ class GeomGraph:
 
     def is_removed(self, edge_id: int) -> bool:
         return edge_id in self._removed
+
+    def removed_edge_ids(self) -> List[int]:
+        """The soft-removed edge ids, ascending."""
+        return sorted(self._removed)
 
     def edges(self, include_removed: bool = False) -> Iterator[Edge]:
         removed = self._removed
@@ -371,7 +474,7 @@ class GeomGraph:
     def incident(self, node: int, include_removed: bool = False
                  ) -> Iterator[Edge]:
         csr = self._csr or self._build_csr()
-        i = self._node_index.get(node)
+        i = self._index_of(node)
         if i is None:
             return
         removed = self._removed
@@ -391,7 +494,7 @@ class GeomGraph:
         queries allocate no per-edge garbage.
         """
         csr = self._csr or self._build_csr()
-        i = self._node_index.get(node)
+        i = self._index_of(node)
         if i is None:
             return ()
         return csr.eid_buf[csr.indptr[i]:csr.indptr[i + 1]]
@@ -399,7 +502,7 @@ class GeomGraph:
     def degree(self, node: int) -> int:
         """Degree counting self-loops twice (graph-theoretic degree)."""
         csr = self._csr or self._build_csr()
-        i = self._node_index.get(node)
+        i = self._index_of(node)
         if i is None:
             return 0
         removed = self._removed
@@ -413,8 +516,7 @@ class GeomGraph:
         return d
 
     def segment(self, edge_id: int) -> Tuple[Point, Point]:
-        coords = self._coords
-        return (coords[self._eu[edge_id]], coords[self._ev[edge_id]])
+        return self.coord(self._eu[edge_id]), self.coord(self._ev[edge_id])
 
     def total_weight(self, edge_ids: Iterable[int]) -> int:
         ew = self._ew
@@ -447,6 +549,8 @@ class GeomGraph:
         Raises KeyError when any node lacks a coordinate (same contract
         as :meth:`coord`).
         """
+        if self._xy is not None:
+            return self._xy
         cached = self._array_cache.get("coords")
         if cached is not None and cached[0] == self._epoch:
             return cached[1]
@@ -530,29 +634,13 @@ class GeomGraph:
         node_set = set(nodes)
         out = GeomGraph(name=f"{self.name}#sub")
         ordered = sorted(node_set)
-        coords = self._coords
-        out.add_nodes(ordered, [coords.get(n) for n in ordered])
-        etags = self._etags
-        rows = [(u, v, w, ("orig", eid, etags[eid]))
+        out.add_nodes(ordered, list(map(self._coord_or_none, ordered)))
+        tag = self._tag
+        rows = [(u, v, w, ("orig", eid, tag(eid)))
                 for eid, u, v, w in self.live_edge_rows()
                 if u in node_set and v in node_set]
         out.add_edge_rows(rows)
         return out
-
-    def to_networkx(self):
-        """Lossy export (min-weight parallel edge wins) for cross-checks."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self._labels)
-        for eid, u, v, w in self.live_edge_rows():
-            if u == v:
-                continue
-            if g.has_edge(u, v):
-                if g[u][v]["weight"] <= w:
-                    continue
-            g.add_edge(u, v, weight=w, eid=eid)
-        return g
 
     # ------------------------------------------------------------------
     # Plumbing

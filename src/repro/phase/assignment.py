@@ -45,17 +45,20 @@ class PhaseAssignment:
         return out
 
 
-def assignment_from_colors(conflict_graph,
-                           colors: Dict[int, int]) -> PhaseAssignment:
+def assignment_from_colors(conflict_graph, colors) -> PhaseAssignment:
     """Project a node coloring onto shifter phases.
 
-    Works for both PCG and FG: shifter nodes occupy ids
-    ``0..len(shifters)-1`` by construction; auxiliary node colors are
-    discarded.
+    ``colors`` maps node -> color: a dict, or a column indexed by node.
+    Works for both PCG and FG: shifter ``s`` is node ``s`` by
+    construction; auxiliary node colors are discarded.
     """
-    return PhaseAssignment(phases={
-        shifter_id: (PHASE_0 if colors[node] == 0 else PHASE_180)
-        for shifter_id, node in conflict_graph.shifter_node.items()})
+    count = len(conflict_graph.shifters)
+    if isinstance(colors, dict):
+        values = map(colors.__getitem__, range(count))
+    else:
+        values = colors[:count].tolist()
+    return PhaseAssignment(phases=dict(zip(
+        range(count), [PHASE_180 if c else PHASE_0 for c in values])))
 
 
 def assign_phases(conflict_graph) -> Optional[PhaseAssignment]:

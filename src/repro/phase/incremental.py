@@ -12,11 +12,13 @@ driver works per component against the unified artifact store:
 * verifier verdicts replay under kind ``verify``, keyed by component
   content id plus the rule deck.
 
-A component whose geometry an edit left untouched costs two cache
-lookups; only dirty components re-run BFS and the geometric checks.
-The result is *identical* to the cold chip-wide path — canonical
-polarity pins the coloring, and scoped verification partitions the
-full check exactly — which the determinism suite asserts.
+Both run as column passes over the decomposition: the store is asked
+once per component per kind, and everything else — the fresh codes,
+the replay, the violations of both conditions — is one vectorized pass
+each, not a loop over components.  The result is *identical* to the
+cold chip-wide path — canonical polarity pins the coloring, and scoped
+verification partitions the full check exactly — which the
+determinism suite asserts.
 
 Cached verdicts store violation strings verbatim.  Shifter ids inside
 those strings reflect the revision that produced them; a replayed
@@ -28,8 +30,7 @@ success signal) is revision-independent.
 from __future__ import annotations
 
 import hashlib
-from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cache import KIND_VERIFY, ArtifactCache
 from ..graph import decompose, two_color_incremental
@@ -49,9 +50,13 @@ def verify_key(content_id: str, tech: Technology) -> str:
     is hashed in because overlap extraction — the geometric meaning of
     the checks — depends on it.
     """
+    return _verify_key(content_id, tech_fingerprint(tech))
+
+
+def _verify_key(content_id: str, fingerprint: bytes) -> str:
     h = hashlib.sha256()
     h.update(f"verify:{content_id};".encode())
-    h.update(tech_fingerprint(tech))
+    h.update(fingerprint)
     return h.hexdigest()
 
 
@@ -68,70 +73,70 @@ def assign_and_verify_incremental(
     component count.  Output equals ``assign_phases`` plus a full-chip
     ``verify_assignment`` on every input, warm or cold.  The store
     counts one ``coloring`` get per component and, once the coloring
-    succeeds, one ``verify`` get per component: a hit replayed, a miss
-    recomputed.
+    succeeds, one ``verify`` get per component, in component order: a
+    hit replayed, a miss recomputed and put.  One ``verify`` span
+    covers the verdicts, with the component count and how many were
+    recomputed and replayed.
     """
     graph = conflict_graph.graph
-    components = decompose(graph)
-    colors = two_color_incremental(graph, store, components=components)
-    if colors is None:
-        return None, [], len(components)
-    assignment = assignment_from_colors(conflict_graph, colors)
+    parts = decompose(graph)
+    count = len(parts)
+    color = two_color_incremental(graph, store, parts)
+    if color is None:
+        return None, [], count
+    assignment = assignment_from_colors(conflict_graph, color)
 
-    # Constraint grouping is chip-wide work; on a warm run every verdict
-    # replays from the store and the grouping would be wasted, so it is
-    # deferred until the first component that actually re-verifies.
-    groups: Optional[Tuple[list, list]] = None
-
-    def group_constraints() -> Tuple[list, list]:
-        """Condition-1 triples and Condition-2 id pairs, each grouped by
-        the component of its first shifter, in check order."""
-        import numpy as np
-
-        comp_of = np.empty(graph.num_nodes(), dtype=np.int64)
-        comp_of[np.fromiter(chain.from_iterable(
-            c.nodes for c in components), dtype=np.int64,
-            count=graph.num_nodes())] = np.repeat(
-                np.arange(len(components)),
-                [c.num_nodes for c in components])
-        triples = feature_pair_triples(conflict_graph.shifters)
-        cols = pair_columns(pairs)
-        ends = (cols[:, 0], cols[:, 1])
-        return (_grouped(np, comp_of[triples[1]], triples,
-                         len(components)),
-                _grouped(np, comp_of[ends[0]], ends, len(components)))
-
-    tracer = get_tracer()
+    # Every verdict comes from one pass over both conditions; on a warm
+    # run every verdict replays from the store and the pass would be
+    # wasted, so it waits for the first component that re-verifies.
+    verdicts: Optional[Dict[int, Tuple[str, ...]]] = None
+    fingerprint = tech_fingerprint(tech)
+    get, put = store.get, store.put
     problems: List[str] = []
-    for component in components:
-        key = verify_key(component.content_id, tech)
-        cached = store.get(KIND_VERIFY, key)
-        if cached is None:
-            if groups is None:
-                groups = group_constraints()
-            # Spans only for components actually re-verified; replayed
-            # verdicts are already visible as verify-kind cache hits.
-            with tracer.span("component", cat="component", op="verify",
-                             component=component.content_id[:12],
-                             nodes=len(component.nodes)) as span:
-                verdict = tuple(
-                    condition1_problems(groups[0][component.index],
-                                        assignment)
-                    + condition2_problems(groups[1][component.index],
-                                          assignment))
-                span.set(violations=len(verdict))
-            store.put(KIND_VERIFY, key, verdict)
-        else:
-            verdict = cached
-        problems.extend(verdict)
-    return assignment, problems, len(components)
+    recomputed = 0
+    with get_tracer().span("verify", cat="component",
+                           components=count) as span:
+        for index, content_id in enumerate(parts.content_ids):
+            key = _verify_key(content_id, fingerprint)
+            verdict = get(KIND_VERIFY, key)
+            if verdict is None:
+                if verdicts is None:
+                    verdicts = _verdicts(conflict_graph, pairs, parts.comp,
+                                         color, assignment)
+                verdict = verdicts.get(index, ())
+                put(KIND_VERIFY, key, verdict)
+                recomputed += 1
+            problems.extend(verdict)
+        span.set(recomputed=recomputed, replayed=count - recomputed)
+    return assignment, problems, count
 
 
-def _grouped(np, comp, columns, count: int) -> list:
-    """The rows of parallel id ``columns`` bucketed by their component
-    ``comp``: one list of tuples per component, rows in input order."""
-    order = np.argsort(comp, kind="stable")
-    rows = list(zip(*(col[order].tolist() for col in columns)))
-    bounds = np.searchsorted(comp[order],
-                             np.arange(count + 1)).tolist()
-    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+def _verdicts(conflict_graph, pairs, comp, color,
+              assignment: PhaseAssignment) -> Dict[int, Tuple[str, ...]]:
+    """Every component's violations, keyed by component index (a
+    component without one is absent).
+
+    One vectorized pass over the color column finds the violating rows
+    of Condition 1 (the two shifters of a feature share a color) and
+    Condition 2 (the two shifters of an overlap pair differ); each row
+    belongs to the component of its first shifter, and a verdict lists
+    its Condition-1 problems in feature order, then its Condition-2
+    problems in pair order — the verifier's check order.
+    """
+    import numpy as np
+
+    features, first, second = feature_pair_triples(conflict_graph.shifters)
+    cols = pair_columns(pairs)
+    a, b = cols[:, 0], cols[:, 1]
+    bad1 = np.flatnonzero(color[first] == color[second])
+    bad2 = np.flatnonzero(color[a] != color[b])
+    grouped: Dict[int, List[str]] = {}
+    for owners, problems in (
+            (comp[first[bad1]], condition1_problems(
+                zip(features[bad1].tolist(), first[bad1].tolist(),
+                    second[bad1].tolist()), assignment)),
+            (comp[a[bad2]], condition2_problems(
+                zip(a[bad2].tolist(), b[bad2].tolist()), assignment))):
+        for owner, problem in zip(owners.tolist(), problems):
+            grouped.setdefault(owner, []).append(problem)
+    return {owner: tuple(found) for owner, found in grouped.items()}

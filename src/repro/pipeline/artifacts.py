@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from ..cache import ARTIFACT_KINDS, KIND_TILE
 from ..chip import ChipReport
 from ..chip.partition import TileGrid
-from ..conflict import DetectionReport
+from ..conflict import ConflictGraph, DetectionReport
 from ..correction import CorrectionReport
 from ..layout import Layout
 from ..phase import PhaseAssignment
@@ -69,7 +69,10 @@ class DetectionArtifact:
     ``chip`` is present when the pass ran tiled; ``cache_delta`` then
     holds this pass's ``tile`` kind (tiles replayed vs detected), so
     the ECO scheduler can assert exactly which tiles recomputed per
-    pass.
+    pass.  A monolithic pass carries the conflict graph it detected on
+    (``graph``, planarization's soft removals still in place), so the
+    assign stage needs no rebuild; :func:`run_pipeline` drops it once
+    no later stage needs it.
     """
 
     report: DetectionReport
@@ -78,6 +81,7 @@ class DetectionArtifact:
     cache_delta: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     seconds: float = 0.0
     front_reused: bool = False
+    graph: Optional[ConflictGraph] = None
 
     @property
     def tiled(self) -> bool:

@@ -198,6 +198,7 @@ def stage_detect(front: FrontEnd, tech: Technology,
                                   method=config.method, prebuilt=prebuilt)
         span.set(tiled=False, conflicts=report.num_conflicts)
         return DetectionArtifact(report=report, front=front,
+                                 graph=prebuilt[0],
                                  seconds=time.perf_counter() - start)
 
 
@@ -263,21 +264,29 @@ def stage_assign(verification: DetectionArtifact, tech: Technology,
                  ) -> AssignmentArtifact:
     """Stage 5 — 0/180 assignment plus the geometric verifier.
 
-    Over a store, both run component-scoped: unchanged conflict-graph
-    components replay their cached coloring and verifier verdict, and
-    only components whose content an edit touched are recolored and
-    geometrically re-checked.  The outcome is identical to the cold
-    chip-wide coloring + full-chip verification (canonical polarity
-    pins the coloring; component scopes partition the checks exactly).
+    The conflict graph is the monolithic verify pass's own, with its
+    planarization casualties restored; a tiled pass has none, so the
+    stage builds the chip-wide graph.  Over a store, both run
+    component-scoped: unchanged conflict-graph components replay their
+    cached coloring and verifier verdict, and only components whose
+    content an edit touched are recolored and geometrically re-checked.
+    The outcome is identical to the cold chip-wide coloring + full-chip
+    verification (canonical polarity pins the coloring; component
+    scopes partition the checks exactly).
     """
     start = time.perf_counter()
     with get_tracer().span("assign", cat="stage") as span:
         artifact = AssignmentArtifact()
         if verification.report.phase_assignable:
             front = verification.front
-            cg, _shifters, _pairs = build_layout_conflict_graph(
-                front.layout, tech, config.kind,
-                front=(front.shifters, front.pairs))
+            cg = verification.graph
+            if cg is None:
+                cg, _shifters, _pairs = build_layout_conflict_graph(
+                    front.layout, tech, config.kind,
+                    front=(front.shifters, front.pairs))
+            else:
+                for eid in cg.graph.removed_edge_ids():
+                    cg.graph.restore_edge(eid)
             if cache is None:
                 artifact.assignment = assign_phases(cg)
                 if artifact.assignment is not None:
@@ -368,6 +377,9 @@ def run_pipeline(layout: Layout, tech: Technology,
         with get_tracer().span("flow", cat="flow", design=layout.name):
             front = stage_front_end(layout, tech, config, cache=cache)
             detection = stage_detect(front, tech, config, cache=cache)
+            # Only the verify pass's conflict graph serves a later
+            # stage.
+            detection.graph = None
             correction = stage_correct(detection, tech, config)
             verification = stage_verify(correction, tech, config, front,
                                         cache=cache)
@@ -378,6 +390,7 @@ def run_pipeline(layout: Layout, tech: Technology,
             front.grid = None
             verification.front.grid = None
             phase = stage_assign(verification, tech, config, cache=cache)
+            verification.graph = None
 
         return PipelineResult(
             layout=layout,

@@ -125,19 +125,23 @@ def conflict_graph_svg(conflict_graph, pixel_width: int = 800,
              for x, y in coords.values()]
     canvas = SvgCanvas(_window_for(rects), pixel_width)
     highlight = set(highlight_edges)
+    # Overlap edges come first, two per pair; feature edges follow.
+    split = conflict_graph.num_overlap_edges
 
     for e in graph.edges(include_removed=True):
         (ax, ay), (bx, by) = coords[e.u], coords[e.v]
         if e.id in highlight:
             color, width = "#ff00ff", 2.5
-        elif e.id in conflict_graph.edge_feature:
+        elif e.id >= split:
             color, width = "#cc2222", 2.0
         else:
             color, width = "#2266cc", 1.2
         canvas.line(ax, ay, bx, by, color, width=width,
-                    dashed=e.id in conflict_graph.edge_pair)
+                    dashed=e.id < split)
+    # Shifter s is node s.
+    shifters = len(conflict_graph.shifters)
     for node, (x, y) in coords.items():
-        is_shifter = node in conflict_graph.shifter_node.values()
+        is_shifter = node < shifters
         canvas.circle(x, y, 4.0 if is_shifter else 2.5,
                       "#222222" if is_shifter else "#999999")
     return canvas.render()

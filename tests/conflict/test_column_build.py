@@ -5,7 +5,10 @@ nodes and edges as columns; the pair-by-pair, feature-by-feature
 builders over ``Shifter`` objects they replaced live in
 ``tests/oracles.py``.  Node ids and coordinates, edge ids, endpoints,
 weights (Python ints), tags, and the edge -> pair / feature maps must
-be identical, for every named weight model, refined or not.
+be identical, for every named weight model, refined or not; the
+column graph's maps are arithmetic lookups (shifter ``s`` is node
+``s``, pair ``k`` owns edges ``2k`` and ``2k + 1``, feature edges
+follow), the oracle's are the per-edge dicts the builds used to fill.
 """
 
 import pytest
@@ -87,4 +90,31 @@ def test_empty_front_end():
     for kind in (PCG, FG):
         cg = build_conflict_graph(kind, ShifterSet(), [], TECH)
         assert cg.graph.num_nodes() == 0 and cg.graph.num_edges() == 0
-        assert not cg.edge_pair and not cg.edge_feature
+        assert cg.num_overlap_edges == 0 and not len(cg.edge_features)
+        assert cg.classify_edges([]) == ([], [])
+
+
+@pytest.mark.parametrize("name", ["D2", "oddcycle:1", "duplicate:2"])
+@pytest.mark.parametrize("kind", [PCG, FG])
+def test_classify_edges_matches_dict_lookups(name, kind):
+    """The arithmetic split of removed edges equals the per-edge dict
+    lookups it replaced, in order, for every edge and random subsets
+    (duplicates and repeats included)."""
+    import random
+
+    if ":" in name:
+        stratum, seed = name.split(":")
+        layout = build_scenario(stratum, int(seed)).layout
+    else:
+        layout = build_design(name)
+    shifters, pairs = front(layout)
+    got = build_conflict_graph(kind, shifters, pairs, TECH)
+    want = SCALAR_BUILD[kind](shifters, pairs, TECH,
+                              SCALAR_MODELS["space"])
+    n_edges = got.graph.num_edges()
+    rng = random.Random(3)
+    subsets = [list(range(n_edges)), list(reversed(range(n_edges))), []]
+    subsets += [[rng.randrange(n_edges) for _ in range(n_edges // 3)]
+                for _ in range(3)]
+    for edge_ids in subsets:
+        assert got.classify_edges(edge_ids) == want.classify_edges(edge_ids)

@@ -106,6 +106,6 @@ class TestConflictRemovalSufficiency:
         report = detect_conflicts(lay, tech)
         cg, _s, _p = build_layout_conflict_graph(lay, tech)
         conflict_keys = {c.key for c in report.conflicts}
-        skip = [eid for eid, key in cg.edge_pair.items()
-                if key in conflict_keys]
+        skip = [eid for eid in range(cg.num_overlap_edges)
+                if cg.pair_key(eid) in conflict_keys]
         assert is_bipartite(cg.graph, skip_edges=skip)

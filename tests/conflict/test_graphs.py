@@ -43,13 +43,12 @@ class TestStructure:
     def test_pcg_overlap_path_is_straight(self, tech):
         shifters, pairs, pcg, _fg = graphs_for(grating_layout(3), tech)
         for pair in pairs:
-            na = pcg.shifter_node[pair.a]
-            nb = pcg.shifter_node[pair.b]
+            na, nb = pair.a, pair.b      # shifter s is node s
             ax, ay = pcg.graph.coord(na)
             bx, by = pcg.graph.coord(nb)
             # The overlap node sits exactly on the segment midpoint.
-            overlap_edges = [eid for eid, key in pcg.edge_pair.items()
-                             if key == pair.key]
+            overlap_edges = [eid for eid in range(pcg.num_overlap_edges)
+                             if pcg.pair_key(eid) == pair.key]
             o = {pcg.graph.edge(e).u for e in overlap_edges} | \
                 {pcg.graph.edge(e).v for e in overlap_edges}
             o -= {na, nb}
@@ -59,15 +58,17 @@ class TestStructure:
 
     def test_feature_edges_have_infinite_weight(self, tech):
         shifters, pairs, pcg, _fg = graphs_for(figure1_layout(), tech)
-        overlap_w = sum(pcg.graph.edge(e).weight for e in pcg.edge_pair)
-        for eid in pcg.edge_feature:
+        split = pcg.num_overlap_edges
+        overlap_w = sum(pcg.graph.edge(e).weight for e in range(split))
+        assert len(pcg.edge_features) == pcg.graph.num_edges() - split > 0
+        for eid in range(split, pcg.graph.num_edges()):
             assert pcg.graph.edge(eid).weight > overlap_w // 2
 
     def test_classify_edges_dedupes_pairs(self, tech):
         shifters, pairs, pcg, _fg = graphs_for(figure1_layout(), tech)
         pair = pairs[0]
-        both_edges = [eid for eid, key in pcg.edge_pair.items()
-                      if key == pair.key]
+        both_edges = [eid for eid in range(pcg.num_overlap_edges)
+                      if pcg.pair_key(eid) == pair.key]
         assert len(both_edges) == 2
         pair_keys, feats = pcg.classify_edges(both_edges)
         assert pair_keys == [pair.key]

@@ -174,7 +174,7 @@ class TestColumnBuildOracle:
         from repro.bench import build_design
         from repro.scenarios import build_scenario, stratum_names
 
-        from ..oracles import scalar_darkfield_graph
+        from ..oracles import node_coords, scalar_darkfield_graph
 
         if name == "empty":
             layout = layout_from_rects([])
@@ -196,8 +196,9 @@ class TestColumnBuildOracle:
             got = build_darkfield_graph(layout, tech, distance)
             want = scalar_darkfield_graph(layout, tech, distance)
             g, w = got.graph, want.graph
-            assert (g._labels, g._coords, g._eu, g._ev, g._etags) \
-                == (w._labels, w._coords, w._eu, w._ev, w._etags)
+            assert (g.nodes, node_coords(g), g._eu, g._ev) \
+                == (w.nodes, node_coords(w), w._eu, w._ev)
+            assert [e.tag for e in g.edges()] == [e.tag for e in w.edges()]
             assert [(type(x), x) for x in g._ew] \
                 == [(type(x), x) for x in w._ew]
             assert got.node_feature == want.node_feature

@@ -4,6 +4,8 @@ import pytest
 
 from repro.graph import GeomGraph
 
+from ..oracles import to_networkx
+
 
 def triangle():
     g = GeomGraph()
@@ -106,7 +108,7 @@ class TestQueries:
         g.add_edge(0, 1, weight=5)
         g.add_edge(0, 1, weight=2)
         g.add_edge(2, 2, weight=1)  # self-loop dropped
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         assert nxg[0][1]["weight"] == 2
         assert nxg.number_of_edges() == 1
 

@@ -342,8 +342,11 @@ def test_scalar_and_numpy_csr_identical(seed):
 @pytest.mark.parametrize("seed", SEEDS[:20])
 def test_components_decomposition_matches_reference(seed):
     g, ref = random_graph(seed)
-    comps = decompose(g)
-    assert [list(c.nodes) for c in comps] == \
+    parts = decompose(g)
+    comps = [[] for _ in range(len(parts))]
+    for node, comp in zip(g.nodes, parts.comp.tolist()):
+        comps[comp].append(node)
+    assert [sorted(c) for c in comps] == \
         sorted(ref.components(), key=lambda c: c[0])
 
 

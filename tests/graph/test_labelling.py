@@ -178,13 +178,32 @@ class TestColorsMatchBFS:
         assert 3 in labelling.odd and 4 not in labelling.odd
 
     def test_incremental_colors_read_one_labelling(self):
-        cg, _s, _p = build_layout_conflict_graph(
-            build_design("D3"), TECH)
-        with mock.patch.object(coloring, "_parity_roots",
-                               wraps=coloring._parity_roots) as roots:
-            colors = two_color_incremental(cg.graph, ArtifactCache())
-        assert roots.call_count == 1
-        assert colors == scalar_two_color(cg.graph)
+        """The column recoloring reads the decomposition's one hooking
+        pass; it never labels the graph again."""
+        from repro.graph import components
+
+        for layout in (build_design("D3"), corrected_d3()):
+            cg, _s, _p = build_layout_conflict_graph(layout, TECH)
+            with mock.patch.object(components, "_parity_roots",
+                                   wraps=components._parity_roots) as roots, \
+                    mock.patch.object(coloring, "_parity_roots",
+                                      wraps=coloring._parity_roots) as again:
+                colors = two_color_incremental(cg.graph, ArtifactCache())
+            assert roots.call_count == 1 and again.call_count == 0
+            expected = scalar_two_color(cg.graph)
+            if expected is None:
+                assert colors is None
+            else:
+                assert dict(zip(cg.graph.nodes, colors.tolist())) \
+                    == expected
+
+
+def corrected_d3():
+    """D3 after correction: its conflict graph is bipartite."""
+    layout = build_design("D3")
+    report = detect_conflicts(layout, TECH)
+    return correct_layout(layout, TECH,
+                          [c.key for c in report.conflicts])[0]
 
 
 def planarized_bipartization(layout):

@@ -3,8 +3,9 @@
 The contracts under test:
 
 * a traced tiled flow yields one ``flow`` root covering all five
-  stages, with per-tile / per-cluster / per-window / per-component
-  child spans under the stages that do that work;
+  stages, with per-tile / per-cluster / per-window child spans under
+  the stages that do that work, and one recolor and one verify span
+  under the assign stage;
 * stage span attributes agree *exactly* with the counters
   ``pipeline_dict`` reports (one source of truth, two views);
 * serial and process executors produce structurally identical
@@ -83,10 +84,18 @@ class TestFlowTrace:
                    if s.cat == "window"]
         assert len(windows) == len(pipe.correction.report.windows)
 
-        components = [s for s, _ in iter_spans([by_name["assign"]])
-                      if s.cat == "component"]
-        # Cold run: every component both recolored and verified.
-        assert len(components) == 2 * pipe.phase.components
+        # One recolor and one verify span per assign stage; their
+        # recomputed / replayed counts are the store's own misses /
+        # hits for the two kinds (cold run: every component both
+        # recolored and verified).
+        spans = {s.name: s.attrs for s, _ in iter_spans([by_name["assign"]])
+                 if s.cat == "component"}
+        assert set(spans) == {"recolor", "verify"}
+        for name, kind in (("recolor", "coloring"), ("verify", "verify")):
+            hits, misses = pipe.phase.cache_delta[kind]
+            assert spans[name] == {"components": pipe.phase.components,
+                                   "recomputed": misses, "replayed": hits}
+            assert misses == pipe.phase.components > 0
 
     def test_stage_attrs_match_pipeline_dict_exactly(self, layout,
                                                      tech):

@@ -294,6 +294,18 @@ class ScalarKernel(GeometryKernel):
         return [region_center2(rects[i], rects[j]) for i, j in pairs]
 
 
+def node_coords(graph: GeomGraph) -> Dict[int, Tuple[int, int]]:
+    """Label -> coordinate of every placed node, read one node at a
+    time through ``GeomGraph.coord`` (either registry form)."""
+    coords = {}
+    for node in graph.nodes:
+        try:
+            coords[node] = graph.coord(node)
+        except KeyError:
+            pass
+    return coords
+
+
 # ----------------------------------------------------------------------
 # Crossing search
 # ----------------------------------------------------------------------
@@ -301,7 +313,7 @@ def scalar_crossing_pairs(graph: GeomGraph) -> List[Tuple[int, int]]:
     """:func:`repro.graph.find_crossing_pairs` one pair at a time:
     candidates from the kernel over +1-padded segment boxes, each
     decided by the scalar :func:`segments_conflict`."""
-    coords = graph._coords
+    coords = node_coords(graph)
     eids: List[int] = []
     segs: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
     for eid, u, v, _w in graph.live_edge_rows():
@@ -762,12 +774,30 @@ def front_end_tuples(front: TileFrontEnd):
     return features, pairs
 
 
+def to_networkx(graph: GeomGraph):
+    """A graph's lossy networkx export for cross-checks: live edges
+    only, self-loops dropped, and the lightest of parallel edges
+    kept."""
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(graph.nodes)
+    for eid, u, v, w in graph.live_edge_rows():
+        if u == v:
+            continue
+        if g.has_edge(u, v):
+            if g[u][v]["weight"] <= w:
+                continue
+        g.add_edge(u, v, weight=w, eid=eid)
+    return g
+
+
 def scalar_connected_components(graph: GeomGraph) -> List[List[int]]:
     """``GeomGraph.connected_components`` as a per-node DFS over the
     CSR adjacency: components over live edges, each sorted, in the
     order of their first inserted node, isolated nodes included."""
     csr = graph.csr()
-    index = graph._node_index
+    index = {node: i for i, node in enumerate(graph.nodes)}
     removed = graph._removed
     seen: Set[int] = set()
     components: List[List[int]] = []
@@ -792,17 +822,41 @@ def scalar_connected_components(graph: GeomGraph) -> List[List[int]]:
     return components
 
 
-def scalar_decompose(graph: GeomGraph):
-    """Components as ``(index, nodes, order, content_id)`` tuples from
-    a per-node DFS, a per-component canonical sort and a per-node,
-    per-edge content encoding (``struct.pack`` of the same int64
-    rows the production digest hashes)."""
+@dataclass(frozen=True)
+class GraphComponent:
+    """One connected component of a graph's live-edge structure, as the
+    object decomposition held it.
+
+    ``index`` is the dense component index (ordered by minimum node
+    label), ``nodes`` the node labels ascending, ``order`` the same
+    nodes in canonical order and ``content_id`` the hex digest of the
+    component's content.
+    """
+
+    index: int
+    nodes: Tuple[int, ...]
+    order: Tuple[int, ...]
+    content_id: str
+
+    @property
+    def min_node(self) -> int:
+        return self.nodes[0]
+
+
+def scalar_decompose(graph: GeomGraph, fmt: int = COMPONENT_FORMAT
+                     ) -> List[GraphComponent]:
+    """``decompose`` as :class:`GraphComponent` objects, from a per-node
+    DFS, a per-component canonical sort and a per-node, per-edge
+    content encoding (``struct.pack`` of the same int64 rows the
+    production digest hashes).  ``fmt`` is the format number hashed
+    into the header (2 gives the content ids older stores were keyed
+    by)."""
     comps = sorted(scalar_connected_components(graph), key=lambda c: c[0])
     comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
     edges = [[] for _ in comps]
     for _eid, u, v, w in graph.live_edge_rows():
         edges[comp_of[u]].append((u, v, w))
-    coords = graph._coords
+    coords = node_coords(graph)
     out = []
     for i, comp in enumerate(comps):
         if all(n in coords for n in comp):
@@ -812,17 +866,126 @@ def scalar_decompose(graph: GeomGraph):
         rank = {n: k for k, n in enumerate(order)}
         rows = sorted((min(rank[u], rank[v]), max(rank[u], rank[v]), w)
                       for u, v, w in edges[i])
-        payload = struct.pack("<3q", COMPONENT_FORMAT, len(order),
-                              len(rows))
+        payload = struct.pack("<3q", fmt, len(order), len(rows))
         for n in order:
             c = coords.get(n)
             payload += struct.pack("<3q", *((0, *c) if c is not None
                                             else (1, n, 0)))
         for row in rows:
             payload += struct.pack("<3q", *row)
-        out.append((i, tuple(comp), tuple(order),
-                    hashlib.sha256(payload).hexdigest()))
+        out.append(GraphComponent(i, tuple(comp), tuple(order),
+                                  hashlib.sha256(payload).hexdigest()))
     return out
+
+
+def decomposition_components(graph: GeomGraph, parts
+                             ) -> List[GraphComponent]:
+    """A column :class:`~repro.graph.Decomposition` read back as
+    :class:`GraphComponent` objects, for comparison with
+    :func:`scalar_decompose`."""
+    labels = graph.nodes
+    comp = parts.comp.tolist()
+    nodes: List[List[int]] = [[] for _ in range(len(parts))]
+    for i, c in enumerate(comp):
+        nodes[c].append(labels[i])
+    order = [labels[i] for i in parts.order.tolist()]
+    bounds = parts.bounds.tolist()
+    return [GraphComponent(i, tuple(sorted(nodes[i])),
+                           tuple(order[bounds[i]:bounds[i + 1]]), cid)
+            for i, cid in enumerate(parts.content_ids)]
+
+
+def encode_coloring(component: GraphComponent,
+                    colors: Dict[int, int]) -> Tuple[int, ...]:
+    """A component's colors as a canonical vector (first canonical
+    node normalized to color 0)."""
+    base = colors[component.order[0]]
+    return tuple(colors[n] ^ base for n in component.order)
+
+
+def decode_coloring(component: GraphComponent,
+                    canonical: Sequence[int]) -> Dict[int, int]:
+    """Re-anchor a canonical color vector onto current node labels,
+    flipped so the component's minimum node takes color 0."""
+    colors = dict(zip(component.order, canonical))
+    flip = colors[component.min_node]
+    if flip:
+        return {n: c ^ 1 for n, c in colors.items()}
+    return colors
+
+
+# The format-2 code of an odd component.
+ODD_TUPLE = "odd"
+
+
+def object_two_color_incremental(graph: GeomGraph, store,
+                                 fmt: int = COMPONENT_FORMAT):
+    """``two_color_incremental`` component by component over
+    :class:`GraphComponent` objects: one ``coloring`` get per
+    component, a miss recolored from one parity labelling and put.
+    Codes are bytes (format 3); ``fmt=2`` keys by format-2 content ids
+    and stores the tuple codes (``"odd"`` for an odd component) that
+    format used.  Returns node -> color, or None when a component is
+    odd."""
+    from repro.cache import KIND_COLORING
+    from repro.graph.components import ODD_COMPONENT
+
+    odd_code = ODD_TUPLE if fmt == 2 else ODD_COMPONENT
+    colors: Dict[int, int] = {}
+    failed = False
+    labelling = None
+    for component in scalar_decompose(graph, fmt):
+        canonical = store.get(KIND_COLORING, component.content_id)
+        if canonical is None:
+            if labelling is None:
+                labelling = parity_labelling(graph)
+            fresh = labelling.component_colors(component.nodes)
+            if fresh is None:
+                canonical = odd_code
+            else:
+                canonical = encode_coloring(component, fresh)
+                if fmt != 2:
+                    canonical = bytes(canonical)
+            store.put(KIND_COLORING, component.content_id, canonical)
+            if fresh is None:
+                failed = True
+            elif not failed:
+                colors.update(fresh)
+        elif canonical == odd_code:
+            failed = True
+        elif not failed:
+            colors.update(decode_coloring(component, tuple(canonical)))
+    return None if failed else colors
+
+
+def object_assign_and_verify(conflict_graph, tech, pairs, store,
+                             fmt: int = COMPONENT_FORMAT):
+    """``assign_and_verify_incremental`` component by component: the
+    object recoloring above, then per component one ``verify`` get
+    and, on a miss, its Condition-1 and Condition-2 problems from the
+    scalar verifier scoped to the component (Condition 1 in feature
+    order, then Condition 2 in pair order) and a put."""
+    from repro.cache import KIND_VERIFY
+    from repro.phase import assignment_from_colors, verify_key
+
+    graph = conflict_graph.graph
+    components = scalar_decompose(graph, fmt)
+    colors = object_two_color_incremental(graph, store, fmt)
+    if colors is None:
+        return None, [], len(components)
+    assignment = assignment_from_colors(conflict_graph, colors)
+    shifters = conflict_graph.shifters
+    problems: List[str] = []
+    for component in components:
+        key = verify_key(component.content_id, tech)
+        verdict = store.get(KIND_VERIFY, key)
+        if verdict is None:
+            scope = set(component.nodes)
+            verdict = tuple(scalar_verify_assignment(shifters, assignment,
+                                                     pairs, scope))
+            store.put(KIND_VERIFY, key, verdict)
+        problems.extend(verdict)
+    return assignment, problems, len(components)
 
 
 # ----------------------------------------------------------------------
@@ -837,13 +1000,12 @@ def color_from(graph: GeomGraph, start: int,
     gets color 0.  None when the component is not bipartite."""
     blocked = blocked | graph._removed
     csr = graph.csr()
-    index = graph._node_index
     colors: Dict[int, int] = {start: 0}
     queue = [start]
     while queue:
         node = queue.pop()
         color = colors[node]
-        i = index.get(node)
+        i = graph._index_of(node)
         if i is None:        # unknown start label: colored, no edges
             continue
         for k in range(csr.indptr[i], csr.indptr[i + 1]):
@@ -946,9 +1108,42 @@ SCALAR_MODELS = {
 }
 
 
+@dataclass
+class ScalarConflictGraph:
+    """A conflict graph with the per-edge maps the column
+    :class:`~repro.conflict.ConflictGraph` replaced by arithmetic:
+    shifter id -> node, overlap-edge id -> pair key, feature-edge id
+    -> feature index."""
+
+    graph: GeomGraph
+    kind: str
+    shifters: ShifterSet
+    shifter_node: Dict[int, int]
+    edge_pair: Dict[int, Tuple[int, int]]
+    edge_feature: Dict[int, int]
+
+    def classify_edges(self, edge_ids):
+        """The dict lookups of ``ConflictGraph.classify_edges``."""
+        pairs: List[Tuple[int, int]] = []
+        features: List[int] = []
+        seen = set()
+        for eid in edge_ids:
+            if eid in self.edge_pair:
+                key = self.edge_pair[eid]
+                if key not in seen:
+                    seen.add(key)
+                    pairs.append(key)
+            elif eid in self.edge_feature:
+                fi = self.edge_feature[eid]
+                if ("f", fi) not in seen:
+                    seen.add(("f", fi))
+                    features.append(fi)
+        return pairs, features
+
+
 def _scalar_graph_base(kind: str, shifters: ShifterSet, pairs, tech,
                        model):
-    from repro.conflict import ConflictGraph, feature_edge_weight
+    from repro.conflict import feature_edge_weight
 
     graph = GeomGraph(name=kind)
     shifter_node = {s.id: s.id for s in shifters}
@@ -958,8 +1153,9 @@ def _scalar_graph_base(kind: str, shifters: ShifterSet, pairs, tech,
     weights = [model(p, shifters, tech) for p in pairs]
     if any(w <= 0 for w in weights):
         raise ValueError("weight model must return positive weights")
-    cg = ConflictGraph(graph=graph, kind=kind, shifters=shifters,
-                       shifter_node=shifter_node)
+    cg = ScalarConflictGraph(graph=graph, kind=kind, shifters=shifters,
+                             shifter_node=shifter_node, edge_pair={},
+                             edge_feature={})
     return cg, weights, feature_edge_weight(weights)
 
 
@@ -1034,15 +1230,26 @@ def scalar_feature_graph(shifters: ShifterSet, pairs, tech,
 
 
 def conflict_graph_columns(cg):
-    """Everything a conflict graph holds, for exact comparison: node
-    labels and coordinates, edge columns (weights with their Python
-    types), tags, removed set and the maps back to shifters."""
+    """Everything a conflict graph holds, for exact comparison, read
+    through the graph's accessors: node labels and coordinates, edge
+    columns (weights with their Python types), tags, removed ids, and
+    the maps back to shifters — the column graph's arithmetic lookups
+    (shifter ``s`` is node ``s``; ``pair_key``; ``edge_features``) or
+    a :class:`ScalarConflictGraph`'s dicts."""
     g = cg.graph
-    return (cg.kind, g.name, list(g._labels), dict(g._coords),
-            list(g._eu), list(g._ev),
-            [(type(w), w) for w in g._ew], list(g._etags),
-            set(g._removed), dict(cg.shifter_node), dict(cg.edge_pair),
-            dict(cg.edge_feature))
+    n_edges = len(g._eu)
+    if isinstance(cg, ScalarConflictGraph):
+        maps = (dict(cg.shifter_node), dict(cg.edge_pair),
+                dict(cg.edge_feature))
+    else:
+        split = cg.num_overlap_edges
+        maps = ({s: s for s in range(len(cg.shifters))},
+                {eid: cg.pair_key(eid) for eid in range(split)},
+                dict(zip(range(split, n_edges), cg.edge_features.tolist())))
+    return (cg.kind, g.name, g.nodes, node_coords(g), list(g._eu),
+            list(g._ev), [(type(w), w) for w in g._ew],
+            [g.edge(eid).tag for eid in range(n_edges)],
+            g.removed_edge_ids(), *maps)
 
 
 def scalar_canonical_tile(job, shifters: ShifterSet, pairs, report):

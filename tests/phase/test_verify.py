@@ -22,6 +22,16 @@ def corrected_design(name, tech):
     return run_aapsm_flow(build_design(name), tech).corrected_layout
 
 
+def component_scopes(cg):
+    """The shifter ids of each conflict-graph component, in component
+    order (shifter ``s`` is node ``s``; auxiliary nodes dropped)."""
+    parts = decompose(cg.graph)
+    scopes = [set() for _ in range(len(parts))]
+    for node, comp in enumerate(parts.comp[:len(cg.shifters)].tolist()):
+        scopes[comp].add(node)
+    return scopes
+
+
 class TestScopedVerify:
     def test_scoped_union_equals_full_chip(self, tech):
         """Component scopes partition the full check exactly — every
@@ -33,9 +43,7 @@ class TestScopedVerify:
         assignment.phases[0] = assignment.phases[1]
         full = verify_assignment(shifters, assignment, tech, pairs=pairs)
         union = []
-        num_shifters = len(shifters)
-        for comp in decompose(cg.graph):
-            scope = {n for n in comp.nodes if n < num_shifters}
+        for scope in component_scopes(cg):
             union += verify_assignment(shifters, assignment, tech,
                                        pairs=pairs, scope=scope)
         assert sorted(union) == sorted(full)
@@ -175,20 +183,31 @@ class TestColumnVerifyOracle:
     @pytest.mark.parametrize("name", ["D2", "D3"])
     def test_incremental_groups_per_component(self, tech, name,
                                               monkeypatch):
+        """The one-pass verdicts, bucketed by component, on a broken
+        coloring: the driver's problems (it checks the coloring it is
+        handed) equal the oracle's, component by component."""
+        import random
+
         from repro.phase import incremental
 
         from ..oracles import scalar_verify_assignment
 
         cg, shifters, pairs = build_layout_conflict_graph(
             corrected_design(name, tech), tech)
-        assignment = self.broken(cg, 7)
-        monkeypatch.setattr(incremental, "assignment_from_colors",
-                            lambda _cg, _colors: assignment)
-        _a, problems, _n = assign_and_verify_incremental(
+        real = incremental.two_color_incremental
+
+        def broken(graph, store, parts):
+            colors = real(graph, store, parts)
+            rng = random.Random(7)
+            flip = rng.sample(range(len(shifters)), len(shifters) // 5)
+            colors[flip] ^= 1
+            return colors
+
+        monkeypatch.setattr(incremental, "two_color_incremental", broken)
+        assignment, problems, _n = assign_and_verify_incremental(
             cg, tech, pairs, ArtifactCache())
         expected = []
-        for comp in decompose(cg.graph):
-            scope = set(comp.nodes)
+        for scope in component_scopes(cg):
             # Each constraint belongs to the component of its first
             # shifter; both shifters share it.
             expected += scalar_verify_assignment(shifters, assignment,

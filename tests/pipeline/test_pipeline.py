@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache import KIND_FRONTEND, KIND_TILE, ArtifactCache
-from repro.conflict import layout_front_end
+from repro.conflict import build_layout_conflict_graph, layout_front_end
 from repro.core import run_aapsm_flow
 from repro.layout import (
     GeneratorParams,
@@ -259,6 +259,39 @@ class TestFrontEndReuse:
         assert not result.verification.front_reused
         assert (result.verification.front.shifters
                 is not result.front.shifters)
+
+    @pytest.mark.parametrize("name", ["D3", "figure1"])
+    def test_monolithic_flow_builds_two_graphs(self, tech, name,
+                                               monkeypatch):
+        """Detect and verify each build the conflict graph once; the
+        assign stage takes the verify pass's, its planarization
+        casualties restored, and answers as a fresh build would."""
+        from repro.bench import build_design
+        from repro.conflict import detection
+        from repro.phase import assign_phases
+
+        layout = figure1_layout() if name == "figure1" \
+            else build_design(name)
+        built = []
+        real = detection.build_conflict_graph
+
+        def counting(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(detection, "build_conflict_graph", counting)
+        result = run_pipeline(layout, tech)
+        assert len(built) == 2
+        assert result.success
+        graph = built[1].graph
+        assert graph.removed_edge_ids() == []
+        assert result.verification.graph is None
+        assert result.detection.graph is None
+        monkeypatch.undo()
+        front = result.verification.front
+        fresh, _s, _p = build_layout_conflict_graph(
+            front.layout, tech, front=(front.shifters, front.pairs))
+        assert result.assignment.phases == assign_phases(fresh).phases
 
     def test_assignment_reuses_verify_front(self, tech):
         """Phase assignment builds its graph from the verify pass's

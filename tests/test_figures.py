@@ -72,12 +72,13 @@ class TestFigure2:
             cg, shifters, pairs = build_layout_conflict_graph(lay, tech,
                                                               kind)
             (pair,) = pairs
-            aux_nodes = {cg.graph.edge(e).u for e in cg.edge_pair} | \
-                        {cg.graph.edge(e).v for e in cg.edge_pair}
-            aux_nodes -= set(cg.shifter_node.values())
+            overlap = range(cg.num_overlap_edges)
+            aux_nodes = {cg.graph.edge(e).u for e in overlap} | \
+                        {cg.graph.edge(e).v for e in overlap}
+            aux_nodes -= set(range(len(shifters)))  # shifter s is node s
             (aux,) = aux_nodes
-            a = cg.graph.coord(cg.shifter_node[pair.a])
-            b = cg.graph.coord(cg.shifter_node[pair.b])
+            a = cg.graph.coord(pair.a)
+            b = cg.graph.coord(pair.b)
             o = cg.graph.coord(aux)
             straight = orientation(a, b, o) == 0
             assert straight == expect_straight, kind

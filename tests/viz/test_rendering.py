@@ -89,6 +89,18 @@ class TestSvg:
         assert len(lines) == cg.graph.num_edges()
         assert len(circles) == cg.graph.num_nodes()
 
+    def test_shifter_nodes_draw_large(self, tech):
+        """A node is a shifter exactly when its id is below the shifter
+        count: those, and only those, get the radius-4.0 circle."""
+        from repro.bench import build_design
+
+        cg, shifters, _p = build_layout_conflict_graph(build_design("D3"),
+                                                       tech)
+        root = self._parse(conflict_graph_svg(cg))
+        radii = [e.get("r") for e in root.iter() if e.tag.endswith("circle")]
+        assert radii.count("4.0") == len(shifters) > 0
+        assert radii.count("2.5") == cg.graph.num_nodes() - len(shifters)
+
     def test_phase_colors_differ(self, tech):
         lay = grating_layout(3)
         shifters = generate_shifters(lay, tech)
