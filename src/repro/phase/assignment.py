@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..graph import two_color
+from ..graph import parity_labelling
 from ..layout import (
     Layout,
     SHIFTER_0_LAYER,
@@ -48,25 +48,22 @@ class PhaseAssignment:
 def assignment_from_colors(conflict_graph, colors) -> PhaseAssignment:
     """Project a node coloring onto shifter phases.
 
-    ``colors`` maps node -> color: a dict, or a column indexed by node.
-    Works for both PCG and FG: shifter ``s`` is node ``s`` by
-    construction; auxiliary node colors are discarded.
+    ``colors`` is a color column indexed by node.  Works for both PCG
+    and FG: shifter ``s`` is node ``s`` by construction; auxiliary node
+    colors are discarded.
     """
     count = len(conflict_graph.shifters)
-    if isinstance(colors, dict):
-        values = map(colors.__getitem__, range(count))
-    else:
-        values = colors[:count].tolist()
     return PhaseAssignment(phases=dict(zip(
-        range(count), [PHASE_180 if c else PHASE_0 for c in values])))
+        range(count),
+        [PHASE_180 if c else PHASE_0 for c in colors[:count].tolist()])))
 
 
 def assign_phases(conflict_graph) -> Optional[PhaseAssignment]:
     """2-color a conflict graph; None when it is not bipartite."""
-    colors = two_color(conflict_graph.graph)
-    if colors is None:
+    labelling = parity_labelling(conflict_graph.graph)
+    if labelling.odd:
         return None
-    return assignment_from_colors(conflict_graph, colors)
+    return assignment_from_colors(conflict_graph, labelling.color)
 
 
 def assign_and_verify(layout: Layout, tech: Technology

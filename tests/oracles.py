@@ -35,13 +35,22 @@ compare them with live here:
   tiled path's per-rect, per-feature
   and per-component loops (bisect routing with a ``Rect.hull`` bbox;
   one tuple per owned feature and pair, sorted per tile; BFS
-  components with per-component canonical orders and content ids),
-  which the column passes of ``partition_layout``, the front end's
-  ownership cut and ``decompose`` must reproduce exactly;
+  components with per-component canonical orders and content ids, as
+  :class:`GraphComponent` objects), which the column passes of
+  ``partition_layout``, the front end's ownership cut and
+  ``decompose`` must reproduce exactly;
+* :func:`object_two_color_incremental` and
+  :func:`object_assign_and_verify` (with :func:`encode_coloring` /
+  :func:`decode_coloring`) — the store-backed assign component by
+  component, which the column assign must match answer for answer,
+  hit for hit and entry for entry; ``fmt=2`` writes the format-2
+  entries older stores hold;
 * :func:`color_from` / :func:`scalar_two_color` (the per-node BFS
   2-coloring), :func:`scalar_residual_conflicts` (step 3 seeded node
   by node), :func:`scalar_phase_conflict_graph` /
-  :func:`scalar_feature_graph` (the per-pair graph builders),
+  :func:`scalar_feature_graph` (the per-pair graph builders, with the
+  per-edge maps of :class:`ScalarConflictGraph` that the column
+  graph's arithmetic lookups replaced),
   :data:`SCALAR_MODELS` with :func:`pair_tie_breaker` and
   :func:`scalar_make_generic` (the per-pair weight models) and
   :func:`scalar_canonical_tile` (``detect_tile``'s per-conflict
@@ -50,6 +59,9 @@ compare them with live here:
   canonicalization replaced;
 * :func:`scalar_connected_components` — the per-node DFS that
   ``GeomGraph.connected_components``' hooking pass replaced;
+* :func:`to_networkx` — a graph's lossy networkx export for
+  cross-checks, and :func:`node_coords`, its coordinates read node by
+  node through either registry form;
 * :func:`scalar_apply_cuts` (with :func:`transform_rect`) — space
   insertion rect by rect, two bisects per axis, which ``apply_cuts``'
   column pass must reproduce exactly.
@@ -966,15 +978,16 @@ def object_assign_and_verify(conflict_graph, tech, pairs, store,
     scalar verifier scoped to the component (Condition 1 in feature
     order, then Condition 2 in pair order) and a put."""
     from repro.cache import KIND_VERIFY
-    from repro.phase import assignment_from_colors, verify_key
+    from repro.phase import PHASE_0, PHASE_180, PhaseAssignment, verify_key
 
     graph = conflict_graph.graph
     components = scalar_decompose(graph, fmt)
     colors = object_two_color_incremental(graph, store, fmt)
     if colors is None:
         return None, [], len(components)
-    assignment = assignment_from_colors(conflict_graph, colors)
     shifters = conflict_graph.shifters
+    assignment = PhaseAssignment(phases={
+        s: PHASE_180 if colors[s] else PHASE_0 for s in range(len(shifters))})
     problems: List[str] = []
     for component in components:
         key = verify_key(component.content_id, tech)
