@@ -2,7 +2,7 @@
 tracer cheap.
 
 The claim under test: instrumentation is always-on in library code
-(cache lookups, tiles, windows, components all call the active tracer
+(cache lookups, tiles, windows, the assign passes all call the tracer
 unconditionally), so the default :class:`~repro.obs.NullTracer` must
 cost a negligible fraction of a flow — the overhead guard in
 ``tests/obs/test_overhead.py`` bounds it below 2% by measurement; this
