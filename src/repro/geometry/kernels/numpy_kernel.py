@@ -23,10 +23,11 @@ x-range; the bands cut it to the rects near in y too:
 
 The band height comes from the input's columns (:func:`_band_layout`);
 one band is the plain sweep.  The windows are materialized block-wise
-(bounded memory) as flat ``(p, q)`` row arrays; exact integer
-gap/separation masks filter the superset, and the surviving rows are
-mapped back to input indices, normalized to ``i < j`` and lexsorted —
-the same sorted pair list the scalar oracle emits.
+(bounded memory) as flat ``(p, q)`` row arrays whose coordinates are
+gathered through the sweep order; exact integer gap/separation masks
+filter the superset, and the surviving rows are mapped back to input
+indices and sorted by one packed ``i * n + j`` key, ``i < j`` — the
+same sorted pair list the scalar oracle emits.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ from ..interval import batch_gap
 from ..rect import batch_separation_sq, rect_columns
 from . import GeometryKernel, PairRow
 
-#: Upper bound on candidate rows materialized per sweep block; it bounds
-#: the sweep's peak memory on chip-sized tiles.
-SWEEP_BLOCK = 1 << 14
+#: Upper bound on the candidate rows one block materializes, in the
+#: sweep and in the crossing search's predicate
+#: (:func:`repro.graph.find_crossing_pairs`); it bounds their temporary
+#: memory on chip-sized inputs.
+SWEEP_BLOCK = 1 << 12
 
 #: Below this many one-band candidates the plain sweep is cheaper than
 #: laying out bands at all (tiny inputs take one band).
@@ -79,32 +82,28 @@ class NumpyKernel(GeometryKernel):
 
     name = "numpy"
 
-    def __init__(self, block: int = SWEEP_BLOCK):
-        self.block = max(1, int(block))
-
     # ------------------------------------------------------------------
     def neighbor_pairs(self, rects: Sequence, dist: int
                        ) -> List[Tuple[int, int]]:
-        ii, jj, _sep, _xg, _yg = self._pairs(RectArray.from_rects(rects),
-                                             dist)
+        ii, jj = self._pairs(RectArray.from_rects(rects), dist,
+                            measured=False)
         return list(zip(ii.tolist(), jj.tolist()))
 
     def overlap_rows(self, rects: Sequence, dist: int,
                      groups: Optional[Sequence[int]] = None
                      ) -> List[PairRow]:
         ra = RectArray.from_rects(rects, ids=groups)
-        ii, jj, sep, xg, yg = self._pairs(ra, dist, exempt_same_id=True)
+        ii, jj, sep, xg, yg = self._pairs(ra, dist, measured=True)
         return list(zip(ii.tolist(), jj.tolist(), sep.tolist(),
                         xg.tolist(), yg.tolist()))
 
     def neighbor_pair_arrays(self, x1, y1, x2, y2, dist: int):
-        ii, jj, _sep, _xg, _yg = self._pairs(RectArray(x1, y1, x2, y2),
-                                             dist)
-        return ii, jj
+        return self._pairs(RectArray(x1, y1, x2, y2), dist,
+                           measured=False)
 
     def overlap_row_array(self, x1, y1, x2, y2, dist: int, groups=None):
         return np.stack(self._pairs(RectArray(x1, y1, x2, y2, groups),
-                                    dist, exempt_same_id=True), axis=1)
+                                    dist, measured=True), axis=1)
 
     def region_centers2(self, rects: Sequence,
                         pairs: Sequence[Tuple[int, int]]
@@ -120,81 +119,61 @@ class NumpyKernel(GeometryKernel):
         return _region_centers2(RectArray(x1, y1, x2, y2), i, j)
 
     # ------------------------------------------------------------------
-    def _pairs(self, ra: RectArray, dist: int,
-               exempt_same_id: bool = False):
-        """Sorted, measured ``i < j`` pairs with separation < ``dist``.
+    def _pairs(self, ra: RectArray, dist: int, measured: bool):
+        """Sorted ``i < j`` pairs with separation < ``dist``.
 
-        Returns five parallel int64 arrays: i, j, separation_sq,
-        x_gap, y_gap.  Counts the candidate rows it examined
-        (``kernel.sweep.candidates``) and the pairs it returns
-        (``kernel.sweep.pairs``) on the active tracer.
+        Returns two parallel int64 arrays, i and j; ``measured`` adds
+        three more: separation_sq, x_gap and y_gap.  Pairs whose rects
+        share an id (``ra.ids``) are exempt.  Counts the candidate rows
+        it examined (``kernel.sweep.candidates``) and the pairs it
+        returns (``kernel.sweep.pairs``) on the active tracer.
+
+        Beyond its input and output, the sweep holds four int64 columns
+        over its rows (order, band, count, offset) and one block of
+        candidate rows, whose coordinates it gathers through the order;
+        the set-up columns go once the rows are laid out.
         """
-        empty = np.empty(0, dtype=np.int64)
+        width = 5 if measured else 2
         n = ra.n
         if n < 2 or dist <= 0:
             # dist == 0 can never satisfy the strict test; negative
             # interaction distances are not meaningful for a sweep.
-            return empty, empty, empty.copy(), empty.copy(), empty.copy()
+            return _no_pairs(width)
 
         order = np.argsort(ra.x1, kind="stable")
         sx1 = ra.x1[order]
-        sy1 = ra.y1[order]
-        sx2 = ra.x2[order]
-        sy2 = ra.y2[order]
-        sid = ra.ids[order] if (exempt_same_id and ra.ids is not None) \
-            else None
-
         # Window bound: any qualifying pair (p, q>p) has
         # x1[q] - x2[p] <= x_gap < dist, so q < searchsorted(x1, x2[p]+dist).
-        hi = np.searchsorted(sx1, sx2 + dist, side="left")
+        hi = np.searchsorted(sx1, ra.x2[order] + dist, side="left")
         counts = hi - np.arange(1, n + 1, dtype=np.int64)
         np.maximum(counts, 0, out=counts)
-        cum = _offsets(counts)
-        total = int(cum[-1])
         bands = None
-        if total >= BAND_MIN_CANDIDATES:
-            bands = _band_layout(sx1, sy1, sx2, sy2, dist)
+        if int(counts.sum()) >= BAND_MIN_CANDIDATES:
+            bands = _band_layout(sx1, ra.y1[order], ra.x2[order],
+                                 ra.y2[order], dist)
+        del sx1
         row_band = None
         if bands is not None:
             # Rows are band members, ordered by the packed (band, x-rank)
             # key; a row's window ends at its band's first member at or
             # past its x-rank bound.
-            y0, height, first, span = bands
-            rank = np.repeat(np.arange(n, dtype=np.int64), span)
-            key = first[rank] + np.arange(len(rank), dtype=np.int64) \
-                - np.repeat(np.cumsum(span) - span, span)
-            key *= n
-            key += rank
-            key.sort()
-            row_band = key // n
-            rank = key - row_band * n
-            counts = np.searchsorted(key, key - rank + hi[rank],
-                                     side="left") \
-                - np.arange(1, len(key) + 1, dtype=np.int64)
-            np.maximum(counts, 0, out=counts)
-            cum = _offsets(counts)
-            total = int(cum[-1])
-            order, sx1, sy1, sx2, sy2 = (order[rank], sx1[rank],
-                                         sy1[rank], sx2[rank], sy2[rank])
-            if sid is not None:
-                sid = sid[rank]
+            y0, height = bands[0], bands[1]
+            rank, row_band, counts = _band_rows(bands, hi)
+            del bands
+            order = order[rank]
+            del rank
+        del hi
+        cum = _offsets(counts)
         tracer = get_tracer()
-        tracer.count("kernel.sweep.candidates", total)
-        if not total:
-            tracer.count("kernel.sweep.pairs", 0)
-            return empty, empty, empty.copy(), empty.copy(), empty.copy()
+        tracer.count("kernel.sweep.candidates", int(cum[-1]))
 
+        x1, y1, x2, y2, ids = ra.x1, ra.y1, ra.x2, ra.y2, ra.ids
         rows = len(order)
         dist_sq = dist * dist
-        out_i: List[np.ndarray] = []
-        out_j: List[np.ndarray] = []
-        out_sep: List[np.ndarray] = []
-        out_xg: List[np.ndarray] = []
-        out_yg: List[np.ndarray] = []
-
+        found: List[List[np.ndarray]] = []
         p0 = 0
         while p0 < rows:
-            p1 = int(np.searchsorted(cum, cum[p0] + self.block,
+            p1 = int(np.searchsorted(cum, cum[p0] + SWEEP_BLOCK,
                                      side="left"))
             p1 = min(max(p1, p0 + 1), rows)
             blk = counts[p0:p1]
@@ -206,42 +185,56 @@ class NumpyKernel(GeometryKernel):
             offs = np.arange(total, dtype=np.int64) \
                 - np.repeat(cum[p0:p1] - cum[p0], blk)
             q_idx = p_idx + 1 + offs
+            p, q = order[p_idx], order[q_idx]
 
-            # x1[q] >= x1[p] after the sort, so the interval-gap
-            # formula collapses to x1[q] - min(x2).
-            xg = sx1[q_idx] - np.minimum(sx2[p_idx], sx2[q_idx])
-            py1 = sy1[p_idx]
-            qy1 = sy1[q_idx]
-            yg = batch_gap(py1, sy2[p_idx], qy1, sy2[q_idx])
+            # x1[q] >= x1[p] in sweep order, so the interval-gap formula
+            # collapses to x1[q] - min(x2).
+            xg = x1[q] - np.minimum(x2[p], x2[q])
+            py1 = y1[p]
+            qy1 = y1[q]
+            yg = batch_gap(py1, y2[p], qy1, y2[q])
             sep = batch_separation_sq(xg, yg)
             mask = sep < dist_sq
-            if sid is not None:
-                mask &= sid[p_idx] != sid[q_idx]
+            if ids is not None:
+                mask &= ids[p] != ids[q]
             if row_band is not None:
                 # Keep the pair in the band of max(y1_p, y1_q) only.
                 mask &= (np.maximum(py1, qy1) - y0) // height \
                     == row_band[p_idx]
             if mask.any():
-                out_i.append(order[p_idx[mask]])
-                out_j.append(order[q_idx[mask]])
-                out_sep.append(sep[mask])
-                out_xg.append(xg[mask])
-                out_yg.append(yg[mask])
+                p, q = p[mask], q[mask]
+                # One packed key per pair: (i, j) order is key order.
+                cols = [np.minimum(p, q) * n + np.maximum(p, q)]
+                if measured:
+                    cols += [sep[mask], xg[mask], yg[mask]]
+                found.append(cols)
             p0 = p1
 
-        if not out_i:
-            tracer.count("kernel.sweep.pairs", 0)
-            return empty, empty, empty.copy(), empty.copy(), empty.copy()
-        oi = np.concatenate(out_i)
-        oj = np.concatenate(out_j)
-        sep = np.concatenate(out_sep)
-        xg = np.concatenate(out_xg)
-        yg = np.concatenate(out_yg)
-        ii = np.minimum(oi, oj)
-        jj = np.maximum(oi, oj)
-        perm = np.lexsort((jj, ii))
-        tracer.count("kernel.sweep.pairs", len(perm))
-        return ii[perm], jj[perm], sep[perm], xg[perm], yg[perm]
+        pairs = sum(len(cols[0]) for cols in found)
+        tracer.count("kernel.sweep.pairs", pairs)
+        if not pairs:
+            return _no_pairs(width)
+        # Keys are unique, so any sort gives the one order; the stable
+        # kind follows the runs the blocks leave, and a small flow never
+        # pages in numpy's separate quicksort code (0.5 MB of RSS).
+        key = np.concatenate([cols[0] for cols in found])
+        if measured:
+            perm = np.argsort(key, kind="stable")
+            key = key[perm]
+            rest = [np.concatenate([cols[k] for cols in found])[perm]
+                    for k in (1, 2, 3)]
+        else:
+            key.sort(kind="stable")
+            rest = []
+        del found
+        ii = key // n
+        key -= ii * n
+        return (ii, key, *rest)
+
+
+def _no_pairs(width: int):
+    """``width`` empty int64 columns."""
+    return tuple(np.empty(0, dtype=np.int64) for _ in range(width))
 
 
 def _offsets(counts):
@@ -288,6 +281,31 @@ def _band_layout(x1, y1, x2, y2, dist: int):
     first = (y1 - y0) // height
     span = (y2 + (dist - 1 - y0)) // height - first + 1
     return y0, height, first, span
+
+
+def _band_rows(bands, hi):
+    """The rows of a banded sweep, from :func:`_band_layout`'s bands
+    and each rect's x-rank window bound ``hi``.
+
+    Returns ``(rank, band, counts)`` per row: the member's x-rank, its
+    band, and its candidate count.  Rows are ordered by the packed
+    ``band * n + x-rank`` key, and a row's window ends at its band's
+    first member at or past its bound.
+    """
+    _y0, _height, first, span = bands
+    n = len(hi)
+    rank = np.repeat(np.arange(n, dtype=np.int64), span)
+    key = first[rank] + np.arange(len(rank), dtype=np.int64) \
+        - np.repeat(np.cumsum(span) - span, span)
+    key *= n
+    key += rank
+    key.sort()
+    band = key // n
+    rank = key - band * n
+    counts = np.searchsorted(key, key - rank + hi[rank], side="left") \
+        - np.arange(1, len(key) + 1, dtype=np.int64)
+    np.maximum(counts, 0, out=counts)
+    return rank, band, counts
 
 
 def _region_centers2(ra: RectArray, pi: np.ndarray, pj: np.ndarray):

@@ -127,7 +127,30 @@ def decompose(graph: GeomGraph) -> Decomposition:
             f"graph {graph.name!r}: an edge weight exceeds int64, the "
             "range component content ids encode") from None
 
-    # Components, indexed by their minimum node label.
+    comp, anchor, color, odd = _components(np, label, u, v)
+    sizes = np.bincount(comp, minlength=len(anchor))
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+
+    # Coordinates order a component only when it has them all.
+    has, xs, ys = graph._coord_columns(np)
+    full = np.bincount(comp, weights=~has, minlength=len(anchor)) == 0
+    canonical = np.lexsort((label, np.where(full[comp], ys, 0),
+                            np.where(full[comp], xs, 0), comp))
+    content = _content_ids(np, (has, xs, ys, label), canonical, bounds,
+                           comp, u, v, weight)
+    return Decomposition(comp=comp, order=canonical, bounds=bounds,
+                         content_ids=content, anchor=anchor, color=color,
+                         odd=odd)
+
+
+def _components(np, label, u, v):
+    """``(comp, anchor, color, odd)`` of the live edges ``u``-``v``.
+
+    Components are indexed by their minimum node label and anchored at
+    that node; the parity sides flip per component so the anchor takes
+    color 0, and an edge whose ends share a side closes an odd cycle.
+    """
+    n = len(label)
     root, side = _parity_roots(np, n, u, v)
     roots = np.flatnonzero(root == np.arange(n, dtype=np.int64))
     low = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
@@ -136,79 +159,78 @@ def decompose(graph: GeomGraph) -> Decomposition:
     index[roots[np.argsort(low[roots], kind="stable")]] = \
         np.arange(len(roots), dtype=np.int64)
     comp = index[root]
-    sizes = np.bincount(comp, minlength=len(roots))
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-
-    # Node rows: (0, x, y) for a node with a coordinate, (1, label, 0)
-    # without.  Coordinates order a component only when it has them
-    # all.
-    has, xs, ys = graph._coord_columns(np)
-    node_rows = np.stack((np.where(has, 0, 1), np.where(has, xs, label),
-                          np.where(has, ys, 0)), axis=1)
-    full = np.bincount(comp, weights=~has, minlength=len(roots)) == 0
-    sort_x = np.where(full[comp], xs, 0)
-    sort_y = np.where(full[comp], ys, 0)
-    canonical = np.lexsort((label, sort_y, sort_x, comp))
-    rank = np.empty(n, dtype=np.int64)
-    rank[canonical] = np.arange(n, dtype=np.int64) - bounds[comp[canonical]]
-
-    # Canonical edge rows (rank u, rank v, weight), u <= v, sorted
-    # within each component.
-    ru, rv = rank[u], rank[v]
-    edge_rows = np.stack((np.minimum(ru, rv), np.maximum(ru, rv), weight),
-                         axis=1)
-    edge_comp = comp[u]
-    edge_order = np.lexsort((edge_rows[:, 2], edge_rows[:, 1],
-                             edge_rows[:, 0], edge_comp))
-    content = _content_ids(node_rows[canonical], sizes,
-                           edge_rows[edge_order],
-                           np.bincount(edge_comp, minlength=len(roots)))
-
-    # The parity sides, flipped per component so its minimum label
-    # takes color 0; an edge whose ends share a side closes an odd
-    # cycle.
     anchored = np.flatnonzero(label == low[root])
     anchor = np.empty(len(roots), dtype=np.int64)
     anchor[comp[anchored]] = anchored
     color = side ^ side[anchor][comp]
     odd = np.zeros(len(roots), dtype=bool)
-    odd[edge_comp[side[u] == side[v]]] = True
-    return Decomposition(comp=comp, order=canonical, bounds=bounds,
-                         content_ids=content, anchor=anchor, color=color,
-                         odd=odd)
+    odd[comp[u[side[u] == side[v]]]] = True
+    return comp, anchor, color, odd
 
 
-def _content_ids(node_rows, sizes, edge_rows, edge_sizes) -> List[str]:
+#: Components hashed together by :func:`_content_ids`: their rows are
+#: the only content in memory at a time.
+CONTENT_CHUNK = 512
+
+
+def _content_ids(np, node_columns, canonical, bounds, comp, u, v,
+                 weight) -> List[str]:
     """Hex sha256 per component of its canonical content.
 
     A component's content is little-endian int64 triples: the header
     ``(COMPONENT_FORMAT, nodes, edges)``, its node rows in canonical
-    order, then its sorted canonical edge rows.  Nodes are coordinates
-    (or raw labels without one) and edges are ranks in the canonical
-    order, so the id is independent of node labels whenever coordinates
-    exist; the edge rows are a sorted multiset, which keeps parallel
-    edges and self-loops.  ``node_rows`` and ``edge_rows`` come grouped
-    by component; every component's content is scattered into one
-    buffer, then hashed slice by slice.
+    order, then its sorted canonical edge rows.  A node row is ``(0, x,
+    y)`` for a node with a coordinate and ``(1, label, 0)`` without
+    (``node_columns`` is ``(has, xs, ys, label)``); an edge row is
+    ``(rank u, rank v, weight)``, ``u <= v``, ranks in the canonical
+    order.  So the id is independent of node labels whenever
+    coordinates exist; the edge rows are a sorted multiset, which keeps
+    parallel edges and self-loops.  The rows are built and hashed
+    :data:`CONTENT_CHUNK` components at a time.
     """
-    np = _numpy()
-    count = len(sizes)
-    span = 1 + sizes + edge_sizes
-    ends = np.cumsum(span)
-    starts = ends - span
-    buf = np.empty((int(ends[-1]) if count else 0, 3), dtype="<i8")
-    buf[starts] = np.stack((np.full(count, COMPONENT_FORMAT), sizes,
-                            edge_sizes), axis=1)
-    for rows, lengths, skip in ((node_rows, sizes, 1),
-                                (edge_rows, edge_sizes, 1 + sizes)):
-        owner = np.repeat(np.arange(count), lengths)
-        offset = np.arange(len(rows)) - np.repeat(
-            np.cumsum(lengths) - lengths, lengths)
-        buf[(starts + skip)[owner] + offset] = rows
-    data = memoryview(buf).cast("B")
+    n = len(canonical)
+    rank = np.empty(n, dtype=np.int64)
+    rank[canonical] = np.arange(n, dtype=np.int64) - bounds[comp[canonical]]
+    ru, rv = rank[u], rank[v]
+    del rank
+    lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
+    del ru, rv
+    edge_comp = comp[u]
+    edge_order = np.lexsort((weight, hi, lo, edge_comp))
+    edge_bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(edge_comp, minlength=len(bounds) - 1))))
+    del edge_comp
+
+    has, xs, ys, label = node_columns
     sha256 = hashlib.sha256
-    return [sha256(data[24 * a:24 * b]).hexdigest()
-            for a, b in zip(starts.tolist(), ends.tolist())]
+    ids: List[str] = []
+    for c0 in range(0, len(bounds) - 1, CONTENT_CHUNK):
+        c1 = min(c0 + CONTENT_CHUNK, len(bounds) - 1)
+        nodes = canonical[bounds[c0]:bounds[c1]]
+        placed = has[nodes]
+        node_rows = np.stack((np.where(placed, 0, 1),
+                              np.where(placed, xs[nodes], label[nodes]),
+                              np.where(placed, ys[nodes], 0)), axis=1)
+        edges = edge_order[edge_bounds[c0]:edge_bounds[c1]]
+        edge_rows = np.stack((lo[edges], hi[edges], weight[edges]), axis=1)
+        sizes = np.diff(bounds[c0:c1 + 1])
+        edge_sizes = np.diff(edge_bounds[c0:c1 + 1])
+        span = 1 + sizes + edge_sizes
+        ends = np.cumsum(span)
+        starts = ends - span
+        buf = np.empty((int(ends[-1]), 3), dtype="<i8")
+        buf[starts] = np.stack((np.full(c1 - c0, COMPONENT_FORMAT), sizes,
+                                edge_sizes), axis=1)
+        for rows, lengths, skip in ((node_rows, sizes, 1),
+                                    (edge_rows, edge_sizes, 1 + sizes)):
+            owner = np.repeat(np.arange(c1 - c0), lengths)
+            offset = np.arange(len(rows)) - np.repeat(
+                np.cumsum(lengths) - lengths, lengths)
+            buf[(starts + skip)[owner] + offset] = rows
+        data = memoryview(buf).cast("B")
+        ids += [sha256(data[24 * a:24 * b]).hexdigest()
+                for a, b in zip(starts.tolist(), ends.tolist())]
+    return ids
 
 
 # ----------------------------------------------------------------------

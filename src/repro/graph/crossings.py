@@ -41,7 +41,9 @@ def find_crossing_pairs(graph: GeomGraph) -> List[Tuple[int, int]]:
     distance 1 then yields every pair whose original boxes have gap
     <= 1 on both axes: a superset of the touching pairs, never a miss.
 
-    Candidates are decided in exact int64 arithmetic, all at once:
+    Candidates are decided in exact int64 arithmetic, one block of
+    the kernel's ``SWEEP_BLOCK`` rows at a time, so the search holds
+    no more than a block of temporaries beyond its columns:
 
     * both endpoints shared (identical or reversed segments): conflict;
     * exactly one endpoint shared: conflict iff the segments are
@@ -56,6 +58,8 @@ def find_crossing_pairs(graph: GeomGraph) -> List[Tuple[int, int]]:
     :data:`EXACT_COORD_LIMIT`.  The answer is the scalar predicate's on
     every candidate.
     """
+    from ..geometry.kernels.numpy_kernel import SWEEP_BLOCK
+
     np = _numpy()
     ui, vi = graph._dense_endpoints(np)
     live = ui != vi
@@ -71,26 +75,29 @@ def find_crossing_pairs(graph: GeomGraph) -> List[Tuple[int, int]]:
     ii, jj = get_kernel().neighbor_pair_arrays(
         np.minimum(ax, bx), np.minimum(ay, by),
         np.maximum(ax, bx) + 1, np.maximum(ay, by) + 1, 1)
-    if not ii.size:
-        return []
 
     coords = (ax, ay, bx, by)
-    if max(max(int(c.max()), -int(c.min())) for c in coords) \
-            >= EXACT_COORD_LIMIT:
-        hit = np.zeros(ii.size, dtype=bool)
-        ambiguous = np.ones(ii.size, dtype=bool)
-    else:
-        hit, ambiguous = _decide(np, *(c[ii] for c in coords),
-                                 *(c[jj] for c in coords))
-    for k in np.flatnonzero(ambiguous).tolist():
-        i, j = ii[k], jj[k]
-        hit[k] = segments_conflict((int(ax[i]), int(ay[i])),
-                                   (int(bx[i]), int(by[i])),
-                                   (int(ax[j]), int(ay[j])),
-                                   (int(bx[j]), int(by[j])))
+    exact = max(max(int(c.max()), -int(c.min())) for c in coords) \
+        < EXACT_COORD_LIMIT
     # Live ids ascend and the sweep's pairs are sorted with i < j, so
-    # the mapped id pairs come out ascending too.
-    return list(zip(eids[ii[hit]].tolist(), eids[jj[hit]].tolist()))
+    # the mapped id pairs come out ascending too, block after block.
+    pairs: List[Tuple[int, int]] = []
+    for lo in range(0, ii.size, SWEEP_BLOCK):
+        i, j = ii[lo:lo + SWEEP_BLOCK], jj[lo:lo + SWEEP_BLOCK]
+        if exact:
+            hit, ambiguous = _decide(np, *(c[i] for c in coords),
+                                     *(c[j] for c in coords))
+        else:
+            hit = np.zeros(i.size, dtype=bool)
+            ambiguous = ~hit
+        for k in np.flatnonzero(ambiguous).tolist():
+            p, q = i[k], j[k]
+            hit[k] = segments_conflict((int(ax[p]), int(ay[p])),
+                                       (int(bx[p]), int(by[p])),
+                                       (int(ax[q]), int(ay[q])),
+                                       (int(bx[q]), int(by[q])))
+        pairs.extend(zip(eids[i[hit]].tolist(), eids[j[hit]].tolist()))
+    return pairs
 
 
 def _decide(np, ax, ay, bx, by, cx, cy, dx, dy):

@@ -27,6 +27,7 @@ import repro
 import repro.geometry.kernels as kernels
 from repro.chip import run_chip_flow
 from repro.geometry import Rect, neighbor_pairs
+from repro.geometry.rect import rect_columns
 from repro.geometry.kernels import numpy_kernel
 from repro.geometry.kernels.numpy_kernel import NumpyKernel
 from repro.layout import GeneratorParams, layout_from_rects, \
@@ -243,26 +244,48 @@ class TestSweepBlocks:
     @pytest.mark.parametrize("name", BANDED)
     def test_tiny_blocks_banded(self, name):
         rng = random.Random(11)
-        kernel = NumpyKernel(block=rng.randint(1, 7))
         rects = banded_inputs(name, 5)
         groups = [i // 2 for i in range(len(rects))]
-        for dist in (1, 120):
-            with recorded_bands() as seen:
-                rows = kernel.overlap_rows(rects, dist, groups=groups)
-            assert None not in seen
-            assert rows == SCALAR.overlap_rows(rects, dist, groups=groups)
+        with mock.patch.object(numpy_kernel, "SWEEP_BLOCK",
+                               rng.randint(1, 7)):
+            for dist in (1, 120):
+                with recorded_bands() as seen:
+                    rows = NUMPY.overlap_rows(rects, dist, groups=groups)
+                assert None not in seen
+                assert rows == SCALAR.overlap_rows(rects, dist,
+                                                   groups=groups)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_tiny_blocks_match_oracle(self, seed):
         rng = random.Random(300 + seed)
-        kernel = NumpyKernel(block=rng.randint(1, 7))
         rects = random_rects(rng, rng.choice([5, 40, 120]))
         groups = [rng.randrange(max(1, len(rects) // 2)) for _ in rects]
-        for dist in (1, 120, 400):
-            assert kernel.neighbor_pairs(rects, dist) \
-                == SCALAR.neighbor_pairs(rects, dist)
-            assert kernel.overlap_rows(rects, dist, groups=groups) \
-                == SCALAR.overlap_rows(rects, dist, groups=groups)
+        with mock.patch.object(numpy_kernel, "SWEEP_BLOCK",
+                               rng.randint(1, 7)):
+            for dist in (1, 120, 400):
+                assert NUMPY.neighbor_pairs(rects, dist) \
+                    == SCALAR.neighbor_pairs(rects, dist)
+                assert NUMPY.overlap_rows(rects, dist, groups=groups) \
+                    == SCALAR.overlap_rows(rects, dist, groups=groups)
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_neighbor_mode_is_measured_mode_indices(self, seed):
+        """The neighbour mode returns exactly the measured mode's index
+        columns, at the production block and at blocks of 1-7 rows, on
+        one-band and banded sweeps."""
+        rng = random.Random(600 + seed)
+        rects = random_rects(rng, rng.choice([5, 40, 150]))
+        if seed % 2:
+            rects += banded_inputs("many-bands", seed)
+        x1, y1, x2, y2 = rect_columns(rects)
+        for block in (numpy_kernel.SWEEP_BLOCK, rng.randint(1, 7)):
+            with mock.patch.object(numpy_kernel, "SWEEP_BLOCK", block):
+                for dist in (1, 120, 400):
+                    i, j = NUMPY.neighbor_pair_arrays(x1, y1, x2, y2, dist)
+                    rows = NUMPY.overlap_row_array(x1, y1, x2, y2, dist)
+                    assert i.tolist() == rows[:, 0].tolist()
+                    assert j.tolist() == rows[:, 1].tolist()
 
 
 class TestKernelRegistry:

@@ -1,9 +1,13 @@
 """Component decomposition, content ids, and incremental recoloring."""
 
+import random
+from unittest import mock
+
 import pytest
 
 from repro.cache import KIND_COLORING, ArtifactCache, cache_delta
 from repro.graph import GeomGraph, decompose, two_color, two_color_incremental
+from repro.graph import components as components_module
 from repro.graph.components import ODD_COMPONENT
 from repro.obs import Tracer, use_tracer
 from repro.obs.export import iter_spans
@@ -288,7 +292,13 @@ class TestDecomposeOracle:
                              ids=[g[0] for g in oracle_graphs()])
     def test_matches_scalar_decomposition(self, name, build):
         graph = build()
-        assert components(graph) == scalar_decompose(graph)
+        expected = scalar_decompose(graph)
+        assert components(graph) == expected
+        # Content hashed 1-7 components at a time: a graph of more than
+        # a few components spans many chunks.
+        with mock.patch.object(components_module, "CONTENT_CHUNK",
+                               random.Random(name).randint(1, 7)):
+            assert components(graph) == expected
 
     def test_weights_beyond_int64_are_refused(self):
         g = coord_graph([(0, (0, 0)), (1, (1, 0))], [(0, 1, 1 << 64)])

@@ -1,11 +1,16 @@
 """Crossing detection and greedy planarization tests."""
 
 import random
+from unittest import mock
 
 import pytest
 
+from repro.bench import build_design
+from repro.conflict import build_layout_conflict_graph
+from repro.geometry.kernels import numpy_kernel
 from repro.graph import GeomGraph, count_crossings, find_crossing_pairs, greedy_planarize
 from repro.graph.crossings import EXACT_COORD_LIMIT
+from repro.layout import Technology
 from tests.oracles import ScalarKernel, scalar_crossing_pairs, use_kernel
 
 
@@ -201,6 +206,26 @@ class TestCrossingFilterDifferential:
             g = random_grid_graph(rng, grid=4, scale=(1 << 31) + 7,
                                   offset=EXACT_COORD_LIMIT)
             assert find_crossing_pairs(g) == scalar_crossing_pairs(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tiny_blocks(self, seed):
+        """Sweep and predicate blocks of 1-7 candidate rows, so every
+        search spans many blocks: small random graphs, coordinates past
+        the exactness limit, and D3's conflict graph."""
+        rng = random.Random(2000 + seed)
+        graphs = [random_grid_graph(rng, grid=rng.choice((2, 3, 4)))
+                  for _ in range(60)]
+        graphs += [random_grid_graph(rng, grid=4, scale=(1 << 31) + 7,
+                                     offset=EXACT_COORD_LIMIT)
+                    for _ in range(10)]
+        cg, _s, _p = build_layout_conflict_graph(build_design("D3"),
+                                                 Technology.node_90nm())
+        graphs.append(cg.graph)
+        expected = [scalar_crossing_pairs(g) for g in graphs]
+        assert expected[-1], "D3's conflict graph has crossings"
+        with mock.patch.object(numpy_kernel, "SWEEP_BLOCK",
+                               rng.randint(1, 7)):
+            assert [find_crossing_pairs(g) for g in graphs] == expected
 
     def test_scalar_kernel_sweep(self):
         """The column sweep's default implementation (the one a kernel
