@@ -66,6 +66,8 @@ def chrome_trace_events(tracer: NullTracer) -> List[Dict[str, Any]]:
         args = {k: _jsonable(v) for k, v in span.attrs.items()}
         if span.cpu:
             args["cpu_ms"] = round(span.cpu * 1e3, 3)
+        if span.peak_rss_mb is not None:
+            args["peak_rss_mb"] = round(span.peak_rss_mb, 3)
         lanes.add(span.tid)
         events.append({
             "name": span.name,
@@ -112,6 +114,7 @@ def write_span_log(tracer: NullTracer, path: str) -> None:
                 "ts": round(span.t0, 6),
                 "seconds": round(span.seconds, 6),
                 "cpu_seconds": round(span.cpu, 6),
+                "peak_rss_mb": span.peak_rss_mb,
                 "tid": span.tid,
                 "attrs": {k: _jsonable(v)
                           for k, v in span.attrs.items()},
@@ -130,8 +133,9 @@ def aggregate_spans(spans: Sequence[Span]) -> List[Dict[str, Any]]:
     """Group sibling spans by ``(name, cat)``, recursively.
 
     Each group row carries the member count and summed wall/CPU
-    seconds; a singleton keeps its attributes (stages stay exact, the
-    per-tile fan-out collapses to one row per kind of work).
+    seconds, and the highest ``peak_rss_mb`` of its members when they
+    are stages; a singleton keeps its attributes (stages stay exact,
+    the per-tile fan-out collapses to one row per kind of work).
     """
     order: List[Tuple[str, str]] = []
     groups: Dict[Tuple[str, str], List[Span]] = {}
@@ -151,6 +155,9 @@ def aggregate_spans(spans: Sequence[Span]) -> List[Dict[str, Any]]:
             "seconds": round(sum(s.seconds for s in members), 6),
             "cpu_seconds": round(sum(s.cpu for s in members), 6),
         }
+        rss = [s.peak_rss_mb for s in members if s.peak_rss_mb is not None]
+        if rss:
+            row["peak_rss_mb"] = round(max(rss), 3)
         if len(members) == 1 and members[0].attrs:
             row["attrs"] = {k: _jsonable(v)
                             for k, v in members[0].attrs.items()}

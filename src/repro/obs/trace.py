@@ -34,6 +34,7 @@ of a flow).  :func:`set_tracer` / :func:`use_tracer` install a real
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -48,12 +49,15 @@ class Span:
     ``t0``/``t1`` are tracer-relative wall seconds (``perf_counter``
     based), ``cpu`` the process-CPU seconds consumed between enter and
     exit (or the merged worker's measurement for recorded spans).
+    ``peak_rss_mb`` is the process's resident-set high-water mark at the
+    exit of a ``stage`` span (:func:`peak_rss_mb`), None on every other
+    span: comparing consecutive stages shows which one raised the peak.
     ``tid`` is the lane the span renders on in the Chrome trace: 0 for
     the orchestrating thread, 1.. for merged worker lanes.
     """
 
     __slots__ = ("name", "cat", "attrs", "children", "t0", "t1",
-                 "cpu", "tid", "_tracer", "_cpu0")
+                 "cpu", "peak_rss_mb", "tid", "_tracer", "_cpu0")
 
     def __init__(self, tracer: "Tracer", name: str, cat: str,
                  attrs: Dict[str, Any], tid: int = 0):
@@ -65,6 +69,7 @@ class Span:
         self.t0: float = 0.0
         self.t1: Optional[float] = None
         self.cpu: float = 0.0
+        self.peak_rss_mb: Optional[float] = None
         self.tid = tid
         self._cpu0: float = 0.0
 
@@ -87,6 +92,8 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.t1 = time.perf_counter() - self._tracer.t0
         self.cpu = time.process_time() - self._cpu0
+        if self.cat == "stage":
+            self.peak_rss_mb = peak_rss_mb()
         stack = self._tracer._stack()
         if stack and stack[-1] is self:
             stack.pop()
@@ -107,7 +114,7 @@ class _NullSpan:
     attrs: Dict[str, Any] = {}
     children: tuple = ()
     seconds = cpu = t0 = 0.0
-    t1 = None
+    t1 = peak_rss_mb = None
     tid = 0
 
     def __enter__(self) -> "_NullSpan":
@@ -218,6 +225,18 @@ class Tracer(NullTracer):
 
     def gauge(self, name: str, value) -> None:
         self.metrics.set_gauge(name, value)
+
+
+def peak_rss_mb() -> Optional[float]:
+    """This process's resident-set high-water mark in MB, or None where
+    the platform has no ``resource`` module.  ``ru_maxrss`` counts
+    kilobytes on Linux and bytes on macOS."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss / (1024 * 1024) if sys.platform == "darwin" else rss / 1024
 
 
 # ----------------------------------------------------------------------

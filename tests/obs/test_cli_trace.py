@@ -85,6 +85,8 @@ class TestTelemetryBlock:
         assert (detect["cache_misses"]
                 == pipeline["detect_cache"]["misses"])
         assert "cache.tile.misses" in telemetry["metrics"]["counters"]
+        # Each stage row carries the RSS high-water mark at its exit.
+        assert all(row["peak_rss_mb"] > 0 for row in stage_rows.values())
 
     def test_eco_json_carries_telemetry(self, figure1_gds, tmp_path,
                                         capsys):

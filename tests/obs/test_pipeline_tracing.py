@@ -7,7 +7,8 @@ The contracts under test:
   the stages that do that work, and one recolor and one verify span
   under the assign stage;
 * stage span attributes agree *exactly* with the counters
-  ``pipeline_dict`` reports (one source of truth, two views);
+  ``pipeline_dict`` reports (one source of truth, two views), and each
+  stage span records the process's RSS high-water mark at its exit;
 * serial and process executors produce structurally identical
   traces — same names, nesting, and attributes, timing aside —
   because worker measurements are merged back into the tree.
@@ -96,6 +97,18 @@ class TestFlowTrace:
             assert spans[name] == {"components": pipe.phase.components,
                                    "recomputed": misses, "replayed": hits}
             assert misses == pipe.phase.components > 0
+
+    def test_stages_record_the_rss_high_water(self, layout, tech):
+        tracer, _pipe = traced_run(layout, tech)
+        flow = tracer.roots[0]
+        peaks = [c.peak_rss_mb for c in flow.children]
+        # A high-water mark only rises, stage after stage, and only
+        # stage spans carry one.
+        assert all(peak > 0 for peak in peaks)
+        assert peaks == sorted(peaks)
+        assert flow.peak_rss_mb is None
+        assert all(s.peak_rss_mb is None
+                   for s, _ in iter_spans(flow.children) if s.cat != "stage")
 
     def test_stage_attrs_match_pipeline_dict_exactly(self, layout,
                                                      tech):

@@ -1,6 +1,7 @@
 """Span tracer mechanics: nesting, recording, the disabled default."""
 
 import threading
+from unittest import mock
 
 from repro.obs import (
     NullTracer,
@@ -126,6 +127,27 @@ class TestNullTracer:
         tracer.gauge("executor.workers", 4)
         assert tracer.roots == ()
         assert tracer.metrics.as_dict() == {"counters": {}, "gauges": {}}
+
+    def test_null_tracer_never_reads_rusage(self):
+        """Only a live tracer's stage spans read the RSS high-water
+        mark; the default null tracer makes no system call for it."""
+        import resource
+
+        with mock.patch.object(resource, "getrusage",
+                               side_effect=AssertionError) as getrusage:
+            with NullTracer().span("detect", cat="stage") as span:
+                pass
+        assert span.peak_rss_mb is None
+        assert not getrusage.called
+
+    def test_live_stage_span_reads_rusage_at_exit(self):
+        tracer = Tracer()
+        with tracer.span("flow", cat="flow") as flow:
+            with tracer.span("detect", cat="stage") as stage:
+                with tracer.span("tile", cat="tile") as tile:
+                    pass
+        assert stage.peak_rss_mb > 0
+        assert flow.peak_rss_mb is None and tile.peak_rss_mb is None
 
     def test_use_tracer_installs_and_restores(self):
         before = get_tracer()
