@@ -101,7 +101,7 @@ class ParityLabelling:
     labelling left out without labelling again.
     """
 
-    __slots__ = ("graph", "root", "color", "odd", "_dsu", "_lists")
+    __slots__ = ("graph", "root", "color", "odd", "_dsu")
 
     def __init__(self, graph: GeomGraph, root, color,
                  odd: List[int]) -> None:
@@ -110,7 +110,6 @@ class ParityLabelling:
         self.color = color
         self.odd = odd
         self._dsu = ParityDSU()
-        self._lists = None
 
     def colors(self) -> Optional[Dict[int, int]]:
         """Node -> color of the whole graph; None unless bipartite."""
@@ -123,16 +122,13 @@ class ParityLabelling:
         """The colors of one whole component's nodes; None when the
         component holds an odd edge."""
         graph = self.graph
-        if self._lists is None:
-            ui, _vi = graph._dense_endpoints(_numpy())
-            self._lists = (self.root.tolist(), self.color.tolist(),
-                           set(self.root[ui[self.odd]].tolist()))
-        root, color, odd_roots = self._lists
-        index = nodes if graph._dense_labels \
+        index = list(nodes) if graph._dense_labels \
             else list(map(graph._node_index.__getitem__, nodes))
-        if root[index[0]] in odd_roots:
-            return None
-        return dict(zip(nodes, map(color.__getitem__, index)))
+        if self.odd:
+            ui, _vi = graph._dense_endpoints(_numpy())
+            if (self.root[ui[self.odd]] == self.root[index[0]]).any():
+                return None
+        return dict(zip(nodes, self.color[index].tolist()))
 
     def insert(self, edge_ids: Sequence[int]) -> List[int]:
         """Offer edges, in order, to a parity union-find over component

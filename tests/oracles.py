@@ -930,6 +930,28 @@ def decode_coloring(component: GraphComponent,
 ODD_TUPLE = "odd"
 
 
+def _component_colorer(graph: GeomGraph):
+    """``nodes -> colors`` of one whole component from one parity
+    labelling of the graph (None when the component holds an odd
+    edge), with the labelling's roots, colors and odd roots read into
+    Python once for all the components it answers."""
+    import numpy as np
+
+    labelling = parity_labelling(graph)
+    ui, _vi = graph._dense_endpoints(np)
+    root, color = labelling.root.tolist(), labelling.color.tolist()
+    odd_roots = set(labelling.root[ui[labelling.odd]].tolist())
+    index_of = graph._index_of
+
+    def component_colors(nodes: Sequence[int]) -> Optional[Dict[int, int]]:
+        index = [index_of(node) for node in nodes]
+        if root[index[0]] in odd_roots:
+            return None
+        return dict(zip(nodes, map(color.__getitem__, index)))
+
+    return component_colors
+
+
 def object_two_color_incremental(graph: GeomGraph, store,
                                  fmt: int = COMPONENT_FORMAT):
     """``two_color_incremental`` component by component over
@@ -945,13 +967,13 @@ def object_two_color_incremental(graph: GeomGraph, store,
     odd_code = ODD_TUPLE if fmt == 2 else ODD_COMPONENT
     colors: Dict[int, int] = {}
     failed = False
-    labelling = None
+    component_colors = None
     for component in scalar_decompose(graph, fmt):
         canonical = store.get(KIND_COLORING, component.content_id)
         if canonical is None:
-            if labelling is None:
-                labelling = parity_labelling(graph)
-            fresh = labelling.component_colors(component.nodes)
+            if component_colors is None:
+                component_colors = _component_colorer(graph)
+            fresh = component_colors(component.nodes)
             if fresh is None:
                 canonical = odd_code
             else:
