@@ -106,16 +106,6 @@ class Tile:
     def num_features(self) -> int:
         return self.layout.num_polygons
 
-    def owns_point2(self, px2: int, py2: int) -> bool:
-        """Half-open ownership test in doubled coordinates.
-
-        Doubling keeps rectangle centres integral, so ownership of a
-        conflict anchor is decided exactly, with no float rounding at
-        tile boundaries.
-        """
-        ox1, oy1, ox2, oy2 = self.owner
-        return (2 * ox1 <= px2 < 2 * ox2) and (2 * oy1 <= py2 < 2 * oy2)
-
 
 @dataclass
 class TileGrid:
@@ -132,9 +122,6 @@ class TileGrid:
     @property
     def num_tiles(self) -> int:
         return len(self.tiles)
-
-    def tile_at(self, ix: int, iy: int) -> Tile:
-        return self.tiles[iy * self.nx + ix]
 
     def owner_index_of_point2(self, px2: int, py2: int) -> int:
         """Flat index of the tile whose owner region holds a doubled
@@ -203,9 +190,9 @@ def partition_layout(layout: Layout, tech: Technology,
     and rows is a :func:`numpy.searchsorted` against the cut lines, and
     the per-tile feature lists and geometry digests come out of one
     stable sort of the (tile, feature) memberships.  Each tile's
-    features keep chip order, in a
-    :class:`~repro.geometry.rect.RectList` carrying its slice of the
-    chip's columns.
+    features keep chip order, in a column-only
+    :class:`~repro.geometry.rect.RectList`: its slice of the chip's
+    columns, no rect.
 
     Args:
         layout: the chip layout (only the poly layer is partitioned).
@@ -269,9 +256,8 @@ def partition_layout(layout: Layout, tech: Technology,
             bounds = (core[0] - halo, core[1] - halo,
                       core[2] + halo, core[3] + halo)
             sub = Layout(name=f"{layout.name}[{ix},{iy}]", layers={
-                POLY_LAYER: RectList(map(feats.__getitem__, ids),
-                                     (x1[members], y1[members],
-                                      x2[members], y2[members]))})
+                POLY_LAYER: RectList(columns=(x1[members], y1[members],
+                                              x2[members], y2[members]))})
             grid.tiles.append(Tile(
                 ix=ix, iy=iy, core=core, owner=owner, bounds=bounds,
                 layout=sub,

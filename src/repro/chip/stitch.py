@@ -43,20 +43,17 @@ structure more than once; they report work done, not chip-graph sizes.
 
 from __future__ import annotations
 
-import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from ..conflict import Conflict, DetectionReport
+from ..geometry.rect import rect_columns
 from ..layout import Layout
 from ..obs import get_tracer
 from ..shifters import SIDE_CODE, ShifterSet
 from .executor import CanonicalConflict, ShifterKey, TileResult
 from .partition import TileGrid
-
-_rect_corners = operator.attrgetter("x1", "y1", "x2", "y2")
-
 
 @dataclass
 class StitchCluster:
@@ -195,11 +192,12 @@ def stitch_results(layout: Layout, kind: str,
     """
     import numpy as np
 
-    # A key maps to its feature through one per-feature map, and to its
-    # shifter through the set's columns: no Shifter or per-shifter key
-    # is built.
-    rect_to_feature = dict(zip(map(_rect_corners, layout.features),
-                               range(layout.num_polygons)))
+    # A key maps to its feature through one map over the feature
+    # columns' rows, and to its shifter through the set's columns: no
+    # Rect, Shifter or per-shifter key is built.
+    rect_to_feature = dict(zip(
+        zip(*(c.tolist() for c in rect_columns(layout.features))),
+        range(layout.num_polygons)))
 
     report = DetectionReport(
         layout_name=layout.name,

@@ -17,7 +17,7 @@ the same way).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..geometry import Rect
 from ..layout import Layout, Technology
@@ -61,17 +61,6 @@ def _axis_views(rect: Rect, axis: str) -> Tuple[int, int, int, int]:
     if axis == "x":
         return rect.x1, rect.x2, rect.y1, rect.y2
     return rect.y1, rect.y2, rect.x1, rect.x2
-
-
-def _shifter_need(shifters: ShifterSet, key: ConflictKey, axis: str,
-                  tech: Technology) -> Optional[int]:
-    """Extra feature separation along ``axis`` fixing the conflict."""
-    from ..correction.options import axis_option
-
-    ra = shifters[key[0]].rect
-    rb = shifters[key[1]].rect
-    opt = axis_option(key, ra, rb, axis, tech.shifter_spacing)
-    return None if opt is None else opt.need
 
 
 def _one_axis_pass(layout: Layout, tech: Technology,
@@ -134,15 +123,14 @@ def spread_conflicts(layout: Layout, tech: Technology,
     (falling back to whichever is feasible); conflicts with no feasible
     axis are reported unresolved, mirroring the spacing corrector.
     """
+    from ..correction import conflict_options
+
     shifters = generate_shifters(layout, tech)
+    options_of = conflict_options(list(conflicts), shifters, tech)
     needs = {"x": {}, "y": {}}
     unresolved: List[ConflictKey] = []
     for key in conflicts:
-        options = {}
-        for axis in ("x", "y"):
-            need = _shifter_need(shifters, key, axis, tech)
-            if need is not None and need > 0:
-                options[axis] = need
+        options = {opt.axis: opt.need for opt in options_of[key]}
         if not options:
             unresolved.append(key)
             continue

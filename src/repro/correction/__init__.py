@@ -9,7 +9,7 @@ from .flow import (
     plan_correction,
 )
 from .mask_split import HybridPlan, MaskSplit, plan_hybrid_correction
-from .options import AXIS_X, AXIS_Y, CorrectionOption, axis_option, conflict_options
+from .options import AXIS_X, AXIS_Y, CorrectionOption, conflict_options
 from .setcover import (
     CoverSet,
     UncoverableError,
@@ -37,7 +37,6 @@ from .widening import (
 __all__ = [
     "CorrectionOption",
     "conflict_options",
-    "axis_option",
     "MaskSplit",
     "HybridPlan",
     "plan_hybrid_correction",

@@ -10,15 +10,15 @@ features, and applied as end-to-end spaces.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..geometry import Interval
-from ..layout import Layout, Technology
+from ..geometry.rect import rect_columns
+from ..layout import Layout, Technology, critical_mask
 from ..shifters import ShifterSet, generate_shifters
 from .options import AXIS_X, AXIS_Y, CorrectionOption, conflict_options
-from .spacer import SpaceCut, apply_cuts, stretched_feature_indices
+from .spacer import SpaceCut, apply_cuts, stretched_feature_mask
 from .windows import CorrectionWindow, solve_cover_windows
 
 ConflictKey = Tuple[int, int]
@@ -148,42 +148,45 @@ def build_grid_lines(options: Dict[ConflictKey, List[CorrectionOption]]
 class _SnapIndex:
     """Sorted-edge indexes answering cut-snapping queries in O(log n).
 
-    Built once per correction plan; replaces the full-layout scans the
-    snapper used to do per candidate position (the dominant cost of
-    planning on chip-scale conflict populations).
+    Built once per correction plan, as sorted int64 columns of the
+    layout's rect columns: every feature edge coordinate per axis,
+    deduplicated, and the low and high edges of the features a cut on
+    each axis would widen (vertical ones for x, horizontal ones for y).
     """
 
     def __init__(self, layout: Layout):
-        xs: List[int] = []
-        ys: List[int] = []
-        vx1: List[int] = []
-        vx2: List[int] = []
-        hy1: List[int] = []
-        hy2: List[int] = []
-        for rect in layout.features:
-            xs += (rect.x1, rect.x2)
-            ys += (rect.y1, rect.y2)
-            if rect.height >= rect.width:
-                vx1.append(rect.x1)
-                vx2.append(rect.x2)
-            else:
-                hy1.append(rect.y1)
-                hy2.append(rect.y2)
-        self._edges = {AXIS_X: sorted(set(xs)), AXIS_Y: sorted(set(ys))}
-        self._lo = {AXIS_X: sorted(vx1), AXIS_Y: sorted(hy1)}
-        self._hi = {AXIS_X: sorted(vx2), AXIS_Y: sorted(hy2)}
+        import numpy as np
+
+        x1, y1, x2, y2 = rect_columns(layout.features)
+        vertical = y2 - y1 >= x2 - x1
+        horizontal = ~vertical
+        self._edges = {AXIS_X: _edge_column(np, x1, x2),
+                       AXIS_Y: _edge_column(np, y1, y2)}
+        self._lo = {AXIS_X: np.sort(x1[vertical], kind="stable"),
+                    AXIS_Y: np.sort(y1[horizontal], kind="stable")}
+        self._hi = {AXIS_X: np.sort(x2[vertical], kind="stable"),
+                    AXIS_Y: np.sort(y2[horizontal], kind="stable")}
 
     def edges_in(self, axis: str, band: Interval) -> List[int]:
         """Feature edge coordinates on this axis within the band."""
         edges = self._edges[axis]
-        i = bisect_left(edges, band.lo)
-        j = bisect_right(edges, band.hi)
-        return edges[i:j]
+        i = edges.searchsorted(band.lo, side="left")
+        j = edges.searchsorted(band.hi, side="right")
+        return edges[i:j].tolist()
 
     def stretched_count(self, axis: str, position: int) -> int:
         """How many critical-axis features a cut here would widen."""
-        return (bisect_left(self._lo[axis], position)
-                - bisect_right(self._hi[axis], position))
+        return int(self._lo[axis].searchsorted(position, side="left")
+                   - self._hi[axis].searchsorted(position, side="right"))
+
+
+def _edge_column(np, lo, hi):
+    """Every low and high edge coordinate, ascending, each once."""
+    values = np.concatenate((lo, hi))
+    values.sort(kind="stable")
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _snap_cut(layout: Layout, line: GridLine,
@@ -283,9 +286,13 @@ def plan_correction(layout: Layout, tech: Technology,
 
 def _stretched_critical(layout: Layout, tech: Technology,
                         cuts: Sequence[SpaceCut]) -> List[int]:
-    stretched = stretched_feature_indices(layout, cuts)
-    return [i for i in stretched
-            if tech.is_critical_width(layout.features[i].min_dimension)]
+    """Critical features the cuts widen, ascending: two masks over the
+    layout's columns."""
+    import numpy as np
+
+    cols = rect_columns(layout.features)
+    return np.flatnonzero(stretched_feature_mask(*cols, cuts)
+                          & critical_mask(*cols, tech)).tolist()
 
 
 def correct_layout(layout: Layout, tech: Technology,

@@ -14,9 +14,10 @@ exactly the cut width only when the cut runs through their gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..geometry import Interval, Rect
+from ..geometry import Interval
+from ..geometry.interval import batch_gap
 from ..layout import Technology
 from ..shifters import ShifterSet
 
@@ -41,63 +42,54 @@ class CorrectionOption:
     need: int
 
 
-def axis_option(conflict: Tuple[int, int], ra: Rect, rb: Rect,
-                 axis: str, rule: int):
-    if axis == AXIS_X:
-        span_a, span_b = ra.xspan, rb.xspan
-        other_gap = ra.y_gap(rb)
-    else:
-        span_a, span_b = ra.yspan, rb.yspan
-        other_gap = ra.x_gap(rb)
-
-    if span_b.lo >= span_a.hi:
-        interval = Interval(span_a.hi, span_b.lo)
-    elif span_a.lo >= span_b.hi:
-        interval = Interval(span_b.hi, span_a.lo)
-    else:
-        return None  # projections overlap: a cut cannot separate them
-
-    gap = interval.length
-    other = max(0, other_gap)
-    if other >= rule:
-        return None  # already legal; not a real conflict on this axis
-    need_sq = rule * rule - other * other
-    target = _isqrt_ceil(need_sq)
-    need = target - gap
-    if need <= 0:
-        return None
-    return CorrectionOption(conflict=conflict, axis=axis,
-                            interval=interval, need=need)
+def _ceil_sqrt(np, n):
+    """Smallest ``x >= 0`` with ``x * x >= n``, elementwise over int64:
+    a float estimate rounded up, then exact int64 steps (the estimate
+    is off by at most one, and exact below 2**52)."""
+    x = np.sqrt(np.maximum(n, 0).astype(np.float64)).astype(np.int64)
+    x += x * x < n
+    while True:
+        up = x * x < n
+        down = (x > 0) & ((x - 1) * (x - 1) >= n)
+        if not (up.any() or down.any()):
+            return x
+        x += up
+        x -= down
 
 
-def _isqrt_ceil(n: int) -> int:
-    if n <= 0:
-        return 0
-    x = int(n ** 0.5)
-    while x * x >= n:
-        x -= 1
-    while x * x < n:
-        x += 1
-    return x
-
-
-def rect_pair_options(keyed_rects: Dict[Tuple[int, int],
-                                        Tuple[Rect, Rect]],
-                      rule: int
+def rect_pair_options(keys: Sequence[Tuple[int, int]], box, rule: int
                       ) -> Dict[Tuple[int, int], List[CorrectionOption]]:
-    """Correction options for arbitrary rect pairs under a spacing rule.
+    """Correction options for rect pairs under a spacing rule.
 
-    The general engine behind :func:`conflict_options`; the dark-field
+    ``box`` is a ``(4, n)`` int64 array of rects, rows ``x1, y1, x2,
+    y2``; each key ``(i, j)`` names the pair of its columns ``i`` and
+    ``j``.  One column pass over the gathered pair boxes decides both
+    axes (rows x and y of ``(2, k)`` arrays): a cut on an axis
+    separates the pair when their projections there are disjoint or
+    touch, over the gap between them, and needs the space restoring
+    ``rule`` given the pair's gap on the other axis (zero where they
+    overlap there).  Options are made only where an axis has one.  The
+    general engine behind :func:`conflict_options`; the dark-field
     flow uses it directly on feature rectangles.
     """
+    import numpy as np
+
+    ends = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    a, b = box[:, ends[:, 0]], box[:, ends[:, 1]]
+    a_lo, a_hi, b_lo, b_hi = a[:2], a[2:], b[:2], b[2:]
+    b_after = b_lo >= a_hi
+    lo = np.where(b_after, a_hi, b_hi)
+    hi = np.where(b_after, b_lo, a_lo)
+    other = np.maximum(batch_gap(a_lo, a_hi, b_lo, b_hi), 0)[::-1]
+    need = _ceil_sqrt(np, rule * rule - other * other) - (hi - lo)
+    ok = (b_after | (a_lo >= b_hi)) & (other < rule) & (need > 0)
     out: Dict[Tuple[int, int], List[CorrectionOption]] = {}
-    for key, (ra, rb) in keyed_rects.items():
-        options: List[CorrectionOption] = []
-        for axis in (AXIS_X, AXIS_Y):
-            opt = axis_option(key, ra, rb, axis, rule)
-            if opt is not None:
-                options.append(opt)
-        out[key] = options
+    for key, oks, los, his, needs in zip(keys, ok.T.tolist(),
+                                         lo.T.tolist(), hi.T.tolist(),
+                                         need.T.tolist()):
+        out[key] = [CorrectionOption(key, axis, Interval(los[k], his[k]),
+                                     needs[k])
+                    for k, axis in enumerate((AXIS_X, AXIS_Y)) if oks[k]]
     return out
 
 
@@ -107,7 +99,8 @@ def conflict_options(conflicts: List[Tuple[int, int]],
                      ) -> Dict[Tuple[int, int], List[CorrectionOption]]:
     """Correction options per conflict; an empty list means the conflict
     cannot be fixed by end-to-end spacing (e.g. a T-shape interaction —
-    the paper hands those to mask splitting or feature widening)."""
-    rect_of = shifters.rect_of
-    keyed = {key: (rect_of(key[0]), rect_of(key[1])) for key in conflicts}
-    return rect_pair_options(keyed, tech.shifter_spacing)
+    the paper hands those to mask splitting or feature widening).
+
+    The pairs' boxes are gathered from the shifter set's box columns:
+    no per-shifter :class:`~repro.geometry.Rect` is made."""
+    return rect_pair_options(conflicts, shifters.box, tech.shifter_spacing)

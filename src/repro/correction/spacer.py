@@ -14,11 +14,9 @@ prefix sums.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..geometry import Rect
 from ..geometry.rect import RectList, rect_columns
 from ..layout import Layout
 
@@ -69,8 +67,9 @@ def apply_cuts(layout: Layout, cuts: Sequence[SpaceCut]) -> Layout:
     """Return a new layout with all cuts applied (input untouched).
 
     Column passes over each layer's rect columns; every layer keeps its
-    rect order, in a :class:`~repro.geometry.rect.RectList` carrying
-    the moved columns.
+    rect order, in a column-only
+    :class:`~repro.geometry.rect.RectList` holding the moved columns
+    and no rect.
     """
     import numpy as np
 
@@ -81,38 +80,48 @@ def apply_cuts(layout: Layout, cuts: Sequence[SpaceCut]) -> Layout:
         x1, y1, x2, y2 = rect_columns(rects)
         x1, x2 = _shift_columns(np, xcuts, x1, x2)
         y1, y2 = _shift_columns(np, ycuts, y1, y2)
-        out.layers[layer] = RectList(
-            map(Rect, x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist()),
-            (x1, y1, x2, y2))
+        out.layers[layer] = RectList(columns=(x1, y1, x2, y2))
     return out
+
+
+def stretched_feature_mask(x1, y1, x2, y2, cuts: Sequence[SpaceCut]):
+    """Which rects a cut would widen: a boolean column over int64
+    corner columns.
+
+    The paper requires spaces to lengthen features, never widen them;
+    a vertical cut through the interior of a vertical (critical-width)
+    feature would widen it.  A rect offends when some cut on its
+    critical axis falls strictly inside its span there: one
+    ``searchsorted`` per axis against the sorted cut positions finds
+    the first cut past the span's low end.
+    """
+    import numpy as np
+
+    vertical = y2 - y1 >= x2 - x1
+    return np.where(vertical, _cut_inside(np, cuts, "x", x1, x2),
+                    _cut_inside(np, cuts, "y", y1, y2))
+
+
+_PAST_EVERY_COORDINATE = (1 << 63) - 1
+
+
+def _cut_inside(np, cuts: Sequence[SpaceCut], axis: str, lo, hi):
+    """Whether a cut on ``axis`` lies strictly inside each ``(lo, hi)``
+    span.  A sentinel past every coordinate ends the sorted positions,
+    so the first cut past ``lo`` always exists."""
+    positions = np.array(sorted(c.position for c in cuts if c.axis == axis)
+                         + [_PAST_EVERY_COORDINATE], dtype=np.int64)
+    return positions[np.searchsorted(positions, lo, side="right")] < hi
 
 
 def stretched_feature_indices(layout: Layout,
                               cuts: Sequence[SpaceCut]) -> List[int]:
-    """Features whose *critical* dimension a cut would stretch.
+    """Features whose *critical* dimension a cut would stretch
+    (:func:`stretched_feature_mask` over the layout's columns).  The
+    correction flow uses this to snap cut positions away from such
+    features when the interval allows, and the report surfaces any
+    that remain."""
+    import numpy as np
 
-    The paper requires spaces to lengthen features, never widen them;
-    a vertical cut through the interior of a vertical (critical-width)
-    feature would widen it.  The correction flow uses this to snap cut
-    positions away from such features when the interval allows, and the
-    report surfaces any that remain.
-
-    A feature offends when any cut position falls strictly inside its
-    critical-axis span, answered per feature with one binary search
-    over the sorted cut positions — O(n log cuts), not O(n x cuts).
-    """
-    x_cuts = sorted(c.position for c in cuts if c.axis == "x")
-    y_cuts = sorted(c.position for c in cuts if c.axis == "y")
-
-    def any_inside(positions: List[int], lo: int, hi: int) -> bool:
-        i = bisect.bisect_right(positions, lo)
-        return i < len(positions) and positions[i] < hi
-
-    offenders: List[int] = []
-    for index, rect in enumerate(layout.features):
-        if rect.height >= rect.width:
-            if any_inside(x_cuts, rect.x1, rect.x2):
-                offenders.append(index)
-        elif any_inside(y_cuts, rect.y1, rect.y2):
-            offenders.append(index)
-    return offenders
+    return np.flatnonzero(stretched_feature_mask(
+        *rect_columns(layout.features), cuts)).tolist()

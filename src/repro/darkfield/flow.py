@@ -157,6 +157,8 @@ def correct_darkfield_conflicts(layout: Layout, tech: Technology,
     intervals come from feature (not shifter) geometry and the target
     separation is the interaction distance.
     """
+    import numpy as np
+
     if distance is None:
         distance = interaction_distance(tech)
     report = CorrectionReport(layout_name=layout.name,
@@ -164,9 +166,8 @@ def correct_darkfield_conflicts(layout: Layout, tech: Technology,
                               area_before=layout.die_area())
     report.area_after = report.area_before
 
-    keyed = {key: (layout.features[key[0]], layout.features[key[1]])
-             for key in conflicts}
-    options = rect_pair_options(keyed, distance)
+    options = rect_pair_options(
+        conflicts, np.stack(rect_columns(layout.features)), distance)
     correctable = {k for k, opts in options.items() if opts}
     report.uncorrectable = sorted(set(conflicts) - correctable)
     if not correctable:

@@ -93,17 +93,16 @@ class NumpyKernel(GeometryKernel):
                      groups: Optional[Sequence[int]] = None
                      ) -> List[PairRow]:
         ra = RectArray.from_rects(rects, ids=groups)
-        ii, jj, sep, xg, yg = self._pairs(ra, dist, measured=True)
-        return list(zip(ii.tolist(), jj.tolist(), sep.tolist(),
-                        xg.tolist(), yg.tolist()))
+        return list(map(tuple, self._pairs(ra, dist,
+                                           measured=True).tolist()))
 
     def neighbor_pair_arrays(self, x1, y1, x2, y2, dist: int):
         return self._pairs(RectArray(x1, y1, x2, y2), dist,
                            measured=False)
 
     def overlap_row_array(self, x1, y1, x2, y2, dist: int, groups=None):
-        return np.stack(self._pairs(RectArray(x1, y1, x2, y2, groups),
-                                    dist, measured=True), axis=1)
+        return self._pairs(RectArray(x1, y1, x2, y2, groups), dist,
+                           measured=True)
 
     def region_centers2(self, rects: Sequence,
                         pairs: Sequence[Tuple[int, int]]
@@ -122,23 +121,25 @@ class NumpyKernel(GeometryKernel):
     def _pairs(self, ra: RectArray, dist: int, measured: bool):
         """Sorted ``i < j`` pairs with separation < ``dist``.
 
-        Returns two parallel int64 arrays, i and j; ``measured`` adds
-        three more: separation_sq, x_gap and y_gap.  Pairs whose rects
-        share an id (``ra.ids``) are exempt.  Counts the candidate rows
-        it examined (``kernel.sweep.candidates``) and the pairs it
-        returns (``kernel.sweep.pairs``) on the active tracer.
+        Returns two parallel int64 arrays, i and j; ``measured``
+        returns one ``(P, 5)`` int64 array instead, rows ``i, j,
+        separation_sq, x_gap, y_gap``.  Pairs whose rects share an id
+        (``ra.ids``) are exempt.  Counts the candidate rows it examined
+        (``kernel.sweep.candidates``) and the pairs it returns
+        (``kernel.sweep.pairs``) on the active tracer.
 
         Beyond its input and output, the sweep holds four int64 columns
         over its rows (order, band, count, offset) and one block of
         candidate rows, whose coordinates it gathers through the order;
-        the set-up columns go once the rows are laid out.
+        the set-up columns go once the rows are laid out.  The measured
+        rows are sorted in place in their ``(P, 5)`` array, one column
+        at a time.
         """
-        width = 5 if measured else 2
         n = ra.n
         if n < 2 or dist <= 0:
             # dist == 0 can never satisfy the strict test; negative
             # interaction distances are not meaningful for a sweep.
-            return _no_pairs(width)
+            return _no_pairs(measured)
 
         order = np.argsort(ra.x1, kind="stable")
         sx1 = ra.x1[order]
@@ -213,28 +214,36 @@ class NumpyKernel(GeometryKernel):
         pairs = sum(len(cols[0]) for cols in found)
         tracer.count("kernel.sweep.pairs", pairs)
         if not pairs:
-            return _no_pairs(width)
+            return _no_pairs(measured)
         # Keys are unique, so any sort gives the one order; the stable
         # kind follows the runs the blocks leave, and a small flow never
         # pages in numpy's separate quicksort code (0.5 MB of RSS).
-        key = np.concatenate([cols[0] for cols in found])
         if measured:
-            perm = np.argsort(key, kind="stable")
-            key = key[perm]
-            rest = [np.concatenate([cols[k] for cols in found])[perm]
-                    for k in (1, 2, 3)]
-        else:
-            key.sort(kind="stable")
-            rest = []
+            rows = np.empty((pairs, 5), dtype=np.int64)
+            for k, c in ((0, 0), (2, 1), (3, 2), (4, 3)):
+                np.concatenate([cols[c] for cols in found], out=rows[:, k])
+            del found
+            perm = np.argsort(rows[:, 0], kind="stable")
+            for k in (0, 2, 3, 4):
+                rows[:, k] = rows[perm, k]
+            del perm
+            np.remainder(rows[:, 0], n, out=rows[:, 1])
+            np.floor_divide(rows[:, 0], n, out=rows[:, 0])
+            return rows
+        key = np.concatenate([cols[0] for cols in found])
         del found
+        key.sort(kind="stable")
         ii = key // n
         key -= ii * n
-        return (ii, key, *rest)
+        return ii, key
 
 
-def _no_pairs(width: int):
-    """``width`` empty int64 columns."""
-    return tuple(np.empty(0, dtype=np.int64) for _ in range(width))
+def _no_pairs(measured: bool):
+    """No pairs: an empty ``(0, 5)`` row array, or two empty index
+    columns."""
+    if measured:
+        return np.empty((0, 5), dtype=np.int64)
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
 def _offsets(counts):

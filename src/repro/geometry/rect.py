@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .interval import Interval
 
@@ -36,18 +36,6 @@ class Rect:
             raise ValueError(
                 f"Degenerate rect ({self.x1},{self.y1},{self.x2},{self.y2})"
             )
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def from_center(cx: int, cy: int, width: int, height: int) -> "Rect":
-        """Rect centred on (cx, cy); width/height must be even to stay
-        on the integer grid."""
-        if width <= 0 or height <= 0:
-            raise ValueError("width/height must be positive")
-        return Rect(cx - width // 2, cy - height // 2,
-                    cx - width // 2 + width, cy - height // 2 + height)
 
     # ------------------------------------------------------------------
     # Measures
@@ -163,30 +151,6 @@ class Rect:
         return Rect(min(self.x1, other.x1), min(self.y1, other.y1),
                     max(self.x2, other.x2), max(self.y2, other.y2))
 
-    def between_region(self, other: "Rect") -> Optional["Rect"]:
-        """The open region separating two disjoint rects, if box-like.
-
-        For two rects whose x-projections overlap but y-projections do
-        not, this is the rectangle spanning the y-gap over the common
-        x-range (and symmetrically).  Used by the feature-graph builder
-        to place "conflict nodes" at the centre of the overlap *region*,
-        which is the geometric detour the paper criticises.  Returns
-        None for corner-to-corner or intersecting configurations.
-        """
-        xi = self.xspan.intersection(other.xspan)
-        yi = self.yspan.intersection(other.yspan)
-        if xi is not None and yi is None and xi.length > 0:
-            lo, hi = ((self, other) if self.y2 <= other.y1 else (other, self))
-            if lo.y2 < hi.y1:
-                return Rect(xi.lo, lo.y2, xi.hi, hi.y1)
-            return None
-        if yi is not None and xi is None and yi.length > 0:
-            lo, hi = ((self, other) if self.x2 <= other.x1 else (other, self))
-            if lo.x2 < hi.x1:
-                return Rect(lo.x2, yi.lo, hi.x1, yi.hi)
-            return None
-        return None
-
 
 # ----------------------------------------------------------------------
 # Batch (struct-of-arrays) predicates — the raw material of the numpy
@@ -198,34 +162,97 @@ class Rect:
 _rect_corners = operator.attrgetter("x1", "y1", "x2", "y2")
 
 
-class RectList(list):
-    """A rect list that can carry its int64 columns.
+class RectList:
+    """A rect sequence over int64 columns ``(x1, y1, x2, y2)``.
 
-    :func:`rect_columns` memoizes its result on the ``columns`` slot, and
-    a producer that already has the columns passes them in, so the
-    consumers of one rect list — ``ShifterSet.rects``, a flow's layout
-    revision, a tile's sub-layout — pay the struct-of-arrays conversion
-    at most once.  Every list mutation drops the columns, so they never
-    go stale.
+    One type with two sources:
+
+    * built from :class:`Rect` objects (``RectList(rects)``, as
+      :func:`~repro.layout.with_rect_columns` copies a caller's
+      revision), it keeps them, and :func:`rect_columns` memoizes the
+      columns on the ``columns`` slot;
+    * built from columns alone (``RectList(columns=...)``: the layout
+      :func:`~repro.correction.apply_cuts` returns, a partition's tile
+      slices), it holds no rect: indexing or iterating makes each
+      :class:`Rect` on demand and keeps none.
+
+    Either way the consumers of one rect list pay the struct-of-arrays
+    conversion at most once.  Equal to another rect list of the same
+    rects (compared as columns when both have them) or to a list of
+    them; pickled as its columns.  A mutation (the list methods) makes
+    and keeps the rects first and drops the columns, so they never go
+    stale; the flow never mutates one.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("_rects", "columns")
 
-    def __init__(self, rects: Iterable["Rect"] = (),
+    def __init__(self, rects: Optional[Iterable[Rect]] = None,
                  columns=None) -> None:
-        super().__init__(rects)
+        if rects is None and columns is None:
+            rects = ()
+        self._rects = None if rects is None else list(rects)
         self.columns = columns
 
+    def _list(self) -> List[Rect]:
+        """The rects, made from the columns once and kept."""
+        if self._rects is None:
+            self._rects = list(_column_rects(self.columns))
+        return self._rects
+
+    def __len__(self) -> int:
+        if self._rects is not None:
+            return len(self._rects)
+        return len(self.columns[0])
+
+    def __iter__(self) -> Iterator[Rect]:
+        if self._rects is not None:
+            return iter(self._rects)
+        return _column_rects(self.columns)
+
+    def __getitem__(self, index):
+        if self._rects is not None:
+            return self._rects[index]
+        if isinstance(index, slice):
+            return list(_column_rects(tuple(c[index]
+                                            for c in self.columns)))
+        return Rect(*(int(c[index]) for c in self.columns))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RectList):
+            if self.columns is not None and other.columns is not None:
+                import numpy as np
+
+                return len(self) == len(other) and all(
+                    map(np.array_equal, self.columns, other.columns))
+            return list(self) == list(other)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RectList({list(self)!r})"
+
     def __reduce__(self):
-        return (RectList, (list(self), self.columns))
+        if self.columns is not None:
+            return (RectList, (None, self.columns))
+        return (RectList, (self._rects,))
 
 
-def _dropping_columns(name: str):
+def _column_rects(columns) -> Iterator[Rect]:
+    """A :class:`Rect` per row of four int64 corner columns."""
+    return map(Rect, *(c.tolist() for c in columns))
+
+
+def _mutator(name: str):
     mutate = getattr(list, name)
 
     def method(self, *args, **kwargs):
+        rects = self._list()
         self.columns = None
-        return mutate(self, *args, **kwargs)
+        out = mutate(rects, *args, **kwargs)
+        return self if out is rects else out
 
     method.__name__ = name
     return method
@@ -234,7 +261,7 @@ def _dropping_columns(name: str):
 for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__",
               "append", "extend", "insert", "pop", "remove", "clear",
               "sort", "reverse"):
-    setattr(RectList, _name, _dropping_columns(_name))
+    setattr(RectList, _name, _mutator(_name))
 
 
 def rect_columns(rects: Sequence["Rect"]):

@@ -58,7 +58,16 @@ class Layout:
         return len(self.features)
 
     def bbox(self) -> Optional[Rect]:
-        return bounding_box(self.features)
+        """Hull of the poly features: a min/max over their int64
+        columns when they carry them, else one pass over the rects."""
+        cols = getattr(self.features, "columns", None)
+        if cols is None:
+            return bounding_box(self.features)
+        if not len(cols[0]):
+            return None
+        x1, y1, x2, y2 = cols
+        return Rect(int(x1.min()), int(y1.min()), int(x2.max()),
+                    int(y2.max()))
 
     def die_area(self) -> int:
         """Bounding-box area in nm^2 (the paper's Table 2 "Area")."""
@@ -105,11 +114,12 @@ def with_rect_columns(layout: Layout) -> Layout:
     """One layout revision with its features' int64 columns converted.
 
     A layout whose features already carry their columns (a corrected
-    layout, a tile's sub-layout) comes back as it is.  Any other comes
-    back as a new layout that shares every other layer and holds its
-    features in a :class:`~repro.geometry.rect.RectList` copy carrying
-    the columns, so every column pass over the revision reads one
-    conversion and the caller's layout keeps no memo.
+    layout, a tile's sub-layout: column-only rect lists) comes back as
+    it is.  Any other comes back as a new layout that shares every
+    other layer and holds its features in a
+    :class:`~repro.geometry.rect.RectList` copy that keeps the rects
+    and carries the columns, so every column pass over the revision
+    reads one conversion and the caller's layout keeps no memo.
     """
     if getattr(layout.features, "columns", None) is not None:
         return layout

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
-from ..geometry import Rect, neighbor_pairs
+from ..geometry import get_kernel, neighbor_pairs
+from ..geometry.rect import rect_columns
 from .layout import Layout
 from .technology import Technology
 
@@ -37,36 +38,51 @@ class TShape:
         return (self.stem, self.bar)
 
 
-def _is_tshape(stem: Rect, bar: Rect) -> bool:
-    """Does ``stem`` end on (touch or overlap) a long side of ``bar``?"""
-    if not stem.intersects(bar):
-        return False
-    if stem.is_vertical == bar.is_vertical:
-        return False  # parallel abutment is a butt joint, not a T
-    if stem.is_vertical:
-        # Stem runs vertically; its end must meet bar's horizontal run.
-        return bar.xspan.strictly_overlaps(stem.xspan)
-    return bar.yspan.strictly_overlaps(stem.yspan)
+def _tshape_pairs(layout: Layout):
+    """Every ``(stem, bar)`` abutment as two int64 index columns,
+    sorted by ``(stem, bar)``.
+
+    One column pass over the kernel's touching pairs (separation 0,
+    so every candidate intersects, closed): ``stem`` ends on a long
+    side of ``bar`` when the two run perpendicular and ``bar``'s run
+    strictly overlaps ``stem``'s width (its x-span for a vertical
+    stem, its y-span for a horizontal one).
+    """
+    import numpy as np
+
+    x1, y1, x2, y2 = rect_columns(layout.features)
+    i, j = get_kernel().neighbor_pair_arrays(x1, y1, x2, y2, 1)
+    if not len(i):
+        return i, j
+    stem = np.concatenate((i, j))
+    bar = np.concatenate((j, i))
+    vertical = y2 - y1 >= x2 - x1
+    sv = vertical[stem]
+
+    def across(k):
+        """Span across the stem's run: x for a vertical stem, y for a
+        horizontal one."""
+        return np.where(sv, x1[k], y1[k]), np.where(sv, x2[k], y2[k])
+
+    stem_lo, stem_hi = across(stem)
+    bar_lo, bar_hi = across(bar)
+    keep = (sv != vertical[bar]) & (bar_lo < stem_hi) & (stem_lo < bar_hi)
+    stem, bar = stem[keep], bar[keep]
+    order = np.lexsort((bar, stem))
+    return stem[order], bar[order]
 
 
 def find_tshapes(layout: Layout) -> List[TShape]:
-    """All perpendicular abutments in a layout, both orientations."""
-    feats = layout.features
-    out: List[TShape] = []
-    for i, j in neighbor_pairs(feats, 1):
-        for stem, bar in ((i, j), (j, i)):
-            if _is_tshape(feats[stem], feats[bar]):
-                out.append(TShape(stem=stem, bar=bar))
-    return sorted(out, key=lambda t: t.key)
+    """All perpendicular abutments in a layout, both orientations,
+    sorted by ``(stem, bar)``."""
+    stem, bar = _tshape_pairs(layout)
+    return list(map(TShape, stem.tolist(), bar.tolist()))
 
 
 def tshape_feature_indices(layout: Layout) -> Set[int]:
     """Features participating in any T-shape."""
-    out: Set[int] = set()
-    for t in find_tshapes(layout):
-        out.add(t.stem)
-        out.add(t.bar)
-    return out
+    stem, bar = _tshape_pairs(layout)
+    return set(stem.tolist()) | set(bar.tolist())
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,12 @@ class TestGridGeometry:
         probes = [r.center2 for r in layout.features[:50]]
         # Points far outside the bbox still have exactly one owner.
         probes += [(-10**7, -10**7), (10**9, 10**9)]
+        def owns(tile, px2, py2):
+            ox1, oy1, ox2, oy2 = tile.owner
+            return 2 * ox1 <= px2 < 2 * ox2 and 2 * oy1 <= py2 < 2 * oy2
+
         for p in probes:
-            owners = [t for t in grid.tiles if t.owns_point2(*p)]
+            owners = [t for t in grid.tiles if owns(t, *p)]
             assert len(owners) == 1
             flat = grid.owner_index_of_point2(*p)
             assert grid.tiles[flat] is owners[0]

@@ -23,6 +23,7 @@ except ImportError:
     collect_ignore = [
         "test_properties.py",
         "conflict/test_graphs.py",
+        "correction/test_columns.py",
         "correction/test_setcover.py",
         "correction/test_spacer.py",
         "gdsii/test_records.py",

@@ -37,10 +37,6 @@ class TestRectBasics:
     def test_center2_exact(self):
         assert Rect(0, 0, 5, 7).center2 == (5, 7)
 
-    def test_from_center(self):
-        r = Rect.from_center(100, 200, 40, 60)
-        assert r == Rect(80, 170, 120, 230)
-
     def test_spans(self):
         r = Rect(1, 2, 3, 4)
         assert (r.xspan.lo, r.xspan.hi) == (1, 3)
@@ -93,7 +89,9 @@ class TestRectRelations:
 
     @given(rects, rects)
     def test_between_region_fills_gap(self, a, b):
-        between = a.between_region(b)
+        from ..oracles import between_region
+
+        between = between_region(a, b)
         if between is None:
             return
         assert not between.strictly_intersects(a)
@@ -221,3 +219,61 @@ class TestRectList:
         assert isinstance(back, RectList) and back == rects
         assert [c.tolist() for c in back.columns] \
             == [c.tolist() for c in rects.columns]
+
+    @staticmethod
+    def column_only():
+        import numpy as np
+
+        from repro.geometry.rect import RectList
+
+        box = np.array([[0, 7, 2], [0, 1, 3], [5, 9, 6], [9, 4, 8]],
+                       dtype=np.int64)
+        return RectList(columns=tuple(box)), [
+            Rect(0, 0, 5, 9), Rect(7, 1, 9, 4), Rect(2, 3, 6, 8)]
+
+    def test_column_only_makes_rects_on_demand(self):
+        """Built from columns, a rect list reads like the list of its
+        rects and keeps none of the rects it makes."""
+        from unittest import mock
+
+        rects, want = self.column_only()
+        assert len(rects) == 3 and rects == want and want == rects
+        assert list(rects) == want and rects[1] == want[1]
+        assert rects[-1] == want[-1] and rects[1:] == want[1:]
+        assert Rect(7, 1, 9, 4) in rects and bool(rects)
+        with pytest.raises(IndexError):
+            rects[3]
+        post_init = Rect.__post_init__
+        made = []
+
+        def counting(rect):
+            made.append(rect)
+            post_init(rect)
+
+        with mock.patch.object(Rect, "__post_init__", counting):
+            list(rects)
+            list(rects)
+        assert len(made) == 6 and rects._rects is None
+
+    def test_column_only_equality_and_pickle(self):
+        import pickle
+
+        from repro.geometry.rect import RectList, rect_columns
+
+        rects, want = self.column_only()
+        assert rects == RectList(want) and RectList(want) == rects
+        assert rects != want[:2] and rects != RectList(want[:2])
+        assert rect_columns(rects) is rects.columns
+        back = pickle.loads(pickle.dumps(rects))
+        assert back == rects and back._rects is None
+
+    def test_column_only_mutation_keeps_the_rects(self):
+        from repro.geometry.rect import rect_columns
+
+        rects, want = self.column_only()
+        rects.append(Rect(1, 1, 2, 2))
+        assert rects.columns is None
+        assert rects == want + [Rect(1, 1, 2, 2)]
+        assert [c.tolist() for c in rect_columns(rects)] \
+            == [c.tolist() for c in rect_columns(list(rects))]
+

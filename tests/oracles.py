@@ -64,7 +64,16 @@ compare them with live here:
   node through either registry form;
 * :func:`scalar_apply_cuts` (with :func:`transform_rect`) — space
   insertion rect by rect, two bisects per axis, which ``apply_cuts``'
-  column pass must reproduce exactly.
+  column pass must reproduce exactly;
+* :func:`axis_option` (with :func:`isqrt_ceil`),
+  :func:`scalar_rect_pair_options` and :func:`scalar_conflict_options`
+  — correction options pair by pair from two ``Rect`` objects;
+  :class:`ScalarSnapIndex` — the snap index's sorted lists by a loop
+  over the features; :func:`scalar_stretched_feature_indices` — one
+  bisect per feature; :func:`is_tshape` / :func:`scalar_find_tshapes`
+  — the T-shape test pair by pair.  The correct stage's column passes
+  and ``find_tshapes`` must reproduce them exactly.
+  :func:`between_region` is :func:`region_center2`'s gap box.
 
 :func:`use_kernel` / :func:`use_matcher` run the flow on an oracle by
 swapping it in behind the production accessors ``get_kernel`` /
@@ -98,7 +107,13 @@ from repro.chip.partition import (
     normalize_tile_spec,
 )
 from repro.core.flow import run_aapsm_flow
-from repro.correction import SpaceCut, plan_correction
+from repro.correction import (
+    AXIS_X,
+    AXIS_Y,
+    CorrectionOption,
+    SpaceCut,
+    plan_correction,
+)
 from repro.correction.setcover import (
     EXACT_CAP_ELEMENTS,
     EXACT_CAP_SETS,
@@ -107,7 +122,7 @@ from repro.correction.setcover import (
     greedy_weighted_set_cover,
     use_exact_cover,
 )
-from repro.geometry import Rect, segment_bbox, segments_conflict
+from repro.geometry import Interval, Rect, segment_bbox, segments_conflict
 from repro.geometry.kernels import GeometryKernel, PairRow, get_kernel
 from repro.graph import (
     METHOD_GADGET,
@@ -266,14 +281,38 @@ def grid_neighbor_pairs(rects: Sequence[Rect], dist: int
     return pairs
 
 
+def between_region(ra: Rect, rb: Rect) -> Optional[Rect]:
+    """The open region separating two disjoint rects, if box-like.
+
+    For two rects whose x-projections overlap with positive length but
+    whose y-projections are strictly apart, the rectangle spanning the
+    y-gap over the common x-range (and symmetrically).  None for
+    corner-to-corner, touching or intersecting configurations.
+    """
+    xi = ra.xspan.intersection(rb.xspan)
+    yi = ra.yspan.intersection(rb.yspan)
+    if xi is not None and yi is None and xi.length > 0:
+        lo, hi = (ra, rb) if ra.y2 <= rb.y1 else (rb, ra)
+        if lo.y2 < hi.y1:
+            return Rect(xi.lo, lo.y2, xi.hi, hi.y1)
+        return None
+    if yi is not None and xi is None and yi.length > 0:
+        lo, hi = (ra, rb) if ra.x2 <= rb.x1 else (rb, ra)
+        if lo.x2 < hi.x1:
+            return Rect(lo.x2, yi.lo, hi.x1, yi.hi)
+        return None
+    return None
+
+
 def region_center2(ra: Rect, rb: Rect) -> Tuple[int, int]:
     """Doubled centre of the overlap region of two rects: of the
-    intersection when they overlap, of the gap box when they are
-    separated along one axis, of the hull for corner cases."""
+    intersection when they overlap, of the gap box
+    (:func:`between_region`) when they are separated along one axis,
+    of the hull for corner cases."""
     inter = ra.intersection(rb)
     if inter is not None:
         return inter.center2
-    between = ra.between_region(rb)
+    between = between_region(ra, rb)
     if between is not None:
         return between.center2
     return ra.hull(rb).center2
@@ -1450,3 +1489,146 @@ def scalar_apply_cuts(layout: Layout, cuts: Sequence[SpaceCut]) -> Layout:
         out.layers[layer] = [transform_rect(r, xshift, yshift)
                              for r in rects]
     return out
+
+
+# ----------------------------------------------------------------------
+# Correction options, cut snapping, stretched features and T-shapes,
+# one object at a time
+# ----------------------------------------------------------------------
+def isqrt_ceil(n: int) -> int:
+    """Smallest integer ``x`` with ``x * x >= n`` (0 for ``n <= 0``)."""
+    if n <= 0:
+        return 0
+    x = int(n ** 0.5)
+    while x * x >= n:
+        x -= 1
+    while x * x < n:
+        x += 1
+    return x
+
+
+def axis_option(conflict: Tuple[int, int], ra: Rect, rb: Rect,
+                axis: str, rule: int) -> Optional[CorrectionOption]:
+    """One pair's option on one axis, from two :class:`Rect` objects."""
+    if axis == AXIS_X:
+        span_a, span_b = ra.xspan, rb.xspan
+        other_gap = ra.y_gap(rb)
+    else:
+        span_a, span_b = ra.yspan, rb.yspan
+        other_gap = ra.x_gap(rb)
+
+    if span_b.lo >= span_a.hi:
+        interval = Interval(span_a.hi, span_b.lo)
+    elif span_a.lo >= span_b.hi:
+        interval = Interval(span_b.hi, span_a.lo)
+    else:
+        return None  # projections overlap: a cut cannot separate them
+
+    gap = interval.length
+    other = max(0, other_gap)
+    if other >= rule:
+        return None  # already legal; not a real conflict on this axis
+    need = isqrt_ceil(rule * rule - other * other) - gap
+    if need <= 0:
+        return None
+    return CorrectionOption(conflict=conflict, axis=axis,
+                            interval=interval, need=need)
+
+
+def scalar_rect_pair_options(keyed_rects, rule: int
+                             ) -> Dict[Tuple[int, int],
+                                       List[CorrectionOption]]:
+    """``rect_pair_options`` pair by pair: ``keyed_rects`` maps each key
+    to its two :class:`Rect` objects."""
+    out: Dict[Tuple[int, int], List[CorrectionOption]] = {}
+    for key, (ra, rb) in keyed_rects.items():
+        out[key] = [opt for opt in (axis_option(key, ra, rb, axis, rule)
+                                    for axis in (AXIS_X, AXIS_Y))
+                    if opt is not None]
+    return out
+
+
+def scalar_conflict_options(conflicts, shifters: ShifterSet,
+                            tech: Technology):
+    """``conflict_options`` with two ``rect_of`` rects per conflict."""
+    keyed = {key: (shifters.rect_of(key[0]), shifters.rect_of(key[1]))
+             for key in conflicts}
+    return scalar_rect_pair_options(keyed, tech.shifter_spacing)
+
+
+class ScalarSnapIndex:
+    """The snap index as sorted lists built by a loop over the
+    features, queried with bisect (``_SnapIndex``' interface)."""
+
+    def __init__(self, layout: Layout):
+        xs: List[int] = []
+        ys: List[int] = []
+        vx1: List[int] = []
+        vx2: List[int] = []
+        hy1: List[int] = []
+        hy2: List[int] = []
+        for rect in layout.features:
+            xs += (rect.x1, rect.x2)
+            ys += (rect.y1, rect.y2)
+            if rect.height >= rect.width:
+                vx1.append(rect.x1)
+                vx2.append(rect.x2)
+            else:
+                hy1.append(rect.y1)
+                hy2.append(rect.y2)
+        self._edges = {AXIS_X: sorted(set(xs)), AXIS_Y: sorted(set(ys))}
+        self._lo = {AXIS_X: sorted(vx1), AXIS_Y: sorted(hy1)}
+        self._hi = {AXIS_X: sorted(vx2), AXIS_Y: sorted(hy2)}
+
+    def edges_in(self, axis: str, band: Interval) -> List[int]:
+        edges = self._edges[axis]
+        return edges[bisect_left(edges, band.lo):
+                     bisect_right(edges, band.hi)]
+
+    def stretched_count(self, axis: str, position: int) -> int:
+        return (bisect_left(self._lo[axis], position)
+                - bisect_right(self._hi[axis], position))
+
+
+def scalar_stretched_feature_indices(layout: Layout,
+                                     cuts: Sequence[SpaceCut]
+                                     ) -> List[int]:
+    """``stretched_feature_indices`` with one bisect per feature."""
+    x_cuts = sorted(c.position for c in cuts if c.axis == "x")
+    y_cuts = sorted(c.position for c in cuts if c.axis == "y")
+
+    def any_inside(positions: List[int], lo: int, hi: int) -> bool:
+        i = bisect_right(positions, lo)
+        return i < len(positions) and positions[i] < hi
+
+    offenders: List[int] = []
+    for index, rect in enumerate(layout.features):
+        if rect.height >= rect.width:
+            if any_inside(x_cuts, rect.x1, rect.x2):
+                offenders.append(index)
+        elif any_inside(y_cuts, rect.y1, rect.y2):
+            offenders.append(index)
+    return offenders
+
+
+def is_tshape(stem: Rect, bar: Rect) -> bool:
+    """Does ``stem`` end on (touch or overlap) a long side of ``bar``?"""
+    if not stem.intersects(bar):
+        return False
+    if stem.is_vertical == bar.is_vertical:
+        return False  # parallel abutment is a butt joint, not a T
+    if stem.is_vertical:
+        return bar.xspan.strictly_overlaps(stem.xspan)
+    return bar.yspan.strictly_overlaps(stem.yspan)
+
+
+def scalar_find_tshapes(layout: Layout) -> List[Tuple[int, int]]:
+    """``find_tshapes``' ``(stem, bar)`` keys, :func:`is_tshape` pair by
+    pair over the touching pairs."""
+    feats = list(layout.features)
+    out: List[Tuple[int, int]] = []
+    for i, j in grid_neighbor_pairs(feats, 1):
+        for stem, bar in ((i, j), (j, i)):
+            if is_tshape(feats[stem], feats[bar]):
+                out.append((stem, bar))
+    return sorted(out)

@@ -121,7 +121,7 @@ class TestPlanEco:
         # Every dirty tile's capture window intersects the edit.
         rect = lay.features[index]
         for ix, iy in plan.dirty:
-            x1, y1, x2, y2 = plan.grid.tile_at(ix, iy).bounds
+            x1, y1, x2, y2 = plan.grid.tiles[iy * plan.grid.nx + ix].bounds
             assert rect.x1 <= x2 and x1 <= rect.x2
             assert rect.y1 <= y2 and y1 <= rect.y2
 

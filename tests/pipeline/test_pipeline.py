@@ -347,8 +347,9 @@ class TestFlowCompatibility:
 
 class TestNoShifterObjects:
     """The front end, detection, correction, verification and
-    assignment read the shifter set's id and rect columns and the pair
-    columns: a flow builds no ``Shifter``, no per-shifter ``Rect``, no
+    assignment read the shifter set's id and rect columns, the pair
+    columns and the layout's rect columns: a flow builds no
+    ``Shifter``, no ``Rect`` per shifter, feature, conflict or tile, no
     ``OverlapPair`` and no ``CriticalFeature``."""
 
     @pytest.mark.parametrize("kwargs", [dict(tiles=3), dict()],
@@ -364,29 +365,45 @@ class TestNoShifterObjects:
         def refuse(self, *args, **kwargs):
             raise AssertionError(f"{type(self).__name__} built")
 
-        rect_of = ShifterSet.rect_of
-        looked_up = []
-
-        def counted_rect_of(self, shifter_id):
-            looked_up.append(shifter_id)
-            return rect_of(self, shifter_id)
-
         layout = build_design("D3")
         expected = run_aapsm_flow(layout, tech, **kwargs)
         with mock.patch.object(ShifterSet, "__getitem__", refuse), \
                 mock.patch.object(ShifterSet, "rects", property(refuse)), \
-                mock.patch.object(ShifterSet, "rect_of", counted_rect_of), \
+                mock.patch.object(ShifterSet, "rect_of", refuse), \
                 mock.patch.object(OverlapPair, "__init__", refuse), \
                 mock.patch.object(CriticalFeature, "__init__", refuse):
             result = run_aapsm_flow(layout, tech, **kwargs)
         assert result.success and expected.success
+        assert result.detection.num_conflicts > 0
         assert result.corrected_layout.features == \
             expected.corrected_layout.features
-        # Rects are made for the conflicted shifters' correction
-        # options only: two per conflict.
-        conflicts = result.detection.num_conflicts \
-            + len(result.detection.tshape_conflicts)
-        assert 0 < len(looked_up) <= 2 * conflicts
+
+    @pytest.mark.parametrize("kwargs", [dict(tiles=3), dict()],
+                             ids=["tiled-cold", "monolithic-storeless"])
+    def test_rect_count_does_not_grow_with_the_design(self, tech, kwargs):
+        """A cold D3 flow and a cold D5 flow (6x the features) make the
+        same few ``Rect`` objects: the corrected layout, the tile slices
+        and the correct stage's passes are columns."""
+        from unittest import mock
+
+        from repro.bench import build_design
+        from repro.geometry import Rect
+
+        post_init = Rect.__post_init__
+        counts = {}
+        for design in ("D3", "D5"):
+            layout = build_design(design)
+            made = []
+
+            def counting(rect):
+                made.append(1)
+                post_init(rect)
+
+            with mock.patch.object(Rect, "__post_init__", counting):
+                result = run_aapsm_flow(layout, tech, **kwargs)
+            assert result.success and result.correction.num_cuts > 0
+            counts[design] = len(made)
+        assert counts["D3"] == counts["D5"] <= 2, counts
 
 
 def _counted_conversions():
