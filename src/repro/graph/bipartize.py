@@ -3,11 +3,12 @@
 Three families, matching the paper's Table 1 columns:
 
 * :func:`optimal_planar_bipartization` — the paper's *Bipartize*:
-  embedded planar graph → geometric dual, reduced to a simple graph →
-  minimum T-join (via the generalized-gadget matching reduction or the
-  reference shortest-path reduction) → minimum-weight edge set whose
-  removal kills every odd face, hence every odd cycle.  Only the
-  components that hold an odd cycle are embedded.
+  embedded planar graph → geometric dual, reduced to a simple graph
+  with no degree-2 face → minimum T-join (via the generalized-gadget
+  matching reduction or the reference shortest-path reduction) →
+  minimum-weight edge set whose removal kills every odd face, hence
+  every odd cycle.  Only the components that hold an odd cycle are
+  embedded.
 * :func:`greedy_spanning_tree_bipartization` — the paper's GB baseline,
   implemented literally: keep a maximum-weight spanning forest, report
   every leftover edge as a conflict.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .coloring import ParityDSU, ParityLabelling, parity_labelling
-from .dual import build_dual, simple_dual
+from .dual import build_dual, eliminate_degree_two, simple_dual
 from .embedding import build_embedding
 from .gadgets import min_tjoin_gadget
 from .geomgraph import GeomGraph, _numpy
@@ -66,8 +67,10 @@ def optimal_planar_bipartization(
     selects the T-join engine; ``max_clique_size`` configures the
     gadget decomposition (None = generalized gadget, 1 = optimized
     gadgets of ASP-DAC'01).  Either engine solves the dual's simple
-    instance (:func:`~repro.graph.dual.simple_dual`), which has the
-    same minimum T-join weight.
+    instance (:func:`~repro.graph.dual.simple_dual`) with its degree-2
+    faces eliminated (:func:`~repro.graph.dual.eliminate_degree_two`),
+    which has the same minimum T-join weight, and the join is expanded
+    back to primal edge ids.
 
     The problem splits over the components of the live graph, and a
     bipartite component has only even faces, so it adds no terminal to
@@ -86,7 +89,7 @@ def optimal_planar_bipartization(
                                    labelling=labelling)
     embedding = build_embedding(graph, _odd_component_edges(graph,
                                                             labelling))
-    dual = simple_dual(build_dual(embedding))
+    dual = eliminate_degree_two(simple_dual(build_dual(embedding)))
     if method == METHOD_GADGET:
         join = min_tjoin_gadget(dual.graph, dual.tset, max_clique_size)
     else:

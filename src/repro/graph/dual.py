@@ -10,9 +10,11 @@ faces iff its dual edges form a T-join.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Dict, List, Set, Tuple
 
+from ..obs import get_tracer
 from .embedding import PlanarEmbedding
 from .geomgraph import GeomGraph
 
@@ -94,3 +96,136 @@ def simple_dual(dual: DualGraph) -> DualGraph:
                                 for w, primal, u, v in rows])
     return DualGraph(graph=simple, tset=dual.tset,
                      primal_of=dict(zip(ids, map(itemgetter(1), rows))))
+
+
+@dataclass
+class ReducedDual:
+    """A dual T-join instance with every degree-2 face eliminated.
+
+    ``graph`` holds the faces and edges left and ``tset`` their
+    terminals.  Edge ``k`` of ``graph`` is row ``rows[k]`` of the
+    elimination: row ``r < m`` is edge ``r`` of ``source.graph`` (``m``
+    edges), and row ``m + i`` is the edge that stands for its two
+    child rows ``merged[i]``.  The ``forced`` rows are in every join.
+    """
+
+    graph: GeomGraph
+    tset: Set[int]
+    source: DualGraph
+    rows: List[int]
+    merged: List[Tuple[int, int]]
+    forced: List[int]
+
+    def primal_edges(self, dual_edge_ids) -> List[int]:
+        """The primal edges of the source join that a join of
+        ``graph`` expands to, ascending.
+
+        One parity bit per row: a row is in the join when it is used
+        an odd number of times, and a used merged row uses both its
+        children.  Children are older rows, so one pass from the
+        newest row down settles every bit.
+        """
+        m = self.source.graph.num_edges()
+        merged = self.merged
+        parity = bytearray(m + len(merged))
+        rows = self.rows
+        for eid in dual_edge_ids:
+            parity[rows[eid]] ^= 1
+        for row in self.forced:
+            parity[row] ^= 1
+        for i in range(len(merged) - 1, -1, -1):
+            if parity[m + i]:
+                a, b = merged[i]
+                parity[a] ^= 1
+                parity[b] ^= 1
+        return self.source.primal_edges(compress(range(m), parity))
+
+
+def eliminate_degree_two(dual: DualGraph) -> ReducedDual:
+    """Remove every degree-2 face of a T-join instance, exactly.
+
+    Repeats two rules until no face has two neighbours, each exact for
+    a minimum T-join under non-negative weights:
+
+    * a non-terminal face ``f`` with edges ``(f, a, w1)`` and
+      ``(f, b, w2)`` has join-degree 0 or 2, so its two edges are used
+      together or not at all: both become one edge ``(a, b, w1 + w2)``;
+    * a terminal face ``t`` with edges ``e1 = (t, a, w1)`` and
+      ``e2 = (t, b, w2)``, ``w1 <= w2`` with ties to the lower row,
+      has join-degree 1, so every T-join uses exactly one of them:
+      ``e1`` is forced into the join, ``t`` goes and ``a`` flips its
+      terminal membership, and a new edge ``(a, b, w2 - w1)`` stands
+      for swapping ``e1`` for ``e2``.
+
+    A new edge parallel to an existing one keeps the lighter of the
+    two, ties to the existing edge.  The instance so stays simple: a
+    degree-2 face always has two distinct neighbours, and no new edge
+    is a self-loop.  Input self-loops and parallel edges are resolved
+    the same way on loading, so a raw dual is accepted too (one with
+    no removed edge, as :func:`build_dual` and :func:`simple_dual`
+    build them).  Faces of degree 0 or 1 are left to the engine.  A
+    minimum T-join of the result, expanded by
+    :meth:`ReducedDual.primal_edges`, is a minimum T-join of ``dual``.
+    """
+    graph = dual.graph
+    nodes = graph.nodes
+    adj: Dict[int, Dict[int, int]] = {node: {} for node in nodes}
+    eu: List[int] = []
+    ev: List[int] = []
+    weight: List[int] = []
+    for eid, u, v, w in graph.live_edge_rows():
+        eu.append(u)
+        ev.append(v)
+        weight.append(w)
+        kept = adj[u].get(v)
+        if u != v and (kept is None or w < weight[kept]):
+            adj[u][v] = adj[v][u] = eid
+    m = len(weight)
+    tset = set(dual.tset)
+    merged: List[Tuple[int, int]] = []
+    forced: List[int] = []
+    stack = [node for node in reversed(nodes) if len(adj[node]) == 2]
+    while stack:
+        f = stack.pop()
+        edges = adj.get(f)
+        if edges is None or len(edges) != 2:
+            continue
+        (a, e1), (b, e2) = edges.items()
+        del adj[f], adj[a][f], adj[b][f]
+        w1, w2 = weight[e1], weight[e2]
+        if f in tset:
+            if (w2, e2) < (w1, e1):
+                a, e1, w1, b, e2, w2 = b, e2, w2, a, e1, w1
+            tset.remove(f)
+            tset ^= {a}
+            forced.append(e1)
+            w = w2 - w1
+        else:
+            w = w1 + w2
+        kept = adj[a].get(b)
+        if kept is None or w < weight[kept]:
+            adj[a][b] = adj[b][a] = m + len(merged)
+            eu.append(a)
+            ev.append(b)
+            weight.append(w)
+            merged.append((e1, e2))
+        if len(adj[a]) == 2:
+            stack.append(a)
+        if len(adj[b]) == 2:
+            stack.append(b)
+
+    live = bytearray(len(weight))
+    for edges in adj.values():
+        for row in edges.values():
+            live[row] = 1
+    rows = list(compress(range(len(weight)), live))
+    reduced = GeomGraph(name=f"{graph.name}#reduced")
+    reduced.add_nodes(node for node in nodes if node in adj)
+    reduced.add_edge_rows([(eu[row], ev[row], weight[row], None)
+                           for row in rows])
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.count("tjoin.eliminated", len(nodes) - len(adj))
+        tracer.count("tjoin.forced", len(forced))
+    return ReducedDual(graph=reduced, tset=tset, source=dual, rows=rows,
+                       merged=merged, forced=forced)

@@ -1,9 +1,11 @@
 """Minimum-weight perfect matching for the T-join gadget reduction.
 
-The gadget reduction hands this module the single hottest sub-problem
-of the detector (the paper treats the matcher as a black-box solver,
-and so did this repo until the profile said otherwise — see
-``benchmarks/BENCH_profile_D8.json``).  The driver,
+The gadget reduction hands this module its matching instances.  On
+one traced cold-chip operation (seed 17) they hold 1,098 nodes in 162
+components, and matching takes 15.5 ms of the 85 ms
+``detect_conflicts`` is busy; before the T-join instance lost its
+degree-2 faces they held 4,902 nodes in 182 components and took 73.0
+of 157 ms, the detector's largest single cost.  The driver,
 :func:`min_weight_perfect_matching`, collapses parallel edges, splits
 the graph into connected components (both in column passes), and hands
 each component to the matcher :func:`get_matcher` returns: the

@@ -161,6 +161,10 @@ class TestColumnDriver:
 
     @pytest.mark.parametrize("name", ["D1", "D2", "D3"])
     def test_gadget_graphs(self, name):
+        """The gadget graphs of the reduced instance the flow solves
+        and of the dual's simple instance with its degree-2 faces kept
+        (``use_unreduced_dual``): the reduced ones can be none at all."""
+        from contextlib import nullcontext
         from unittest import mock
 
         from repro.bench import build_design
@@ -168,7 +172,7 @@ class TestColumnDriver:
         from repro.graph import gadgets
         from repro.layout import Technology
 
-        from ..oracles import dict_perfect_matching
+        from ..oracles import dict_perfect_matching, use_unreduced_dual
 
         graphs = []
 
@@ -176,9 +180,10 @@ class TestColumnDriver:
             graphs.append(graph)
             return min_weight_perfect_matching(graph)
 
-        with mock.patch.object(gadgets, "min_weight_perfect_matching",
-                               keep):
-            detect_conflicts(build_design(name), Technology.node_90nm())
+        for swap in (nullcontext, use_unreduced_dual):
+            with mock.patch.object(gadgets, "min_weight_perfect_matching",
+                                   keep), swap():
+                detect_conflicts(build_design(name), Technology.node_90nm())
         assert graphs
         for graph in graphs:
             assert _recorded(min_weight_perfect_matching, graph) \

@@ -12,6 +12,7 @@ path.
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -34,7 +35,7 @@ from repro.scenarios import build_scenario, report_key, stratum_names
 from ..conftest import cold_chip_layout
 from ..oracles import (NetworkxMatcher, RecordingMatcher,
                        scalar_connected_components, use_matcher,
-                       use_raw_dual)
+                       use_raw_dual, use_unreduced_dual)
 
 TECH = Technology.node_90nm()
 SMOKE = [(s, seed) for s in stratum_names() for seed in range(3)]
@@ -149,20 +150,17 @@ class TestRandomMultigraphs:
 
 def test_raw_dual_oracle_hands_the_matcher_the_unreduced_instance():
     """D2's largest matching component: 42 gadget nodes on the raw
-    dual, 12 on the simple instance."""
+    dual, 12 on the simple instance, 6 once its degree-2 faces are
+    eliminated."""
     cg, _s, _p = build_layout_conflict_graph(build_design("D2"), TECH)
     greedy_planarize(cg.graph)
     sizes = []
-    for oracle in (False, True):
+    for swap in (nullcontext, use_unreduced_dual, use_raw_dual):
         recorder = RecordingMatcher()
-        with use_matcher(recorder):
-            if oracle:
-                with use_raw_dual():
-                    optimal_planar_bipartization(cg.graph)
-            else:
-                optimal_planar_bipartization(cg.graph)
+        with use_matcher(recorder), swap():
+            optimal_planar_bipartization(cg.graph)
         sizes.append(max(recorder.sizes))
-    assert sizes == [12, 42]
+    assert sizes == [6, 12, 42]
 
 
 def layouts():

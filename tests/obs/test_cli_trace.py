@@ -88,6 +88,21 @@ class TestTelemetryBlock:
         # Each stage row carries the RSS high-water mark at its exit.
         assert all(row["peak_rss_mb"] > 0 for row in stage_rows.values())
 
+    def test_flow_json_counts_the_tjoin_elimination(self, tmp_path,
+                                                    capsys):
+        """D3 at ``--tiles 3``: the T-join instances lose 51 degree-2
+        faces, 29 of them terminals that force an edge, and the matcher
+        is handed 90 nodes (408 with the degree-2 faces kept)."""
+        from repro.bench import build_design
+
+        gds = str(tmp_path / "d3.gds")
+        write_gds(layout_to_gds(build_design("D3")), gds)
+        main(["flow", gds, "--tiles", "3", "--jobs", "1", "--json"])
+        counters = load_stdout_json(capsys)["telemetry"]["metrics"][
+            "counters"]
+        assert (counters["tjoin.eliminated"], counters["tjoin.forced"],
+                counters["matcher.nodes"]) == (51, 29, 90)
+
     def test_eco_json_carries_telemetry(self, figure1_gds, tmp_path,
                                         capsys):
         trace = str(tmp_path / "eco-trace.json")

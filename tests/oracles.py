@@ -78,10 +78,11 @@ compare them with live here:
 :func:`use_kernel` / :func:`use_matcher` run the flow on an oracle by
 swapping it in behind the production accessors ``get_kernel`` /
 ``get_matcher``; :func:`use_whole_instance_cover` swaps the unwindowed
-cover in behind ``solve_cover_windows``; :func:`use_raw_dual` solves
-every T-join on the raw dual, self-loops and parallel edges kept,
-instead of its simple instance.  The graph core's other scalar oracles
-live with their differential suite in
+cover in behind ``solve_cover_windows``; :func:`use_unreduced_dual`
+solves every T-join on the dual's simple instance with its degree-2
+faces kept, and :func:`use_raw_dual` on the raw dual, self-loops,
+parallel edges and degree-2 faces kept.  The graph core's other
+scalar oracles live with their differential suite in
 ``tests/graph/test_geomgraph_flat.py``.
 """
 
@@ -136,7 +137,7 @@ from repro.graph import (
     parity_labelling,
 )
 from repro.graph.components import COMPONENT_FORMAT
-from repro.graph.dual import simple_dual
+from repro.graph.dual import eliminate_degree_two, simple_dual
 from repro.graph.matching import BlossomMatcher, LocalEdge, \
     MatcherBackend, NoPerfectMatchingError
 from repro.layout import Layout, Technology
@@ -546,7 +547,7 @@ def whole_graph_bipartization(graph: GeomGraph,
     live edge, bipartite components included, checked by one labelling
     of the graph minus the join."""
     embedding = build_embedding(graph)
-    dual = simple_dual(build_dual(embedding))
+    dual = eliminate_degree_two(simple_dual(build_dual(embedding)))
     if method == METHOD_GADGET:
         join = min_tjoin_gadget(dual.graph, dual.tset, max_clique_size)
     elif method == METHOD_PATHS:
@@ -1443,11 +1444,23 @@ def scalar_verify_assignment(shifters: ShifterSet, assignment, pairs,
 # ----------------------------------------------------------------------
 # The T-join on the raw dual, and per-rect space insertion
 # ----------------------------------------------------------------------
+def use_unreduced_dual():
+    """Solve the block's T-joins on the dual's simple instance with its
+    degree-2 faces kept: the identity in for
+    :func:`repro.graph.dual.eliminate_degree_two`."""
+    return _rebind("repro.graph.dual", "eliminate_degree_two",
+                   lambda dual: dual)
+
+
+@contextmanager
 def use_raw_dual():
-    """Solve the block's T-joins on the raw dual: every self-loop and
-    parallel edge kept, as the Table 1 harness solves it, instead of
-    the simple instance :func:`repro.graph.dual.simple_dual` gives."""
-    return _rebind("repro.graph.dual", "simple_dual", lambda dual: dual)
+    """Solve the block's T-joins on the raw dual: every self-loop,
+    parallel edge and degree-2 face kept, as the Table 1 harness solves
+    it, instead of the instance :func:`repro.graph.dual.simple_dual`
+    and :func:`repro.graph.dual.eliminate_degree_two` give."""
+    with _rebind("repro.graph.dual", "simple_dual", lambda dual: dual), \
+            use_unreduced_dual():
+        yield
 
 
 class _AxisShift:
