@@ -111,10 +111,9 @@ def profile_design(design: str, top: int = 15,
     # applies, so the profile shows the work users' flows do.
     with gc_paused():
         wall0 = time.perf_counter()
-        front = run("shifters", stage_front_end, layout, tech, config, store)
+        front = run("shifters", stage_front_end, layout, tech, config)
         detection = run("detect", stage_detect, front, tech, config, store)
-        correction = run("correct", stage_correct, detection, tech, config,
-                         store)
+        correction = run("correct", stage_correct, detection, tech, config)
         verification = run("verify", stage_verify, correction, tech, config,
                            front, store)
         phase = run("assign", stage_assign, verification, tech, config,

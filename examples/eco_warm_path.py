@@ -5,16 +5,16 @@ This walks the incremental story end to end on the benchmark design
 D2 (~120 polygons):
 
 1. a **cold** pipeline run warms a persistent artifact store with
-   all four kinds of intermediate — per-tile front ends (shifters +
-   overlap pairs), per-tile detection results, component colorings,
-   and verifier verdicts (stitch arbitration and the correction
-   windows are cheap and recomputed on every run);
+   all three kinds of intermediate — per-tile detection results,
+   component colorings, and verifier verdicts (the front end, stitch
+   arbitration and the correction windows are cheap and recomputed on
+   every run);
 2. a **single-feature edit** (the canonical conflict-neutral ECO:
    shrink one isolated interior polygon by 2 nm) dirties exactly the
    tiles whose capture window sees it;
-3. a **warm** ECO re-run recomputes only those dirty tiles — shifters
-   included — and replays everything else from the store, producing a
-   report identical to a cold run on the edited layout.
+3. a **warm** ECO re-run re-detects only those dirty tiles and
+   replays everything else from the store, producing a report
+   identical to a cold run on the edited layout.
 
 Run:  python examples/eco_warm_path.py
 """
@@ -22,7 +22,7 @@ Run:  python examples/eco_warm_path.py
 import tempfile
 
 from repro.bench import build_design
-from repro.cache import KIND_FRONTEND, ArtifactCache
+from repro.cache import KIND_TILE, ArtifactCache
 from repro.layout import Technology
 from repro.pipeline import (
     PipelineConfig,
@@ -42,7 +42,7 @@ def print_kind_counters(title: str, counts: dict) -> None:
 def main() -> None:
     tech = Technology.node_90nm()
     base = build_design("D2")
-    tiles = 3  # 3x3 grid so the edit leaves clean tiles to splice
+    tiles = 3  # 3x3 grid so the edit leaves clean tiles to replay
 
     with tempfile.TemporaryDirectory(prefix="repro-eco-") as cache_dir:
         store = ArtifactCache(cache_dir)
@@ -64,8 +64,7 @@ def main() -> None:
               f"({rect.x1},{rect.y1},{rect.x2},{rect.y2}) by 2 nm")
         plan = plan_eco(base, edited, tech, tiles=tiles)
         print(f"  plan: {plan.num_dirty} dirty / {plan.num_clean} "
-              f"clean of {plan.num_tiles} tiles "
-              f"(front-end dirtiness identical by construction)")
+              f"clean of {plan.num_tiles} tiles")
 
         print("\n=== 3. warm ECO re-run (dirty tiles only) ===")
         eco = run_eco_flow(base, edited, tech,
@@ -74,12 +73,12 @@ def main() -> None:
         r = eco.result
         print_kind_counters("per-kind cache counters (warm)",
                             r.artifact_cache_counts())
-        # The front-end stage's own store delta: hits replayed, misses
-        # regenerated.
-        replayed, regenerated = r.front.cache_delta[KIND_FRONTEND]
-        assert regenerated == plan.num_dirty, "clean tile regenerated!"
-        print(f"  shifters regenerated for {regenerated} dirty "
-              f"tile(s); {replayed} clean tile front end(s) replayed")
+        # The detect stage's own store delta: hits replayed, misses
+        # re-detected.
+        replayed, detected = r.detection.cache_delta[KIND_TILE]
+        assert detected == plan.num_dirty, "clean tile re-detected!"
+        print(f"  re-detected {detected} dirty tile(s); {replayed} "
+              f"clean tile result(s) replayed")
         print(f"  result: {r.post_detection.num_conflicts} residual "
               f"conflicts, {r.correction.report.num_cuts} cut(s), "
               f"success: {r.success}")

@@ -10,11 +10,6 @@ namespaced by *artifact kind*; the stages, ``run_pipeline``,
 ========= ==========================================================
 kind      value / key inputs
 ========= ==========================================================
-frontend  a tile's front end — owned shifters + overlap pairs in
-          coordinate-anchored identity
-          (:class:`~repro.shifters.frontend.TileFrontEnd`); key
-          hashes the captured geometry, rule deck and ownership
-          window (:func:`repro.shifters.frontend.frontend_cache_key`).
 tile      :class:`~repro.chip.executor.TileResult`; key hashes the
           captured geometry, rule deck, graph kind/method and the
           ownership window (:func:`repro.chip.cache.tile_cache_key`).
@@ -55,12 +50,11 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .obs import get_tracer
 
-KIND_FRONTEND = "frontend"
 KIND_TILE = "tile"
 KIND_COLORING = "coloring"
 KIND_VERIFY = "verify"
 
-ARTIFACT_KINDS = (KIND_FRONTEND, KIND_TILE, KIND_COLORING, KIND_VERIFY)
+ARTIFACT_KINDS = (KIND_TILE, KIND_COLORING, KIND_VERIFY)
 
 
 @dataclass

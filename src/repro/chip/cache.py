@@ -14,7 +14,7 @@ The cache key hashes exactly those inputs, so:
 
 Results live in the unified artifact store
 (:class:`repro.cache.ArtifactCache`) under the ``tile`` kind, shared
-with tile front ends and component colorings.
+with component colorings and verifier verdicts.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ def tile_cache_key(job: TileJob) -> str:
 
     The captured geometry enters as the job's order-free rect digest
     (:attr:`~repro.chip.executor.TileJob.digest`, computed once per
-    tile by the partition and shared with the tile's ``frontend``
-    key), so the key is independent of feature numbering.
+    tile by the partition), so the key is independent of feature
+    numbering.
     """
     h = hashlib.sha256()
     h.update(f"format:{CACHE_FORMAT}".encode())

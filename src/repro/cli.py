@@ -130,8 +130,8 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
                              "backend")
     parser.add_argument("--cache-dir",
                         help="persistent artifact store directory "
-                             "(front ends, tile results, colorings, "
-                             "verify verdicts)")
+                             "(tile results, colorings, verify "
+                             "verdicts)")
     parser.add_argument("--json", action="store_true",
                         help="print a machine-readable JSON report "
                              "(counts, timings, cache hit rate, "
@@ -305,7 +305,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     With ``--cache-dir`` (or ``--incremental``) the whole suite runs
     over **one persistent artifact store**: every design's tile,
-    front-end, coloring, and verifier artifacts land in the same
+    coloring, and verifier artifacts land in the same
     content-addressed directory, so re-invoking the suite against
     the same ``--cache-dir`` is a warm-path run — the regression
     surface for incremental behaviour.  The aggregate per-kind

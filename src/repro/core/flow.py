@@ -116,13 +116,12 @@ def run_aapsm_flow(layout: Layout, tech: Technology,
         executor: executor backend name ("serial"/"process" or
             anything registered); None keeps the jobs heuristic.
 
-    With ``tiles`` set (or ``incremental=True``), shifter generation
-    and both detection passes run tile-scoped through the shared
-    artifact store (``cache_dir``/``cache``; kinds ``frontend`` and
-    ``tile``, plus ``coloring``/``verify`` downstream):
-    tiles the correction leaves untouched are hits in the
-    post-correction pass, and a persistent store makes a re-run after
-    an edit recompute only dirty tiles — shifters included (see
+    With ``tiles`` set (or ``incremental=True``), both detection
+    passes run tile-scoped through the shared artifact store
+    (``cache_dir``/``cache``; kind ``tile``, plus ``coloring``/
+    ``verify`` downstream): tiles the correction leaves untouched are
+    hits in the post-correction pass, and a persistent store makes a
+    re-run after an edit re-detect only dirty tiles (see
     :mod:`repro.pipeline.eco`).
 
     Determinism guarantee: the domain outcome (conflicts, cuts,

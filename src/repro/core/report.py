@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Tuple
 
-from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_TILE, KIND_VERIFY
+from ..cache import KIND_COLORING, KIND_TILE, KIND_VERIFY
 from .flow import FlowResult
 
 
@@ -118,21 +118,13 @@ def pipeline_dict(pipe, timings: bool = True) -> Dict[str, Any]:
     historical tile-pass meaning; ``phase`` carries the coloring and
     verifier kinds, so a warm ECO's "only dirty work recomputed"
     property is assertable straight off the JSON report.
-    ``frontend_cache`` is the ``frontend`` kind's delta over the whole
-    run (``front_cache`` / ``verify_front_cache`` split it per
-    front-end pass): on a warm run ``front_cache.misses`` is exactly
-    the dirty-tile count — zero clean-tile shifter regeneration.
     """
     totals = pipe.artifact_cache_counts()
-    front, verification = pipe.front, pipe.verification
+    verification = pipe.verification
     out: Dict[str, Any] = {
         "tiled": pipe.tiled,
         "front_reused_for_verify": verification.front_reused,
         "cache": cache_dict(*totals[KIND_TILE]),
-        "frontend_cache": cache_dict(*totals[KIND_FRONTEND]),
-        "front_cache": kind_dict(front.cache_delta, KIND_FRONTEND),
-        "verify_front_cache": kind_dict(verification.front.cache_delta,
-                                        KIND_FRONTEND),
         "detect_cache": kind_dict(pipe.detection.cache_delta, KIND_TILE),
         "verify_cache": kind_dict(verification.cache_delta, KIND_TILE),
         "phase": {
@@ -166,11 +158,6 @@ def eco_result_dict(eco, timings: bool = True) -> Dict[str, Any]:
             "bbox_changed": plan.bbox_changed,
             "features_added": len(plan.diff.added),
             "features_removed": len(plan.diff.removed),
-            # Front-end dirtiness coincides with tile dirtiness by
-            # construction (shared geometric key inputs); spelled out
-            # so warm-path assertions read straight off the JSON.
-            "frontend": {"num_dirty": plan.num_dirty,
-                         "num_clean": plan.num_clean},
         },
         "flow": flow_result_dict(flow_result_from_pipeline(eco.result),
                                  timings=timings),

@@ -15,7 +15,6 @@ from .interval import (
 )
 from .rect import Rect, bounding_box, pairwise_disjoint, union_area
 from .segment import (
-    intersection_point,
     on_segment,
     orientation,
     point_on_open_segment,
@@ -44,7 +43,6 @@ __all__ = [
     "segments_conflict",
     "point_on_open_segment",
     "segment_bbox",
-    "intersection_point",
     "neighbor_pairs",
     "GeometryKernel",
     "get_kernel",

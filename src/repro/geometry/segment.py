@@ -10,7 +10,7 @@ deterministic and the later face tracing never sees a hidden crossing.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 Point = Tuple[int, int]
 
@@ -106,19 +106,3 @@ def segment_bbox(a: Point, b: Point) -> Tuple[int, int, int, int]:
     """(x1, y1, x2, y2) bounding box of the segment."""
     return (min(a[0], b[0]), min(a[1], b[1]),
             max(a[0], b[0]), max(a[1], b[1]))
-
-
-def intersection_point(a: Point, b: Point, c: Point, d: Point
-                       ) -> Optional[Tuple[float, float]]:
-    """Intersection point of the supporting lines, if unique.
-
-    Only used for diagnostics/visualization; the algorithms themselves
-    never need the coordinates of a crossing.
-    """
-    d1x, d1y = b[0] - a[0], b[1] - a[1]
-    d2x, d2y = d[0] - c[0], d[1] - c[1]
-    denom = d1x * d2y - d1y * d2x
-    if denom == 0:
-        return None
-    t = ((c[0] - a[0]) * d2y - (c[1] - a[1]) * d2x) / denom
-    return (a[0] + t * d1x, a[1] + t * d1y)

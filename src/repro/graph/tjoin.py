@@ -96,9 +96,17 @@ def min_tjoin_shortest_paths(graph: GeomGraph,
                              tset: Set[int]) -> List[int]:
     """Minimum-weight T-join via the shortest-path/matching reduction.
 
-    Requires non-negative weights.  Self-loops never enter a minimum
-    T-join (they cannot change parity) and are ignored.
+    Requires non-negative weights: a negative edge raises
+    :class:`ValueError` naming the first one, before any shortest-path
+    search (Dijkstra would relax into finished nodes and could leave a
+    predecessor cycle).  Self-loops never enter a minimum T-join (they
+    cannot change parity) and are ignored.
     """
+    for eid, u, v, weight in graph.live_edge_rows():
+        if weight < 0:
+            raise ValueError(f"edge {eid} ({u}-{v}) has negative weight "
+                             f"{weight}; the shortest-path T-join needs "
+                             "non-negative weights")
     check_feasible(graph, tset)
     terminals = sorted(tset)
     if not terminals:

@@ -94,12 +94,12 @@ class Technology:
 def tech_fingerprint(tech: Technology) -> bytes:
     """The rule deck's cache-key bytes: ``repr(astuple(tech))`` encoded.
 
-    Every content-addressed key (tile results, tile front ends,
-    component verdicts) hashes the deck in exactly this byte form, so
-    the encoding must never change — existing on-disk caches would
-    silently go cold.  Memoized because ``dataclasses.astuple`` deep-
-    copies every field: computing this per component made it the assign
-    stage's hottest line on chip-scale runs, while in practice a run
-    touches one or two distinct (hashable, frozen) decks.
+    Every content-addressed key (tile results, component verdicts)
+    hashes the deck in exactly this byte form, so the encoding must
+    never change — existing on-disk caches would silently go cold.
+    Memoized because ``dataclasses.astuple`` deep-copies every field:
+    computing this per component made it the assign stage's hottest
+    line on chip-scale runs, while in practice a run touches one or two
+    distinct (hashable, frozen) decks.
     """
     return repr(astuple(tech)).encode()

@@ -9,7 +9,7 @@ The production-shaped face of the reproduction:
   re-verification, phase assignment) and :func:`run_pipeline`;
 * :mod:`repro.pipeline.eco` — dirty-tile scheduling: diff an edited
   layout against the content-addressed tile cache, recompute only
-  dirty tiles, splice cached clean-tile results into the final report.
+  dirty tiles, stitch cached clean-tile results into the final report.
 
 ``repro.core.run_aapsm_flow`` is a thin compatibility wrapper over
 :func:`run_pipeline`.

@@ -5,8 +5,9 @@ whole-chip state: the front end (shifter generation) feeds detection,
 correction, stitching, and verification; detection artifacts carry the
 tile-addressed :class:`~repro.chip.ChipReport` alongside the stitched
 chip-level view; every artifact records its own wall-clock so the
-pipeline can report a per-stage timing breakdown, and its own store
-work as ``cache_delta`` (:func:`repro.cache.cache_delta`).
+pipeline can report a per-stage timing breakdown, and each
+store-backed stage's artifact (detection, assignment) records its own
+store work as ``cache_delta`` (:func:`repro.cache.cache_delta`).
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ class FrontEnd:
     correction planning, chip-level stitching, and the geometric phase
     verifier.
 
-    On the tiled path (``tiled`` True, every tiled config) the shifter
-    set and pair list came from the tiled front end — a chip-wide pass
-    or a splice of per-tile ``frontend`` artifacts, byte-identical to
-    the monolithic pass either way — and ``cache_delta`` holds this
-    pass's ``frontend`` kind (its misses are the tiles whose shifters
-    were actually regenerated; a fully warm revision reports 0 misses).
+    The shifter set and pair list are one chip-wide pass on either
+    path.  On the tiled path (``tiled`` True, every tiled config)
     ``grid`` carries the partition so the detect stage can reuse it
     instead of re-partitioning; :func:`run_pipeline` clears it once
     both detection passes have consumed it, so retained results do not
@@ -59,7 +56,6 @@ class FrontEnd:
     seconds: float = 0.0
     grid: Optional[TileGrid] = None
     tiled: bool = False
-    cache_delta: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -171,11 +167,9 @@ class PipelineResult:
 
     def artifact_cache_counts(self) -> Dict[str, Tuple[int, int]]:
         """(hits, misses) per artifact kind across the whole run: the
-        sum of every stage's ``cache_delta``."""
+        sum of the detect, verify and assign stages' ``cache_delta``."""
         totals = dict.fromkeys(ARTIFACT_KINDS, (0, 0))
-        for artifact in (self.front, self.detection,
-                         self.verification.front, self.verification,
-                         self.phase):
+        for artifact in (self.detection, self.verification, self.phase):
             for kind, (hits, misses) in artifact.cache_delta.items():
                 total_hits, total_misses = totals[kind]
                 totals[kind] = (total_hits + hits, total_misses + misses)

@@ -3,14 +3,12 @@
 An engineering change order (ECO) edits a few polygons of a chip that
 has already been through the flow.  Because per-tile detection results
 are content-addressed (:func:`repro.chip.cache.tile_cache_key` hashes
-exactly the geometry a tile captured) — and, since the incremental
-front end, per-tile shifter sets and overlap pairs are too
-(:func:`repro.shifters.frontend.frontend_cache_key`) — re-running the
-pipeline on the edited layout with the base run's cache recomputes
-*only* the tiles whose capture window intersects the edit; every clean
-tile's cached front end and detection result are spliced back into the
-chip-level view unchanged.  Stitch arbitration and the correction
-windows are cheap and recomputed on every run.
+exactly the geometry a tile captured), re-running the pipeline on the
+edited layout with the base run's cache re-detects *only* the tiles
+whose capture window intersects the edit; every clean tile's cached
+detection result is stitched back into the chip-level view unchanged.
+The front end (one chip-wide pass), stitch arbitration and the
+correction windows are cheap and recomputed on every run.
 
 :func:`plan_eco` predicts that dirty set by diffing the two layouts'
 partitions — the same comparison the cache keys make — so the ECO
@@ -31,8 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_TILE, KIND_VERIFY, \
-    ArtifactCache
+from ..cache import KIND_COLORING, KIND_TILE, KIND_VERIFY, ArtifactCache
 from ..chip.partition import TileGrid, TileSpec, auto_tile_grid, \
     normalize_tile_spec, partition_layout
 from ..gcpause import gc_paused
@@ -74,15 +71,10 @@ class EcoPlan:
 
     ``dirty`` tiles are exactly those whose cache key changes between
     the base and edited layouts: a different captured-geometry multiset
-    or (after a bounding-box change) different grid cut lines.
-
-    The same diff marks *front-end* dirtiness: the ``frontend`` and
-    ``tile`` cache keys hash the identical geometric inputs (captured
-    multiset + owner window + rule deck; the tile key merely adds the
-    graph kind/method, which no layout edit changes), so a warm run
-    regenerates shifters for exactly ``dirty`` and replays a cached
-    front end for exactly ``clean`` — the accounting
-    :meth:`EcoResult.summary` and the ECO test suite assert.
+    or (after a bounding-box change) different grid cut lines.  A warm
+    run re-detects exactly ``dirty`` and replays exactly ``clean`` —
+    the accounting :meth:`EcoResult.summary` and the ECO test suite
+    assert.
     """
 
     grid: TileGrid                      # partition of the edited layout
@@ -235,7 +227,6 @@ class EcoResult:
         counts = self.result.artifact_cache_counts()
         coloring, verify = counts[KIND_COLORING], counts[KIND_VERIFY]
         return [
-            ("front end", *counts[KIND_FRONTEND]),
             ("detect", *counts[KIND_TILE]),
             ("phase", coloring[0] + verify[0], coloring[1] + verify[1]),
         ]
@@ -243,16 +234,10 @@ class EcoResult:
     def _stage_seconds(self, pipe: PipelineResult, stage: str) -> float:
         """Map a summary-table row to pipeline stage wall-clock;
         ``detect`` covers both detection passes."""
-        from .artifacts import (
-            STAGE_ASSIGN,
-            STAGE_DETECT,
-            STAGE_SHIFTERS,
-            STAGE_VERIFY,
-        )
+        from .artifacts import STAGE_ASSIGN, STAGE_DETECT, STAGE_VERIFY
 
         secs = pipe.stage_seconds()
         return {
-            "front end": secs[STAGE_SHIFTERS],
             "detect": secs[STAGE_DETECT] + secs[STAGE_VERIFY],
             "phase": secs[STAGE_ASSIGN],
         }[stage]
@@ -297,8 +282,7 @@ def run_eco_flow(base: Layout, edited: Layout, tech: Technology,
                  cache: Optional[ArtifactCache] = None,
                  warm_base: bool = True) -> EcoResult:
     """Run the edited layout through the pipeline, reusing every clean
-    tile front end, tile result, and component coloring and verdict of
-    the base run.
+    tile result, and component coloring and verdict, of the base run.
 
     Args:
         base: the already-flowed reference revision.
@@ -323,8 +307,8 @@ def run_eco_flow(base: Layout, edited: Layout, tech: Technology,
     every cache key covers every input its artifact depends on, so the
     warm result equals the cold result byte for byte; the accounting
     (``plan`` dirty set, per-stage hit/miss deltas) proves how little
-    was recomputed (on the canonical single-feature edit: shifters and
-    detection recompute for dirty tiles only, zero recolors).
+    was recomputed (on the canonical single-feature edit: detection
+    recomputes for dirty tiles only, zero recolors).
 
     Garbage collection: the run pauses CPython's cyclic garbage
     collector (:func:`repro.gcpause.gc_paused`) for the base and the

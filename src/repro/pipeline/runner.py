@@ -11,17 +11,12 @@ via :func:`run_pipeline` or drive stages individually (the ECO
 scheduler re-enters the pipeline with a warm tile cache).  Compared to
 the old monolithic ``run_aapsm_flow`` body:
 
-* shifter generation runs **once per layout revision** and is shared
-  by detection, correction planning, stitching, and the phase
-  verifier (previously regenerated up to four times); on the tiled
-  path it runs *per capture-window tile* over the same partition
-  detection uses, with per-tile front ends content-addressed in the
-  shared store (kind ``frontend``) — a warm ECO run regenerates
-  shifters only for dirty tiles and splices every clean tile's cached
-  front end back into the exact monolithic shifter numbering, and a
-  cold revision generates once, chip-wide
-  (:mod:`repro.shifters.frontend`); tiled detection hands every tile
-  job its slice of that front end instead of regenerating it;
+* shifter generation runs **once per layout revision**, chip-wide,
+  on either path, and is shared by detection, correction planning,
+  stitching, and the phase verifier (previously regenerated up to
+  four times); tiled detection hands every tile job its slice of that
+  front end instead of regenerating it
+  (:mod:`repro.shifters.frontend`);
 * both detection passes can run tiled through
   :func:`repro.chip.run_chip_flow` over one shared
   :class:`~repro.cache.ArtifactCache`, and every stage that uses the
@@ -40,8 +35,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cache import KIND_COLORING, KIND_FRONTEND, KIND_TILE, KIND_VERIFY, \
-    ArtifactCache, cache_delta
+from ..cache import KIND_COLORING, KIND_TILE, KIND_VERIFY, ArtifactCache, \
+    cache_delta
 from ..chip import run_chip_flow
 from ..chip.partition import TileSpec, partition_layout
 from ..conflict import (
@@ -108,26 +103,16 @@ class PipelineConfig:
 # Stages
 # ----------------------------------------------------------------------
 def stage_front_end(layout: Layout, tech: Technology,
-                    config: Optional[PipelineConfig] = None,
-                    cache: Optional[ArtifactCache] = None) -> FrontEnd:
+                    config: Optional[PipelineConfig] = None) -> FrontEnd:
     """Stage 1 — shifter generation for one layout revision.
 
-    With a tiled ``config`` the front end runs per capture-window tile
-    over the same partition the detect stage uses (``config.tiles`` /
-    ``jobs`` steer both identically): each tile's owned shifters and
-    overlap pairs are content-addressed in the shared store under the
-    ``frontend`` kind (a fresh in-memory store when ``cache`` is None),
-    clean tiles replay their cached artifact, and only dirty tiles
-    regenerate — the artifact's ``cache_delta`` records exactly that
-    split.  A revision with no tile to replay generates once,
-    chip-wide, and derives the tile artifacts from that pass; a splice
-    that fails (duplicate feature rects, a stale artifact) recovers
-    with that pass too (:func:`~repro.shifters.frontend.tiled_front_end`).
-    Every layout, empty or not, takes this route, and the result is
-    byte-identical to the monolithic pass (same dense shifter ids in
-    feature order, same sorted pair list), so every consumer downstream
-    is oblivious to which path ran.  The grid rides along to the detect
-    stage.
+    Every revision generates shifters and overlap pairs once,
+    chip-wide (:func:`~repro.shifters.frontend.tiled_front_end` on a
+    tiled ``config``).  A tiled stage also partitions the revision as
+    the detect stage will (``config.tiles`` / ``jobs`` steer both
+    identically); the grid rides along to the detect stage, which
+    slices this front end into its tile jobs.  Every layout, empty or
+    not, takes this route on a tiled config.
 
     Called with just ``(layout, tech)`` — the historical signature —
     or an untiled config, the stage is the plain monolithic front end.
@@ -141,19 +126,12 @@ def stage_front_end(layout: Layout, tech: Technology,
     layout = with_rect_columns(layout)
     with get_tracer().span("shifters", cat="stage") as span:
         if config is not None and config.is_tiled:
-            if cache is None:
-                cache = ArtifactCache()
             grid = partition_layout(layout, tech, tiles=config.tiles,
                                     jobs=config.jobs)
-            with cache_delta(cache) as delta:
-                shifters, pairs = tiled_front_end(layout, tech, grid.tiles,
-                                                  cache)
-            hits, misses = delta.get(KIND_FRONTEND, (0, 0))
-            span.set(tiled=True, shifters=len(shifters),
-                     cache_hits=hits, cache_misses=misses)
+            shifters, pairs = tiled_front_end(layout, tech)
+            span.set(tiled=True, shifters=len(shifters))
             return FrontEnd(layout=layout, shifters=shifters,
                             pairs=pairs, grid=grid, tiled=True,
-                            cache_delta=delta,
                             seconds=time.perf_counter() - start)
         shifters, pairs = layout_front_end(layout, tech)
         span.set(tiled=False, shifters=len(shifters))
@@ -247,7 +225,7 @@ def stage_verify(correction: CorrectionArtifact, tech: Technology,
             reused = True
         else:
             front = stage_front_end(correction.corrected_layout, tech,
-                                    config, cache=cache)
+                                    config)
             reused = False
         artifact = stage_detect(front, tech, config, cache=cache)
         artifact.front_reused = reused
@@ -345,15 +323,14 @@ def run_pipeline(layout: Layout, tech: Technology,
             ``config.cache_dir``; an untiled, uncached run stays on
             the historical chip-wide code path.
 
-    Cache behaviour: on the tiled path all four artifact kinds are
-    exercised — per-tile front ends (``frontend``), per-tile detection
-    results (``tile``), component colorings (``coloring``), and
-    verifier verdicts (``verify``) — and each stage records the store's
-    delta over its own work on its artifact (``cache_delta``).  Each
-    stage touches only its own kinds, so the deltas add up to the
-    store's counts for the run (``artifact_cache_counts()``).  Stitch
-    arbitration and the correction windows are recomputed on every
-    run.
+    Cache behaviour: on the tiled path all three artifact kinds are
+    exercised — per-tile detection results (``tile``), component
+    colorings (``coloring``), and verifier verdicts (``verify``) — and
+    each stage records the store's delta over its own work on its
+    artifact (``cache_delta``).  Each stage touches only its own
+    kinds, so the deltas add up to the store's counts for the run
+    (``artifact_cache_counts()``).  The front end, stitch arbitration
+    and the correction windows are recomputed on every run.
 
     Determinism guarantee: the result is a pure function of
     ``(layout, tech, config)`` — identical conflicts, cuts, and phase
@@ -375,7 +352,7 @@ def run_pipeline(layout: Layout, tech: Technology,
             cache = ArtifactCache(config.cache_dir)
 
         with get_tracer().span("flow", cat="flow", design=layout.name):
-            front = stage_front_end(layout, tech, config, cache=cache)
+            front = stage_front_end(layout, tech, config)
             detection = stage_detect(front, tech, config, cache=cache)
             # Only the verify pass's conflict graph serves a later
             # stage.

@@ -18,7 +18,6 @@ from .differential import (
     ScenarioResult,
     invariant_names,
     report_key,
-    run_corpus,
     run_invariant,
     run_invariant_on_layout,
     run_scenario,
@@ -59,7 +58,6 @@ __all__ = [
     "FuzzReport",
     "invariant_names",
     "report_key",
-    "run_corpus",
     "run_scenario",
     "run_invariant",
     "run_invariant_on_layout",

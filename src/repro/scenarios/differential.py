@@ -30,7 +30,7 @@ import json
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cache import KIND_TILE, ArtifactCache
 from ..core.flow import FlowResult, flow_result_from_pipeline, run_aapsm_flow
@@ -376,21 +376,6 @@ def run_scenario(scenario: Scenario,
         result.invariants.append(run_invariant(ctx, name))
     get_tracer().count("fuzz.scenarios")
     return result
-
-
-def run_corpus(scenarios: Iterable[Scenario],
-               invariants: Optional[Sequence[str]] = None,
-               progress: Optional[Callable[[ScenarioResult], None]] = None
-               ) -> FuzzReport:
-    """The whole corpus through the matrix, in corpus order."""
-    report = FuzzReport()
-    with get_tracer().span("fuzz", cat="fuzz"):
-        for scenario in scenarios:
-            result = run_scenario(scenario, invariants=invariants)
-            report.results.append(result)
-            if progress is not None:
-                progress(result)
-    return report
 
 
 def run_invariant_on_layout(name: str, layout: Layout,

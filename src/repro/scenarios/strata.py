@@ -28,9 +28,8 @@ the flow's algorithms hinge on:
     its phases must pass the dark-field geometric oracle on the same
     layouts the bright-field invariants run on.
 ``duplicate``
-    Duplicate feature rectangles (which defeat coordinate-anchored
-    artifact keys, so a warm revision's splice fails and the tiled
-    front end recovers with its chip-wide pass) plus sliver/near-square
+    Duplicate feature rectangles (which make the coordinate-anchored
+    shifter keys of tiled stitching ambiguous) plus sliver/near-square
     features.
 
 Every stratum is a pure function of ``(stratum, seed)``: the same pair
@@ -276,11 +275,10 @@ def _gen_darkfield(seed: int) -> Draft:
 def _gen_duplicate(seed: int) -> Draft:
     """Duplicate rects and slivers: the coordinate-key edge stratum.
 
-    Exact duplicate features defeat every coordinate-anchored artifact
-    key, so a warm revision's splice fails and the tiled front end
-    recovers with its chip-wide pass (which must warn + count, never
-    change the answer); slivers and near-squares sit on the
-    critical-width classifier's edge.
+    Exact duplicate features give two shifters the same
+    coordinate-anchored key, the identity tiled stitching maps
+    conflicts by; slivers and near-squares sit on the critical-width
+    classifier's edge.
     """
     rng = random.Random(seed)
     params = GeneratorParams(rows=1, cols=6,
@@ -321,7 +319,7 @@ STRATA: Dict[str, Stratum] = {
                 _gen_darkfield,
                 BRIGHT_FIELD_INVARIANTS + ("darkfield",)),
         Stratum("duplicate",
-                "duplicate feature rects (splice-recovery path) "
+                "duplicate feature rects (colliding coordinate keys) "
                 "plus slivers/near-squares",
                 _gen_duplicate,
                 # No "tiled": duplicate rects make the coordinate ->

@@ -5,22 +5,12 @@ Entry points:
 * :func:`generate_shifters` / :func:`find_overlap_pairs` — the
   monolithic chip-wide front end (deterministic: dense shifter ids in
   feature-index order, pairs sorted by id pair);
-* :mod:`repro.shifters.frontend` — the tile-scoped incremental front
-  end: per-capture-window artifacts with coordinate-anchored ids,
-  content-addressed under the ``frontend`` cache kind and spliced back
-  into the exact monolithic shifter set and pair list.
+* :mod:`repro.shifters.frontend` — the tiled path's front end: the
+  same chip-wide pass (:func:`tiled_front_end`), cut into tile-local
+  slices for the detection jobs (:class:`FrontEndSlicer`).
 """
 
-from .frontend import (
-    FrontEndSlicer,
-    ShifterKey,
-    SpliceError,
-    TileFrontEnd,
-    compute_tile_front_end,
-    frontend_cache_key,
-    splice_front_ends,
-    tiled_front_end,
-)
+from .frontend import FrontEndSlicer, ShifterKey, tiled_front_end
 from .generation import generate_shifters
 from .overlap import (
     OverlapPair,
@@ -59,10 +49,5 @@ __all__ = [
     "find_overlap_pairs",
     "needed_space",
     "FrontEndSlicer",
-    "TileFrontEnd",
-    "SpliceError",
-    "compute_tile_front_end",
-    "frontend_cache_key",
-    "splice_front_ends",
     "tiled_front_end",
 ]

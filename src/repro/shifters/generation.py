@@ -35,9 +35,9 @@ def generate_shifters(layout: Layout, tech: Technology) -> ShifterSet:
     within a feature — and each shifter rect is a pure function of its
     feature rect and the rule deck.  Two runs (or two tiles capturing
     the same feature in absolute coordinates) therefore produce
-    byte-identical shifter geometry; the tile-scoped front end
-    (:mod:`repro.shifters.frontend`) reproduces this exact numbering
-    when splicing cached per-tile artifacts.
+    byte-identical shifter geometry, so a tile's slice of the chip
+    pass (:class:`~repro.shifters.frontend.FrontEndSlicer`) equals
+    generation on the tile's sub-layout.
     """
     import numpy as np
 

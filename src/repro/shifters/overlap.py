@@ -129,8 +129,8 @@ def find_overlap_pairs(shifters: ShifterSet,
     one feature share a ``feature_index`` and are exempt (a
     Condition-1 pair, already forced to opposite phases).  Pair
     measurements (``separation_sq``, ``x_gap``, ``y_gap``) are
-    symmetric in the two rects, which lets the tile-scoped front end
-    cache them tile-independently.  The kernel's columns are kept as
+    symmetric in the two rects, so a tile's slice of the chip pass
+    carries them unchanged.  The kernel's columns are kept as
     they are (:class:`PairList`): no :class:`OverlapPair` is built.
     """
     return PairList(get_kernel().overlap_row_array(

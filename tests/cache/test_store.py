@@ -7,7 +7,6 @@ import pytest
 from repro.cache import (
     ARTIFACT_KINDS,
     KIND_COLORING,
-    KIND_FRONTEND,
     KIND_TILE,
     KIND_VERIFY,
     ArtifactCache,
@@ -21,16 +20,16 @@ from repro.cache import (
 
 class TestKindNamespacing:
     def test_every_pipeline_kind_is_registered(self):
-        assert set(ARTIFACT_KINDS) == {KIND_FRONTEND, KIND_TILE,
-                                       KIND_COLORING, KIND_VERIFY}
+        assert set(ARTIFACT_KINDS) == {KIND_TILE, KIND_COLORING,
+                                       KIND_VERIFY}
 
-    def test_frontend_kind_is_namespaced(self):
+    def test_tile_kind_is_namespaced(self):
         store = ArtifactCache()
-        store.put(KIND_FRONTEND, "k", ("front",))
         store.put(KIND_TILE, "k", ("tile",))
-        assert store.get(KIND_FRONTEND, "k") == ("front",)
-        assert store.stats(KIND_FRONTEND).as_tuple() == (1, 0)
-        assert store.stats(KIND_TILE).as_tuple() == (0, 0)
+        store.put(KIND_COLORING, "k", ("coloring",))
+        assert store.get(KIND_TILE, "k") == ("tile",)
+        assert store.stats(KIND_TILE).as_tuple() == (1, 0)
+        assert store.stats(KIND_COLORING).as_tuple() == (0, 0)
 
     def test_same_key_different_kinds_are_distinct(self):
         store = ArtifactCache()

@@ -75,6 +75,14 @@ class TestBasics:
         join = min_tjoin_shortest_paths(g, {0, 1})
         assert join == [1]
 
+    def test_negative_weight_raises_before_any_search(self):
+        # Dijkstra would relax into a finished node and loop for ever
+        # on this path; the solver refuses it up front instead.
+        g = graph_from_edges(3, [(0, 1, 5), (1, 2, -1)])
+        with pytest.raises(ValueError,
+                           match=r"edge 1 \(1-2\) has negative weight -1"):
+            min_tjoin_shortest_paths(g, {0, 2})
+
     def test_overlapping_paths_xor(self):
         # Both matched pairs would route through the middle edge; the
         # symmetric difference must drop it.

@@ -67,9 +67,8 @@ class TestFlowTrace:
         flow = tracer.roots[0]
         by_name = {c.name: c for c in flow.children}
 
-        front_tiles = [s for s, _ in iter_spans([by_name["shifters"]])
-                       if s.cat == "frontend-tile"]
-        assert len(front_tiles) == TILES[0] * TILES[1]
+        # The front end is one chip-wide pass: no per-tile spans.
+        assert by_name["shifters"].children == []
 
         detect_tiles = [s for s, _ in iter_spans([by_name["detect"]])
                         if s.cat == "tile"]
@@ -116,10 +115,9 @@ class TestFlowTrace:
         report = pipeline_dict(pipe)
         stages = {c.name: c.attrs for c in tracer.roots[0].children}
 
-        assert (stages["shifters"]["cache_hits"]
-                == report["front_cache"]["hits"])
-        assert (stages["shifters"]["cache_misses"]
-                == report["front_cache"]["misses"])
+        assert stages["shifters"] == {
+            "tiled": report["tiled"],
+            "shifters": len(pipe.front.shifters)}
         assert (stages["detect"]["cache_hits"]
                 == report["detect_cache"]["hits"])
         assert (stages["detect"]["cache_misses"]
@@ -145,12 +143,11 @@ class TestFlowTrace:
         assert (counters.get("cache.tile.misses", 0)
                 == report["detect_cache"]["misses"]
                 + report["verify_cache"]["misses"])
-        assert (counters.get("cache.frontend.misses", 0)
-                == report["frontend_cache"]["misses"])
-        # Stitch clusters and correction windows never reach the store.
+        # The front end, stitch clusters and correction windows never
+        # reach the store.
         assert {key.split(".")[1] for key in counters
                 if key.startswith("cache.")} \
-            == {"frontend", "tile", "coloring", "verify"}
+            == {"tile", "coloring", "verify"}
 
 
 class TestExecutorEquivalence:

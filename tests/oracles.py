@@ -34,10 +34,10 @@ compare them with live here:
   :func:`scalar_owned_front_end` and :func:`scalar_decompose` — the
   tiled path's per-rect, per-feature
   and per-component loops (bisect routing with a ``Rect.hull`` bbox;
-  one tuple per owned feature and pair, sorted per tile; BFS
+  the owned feature and pair indices of one owner window; BFS
   components with per-component canonical orders and content ids, as
   :class:`GraphComponent` objects), which the column passes of
-  ``partition_layout``, the front end's ownership cut and
+  ``partition_layout``, the executor's ownership test and
   ``decompose`` must reproduce exactly;
 * :func:`object_two_color_incremental` and
   :func:`object_assign_and_verify` (with :func:`encode_coloring` /
@@ -151,7 +151,6 @@ from repro.shifters import (
     OverlapPair,
     ShifterSet,
 )
-from repro.shifters.frontend import TileFrontEnd
 
 T = TypeVar("T")
 
@@ -774,56 +773,28 @@ def rect_digest(rects: Sequence[Rect]) -> str:
 
 
 def scalar_owned_front_end(layout: Layout, shifters: ShifterSet,
-                           pairs: Sequence[OverlapPair], owner):
-    """One owner window's front-end artifact as sorted tuples.
+                           pairs: Sequence[OverlapPair], owner
+                           ) -> Tuple[List[int], List[int]]:
+    """What one owner window owns of a front end, one item at a time.
 
-    ``features``: ``(rect, ((side, rect), (side, rect)))`` per owned
-    critical feature (centre in ``owner``), sorted; ``pairs``:
-    ``(key a, key b, separation_sq, x_gap, y_gap)`` per owned pair
-    (region centre in ``owner``), keys ``(feature rect, side)`` with
-    ``a < b``, sorted.  Compare with :func:`front_end_tuples`.
+    ``(features, pairs)``: the indices of the critical features whose
+    rect centre lies in ``owner`` and of the pairs whose overlap
+    region's centre (:func:`region_center2`) does, both ascending,
+    under the half-open test ``2 * lo <= p2 < 2 * hi`` on doubled
+    points.
     """
     ox1, oy1, ox2, oy2 = owner
 
     def owns(px2, py2):
         return 2 * ox1 <= px2 < 2 * ox2 and 2 * oy1 <= py2 < 2 * oy2
 
-    def tup(r):
-        return (r.x1, r.y1, r.x2, r.y2)
-
     feats = layout.features
-    features = []
-    for sa, sb in shifters.feature_pairs():
-        rect = feats[sa.feature_index]
-        if owns(*rect.center2):
-            features.append((tup(rect), ((sa.side, tup(sa.rect)),
-                                         (sb.side, tup(sb.rect)))))
-    centers = get_kernel().region_centers2(shifters.rects,
-                                           [p.key for p in pairs])
-    owned = []
-    for p, center in zip(pairs, centers):
-        if not owns(*center):
-            continue
-        ka = (tup(feats[shifters[p.a].feature_index]), shifters[p.a].side)
-        kb = (tup(feats[shifters[p.b].feature_index]), shifters[p.b].side)
-        if kb < ka:
-            ka, kb = kb, ka
-        owned.append((ka, kb, p.separation_sq, p.x_gap, p.y_gap))
-    return tuple(sorted(features)), tuple(sorted(owned))
-
-
-def front_end_tuples(front: TileFrontEnd):
-    """A :class:`TileFrontEnd`'s rows in :func:`scalar_owned_front_end`
-    form."""
-    features = tuple(
-        (tuple(r[:4]), ((SIDES[r[4]], tuple(r[5:9])),
-                        (SIDES[r[9]], tuple(r[10:14]))))
-        for r in front.features.tolist())
-    pairs = tuple(
-        ((tuple(r[:4]), SIDES[r[4]]), (tuple(r[5:9]), SIDES[r[9]]),
-         r[10], r[11], r[12])
-        for r in front.pairs.tolist())
-    return features, pairs
+    features = [sa.feature_index for sa, _sb in shifters.feature_pairs()
+                if owns(*feats[sa.feature_index].center2)]
+    owned = [k for k, p in enumerate(pairs)
+             if owns(*region_center2(shifters.rect_of(p.a),
+                                     shifters.rect_of(p.b)))]
+    return features, owned
 
 
 def to_networkx(graph: GeomGraph):

@@ -14,7 +14,6 @@ import pytest
 from repro.bench import build_design
 from repro.cache import (
     KIND_COLORING,
-    KIND_FRONTEND,
     KIND_TILE,
     KIND_VERIFY,
     ArtifactCache,
@@ -163,8 +162,8 @@ class TestEcoEquivalence:
                 == post_plan.num_dirty)
 
     def test_clean_tiles_exist_on_biggest_case(self, tech):
-        """Guard: the equivalence above must actually exercise splicing
-        (an edit that dirties every tile would pass vacuously)."""
+        """Guard: the equivalence above must actually exercise replayed
+        tiles (an edit that dirties every tile would pass vacuously)."""
         name, tiles = ECO_CASES[-1]
         base = build_design(name)
         edited, _ = propose_eco_edit(base, tech)
@@ -270,28 +269,22 @@ class TestWarmPathIncremental:
                            config=PipelineConfig(tiles=2))
         r = eco.result
         totals = r.artifact_cache_counts()
-        assert set(totals) == {"frontend", "tile", "coloring", "verify"}
+        assert set(totals) == {"tile", "coloring", "verify"}
+        assert totals["tile"] == tuple(
+            a + b for a, b in zip(counts(r.detection, KIND_TILE),
+                                  counts(r.verification, KIND_TILE)))
 
-        def both_passes(first, second, kind):
-            return tuple(a + b for a, b in zip(counts(first, kind),
-                                                counts(second, kind)))
-
-        assert totals["tile"] == both_passes(r.detection, r.verification,
-                                             KIND_TILE)
-        assert totals["frontend"] == both_passes(
-            r.front, r.verification.front, KIND_FRONTEND)
-
-    def test_store_sees_only_four_kinds(self, tech):
+    def test_store_sees_only_three_kinds(self, tech):
         """A cold base run, then a warm ECO, over one store on D3 at
-        tiles=3: stitch clusters and correction windows never reach
-        the store, and the warm report equals a cold one."""
+        tiles=3: the front end, stitch clusters and correction windows
+        never reach the store, and the warm report equals a cold
+        one."""
         base = build_design("D3")
         edited, _ = propose_eco_edit(base, tech)
         config = PipelineConfig(tiles=3)
         store = ArtifactCache()
         eco = run_eco_flow(base, edited, tech, config=config, cache=store)
-        assert set(store.counters()) == {"frontend", "tile", "coloring",
-                                         "verify"}
+        assert set(store.counters()) == {"tile", "coloring", "verify"}
         assert {kind for kind, _key in store._memory} \
             == set(store.counters())
         cold = run_pipeline(edited, tech, config, cache=ArtifactCache())
@@ -305,7 +298,7 @@ class TestWarmPathIncremental:
         text = eco.summary()
         # One aligned warm-path table covering every stage, with the
         # base-vs-eco per-stage wall clock alongside (base was run).
-        for stage in ("front end", "detect", "phase"):
+        for stage in ("detect", "phase"):
             assert stage in text, stage
         header = next(ln for ln in text.splitlines()
                       if "replayed" in ln)
@@ -320,43 +313,20 @@ class TestWarmPathIncremental:
         rows = dict((name, (h, m))
                     for name, h, m in eco.stage_rows())
         counts = eco.result.artifact_cache_counts()
-        assert rows["front end"] == counts["frontend"]
         assert rows["detect"] == counts["tile"]
-        assert set(rows) == {"front end", "detect", "phase"}
+        assert set(rows) == {"detect", "phase"}
         assert rows["phase"] == tuple(
             a + b for a, b in zip(counts["coloring"], counts["verify"]))
 
-    @pytest.mark.parametrize("name,tiles", ECO_CASES)
-    def test_zero_clean_tile_shifter_regeneration(self, tech, name,
-                                                  tiles):
-        """The incremental front end's acceptance: a warm ECO run
-        regenerates shifters only for dirty tiles — every clean tile's
-        front end replays from the store, in both front-end passes."""
-        base = build_design(name)
-        edited, _ = propose_eco_edit(base, tech)
-        eco = run_eco_flow(base, edited, tech,
-                           config=PipelineConfig(tiles=tiles))
-        r = eco.result
-        assert r.front.tiled
-        assert counts(r.front, KIND_FRONTEND) \
-            == (eco.plan.num_clean, eco.plan.num_dirty)
-        # The verify pass re-fronts the corrected layout; its clean
-        # tiles were cached by the base run's verify pass.
-        if not r.verification.front_reused:
-            post_plan = plan_eco(eco.base.corrected_layout,
-                                 r.corrected_layout, tech, tiles=tiles)
-            assert (counts(r.verification.front, KIND_FRONTEND)
-                    == (post_plan.num_clean, post_plan.num_dirty))
-
     def test_unchanged_relayout_regenerates_nothing(self, tech):
-        """Re-running an untouched layout replays every tile front end
-        — zero shifter regeneration chip-wide."""
+        """Re-running an untouched layout replays every tile result
+        — zero re-detection chip-wide, in both passes."""
         lay = build_design("D2")
         eco = run_eco_flow(lay, lay.copy(), tech,
                            config=PipelineConfig(tiles=3))
         r = eco.result
-        assert counts(r.front, KIND_FRONTEND) == (eco.plan.num_tiles, 0)
-        assert counts(r.verification.front, KIND_FRONTEND)[1] == 0
+        assert counts(r.detection, KIND_TILE) == (eco.plan.num_tiles, 0)
+        assert counts(r.verification, KIND_TILE)[1] == 0
 
     def test_persistent_store_across_processes_shape(self, tech,
                                                      tmp_path):

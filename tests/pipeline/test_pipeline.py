@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import KIND_FRONTEND, KIND_TILE, ArtifactCache
+from repro.cache import KIND_TILE, ArtifactCache
 from repro.conflict import build_layout_conflict_graph, layout_front_end
 from repro.core import run_aapsm_flow
 from repro.layout import (
@@ -68,77 +68,62 @@ def assert_same_front_end(front, expected):
     assert front.pairs == exp_p
 
 
-def traced_and_logged(tracer, run):
-    """``(run(), captured log text)`` with ``tracer`` installed."""
-    import io
-    import logging
+def front_end_cases():
+    """``(id, layout builder)``: every stratum's seeds 0-2, D1-D3 and
+    an empty layout."""
+    from repro.bench import build_design
+    from repro.layout import Layout
+    from repro.scenarios.strata import build_scenario, stratum_names
 
-    from repro.obs import configure_logging, use_tracer
-
-    stream = io.StringIO()
-    root = logging.getLogger("repro")
-    propagate = root.propagate
-    configure_logging(stream=stream)
-    try:
-        with use_tracer(tracer):
-            out = run()
-    finally:
-        for handler in list(root.handlers):
-            root.removeHandler(handler)
-        root.propagate = propagate
-    return out, stream.getvalue()
+    cases = [(f"{s}:{seed}", lambda s=s, seed=seed:
+              build_scenario(s, seed).layout)
+             for s in stratum_names() for seed in range(3)]
+    cases += [(d, lambda d=d: build_design(d)) for d in ("D1", "D2", "D3")]
+    return cases + [("empty", Layout)]
 
 
 class TestTiledFrontEnd:
-    """Stage 1 over the partition: spliced == monolithic, cached."""
+    """Stage 1 over the partition: one chip-wide pass == monolithic."""
 
-    def test_tiled_stage_matches_monolithic(self, tech):
-        lay = standard_cell_layout(GeneratorParams(rows=2, cols=6),
-                                   seed=9)
+    @pytest.mark.parametrize("build", [c[1] for c in front_end_cases()],
+                             ids=[c[0] for c in front_end_cases()])
+    def test_tiled_stage_matches_monolithic(self, tech, build):
+        from repro.obs import Tracer, use_tracer
+
+        lay = build()
         mono = stage_front_end(lay, tech)
-        tiled = stage_front_end(lay, tech, PipelineConfig(tiles=2))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            tiled = stage_front_end(lay, tech, PipelineConfig(tiles=2))
         assert tiled.tiled and not mono.tiled
-        assert tiled.grid is not None and tiled.grid.num_tiles == 4
-        assert len(tiled.shifters) == len(mono.shifters)
-        for a, b in zip(tiled.shifters, mono.shifters):
-            assert (a.id, a.feature_index, a.side, a.rect) \
-                == (b.id, b.feature_index, b.side, b.rect)
-        assert tiled.pairs == mono.pairs
-
-    def test_second_run_replays_every_tile(self, tech):
-        lay = standard_cell_layout(GeneratorParams(rows=2, cols=6),
-                                   seed=9)
-        store = ArtifactCache()
-        cfg = PipelineConfig(tiles=2)
-        cold = stage_front_end(lay, tech, cfg, cache=store)
-        assert cold.cache_delta[KIND_FRONTEND] == (0, 4)  # (hits, misses)
-        warm = stage_front_end(lay, tech, cfg, cache=store)
-        assert warm.cache_delta[KIND_FRONTEND] == (4, 0)
-        assert warm.pairs == cold.pairs
+        assert tiled.grid is not None
+        assert tracer.metrics.counter(
+            "frontend.chip_wide_passes").value == 1
+        assert_same_front_end(tiled, (mono.shifters, mono.pairs))
+        assert_same_front_end(tiled, layout_front_end(lay, tech))
 
     def test_untiled_config_stays_monolithic(self, tech):
         front = stage_front_end(figure1_layout(), tech,
                                 PipelineConfig())
         assert not front.tiled and front.grid is None
-        assert front.cache_delta == {}
 
     def test_duplicate_rect_layout_takes_tiled_route(self, tech):
-        """A cold revision with duplicate rects needs no splice: its
-        chip-wide pass is the front end, and nothing falls back."""
+        """A layout with duplicate rects takes the same route: its
+        chip-wide pass is the front end."""
         from repro.geometry import Rect
         from repro.layout import layout_from_rects
 
         r = Rect(0, 0, 90, 1000)
         lay = layout_from_rects([r, Rect(500, 0, 590, 1000)])
-        lay.add_feature(r)  # exact duplicate defeats coordinate keys
+        lay.add_feature(r)  # an exact duplicate
         front = stage_front_end(lay, tech, PipelineConfig(tiles=2))
         assert front.tiled and front.grid is not None
         assert_same_front_end(front, layout_front_end(lay, tech))
 
     @pytest.mark.parametrize("tiles", [2, 3])
     def test_duplicate_stratum_cold_takes_tiled_route(self, tiles):
-        """Every cold duplicate-stratum revision: tiled, byte-identical
-        to the monolithic pass, one chip-wide pass, no fallback."""
+        """Every duplicate-stratum revision: tiled, byte-identical to
+        the monolithic pass, one chip-wide pass."""
         from repro.obs import Tracer, use_tracer
         from repro.scenarios.strata import build_scenario
 
@@ -147,68 +132,12 @@ class TestTiledFrontEnd:
             tracer = Tracer()
             with use_tracer(tracer):
                 front = stage_front_end(s.layout, s.tech,
-                                        PipelineConfig(tiles=tiles),
-                                        cache=ArtifactCache())
+                                        PipelineConfig(tiles=tiles))
             count = tracer.metrics.counter
             assert front.tiled, seed
             assert_same_front_end(front,
                                   layout_front_end(s.layout, s.tech))
             assert count("frontend.chip_wide_passes").value == 1, seed
-            assert count("frontend.monolithic_fallbacks").value == 0, seed
-
-    def test_duplicate_fallback_warns_and_counts(self, tech):
-        """A warm revision of a duplicate-rect layout replays every
-        tile, and the splice rejects the colliding keys.  The stage
-        recovers with the chip-wide pass, and never silently: a
-        structured-log warning names the duplicate geometry and the
-        metrics counter ticks once."""
-        from repro.geometry import Rect
-        from repro.layout import layout_from_rects
-        from repro.obs import Tracer
-
-        r = Rect(0, 0, 90, 1000)
-        lay = layout_from_rects([r, Rect(500, 0, 590, 1000)])
-        lay.add_feature(r)
-        store = ArtifactCache()
-        cfg = PipelineConfig(tiles=2)
-        cold = stage_front_end(lay, tech, cfg, cache=store)
-        tracer = Tracer()
-        warm, text = traced_and_logged(
-            tracer, lambda: stage_front_end(lay, tech, cfg, cache=store))
-        assert warm.tiled and warm.cache_delta[KIND_FRONTEND][1] == 0
-        assert tracer.metrics.counter(
-            "frontend.monolithic_fallbacks").value == 1
-        assert "frontend.monolithic_fallback" in text
-        assert "(0, 0, 90, 1000)" in text
-        assert_same_front_end(warm, (cold.shifters, cold.pairs))
-
-    def test_foreign_artifact_recovers(self, tech):
-        """A foreign artifact planted under a tile's key fails the
-        splice; the stage recovers the same way."""
-        from repro.chip import partition_layout
-        from repro.obs import Tracer
-        from repro.shifters import compute_tile_front_end, \
-            frontend_cache_key
-
-        lay = standard_cell_layout(GeneratorParams(rows=2, cols=6),
-                                   seed=9)
-        other = figure1_layout()
-        tile = partition_layout(lay, tech, tiles=2).tiles[0]
-        foreign = compute_tile_front_end(
-            other, (-1 << 40, -1 << 40, 1 << 40, 1 << 40), tech)
-        store = ArtifactCache()
-        store.put(KIND_FRONTEND,
-                  frontend_cache_key(tile.digest, tile.owner, tech),
-                  foreign)
-        tracer = Tracer()
-        front, text = traced_and_logged(
-            tracer, lambda: stage_front_end(
-                lay, tech, PipelineConfig(tiles=2), cache=store))
-        assert front.tiled and front.cache_delta[KIND_FRONTEND][0] == 1
-        assert tracer.metrics.counter(
-            "frontend.monolithic_fallbacks").value == 1
-        assert "stale artifact" in text
-        assert_same_front_end(front, layout_front_end(lay, tech))
 
     def test_empty_layout_takes_tiled_route(self, tech):
         from repro.layout import Layout
@@ -216,18 +145,6 @@ class TestTiledFrontEnd:
         front = stage_front_end(Layout(), tech, PipelineConfig(tiles=2))
         assert front.tiled and front.grid.num_tiles == 0
         assert len(front.shifters) == 0 and front.pairs == []
-        assert front.cache_delta.get(KIND_FRONTEND, (0, 0)) == (0, 0)
-
-    def test_clean_tiled_run_does_not_count_fallback(self, tech):
-        from repro.obs import Tracer, use_tracer
-
-        tracer = Tracer()
-        with use_tracer(tracer):
-            front = stage_front_end(grating_layout(6), tech,
-                                    PipelineConfig(tiles=2))
-        assert front.tiled
-        assert tracer.metrics.counter(
-            "frontend.monolithic_fallbacks").value == 0
 
     def test_pipeline_threads_grid_to_detection(self, tech):
         """One partition per revision: the detect stage's chip report
@@ -239,7 +156,7 @@ class TestTiledFrontEnd:
         assert result.front.tiled
         assert (result.detection.chip.nx,
                 result.detection.chip.ny) == (2, 3)
-        hits, misses = result.artifact_cache_counts()[KIND_FRONTEND]
+        hits, misses = result.artifact_cache_counts()[KIND_TILE]
         assert hits + misses > 0
         assert result.front.grid is None
         assert result.verification.front.grid is None

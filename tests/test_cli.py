@@ -310,16 +310,15 @@ class TestBench:
         cold = json_mod.loads(capsys.readouterr().out)
         assert cold["cache_dir"] == cache
         kinds = cold["cache_kinds"]
-        assert set(kinds) >= {"frontend", "tile"}
-        assert kinds["frontend"]["misses"] > 0  # cold: real work done
+        assert set(kinds) >= {"tile"}
+        assert kinds["tile"]["misses"] > 0  # cold: real work done
         assert cold["designs"][0]["pipeline"]["tiled"] is True
 
         assert main(["bench", "--designs", "D1", "--cache-dir", cache,
                      "--json"]) == 0
         warm = json_mod.loads(capsys.readouterr().out)
-        assert set(warm["cache_kinds"]) == {"frontend", "tile",
-                                            "coloring", "verify"}
-        for kind in ("frontend", "tile", "coloring", "verify"):
+        assert set(warm["cache_kinds"]) == {"tile", "coloring", "verify"}
+        for kind in ("tile", "coloring", "verify"):
             hits = warm["cache_kinds"][kind]
             assert hits["misses"] == 0, (kind, hits)
             assert hits["hits"] == kinds[kind]["misses"], (kind, hits)
@@ -330,7 +329,7 @@ class TestBench:
                      "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
         assert "artifact cache hits" in out
-        for kind in ("frontend", "tile", "coloring", "verify"):
+        for kind in ("tile", "coloring", "verify"):
             assert f"{kind}:" in out, kind  # every kind reaches the footer
 
     def test_bench_executor_backends_agree(self, capsys):
