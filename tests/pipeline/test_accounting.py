@@ -23,14 +23,13 @@ from repro.scenarios import build_scenario, stratum_names
 
 # The per-pass figures of a pipeline block, by the kind they count.
 PASS_FIGURES = {
-    "frontend": [("front_cache",), ("verify_front_cache",)],
     "tile": [("detect_cache",), ("verify_cache",)],
     "coloring": [("phase", "coloring")],
     "verify": [("phase", "verify")],
 }
 
 # The whole-run figures, by kind.
-RUN_FIGURES = {"frontend": "frontend_cache", "tile": "cache"}
+RUN_FIGURES = {"tile": "cache"}
 
 SMOKE_CORPUS = [(stratum, seed) for stratum in stratum_names()
                 for seed in range(3)]
@@ -39,17 +38,11 @@ SMOKE_CORPUS = [(stratum, seed) for stratum in stratum_names()
 # canonical ECO edit — as (hits, misses) per figure, pinned to what the
 # flow reported before per-pass figures were read off the store.
 D3_RUNS = {
-    "cold": dict(front_cache=(0, 9), verify_front_cache=(0, 9),
-                 frontend_cache=(0, 18), detect_cache=(0, 9),
-                 verify_cache=(0, 9), cache=(0, 18),
+    "cold": dict(detect_cache=(0, 9), verify_cache=(0, 9), cache=(0, 18),
                  coloring=(0, 114), verify=(0, 114)),
-    "warm": dict(front_cache=(9, 0), verify_front_cache=(9, 0),
-                 frontend_cache=(18, 0), detect_cache=(9, 0),
-                 verify_cache=(9, 0), cache=(18, 0),
+    "warm": dict(detect_cache=(9, 0), verify_cache=(9, 0), cache=(18, 0),
                  coloring=(114, 0), verify=(114, 0)),
-    "eco": dict(front_cache=(8, 1), verify_front_cache=(8, 1),
-                frontend_cache=(16, 2), detect_cache=(8, 1),
-                verify_cache=(8, 1), cache=(16, 2),
+    "eco": dict(detect_cache=(8, 1), verify_cache=(8, 1), cache=(16, 2),
                 coloring=(114, 0), verify=(114, 0)),
 }
 
@@ -146,9 +139,9 @@ def test_d3_cold_warm_eco_blocks_are_pinned(tech):
 def test_warm_rerun_over_a_written_store_hits_every_entry(tech, tmp_path,
                                                           design):
     """A store written to disk by one run replays in full for a fresh
-    store over the same directory: every ``frontend``, ``tile``,
-    ``coloring`` and ``verify`` request hits (the artifacts survive
-    pickling), and the answer is unchanged."""
+    store over the same directory: every ``tile``, ``coloring`` and
+    ``verify`` request hits (the artifacts survive pickling), and the
+    answer is unchanged."""
     from repro.core.flow import flow_result_from_pipeline
     from repro.scenarios import report_key
 
@@ -160,7 +153,7 @@ def test_warm_rerun_over_a_written_store_hits_every_entry(tech, tmp_path,
     fresh = ArtifactCache(str(tmp_path))
     warm, warm_delta = counted(fresh, lambda: run_pipeline(
         layout, tech, config, cache=fresh))
-    for kind in ("frontend", "tile", "coloring", "verify"):
+    for kind in ARTIFACT_KINDS:
         assert cold_delta[kind][1] > 0, kind
         assert warm_delta[kind] == (sum(cold_delta[kind]), 0), kind
     assert report_key(flow_result_from_pipeline(warm)) \
