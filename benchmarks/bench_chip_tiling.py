@@ -17,7 +17,6 @@ from repro.bench import build_design
 from repro.cache import KIND_TILE
 from repro.chip import run_chip_flow
 from repro.conflict import detect_conflicts
-from repro.graph import METHOD_PATHS
 
 # The largest design of bench_fullchip_scaling, plus a mid-size control.
 DESIGNS = ["D5", "D8"]
@@ -30,9 +29,8 @@ def test_tiled_matches_and_beats_monolithic(benchmark, tech, collect_row,
     layout = build_design(name)
 
     def compare():
-        mono = detect_conflicts(layout, tech, method=METHOD_PATHS)
-        chip = run_chip_flow(layout, tech, jobs=JOBS,
-                             method=METHOD_PATHS)
+        mono = detect_conflicts(layout, tech)
+        chip = run_chip_flow(layout, tech, jobs=JOBS)
         return mono, chip
 
     mono, chip = benchmark.pedantic(compare, rounds=1, iterations=1)
@@ -64,11 +62,9 @@ def test_warm_cache_rerun(benchmark, tech, collect_row, tmp_path):
     """An unchanged re-run (the ECO inner loop) is nearly free."""
     layout = build_design("D5")
     cache_dir = str(tmp_path / "tiles")
-    cold = run_chip_flow(layout, tech, cache_dir=cache_dir,
-                         method=METHOD_PATHS)
+    cold = run_chip_flow(layout, tech, cache_dir=cache_dir)
     warm = benchmark.pedantic(
-        lambda: run_chip_flow(layout, tech, cache_dir=cache_dir,
-                              method=METHOD_PATHS),
+        lambda: run_chip_flow(layout, tech, cache_dir=cache_dir),
         rounds=1, iterations=1)
     collect_row("Full-chip tiling — warm cache", {
         "design": "D5",

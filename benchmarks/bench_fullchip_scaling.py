@@ -2,16 +2,14 @@
 with approximately 160K polygons").
 
 Our documented scaling substitution runs the largest suite designs
-through the complete detection flow (shortest-path T-join engine — the
-exact same optimum, cheaper constants than gadget matching at scale)
-and records near-linear wall-clock growth.
+through the complete detection flow and records near-linear wall-clock
+growth.
 """
 
 import pytest
 
 from repro.bench import build_design
 from repro.conflict import detect_conflicts
-from repro.graph import METHOD_PATHS
 
 BIG_DESIGNS = ["D5", "D6", "D7", "D8"]
 
@@ -20,7 +18,7 @@ BIG_DESIGNS = ["D5", "D6", "D7", "D8"]
 def test_fullchip_detection(benchmark, tech, collect_row, name):
     layout = build_design(name)
     report = benchmark.pedantic(
-        lambda: detect_conflicts(layout, tech, method=METHOD_PATHS),
+        lambda: detect_conflicts(layout, tech),
         rounds=1, iterations=1)
     collect_row("Full-chip scaling — detection flow", {
         "design": name,
@@ -37,10 +35,8 @@ def test_fullchip_detection(benchmark, tech, collect_row, name):
 def test_scaling_is_subquadratic(benchmark, tech, collect_row):
     """Doubling the polygon count should far less than 4x the runtime."""
     small, big = benchmark.pedantic(
-        lambda: (detect_conflicts(build_design("D5"), tech,
-                                  method=METHOD_PATHS),
-                 detect_conflicts(build_design("D7"), tech,
-                                  method=METHOD_PATHS)),
+        lambda: (detect_conflicts(build_design("D5"), tech),
+                 detect_conflicts(build_design("D7"), tech)),
         rounds=1, iterations=1)
     size_ratio = big.num_features / small.num_features
     time_ratio = big.detect_seconds / max(small.detect_seconds, 1e-9)

@@ -10,7 +10,9 @@ regressions show up in review as diffs of the hot-function list.
 
 Run serially (``--jobs 1`` is forced): the profiler only sees this
 process, so fanning tiles out to a pool would hide exactly the work
-being profiled.
+being profiled.  One untimed flow of the design runs first, on a
+throwaway store, so the interpreter's one-time imports land there and
+not in the first profiled stage.
 
 Usage::
 
@@ -35,6 +37,7 @@ from repro.gcpause import gc_paused
 from repro.layout import Technology
 from repro.pipeline.runner import (
     PipelineConfig,
+    run_pipeline,
     stage_assign,
     stage_correct,
     stage_detect,
@@ -90,6 +93,8 @@ def profile_design(design: str, top: int = 15,
     tech = Technology.node_90nm()
     config = PipelineConfig(tiles=tiles, jobs=1, tiled=True,
                             executor="serial")
+    # Warm-up: loads every module the stages import lazily.
+    run_pipeline(layout, tech, config, cache=ArtifactCache(None))
     store = ArtifactCache(None)
 
     merged: Dict[str, Dict[str, Any]] = {}

@@ -21,7 +21,6 @@ from repro.graph import (
     build_gadget_graph,
     greedy_planarize,
     min_tjoin_gadget,
-    min_tjoin_shortest_paths,
 )
 from repro.layout import Technology
 
@@ -49,10 +48,6 @@ def main() -> None:
         print(f"  {label:40s} {gadget.num_nodes:3d} nodes "
               f"{gadget.num_edges:3d} edges  ->  join weight "
               f"{g.total_weight(join)} {sorted(join)}")
-
-    reference = min_tjoin_shortest_paths(g, tset)
-    print(f"  {'reference (shortest paths)':40s} "
-          f"{'':18s}join weight {g.total_weight(reference)}")
 
     print("\nruntime on a real dual (design D4):")
     tech = Technology.node_90nm()

@@ -11,7 +11,7 @@ namespaced by *artifact kind*; the stages, ``run_pipeline``,
 kind      value / key inputs
 ========= ==========================================================
 tile      :class:`~repro.chip.executor.TileResult`; key hashes the
-          captured geometry, rule deck, graph kind/method and the
+          captured geometry, rule deck, graph kind and the
           ownership window (:func:`repro.chip.cache.tile_cache_key`).
 coloring  a conflict-graph component's canonical 2-coloring; key is
           the component's content id

@@ -1,8 +1,8 @@
 """Content keys for per-tile detection results.
 
 A tile's detection outcome is a pure function of (a) the geometry it
-captured, (b) the rule deck, (c) the graph kind and bipartization
-method, and (d) the ownership window that filters its contribution.
+captured, (b) the rule deck, (c) the graph kind, and (d) the ownership
+window that filters its contribution.
 The cache key hashes exactly those inputs, so:
 
 * re-running an unchanged chip hits on every tile;
@@ -27,8 +27,9 @@ from .executor import TileJob
 # Bump when TileResult/CanonicalConflict shape or the key encoding
 # changes so stale directories self-invalidate instead of unpickling
 # garbage.  Format 5: the captured geometry enters as the tile's
-# sorted-rect digest (:attr:`TileJob.digest`).
-CACHE_FORMAT = 5
+# sorted-rect digest (:attr:`TileJob.digest`).  Format 6: the key no
+# longer names a bipartization method (the gadget is the only engine).
+CACHE_FORMAT = 6
 
 
 def tile_cache_key(job: TileJob) -> str:
@@ -42,7 +43,7 @@ def tile_cache_key(job: TileJob) -> str:
     h = hashlib.sha256()
     h.update(f"format:{CACHE_FORMAT}".encode())
     h.update(tech_fingerprint(job.tech))
-    h.update(f"kind:{job.kind};method:{job.method}".encode())
+    h.update(f"kind:{job.kind}".encode())
     h.update(f"owner:{job.owner}".encode())
     h.update(f"geometry:{job.digest}".encode())
     return h.hexdigest()

@@ -30,7 +30,6 @@ from ..conflict import PCG, DetectionReport, build_layout_conflict_graph, \
     detect_conflicts
 from ..geometry.kernels import get_kernel
 from ..geometry.rect import rect_columns
-from ..graph import METHOD_GADGET
 from ..graph.geomgraph import _parity_roots
 from ..layout import Layout, Technology
 from ..shifters import SIDES, OverlapPair, ShifterSet, pair_columns
@@ -65,7 +64,6 @@ class TileJob:
     tech: Technology
     digest: str
     kind: str = PCG
-    method: str = METHOD_GADGET
     feature_ids: Tuple[int, ...] = ()
     front: Optional[Tuple[ShifterSet, List[OverlapPair]]] = field(
         default=None, compare=False, repr=False)
@@ -166,7 +164,7 @@ def detect_tile(job: TileJob) -> TileResult:
                                            front=job.front)
     _cg, shifters, pairs = prebuilt
     report = detect_conflicts(job.layout, job.tech, kind=job.kind,
-                              method=job.method, prebuilt=prebuilt)
+                              prebuilt=prebuilt)
     result = TileResult(ix=job.ix, iy=job.iy, report=report)
     _canonicalize(job, shifters, pairs, result)
     result.seconds = time.perf_counter() - start
@@ -341,10 +339,9 @@ def resolve_executor(jobs: Optional[int], backend: Optional[str] = None):
 
 
 def make_jobs(tiles: Sequence[Tile], tech: Technology,
-              kind: str = PCG,
-              method: str = METHOD_GADGET) -> List[TileJob]:
+              kind: str = PCG) -> List[TileJob]:
     """Freeze a tile grid into picklable work units."""
     return [TileJob(ix=t.ix, iy=t.iy, layout=t.layout, owner=t.owner,
-                    tech=tech, digest=t.digest, kind=kind, method=method,
+                    tech=tech, digest=t.digest, kind=kind,
                     feature_ids=tuple(t.feature_ids))
             for t in tiles]

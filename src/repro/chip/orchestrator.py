@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 from ..cache import KIND_TILE, ArtifactCache, cache_delta
 from ..conflict import PCG, DetectionReport
 from ..gcpause import gc_paused
-from ..graph import METHOD_GADGET
 from ..layout import Layout, Technology, with_rect_columns
 from ..obs import get_tracer
 from ..shifters import (
@@ -120,7 +119,6 @@ def run_chip_flow(layout: Layout, tech: Technology,
                   cache_dir: Optional[str] = None,
                   cache: Optional[ArtifactCache] = None,
                   kind: str = PCG,
-                  method: str = METHOD_GADGET,
                   front: Optional[Tuple[ShifterSet,
                                         List[OverlapPair]]] = None,
                   grid: Optional[TileGrid] = None,
@@ -129,7 +127,7 @@ def run_chip_flow(layout: Layout, tech: Technology,
 
     Deterministic by construction: the partition, per-tile detection
     (tie-free generic weights), and cluster-arbitrated stitching are
-    all pure functions of ``(layout, tech, tiles, kind, method)``, so
+    all pure functions of ``(layout, tech, tiles, kind)``, so
     two runs — serial or parallel, cold or cached, any executor
     backend — produce the identical chip-level report.  The capture
     halo is the partition's own
@@ -149,7 +147,6 @@ def run_chip_flow(layout: Layout, tech: Technology,
             overrides ``cache_dir``.  It holds the tile results (kind
             ``tile``).
         kind: conflict-graph kind ("pcg"/"fg").
-        method: bipartization engine for each tile.
         front: the revision's chip front end ``(shifters, pairs)``,
             e.g. the pipeline's front-end stage output.  Every tile job
             the store cannot replay is handed its slice of it, so no
@@ -199,7 +196,7 @@ def run_chip_flow(layout: Layout, tech: Technology,
             else:
                 shifters, pairs = front
 
-            jobs_all = make_jobs(grid.tiles, tech, kind=kind, method=method)
+            jobs_all = make_jobs(grid.tiles, tech, kind=kind)
             with tracer.span("execute", cat="chip") as exec_span:
                 keys = [tile_cache_key(job) for job in jobs_all]
                 results: List[Optional[TileResult]] = [

@@ -30,7 +30,8 @@ from .bench import build_design, design_names, format_table, table1_row, table2_
 from .conflict import detect_conflicts
 from .core import run_aapsm_flow
 from .correction import ExactCoverTooLargeError
-from .gdsii import gds_to_layout, layout_to_gds, read_gds, write_gds
+from .gdsii import GdsFormatError, gds_to_layout, layout_to_gds, read_gds, \
+    write_gds
 from .layout import Layout, Technology
 from .obs import (
     NullTracer,
@@ -647,9 +648,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     configure_logging(getattr(args, "verbose", 0))
     try:
         return args.func(args)
-    except ExactCoverTooLargeError as exc:
-        # --cover exact on a window past the solver's caps: a usage
-        # error, reported in one line before any window is solved.
+    except (ExactCoverTooLargeError, GdsFormatError) as exc:
+        # --cover exact on a window past the solver's caps, or a
+        # malformed GDS input: a usage error, reported in one line
+        # (exit 1 means "ran, not phase-assignable").
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,7 @@
 2. Greedily planarize the straight-line drawing; the removed edges form
    the *potential* conflict set P.
 3. Optimally bipartize the embedded planar remainder via the dual
-   T-join (gadget matching or shortest paths): removed edge set D0.
+   T-join (generalized-gadget matching): removed edge set D0.
 4. Re-examine P with the parity structure of G - D0: edges that would
    close an odd cycle join the final set D (paper step 3).
 
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..graph import (
-    METHOD_GADGET,
     greedy_planarize,
     optimal_planar_bipartization,
     residual_conflicts,
@@ -138,8 +137,6 @@ def build_layout_conflict_graph(
 
 def detect_conflicts(layout: Layout, tech: Technology,
                      kind: str = PCG,
-                     method: str = METHOD_GADGET,
-                     max_clique_size: Optional[int] = None,
                      weight_model: Optional[WeightModel] = None,
                      prebuilt: Optional[Tuple[ConflictGraph, ShifterSet,
                                               List[OverlapPair]]] = None
@@ -180,8 +177,7 @@ def detect_conflicts(layout: Layout, tech: Technology,
     report.crossings_removed = len(potential)
 
     # Step 2: optimal bipartization of the embedded planar remainder.
-    bip = optimal_planar_bipartization(graph, method=method,
-                                       max_clique_size=max_clique_size)
+    bip = optimal_planar_bipartization(graph)
     report.step2_edges = len(bip.removed)
     report.step2_weight = _base_weight(graph, bip.removed)
 

@@ -29,7 +29,6 @@ from typing import Optional
 from ..cache import KIND_TILE
 from ..conflict import PCG, DetectionReport
 from ..correction import CorrectionReport
-from ..graph import METHOD_GADGET
 from ..layout import Layout, Technology
 from ..phase import PhaseAssignment
 from ..pipeline import PipelineConfig, PipelineResult, run_pipeline
@@ -91,7 +90,6 @@ def flow_result_from_pipeline(pipe: PipelineResult) -> FlowResult:
 
 def run_aapsm_flow(layout: Layout, tech: Technology,
                    kind: str = PCG,
-                   method: str = METHOD_GADGET,
                    cover: str = "auto",
                    tiles=None,
                    jobs: Optional[int] = None,
@@ -105,7 +103,6 @@ def run_aapsm_flow(layout: Layout, tech: Technology,
         layout: the input layout (poly layer as rectangles).
         tech: rule deck.
         kind: conflict-graph kind ("pcg", the paper's, or "fg").
-        method: bipartization engine per detection pass.
         cover: set-cover solver ("auto"/"greedy"/"exact").
         tiles: tile grid spec; enables the tiled path.
         jobs: worker processes for tiled detection.
@@ -137,7 +134,7 @@ def run_aapsm_flow(layout: Layout, tech: Technology,
         from ..chip.partition import auto_tile_grid
 
         tiles = auto_tile_grid(layout)
-    config = PipelineConfig(kind=kind, method=method, cover=cover,
+    config = PipelineConfig(kind=kind, cover=cover,
                             tiles=tiles, jobs=jobs, cache_dir=cache_dir,
                             tiled=True if incremental else None,
                             executor=executor)

@@ -1,12 +1,61 @@
-"""GDSII stream reader."""
+"""GDSII stream reader.
+
+A malformed stream raises :class:`~repro.gdsii.records.GdsFormatError`
+and nothing else.  An element that lacks a required record, holds the
+wrong number of values in one, or carries a non-ASCII name or string
+is reported with the element, its structure and the record.
+"""
 
 from __future__ import annotations
 
-from typing import BinaryIO, Optional, Union
+from typing import BinaryIO, Callable, Dict, Optional, Union
 
 from . import records as rec
 from .model import ARef, Boundary, GdsLibrary, GdsStructure, Path, SRef, Text
 from .records import GdsFormatError
+
+
+def _decode(where: str, rtype: int, unpack: Callable, payload: bytes):
+    """``unpack(payload)``; a malformed payload is reported with
+    ``where`` and the record's name."""
+    try:
+        return unpack(payload)
+    except GdsFormatError as exc:
+        raise GdsFormatError(
+            f"{where}: {rec.RECORD_NAMES[rtype]}: {exc}") from None
+
+
+class _Element:
+    """The records of one element, keyed by type, read with errors
+    that name the element and the record."""
+
+    def __init__(self, where: str, fields: Dict[int, bytes]):
+        self.where = where
+        self.fields = fields
+
+    def __contains__(self, rtype: int) -> bool:
+        return rtype in self.fields
+
+    def decode(self, rtype: int, unpack: Callable,
+               count: Optional[int] = None):
+        """The record's payload through ``unpack``: a list of exactly
+        ``count`` values unless ``count`` is None."""
+        if rtype not in self.fields:
+            raise GdsFormatError(
+                f"{self.where} has no {rec.RECORD_NAMES[rtype]} record")
+        values = _decode(self.where, rtype, unpack, self.fields[rtype])
+        if count is not None and len(values) != count:
+            raise GdsFormatError(
+                f"{self.where}: {rec.RECORD_NAMES[rtype]} holds "
+                f"{len(values)} values, not {count}")
+        return values
+
+    def value(self, rtype: int, unpack: Callable, default=None):
+        """The record's single value; ``default`` when the record is
+        absent (a None default makes the record required)."""
+        if default is not None and rtype not in self.fields:
+            return default
+        return self.decode(rtype, unpack, 1)[0]
 
 
 class _Parser:
@@ -15,6 +64,7 @@ class _Parser:
     def __init__(self, data: bytes):
         self.records = list(rec.iter_records(data))
         self.pos = 0
+        self.structure = ""
 
     def peek(self):
         if self.pos >= len(self.records):
@@ -36,7 +86,8 @@ class _Parser:
         del payload  # version ignored
         self.take(rec.BGNLIB)
         _, _, name_payload = self.take(rec.LIBNAME)
-        lib = GdsLibrary(name=rec.unpack_ascii(name_payload))
+        lib = GdsLibrary(name=_decode("library", rec.LIBNAME,
+                                      rec.unpack_ascii, name_payload))
         _, _, units_payload = self.take(rec.UNITS)
         units = rec.unpack_real8(units_payload)
         if len(units) != 2:
@@ -48,12 +99,18 @@ class _Parser:
             if rtype == rec.ENDLIB:
                 self.take()
                 return lib
-            lib.add(self.parse_structure())
+            structure = self.parse_structure()
+            if structure.name in lib.structures:
+                raise GdsFormatError(
+                    f"duplicate structure {structure.name!r}")
+            lib.add(structure)
 
     def parse_structure(self) -> GdsStructure:
         self.take(rec.BGNSTR)
         _, _, payload = self.take(rec.STRNAME)
-        structure = GdsStructure(name=rec.unpack_ascii(payload))
+        structure = GdsStructure(name=_decode("structure", rec.STRNAME,
+                                              rec.unpack_ascii, payload))
+        self.structure = structure.name
         while True:
             rtype, _, _ = self.peek()
             if rtype == rec.ENDSTR:
@@ -79,85 +136,75 @@ class _Parser:
             if rtype == rec.ENDEL:
                 return
 
-    def _element_fields(self):
-        """Collect records of one element until ENDEL, keyed by type."""
+    def _element(self, kind: int) -> _Element:
+        """Take one element of record type ``kind`` through its ENDEL;
+        its records keyed by type."""
+        self.take(kind)
         fields = {}
         while True:
-            rtype, dtype, payload = self.take()
+            rtype, _dtype, payload = self.take()
             if rtype == rec.ENDEL:
-                return fields
-            fields[rtype] = (dtype, payload)
+                return _Element(f"{rec.RECORD_NAMES[kind]} in structure "
+                                f"{self.structure!r}", fields)
+            fields[rtype] = payload
 
     def parse_boundary(self) -> Boundary:
-        self.take(rec.BOUNDARY)
-        f = self._element_fields()
+        f = self._element(rec.BOUNDARY)
         return Boundary(
-            layer=rec.unpack_int16(f[rec.LAYER][1])[0],
-            datatype=rec.unpack_int16(f.get(rec.DATATYPE,
-                                            (0, b"\x00\x00"))[1])[0],
-            points=rec.unpack_xy(f[rec.XY][1]),
+            layer=f.value(rec.LAYER, rec.unpack_int16),
+            datatype=f.value(rec.DATATYPE, rec.unpack_int16, 0),
+            points=f.decode(rec.XY, rec.unpack_xy),
         )
 
     def parse_path(self) -> Path:
-        self.take(rec.PATH)
-        f = self._element_fields()
+        f = self._element(rec.PATH)
         return Path(
-            layer=rec.unpack_int16(f[rec.LAYER][1])[0],
-            datatype=rec.unpack_int16(f.get(rec.DATATYPE,
-                                            (0, b"\x00\x00"))[1])[0],
-            width=(rec.unpack_int32(f[rec.WIDTH][1])[0]
-                   if rec.WIDTH in f else 0),
-            pathtype=(rec.unpack_int16(f[rec.PATHTYPE][1])[0]
-                      if rec.PATHTYPE in f else 0),
-            points=rec.unpack_xy(f[rec.XY][1]),
+            layer=f.value(rec.LAYER, rec.unpack_int16),
+            datatype=f.value(rec.DATATYPE, rec.unpack_int16, 0),
+            width=f.value(rec.WIDTH, rec.unpack_int32, 0),
+            pathtype=f.value(rec.PATHTYPE, rec.unpack_int16, 0),
+            points=f.decode(rec.XY, rec.unpack_xy),
         )
 
-    def _strans_fields(self, f):
+    def _strans_fields(self, f: _Element):
         reflect_x = False
-        mag = 1.0
-        angle = 0.0
         if rec.STRANS in f:
-            bits = int.from_bytes(f[rec.STRANS][1], "big")
+            bits = int.from_bytes(f.fields[rec.STRANS], "big")
             reflect_x = bool(bits & 0x8000)
-        if rec.MAG in f:
-            mag = rec.unpack_real8(f[rec.MAG][1])[0]
-        if rec.ANGLE in f:
-            angle = rec.unpack_real8(f[rec.ANGLE][1])[0]
+        mag = f.value(rec.MAG, rec.unpack_real8, 1.0)
+        angle = f.value(rec.ANGLE, rec.unpack_real8, 0.0)
         return reflect_x, mag, angle
 
     def parse_sref(self) -> SRef:
-        self.take(rec.SREF)
-        f = self._element_fields()
+        f = self._element(rec.SREF)
         reflect_x, mag, angle = self._strans_fields(f)
-        (origin,) = rec.unpack_xy(f[rec.XY][1])
-        return SRef(sname=rec.unpack_ascii(f[rec.SNAME][1]),
-                    origin=origin, reflect_x=reflect_x, mag=mag,
-                    angle=angle)
+        return SRef(sname=f.decode(rec.SNAME, rec.unpack_ascii),
+                    origin=f.value(rec.XY, rec.unpack_xy),
+                    reflect_x=reflect_x, mag=mag, angle=angle)
 
     def parse_aref(self) -> ARef:
-        self.take(rec.AREF)
-        f = self._element_fields()
+        f = self._element(rec.AREF)
         reflect_x, mag, angle = self._strans_fields(f)
-        cols, rows = rec.unpack_int16(f[rec.COLROW][1])
-        origin, col_corner, row_corner = rec.unpack_xy(f[rec.XY][1])
+        cols, rows = f.decode(rec.COLROW, rec.unpack_int16, 2)
+        if cols < 1 or rows < 1:
+            raise GdsFormatError(f"{f.where}: COLROW {cols}x{rows} has "
+                                 "no placement")
+        origin, col_corner, row_corner = f.decode(rec.XY, rec.unpack_xy, 3)
         col_step = ((col_corner[0] - origin[0]) // cols,
                     (col_corner[1] - origin[1]) // cols)
         row_step = ((row_corner[0] - origin[0]) // rows,
                     (row_corner[1] - origin[1]) // rows)
-        return ARef(sname=rec.unpack_ascii(f[rec.SNAME][1]),
+        return ARef(sname=f.decode(rec.SNAME, rec.unpack_ascii),
                     cols=cols, rows=rows, origin=origin,
                     col_step=col_step, row_step=row_step,
                     reflect_x=reflect_x, mag=mag, angle=angle)
 
     def parse_text(self) -> Text:
-        self.take(rec.TEXT)
-        f = self._element_fields()
-        (origin,) = rec.unpack_xy(f[rec.XY][1])
-        return Text(layer=rec.unpack_int16(f[rec.LAYER][1])[0],
-                    texttype=(rec.unpack_int16(f[rec.TEXTTYPE][1])[0]
-                              if rec.TEXTTYPE in f else 0),
-                    origin=origin,
-                    string=rec.unpack_ascii(f[rec.STRING][1]))
+        f = self._element(rec.TEXT)
+        return Text(layer=f.value(rec.LAYER, rec.unpack_int16),
+                    texttype=f.value(rec.TEXTTYPE, rec.unpack_int16, 0),
+                    origin=f.value(rec.XY, rec.unpack_xy),
+                    string=f.decode(rec.STRING, rec.unpack_ascii))
 
 
 def loads(data: bytes) -> GdsLibrary:

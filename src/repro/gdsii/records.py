@@ -187,7 +187,10 @@ def unpack_real8(payload: bytes) -> List[float]:
 
 
 def unpack_ascii(payload: bytes) -> str:
-    return payload.rstrip(b"\x00").decode("ascii")
+    try:
+        return payload.rstrip(b"\x00").decode("ascii")
+    except UnicodeDecodeError:
+        raise GdsFormatError(f"non-ASCII string {payload!r}") from None
 
 
 def unpack_xy(payload: bytes) -> List[Tuple[int, int]]:

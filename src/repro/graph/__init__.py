@@ -1,15 +1,12 @@
 """Geometric graph stack (substrates S5-S8).
 
 Construction (:class:`GeomGraph`), planarization by greedy crossing
-removal, exact face tracing, geometric duals, T-join solvers (reference
-shortest-path reduction and the paper's generalized-gadget reduction),
-minimum-weight perfect matching, and the bipartization algorithms the
-paper compares.
+removal, exact face tracing, geometric duals, the paper's
+generalized-gadget T-join reduction, minimum-weight perfect matching,
+and the bipartization algorithms the paper compares.
 """
 
 from .bipartize import (
-    METHOD_GADGET,
-    METHOD_PATHS,
     BipartizationResult,
     greedy_odd_cycle_bipartization,
     greedy_spanning_tree_bipartization,
@@ -35,6 +32,7 @@ from .dual import DualGraph, build_dual
 from .embedding import PlanarEmbedding, build_embedding
 from .gadgets import (
     GadgetGraph,
+    TJoinInfeasibleError,
     build_gadget_graph,
     extract_tjoin,
     min_tjoin_gadget,
@@ -51,12 +49,6 @@ from .matching import (
 from .odd_cycles import (
     moniwa_iterative_bipartization,
     shortest_odd_cycle,
-)
-from .tjoin import (
-    TJoinInfeasibleError,
-    is_tjoin,
-    min_tjoin_brute_force,
-    min_tjoin_shortest_paths,
 )
 
 __all__ = [
@@ -75,9 +67,6 @@ __all__ = [
     "MatchingCertificateError",
     "MatcherBackend",
     "get_matcher",
-    "min_tjoin_shortest_paths",
-    "min_tjoin_brute_force",
-    "is_tjoin",
     "TJoinInfeasibleError",
     "GadgetGraph",
     "build_gadget_graph",
@@ -98,8 +87,6 @@ __all__ = [
     "optimal_planar_bipartization",
     "greedy_spanning_tree_bipartization",
     "greedy_odd_cycle_bipartization",
-    "METHOD_GADGET",
-    "METHOD_PATHS",
     "shortest_odd_cycle",
     "moniwa_iterative_bipartization",
 ]

@@ -5,10 +5,9 @@ Three families, matching the paper's Table 1 columns:
 * :func:`optimal_planar_bipartization` — the paper's *Bipartize*:
   embedded planar graph → geometric dual, reduced to a simple graph
   with no degree-2 face → minimum T-join (via the generalized-gadget
-  matching reduction or the reference shortest-path reduction) →
-  minimum-weight edge set whose removal kills every odd face, hence
-  every odd cycle.  Only the components that hold an odd cycle are
-  embedded.
+  matching reduction) → minimum-weight edge set whose removal kills
+  every odd face, hence every odd cycle.  Only the components that
+  hold an odd cycle are embedded.
 * :func:`greedy_spanning_tree_bipartization` — the paper's GB baseline,
   implemented literally: keep a maximum-weight spanning forest, report
   every leftover edge as a conflict.
@@ -26,10 +25,6 @@ from .dual import build_dual, eliminate_degree_two, simple_dual
 from .embedding import build_embedding
 from .gadgets import min_tjoin_gadget
 from .geomgraph import GeomGraph, _numpy
-from .tjoin import min_tjoin_shortest_paths
-
-METHOD_GADGET = "gadget"
-METHOD_PATHS = "paths"
 
 
 @dataclass
@@ -56,21 +51,17 @@ class BipartizationResult:
         return len(self.removed)
 
 
-def optimal_planar_bipartization(
-        graph: GeomGraph,
-        method: str = METHOD_GADGET,
-        max_clique_size: Optional[int] = None) -> BipartizationResult:
+def optimal_planar_bipartization(graph: GeomGraph) -> BipartizationResult:
     """Minimum-weight bipartization of an embedded planar graph.
 
     ``graph`` must be a crossing-free straight-line drawing (run
-    :func:`repro.graph.crossings.greedy_planarize` first).  ``method``
-    selects the T-join engine; ``max_clique_size`` configures the
-    gadget decomposition (None = generalized gadget, 1 = optimized
-    gadgets of ASP-DAC'01).  Either engine solves the dual's simple
-    instance (:func:`~repro.graph.dual.simple_dual`) with its degree-2
-    faces eliminated (:func:`~repro.graph.dual.eliminate_degree_two`),
-    which has the same minimum T-join weight, and the join is expanded
-    back to primal edge ids.
+    :func:`repro.graph.crossings.greedy_planarize` first).  The
+    generalized gadget (:func:`~repro.graph.gadgets.min_tjoin_gadget`)
+    solves the T-join on the dual's simple instance
+    (:func:`~repro.graph.dual.simple_dual`) with its degree-2 faces
+    eliminated (:func:`~repro.graph.dual.eliminate_degree_two`), which
+    has the same minimum T-join weight, and the join is expanded back
+    to primal edge ids.
 
     The problem splits over the components of the live graph, and a
     bipartite component has only even faces, so it adds no terminal to
@@ -79,21 +70,14 @@ def optimal_planar_bipartization(
     dualized and joined.  A bipartite graph returns at once: that
     labelling is the check of the graph minus an empty edge set.
     """
-    if method not in (METHOD_GADGET, METHOD_PATHS):
-        raise ValueError(f"unknown T-join method {method!r}")
-    name = method if max_clique_size is None \
-        else f"{method}/clique<={max_clique_size}"
     labelling = parity_labelling(graph)
     if not labelling.odd:
-        return BipartizationResult(removed=[], weight=0, method=name,
+        return BipartizationResult(removed=[], weight=0, method="gadget",
                                    labelling=labelling)
     embedding = build_embedding(graph, _odd_component_edges(graph,
                                                             labelling))
     dual = eliminate_degree_two(simple_dual(build_dual(embedding)))
-    if method == METHOD_GADGET:
-        join = min_tjoin_gadget(dual.graph, dual.tset, max_clique_size)
-    else:
-        join = min_tjoin_shortest_paths(dual.graph, dual.tset)
+    join = min_tjoin_gadget(dual.graph, dual.tset)
     removed = dual.primal_edges(join)
     labelling = parity_labelling(graph, skip_edges=removed)
     if labelling.odd:
@@ -103,7 +87,7 @@ def optimal_planar_bipartization(
     return BipartizationResult(
         removed=removed,
         weight=graph.total_weight(removed),
-        method=name,
+        method="gadget",
         labelling=labelling,
     )
 

@@ -16,8 +16,9 @@ in the T-join iff the dummy takes the *true* side (equivalently: the
 ghost is matched inside its gadget, paying w(e) exactly once).
 
 Correctness sketch (proved in the tests against the shortest-path
-solver): inside gadget ``v`` every node is either dummy-matched or
-intra-matched and the intra-matched count is even, so
+reduction in ``tests/oracles.py``): inside gadget ``v`` every node is
+either dummy-matched or intra-matched and the intra-matched count is
+even, so
 
     deg_J(v) = #(assigned, dummy-matched) + #(unassigned, intra-matched)
              = a_v - #(assigned, intra) + #(unassigned, intra)
@@ -52,7 +53,24 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .geomgraph import GeomGraph
 from .matching import min_weight_perfect_matching
-from .tjoin import check_feasible
+
+
+class TJoinInfeasibleError(ValueError):
+    """Raised when some component contains an odd number of T nodes."""
+
+
+def check_feasible(graph: GeomGraph, tset: Set[int],
+                   components: Optional[List[List[int]]] = None) -> None:
+    """Raise unless every component holds an even number of T nodes.
+
+    ``components`` is ``graph.connected_components()`` when the caller
+    already has it."""
+    if components is None:
+        components = graph.connected_components()
+    for comp in components:
+        if len(tset.intersection(comp)) % 2 == 1:
+            raise TJoinInfeasibleError(
+                f"component with odd |T|: {sorted(set(comp) & tset)}")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ from ..conflict import (
 )
 from ..correction import apply_cuts, plan_correction
 from ..gcpause import gc_paused
-from ..graph import METHOD_GADGET
 from ..layout import Layout, Technology, with_rect_columns
 from ..obs import get_tracer
 from ..phase import (
@@ -84,7 +83,6 @@ class PipelineConfig:
     """
 
     kind: str = PCG
-    method: str = METHOD_GADGET
     cover: str = "auto"
     tiles: TileSpec = None
     jobs: Optional[int] = None
@@ -158,7 +156,7 @@ def stage_detect(front: FrontEnd, tech: Technology,
         if config.is_tiled:
             chip = run_chip_flow(front.layout, tech, tiles=config.tiles,
                                  jobs=config.jobs, cache=cache,
-                                 kind=config.kind, method=config.method,
+                                 kind=config.kind,
                                  front=(front.shifters, front.pairs),
                                  grid=front.grid,
                                  executor=config.executor)
@@ -173,7 +171,7 @@ def stage_detect(front: FrontEnd, tech: Technology,
             front.layout, tech, config.kind,
             front=(front.shifters, front.pairs))
         report = detect_conflicts(front.layout, tech, kind=config.kind,
-                                  method=config.method, prebuilt=prebuilt)
+                                  prebuilt=prebuilt)
         span.set(tiled=False, conflicts=report.num_conflicts)
         return DetectionArtifact(report=report, front=front,
                                  graph=prebuilt[0],
@@ -311,10 +309,9 @@ def run_pipeline(layout: Layout, tech: Technology,
         layout: the layout revision to push through detect → correct
             → re-verify → assign.
         tech: rule deck.
-        config: pipeline knobs (graph kind, bipartization method,
-            set-cover solver, tile grid, workers, store directory,
-            tiled switch, executor); defaults to the untiled
-            monolithic configuration.
+        config: pipeline knobs (graph kind, set-cover solver, tile
+            grid, workers, store directory, tiled switch, executor);
+            defaults to the untiled monolithic configuration.
         cache: an :class:`~repro.cache.ArtifactCache` shared by
             every stage *and* across calls — pass the same store for a
             base and an edited run and only dirty tiles and graph

@@ -4,7 +4,9 @@
 ``detect_conflicts`` on the same layout, including conflicts whose
 geometry straddles tile boundaries.  Conflicts are compared in
 canonical ``(feature rect, shifter side)`` terms so the tiled flow gets
-no credit for renumbering.
+no credit for renumbering.  The tiled == monolithic comparisons run
+under the shortest-path T-join engine (``use_paths_engine``), so they
+also check that engine against the tiled path.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from repro.cache import KIND_TILE, ArtifactCache
 from repro.chip import run_chip_flow, stitch_results
 from repro.conflict import detect_conflicts
 from repro.core import run_aapsm_flow
-from repro.graph import METHOD_PATHS
 from repro.layout import (
     GeneratorParams,
     Layout,
@@ -26,6 +27,8 @@ from repro.layout import (
     standard_cell_layout,
 )
 from repro.shifters import generate_shifters
+
+from ..oracles import use_paths_engine
 
 
 @pytest.fixture
@@ -47,9 +50,9 @@ def canonical_conflicts(layout, tech, report):
 
 
 def assert_equivalent(layout, tech, tiles, **kw):
-    mono = detect_conflicts(layout, tech, method=METHOD_PATHS)
-    chip = run_chip_flow(layout, tech, tiles=tiles,
-                         method=METHOD_PATHS, **kw)
+    with use_paths_engine():
+        mono = detect_conflicts(layout, tech)
+        chip = run_chip_flow(layout, tech, tiles=tiles, **kw)
     assert chip.num_conflicts == mono.num_conflicts
     assert canonical_conflicts(layout, tech, chip.detection) == \
         canonical_conflicts(layout, tech, mono)
@@ -74,7 +77,7 @@ class TestEquivalence:
         """Odd grids cut straight through Figure-1 clusters; every
         cluster's single conflict must survive stitching exactly once."""
         layout = conflict_grid_layout(4, 4, cluster_pitch=2500)
-        mono = detect_conflicts(layout, tech, method=METHOD_PATHS)
+        mono = detect_conflicts(layout, tech)
         assert mono.num_conflicts == 16  # known ground truth
         for tiles in (2, 3, 5):
             assert_equivalent(layout, tech, tiles)
@@ -96,10 +99,8 @@ class TestEquivalence:
 
     def test_multiprocess_equals_serial(self, tech):
         layout = standard_cell_layout(seed=21)
-        serial = run_chip_flow(layout, tech, tiles=2, jobs=1,
-                               method=METHOD_PATHS)
-        parallel = run_chip_flow(layout, tech, tiles=2, jobs=2,
-                                 method=METHOD_PATHS)
+        serial = run_chip_flow(layout, tech, tiles=2, jobs=1)
+        parallel = run_chip_flow(layout, tech, tiles=2, jobs=2)
         assert [c.key for c in serial.conflicts] == \
             [c.key for c in parallel.conflicts]
 
@@ -197,9 +198,9 @@ class TestCachingBehaviour:
 class TestFlowIntegration:
     def test_run_aapsm_flow_tiled_equals_monolithic(self, tech):
         layout = standard_cell_layout(seed=25)
-        mono = run_aapsm_flow(layout, tech, method=METHOD_PATHS)
-        tiled = run_aapsm_flow(layout, tech, method=METHOD_PATHS,
-                               tiles=2, jobs=1)
+        with use_paths_engine():
+            mono = run_aapsm_flow(layout, tech)
+            tiled = run_aapsm_flow(layout, tech, tiles=2, jobs=1)
         assert tiled.success == mono.success
         assert tiled.detection.num_conflicts == mono.detection.num_conflicts
         assert {c.key for c in tiled.detection.conflicts} == \
@@ -218,8 +219,9 @@ class TestStitchReports:
         layout = standard_cell_layout(
             GeneratorParams(rows=2, cols=6, tshape_probability=1.0),
             seed=26)
-        mono = detect_conflicts(layout, tech, method=METHOD_PATHS)
-        chip = run_chip_flow(layout, tech, tiles=2, method=METHOD_PATHS)
+        with use_paths_engine():
+            mono = detect_conflicts(layout, tech)
+            chip = run_chip_flow(layout, tech, tiles=2)
         assert len(chip.detection.tshape_conflicts) == \
             len(mono.tshape_conflicts)
         assert chip.detection.tshape_features == mono.tshape_features

@@ -97,14 +97,16 @@ class TestWarmEcoStitch:
 
 class TestExecutorEquivalence:
     def test_all_backends_produce_identical_reports(self, tech):
-        """--executor serial|process: same chip report."""
-        layout = standard_cell_layout(seed=21)
-        from repro.graph import METHOD_PATHS
+        """--executor serial|process: same chip report, under the
+        shortest-path T-join engine (forked workers inherit it)."""
+        from ..oracles import use_paths_engine
 
-        reports = {
-            name: run_chip_flow(layout, tech, tiles=2, jobs=2,
-                                method=METHOD_PATHS, executor=name)
-            for name in ("serial", "process")}
+        layout = standard_cell_layout(seed=21)
+        with use_paths_engine():
+            reports = {
+                name: run_chip_flow(layout, tech, tiles=2, jobs=2,
+                                    executor=name)
+                for name in ("serial", "process")}
         keys = {name: [c.key for c in r.conflicts]
                 for name, r in reports.items()}
         assert keys["serial"] == keys["process"]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.conflict import FG, PCG, detect_conflicts
-from repro.graph import METHOD_PATHS
 from repro.layout import (
     GeneratorParams,
     conflict_grid_layout,
@@ -12,6 +11,8 @@ from repro.layout import (
     odd_cycle_chain,
     standard_cell_layout,
 )
+
+from ..oracles import use_paths_engine
 
 
 class TestBasicDetection:
@@ -53,7 +54,8 @@ class TestBasicDetection:
         tie-breaking — only the optimal cost is an invariant.)"""
         lay = standard_cell_layout(GeneratorParams(rows=4, cols=15), seed=9)
         a = detect_conflicts(lay, tech)
-        b = detect_conflicts(lay, tech, method=METHOD_PATHS)
+        with use_paths_engine():
+            b = detect_conflicts(lay, tech)
         assert a.step2_weight == b.step2_weight
         assert a.step2_edges == b.step2_edges
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,19 @@ from repro.graph import (
     greedy_planarize,
     greedy_spanning_tree_bipartization,
     is_bipartite,
+    min_tjoin_gadget,
     optimal_planar_bipartization,
 )
 
+from ..oracles import (RecordingMatcher, min_tjoin_shortest_paths,
+                       use_matcher, use_paths_engine,
+                       whole_graph_bipartization)
 from .test_gadgets import corpus, planarized_conflict_graph
+
+# The T-join engines the bipartization is checked under: the flow's
+# swap for each, and the callable the whole-graph oracle is handed.
+ENGINES = {"gadget": (nullcontext, min_tjoin_gadget),
+           "paths": (use_paths_engine, min_tjoin_shortest_paths)}
 
 
 def random_geometric_graph(seed, n=14, m=24, max_w=9):
@@ -89,15 +99,10 @@ class TestOptimal:
     def test_methods_agree(self):
         for seed in range(6):
             g = random_geometric_graph(seed)
-            a = optimal_planar_bipartization(g, method="gadget")
-            b = optimal_planar_bipartization(g, method="paths")
+            a = optimal_planar_bipartization(g)
+            with use_paths_engine():
+                b = optimal_planar_bipartization(g)
             assert a.weight == b.weight
-
-    def test_unknown_method(self):
-        g = GeomGraph()
-        g.add_node(0, (0, 0))
-        with pytest.raises(ValueError):
-            optimal_planar_bipartization(g, method="magic")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_result_is_bipartite(self, seed):
@@ -205,23 +210,21 @@ def _hand_built():
     return {name: _drawn(*case) for name, case in cases.items()}
 
 
-def _solve_recorded(solve, graph, method):
+def _solve_recorded(solve, graph):
     """``solve``'s result and every matcher instance it built."""
-    from ..oracles import RecordingMatcher, use_matcher
-
     recorder = RecordingMatcher()
     with use_matcher(recorder):
-        result = solve(graph, method=method)
+        result = solve(graph)
     return result, recorder.instances
 
 
-def _assert_same(graph, method):
-    from ..oracles import whole_graph_bipartization
-
-    got, got_instances = _solve_recorded(optimal_planar_bipartization,
-                                         graph, method)
-    want, want_instances = _solve_recorded(whole_graph_bipartization,
-                                           graph, method)
+def _assert_same(graph, engine):
+    swap, join = ENGINES[engine]
+    with swap():
+        got, got_instances = _solve_recorded(optimal_planar_bipartization,
+                                             graph)
+    want, want_instances = _solve_recorded(
+        lambda g: whole_graph_bipartization(g, join), graph)
     assert got.removed == want.removed
     assert got.weight == want.weight
     assert got.method == want.method
@@ -239,10 +242,10 @@ class TestOddComponentsOnly:
     def test_conflict_graphs(self, name):
         _assert_same(planarized_conflict_graph(name), "gadget")
 
-    @pytest.mark.parametrize("method", ["gadget", "paths"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("name", sorted(_hand_built()))
-    def test_hand_built(self, name, method):
-        _assert_same(_hand_built()[name], method)
+    def test_hand_built(self, name, engine):
+        _assert_same(_hand_built()[name], engine)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_drawings(self, seed):
@@ -275,11 +278,6 @@ class TestOddComponentsOnly:
         (_graph, edges), _kwargs = embed.call_args
         # The square's four edges are dropped; the triangle's kept.
         assert edges == [4, 5, 6]
-
-    def test_bipartite_graph_with_unknown_method_raises(self):
-        with pytest.raises(ValueError, match="unknown T-join method"):
-            optimal_planar_bipartization(_hand_built()["even-cycle"],
-                                         method="magic")
 
     def test_self_loop_still_raises(self):
         g = _hand_built()["even-cycle"]

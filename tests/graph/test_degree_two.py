@@ -21,20 +21,16 @@ from hypothesis import strategies as st
 
 from repro.bench import build_design
 from repro.core.flow import run_aapsm_flow
-from repro.graph import (
-    GeomGraph,
-    is_tjoin,
-    min_tjoin_gadget,
-    min_tjoin_shortest_paths,
-)
+from repro.graph import GeomGraph, min_tjoin_gadget
 from repro.graph.dual import DualGraph, eliminate_degree_two, simple_dual
 from repro.layout import Technology
 from repro.obs import Tracer, use_tracer
 from repro.scenarios import build_scenario, report_key, stratum_names
 
 from ..conftest import cold_chip_layout
-from ..oracles import (RecordingMatcher, scalar_connected_components,
-                       use_matcher, use_unreduced_dual)
+from ..oracles import (RecordingMatcher, is_tjoin, min_tjoin_shortest_paths,
+                       scalar_connected_components, use_matcher,
+                       use_unreduced_dual)
 
 TECH = Technology.node_90nm()
 ENGINES = [min_tjoin_gadget, min_tjoin_shortest_paths]

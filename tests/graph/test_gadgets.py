@@ -2,7 +2,8 @@
 
 The key property: for any T-join instance, the gadget reduction —
 at every divide-node chunk size — returns a T-join of exactly the same
-total weight as the reference shortest-path solver.
+total weight as the reference shortest-path solver
+(``tests/oracles.py``).
 """
 
 import random
@@ -12,15 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (
-    GeomGraph,
-    build_gadget_graph,
-    is_tjoin,
-    min_tjoin_gadget,
-    min_tjoin_shortest_paths,
-)
+from repro.graph import GeomGraph, build_gadget_graph, min_tjoin_gadget
 from repro.graph.gadgets import extract_tjoin
 from repro.graph.matching import min_weight_perfect_matching
+
+from ..oracles import is_tjoin, min_tjoin_shortest_paths
 
 
 def graph_from_edges(n, edges):

@@ -22,10 +22,7 @@ from repro.core.flow import run_aapsm_flow
 from repro.graph import (
     GeomGraph,
     greedy_planarize,
-    is_tjoin,
-    min_tjoin_brute_force,
     min_tjoin_gadget,
-    min_tjoin_shortest_paths,
     optimal_planar_bipartization,
 )
 from repro.graph.dual import PRIMAL_TAG, DualGraph, simple_dual
@@ -33,7 +30,8 @@ from repro.layout import Technology
 from repro.scenarios import build_scenario, report_key, stratum_names
 
 from ..conftest import cold_chip_layout
-from ..oracles import (NetworkxMatcher, RecordingMatcher,
+from ..oracles import (NetworkxMatcher, RecordingMatcher, is_tjoin,
+                       min_tjoin_brute_force, min_tjoin_shortest_paths,
                        scalar_connected_components, use_matcher,
                        use_raw_dual, use_unreduced_dual)
 

@@ -1,4 +1,4 @@
-"""T-join reference solver tests."""
+"""Tests of the shortest-path T-join reference in ``tests/oracles.py``."""
 
 import random
 
@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (
-    GeomGraph,
-    TJoinInfeasibleError,
+from repro.graph import GeomGraph, TJoinInfeasibleError
+
+from ..oracles import (
     is_tjoin,
     min_tjoin_brute_force,
     min_tjoin_shortest_paths,

@@ -18,6 +18,12 @@ compare them with live here:
 * :func:`dict_perfect_matching` — the matching driver's dict
   collapse of parallel edges and per-node union-find, which the
   driver's column passes must reproduce instance for instance;
+* :func:`min_tjoin_shortest_paths` — the Edmonds–Johnson
+  shortest-path reduction of Berman et al. (Dijkstra from every
+  terminal, a perfect matching over the terminals, the symmetric
+  difference of the matched paths), the reference the generalized
+  gadget is tested against; :func:`min_tjoin_brute_force` and the
+  validator :func:`is_tjoin` check small instances exhaustively;
 * :func:`whole_graph_bipartization` — bipartization that embeds,
   dualizes and T-joins every live edge, not only the components that
   hold an odd cycle;
@@ -78,7 +84,9 @@ compare them with live here:
 :func:`use_kernel` / :func:`use_matcher` run the flow on an oracle by
 swapping it in behind the production accessors ``get_kernel`` /
 ``get_matcher``; :func:`use_whole_instance_cover` swaps the unwindowed
-cover in behind ``solve_cover_windows``; :func:`use_unreduced_dual`
+cover in behind ``solve_cover_windows``; :func:`use_paths_engine`
+swaps :func:`min_tjoin_shortest_paths` in behind the gadget's
+``min_tjoin_gadget``; :func:`use_unreduced_dual`
 solves every T-join on the dual's simple instance with its degree-2
 faces kept, and :func:`use_raw_dual` on the raw dual, self-loops,
 parallel edges and degree-2 faces kept.  The graph core's other
@@ -89,6 +97,7 @@ scalar oracles live with their differential suite in
 from __future__ import annotations
 
 import hashlib
+import heapq
 import importlib
 import struct
 import sys
@@ -97,8 +106,8 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (Dict, Generic, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple, TypeVar)
+from typing import (Callable, Dict, Generic, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple, TypeVar)
 
 from repro.chip.partition import (
     OPEN,
@@ -126,18 +135,17 @@ from repro.correction.setcover import (
 from repro.geometry import Interval, Rect, segment_bbox, segments_conflict
 from repro.geometry.kernels import GeometryKernel, PairRow, get_kernel
 from repro.graph import (
-    METHOD_GADGET,
-    METHOD_PATHS,
     BipartizationResult,
     GeomGraph,
     build_dual,
     build_embedding,
     min_tjoin_gadget,
-    min_tjoin_shortest_paths,
+    min_weight_perfect_matching,
     parity_labelling,
 )
 from repro.graph.components import COMPONENT_FORMAT
 from repro.graph.dual import eliminate_degree_two, simple_dual
+from repro.graph.gadgets import check_feasible
 from repro.graph.matching import BlossomMatcher, LocalEdge, \
     MatcherBackend, NoPerfectMatchingError
 from repro.layout import Layout, Technology
@@ -538,22 +546,147 @@ def dict_perfect_matching(graph: GeomGraph) -> List[int]:
     return sorted(matched)
 
 
-def whole_graph_bipartization(graph: GeomGraph,
-                              method: str = METHOD_GADGET,
-                              max_clique_size: Optional[int] = None
-                              ) -> BipartizationResult:
+# ----------------------------------------------------------------------
+# The shortest-path T-join, and bipartization of the whole graph
+# ----------------------------------------------------------------------
+def is_tjoin(graph: GeomGraph, edge_ids: Sequence[int], tset: Set[int]
+             ) -> bool:
+    """Validator: J-degree parity matches membership in T."""
+    degree: Dict[int, int] = {}
+    for eid in set(edge_ids):
+        e = graph.edge(eid)
+        if e.is_self_loop:
+            degree[e.u] = degree.get(e.u, 0) + 2
+        else:
+            degree[e.u] = degree.get(e.u, 0) + 1
+            degree[e.v] = degree.get(e.v, 0) + 1
+    for node in graph.nodes:
+        odd = degree.get(node, 0) % 2 == 1
+        if odd != (node in tset):
+            return False
+    return True
+
+
+def _dijkstra(graph: GeomGraph, source: int
+              ) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Multigraph Dijkstra; returns (dist, predecessor edge id)."""
+    dist: Dict[int, int] = {source: 0}
+    pred: Dict[int, int] = {}
+    heap: List[Tuple[int, int]] = [(0, source)]
+    done: Set[int] = set()
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        for e in graph.incident(node):
+            if e.is_self_loop:
+                continue
+            nxt = e.other(node)
+            nd = d + e.weight
+            if nxt not in dist or nd < dist[nxt]:
+                dist[nxt] = nd
+                pred[nxt] = e.id
+                heapq.heappush(heap, (nd, nxt))
+    return dist, pred
+
+
+def _path_edges(graph: GeomGraph, pred: Dict[int, int],
+                source: int, target: int) -> List[int]:
+    edges: List[int] = []
+    node = target
+    while node != source:
+        eid = pred[node]
+        edges.append(eid)
+        node = graph.edge(eid).other(node)
+    return edges
+
+
+def min_tjoin_shortest_paths(graph: GeomGraph,
+                             tset: Set[int]) -> List[int]:
+    """Minimum-weight T-join via the shortest-path/matching reduction.
+
+    Requires non-negative weights: a negative edge raises
+    :class:`ValueError` naming the first one, before any shortest-path
+    search (Dijkstra would relax into finished nodes and could leave a
+    predecessor cycle).  Self-loops never enter a minimum T-join (they
+    cannot change parity) and are ignored.
+    """
+    for eid, u, v, weight in graph.live_edge_rows():
+        if weight < 0:
+            raise ValueError(f"edge {eid} ({u}-{v}) has negative weight "
+                             f"{weight}; the shortest-path T-join needs "
+                             "non-negative weights")
+    check_feasible(graph, tset)
+    terminals = sorted(tset)
+    if not terminals:
+        return []
+
+    dists: Dict[int, Dict[int, int]] = {}
+    preds: Dict[int, Dict[int, int]] = {}
+    for t in terminals:
+        dists[t], preds[t] = _dijkstra(graph, t)
+
+    # Complete graph over T; node ids are positions in `terminals`.
+    complete = GeomGraph(name="tjoin-complete")
+    for i in range(len(terminals)):
+        complete.add_node(i)
+    for i, ti in enumerate(terminals):
+        for j in range(i + 1, len(terminals)):
+            tj = terminals[j]
+            if tj in dists[ti]:
+                complete.add_edge(i, j, weight=dists[ti][tj])
+
+    matched = min_weight_perfect_matching(complete)
+
+    join: Set[int] = set()
+    for eid in matched:
+        e = complete.edge(eid)
+        source = terminals[e.u]
+        target = terminals[e.v]
+        for primal_eid in _path_edges(graph, preds[source], source, target):
+            join.symmetric_difference_update({primal_eid})
+    return sorted(join)
+
+
+def min_tjoin_brute_force(graph: GeomGraph, tset: Set[int],
+                          max_edges: int = 18) -> Optional[List[int]]:
+    """Exhaustive minimum T-join over every edge subset."""
+    edges = [e for e in graph.edges() if not e.is_self_loop]
+    if len(edges) > max_edges:
+        raise ValueError(f"too many edges for brute force: {len(edges)}")
+    best_cost: Optional[int] = None
+    best: Optional[List[int]] = None
+    for mask in range(1 << len(edges)):
+        subset = [edges[i].id for i in range(len(edges)) if mask >> i & 1]
+        cost = graph.total_weight(subset)
+        if best_cost is not None and cost >= best_cost:
+            continue
+        if is_tjoin(graph, subset, tset):
+            best_cost = cost
+            best = subset
+    return sorted(best) if best is not None else None
+
+
+def use_paths_engine():
+    """Solve the block's T-joins with :func:`min_tjoin_shortest_paths`
+    wherever the flow calls :func:`repro.graph.gadgets.min_tjoin_gadget`
+    (bipartization's engine)."""
+    return _rebind("repro.graph.gadgets", "min_tjoin_gadget",
+                   min_tjoin_shortest_paths)
+
+
+def whole_graph_bipartization(
+        graph: GeomGraph,
+        engine: Callable[[GeomGraph, Set[int]], List[int]] = min_tjoin_gadget
+        ) -> BipartizationResult:
     """``optimal_planar_bipartization`` over the embedding of every
     live edge, bipartite components included, checked by one labelling
-    of the graph minus the join."""
+    of the graph minus the join.  ``engine(graph, tset)`` solves the
+    T-join; the result is labelled as the flow labels its own."""
     embedding = build_embedding(graph)
     dual = eliminate_degree_two(simple_dual(build_dual(embedding)))
-    if method == METHOD_GADGET:
-        join = min_tjoin_gadget(dual.graph, dual.tset, max_clique_size)
-    elif method == METHOD_PATHS:
-        join = min_tjoin_shortest_paths(dual.graph, dual.tset)
-    else:
-        raise ValueError(f"unknown T-join method {method!r}")
-    removed = dual.primal_edges(join)
+    removed = dual.primal_edges(engine(dual.graph, dual.tset))
     labelling = parity_labelling(graph, skip_edges=removed)
     if labelling.odd:
         raise AssertionError(
@@ -561,9 +694,7 @@ def whole_graph_bipartization(graph: GeomGraph,
             "odd cycle")
     return BipartizationResult(
         removed=removed, weight=graph.total_weight(removed),
-        method=method if max_clique_size is None
-        else f"{method}/clique<={max_clique_size}",
-        labelling=labelling)
+        method="gadget", labelling=labelling)
 
 
 # ----------------------------------------------------------------------

@@ -9,15 +9,14 @@ produce a byte-identical flow report with a kernel or matcher oracle
 swapped in behind ``get_kernel`` / ``get_matcher`` (and, under
 networkx, the same removed edge ids), and the same
 correction with the whole-instance cover swapped in behind
-``solve_cover_windows``.  The shortest-path T-join engine, which the
-flow still ships behind ``method=``, must give the gadget reduction's
+``solve_cover_windows``.  The shortest-path T-join reference, swapped
+in behind ``min_tjoin_gadget``, must give the gadget reduction's
 report on the same scenarios.
 """
 
 import pytest
 
 from repro.core.flow import run_aapsm_flow
-from repro.graph import METHOD_PATHS
 from repro.scenarios import build_scenario, report_key, stratum_names
 
 from ..oracles import (
@@ -28,6 +27,7 @@ from ..oracles import (
     cover_oracle_divergence,
     use_kernel,
     use_matcher,
+    use_paths_engine,
 )
 
 SMOKE = [(stratum, seed) for stratum in stratum_names() for seed in range(3)]
@@ -88,5 +88,6 @@ def test_shortest_path_tjoin_agrees(stratum, seed):
     gadget reduction's flow report: the optimum is unique under the
     tie-free weights, so the engines must agree byte for byte."""
     s = build_scenario(stratum, seed)
-    paths = run_aapsm_flow(s.layout, s.tech, method=METHOD_PATHS)
+    with use_paths_engine():
+        paths = run_aapsm_flow(s.layout, s.tech)
     assert report_key(paths) == report_key(run_aapsm_flow(s.layout, s.tech))

@@ -244,6 +244,23 @@ class TestExactCoverCaps:
         assert "success: True" in capsys.readouterr().out
 
 
+class TestMalformedGds:
+    """A malformed GDS input is one error line and exit 2, not a
+    traceback and the "not phase-assignable" exit 1."""
+
+    @pytest.mark.parametrize("command", ["flow", "detect", "chip"])
+    def test_truncated_file(self, command, figure1_gds, tmp_path, capsys):
+        with open(figure1_gds, "rb") as fh:
+            data = fh.read()
+        truncated = str(tmp_path / "trunc.gds")
+        with open(truncated, "wb") as fh:
+            fh.write(data[:len(data) // 2])
+        assert main([command, truncated]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: record extends past end of stream\n"
+        assert captured.out == ""
+
+
 class TestGenerateAndTables:
     def test_generate(self, tmp_path, capsys):
         path = str(tmp_path / "d1.gds")

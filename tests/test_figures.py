@@ -15,11 +15,12 @@ from repro.graph import (
     build_gadget_graph,
     is_bipartite,
     min_tjoin_gadget,
-    min_tjoin_shortest_paths,
     GeomGraph,
 )
 from repro.layout import conflict_grid_layout, figure1_layout
 from repro.phase import assign_and_verify
+
+from .oracles import min_tjoin_shortest_paths
 
 
 class TestFigure1:

@@ -29,10 +29,11 @@ from repro.graph import (
     build_embedding,
     greedy_planarize,
     is_bipartite,
-    min_tjoin_shortest_paths,
     optimal_planar_bipartization,
 )
 from repro.layout import GeneratorParams, Technology, standard_cell_layout
+
+from .oracles import min_tjoin_shortest_paths
 
 
 def random_planarized_graph(seed, n=16, m=28):
